@@ -37,8 +37,7 @@ use tetrisched_service::{
     AdmissionPolicy, FairShareConfig, ServiceConfig, ServiceCore, ServiceJob,
 };
 use tetrisched_sim::{
-    FaultPlan, FaultScope, PerfFaultKind, PerfFaultPlan, PerfFaultScript, RetryPolicy, SimReport,
-    StragglerConfig,
+    FaultScope, PerfFaultKind, PerfFaultPlan, PerfFaultScript, SimReport, StragglerConfig,
 };
 use tetrisched_workloads::Workload;
 
@@ -55,21 +54,13 @@ impl ServiceJob for BenchJob {
 /// e2e equivalence corpus so the number tracks the code path users of the
 /// engine actually exercise.
 fn cycle_spec() -> RunSpec {
-    RunSpec {
-        workload: Workload::GsMix,
-        cluster: Cluster::uniform(2, 8, 1),
-        num_jobs: 24,
-        seed: 3,
-        estimate_error: 0.0,
-        kind: SchedulerKind::Tetri(TetriSchedConfig::full(16)),
-        cycle_period: 4,
-        utilization: 1.0,
-        slowdown: 1.5,
-        faults: FaultPlan::none(),
-        retry: RetryPolicy::default(),
-        perf_faults: PerfFaultPlan::none(),
-        stragglers: StragglerConfig::disabled(),
-    }
+    RunSpec::new(
+        Workload::GsMix,
+        Cluster::uniform(2, 8, 1),
+        24,
+        3,
+        SchedulerKind::Tetri(TetriSchedConfig::full(16)),
+    )
 }
 
 /// The same run under degraded operation: two nodes (12.5% of RC16) run

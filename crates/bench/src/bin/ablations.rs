@@ -13,24 +13,21 @@
 use tetrisched_bench::figures::FigScale;
 use tetrisched_bench::harness::{run_spec, RunSpec, SchedulerKind};
 use tetrisched_core::TetriSchedConfig;
-use tetrisched_sim::{FaultPlan, PerfFaultPlan, RetryPolicy, StragglerConfig};
 use tetrisched_workloads::Workload;
 
 fn run(label: &str, scale: &FigScale, error: f64, cfg: TetriSchedConfig) {
     let report = run_spec(&RunSpec {
-        workload: Workload::GsHet,
-        cluster: scale.rc80(),
-        num_jobs: scale.num_jobs,
-        seed: scale.seed,
         estimate_error: error,
-        kind: SchedulerKind::Tetri(cfg),
         cycle_period: scale.cycle_period,
         utilization: 1.15,
         slowdown: 2.0,
-        faults: FaultPlan::none(),
-        retry: RetryPolicy::default(),
-        perf_faults: PerfFaultPlan::none(),
-        stragglers: StragglerConfig::disabled(),
+        ..RunSpec::new(
+            Workload::GsHet,
+            scale.rc80(),
+            scale.num_jobs,
+            scale.seed,
+            SchedulerKind::Tetri(cfg),
+        )
     });
     let m = &report.metrics;
     println!(

@@ -25,8 +25,7 @@ use tetrisched_cluster::NodeId;
 use tetrisched_core::{GovernorConfig, TetriSched, TetriSchedConfig};
 use tetrisched_sim::{
     FaultConfig, FaultPlan, FaultScope, FaultScript, PerfFaultConfig, PerfFaultKind, PerfFaultPlan,
-    PerfFaultScript, RetryPolicy, SimConfig, SimReport, Simulator, StragglerConfig,
-    TelemetryConfig, TraceEvent,
+    PerfFaultScript, SimConfig, SimReport, Simulator, StragglerConfig, TelemetryConfig, TraceEvent,
 };
 use tetrisched_workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
@@ -42,19 +41,13 @@ fn churn_spec(
     stragglers: StragglerConfig,
 ) -> RunSpec {
     RunSpec {
-        workload: Workload::GsHet,
-        cluster: scale.rc80(),
-        num_jobs: scale.num_jobs,
-        seed,
-        estimate_error: 0.0,
-        kind,
         cycle_period: scale.cycle_period,
         utilization: 1.15,
         slowdown: 2.0,
         faults,
-        retry: RetryPolicy::default(),
         perf_faults,
         stragglers,
+        ..RunSpec::new(Workload::GsHet, scale.rc80(), scale.num_jobs, seed, kind)
     }
 }
 

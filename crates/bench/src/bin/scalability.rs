@@ -10,7 +10,6 @@
 use tetrisched_bench::harness::{run_spec, RunSpec, SchedulerKind};
 use tetrisched_cluster::Cluster;
 use tetrisched_core::TetriSchedConfig;
-use tetrisched_sim::{FaultPlan, PerfFaultPlan, RetryPolicy, StragglerConfig};
 use tetrisched_workloads::Workload;
 
 fn main() {
@@ -32,19 +31,15 @@ fn main() {
     for (racks, per, jobs) in sizes {
         let cluster = Cluster::uniform(racks, per, racks / 4);
         let report = run_spec(&RunSpec {
-            workload: Workload::GsHet,
-            cluster: cluster.clone(),
-            num_jobs: jobs,
-            seed: 42,
-            estimate_error: 0.0,
-            kind: SchedulerKind::Tetri(TetriSchedConfig::default()),
-            cycle_period: 4,
             utilization: 1.15,
             slowdown: 2.0,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            perf_faults: PerfFaultPlan::none(),
-            stragglers: StragglerConfig::disabled(),
+            ..RunSpec::new(
+                Workload::GsHet,
+                cluster.clone(),
+                jobs,
+                42,
+                SchedulerKind::Tetri(TetriSchedConfig::default()),
+            )
         });
         let m = &report.metrics;
         println!(

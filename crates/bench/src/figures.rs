@@ -2,7 +2,6 @@
 
 use tetrisched_cluster::Cluster;
 use tetrisched_core::TetriSchedConfig;
-use tetrisched_sim::{FaultPlan, PerfFaultPlan, RetryPolicy, StragglerConfig};
 use tetrisched_workloads::Workload;
 
 use crate::harness::{run_spec, RunSpec, SchedulerKind};
@@ -129,19 +128,17 @@ fn error_sweep(
             let reps: Vec<MetricsRow> = (0..scale.replications.max(1))
                 .map(|r| {
                     let report = run_spec(&RunSpec {
-                        workload,
-                        cluster: cluster.clone(),
-                        num_jobs: scale.num_jobs,
-                        seed: scale.seed + r as u64,
                         estimate_error: err / 100.0,
-                        kind: kind.clone(),
                         cycle_period: scale.cycle_period,
                         utilization,
                         slowdown,
-                        faults: FaultPlan::none(),
-                        retry: RetryPolicy::default(),
-                        perf_faults: PerfFaultPlan::none(),
-                        stragglers: StragglerConfig::disabled(),
+                        ..RunSpec::new(
+                            workload,
+                            cluster.clone(),
+                            scale.num_jobs,
+                            scale.seed + r as u64,
+                            kind.clone(),
+                        )
                     });
                     MetricsRow::from_report(kind.name(), err, &report)
                 })
@@ -262,19 +259,16 @@ pub fn fig11(scale: &FigScale) -> Vec<MetricsRow> {
             let reps: Vec<MetricsRow> = (0..scale.replications.max(1))
                 .map(|r| {
                     let report = run_spec(&RunSpec {
-                        workload: Workload::GsHet,
-                        cluster: scale.rc80(),
-                        num_jobs: scale.num_jobs,
-                        seed: scale.seed + r as u64,
-                        estimate_error: 0.0,
-                        kind: SchedulerKind::Tetri(cfg.clone()),
                         cycle_period: scale.cycle_period,
                         utilization: 1.15,
                         slowdown: 2.0,
-                        faults: FaultPlan::none(),
-                        retry: RetryPolicy::default(),
-                        perf_faults: PerfFaultPlan::none(),
-                        stragglers: StragglerConfig::disabled(),
+                        ..RunSpec::new(
+                            Workload::GsHet,
+                            scale.rc80(),
+                            scale.num_jobs,
+                            scale.seed + r as u64,
+                            SchedulerKind::Tetri(cfg.clone()),
+                        )
                     });
                     MetricsRow::from_report(name, pa as f64, &report)
                 })
@@ -286,19 +280,16 @@ pub fn fig11(scale: &FigScale) -> Vec<MetricsRow> {
     let reps: Vec<MetricsRow> = (0..scale.replications.max(1))
         .map(|r| {
             let report = run_spec(&RunSpec {
-                workload: Workload::GsHet,
-                cluster: scale.rc80(),
-                num_jobs: scale.num_jobs,
-                seed: scale.seed + r as u64,
-                estimate_error: 0.0,
-                kind: SchedulerKind::RayonCs,
                 cycle_period: scale.cycle_period,
                 utilization: 1.15,
                 slowdown: 2.0,
-                faults: FaultPlan::none(),
-                retry: RetryPolicy::default(),
-                perf_faults: PerfFaultPlan::none(),
-                stragglers: StragglerConfig::disabled(),
+                ..RunSpec::new(
+                    Workload::GsHet,
+                    scale.rc80(),
+                    scale.num_jobs,
+                    scale.seed + r as u64,
+                    SchedulerKind::RayonCs,
+                )
             });
             MetricsRow::from_report("rayon-cs", 0.0, &report)
         })
@@ -322,19 +313,16 @@ pub fn fig12_cdf(scale: &FigScale) -> Vec<(String, Vec<(f64, f64)>)> {
         ("tetrisched-ng", TetriSchedConfig::no_global(pa)),
     ] {
         let report = run_spec(&RunSpec {
-            workload: Workload::GsHet,
-            cluster: scale.rc80(),
-            num_jobs: scale.num_jobs,
-            seed: scale.seed,
-            estimate_error: 0.0,
-            kind: SchedulerKind::Tetri(cfg),
             cycle_period: scale.cycle_period,
             utilization: 1.15,
             slowdown: 2.0,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            perf_faults: PerfFaultPlan::none(),
-            stragglers: StragglerConfig::disabled(),
+            ..RunSpec::new(
+                Workload::GsHet,
+                scale.rc80(),
+                scale.num_jobs,
+                scale.seed,
+                SchedulerKind::Tetri(cfg),
+            )
         });
         out.push((format!("{name} cycle"), report.metrics.cycle_latency.cdf()));
         out.push((

@@ -64,24 +64,32 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Paper-default knobs: near-saturated load, Fig. 1's 1.5x slowdown.
-    pub fn defaults() -> (f64, f64) {
-        (1.0, 1.5)
-    }
-
-    /// A healthy-cluster fault configuration: no failures, default
-    /// retry policy. Spread over the paper experiment `RunSpec`s so churn
-    /// experiments can opt in without touching every figure pipeline.
-    pub fn no_faults() -> (FaultPlan, RetryPolicy) {
-        (FaultPlan::none(), RetryPolicy::default())
-    }
-
-    /// No performance faults and no straggler defense — the degraded-mode
-    /// analogue of [`RunSpec::no_faults`], used by every paper-figure
-    /// pipeline so their runs reproduce pre-degraded-mode behavior
-    /// byte-for-byte.
-    pub fn no_degradation() -> (PerfFaultPlan, StragglerConfig) {
-        (PerfFaultPlan::none(), StragglerConfig::disabled())
+    /// A run with the settings every paper experiment shares: exact
+    /// estimates, the paper's 4 s cycle, saturated load, Fig. 1's 1.5x
+    /// slowdown, a healthy full-speed cluster and no straggler defense.
+    /// Experiments override what they vary with struct-update syntax.
+    pub fn new(
+        workload: Workload,
+        cluster: Cluster,
+        num_jobs: usize,
+        seed: u64,
+        kind: SchedulerKind,
+    ) -> Self {
+        RunSpec {
+            workload,
+            cluster,
+            num_jobs,
+            seed,
+            estimate_error: 0.0,
+            kind,
+            cycle_period: 4,
+            utilization: 1.0,
+            slowdown: 1.5,
+            faults: FaultPlan::none(),
+            retry: RetryPolicy::default(),
+            perf_faults: PerfFaultPlan::none(),
+            stragglers: StragglerConfig::disabled(),
+        }
     }
 }
 
@@ -137,21 +145,13 @@ mod tests {
             SchedulerKind::Tetri(TetriSchedConfig::full(16)),
             SchedulerKind::RayonCs,
         ] {
-            let report = run_spec(&RunSpec {
-                workload: Workload::GsMix,
-                cluster: Cluster::uniform(2, 8, 1),
-                num_jobs: 12,
-                seed: 3,
-                estimate_error: 0.0,
+            let report = run_spec(&RunSpec::new(
+                Workload::GsMix,
+                Cluster::uniform(2, 8, 1),
+                12,
+                3,
                 kind,
-                cycle_period: 4,
-                utilization: 1.0,
-                slowdown: 1.5,
-                faults: FaultPlan::none(),
-                retry: RetryPolicy::default(),
-                perf_faults: PerfFaultPlan::none(),
-                stragglers: StragglerConfig::disabled(),
-            });
+            ));
             let m = &report.metrics;
             let terminal = m.accepted_slo_total + m.nores_slo_total + m.be_total;
             assert_eq!(terminal, 12, "all jobs accounted for");

@@ -39,10 +39,6 @@ pub struct TetriSchedConfig {
     pub be_value_horizon: u64,
     /// Floor for best-effort value so fully decayed jobs still schedule.
     pub be_value_floor: f64,
-    /// Relative bump applied to a running job's remaining-time estimate
-    /// when it overruns its expected completion (under-estimate handling,
-    /// Sec. 7.1). The bump is at least one cycle period.
-    pub estimate_bump: f64,
     /// Per-quantum-of-deferral multiplicative value penalty used to break
     /// ties among equally valued start times in favour of starting earlier.
     pub defer_tiebreak: f64,
@@ -61,12 +57,6 @@ pub struct TetriSchedConfig {
     /// (Sec. 7.2); this implements it as an opt-in extension. Victims lose
     /// all progress, exactly as under the baseline.
     pub preemption: bool,
-    /// Cap on preemptions per cycle when `preemption` is enabled.
-    pub max_preemptions_per_cycle: usize,
-    /// Quarantine threshold: a job whose STRL expression fails to compile
-    /// this many times is abandoned instead of poisoning every future
-    /// cycle's aggregate model.
-    pub max_compile_failures: u32,
     /// Chaos knob for robustness testing: 1-based indices of global MILP
     /// solves that are forced to fail (as if the solver errored). The
     /// affected cycle must degrade to the greedy placer rather than drop
@@ -75,10 +65,10 @@ pub struct TetriSchedConfig {
     /// Run the `tetrisched-lint` model analyses inside every cycle:
     /// generated STRL expressions and compiled MILP models with
     /// Error-severity diagnostics are rejected before the solver sees them
-    /// (jobs are quarantined via the compile-failure machinery; a bad
-    /// aggregate degrades the cycle to greedy). Off by default: the
-    /// compiler is expected to emit lint-clean models, and the sweep costs
-    /// a pass over every model.
+    /// (the offending job takes a quarantine strike; a bad aggregate
+    /// degrades the cycle to greedy). Off by default: the compiler is
+    /// expected to emit lint-clean models, and the sweep costs a pass over
+    /// every model.
     pub lint_models: bool,
     /// Proof-carrying solves: make every MILP backend emit and self-verify
     /// optimality/feasibility certificates (primal re-check, dual bounds,
@@ -90,8 +80,8 @@ pub struct TetriSchedConfig {
     /// default: certification replays the whole solve audit.
     pub certify_solves: bool,
     /// The anytime degradation ladder and its cycle-budget governor
-    /// ([`crate::governor`]). Disabled by default: without it the global
-    /// path keeps the pre-ladder binary global-or-greedy fallback.
+    /// ([`crate::governor`]). Disabled by default, which pins the ladder at
+    /// its top rung: the pre-ladder global-or-greedy fallback.
     pub governor: GovernorConfig,
 }
 
@@ -108,14 +98,11 @@ impl Default for TetriSchedConfig {
             solver_gap: 0.10,
             be_value_horizon: 3600,
             be_value_floor: 0.01,
-            estimate_bump: 0.10,
             defer_tiebreak: 0.002,
             warm_start: true,
             max_rack_options: 4,
             solver_heuristic: false,
             preemption: false,
-            max_preemptions_per_cycle: 4,
-            max_compile_failures: 8,
             chaos_global_solve_failures: Vec::new(),
             lint_models: false,
             certify_solves: false,

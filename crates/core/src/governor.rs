@@ -187,11 +187,6 @@ impl Governor {
         }
     }
 
-    /// Whether the ladder is active at all.
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
-    }
-
     /// The ladder configuration.
     pub fn config(&self) -> &GovernorConfig {
         &self.config

@@ -1,19 +1,29 @@
 //! The TetriSched scheduler: global re-planning with adaptive plan-ahead.
+//!
+//! Every cycle runs one pipeline — generate → compile → solve → certify →
+//! decode — over *units* of pending jobs. Global scheduling (Sec. 5) is one
+//! unit holding the whole batch; greedy `TetriSched-NG` (Sec. 6.3) is one
+//! unit per job with claims committed between solves; a degradation-ladder
+//! rung is the parameter set a unit runs under ([`Pipeline::at`]).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use lint::{
     has_errors, lint_expr, lint_model, validate_translation, Diagnostic, Severity, StrlLintContext,
 };
-use tetrisched_cluster::{AllocHandle, Ledger, NodeSet, PartitionSet, Time};
-use tetrisched_milp::{ExactBackend, HeuristicBackend, MilpBackend, SolveStatus, SolverConfig};
+use tetrisched_cluster::{AllocHandle, Ledger, NodeId, NodeSet, PartitionSet, Time};
+use tetrisched_milp::{
+    ExactBackend, HeuristicBackend, MilpBackend, Solution, SolveStatus, SolverConfig,
+};
 use tetrisched_sim::{
-    CycleContext, CycleDecisions, CycleError, JobId, Launch, PendingJob, Scheduler,
+    CycleContext, CycleDecisions, CycleError, JobId, Launch, PendingJob, RunningJob, Scheduler,
+    SpanGuard, Telemetry,
 };
 use tetrisched_strl::{JobClass, StrlExpr};
 
-use crate::compiler::{compile, CompileInput, CompiledModel};
+use crate::compiler::{compile, ChosenAlloc, CompileInput, CompiledModel};
 use crate::config::TetriSchedConfig;
 use crate::generator::{JobRequest, LeafTag, OptionKey, StrlGenerator};
 use crate::governor::{Governor, LadderRung};
@@ -21,82 +31,141 @@ use crate::governor::{Governor, LadderRung};
 /// The TetriSched scheduler (all Table 2 configurations).
 pub struct TetriSched {
     config: TetriSchedConfig,
-    /// Last cycle's chosen option per job, for warm starting (Sec. 3.2.2).
-    choice_cache: BTreeMap<JobId, (OptionKey, Time)>,
-    /// Consecutive compile failures per job, for quarantine.
-    compile_failures: BTreeMap<JobId, u32>,
+    memory: JobMemory,
     /// Global MILP solves attempted so far (drives the chaos knob).
     global_solves: u64,
-    /// The degradation-ladder governor; disabled by default, in which
-    /// case the pre-ladder binary global-or-greedy fallback applies.
+    /// The degradation-ladder governor; disabled by default, which pins
+    /// the ladder at its top rung (global MILP, greedy on failure).
     governor: Governor,
-    /// True while the current global solve runs on the ladder's anytime
-    /// rung (tight incumbent-only solver budget).
-    anytime_mode: bool,
 }
+
+/// What the scheduler remembers about pending jobs between cycles.
+#[derive(Default)]
+struct JobMemory {
+    /// Last cycle's chosen option per job, for warm starting (Sec. 3.2.2).
+    choices: BTreeMap<JobId, (OptionKey, Time)>,
+    /// Consecutive structural failures per job, for quarantine.
+    strikes: BTreeMap<JobId, u32>,
+}
+
+/// Quarantine threshold: a job whose request fails structurally this many
+/// cycles in a row is abandoned.
+const MAX_JOB_FAILURES: u32 = 8;
+
+impl JobMemory {
+    fn abandon(&mut self, job: JobId, d: &mut CycleDecisions) {
+        d.abandons.push(job);
+        self.choices.remove(&job);
+    }
+
+    /// Records a cycle error. A *structural* failure pinned on one job —
+    /// its request does not compile, lint or certify — also takes a
+    /// quarantine strike, and at [`MAX_JOB_FAILURES`] the job is abandoned
+    /// so it cannot poison every future cycle. Solver errors and missing
+    /// incumbents say nothing about the job and take none.
+    fn record_job_failure(&mut self, err: CycleError, d: &mut CycleDecisions) {
+        let culprit = match &err {
+            CycleError::Compile { job, .. }
+            | CycleError::Lint { job, .. }
+            | CycleError::Certificate { job, .. } => *job,
+            CycleError::Solver { .. } | CycleError::NoSolution { .. } => None,
+        };
+        d.errors.push(err);
+        let Some(job) = culprit else { return };
+        let strikes = self.strikes.entry(job).or_insert(0);
+        *strikes += 1;
+        if *strikes >= MAX_JOB_FAILURES {
+            self.strikes.remove(&job);
+            self.abandon(job, d);
+        }
+    }
+
+    /// Builds a warm-start vector reactivating last cycle's choices that
+    /// are still present in this cycle's model.
+    // srclint: checked-indexing: ix enumerates tags, which the caller
+    // builds with exactly one tag per compiled leaf.
+    fn warm_start(
+        &self,
+        compiled: &CompiledModel,
+        tags: &[&LeafTag],
+        partitions: &PartitionSet,
+        view: &Ledger,
+    ) -> Option<Vec<f64>> {
+        let mut picks: Vec<(usize, Vec<(usize, u32)>)> = Vec::new();
+        for (ix, tag) in tags.iter().enumerate() {
+            if self.choices.get(&tag.job) != Some(&(tag.key, tag.start)) {
+                continue;
+            }
+            // Greedily distribute k over the leaf's classes by availability.
+            let leaf = &compiled.leaves[ix];
+            let mut classes: Vec<(usize, usize)> = leaf
+                .partition_vars
+                .iter()
+                .map(|&(c, _)| (view.avail_at(partitions.class(c), tag.start), c))
+                .collect();
+            classes.sort_by_key(|&(a, c)| (std::cmp::Reverse(a), c));
+            let mut remaining = leaf.k;
+            let mut counts = Vec::new();
+            for (avail, class) in classes {
+                if remaining == 0 {
+                    break;
+                }
+                let take = remaining.min(avail as u32);
+                if take > 0 {
+                    counts.push((class, take));
+                    remaining -= take;
+                }
+            }
+            if remaining == 0 {
+                picks.push((ix, counts));
+            }
+        }
+        (!picks.is_empty()).then(|| compiled.warm_vector(&picks))
+    }
+}
+
+/// One open pipeline phase: its telemetry span plus — only when telemetry
+/// is enabled, so a disabled registry costs no clock read — the
+/// `phase.*_secs` wall-clock histogram, both closed on drop.
+struct Phase<'t> {
+    span: SpanGuard<'t>,
+    timer: Option<(&'t Telemetry, &'static str, Instant)>,
+}
+
+impl<'t> Phase<'t> {
+    fn open(telemetry: &'t Telemetry, name: &'static str, hist: &'static str) -> Self {
+        Phase {
+            span: telemetry.span("sched", name),
+            timer: telemetry
+                .is_enabled()
+                .then(|| (telemetry, hist, Instant::now())),
+        }
+    }
+}
+
+impl Drop for Phase<'_> {
+    fn drop(&mut self) {
+        if let Some((telemetry, hist, started)) = self.timer.take() {
+            telemetry.observe_wall(hist, started.elapsed().as_secs_f64());
+        }
+    }
+}
+
+/// Relative bump applied to a running job's remaining-time estimate when
+/// it overruns its expected completion (Sec. 7.1); at least one cycle.
+const ESTIMATE_BUMP: f64 = 0.10;
+
+/// Cap on best-effort gangs preempted per cycle for one urgent SLO job.
+const MAX_PREEMPTIONS_PER_CYCLE: usize = 4;
 
 impl TetriSched {
     /// Creates a scheduler with the given configuration.
     pub fn new(config: TetriSchedConfig) -> Self {
-        let governor = Governor::new(config.governor.clone());
         TetriSched {
+            governor: Governor::new(config.governor.clone()),
             config,
-            choice_cache: BTreeMap::new(),
-            compile_failures: BTreeMap::new(),
+            memory: JobMemory::default(),
             global_solves: 0,
-            governor,
-            anytime_mode: false,
-        }
-    }
-
-    /// Records a per-job cycle failure (compile error or lint rejection),
-    /// abandoning the job once it crosses the quarantine threshold so one
-    /// bad job cannot poison every future cycle.
-    fn record_job_failure(&mut self, job: JobId, err: CycleError, d: &mut CycleDecisions) {
-        record_job_failure_in(
-            &mut self.compile_failures,
-            &mut self.choice_cache,
-            self.config.max_compile_failures,
-            job,
-            err,
-            d,
-        );
-    }
-
-    /// Full TetriSched with the paper's default plan-ahead.
-    pub fn paper_default() -> Self {
-        Self::new(TetriSchedConfig::default())
-    }
-
-    /// The lint window for generated expressions: leaves must start inside
-    /// the plan-ahead window the compiler will discretize.
-    fn lint_ctx(&self, now: Time) -> StrlLintContext {
-        StrlLintContext {
-            now,
-            window_end: Some(now + self.config.n_slices() as u64 * self.config.cycle_period),
-        }
-    }
-
-    fn solver_config(&self) -> SolverConfig {
-        let base = if self.anytime_mode {
-            SolverConfig::anytime(
-                self.config.solver_time_limit,
-                self.governor.config().anytime_node_limit,
-            )
-        } else {
-            SolverConfig::online(self.config.solver_time_limit)
-        };
-        base.with_rel_gap(self.config.solver_gap)
-            .with_audit(self.config.certify_solves)
-    }
-
-    /// The configured MILP backend (exact branch-and-bound, or the LP-dive
-    /// heuristic for the quality-scale tradeoff).
-    fn backend(&self) -> Box<dyn MilpBackend> {
-        if self.config.solver_heuristic {
-            Box::new(HeuristicBackend::new(self.solver_config()))
-        } else {
-            Box::new(ExactBackend::new(self.solver_config()))
         }
     }
 
@@ -107,8 +176,8 @@ impl TetriSched {
         for r in ctx.running {
             if r.expected_end <= ctx.now {
                 let span = r.expected_end.saturating_sub(r.started).max(1);
-                let bump = ((span as f64 * self.config.estimate_bump).ceil() as u64)
-                    .max(self.config.cycle_period);
+                let bump =
+                    ((span as f64 * ESTIMATE_BUMP).ceil() as u64).max(self.config.cycle_period);
                 let new_end = ctx.now + bump;
                 d.revised_ends.push((r.id, new_end));
                 let _ = view.set_expected_end(AllocHandle(r.id.0), new_end);
@@ -135,569 +204,31 @@ impl TetriSched {
                 // replica instead of dropping the job.
                 let best_dur = p.spec.estimated_runtime_for(self.config.heterogeneity);
                 if ctx.now + best_dur.div_ceil(2) > deadline {
-                    d.abandons.push(p.spec.id);
-                    self.choice_cache.remove(&p.spec.id);
+                    self.memory.abandon(p.spec.id, d);
                     continue;
                 }
             }
             batch.push(p);
         }
-        batch.sort_by_key(|p| class_rank(p.class));
+        // The paper's three priority FIFOs (Sec. 6.3).
+        batch.sort_by_key(|p| match p.class {
+            JobClass::SloAccepted => 0,
+            JobClass::SloNoReservation => 1,
+            JobClass::BestEffort => 2,
+        });
         batch.truncate(self.config.max_batch);
         batch
     }
 
-    /// Global scheduling: one MILP over the whole batch (Sec. 5).
-    ///
-    /// Returns `false` when the primary path failed (aggregate could not be
-    /// compiled, or the solver errored / produced no incumbent) and the
-    /// caller should degrade the cycle to the greedy placer. Compile
-    /// failures of individual jobs are isolated and quarantined here, not
-    /// grounds for degradation.
-    // srclint: checked-indexing: leaf indices in ChosenAlloc come from the
-    // compiler's own leaves vector, all_tags is built leaf-for-leaf with
-    // it, and by_job groups are non-empty by construction.
-    fn cycle_global(
-        &mut self,
-        ctx: &CycleContext<'_>,
-        view: &Ledger,
-        batch: &[&PendingJob],
-        d: &mut CycleDecisions,
-    ) -> bool {
-        let generator = StrlGenerator::new(&self.config, ctx.cluster);
-        let rack_avail = |s: &NodeSet| view.avail_at(s, ctx.now);
-        let t_gen = Instant::now();
-        let gen_span = ctx.telemetry.span("sched", "strl_gen");
-        let mut requests: Vec<JobRequest> = Vec::new();
-        for p in batch {
-            let req = generator.job_expr(p, ctx.now, &rack_avail);
-            if req.is_schedulable() {
-                requests.push(req);
-            } else if p.spec.deadline.is_some() {
-                d.abandons.push(p.spec.id);
-                self.choice_cache.remove(&p.spec.id);
-            }
-        }
-        gen_span.arg("requests", requests.len() as u64);
-        drop(gen_span);
-        ctx.telemetry
-            .observe_wall("phase.strl_gen_secs", t_gen.elapsed().as_secs_f64());
-        // Optional pre-solver gate: reject (and strike) jobs whose
-        // generated STRL fails semantic analysis instead of letting a bad
-        // expression reach the compiler or solver.
-        if self.config.lint_models {
-            let t_lint = Instant::now();
-            let _lint_span = ctx.telemetry.span("sched", "lint");
-            let lint_ctx = self.lint_ctx(ctx.now);
-            requests.retain(|r| {
-                let diags = lint_expr(&r.expr, &lint_ctx);
-                if has_errors(&diags) {
-                    self.record_job_failure(
-                        r.job,
-                        CycleError::Lint {
-                            job: Some(r.job),
-                            detail: summarize_errors(&diags),
-                        },
-                        d,
-                    );
-                    false
-                } else {
-                    true
-                }
-            });
-            drop(_lint_span);
-            ctx.telemetry
-                .observe_wall("phase.lint_secs", t_lint.elapsed().as_secs_f64());
-        }
-        if requests.is_empty() {
-            return true; // Nothing to place is success, not degradation.
-        }
-
-        let avail = |set: &NodeSet, t: Time| view.avail_at(set, t);
-        // Compile the aggregate; on failure, isolate the offending jobs by
-        // compiling each alone, quarantine them, and retry with the rest.
-        let t_compile = Instant::now();
-        let compile_span = ctx.telemetry.span("sched", "compile");
-        let mut active = requests;
-        let (compiled, partitions) = loop {
-            let leaf_sets = collect_leaf_sets(active.iter().map(|r| &r.expr));
-            let partitions = PartitionSet::refine(ctx.cluster.num_nodes(), &leaf_sets);
-            let aggregate = StrlExpr::Sum(active.iter().map(|r| r.expr.clone()).collect());
-            let input = CompileInput {
-                expr: &aggregate,
-                partitions: &partitions,
-                now: ctx.now,
-                quantum: self.config.cycle_period,
-                n_slices: self.config.n_slices(),
-            };
-            match compile(&input, &avail) {
-                Ok(c) => break (c, partitions),
-                Err(agg_err) => {
-                    let mut bad: Vec<(usize, String)> = Vec::new();
-                    for (ix, r) in active.iter().enumerate() {
-                        let sets = collect_leaf_sets(std::iter::once(&r.expr));
-                        let parts = PartitionSet::refine(ctx.cluster.num_nodes(), &sets);
-                        let single = CompileInput {
-                            expr: &r.expr,
-                            partitions: &parts,
-                            now: ctx.now,
-                            quantum: self.config.cycle_period,
-                            n_slices: self.config.n_slices(),
-                        };
-                        if let Err(e) = compile(&single, &avail) {
-                            bad.push((ix, e.to_string()));
-                        }
-                    }
-                    if bad.is_empty() {
-                        // Every job compiles alone but the aggregate fails:
-                        // nothing to quarantine, give the cycle to greedy.
-                        d.errors.push(CycleError::Compile {
-                            job: None,
-                            detail: agg_err.to_string(),
-                        });
-                        return false;
-                    }
-                    for (ix, detail) in bad.into_iter().rev() {
-                        let job = active.remove(ix).job;
-                        self.record_job_failure(
-                            job,
-                            CycleError::Compile {
-                                job: Some(job),
-                                detail,
-                            },
-                            d,
-                        );
-                    }
-                    if active.is_empty() {
-                        return false;
-                    }
-                }
-            }
-        };
-        compile_span.arg("vars", compiled.model.num_vars() as u64);
-        compile_span.arg("constraints", compiled.model.num_constraints() as u64);
-        drop(compile_span);
-        ctx.telemetry
-            .observe_wall("phase.compile_secs", t_compile.elapsed().as_secs_f64());
-        // Every surviving job compiled: clear its quarantine strikes.
-        for r in &active {
-            self.compile_failures.remove(&r.job);
-        }
-        let all_tags: Vec<LeafTag> = active.iter().flat_map(|r| r.tags.clone()).collect();
-
-        // The compiled aggregate model gets the same treatment: an
-        // Error-severity MILP diagnostic means the model is structurally
-        // unsound, so degrade to greedy rather than solve it.
-        if self.config.lint_models {
-            let t_lint = Instant::now();
-            let _lint_span = ctx.telemetry.span("sched", "lint");
-            let diags = lint_model(&compiled.model);
-            let rejected = has_errors(&diags);
-            drop(_lint_span);
-            ctx.telemetry
-                .observe_wall("phase.lint_secs", t_lint.elapsed().as_secs_f64());
-            if rejected {
-                d.errors.push(CycleError::Lint {
-                    job: None,
-                    detail: summarize_errors(&diags),
-                });
-                return false;
-            }
-        }
-
-        let warm = if self.config.warm_start {
-            self.build_warm(&compiled, &all_tags, &partitions, view)
-        } else {
-            None
-        };
-        self.global_solves += 1;
-        if self
-            .config
-            .chaos_global_solve_failures
-            .contains(&self.global_solves)
-        {
-            d.errors.push(CycleError::Solver {
-                detail: format!(
-                    "chaos-injected failure of global solve #{}",
-                    self.global_solves
-                ),
-            });
-            return false;
-        }
-        let solve_span = ctx.telemetry.span("sched", "solve");
-        let t0 = Instant::now();
-        let sol = self.backend().solve(&compiled.model, warm.as_deref());
-        let solve_secs = t0.elapsed();
-        d.solver_time += solve_secs;
-        ctx.telemetry
-            .observe_wall("phase.solve_secs", solve_secs.as_secs_f64());
-        let sol = match sol {
-            Ok(s) => s,
-            Err(e) => {
-                d.errors.push(CycleError::Solver {
-                    detail: e.to_string(),
-                });
-                return false;
-            }
-        };
-        solve_span.arg("lp_iterations", sol.stats.lp_iterations as u64);
-        solve_span.arg("bb_nodes", sol.stats.nodes as u64);
-        solve_span.arg("bb_nodes_pruned", sol.stats.nodes_pruned as u64);
-        drop(solve_span);
-        account_solve(ctx.telemetry, d, &sol.stats, self.config.warm_start);
-        if self.anytime_mode && sol.status == SolveStatus::Feasible {
-            // The anytime rung's contract: the budget expired, and the
-            // solver handed back its best incumbent together with the
-            // dual bound (and, under audit, a feasibility certificate).
-            d.anytime_incumbents += 1;
-        }
-        if sol.stats.presolve_certified {
-            d.lint_presolve_rejections += 1;
-        }
-        // Proof-carrying solve accounting: the backend self-certified its
-        // outcome (primal check + bound-tree audit replay). A failed
-        // certificate means the claimed schedule cannot be trusted, so the
-        // cycle degrades to greedy exactly as on a solver error.
-        d.certificates_verified += sol.stats.certificates_verified;
-        if sol.stats.certificate_failures > 0 {
-            d.certificate_failures += sol.stats.certificate_failures;
-            d.errors.push(CycleError::Certificate {
-                job: None,
-                detail: format!(
-                    "global solve failed {} certificate check(s)",
-                    sol.stats.certificate_failures
-                ),
-            });
-            return false;
-        }
-        if !sol.status.has_solution() {
-            d.errors.push(CycleError::NoSolution {
-                detail: format!("{:?}", sol.status),
-            });
-            return false;
-        }
-        // Translation validation (C004): re-evaluate the aggregate STRL
-        // expression under the decoded placement; its valuation must match
-        // the MILP objective the solver just certified.
-        if self.config.certify_solves {
-            let t_certify = Instant::now();
-            let _certify_span = ctx.telemetry.span("sched", "certify");
-            let aggregate = StrlExpr::Sum(active.iter().map(|r| r.expr.clone()).collect());
-            let verdict = validate_translation(
-                &aggregate,
-                &compiled.granted(&sol),
-                sol.objective,
-                sol.stats.best_bound,
-            );
-            drop(_certify_span);
-            ctx.telemetry
-                .observe_wall("phase.certify_secs", t_certify.elapsed().as_secs_f64());
-            match verdict {
-                Ok(_) => d.certificates_verified += 1,
-                Err(diag) => {
-                    d.certificate_failures += 1;
-                    d.errors.push(CycleError::Certificate {
-                        job: None,
-                        detail: diag.to_string(),
-                    });
-                    return false;
-                }
-            }
-        }
-
-        let t_decode = Instant::now();
-        let decode_span = ctx.telemetry.span("sched", "decode");
-        // Stale cache entries for batch jobs die; chosen ones re-enter.
-        for tag in &all_tags {
-            self.choice_cache.remove(&tag.job);
-        }
-        // Group chosen leaves by job: a `min`-encoded option (availability
-        // legs) satisfies several leaves that together form one gang.
-        let mut by_job: std::collections::BTreeMap<JobId, Vec<crate::compiler::ChosenAlloc>> =
-            std::collections::BTreeMap::new();
-        for c in compiled.chosen(&sol) {
-            by_job.entry(all_tags[c.leaf].job).or_default().push(c);
-        }
-        let mut assigned = ctx.cluster.empty_set();
-        for (job, allocs) in by_job {
-            let tag0 = &all_tags[allocs[0].leaf];
-            debug_assert!(
-                allocs.iter().all(|c| all_tags[c.leaf].start == tag0.start),
-                "legs of one option must share a start"
-            );
-            self.choice_cache.insert(job, (tag0.key, tag0.start));
-            if tag0.start != ctx.now {
-                continue; // A deferred plan, re-evaluated next cycle.
-            }
-            // Materialize concrete nodes; the slice-0 supply constraints
-            // guarantee per-class counts fit the currently free nodes.
-            let mut nodes = Vec::new();
-            let mut gang: usize = 0;
-            for c in &allocs {
-                gang += compiled.leaves[c.leaf].k as usize;
-                for (class, count) in &c.counts {
-                    let candidates = ctx
-                        .ledger
-                        .free_nodes()
-                        .and(partitions.class(*class))
-                        .minus(&assigned);
-                    let picked = candidates.take(*count as usize);
-                    debug_assert_eq!(picked.len(), *count as usize, "supply violated");
-                    for n in &picked {
-                        assigned.insert(*n);
-                    }
-                    nodes.extend(picked);
-                }
-            }
-            if nodes.len() == gang {
-                d.launches.push(Launch {
-                    job,
-                    nodes,
-                    expected_end: ctx.now + tag0.dur,
-                });
-            }
-        }
-        decode_span.arg("launches", d.launches.len() as u64);
-        drop(decode_span);
-        ctx.telemetry
-            .observe_wall("phase.decode_secs", t_decode.elapsed().as_secs_f64());
-        true
-    }
-
-    /// Greedy (`TetriSched-NG`) scheduling: one MILP per job in priority
-    /// order, committing space-time claims between solves (Sec. 6.3).
-    // srclint: checked-indexing: chosen is checked non-empty before
-    // chosen[0], and its leaf indices index the same request's tags.
-    fn cycle_greedy(
-        &mut self,
-        ctx: &CycleContext<'_>,
-        view: &Ledger,
-        batch: &[&PendingJob],
-        d: &mut CycleDecisions,
-    ) {
-        let generator = StrlGenerator::new(&self.config, ctx.cluster);
-        let lint_ctx = self.lint_ctx(ctx.now);
-        let t_greedy = Instant::now();
-        let greedy_span = ctx.telemetry.span("sched", "greedy");
-        greedy_span.arg("batch", batch.len() as u64);
-        // Concrete future claims committed earlier in this cycle.
-        let mut commitments: Vec<(NodeSet, Time, Time)> = Vec::new();
-        let mut assigned_now = ctx.cluster.empty_set();
-
-        for p in batch {
-            let rack_avail = |s: &NodeSet| view.avail_at(s, ctx.now);
-            let req = generator.job_expr(p, ctx.now, &rack_avail);
-            if !req.is_schedulable() {
-                if p.spec.deadline.is_some() {
-                    d.abandons.push(p.spec.id);
-                    self.choice_cache.remove(&p.spec.id);
-                }
-                continue;
-            }
-            if self.config.lint_models {
-                let diags = lint_expr(&req.expr, &lint_ctx);
-                if has_errors(&diags) {
-                    record_job_failure_in(
-                        &mut self.compile_failures,
-                        &mut self.choice_cache,
-                        self.config.max_compile_failures,
-                        p.spec.id,
-                        CycleError::Lint {
-                            job: Some(p.spec.id),
-                            detail: summarize_errors(&diags),
-                        },
-                        d,
-                    );
-                    continue;
-                }
-            }
-            let leaf_sets = collect_leaf_sets(std::iter::once(&req.expr));
-            let partitions = PartitionSet::refine(ctx.cluster.num_nodes(), &leaf_sets);
-            let input = CompileInput {
-                expr: &req.expr,
-                partitions: &partitions,
-                now: ctx.now,
-                quantum: self.config.cycle_period,
-                n_slices: self.config.n_slices(),
-            };
-            let commitments_ref = &commitments;
-            let avail = move |set: &NodeSet, t: Time| {
-                let mut a = view.avail_at(set, t);
-                for (nodes, s, e) in commitments_ref {
-                    if *s <= t && t < *e {
-                        a = a.saturating_sub(nodes.and(set).len());
-                    }
-                }
-                a
-            };
-            let compiled = match compile(&input, &avail) {
-                Ok(c) => c,
-                Err(e) => {
-                    // Skip just this job (and quarantine repeat offenders);
-                    // the rest of the batch still schedules.
-                    record_job_failure_in(
-                        &mut self.compile_failures,
-                        &mut self.choice_cache,
-                        self.config.max_compile_failures,
-                        p.spec.id,
-                        CycleError::Compile {
-                            job: Some(p.spec.id),
-                            detail: e.to_string(),
-                        },
-                        d,
-                    );
-                    continue;
-                }
-            };
-            if self.config.lint_models {
-                let diags = lint_model(&compiled.model);
-                if has_errors(&diags) {
-                    d.errors.push(CycleError::Lint {
-                        job: Some(p.spec.id),
-                        detail: summarize_errors(&diags),
-                    });
-                    continue;
-                }
-            }
-            let t0 = Instant::now();
-            let sol = self.backend().solve(&compiled.model, None);
-            let solve_secs = t0.elapsed();
-            d.solver_time += solve_secs;
-            ctx.telemetry
-                .observe_wall("phase.solve_secs", solve_secs.as_secs_f64());
-            let sol = match sol {
-                Ok(s) => s,
-                Err(e) => {
-                    d.errors.push(CycleError::Solver {
-                        detail: e.to_string(),
-                    });
-                    continue;
-                }
-            };
-            account_solve(ctx.telemetry, d, &sol.stats, false);
-            if sol.stats.presolve_certified {
-                d.lint_presolve_rejections += 1;
-            }
-            // A failed self-certificate skips just this job (with a
-            // quarantine strike); the rest of the batch still schedules.
-            d.certificates_verified += sol.stats.certificates_verified;
-            if sol.stats.certificate_failures > 0 {
-                d.certificate_failures += sol.stats.certificate_failures;
-                record_job_failure_in(
-                    &mut self.compile_failures,
-                    &mut self.choice_cache,
-                    self.config.max_compile_failures,
-                    p.spec.id,
-                    CycleError::Certificate {
-                        job: Some(p.spec.id),
-                        detail: format!(
-                            "per-job solve failed {} certificate check(s)",
-                            sol.stats.certificate_failures
-                        ),
-                    },
-                    d,
-                );
-                continue;
-            }
-            if !sol.status.has_solution() {
-                d.errors.push(CycleError::NoSolution {
-                    detail: format!("{:?}", sol.status),
-                });
-                continue;
-            }
-            if self.config.certify_solves {
-                if let Err(diag) = validate_translation(
-                    &req.expr,
-                    &compiled.granted(&sol),
-                    sol.objective,
-                    sol.stats.best_bound,
-                ) {
-                    d.certificate_failures += 1;
-                    record_job_failure_in(
-                        &mut self.compile_failures,
-                        &mut self.choice_cache,
-                        self.config.max_compile_failures,
-                        p.spec.id,
-                        CycleError::Certificate {
-                            job: Some(p.spec.id),
-                            detail: diag.to_string(),
-                        },
-                        d,
-                    );
-                    continue;
-                }
-                d.certificates_verified += 1;
-            }
-            self.compile_failures.remove(&p.spec.id);
-            let chosen = compiled.chosen(&sol);
-            self.choice_cache.remove(&p.spec.id);
-            if chosen.is_empty() {
-                continue;
-            }
-            // All chosen leaves belong to this one job (possibly several
-            // `min` legs of an anti-affine option sharing one start).
-            let tag = &req.tags[chosen[0].leaf];
-            self.choice_cache.insert(tag.job, (tag.key, tag.start));
-
-            // Materialize concrete nodes for the claim.
-            let mut nodes = Vec::new();
-            for c in &chosen {
-                for (class, count) in &c.counts {
-                    let mut candidates = view
-                        .free_at(partitions.class(*class), tag.start)
-                        .minus(&assigned_now);
-                    for picked_node in &nodes {
-                        candidates.remove(*picked_node);
-                    }
-                    for (held, s, e) in &commitments {
-                        if *s < tag.start + tag.dur && tag.start < *e {
-                            candidates = candidates.minus(held);
-                        }
-                    }
-                    let picked = candidates.take(*count as usize);
-                    for n in &picked {
-                        nodes.push(*n);
-                    }
-                }
-            }
-            if nodes.len() != p.spec.k as usize {
-                continue; // Claim could not be materialized; re-plan next cycle.
-            }
-            let held = NodeSet::from_ids(ctx.cluster.num_nodes(), nodes.iter().copied());
-            commitments.push((held, tag.start, tag.start + tag.dur));
-            if tag.start == ctx.now {
-                for &n in &nodes {
-                    assigned_now.insert(n);
-                }
-                d.launches.push(Launch {
-                    job: tag.job,
-                    nodes,
-                    expected_end: ctx.now + tag.dur,
-                });
-            }
-        }
-        drop(greedy_span);
-        ctx.telemetry
-            .observe_wall("phase.greedy_secs", t_greedy.elapsed().as_secs_f64());
-    }
-
-    /// Runs one cycle at the governor's current ladder rung, replacing
-    /// the binary global-or-greedy cliff with graceful degradation:
-    ///
-    /// - **Full** — the ordinary global MILP over the whole window.
-    /// - **ReducedHorizon** — the global MILP with a shrunken plan-ahead
-    ///   window, trading deferred-placement foresight for a smaller model.
-    /// - **Anytime** — an incumbent-only solve under a tight node budget;
-    ///   the budget-expired incumbent is used *with* its dual bound and
-    ///   (under audit) its certificate.
-    /// - **Greedy** — job-at-a-time placement, the old fallback floor.
-    ///
-    /// A rung whose primary path fails outright still falls through to
-    /// greedy *within* the cycle, exactly as the binary watchdog did; the
-    /// failure then votes for a demotion at the next hysteresis window.
-    /// The cycle's deterministic solver work (branch-and-bound nodes +
-    /// simplex iterations) feeds back into the governor, never wall-clock
-    /// time, so rung trajectories replay identically under the same seed.
+    /// Runs one cycle at the governor's current ladder rung: the global
+    /// unit at that rung's parameters ([`Pipeline::at`]), or — on the
+    /// Greedy floor rung, degraded by design — job-at-a-time placement.
+    /// A rung whose global unit fails still falls through to greedy
+    /// *within* the cycle, so the cluster keeps moving, and the failure
+    /// votes for a demotion. The governor is fed the cycle's deterministic
+    /// solver work, never wall-clock time, so rung trajectories replay
+    /// under the same seed. A disabled governor pins the rung at Full:
+    /// the pre-ladder global-or-greedy fallback.
     fn cycle_ladder(
         &mut self,
         ctx: &CycleContext<'_>,
@@ -705,38 +236,26 @@ impl TetriSched {
         batch: &[&PendingJob],
         d: &mut CycleDecisions,
     ) {
+        let (config, memory) = (&self.config, &mut self.memory);
+        let full = Pipeline::at(LadderRung::Full, config, &self.governor, ctx, view);
+        if !config.global {
+            // `TetriSched-NG`: greedy by configuration, not by degradation.
+            return full.cycle_greedy(batch, memory, d);
+        }
         let rung = self.governor.rung();
         self.governor.stamp(d);
-        let primary_ok = match rung {
-            LadderRung::Full => self.cycle_global(ctx, view, batch, d),
-            LadderRung::ReducedHorizon => {
-                let saved = self.config.plan_ahead;
-                self.config.plan_ahead = self
-                    .governor
-                    .reduced_horizon(saved, self.config.cycle_period);
-                let ok = self.cycle_global(ctx, view, batch, d);
-                self.config.plan_ahead = saved;
-                ok
-            }
-            LadderRung::Anytime => {
-                self.anytime_mode = true;
-                let ok = self.cycle_global(ctx, view, batch, d);
-                self.anytime_mode = false;
-                ok
-            }
-            LadderRung::Greedy => {
-                // The floor rung runs the fallback placer by design; the
-                // cycle is degraded but deliberate.
-                d.degraded = true;
-                self.cycle_greedy(ctx, view, batch, d);
-                true
-            }
-        };
-        if !primary_ok {
+        let failed = rung != LadderRung::Greedy
+            && !Pipeline::at(rung, config, &self.governor, ctx, view).cycle_global(
+                batch,
+                memory,
+                &mut self.global_solves,
+                d,
+            );
+        if failed || rung == LadderRung::Greedy {
             d.degraded = true;
-            self.cycle_greedy(ctx, view, batch, d);
+            full.cycle_greedy(batch, memory, d);
         }
-        self.governor.observe(d.solver_work_units, !primary_ok);
+        self.governor.observe(d.solver_work_units, failed);
     }
 
     /// Opt-in extension (the paper's stated future work, Sec. 7.2):
@@ -745,15 +264,10 @@ impl TetriSched {
     /// left unscheduled for lack of capacity. Victims lose their progress
     /// and requeue; the freed nodes serve the urgent job at the next
     /// cycle's re-plan.
-    fn maybe_preempt(
-        &mut self,
-        ctx: &CycleContext<'_>,
-        batch: &[&PendingJob],
-        d: &mut CycleDecisions,
-    ) {
+    fn maybe_preempt(&self, ctx: &CycleContext<'_>, batch: &[&PendingJob], d: &mut CycleDecisions) {
         let launched: BTreeSet<JobId> = d.launches.iter().map(|l| l.job).collect();
         let launched_nodes: usize = d.launches.iter().map(|l| l.nodes.len()).sum();
-        let mut free_remaining = ctx.ledger.free_nodes().len().saturating_sub(launched_nodes);
+        let free_remaining = ctx.ledger.free_nodes().len().saturating_sub(launched_nodes);
 
         // The most urgent unscheduled accepted-SLO job, if any.
         let cycle = self.config.cycle_period;
@@ -781,7 +295,7 @@ impl TetriSched {
         }
 
         // Victims: best-effort gangs, most recently started first.
-        let mut victims: Vec<&tetrisched_sim::RunningJob> = ctx
+        let mut victims: Vec<&RunningJob> = ctx
             .running
             .iter()
             .filter(|r| r.class == JobClass::BestEffort && !d.preemptions.contains(&r.id))
@@ -789,10 +303,7 @@ impl TetriSched {
         victims.sort_by_key(|r| (std::cmp::Reverse(r.started), r.id));
         let mut freed = 0usize;
         let mut chosen = Vec::new();
-        for v in victims
-            .into_iter()
-            .take(self.config.max_preemptions_per_cycle)
-        {
+        for v in victims.into_iter().take(MAX_PREEMPTIONS_PER_CYCLE) {
             if freed >= need {
                 break;
             }
@@ -800,87 +311,482 @@ impl TetriSched {
             chosen.push(v.id);
         }
         if freed >= need {
-            free_remaining += freed;
-            let _ = free_remaining;
             d.preemptions.extend(chosen);
         }
     }
+}
 
-    /// Builds a warm-start vector reactivating last cycle's choices that
-    /// are still present in this cycle's model.
-    // srclint: checked-indexing: ix enumerates all_tags, which the caller
-    // builds with exactly one tag per compiled leaf.
-    fn build_warm(
+/// One cycle's pipeline: what its four steps read — the cycle context, the
+/// estimate-adjusted availability view and the three parameters a ladder
+/// rung sets. The state they write (job memory, decisions) is passed in.
+struct Pipeline<'a> {
+    /// The configuration as given, except for `plan_ahead` on the
+    /// reduced-horizon rung.
+    config: Cow<'a, TetriSchedConfig>,
+    /// Budget, gap and audit settings of every solve.
+    solver: SolverConfig,
+    /// The anytime rung's contract: a budget-expired incumbent is used
+    /// with its dual bound (and, under audit, its certificate) and counted.
+    anytime: bool,
+    ctx: &'a CycleContext<'a>,
+    view: &'a Ledger,
+}
+
+impl<'a> Pipeline<'a> {
+    /// The pipeline as run at `rung`. A rung is a parameter set, not a code
+    /// path: reduced horizon shrinks the plan-ahead window (a smaller model
+    /// for less foresight), anytime swaps in an incumbent-only solver
+    /// budget, and the other rungs run the configuration as given. The
+    /// scheduler's own configuration is never written.
+    fn at(
+        rung: LadderRung,
+        config: &'a TetriSchedConfig,
+        governor: &Governor,
+        ctx: &'a CycleContext<'a>,
+        view: &'a Ledger,
+    ) -> Self {
+        let (anytime, limit) = (rung == LadderRung::Anytime, config.solver_time_limit);
+        let solver = if anytime {
+            SolverConfig::anytime(limit, governor.config().anytime_node_limit)
+        } else {
+            SolverConfig::online(limit)
+        };
+        let solver = solver
+            .with_rel_gap(config.solver_gap)
+            .with_audit(config.certify_solves);
+        let config = if rung == LadderRung::ReducedHorizon {
+            let plan_ahead = governor.reduced_horizon(config.plan_ahead, config.cycle_period);
+            Cow::Owned(TetriSchedConfig {
+                plan_ahead,
+                ..config.clone()
+            })
+        } else {
+            Cow::Borrowed(config)
+        };
+        Pipeline {
+            config,
+            solver,
+            anytime,
+            ctx,
+            view,
+        }
+    }
+
+    fn phase(&self, name: &'static str, hist: &'static str) -> Phase<'a> {
+        Phase::open(self.ctx.telemetry, name, hist)
+    }
+
+    /// Step 1 — generate: expands a unit's pending jobs into STRL
+    /// requests, abandoning SLO jobs left with no satisfiable replica,
+    /// then (under `lint_models`) rejects and strikes every request whose
+    /// expression fails semantic analysis, so a bad expression never
+    /// reaches the compiler or solver.
+    fn request(
         &self,
-        compiled: &CompiledModel,
-        all_tags: &[LeafTag],
-        partitions: &PartitionSet,
-        view: &Ledger,
-    ) -> Option<Vec<f64>> {
-        let mut picks: Vec<(usize, Vec<(usize, u32)>)> = Vec::new();
-        for (ix, tag) in all_tags.iter().enumerate() {
-            let Some(&(key, start)) = self.choice_cache.get(&tag.job) else {
-                continue;
-            };
-            if tag.key != key || tag.start != start {
-                continue;
-            }
-            // Greedily distribute k over the leaf's classes by availability.
-            let leaf = &compiled.leaves[ix];
-            let mut classes: Vec<(usize, usize)> = leaf
-                .partition_vars
-                .iter()
-                .map(|&(c, _)| (view.avail_at(partitions.class(c), start), c))
-                .collect();
-            classes.sort_by_key(|&(a, c)| (std::cmp::Reverse(a), c));
-            let mut remaining = leaf.k;
-            let mut counts = Vec::new();
-            for (avail, class) in classes {
-                if remaining == 0 {
-                    break;
-                }
-                let take = remaining.min(avail as u32);
-                if take > 0 {
-                    counts.push((class, take));
-                    remaining -= take;
-                }
-            }
-            if remaining == 0 {
-                picks.push((ix, counts));
+        jobs: &[&PendingJob],
+        memory: &mut JobMemory,
+        d: &mut CycleDecisions,
+    ) -> Vec<JobRequest> {
+        let now = self.ctx.now;
+        let generator = StrlGenerator::new(&self.config, self.ctx.cluster);
+        let rack_avail = |s: &NodeSet| self.view.avail_at(s, now);
+        let gen = self.phase("strl_gen", "phase.strl_gen_secs");
+        let mut requests = Vec::new();
+        for p in jobs {
+            let req = generator.job_expr(p, now, &rack_avail);
+            if req.is_schedulable() {
+                requests.push(req);
+            } else if p.spec.deadline.is_some() {
+                memory.abandon(p.spec.id, d);
             }
         }
-        if picks.is_empty() {
-            None
+        gen.span.arg("requests", requests.len() as u64);
+        drop(gen);
+        if self.config.lint_models {
+            let _lint = self.phase("lint", "phase.lint_secs");
+            // Leaves must start inside the window the compiler discretizes.
+            let window = StrlLintContext {
+                now,
+                window_end: Some(now + self.config.n_slices() as u64 * self.config.cycle_period),
+            };
+            requests.retain(|r| {
+                let gate = lint_gate(&lint_expr(&r.expr, &window), Some(r.job));
+                gate.map_err(|e| memory.record_job_failure(e, d)).is_ok()
+            });
+        }
+        requests
+    }
+
+    /// Step 2 — compile: refines the leaf equivalence sets of `expr` (one
+    /// request, or the `sum` of a batch) into partition classes and
+    /// compiles it against `avail` (Algorithm 1). A failure is pinned on
+    /// `job` when the expression is that job's alone.
+    fn compile_requests(
+        &self,
+        expr: &StrlExpr,
+        job: Option<JobId>,
+        avail: &dyn Fn(&NodeSet, Time) -> usize,
+    ) -> Result<(CompiledModel, PartitionSet), CycleError> {
+        let phase = self.phase("compile", "phase.compile_secs");
+        let mut leaf_sets = Vec::new();
+        expr.visit(&mut |node| {
+            if let StrlExpr::NCk { set, .. } | StrlExpr::LnCk { set, .. } = node {
+                leaf_sets.push(set.clone());
+            }
+        });
+        let partitions = PartitionSet::refine(self.ctx.cluster.num_nodes(), &leaf_sets);
+        let input = CompileInput {
+            expr,
+            partitions: &partitions,
+            now: self.ctx.now,
+            quantum: self.config.cycle_period,
+            n_slices: self.config.n_slices(),
+        };
+        let compiled = compile(&input, avail).map_err(|e| CycleError::Compile {
+            job,
+            detail: e.to_string(),
+        })?;
+        phase.span.arg("vars", compiled.model.num_vars() as u64);
+        phase
+            .span
+            .arg("constraints", compiled.model.num_constraints() as u64);
+        Ok((compiled, partitions))
+    }
+
+    /// Step 3 — solve and certify: gates the compiled model through the
+    /// MILP lints, solves it, accounts the solver's statistics and
+    /// self-certificates, and validates the translation (C004) by
+    /// re-evaluating `expr` under the decoded placement. An `Err` means no
+    /// trustworthy schedule; what happens next is the caller's policy.
+    /// `warm` is `Some` for units that warm start (holding the warm point,
+    /// if one survived), so hits and misses count only for them.
+    fn solve_compiled(
+        &self,
+        expr: &StrlExpr,
+        compiled: &CompiledModel,
+        job: Option<JobId>,
+        warm: Option<Option<&[f64]>>,
+        d: &mut CycleDecisions,
+    ) -> Result<Solution, CycleError> {
+        if self.config.lint_models {
+            let _lint = self.phase("lint", "phase.lint_secs");
+            lint_gate(&lint_model(&compiled.model), job)?;
+        }
+        let phase = self.phase("solve", "phase.solve_secs");
+        let backend: Box<dyn MilpBackend> = if self.config.solver_heuristic {
+            Box::new(HeuristicBackend::new(self.solver.clone()))
         } else {
-            Some(compiled.warm_vector(&picks))
+            Box::new(ExactBackend::new(self.solver.clone()))
+        };
+        let started = Instant::now();
+        let sol = backend.solve(&compiled.model, warm.flatten());
+        d.solver_time += started.elapsed();
+        let sol = sol.map_err(|e| CycleError::Solver {
+            detail: e.to_string(),
+        })?;
+        let stats = &sol.stats;
+        phase.span.arg("lp_iterations", stats.lp_iterations as u64);
+        phase.span.arg("bb_nodes", stats.nodes as u64);
+        phase.span.arg("bb_nodes_pruned", stats.nodes_pruned as u64);
+        drop(phase);
+        // The ladder governor's deterministic load signal: solver work in
+        // branch-and-bound nodes + simplex iterations (never wall-clock).
+        d.solver_work_units += stats.nodes as u64 + stats.lp_iterations as u64;
+        d.presolve_reductions += stats.presolve_rows_dropped + stats.presolve_bounds_tightened;
+        let telemetry = self.ctx.telemetry;
+        for (counter, n) in [
+            ("milp.lp_iterations", stats.lp_iterations),
+            ("milp.lp_solves", stats.lp_solves),
+            ("milp.refactorizations", stats.refactorizations),
+            ("milp.bb_nodes", stats.nodes),
+            ("milp.bb_nodes_pruned", stats.nodes_pruned),
+            ("milp.presolve_rows_dropped", stats.presolve_rows_dropped),
+            (
+                "milp.presolve_bounds_tightened",
+                stats.presolve_bounds_tightened,
+            ),
+        ] {
+            telemetry.counter_add(counter, n as u64);
+        }
+        // A hit: the solver accepted the warm incumbent. A miss: warm
+        // starting was on but no warm point survived.
+        if warm.is_some() && stats.warm_start_used {
+            d.warm_start_hits += 1;
+            telemetry.counter_add("sched.warm_start_hits", 1);
+        } else if warm.is_some() {
+            d.warm_start_misses += 1;
+            telemetry.counter_add("sched.warm_start_misses", 1);
+        }
+        if self.anytime && sol.status == SolveStatus::Feasible {
+            d.anytime_incumbents += 1;
+        }
+        if stats.presolve_certified {
+            d.lint_presolve_rejections += 1;
+        }
+        // Proof-carrying solves: the backend self-certified its outcome
+        // (primal check + bound-tree audit replay). A failed certificate
+        // means the claimed schedule cannot be trusted.
+        d.certificates_verified += stats.certificates_verified;
+        if stats.certificate_failures > 0 {
+            d.certificate_failures += stats.certificate_failures;
+            let unit = if job.is_some() { "per-job" } else { "global" };
+            let n = stats.certificate_failures;
+            return Err(CycleError::Certificate {
+                job,
+                detail: format!("{unit} solve failed {n} certificate check(s)"),
+            });
+        }
+        if !sol.status.has_solution() {
+            return Err(CycleError::NoSolution {
+                detail: format!("{:?}", sol.status),
+            });
+        }
+        if self.config.certify_solves {
+            let _certify = self.phase("certify", "phase.certify_secs");
+            let granted = compiled.granted(&sol);
+            match validate_translation(expr, &granted, sol.objective, stats.best_bound) {
+                Ok(_) => d.certificates_verified += 1,
+                Err(diag) => {
+                    d.certificate_failures += 1;
+                    let detail = diag.to_string();
+                    return Err(CycleError::Certificate { job, detail });
+                }
+            }
+        }
+        Ok(sol)
+    }
+
+    /// Step 4 — decode: turns one gang's chosen per-class counts into
+    /// concrete nodes drawn (lowest id first) from `free`, the caller's
+    /// view of what may be claimed; picked nodes leave `free`. `None` when
+    /// `free` cannot supply the whole gang.
+    // srclint: checked-indexing: leaf indices in ChosenAlloc come from the
+    // compiler's own leaves vector.
+    fn materialize(
+        compiled: &CompiledModel,
+        allocs: &[ChosenAlloc],
+        partitions: &PartitionSet,
+        free: &mut NodeSet,
+    ) -> Option<Vec<NodeId>> {
+        let mut nodes = Vec::new();
+        let mut gang = 0usize;
+        for c in allocs {
+            gang += compiled.leaves[c.leaf].k as usize;
+            for &(class, count) in &c.counts {
+                let picked = free.and(partitions.class(class)).take(count as usize);
+                for n in &picked {
+                    free.remove(*n);
+                }
+                nodes.extend(picked);
+            }
+        }
+        (nodes.len() == gang).then_some(nodes)
+    }
+
+    /// Global scheduling (Sec. 5): the whole batch is one unit — the `sum`
+    /// of its requests in one MILP, warm-started from last cycle's choices
+    /// — and only gangs chosen to start *now* launch; deferred placements
+    /// are plans, re-evaluated next cycle. Failure policy: jobs whose
+    /// requests fail to compile are isolated (by compiling each alone),
+    /// struck and dropped, and the rest retry; any other failure returns
+    /// `false` and the caller degrades the cycle. Nothing to place succeeds.
+    // srclint: checked-indexing: leaf indices in ChosenAlloc come from the
+    // compiler's own leaves vector, tags is built leaf-for-leaf with it,
+    // and by_job groups are non-empty by construction.
+    fn cycle_global(
+        &self,
+        batch: &[&PendingJob],
+        memory: &mut JobMemory,
+        solves: &mut u64,
+        d: &mut CycleDecisions,
+    ) -> bool {
+        let now = self.ctx.now;
+        let mut active = self.request(batch, memory, d);
+        if active.is_empty() {
+            return true;
+        }
+        let avail = |set: &NodeSet, t: Time| self.view.avail_at(set, t);
+        let (aggregate, compiled, partitions) = loop {
+            let aggregate = StrlExpr::Sum(active.iter().map(|r| r.expr.clone()).collect());
+            let agg_err = match self.compile_requests(&aggregate, None, &avail) {
+                Ok((compiled, partitions)) => break (aggregate, compiled, partitions),
+                Err(e) => e,
+            };
+            let before = active.len();
+            active.retain(|r| {
+                let alone = self.compile_requests(&r.expr, Some(r.job), &avail);
+                alone.map_err(|e| memory.record_job_failure(e, d)).is_ok()
+            });
+            if active.len() == before {
+                d.errors.push(agg_err); // All compile alone: nobody to quarantine.
+            }
+            if active.len() == before || active.is_empty() {
+                return false;
+            }
+        };
+        // Every surviving job compiled: clear its quarantine strikes.
+        for r in &active {
+            memory.strikes.remove(&r.job);
+        }
+        let tags: Vec<&LeafTag> = active.iter().flat_map(|r| &r.tags).collect();
+        let warm = (self.config.warm_start)
+            .then(|| memory.warm_start(&compiled, &tags, &partitions, self.view));
+        *solves += 1;
+        let solved = if self.config.chaos_global_solve_failures.contains(solves) {
+            // The chaos knob: this solve fails as if the solver had errored.
+            let detail = format!("chaos-injected failure of global solve #{solves}");
+            Err(CycleError::Solver { detail })
+        } else {
+            let warm = warm.as_ref().map(|w| w.as_deref());
+            self.solve_compiled(&aggregate, &compiled, None, warm, d)
+        };
+        let sol = match solved {
+            Ok(sol) => sol,
+            Err(e) => {
+                d.errors.push(e);
+                return false;
+            }
+        };
+
+        let decode = self.phase("decode", "phase.decode_secs");
+        // Stale cache entries for batch jobs die; chosen ones re-enter.
+        for tag in &tags {
+            memory.choices.remove(&tag.job);
+        }
+        // Group chosen leaves by job: a `min`-encoded option (availability
+        // legs) satisfies several leaves that together form one gang.
+        let mut by_job: BTreeMap<JobId, Vec<ChosenAlloc>> = BTreeMap::new();
+        for c in compiled.chosen(&sol) {
+            by_job.entry(tags[c.leaf].job).or_default().push(c);
+        }
+        let mut free = self.ctx.ledger.free_nodes().clone();
+        for (job, allocs) in by_job {
+            let tag = tags[allocs[0].leaf];
+            debug_assert!(
+                allocs.iter().all(|c| tags[c.leaf].start == tag.start),
+                "legs of one option must share a start"
+            );
+            memory.choices.insert(job, (tag.key, tag.start));
+            if tag.start != now {
+                continue; // A deferred plan, re-evaluated next cycle.
+            }
+            // The slice-0 supply constraints guarantee the per-class
+            // counts fit the currently free nodes.
+            let nodes = Self::materialize(&compiled, &allocs, &partitions, &mut free);
+            debug_assert!(nodes.is_some(), "supply violated");
+            if let Some(nodes) = nodes {
+                d.launches.push(Launch {
+                    job,
+                    nodes,
+                    expected_end: now + tag.dur,
+                });
+            }
+        }
+        decode.span.arg("launches", d.launches.len() as u64);
+        true
+    }
+
+    /// Greedy (`TetriSched-NG`) scheduling (Sec. 6.3): one unit per job in
+    /// priority order over availability that subtracts the space-time
+    /// claims committed earlier in the cycle, deferred ones included.
+    /// Failure policy: an `Err` costs only that job its turn (and, when
+    /// structural, a strike); the rest of the batch still schedules.
+    // srclint: checked-indexing: the chosen leaf indexes the tags of the
+    // request it was compiled from.
+    fn cycle_greedy(&self, batch: &[&PendingJob], memory: &mut JobMemory, d: &mut CycleDecisions) {
+        let (now, cluster) = (self.ctx.now, self.ctx.cluster);
+        let greedy = self.phase("greedy", "phase.greedy_secs");
+        greedy.span.arg("batch", batch.len() as u64);
+        // Concrete claims committed earlier in this cycle.
+        let mut commitments: Vec<(NodeSet, Time, Time)> = Vec::new();
+        let (all_nodes, mut assigned_now) = (cluster.all_nodes(), cluster.empty_set());
+        for p in batch {
+            let job = p.spec.id;
+            let Some(req) = self.request(std::slice::from_ref(p), memory, d).pop() else {
+                continue;
+            };
+            let avail = |set: &NodeSet, t: Time| {
+                let mut a = self.view.avail_at(set, t);
+                for (held, start, end) in &commitments {
+                    if *start <= t && t < *end {
+                        a = a.saturating_sub(held.and(set).len());
+                    }
+                }
+                a
+            };
+            let solved = self
+                .compile_requests(&req.expr, Some(job), &avail)
+                .and_then(|(compiled, partitions)| {
+                    let sol = self.solve_compiled(&req.expr, &compiled, Some(job), None, d)?;
+                    Ok((compiled, partitions, sol))
+                });
+            let (compiled, partitions, sol) = match solved {
+                Ok(unit) => unit,
+                Err(e) => {
+                    memory.record_job_failure(e, d);
+                    continue;
+                }
+            };
+            memory.strikes.remove(&job);
+            memory.choices.remove(&job);
+
+            let _decode = self.phase("decode", "phase.decode_secs");
+            let chosen = compiled.chosen(&sol);
+            // All chosen leaves belong to this one job (possibly several
+            // `min` legs of an anti-affine option sharing one start).
+            let Some(first) = chosen.first() else {
+                continue;
+            };
+            let tag = &req.tags[first.leaf];
+            let end = tag.start + tag.dur;
+            memory.choices.insert(job, (tag.key, tag.start));
+            let mut free = self
+                .view
+                .free_at(&all_nodes, tag.start)
+                .minus(&assigned_now);
+            for (held, s, e) in &commitments {
+                if *s < end && tag.start < *e {
+                    free = free.minus(held);
+                }
+            }
+            let Some(nodes) = Self::materialize(&compiled, &chosen, &partitions, &mut free) else {
+                continue; // Claim could not be materialized; re-plan next cycle.
+            };
+            let held = NodeSet::from_ids(cluster.num_nodes(), nodes.iter().copied());
+            if tag.start == now {
+                assigned_now = assigned_now.or(&held);
+                d.launches.push(Launch {
+                    job,
+                    nodes,
+                    expected_end: end,
+                });
+            }
+            commitments.push((held, tag.start, end));
         }
     }
 }
 
 impl Scheduler for TetriSched {
     fn on_complete(&mut self, job: JobId, _now: Time) {
-        self.choice_cache.remove(&job);
-        self.compile_failures.remove(&job);
+        self.memory.choices.remove(&job);
+        self.memory.strikes.remove(&job);
     }
 
     fn on_evict(&mut self, job: JobId, _now: Time) {
         // The cached choice may point at nodes that are now down; force a
         // fresh plan when the job returns from backoff.
-        self.choice_cache.remove(&job);
+        self.memory.choices.remove(&job);
     }
 
     fn cycle(&mut self, ctx: &CycleContext<'_>) -> CycleDecisions {
         let mut d = CycleDecisions::default();
-        let t_collect = Instant::now();
-        let collect_span = ctx.telemetry.span("sched", "collect");
+        let collect = Phase::open(ctx.telemetry, "collect", "phase.collect_secs");
         let view = self.adjust_estimates(ctx, &mut d);
         let batch = self.select_batch(ctx, &mut d);
-        collect_span.arg("batch", batch.len() as u64);
-        drop(collect_span);
-        ctx.telemetry
-            .observe_wall("phase.collect_secs", t_collect.elapsed().as_secs_f64());
+        collect.span.arg("batch", batch.len() as u64);
+        drop(collect);
         if batch.is_empty() {
-            if self.config.global && self.governor.enabled() {
+            if self.config.global {
                 // An idle cycle is a vote of confidence: zero solver work
                 // lets the governor climb back toward the full MILP.
                 self.governor.stamp(&mut d);
@@ -888,20 +794,7 @@ impl Scheduler for TetriSched {
             }
             return d;
         }
-        if self.config.global {
-            if self.governor.enabled() {
-                self.cycle_ladder(ctx, &view, &batch, &mut d);
-            } else if !self.cycle_global(ctx, &view, &batch, &mut d) {
-                // Solver watchdog (pre-ladder binary fallback): the global
-                // MILP failed this cycle. Degrade to greedy job-at-a-time
-                // placement so the cluster keeps moving instead of idling
-                // until the next cycle.
-                d.degraded = true;
-                self.cycle_greedy(ctx, &view, &batch, &mut d);
-            }
-        } else {
-            self.cycle_greedy(ctx, &view, &batch, &mut d);
-        }
+        self.cycle_ladder(ctx, &view, &batch, &mut d);
         if self.config.preemption {
             self.maybe_preempt(ctx, &batch, &mut d);
         }
@@ -913,100 +806,16 @@ impl Scheduler for TetriSched {
     }
 }
 
-/// Field-level body of [`TetriSched::record_job_failure`]; standalone so
-/// call sites holding a borrow of `config` (via the STRL generator) can
-/// still reach the quarantine state. Compile failures and lint rejections
-/// share one strike counter: either way the job's expression cannot be
-/// handed to the solver.
-fn record_job_failure_in(
-    compile_failures: &mut BTreeMap<JobId, u32>,
-    choice_cache: &mut BTreeMap<JobId, (OptionKey, Time)>,
-    max_compile_failures: u32,
-    job: JobId,
-    err: CycleError,
-    d: &mut CycleDecisions,
-) {
-    d.errors.push(err);
-    let n = compile_failures.entry(job).or_insert(0);
-    *n += 1;
-    if *n >= max_compile_failures {
-        d.abandons.push(job);
-        choice_cache.remove(&job);
-        compile_failures.remove(&job);
+/// The pre-solver lint gate: `Err` — pinned on `job` when the linted
+/// expression or model is that job's alone — iff `diags` holds an
+/// Error-severity diagnostic, rendered on one line.
+fn lint_gate(diags: &[Diagnostic], job: Option<JobId>) -> Result<(), CycleError> {
+    if !has_errors(diags) {
+        return Ok(());
     }
-}
-
-/// Publishes one solve's [`tetrisched_milp::SolverStats`] into telemetry
-/// counters and the cycle's decision tallies. `warm_configured` is whether
-/// the scheduler attempted to warm-start this solve: a hit means the
-/// solver accepted the warm incumbent, a miss means warm-starting was on
-/// but no warm point survived (none built, or the solver rejected it).
-fn account_solve(
-    telemetry: &tetrisched_sim::Telemetry,
-    d: &mut CycleDecisions,
-    stats: &tetrisched_milp::SolverStats,
-    warm_configured: bool,
-) {
-    // The ladder governor's deterministic load signal: solver work in
-    // branch-and-bound nodes + simplex iterations (never wall-clock).
-    d.solver_work_units += stats.nodes as u64 + stats.lp_iterations as u64;
-    telemetry.counter_add("milp.lp_iterations", stats.lp_iterations as u64);
-    telemetry.counter_add("milp.lp_solves", stats.lp_solves as u64);
-    telemetry.counter_add("milp.refactorizations", stats.refactorizations as u64);
-    telemetry.counter_add("milp.bb_nodes", stats.nodes as u64);
-    telemetry.counter_add("milp.bb_nodes_pruned", stats.nodes_pruned as u64);
-    telemetry.counter_add(
-        "milp.presolve_rows_dropped",
-        stats.presolve_rows_dropped as u64,
-    );
-    telemetry.counter_add(
-        "milp.presolve_bounds_tightened",
-        stats.presolve_bounds_tightened as u64,
-    );
-    d.presolve_reductions += stats.presolve_rows_dropped + stats.presolve_bounds_tightened;
-    if warm_configured {
-        if stats.warm_start_used {
-            d.warm_start_hits += 1;
-            telemetry.counter_add("sched.warm_start_hits", 1);
-        } else {
-            d.warm_start_misses += 1;
-            telemetry.counter_add("sched.warm_start_misses", 1);
-        }
-    }
-}
-
-/// Compact one-line rendering of the Error-severity diagnostics in a lint
-/// result, for [`CycleError::Lint`] details.
-fn summarize_errors(diags: &[Diagnostic]) -> String {
-    diags
-        .iter()
-        .filter(|diag| diag.severity >= Severity::Error)
-        .map(|diag| diag.to_string())
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
-/// Priority rank of a job class (lower runs first), mirroring the paper's
-/// three priority FIFOs (Sec. 6.3).
-fn class_rank(class: JobClass) -> u8 {
-    match class {
-        JobClass::SloAccepted => 0,
-        JobClass::SloNoReservation => 1,
-        JobClass::BestEffort => 2,
-    }
-}
-
-/// Collects every leaf equivalence set from a forest of expressions.
-fn collect_leaf_sets<'e>(exprs: impl Iterator<Item = &'e StrlExpr>) -> Vec<NodeSet> {
-    let mut sets = Vec::new();
-    for e in exprs {
-        e.visit(&mut |node| {
-            if let StrlExpr::NCk { set, .. } | StrlExpr::LnCk { set, .. } = node {
-                sets.push(set.clone());
-            }
-        });
-    }
-    sets
+    let errors = diags.iter().filter(|d| d.severity >= Severity::Error);
+    let detail = errors.map(|d| d.to_string()).collect::<Vec<_>>().join("; ");
+    Err(CycleError::Lint { job, detail })
 }
 
 #[cfg(test)]
@@ -1641,5 +1450,114 @@ mod tests {
         );
         // Both finish; the second just waits an extra cycle.
         assert_eq!(report.metrics.be_completed, 2);
+    }
+
+    #[test]
+    fn batch_of_one_is_the_same_under_global_and_greedy() {
+        // Greedy is the global pipeline on batches of one (Table 2,
+        // Sec. 6.3): a single pending job must launch the same gang on the
+        // same nodes with the same expected end under either policy.
+        for (job_type, k, cluster) in [
+            (JobType::Unconstrained, 2, Cluster::uniform(1, 4, 0)),
+            (JobType::Gpu, 2, Cluster::uniform(4, 2, 1)),
+            (JobType::Mpi, 3, Cluster::uniform(4, 4, 0)),
+            (JobType::Availability, 3, Cluster::uniform(4, 2, 0)),
+        ] {
+            // Node 0 is busy, so placement is not just "the first k nodes".
+            let mut ledger = Ledger::new(cluster.num_nodes());
+            let busy = NodeSet::from_ids(cluster.num_nodes(), [NodeId(0)]);
+            ledger.allocate(AllocHandle(99), busy, 1_000).unwrap();
+            let pending = [PendingJob {
+                spec: job(0, 0, job_type, k, 30, 2.0, Some(200)),
+                class: JobClass::SloAccepted,
+                reservation: None,
+                preemptions: 0,
+                weight: 1.0,
+            }];
+            let telemetry = Telemetry::disabled();
+            let ctx = CycleContext {
+                now: 0,
+                cluster: &cluster,
+                ledger: &ledger,
+                pending: &pending,
+                running: &[],
+                telemetry: &telemetry,
+            };
+            let launches = |config: TetriSchedConfig| -> Vec<(JobId, Vec<NodeId>, Time)> {
+                let d = TetriSched::new(config).cycle(&ctx);
+                assert!(d.errors.is_empty(), "{:?}", d.errors);
+                d.launches
+                    .into_iter()
+                    .map(|l| (l.job, l.nodes, l.expected_end))
+                    .collect()
+            };
+            let global = launches(TetriSchedConfig::full(16));
+            assert_eq!(global.len(), 1, "{job_type:?} must launch now");
+            assert_eq!(global[0].1.len(), k as usize);
+            assert_eq!(
+                global,
+                launches(TetriSchedConfig::no_global(16)),
+                "{job_type:?}: global and greedy diverge on a batch of one"
+            );
+        }
+    }
+
+    #[test]
+    fn lint_rejected_model_takes_strikes_until_quarantined() {
+        // The compiler never emits a model the MILP lints reject, so hand
+        // the solve step one (crossed bounds, M004) and feed what it
+        // returns to the failure policy, exactly as a greedy unit does: a
+        // per-job model rejection is structural, so the job is abandoned
+        // at the threshold instead of being retried and reported forever.
+        let cluster = Cluster::uniform(1, 4, 0);
+        let ledger = Ledger::new(cluster.num_nodes());
+        let telemetry = Telemetry::disabled();
+        let ctx = CycleContext {
+            now: 0,
+            cluster: &cluster,
+            ledger: &ledger,
+            pending: &[],
+            running: &[],
+            telemetry: &telemetry,
+        };
+        let config = TetriSchedConfig {
+            lint_models: true,
+            ..TetriSchedConfig::no_global(16)
+        };
+        let governor = Governor::new(config.governor.clone());
+        let pipeline = Pipeline::at(LadderRung::Full, &config, &governor, &ctx, &ledger);
+        let mut model = tetrisched_milp::Model::maximize();
+        let crossed = model.add_var("x", tetrisched_milp::VarKind::Continuous, 2.0, 1.0, 1.0);
+        let compiled = CompiledModel {
+            model,
+            leaves: Vec::new(),
+            root_indicator: crossed,
+        };
+        let expr = StrlExpr::Max(Vec::new());
+        let (mut memory, mut d) = (JobMemory::default(), CycleDecisions::default());
+        for strike in 1..=MAX_JOB_FAILURES {
+            assert!(d.abandons.is_empty(), "abandoned before strike {strike}");
+            let err = pipeline
+                .solve_compiled(&expr, &compiled, Some(JobId(7)), None, &mut d)
+                .expect_err("the model lint must reject crossed bounds");
+            assert!(
+                matches!(&err, CycleError::Lint { job: Some(JobId(7)), detail } if detail.contains("M004")),
+                "{err:?}"
+            );
+            memory.record_job_failure(err, &mut d);
+        }
+        assert_eq!(d.abandons, vec![JobId(7)]);
+        assert_eq!(d.errors.len(), MAX_JOB_FAILURES as usize);
+        assert_eq!(d.solver_work_units, 0, "a rejected model is never solved");
+
+        // Failures that say nothing about the job never quarantine it.
+        d.abandons.clear();
+        for _ in 0..2 * MAX_JOB_FAILURES {
+            let detail = String::from("x");
+            memory.record_job_failure(CycleError::NoSolution { detail }, &mut d);
+            let detail = String::from("x");
+            memory.record_job_failure(CycleError::Lint { job: None, detail }, &mut d);
+        }
+        assert!(d.abandons.is_empty());
     }
 }

@@ -15,8 +15,8 @@ use tetrisched::bench::{run_spec, RunSpec, SchedulerKind};
 use tetrisched::cluster::{Cluster, RackId};
 use tetrisched::core::{Governor, GovernorConfig, TetriSched, TetriSchedConfig};
 use tetrisched::sim::{
-    FaultConfig, FaultPlan, FaultScope, FaultScript, PerfFaultConfig, PerfFaultPlan, RetryPolicy,
-    SimConfig, SimReport, Simulator, StragglerConfig, TelemetryConfig,
+    FaultConfig, FaultPlan, FaultScope, FaultScript, PerfFaultConfig, PerfFaultPlan, SimConfig,
+    SimReport, Simulator, StragglerConfig, TelemetryConfig,
 };
 use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
@@ -53,6 +53,9 @@ fn degraded_run(seed: u64, perf: &PerfFaultPlan) -> SimReport {
     })
     .with_estimate_error(Workload::GsMix, 0.0);
     let mut cfg = TetriSchedConfig::full(8);
+    // Byte-identity needs a solver limit that cannot bind: the default
+    // 300 ms is wall-clock, so a slow machine would truncate a solve.
+    cfg.solver_time_limit = std::time::Duration::from_secs(3600);
     cfg.governor = GovernorConfig::defaults();
     cfg.governor.work_budget = 500;
     Simulator::new(
@@ -205,24 +208,11 @@ fn fail_stop_spec(workload: Workload, seed: u64) -> RunSpec {
             scope: FaultScope::Rack(RackId(1)),
         }],
     );
+    let mut cfg = TetriSchedConfig::full(16);
+    cfg.solver_time_limit = std::time::Duration::from_secs(3600);
     RunSpec {
-        workload,
-        cluster,
-        num_jobs: 24,
-        seed,
-        estimate_error: 0.0,
-        kind: {
-            let mut cfg = TetriSchedConfig::full(16);
-            cfg.solver_time_limit = std::time::Duration::from_secs(3600);
-            SchedulerKind::Tetri(cfg)
-        },
-        cycle_period: 4,
-        utilization: 1.0,
-        slowdown: 1.5,
         faults: generated.merge(scripted),
-        retry: RetryPolicy::default(),
-        perf_faults: PerfFaultPlan::none(),
-        stragglers: StragglerConfig::disabled(),
+        ..RunSpec::new(workload, cluster, 24, seed, SchedulerKind::Tetri(cfg))
     }
 }
 

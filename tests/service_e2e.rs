@@ -19,10 +19,7 @@ use tetrisched::cluster::Cluster;
 use tetrisched::core::TetriSched;
 use tetrisched::core::TetriSchedConfig;
 use tetrisched::service::{AdmissionPolicy, FairShareConfig, ServiceConfig};
-use tetrisched::sim::{
-    FaultPlan, JobOutcome, PerfFaultPlan, RetryPolicy, SimConfig, SimReport, Simulator,
-    StragglerConfig, TelemetryConfig, TraceEvent,
-};
+use tetrisched::sim::{JobOutcome, SimConfig, SimReport, Simulator, TelemetryConfig, TraceEvent};
 use tetrisched::workloads::{GridmixConfig, OpenLoopConfig, OpenLoopDriver, Workload};
 
 /// A compact, fully deterministic digest of a run's decision-relevant
@@ -50,21 +47,13 @@ fn digest(report: &SimReport) -> String {
 }
 
 fn corpus_spec(workload: Workload, seed: u64) -> RunSpec {
-    RunSpec {
+    RunSpec::new(
         workload,
-        cluster: Cluster::uniform(2, 8, 1),
-        num_jobs: 24,
+        Cluster::uniform(2, 8, 1),
+        24,
         seed,
-        estimate_error: 0.0,
-        kind: SchedulerKind::Tetri(TetriSchedConfig::full(16)),
-        cycle_period: 4,
-        utilization: 1.0,
-        slowdown: 1.5,
-        faults: FaultPlan::none(),
-        retry: RetryPolicy::default(),
-        perf_faults: PerfFaultPlan::none(),
-        stragglers: StragglerConfig::disabled(),
-    }
+        SchedulerKind::Tetri(TetriSchedConfig::full(16)),
+    )
 }
 
 /// Golden digests captured from the pre-refactor engine (before the

@@ -17,6 +17,11 @@ use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 /// wall-clock cutoff is the one nondeterministic input, so no solve may
 /// reach it if two runs are to be comparable.
 fn run(telemetry_on: bool, trace_capacity: usize) -> SimReport {
+    run_variant(TetriSchedConfig::full(8), telemetry_on, trace_capacity)
+}
+
+/// [`run`] for another Table 2 variant of the scheduler.
+fn run_variant(variant: TetriSchedConfig, telemetry_on: bool, trace_capacity: usize) -> SimReport {
     let cluster = Cluster::uniform(2, 8, 1);
     let jobs = WorkloadBuilder::new(GridmixConfig {
         seed: 11,
@@ -29,7 +34,7 @@ fn run(telemetry_on: bool, trace_capacity: usize) -> SimReport {
         lint_models: true,
         certify_solves: true,
         solver_time_limit: Duration::from_secs(120),
-        ..TetriSchedConfig::full(8)
+        ..variant
     };
     Simulator::new(
         cluster,
@@ -93,23 +98,48 @@ fn telemetry_does_not_change_decisions() {
 
 #[test]
 fn every_pipeline_phase_records_spans() {
-    let report = run(true, 1 << 16);
-    let snap = report.telemetry.snapshot();
-    for phase in [
-        "cycle", "collect", "strl_gen", "lint", "compile", "solve", "certify", "decode",
-    ] {
-        assert!(
-            snap.spans.iter().any(|s| s.name == phase),
-            "no spans recorded for phase `{phase}`"
-        );
-    }
-    assert_eq!(snap.spans_dropped, 0, "span capacity was large enough");
-    // Solver internals surfaced as counters.
-    for counter in ["milp.lp_iterations", "milp.bb_nodes", "sim.launches"] {
-        assert!(
-            report.telemetry.counter(counter) > 0,
-            "counter `{counter}` never incremented"
-        );
+    // Global and greedy run the same pipeline, so both record every phase;
+    // a greedy unit's phases nest under that cycle's `greedy` span.
+    for variant in [TetriSchedConfig::full(8), TetriSchedConfig::no_global(8)] {
+        let greedy = !variant.global;
+        let report = run_variant(variant, true, 1 << 16);
+        let snap = report.telemetry.snapshot();
+        let under_greedy = |span: &tetrisched::sim::SpanRecord| {
+            let mut parent = span.parent;
+            while let Some(id) = parent {
+                let up = &snap.spans[id as usize];
+                if up.name == "greedy" {
+                    return true;
+                }
+                parent = up.parent;
+            }
+            false
+        };
+        for phase in [
+            "cycle", "collect", "strl_gen", "lint", "compile", "solve", "certify", "decode",
+        ] {
+            let mut spans = snap.spans.iter().filter(|s| s.name == phase).peekable();
+            assert!(
+                spans.peek().is_some(),
+                "no spans recorded for phase `{phase}` (greedy: {greedy})"
+            );
+            if greedy && !matches!(phase, "cycle" | "collect") {
+                assert!(
+                    spans.all(under_greedy),
+                    "a `{phase}` span of a greedy run has no `greedy` ancestor"
+                );
+            }
+        }
+        assert_eq!(snap.spans_dropped, 0, "span capacity was large enough");
+        // Solver internals surfaced as counters (a batch-of-one solve
+        // rarely needs to branch, so greedy may record no B&B nodes).
+        for counter in ["milp.lp_iterations", "milp.lp_solves", "sim.launches"] {
+            assert!(
+                report.telemetry.counter(counter) > 0,
+                "counter `{counter}` never incremented"
+            );
+        }
+        assert!(greedy || report.telemetry.counter("milp.bb_nodes") > 0);
     }
 }
 
