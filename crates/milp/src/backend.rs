@@ -185,7 +185,7 @@ impl HeuristicBackend {
         };
         stats.best_bound = root_obj + model.objective_offset;
 
-        if let Some((obj, values)) = heuristics::dive_public(
+        if let Some((obj, values)) = heuristics::dive(
             model,
             simplex,
             &lb,

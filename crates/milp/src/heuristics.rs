@@ -76,20 +76,6 @@ pub(crate) fn dive(
     None
 }
 
-/// Crate-internal re-export of [`dive`] for the heuristic backend.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dive_public(
-    model: &Model,
-    simplex: &Simplex,
-    base_lb: &[f64],
-    base_ub: &[f64],
-    root_values: &[f64],
-    config: &SolverConfig,
-    stats: &mut SolverStats,
-) -> Option<(f64, Vec<f64>)> {
-    dive(model, simplex, base_lb, base_ub, root_values, config, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,16 +7,19 @@
 //! includes "bound flips", and phase 1 introduces artificial variables only
 //! for rows whose slack cannot absorb the initial residual.
 //!
-//! The implementation is a dense-tableau simplex: at the problem sizes the
-//! TetriSched scheduler generates per cycle (10^3–10^4 columns), dense row
-//! operations are fast and numerically well behaved. Dantzig pricing is used
-//! until a stall is detected, after which Bland's rule guarantees
-//! termination.
+//! The implementation is a dense-tableau simplex over one contiguous
+//! row-major buffer (a few hundred rows and columns per scheduling cycle).
+//! Storage is dense, the hot loops are not: a pivot updates other rows only
+//! at the pivot row's nonzeros, and a refresh (like the residuals of a load)
+//! subtracts only the columns resting at a nonzero value. They skip nothing
+//! but `x -= f * 0.0`, so every stored value is what the dense loops compute
+//! (signed zeros aside). Dantzig pricing is used until a stall is detected,
+//! after which Bland's rule guarantees termination.
 
 use crate::error::{MilpError, Result};
 use crate::kernels::{fixed_dot, fixed_sum, is_nonzero};
 use crate::model::{Model, Sense};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// Tolerance for reduced-cost optimality checks.
 const COST_TOL: f64 = 1e-7;
@@ -74,14 +77,16 @@ enum ColState {
     FreeZero,
 }
 
-/// Reusable LP solver.
+/// Reusable LP solver: one workspace per instance.
 ///
-/// A `Simplex` owns no problem state between calls; it exists to carry the
-/// iteration limit, to namespace the solve entry points, and to accumulate
-/// work counters across the solves it performs (read back by
+/// Problem state never survives a call, storage does: the tableau buffers
+/// are sized by the first LP an instance solves and reused by every later
+/// one (root, dive steps, branch-and-bound nodes), each of which rebuilds
+/// its tableau from the model. The instance also carries the iteration
+/// limit and accumulates work counters across its solves (read back by
 /// branch-and-bound for telemetry via [`Simplex::iterations`] /
 /// [`Simplex::refactorizations`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Simplex {
     /// Maximum pivots per phase before reporting numerical trouble.
     pub max_iterations: usize,
@@ -91,11 +96,26 @@ pub struct Simplex {
     /// Cumulative basis refreshes (dense refactorizations) across all
     /// solves by this instance.
     refactorizations: Cell<usize>,
+    /// The tableau storage every solve of this instance loads into.
+    work: RefCell<Tableau>,
 }
 
 impl Default for Simplex {
     fn default() -> Self {
         Self::new(200_000)
+    }
+}
+
+/// A clone carries the limit and the counters and starts with an empty
+/// workspace: storage is capacity only, no problem state is lost.
+impl Clone for Simplex {
+    fn clone(&self) -> Self {
+        Self {
+            max_iterations: self.max_iterations,
+            iterations: self.iterations.clone(),
+            refactorizations: self.refactorizations.clone(),
+            work: RefCell::default(),
+        }
     }
 }
 
@@ -106,6 +126,7 @@ impl Simplex {
             max_iterations,
             iterations: Cell::new(0),
             refactorizations: Cell::new(0),
+            work: RefCell::default(),
         }
     }
 
@@ -140,8 +161,8 @@ impl Simplex {
                 return Ok(LpOutcome::Infeasible { farkas: None });
             }
         }
-        let mut t = Tableau::build(model, lb, ub);
-        t.max_iterations = self.max_iterations;
+        let mut t = self.work.borrow_mut();
+        t.load(model, lb, ub, self.max_iterations);
         let out = t.solve();
         self.iterations.set(self.iterations.get() + t.iterations);
         self.refactorizations
@@ -151,18 +172,22 @@ impl Simplex {
 }
 
 /// Dense simplex tableau in canonical form: the columns of basic variables
-/// are unit vectors, `rows` holds the transformed constraint matrix, and
-/// `rhs` the transformed right-hand side, so basic values satisfy
-/// `x_B[i] = rhs[i] - sum_over_nonbasic(rows[i][j] * value(j))`.
+/// are unit vectors, `a` holds the transformed constraint matrix, and `rhs`
+/// the transformed right-hand side, so basic values satisfy
+/// `x_B[i] = rhs[i] - sum_over_nonbasic(a[i][j] * value(j))`.
+///
+/// It doubles as the [`Simplex`] workspace: [`Tableau::load`] overwrites
+/// every field it reads, so nothing of one LP reaches the next but capacity.
+#[derive(Debug, Default)]
 struct Tableau {
     /// Number of constraint rows.
     m: usize,
     /// Number of structural columns.
     n_struct: usize,
-    /// Total columns (structural + slack + artificial).
+    /// Total columns (structural + slack + artificial): the row stride.
     n_cols: usize,
-    /// Row-major dense matrix, `m` rows of `n_cols`.
-    rows: Vec<Vec<f64>>,
+    /// Row-major dense matrix: cell `(i, j)` is `a[i * n_cols + j]`.
+    a: Vec<f64>,
     /// Transformed right-hand side.
     rhs: Vec<f64>,
     /// Lower bound per column.
@@ -177,8 +202,17 @@ struct Tableau {
     state: Vec<ColState>,
     /// Basic column per row.
     basis: Vec<usize>,
+    /// Row in which a basic column is basic (stale for nonbasic columns).
+    row_of: Vec<usize>,
     /// Current value of the basic variable in each row.
     x_basic: Vec<f64>,
+    /// Scratch indexed by column: the scaled pivot row during a pivot, the
+    /// rest values of the `nz` columns during a refresh, the row being
+    /// summed during a load.
+    scratch: Vec<f64>,
+    /// Scratch index list: the pivot row's nonzero columns during a pivot,
+    /// the columns resting at a nonzero value during a refresh or a load.
+    nz: Vec<usize>,
     /// First artificial column index (== `n_cols` when none).
     art_start: usize,
     /// Iteration limit per phase.
@@ -189,140 +223,144 @@ struct Tableau {
     refactorizations: usize,
 }
 
+/// Empties `v` and refills it with `len` copies of `fill`, first reserving
+/// `cap` so that later growth up to `cap` does not reallocate.
+fn reset<T: Clone>(v: &mut Vec<T>, cap: usize, len: usize, fill: T) {
+    v.clear();
+    v.reserve(cap);
+    v.resize(len, fill);
+}
+
 impl Tableau {
-    /// Builds the initial tableau: slack columns per row, structural
+    /// Loads the initial tableau of an LP: slack columns per row, structural
     /// variables nonbasic at a finite bound, and artificial columns for rows
     /// whose slack cannot absorb the residual.
+    ///
+    /// Every buffer is reserved at the model's upper bound — `m` rows of
+    /// `n_struct + 2m` columns, one artificial per row — so only the first
+    /// LP of a solve allocates: the LPs that follow share the model's
+    /// dimensions and differ at most in their artificial count.
     // srclint: checked-indexing: every index is derived from the tableau's
     // own dimensions (m rows, n_struct + m + artificials columns), and all
-    // vectors are allocated to exactly those dimensions in this function.
-    fn build(model: &Model, s_lb: &[f64], s_ub: &[f64]) -> Tableau {
+    // vectors are reset to those dimensions in this function (scratch to
+    // the n_struct + 2m upper bound); cell (i, j) sits at
+    // i * n_cols + j < m * n_cols.
+    fn load(&mut self, model: &Model, s_lb: &[f64], s_ub: &[f64], max_iterations: usize) {
         let m = model.num_constraints();
         let n_struct = model.num_vars();
-        let n_slack = m;
-        let base_cols = n_struct + n_slack;
+        let base_cols = n_struct + m;
+        let cap_cols = base_cols + m;
+        (self.m, self.n_struct, self.art_start) = (m, n_struct, base_cols);
+        (self.max_iterations, self.iterations, self.refactorizations) = (max_iterations, 0, 0);
 
-        let mut lb = Vec::with_capacity(base_cols + m);
-        let mut ub = Vec::with_capacity(base_cols + m);
-        let mut cost = vec![0.0; base_cols];
+        reset(&mut self.lb, cap_cols, base_cols, 0.0);
+        reset(&mut self.ub, cap_cols, base_cols, 0.0);
+        reset(&mut self.cost, cap_cols, base_cols, 0.0);
+        reset(&mut self.state, cap_cols, base_cols, ColState::AtLower);
+        reset(&mut self.scratch, cap_cols, cap_cols, 0.0);
+        self.nz.clear();
+        self.nz.reserve(cap_cols);
         for j in 0..n_struct {
-            lb.push(s_lb[j]);
-            ub.push(s_ub[j]);
-            cost[j] = model.var(crate::model::VarId(j)).obj;
+            self.lb[j] = s_lb[j];
+            self.ub[j] = s_ub[j];
+            self.cost[j] = model.var(crate::model::VarId(j)).obj;
+            // Nonbasic rest position for structural columns.
+            self.state[j] = initial_state(s_lb[j], s_ub[j]);
         }
-        for c in model.constraints() {
-            let (slo, shi) = match c.sense {
+        reset(&mut self.rhs, m, m, 0.0);
+        reset(&mut self.x_basic, m, m, 0.0);
+        reset(&mut self.basis, m, m, 0);
+
+        // First pass: decide the initial basis per row — the slack if it can
+        // hold the residual, otherwise an artificial — which fixes the
+        // stride. `rhs[i]` doubles as the row's orientation until the fill.
+        // As in `refresh_basics`, only a column resting at a nonzero value
+        // can move a residual, so those are gathered first.
+        for j in 0..n_struct {
+            if is_nonzero(self.nonbasic_value(j)) {
+                self.nz.push(j);
+            }
+        }
+        let mut n_cols = base_cols;
+        for (i, c) in model.constraints().iter().enumerate() {
+            let s = n_struct + i;
+            (self.lb[s], self.ub[s]) = match c.sense {
                 Sense::Le => (0.0, f64::INFINITY),
                 Sense::Ge => (f64::NEG_INFINITY, 0.0),
                 Sense::Eq => (0.0, 0.0),
             };
-            lb.push(slo);
-            ub.push(shi);
-        }
-
-        // Nonbasic rest position for structural columns.
-        let mut state = vec![ColState::AtLower; base_cols];
-        for (j, st) in state.iter_mut().enumerate().take(n_struct) {
-            *st = initial_state(lb[j], ub[j]);
-        }
-
-        // Raw rows: structural coefficients plus the unit slack column.
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut rhs: Vec<f64> = Vec::with_capacity(m);
-        for (i, c) in model.constraints().iter().enumerate() {
-            let mut row = vec![0.0; base_cols];
+            // Residual of the row given structural variables at rest,
+            // summed over its merged coefficients in column order.
             for &(v, coeff) in &c.terms {
-                row[v.index()] += coeff;
+                self.scratch[v.index()] += coeff;
             }
-            row[n_struct + i] = 1.0;
-            rows.push(row);
-            rhs.push(c.rhs);
-        }
-
-        // Decide the initial basis per row: the slack if it can hold the
-        // residual, otherwise an artificial.
-        let mut basis = vec![0usize; m];
-        let mut x_basic = vec![0.0; m];
-        let mut art_cols: Vec<usize> = Vec::new();
-        // Residual of each row given structural variables at rest.
-        let nval = |j: usize, state: &[ColState], lb: &[f64], ub: &[f64]| -> f64 {
-            match state[j] {
-                ColState::AtLower => lb[j],
-                ColState::AtUpper => ub[j],
-                _ => 0.0,
-            }
-        };
-        for i in 0..m {
-            let mut res = rhs[i];
-            for (j, &a) in rows[i].iter().take(n_struct).enumerate() {
-                if is_nonzero(a) {
-                    res -= a * nval(j, &state, &lb, &ub);
+            let mut res = c.rhs;
+            for &j in &self.nz {
+                if is_nonzero(self.scratch[j]) {
+                    res -= self.scratch[j] * self.nonbasic_value(j);
                 }
             }
-            let s = n_struct + i;
-            if res >= lb[s] - FEAS_TOL && res <= ub[s] + FEAS_TOL {
+            for &(v, _) in &c.terms {
+                self.scratch[v.index()] = 0.0;
+            }
+            self.rhs[i] = 1.0;
+            if res >= self.lb[s] - FEAS_TOL && res <= self.ub[s] + FEAS_TOL {
                 // The slack absorbs the residual: it is basic and feasible.
-                basis[i] = s;
-                state[s] = ColState::Basic;
-                x_basic[i] = res;
+                self.basis[i] = s;
+                self.state[s] = ColState::Basic;
+                self.x_basic[i] = res;
             } else {
                 // Rest the slack at its nearest bound and cover the remainder
                 // with an artificial variable.
-                let (beta, rest) = if res < lb[s] {
-                    (lb[s], ColState::AtLower)
+                let (beta, rest) = if res < self.lb[s] {
+                    (self.lb[s], ColState::AtLower)
                 } else {
-                    (ub[s], ColState::AtUpper)
+                    (self.ub[s], ColState::AtUpper)
                 };
-                state[s] = rest;
-                let mut residual = res - beta;
+                self.state[s] = rest;
+                let residual = res - beta;
                 if residual < 0.0 {
                     // Scale the row so the artificial enters with +1 and a
                     // nonnegative value.
-                    for a in rows[i].iter_mut() {
-                        *a = -*a;
-                    }
-                    rhs[i] = -rhs[i];
-                    residual = -residual;
+                    self.rhs[i] = -1.0;
                 }
-                art_cols.push(i);
-                x_basic[i] = residual;
+                self.x_basic[i] = residual.abs();
+                self.basis[i] = n_cols;
+                n_cols += 1;
             }
         }
 
-        let art_start = base_cols;
-        let n_cols = base_cols + art_cols.len();
-        for row in rows.iter_mut() {
-            row.resize(n_cols, 0.0);
+        self.n_cols = n_cols;
+        self.cost.resize(n_cols, 0.0);
+        self.lb.resize(n_cols, 0.0);
+        self.ub.resize(n_cols, f64::INFINITY);
+        self.state.resize(n_cols, ColState::Basic);
+        reset(&mut self.dj, cap_cols, n_cols, 0.0);
+        reset(&mut self.row_of, cap_cols, n_cols, 0);
+        // Second pass: fill the matrix at its final stride — structural
+        // coefficients, the unit slack column, the artificial if any.
+        reset(&mut self.a, m * cap_cols, m * n_cols, 0.0);
+        for (i, c) in model.constraints().iter().enumerate() {
+            let sign = self.rhs[i];
+            let row = &mut self.a[i * n_cols..(i + 1) * n_cols];
+            for &(v, coeff) in &c.terms {
+                row[v.index()] += sign * coeff;
+            }
+            row[n_struct + i] = sign;
+            if self.basis[i] >= base_cols {
+                row[self.basis[i]] = 1.0;
+            }
+            self.rhs[i] = sign * c.rhs;
+            self.row_of[self.basis[i]] = i;
         }
-        cost.resize(n_cols, 0.0);
-        lb.resize(n_cols, 0.0);
-        ub.resize(n_cols, f64::INFINITY);
-        state.resize(n_cols, ColState::AtLower);
-        for (k, &i) in art_cols.iter().enumerate() {
-            let col = art_start + k;
-            rows[i][col] = 1.0;
-            basis[i] = col;
-            state[col] = ColState::Basic;
-        }
+    }
 
-        Tableau {
-            m,
-            n_struct,
-            n_cols,
-            rows,
-            rhs,
-            lb,
-            ub,
-            cost,
-            dj: vec![0.0; n_cols],
-            state,
-            basis,
-            x_basic,
-            art_start,
-            max_iterations: 200_000,
-            iterations: 0,
-            refactorizations: 0,
-        }
+    /// Cell `(i, j)` of the matrix.
+    // srclint: checked-indexing: callers pass a row i < m and a column
+    // j < n_cols, so i * n_cols + j < m * n_cols == a.len().
+    #[inline]
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.a[i * self.n_cols + j]
     }
 
     /// Rest value of a nonbasic column. Callers only ask for columns whose
@@ -344,16 +382,33 @@ impl Tableau {
     }
 
     /// Recomputes all basic values from the tableau (numerical refresh).
-    // srclint: checked-indexing: rows/rhs/x_basic are allocated to m rows;
-    // every row has n_cols entries matching state.
+    ///
+    /// Only a column resting at a nonzero value can move a sum (any other
+    /// term is `a * 0.0`), so those are gathered once, in ascending column
+    /// order, and each row subtracts them alone: the sequence of non-trivial
+    /// floating-point operations is that of a scan over every cell.
+    // srclint: checked-indexing: rhs/x_basic are allocated to m rows and
+    // state to n_cols (scratch to at least that); nz holds columns < n_cols
+    // and row i is the n_cols cells from i * n_cols, which end at
+    // (i + 1) * n_cols <= m * n_cols.
     fn refresh_basics(&mut self) {
         self.refactorizations += 1;
+        self.nz.clear();
+        for j in 0..self.n_cols {
+            if self.state[j] != ColState::Basic {
+                let x = self.nonbasic_value(j);
+                if is_nonzero(x) {
+                    self.scratch[j] = x;
+                    self.nz.push(j);
+                }
+            }
+        }
         for i in 0..self.m {
             let mut v = self.rhs[i];
-            let row = &self.rows[i];
-            for (j, &a) in row.iter().enumerate() {
-                if is_nonzero(a) && self.state[j] != ColState::Basic {
-                    v -= a * self.nonbasic_value(j);
+            let row = &self.a[i * self.n_cols..(i + 1) * self.n_cols];
+            for &j in &self.nz {
+                if is_nonzero(row[j]) {
+                    v -= row[j] * self.scratch[j];
                 }
             }
             self.x_basic[i] = v;
@@ -361,8 +416,8 @@ impl Tableau {
     }
 
     /// Recomputes reduced costs for the given phase cost vector.
-    // srclint: checked-indexing: dj/cost/rows are allocated to
-    // n_cols/n_cols/m; basis entries are valid column indices by the pivot
+    // srclint: checked-indexing: dj/cost are allocated to n_cols and the
+    // matrix to m rows; basis entries are valid column indices by the pivot
     // invariant.
     fn refresh_reduced_costs(&mut self, phase1: bool) {
         let c = |j: usize| -> f64 {
@@ -382,7 +437,7 @@ impl Tableau {
         for i in 0..self.m {
             let cb = c(self.basis[i]);
             if is_nonzero(cb) {
-                let row = &self.rows[i];
+                let row = &self.a[i * self.n_cols..(i + 1) * self.n_cols];
                 for (d, &a) in self.dj.iter_mut().zip(row.iter()) {
                     if is_nonzero(a) {
                         *d -= cb * a;
@@ -413,7 +468,7 @@ impl Tableau {
     /// Builds the improving feasible ray for an unbounded phase-2 pivot:
     /// entering column `j_in` moves in direction `dir` with no blocking
     /// basic variable, so the structural components move at rate `dir` (for
-    /// `j_in` itself) and `-rows[i][j_in] * dir` (for structural basics).
+    /// `j_in` itself) and `-a[i][j_in] * dir` (for structural basics).
     // srclint: checked-indexing: j_in is a pricing-loop column < n_cols;
     // the ray is allocated to n_struct and only indexed below it.
     fn extract_ray(&self, j_in: usize, dir: f64) -> Vec<f64> {
@@ -424,7 +479,7 @@ impl Tableau {
         for i in 0..self.m {
             let b = self.basis[i];
             if b < self.n_struct {
-                ray[b] = -self.rows[i][j_in] * dir;
+                ray[b] = -self.at(i, j_in) * dir;
             }
         }
         ray
@@ -432,10 +487,9 @@ impl Tableau {
 
     /// Runs phase 1 (if artificials exist) and phase 2.
     // srclint: checked-indexing: all loops run over the tableau's own
-    // dimensions (m rows, n_cols columns, n_struct structural values).
-    // srclint: expect-boundary: a column in ColState::Basic appears in
-    // `basis` by the pivot invariant (pivot() records every entering
-    // column); its absence would mean tableau corruption, not bad input.
+    // dimensions (m rows, n_cols columns, n_struct structural values);
+    // row_of holds a row < m for every basic column (load and the pivot
+    // branch of optimize record it).
     fn solve(&mut self) -> Result<LpOutcome> {
         if self.art_start < self.n_cols {
             self.refresh_reduced_costs(true);
@@ -444,7 +498,9 @@ impl Tableau {
                 PhaseEnd::Unbounded { .. } => {
                     // Phase 1 objective is bounded above by zero; reaching
                     // here means numerical trouble.
-                    return Err(MilpError::IterationLimit { iterations: 0 });
+                    return Err(MilpError::IterationLimit {
+                        iterations: self.iterations,
+                    });
                 }
             }
             let infeasibility = fixed_sum(
@@ -489,14 +545,7 @@ impl Tableau {
         let mut values = vec![0.0; self.n_struct];
         for (j, value) in values.iter_mut().enumerate() {
             *value = match self.state[j] {
-                ColState::Basic => {
-                    let i = self
-                        .basis
-                        .iter()
-                        .position(|&b| b == j)
-                        .expect("basic column must appear in the basis");
-                    self.x_basic[i]
-                }
+                ColState::Basic => self.x_basic[self.row_of[j]],
                 _ => self.nonbasic_value(j),
             };
         }
@@ -581,7 +630,7 @@ impl Tableau {
             let mut t_best = enter_span;
             let mut leave: Option<(usize, bool, f64)> = None; // (row, hits_upper, |alpha|)
             for i in 0..self.m {
-                let alpha = self.rows[i][j_in];
+                let alpha = self.at(i, j_in);
                 if alpha.abs() < PIVOT_TOL {
                     continue;
                 }
@@ -641,7 +690,7 @@ impl Tableau {
                 None => {
                     debug_assert!(enter_span.is_finite());
                     for i in 0..self.m {
-                        let alpha = self.rows[i][j_in];
+                        let alpha = self.at(i, j_in);
                         if is_nonzero(alpha) {
                             self.x_basic[i] += -alpha * dir * t_best;
                         }
@@ -659,7 +708,7 @@ impl Tableau {
                     // flip (cheaper, no pivot).
                     let _ = (r, hits_upper);
                     for i in 0..self.m {
-                        let alpha = self.rows[i][j_in];
+                        let alpha = self.at(i, j_in);
                         if is_nonzero(alpha) {
                             self.x_basic[i] += -alpha * dir * enter_span;
                         }
@@ -680,7 +729,7 @@ impl Tableau {
                         if i == r {
                             continue;
                         }
-                        let alpha = self.rows[i][j_in];
+                        let alpha = self.at(i, j_in);
                         if is_nonzero(alpha) {
                             self.x_basic[i] += -alpha * dir * t_best;
                         }
@@ -692,6 +741,7 @@ impl Tableau {
                         ColState::AtLower
                     };
                     self.basis[r] = j_in;
+                    self.row_of[j_in] = r;
                     self.state[j_in] = ColState::Basic;
                     self.x_basic[r] = entering_value;
                     self.pivot(r, j_in);
@@ -701,40 +751,57 @@ impl Tableau {
     }
 
     /// Gaussian elimination step making column `j` a unit vector at row `r`.
+    ///
+    /// The pivot row is scaled once and copied out with the indices of its
+    /// nonzeros; the other rows and `dj` are then updated at those indices
+    /// only (see [`eliminate`]).
     // srclint: checked-indexing: r < m and j < n_cols come straight from
-    // the caller's ratio test; rows/rhs/dj are allocated to match.
+    // the caller's ratio test; the matrix holds m rows of n_cols cells
+    // (cell (i, k) at i * n_cols + k < m * n_cols) and rhs/dj/scratch are
+    // allocated to match.
     fn pivot(&mut self, r: usize, j: usize) {
-        let p = self.rows[r][j];
+        let n = self.n_cols;
+        let p = self.at(r, j);
         debug_assert!(p.abs() >= PIVOT_TOL, "pivot too small: {p}");
         let inv = 1.0 / p;
-        for a in self.rows[r].iter_mut() {
+        self.nz.clear();
+        let pivot_row = &mut self.a[r * n..(r + 1) * n];
+        for (k, (a, copy)) in pivot_row.iter_mut().zip(&mut self.scratch).enumerate() {
             *a *= inv;
+            *copy = *a;
+            if is_nonzero(*a) {
+                self.nz.push(k);
+            }
         }
         self.rhs[r] *= inv;
-        // Take the pivot row out to satisfy the borrow checker cheaply.
-        let pivot_row = std::mem::take(&mut self.rows[r]);
         let pivot_rhs = self.rhs[r];
         for i in 0..self.m {
             if i == r {
                 continue;
             }
-            let factor = self.rows[i][j];
+            let factor = self.at(i, j);
             if is_nonzero(factor) {
-                let row = &mut self.rows[i];
-                for (a, &pa) in row.iter_mut().zip(pivot_row.iter()) {
-                    *a -= factor * pa;
-                }
+                let row = &mut self.a[i * n..(i + 1) * n];
+                eliminate(row, factor, &self.scratch, &self.nz);
                 self.rhs[i] -= factor * pivot_rhs;
             }
         }
         let dfac = self.dj[j];
         if is_nonzero(dfac) {
-            for (d, &pa) in self.dj.iter_mut().zip(pivot_row.iter()) {
-                *d -= dfac * pa;
-            }
+            eliminate(&mut self.dj, dfac, &self.scratch, &self.nz);
         }
         self.dj[j] = 0.0;
-        self.rows[r] = pivot_row;
+    }
+}
+
+/// `row -= factor * pivot_row` at the pivot row's nonzero columns `nz`; the
+/// cells skipped are `x -= factor * 0.0`, which leaves `x` as it is.
+// srclint: checked-indexing: row and pivot_row hold at least n_cols cells
+// and nz holds columns k < n_cols gathered from that same pivot row.
+#[inline]
+fn eliminate(row: &mut [f64], factor: f64, pivot_row: &[f64], nz: &[usize]) {
+    for &k in nz {
+        row[k] -= factor * pivot_row[k];
     }
 }
 
@@ -980,5 +1047,133 @@ mod tests {
         // The greedy upper bound: take the most valuable half of each pair.
         assert!(objective <= 10.0 * 2.9 + 1e-6);
         assert!(objective > 15.0);
+    }
+
+    /// A seeded LP with Le, Ge and Eq rows over boxed variables, some of
+    /// them resting at a nonzero lower bound: it needs artificials, bound
+    /// flips and both phases.
+    fn mixed_lp(n: usize, rows: usize, seed: u64) -> Model {
+        let mut state = seed;
+        let mut draw = move |k: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % k
+        };
+        let mut m = Model::maximize();
+        // `inner[i]` is a point strictly inside variable i's box; every row
+        // is written to hold there, so the LP is feasible.
+        let mut inner = Vec::with_capacity(n);
+        let vars: Vec<_> = (0..n)
+            .map(|i| {
+                let lb = (draw(3) == 0) as u64 as f64;
+                let ub = lb + 1.0 + draw(4) as f64;
+                inner.push(lb + 0.5);
+                let obj = draw(9) as f64 - 2.0;
+                m.add_var(format!("x{i}"), VarKind::Continuous, lb, ub, obj)
+            })
+            .collect();
+        for r in 0..rows {
+            let mut terms = Vec::new();
+            for &v in &vars {
+                if draw(4) == 0 {
+                    terms.push((v, 1.0 + draw(3) as f64));
+                }
+            }
+            let at_inner = fixed_dot(terms.iter().map(|&(v, a)| (a, inner[v.index()])));
+            let (sense, rhs) = match r % 4 {
+                0 => (Sense::Ge, at_inner - 0.25),
+                1 => (Sense::Eq, at_inner),
+                _ => (Sense::Le, at_inner + draw(3) as f64),
+            };
+            m.add_constraint(format!("r{r}"), terms, sense, rhs);
+        }
+        m
+    }
+
+    /// Every float of an outcome by its bits, so `-0.0 != 0.0` here.
+    fn bits(out: &LpOutcome) -> (u8, Vec<u64>) {
+        let of = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match out {
+            LpOutcome::Optimal {
+                objective,
+                values,
+                duals,
+            } => (
+                0,
+                [vec![objective.to_bits()], of(values), of(duals)].concat(),
+            ),
+            LpOutcome::Infeasible { farkas } => (1, of(farkas.as_deref().unwrap_or(&[]))),
+            LpOutcome::Unbounded { ray } => (2, of(ray.as_deref().unwrap_or(&[]))),
+        }
+    }
+
+    #[test]
+    fn reused_workspace_matches_a_fresh_one_bit_for_bit() {
+        let large = mixed_lp(40, 30, 7);
+        let small = mixed_lp(9, 6, 11);
+        let mut infeasible = Model::maximize();
+        let x = infeasible.add_var("x", VarKind::Continuous, 0.0, 1.0, 1.0);
+        let y = infeasible.add_var("y", VarKind::Continuous, 0.0, 1.0, 1.0);
+        infeasible.add_constraint("hi", [(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
+        infeasible.add_constraint("lo", [(x, 1.0), (y, -1.0)], Sense::Le, 0.5);
+        let mut unbounded = Model::maximize();
+        let x = unbounded.add_var("x", VarKind::Continuous, 0.0, f64::INFINITY, 1.0);
+        let y = unbounded.add_var("y", VarKind::Continuous, 0.0, f64::INFINITY, 0.0);
+        unbounded.add_constraint("c", [(x, 1.0), (y, -1.0)], Sense::Le, 1.0);
+        unbounded.add_constraint("d", [(x, 1.0), (y, 1.0)], Sense::Ge, 1.0);
+
+        let bounds =
+            |m: &Model| -> (Vec<f64>, Vec<f64>) { m.vars().iter().map(|v| (v.lb, v.ub)).unzip() };
+        // The large model again, four variables fixed as a dive fixes them.
+        let (mut fixed_lb, mut fixed_ub) = bounds(&large);
+        for j in [0, 7, 19, 33] {
+            fixed_lb[j] += 0.5;
+            fixed_ub[j] = fixed_lb[j];
+        }
+        let mut calls: Vec<(&Model, Vec<f64>, Vec<f64>)> =
+            [&large, &small, &infeasible, &unbounded]
+                .into_iter()
+                .map(|m| (m, bounds(m).0, bounds(m).1))
+                .collect();
+        calls.push((&large, fixed_lb, fixed_ub));
+
+        let reused = Simplex::default();
+        let mut storage = None;
+        let mut kinds = Vec::new();
+        for (model, lb, ub) in &calls {
+            let before = (reused.iterations(), reused.refactorizations());
+            let got = reused.solve_with_bounds(model, lb, ub).unwrap();
+            let fresh = Simplex::default();
+            let want = fresh.solve_with_bounds(model, lb, ub).unwrap();
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(reused.iterations() - before.0, fresh.iterations());
+            assert_eq!(
+                reused.refactorizations() - before.1,
+                fresh.refactorizations()
+            );
+            kinds.push(bits(&got).0);
+            // The matrix is allocated by the first LP, at the model's upper
+            // bound, and never again: later LPs are no larger.
+            let work = reused.work.borrow();
+            let (m, n) = (large.num_constraints(), large.num_vars());
+            assert!(work.a.capacity() >= m * (n + 2 * m));
+            let held = (work.a.as_ptr(), work.a.capacity());
+            assert_eq!(*storage.get_or_insert(held), held);
+        }
+        // The calls are what they claim to be, artificial counts included.
+        assert_eq!(kinds, vec![0, 0, 1, 2, 0]);
+        assert!(large.num_constraints() > small.num_constraints());
+        // A clone keeps the limit and the counters and leaves the storage.
+        let copy = reused.clone();
+        assert_eq!(copy.iterations(), reused.iterations());
+        assert_eq!(copy.refactorizations(), reused.refactorizations());
+        assert_eq!(copy.work.borrow().a.capacity(), 0);
+        let (lb, ub) = bounds(&small);
+        let again = copy.solve_with_bounds(&small, &lb, &ub).unwrap();
+        assert_eq!(
+            bits(&again),
+            bits(&Simplex::default().solve(&small).unwrap())
+        );
     }
 }
