@@ -15,12 +15,17 @@
 //!    typed outcomes.
 
 use tetrisched::bench::{run_spec, RunSpec, SchedulerKind};
-use tetrisched::cluster::Cluster;
+use tetrisched::cluster::{Cluster, RackId};
 use tetrisched::core::TetriSched;
 use tetrisched::core::TetriSchedConfig;
 use tetrisched::service::{AdmissionPolicy, FairShareConfig, ServiceConfig};
-use tetrisched::sim::{JobOutcome, SimConfig, SimReport, Simulator, TelemetryConfig, TraceEvent};
-use tetrisched::workloads::{GridmixConfig, OpenLoopConfig, OpenLoopDriver, Workload};
+use tetrisched::sim::{
+    FaultScope, JobOutcome, PerfFaultKind, PerfFaultPlan, PerfFaultScript, SimConfig, SimReport,
+    Simulator, TelemetryConfig, TraceEvent,
+};
+use tetrisched::workloads::{
+    GridmixConfig, OpenLoopConfig, OpenLoopDriver, Workload, WorkloadBuilder,
+};
 
 /// A compact, fully deterministic digest of a run's decision-relevant
 /// metrics. Any divergence in admission, classification, placement, or
@@ -99,6 +104,90 @@ fn closed_loop_reproduces_pre_refactor_decisions() {
         assert_eq!(report.metrics.jobs_deferred, 0);
     }
 }
+
+/// A closed-loop `TetriSched-NG` run: 240 GS HET jobs at 1.15x load on 256
+/// nodes with 20 % under-estimated runtimes and a batch cap of 64, so busy
+/// cycles carry up to 30 deferred commitments and most cycles revise the
+/// expected end of an overrunning gang. The solver limit cannot bind, so
+/// debug and release decide alike.
+fn greedy_run(perf_faults: PerfFaultPlan) -> SimReport {
+    let cluster = Cluster::uniform(8, 32, 2);
+    let jobs = WorkloadBuilder::new(GridmixConfig {
+        seed: 42,
+        num_jobs: 240,
+        cluster_size: cluster.num_nodes(),
+        target_utilization: 1.15,
+        estimate_error: 0.0,
+        error_jitter: 0.0,
+        slowdown: 1.5,
+    })
+    .with_estimate_error(Workload::GsHet, -0.2);
+    let mut cfg = TetriSchedConfig::no_global(96);
+    cfg.max_batch = 64;
+    cfg.solver_time_limit = std::time::Duration::from_secs(3600);
+    Simulator::new(
+        cluster,
+        TetriSched::new(cfg),
+        SimConfig {
+            horizon: Some(1_000_000),
+            trace: true,
+            perf_faults,
+            ..SimConfig::default()
+        },
+    )
+    .run(jobs)
+}
+
+/// FNV-1a over every trace event (launches with their node ids) and the
+/// digest line of the metrics: one moved greedy decision moves it.
+fn greedy_digest(report: &SimReport) -> u64 {
+    assert_eq!(report.metrics.trace_events_dropped, 0, "trace truncated");
+    let mut text = digest(report);
+    for event in report.trace.events() {
+        text.push_str(&format!("{event:?}"));
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Greedy decisions, pinned on the code before availability became a
+/// per-cycle snapshot (`Ledger::free_at` per query, commitments scanned as a
+/// list). Equal in debug and release; the constants are never edited.
+#[test]
+fn greedy_closed_loop_reproduces_pinned_decisions() {
+    let report = greedy_run(PerfFaultPlan::none());
+    assert!(report.metrics.accepted_slo_total > 0 && report.metrics.be_total > 0);
+    assert_eq!(greedy_digest(&report), GREEDY_DIGEST);
+}
+
+/// The same run with rack 3 under an *announced* 4x slowdown mid-run, so
+/// the announced-window branch of `free_at` decides placements.
+#[test]
+fn greedy_plans_around_announced_maintenance_as_pinned() {
+    let cluster = Cluster::uniform(8, 32, 2);
+    let window = PerfFaultScript {
+        at: 400,
+        duration: 300,
+        scope: FaultScope::Rack(RackId(3)),
+        kind: PerfFaultKind::SlowNode { factor: 4.0 },
+        announced: true,
+    };
+    let report = greedy_run(PerfFaultPlan::from_script(&cluster, &[window]));
+    assert!(
+        report.metrics.perf_faulted_nodes > 0,
+        "the window never opened"
+    );
+    assert_ne!(
+        greedy_digest(&report),
+        GREEDY_DIGEST,
+        "announced maintenance decided nothing"
+    );
+    assert_eq!(greedy_digest(&report), GREEDY_MAINTENANCE_DIGEST);
+}
+
+const GREEDY_DIGEST: u64 = 0x6a75_c12b_0a72_e3ca;
+const GREEDY_MAINTENANCE_DIGEST: u64 = 0x1270_0007_caa3_fd6b;
 
 /// An open-loop service-mode run at the given saturation multiplier.
 fn open_loop_run(seed: u64, rate_multiplier: f64) -> SimReport {
