@@ -272,14 +272,15 @@ impl Ledger {
     /// minus nodes inside an announced maintenance window at `t`, so
     /// plan-ahead schedules around degradation it has been told about.
     pub fn free_at(&self, within: &NodeSet, t: Time) -> NodeSet {
-        let mut out = self.free.and(within);
+        let mut out = self.free.clone();
         for alloc in self.allocs.values() {
             if alloc.expected_end <= t {
-                out = out.or(&alloc.nodes.and(within));
+                out.or_with(&alloc.nodes);
             }
         }
+        let mut out = out.and(within);
         for w in self.health.announced() {
-            if w.start <= t && t < w.end && out.contains(w.node) {
+            if w.start <= t && t < w.end {
                 out.remove(w.node);
             }
         }

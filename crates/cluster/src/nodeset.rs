@@ -26,11 +26,11 @@ impl NodeSet {
 
     /// Creates the full set over a universe of `capacity` nodes.
     pub fn full(capacity: usize) -> Self {
-        let mut s = Self::empty(capacity);
-        for i in 0..capacity {
-            s.insert(NodeId(i as u32));
+        let mut words = vec![u64::MAX; capacity.div_ceil(64)];
+        if let (Some(last), tail @ 1..) = (words.last_mut(), capacity % 64) {
+            *last = (1u64 << tail) - 1;
         }
-        s
+        NodeSet { words, capacity }
     }
 
     /// Creates a set from an iterator of node ids.
@@ -100,6 +100,21 @@ impl NodeSet {
         self.zip_with(other, |a, b| a & !b)
     }
 
+    /// `|self ∩ other|`, without building the intersection.
+    pub fn and_len(&self, other: &NodeSet) -> usize {
+        self.assert_same_universe(other);
+        let both = self.words.iter().zip(&other.words);
+        both.map(|(&a, &b)| (a & b).count_ones() as usize).sum()
+    }
+
+    /// In-place union: `self = self ∪ other`.
+    pub fn or_with(&mut self, other: &NodeSet) {
+        self.assert_same_universe(other);
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
     /// Whether `self` is a subset of `other`.
     pub fn is_subset(&self, other: &NodeSet) -> bool {
         self.words
@@ -138,11 +153,15 @@ impl NodeSet {
         self.iter().take(k).collect()
     }
 
-    fn zip_with(&self, other: &NodeSet, f: impl Fn(u64, u64) -> u64) -> NodeSet {
+    fn assert_same_universe(&self, other: &NodeSet) {
         assert_eq!(
             self.capacity, other.capacity,
             "node sets from different universes"
         );
+    }
+
+    fn zip_with(&self, other: &NodeSet, f: impl Fn(u64, u64) -> u64) -> NodeSet {
+        self.assert_same_universe(other);
         NodeSet {
             words: self
                 .words
@@ -234,6 +253,30 @@ mod tests {
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v[0], NodeId(0));
         assert_eq!(v[129], NodeId(129));
+    }
+
+    #[test]
+    fn full_masks_the_tail_word() {
+        for cap in [0, 1, 63, 64, 65, 128, 1000] {
+            let ids = (0..cap as u32).map(NodeId);
+            assert_eq!(NodeSet::full(cap), NodeSet::from_ids(cap, ids), "{cap}");
+        }
+    }
+
+    #[test]
+    fn in_place_kernels_match_the_allocating_ones() {
+        let a = NodeSet::from_ids(130, ids(&[1, 64, 65, 129]));
+        let b = NodeSet::from_ids(130, ids(&[1, 2, 65, 128]));
+        assert_eq!(a.and_len(&b), a.and(&b).len());
+        let mut c = a.clone();
+        c.or_with(&b);
+        assert_eq!(c, a.or(&b));
+    }
+
+    #[test]
+    #[should_panic(expected = "different universes")]
+    fn and_len_rejects_another_universe() {
+        NodeSet::empty(4).and_len(&NodeSet::empty(5));
     }
 
     #[test]

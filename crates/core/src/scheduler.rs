@@ -709,7 +709,7 @@ impl<'a> Pipeline<'a> {
                 let mut a = self.view.avail_at(set, t);
                 for (held, start, end) in &commitments {
                     if *start <= t && t < *end {
-                        a = a.saturating_sub(held.and(set).len());
+                        a = a.saturating_sub(held.and_len(set));
                     }
                 }
                 a
