@@ -5,10 +5,18 @@
 //! the scheduler may revise as mis-estimates are observed, paper Sec. 7.1).
 //! Plan-ahead (Sec. 2.3.2) queries the ledger for availability at future
 //! time slices: a node busy until `e` is available for any slice `t >= e`.
+//!
+//! [`Ledger::free_at`] is the definition: a step function of `t` with one
+//! step per distinct expected end, which a scheduler cycle snapshots once
+//! ([`Availability`]). The contract, for every `within` and `t`:
+//! `ledger.availability(revised).free_at(within, t)` equals `free_at(within,
+//! t)` on a ledger with each `revised` pair applied by `set_expected_end`,
+//! errors ignored; likewise `avail_at`. [`Claims`] holds a greedy cycle's
+//! commitments in the same representation.
 
 use std::collections::BTreeMap;
 
-use crate::health::NodeHealth;
+use crate::health::{MaintenanceWindow, NodeHealth};
 use crate::nodeset::NodeSet;
 use crate::Time;
 
@@ -295,6 +303,115 @@ impl Ledger {
     /// All live allocation handles, in ascending handle order.
     pub fn handles(&self) -> impl Iterator<Item = AllocHandle> + '_ {
         self.allocs.keys().copied()
+    }
+
+    /// Snapshots expected availability with the ends in `revised` overriding
+    /// the ledger's (the last pair for a handle wins; a handle that is not
+    /// live is a no-op, its gang having no end left to revise).
+    pub fn availability(&self, revised: &[(AllocHandle, Time)]) -> Availability {
+        let end_of = |h: &AllocHandle, alloc: &Alloc| {
+            let revised = revised.iter().rev().find(|r| r.0 == *h);
+            revised.map_or(alloc.expected_end, |r| r.1)
+        };
+        let ends = self.allocs.iter().map(|(h, a)| (end_of(h, a), &a.nodes));
+        let mut ends: Vec<(Time, &NodeSet)> = ends.collect();
+        ends.sort_by_key(|&(end, _)| end);
+        let mut steps = Vec::with_capacity(ends.len() + 1);
+        let (mut at, mut free) = (0, self.free.clone());
+        for (end, nodes) in ends {
+            if end > at {
+                steps.push((at, free.clone()));
+                at = end;
+            }
+            free.or_with(nodes);
+        }
+        steps.push((at, free));
+        Availability {
+            steps,
+            windows: self.health.announced().to_vec(),
+        }
+    }
+}
+
+/// The set in force at `t`. Both step functions below keep `(from, set)`
+/// pairs in ascending `from`, each set in force until the next pair's
+/// `from`, and the first pair at `from = 0`, so every `t` has a step.
+// srclint: checked-indexing: a non-empty slice whose first `from` is 0 has
+// at least one pair at or before any `t`, so the subtraction cannot wrap.
+fn set_at(steps: &[(Time, NodeSet)], t: Time) -> &NodeSet {
+    &steps[steps.partition_point(|&(from, _)| from <= t) - 1].1
+}
+
+/// Expected availability as a step function of time: one cumulative free set
+/// per distinct expected end, plus the announced maintenance windows. Built
+/// once per cycle by [`Ledger::availability`]; a query costs a binary search
+/// and one pass over the set's words however many gangs are running.
+#[derive(Debug, Clone)]
+pub struct Availability {
+    steps: Vec<(Time, NodeSet)>,
+    windows: Vec<MaintenanceWindow>,
+}
+
+impl Availability {
+    /// [`Ledger::free_at`] of the snapshotted ledger.
+    pub fn free_at(&self, within: &NodeSet, t: Time) -> NodeSet {
+        let mut out = set_at(&self.steps, t).and(within);
+        for w in self.windows.iter().filter(|w| w.start <= t && t < w.end) {
+            out.remove(w.node);
+        }
+        out
+    }
+
+    /// [`Ledger::avail_at`] of the snapshotted ledger. Allocates nothing
+    /// unless an announced window holds `t`.
+    pub fn avail_at(&self, within: &NodeSet, t: Time) -> usize {
+        if self.windows.iter().any(|w| w.start <= t && t < w.end) {
+            return self.free_at(within, t).len();
+        }
+        set_at(&self.steps, t).and_len(within)
+    }
+}
+
+/// Node sets claimed over time intervals, as a step function: at `t` the
+/// union of the claims whose `[start, end)` holds `t`.
+#[derive(Debug, Clone)]
+pub struct Claims(Vec<(Time, NodeSet)>);
+
+impl Claims {
+    /// No claims over a universe of `num_nodes` nodes.
+    pub fn new(num_nodes: usize) -> Self {
+        Claims(vec![(0, NodeSet::empty(num_nodes))])
+    }
+
+    /// Claims `nodes` over `[start, end)`. Claims that overlap in time must
+    /// be node-disjoint — each drawn from a free set without the others —
+    /// so that `held_at(t) ∩ set` counts what the claims hold one by one.
+    pub fn claim(&mut self, nodes: &NodeSet, start: Time, end: Time) {
+        for t in [start, end] {
+            // A step begins at `t`: split the one in force unless one does.
+            let ix = self.0.partition_point(|&(from, _)| from < t);
+            if self.0.get(ix).is_none_or(|&(from, _)| from != t) {
+                self.0.insert(ix, (t, set_at(&self.0, t).clone()));
+            }
+        }
+        for (_, held) in (self.0.iter_mut()).filter(|s| start <= s.0 && s.0 < end) {
+            debug_assert!(held.is_disjoint(nodes), "overlapping claims share a node");
+            held.or_with(nodes);
+        }
+    }
+
+    /// The nodes claimed at `t`.
+    pub fn held_at(&self, t: Time) -> &NodeSet {
+        set_at(&self.0, t)
+    }
+
+    /// The nodes claimed at any time in `[start, end)`.
+    pub fn held_over(&self, start: Time, end: Time) -> NodeSet {
+        let mut out = self.held_at(start).clone();
+        for (_, held) in (self.0.iter()).filter(|s| start < s.0 && s.0 < end) {
+            out.or_with(held);
+        }
+        out
     }
 }
 

@@ -44,7 +44,7 @@ pub mod nodeset;
 pub mod partition;
 pub mod topology;
 
-pub use allocation::{AllocHandle, Ledger};
+pub use allocation::{AllocHandle, Availability, Claims, Ledger};
 pub use health::{MaintenanceWindow, NodeHealth};
 pub use node::{Attr, Node, NodeId, RackId};
 pub use nodeset::NodeSet;

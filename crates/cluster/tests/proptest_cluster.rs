@@ -1,14 +1,86 @@
 //! Property tests for the cluster substrate: bitset algebra, partition
-//! refinement laws, and allocation-ledger conservation.
+//! refinement laws, allocation-ledger conservation, and the availability
+//! snapshot and claims against the ledger's per-query definition.
 
 use proptest::prelude::*;
-use tetrisched_cluster::{AllocHandle, Ledger, NodeId, NodeSet, PartitionSet};
+use tetrisched_cluster::{AllocHandle, Claims, Ledger, NodeId, NodeSet, PartitionSet, Time};
 
 const UNIVERSE: usize = 48;
 
 fn arb_set() -> impl Strategy<Value = NodeSet> {
     proptest::collection::btree_set(0u32..UNIVERSE as u32, 0..UNIVERSE)
         .prop_map(|ids| NodeSet::from_ids(UNIVERSE, ids.into_iter().map(NodeId)))
+}
+
+/// The oracle tests' universe: three words, the last one partial.
+const WIDE: usize = 130;
+
+fn wide_set(ids: impl IntoIterator<Item = u32>) -> NodeSet {
+    NodeSet::from_ids(WIDE, ids.into_iter().map(NodeId))
+}
+
+fn arb_wide_set() -> impl Strategy<Value = NodeSet> {
+    proptest::collection::btree_set(0u32..WIDE as u32, 0..WIDE).prop_map(wide_set)
+}
+
+/// Expected ends and window edges: few values, so they collide, and 0.
+fn arb_end() -> impl Strategy<Value = Time> {
+    prop_oneof![Just(0), 0u64..40]
+}
+
+/// Query times: on and off the ends above, 0 and the far end of time.
+fn arb_query_time() -> impl Strategy<Value = Time> {
+    prop_oneof![Just(0), Just(u64::MAX), 0u64..60]
+}
+
+/// What a random ledger is made from: allocations under handles 0, 1, …
+/// (those that hit a busy node fail and stay out), handles to release, nodes
+/// to mark down, announced windows as `(node, start, length)`, and one node
+/// that gets two windows.
+type LedgerParts = (
+    Vec<(std::collections::BTreeSet<u32>, Time)>,
+    Vec<u64>,
+    Vec<u32>,
+    Vec<(u32, Time, Time)>,
+    (u32, Time, Time, Time),
+);
+
+fn arb_ledger_parts() -> impl Strategy<Value = LedgerParts> {
+    (
+        proptest::collection::vec(
+            (
+                proptest::collection::btree_set(0u32..WIDE as u32, 1..12),
+                arb_end(),
+            ),
+            0..14,
+        ),
+        proptest::collection::vec(0u64..14, 0..4),
+        proptest::collection::vec(0u32..WIDE as u32, 0..6),
+        proptest::collection::vec((0u32..WIDE as u32, arb_end(), 0u64..30), 0..4),
+        (0u32..WIDE as u32, arb_end(), 1u64..30, 0u64..30),
+    )
+}
+
+fn build_ledger((allocs, released, down, windows, twice): &LedgerParts) -> Ledger {
+    let mut ledger = Ledger::new(WIDE);
+    for (i, (ids, end)) in allocs.iter().enumerate() {
+        let _ = ledger.allocate(AllocHandle(i as u64), wide_set(ids.iter().copied()), *end);
+    }
+    for h in released {
+        let _ = ledger.release(AllocHandle(*h));
+    }
+    for n in down {
+        let _ = ledger.mark_down(NodeId(*n));
+    }
+    for &(n, start, len) in windows {
+        ledger.health_mut().announce(NodeId(n), start, start + len);
+    }
+    let (n, start, len, gap) = *twice;
+    ledger.health_mut().announce(NodeId(n), start, start + len);
+    ledger
+        .health_mut()
+        .announce(NodeId(n), start + gap, start + gap + len);
+    ledger
 }
 
 proptest! {
@@ -95,5 +167,88 @@ proptest! {
             ledger.release(h).expect("release live handle");
         }
         prop_assert_eq!(ledger.free_nodes().len(), UNIVERSE);
+    }
+
+    /// The contract of `allocation.rs`: a snapshot answers every query as
+    /// the ledger would after `set_expected_end` on each revised pair —
+    /// duplicates (the last wins), released and never-live handles (no-ops),
+    /// ends equal to each other and to 0 included.
+    #[test]
+    fn availability_snapshot_equals_the_ledger_definition(
+        parts in arb_ledger_parts(),
+        revised in proptest::collection::vec((0u64..18, arb_end()), 0..8),
+        queries in proptest::collection::vec((arb_wide_set(), arb_query_time()), 1..10),
+    ) {
+        let ledger = build_ledger(&parts);
+        let revised: Vec<_> = revised.into_iter().map(|(h, end)| (AllocHandle(h), end)).collect();
+        let mut applied = ledger.clone();
+        for &(handle, end) in &revised {
+            let live = applied.is_live(handle);
+            prop_assert_eq!(applied.set_expected_end(handle, end).is_ok(), live);
+        }
+        let snapshot = ledger.availability(&revised);
+        for (within, t) in &queries {
+            prop_assert_eq!(snapshot.free_at(within, *t), applied.free_at(within, *t));
+            prop_assert_eq!(snapshot.avail_at(within, *t), applied.avail_at(within, *t));
+        }
+    }
+
+    /// Claims made the way a greedy cycle makes them — each drawn from the
+    /// free set at its start minus the earlier claims it overlaps in time —
+    /// answer as the list of `(held, start, end)` scanned per query did: the
+    /// availability left for a set at `t`, and the nodes free to a gang over
+    /// `[start, end)`. The first claim takes a node that a later announced
+    /// window covers, the case where both over-subtract alike.
+    #[test]
+    fn claims_equal_the_commitment_list_scan(
+        parts in arb_ledger_parts(),
+        gangs in proptest::collection::vec((0u64..40, 1u64..25, 1usize..10), 0..12),
+        queries in proptest::collection::vec((arb_wide_set(), arb_query_time()), 1..10),
+        spans in proptest::collection::vec((0u64..50, 1u64..25), 1..6),
+    ) {
+        let mut ledger = build_ledger(&parts);
+        let all = NodeSet::full(WIDE);
+        let lowest_free = ledger.free_at(&all, 0).iter().next();
+        if let Some(node) = lowest_free {
+            ledger.health_mut().announce(node, 10, 20);
+        }
+        let snapshot = ledger.availability(&[]);
+        let free_over = |list: &[(NodeSet, Time, Time)], start: Time, end: Time| {
+            let mut free = snapshot.free_at(&all, start);
+            for (held, s, e) in list {
+                if *s < end && start < *e {
+                    free = free.minus(held);
+                }
+            }
+            free
+        };
+        let mut list: Vec<(NodeSet, Time, Time)> = Vec::new();
+        let mut claims = Claims::new(WIDE);
+        for (start, dur, k) in std::iter::once((0, 15, 1)).chain(gangs) {
+            let end = start + dur;
+            let free = free_over(&list, start, end);
+            prop_assert_eq!(&free, &snapshot.free_at(&all, start).minus(&claims.held_over(start, end)));
+            let held = NodeSet::from_ids(WIDE, free.take(k));
+            claims.claim(&held, start, end);
+            list.push((held, start, end));
+        }
+        if let (Some(node), Some((held, ..))) = (lowest_free, list.first()) {
+            prop_assert!(held.contains(node) && !snapshot.free_at(&all, 12).contains(node));
+        }
+        for (set, t) in &queries {
+            let mut a = snapshot.avail_at(set, *t);
+            for (held, start, end) in &list {
+                if start <= t && t < end {
+                    a = a.saturating_sub(held.and(set).len());
+                }
+            }
+            let claimed = claims.held_at(*t).and_len(set);
+            prop_assert_eq!(snapshot.avail_at(set, *t).saturating_sub(claimed), a);
+        }
+        for (start, dur) in spans {
+            let held = claims.held_over(start, start + dur);
+            let free = snapshot.free_at(&all, start).minus(&held);
+            prop_assert_eq!(free, free_over(&list, start, start + dur));
+        }
     }
 }

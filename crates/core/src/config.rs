@@ -37,8 +37,6 @@ pub struct TetriSchedConfig {
     pub solver_gap: f64,
     /// Horizon over which a best-effort job's value decays to zero.
     pub be_value_horizon: u64,
-    /// Floor for best-effort value so fully decayed jobs still schedule.
-    pub be_value_floor: f64,
     /// Per-quantum-of-deferral multiplicative value penalty used to break
     /// ties among equally valued start times in favour of starting earlier.
     pub defer_tiebreak: f64,
@@ -97,7 +95,6 @@ impl Default for TetriSchedConfig {
             solver_time_limit: Duration::from_millis(300),
             solver_gap: 0.10,
             be_value_horizon: 3600,
-            be_value_floor: 0.01,
             defer_tiebreak: 0.002,
             warm_start: true,
             max_rack_options: 4,

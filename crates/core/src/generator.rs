@@ -76,6 +76,9 @@ impl JobRequest {
     }
 }
 
+/// Floor for best-effort value so fully decayed jobs still schedule.
+const BE_VALUE_FLOOR: f64 = 0.01;
+
 /// The STRL Generator.
 pub struct StrlGenerator<'a> {
     config: &'a TetriSchedConfig,
@@ -210,7 +213,7 @@ impl<'a> StrlGenerator<'a> {
                 if spec.deadline.is_none() {
                     // Best-effort jobs keep a value floor so fully decayed
                     // jobs still get scheduled eventually.
-                    value = value.max(self.config.be_value_floor);
+                    value = value.max(BE_VALUE_FLOOR);
                 } else if value <= 0.0 {
                     return None; // Deadline cull (Sec. 3.2.1).
                 }
@@ -267,7 +270,7 @@ impl<'a> StrlGenerator<'a> {
                 if let Some(opt) = opt {
                     let dur = spec.estimated_runtime_for(opt.preferred);
                     if now + dur.div_ceil(2) <= deadline {
-                        let value = job.weight * (self.config.be_value_floor * 2.0).max(0.02);
+                        let value = job.weight * (BE_VALUE_FLOOR * 2.0).max(0.02);
                         children.push(StrlExpr::nck(opt.set.clone(), spec.k, now, dur, value));
                         tags.push(LeafTag {
                             job: spec.id,
@@ -554,7 +557,7 @@ mod tests {
             })
             .collect();
         for v in values {
-            assert!(v > 0.0 && v <= cfg.be_value_floor);
+            assert!(v > 0.0 && v <= BE_VALUE_FLOOR);
         }
     }
 

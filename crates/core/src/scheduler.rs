@@ -13,7 +13,7 @@ use std::time::Instant;
 use lint::{
     has_errors, lint_expr, lint_model, validate_translation, Diagnostic, Severity, StrlLintContext,
 };
-use tetrisched_cluster::{AllocHandle, Ledger, NodeId, NodeSet, PartitionSet, Time};
+use tetrisched_cluster::{AllocHandle, Availability, Claims, NodeId, NodeSet, PartitionSet, Time};
 use tetrisched_milp::{
     ExactBackend, HeuristicBackend, MilpBackend, Solution, SolveStatus, SolverConfig,
 };
@@ -89,7 +89,7 @@ impl JobMemory {
         compiled: &CompiledModel,
         tags: &[&LeafTag],
         partitions: &PartitionSet,
-        view: &Ledger,
+        view: &Availability,
     ) -> Option<Vec<f64>> {
         let mut picks: Vec<(usize, Vec<(usize, u32)>)> = Vec::new();
         for (ix, tag) in tags.iter().enumerate() {
@@ -170,9 +170,10 @@ impl TetriSched {
     }
 
     /// Revises the expected completion of running jobs that overran their
-    /// estimate (Sec. 7.1) and returns an adjusted availability view.
-    fn adjust_estimates(&self, ctx: &CycleContext<'_>, d: &mut CycleDecisions) -> Ledger {
-        let mut view = ctx.ledger.clone();
+    /// estimate (Sec. 7.1) and returns the cycle's availability snapshot
+    /// with those ends applied.
+    fn adjust_estimates(&self, ctx: &CycleContext<'_>, d: &mut CycleDecisions) -> Availability {
+        let mut revised = Vec::new();
         for r in ctx.running {
             if r.expected_end <= ctx.now {
                 let span = r.expected_end.saturating_sub(r.started).max(1);
@@ -180,10 +181,10 @@ impl TetriSched {
                     ((span as f64 * ESTIMATE_BUMP).ceil() as u64).max(self.config.cycle_period);
                 let new_end = ctx.now + bump;
                 d.revised_ends.push((r.id, new_end));
-                let _ = view.set_expected_end(AllocHandle(r.id.0), new_end);
+                revised.push((AllocHandle(r.id.0), new_end));
             }
         }
-        view
+        ctx.ledger.availability(&revised)
     }
 
     /// Selects the cycle's batch in priority order, abandoning SLO jobs
@@ -232,7 +233,7 @@ impl TetriSched {
     fn cycle_ladder(
         &mut self,
         ctx: &CycleContext<'_>,
-        view: &Ledger,
+        view: &Availability,
         batch: &[&PendingJob],
         d: &mut CycleDecisions,
     ) {
@@ -329,7 +330,7 @@ struct Pipeline<'a> {
     /// with its dual bound (and, under audit, its certificate) and counted.
     anytime: bool,
     ctx: &'a CycleContext<'a>,
-    view: &'a Ledger,
+    view: &'a Availability,
 }
 
 impl<'a> Pipeline<'a> {
@@ -343,7 +344,7 @@ impl<'a> Pipeline<'a> {
         config: &'a TetriSchedConfig,
         governor: &Governor,
         ctx: &'a CycleContext<'a>,
-        view: &'a Ledger,
+        view: &'a Availability,
     ) -> Self {
         let (anytime, limit) = (rung == LadderRung::Anytime, config.solver_time_limit);
         let solver = if anytime {
@@ -688,7 +689,9 @@ impl<'a> Pipeline<'a> {
 
     /// Greedy (`TetriSched-NG`) scheduling (Sec. 6.3): one unit per job in
     /// priority order over availability that subtracts the space-time
-    /// claims committed earlier in the cycle, deferred ones included.
+    /// claims committed earlier in the cycle, deferred ones included —
+    /// saturating, because a node claimed now and inside a later announced
+    /// window is missing from the view and still counted in the claims.
     /// Failure policy: an `Err` costs only that job its turn (and, when
     /// structural, a strike); the rest of the batch still schedules.
     // srclint: checked-indexing: the chosen leaf indexes the tags of the
@@ -698,7 +701,7 @@ impl<'a> Pipeline<'a> {
         let greedy = self.phase("greedy", "phase.greedy_secs");
         greedy.span.arg("batch", batch.len() as u64);
         // Concrete claims committed earlier in this cycle.
-        let mut commitments: Vec<(NodeSet, Time, Time)> = Vec::new();
+        let mut claims = Claims::new(cluster.num_nodes());
         let (all_nodes, mut assigned_now) = (cluster.all_nodes(), cluster.empty_set());
         for p in batch {
             let job = p.spec.id;
@@ -706,13 +709,8 @@ impl<'a> Pipeline<'a> {
                 continue;
             };
             let avail = |set: &NodeSet, t: Time| {
-                let mut a = self.view.avail_at(set, t);
-                for (held, start, end) in &commitments {
-                    if *start <= t && t < *end {
-                        a = a.saturating_sub(held.and_len(set));
-                    }
-                }
-                a
+                let claimed = claims.held_at(t).and_len(set);
+                self.view.avail_at(set, t).saturating_sub(claimed)
             };
             let solved = self
                 .compile_requests(&req.expr, Some(job), &avail)
@@ -743,25 +741,21 @@ impl<'a> Pipeline<'a> {
             let mut free = self
                 .view
                 .free_at(&all_nodes, tag.start)
-                .minus(&assigned_now);
-            for (held, s, e) in &commitments {
-                if *s < end && tag.start < *e {
-                    free = free.minus(held);
-                }
-            }
+                .minus(&assigned_now)
+                .minus(&claims.held_over(tag.start, end));
             let Some(nodes) = Self::materialize(&compiled, &chosen, &partitions, &mut free) else {
                 continue; // Claim could not be materialized; re-plan next cycle.
             };
             let held = NodeSet::from_ids(cluster.num_nodes(), nodes.iter().copied());
+            claims.claim(&held, tag.start, end);
             if tag.start == now {
-                assigned_now = assigned_now.or(&held);
+                assigned_now.or_with(&held);
                 d.launches.push(Launch {
                     job,
                     nodes,
                     expected_end: end,
                 });
             }
-            commitments.push((held, tag.start, end));
         }
     }
 }
@@ -821,7 +815,7 @@ fn lint_gate(diags: &[Diagnostic], job: Option<JobId>) -> Result<(), CycleError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrisched_cluster::Cluster;
+    use tetrisched_cluster::{Cluster, Ledger};
     use tetrisched_sim::{JobOutcome, JobSpec, JobType, SimConfig, Simulator};
 
     fn job(
@@ -1525,7 +1519,8 @@ mod tests {
             ..TetriSchedConfig::no_global(16)
         };
         let governor = Governor::new(config.governor.clone());
-        let pipeline = Pipeline::at(LadderRung::Full, &config, &governor, &ctx, &ledger);
+        let view = ledger.availability(&[]);
+        let pipeline = Pipeline::at(LadderRung::Full, &config, &governor, &ctx, &view);
         let mut model = tetrisched_milp::Model::maximize();
         let crossed = model.add_var("x", tetrisched_milp::VarKind::Continuous, 2.0, 1.0, 1.0);
         let compiled = CompiledModel {
