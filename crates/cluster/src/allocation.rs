@@ -346,7 +346,7 @@ fn set_at(steps: &[(Time, NodeSet)], t: Time) -> &NodeSet {
 /// per distinct expected end, plus the announced maintenance windows. Built
 /// once per cycle by [`Ledger::availability`]; a query costs a binary search
 /// and one pass over the set's words however many gangs are running.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Availability {
     steps: Vec<(Time, NodeSet)>,
     windows: Vec<MaintenanceWindow>,
@@ -374,7 +374,7 @@ impl Availability {
 
 /// Node sets claimed over time intervals, as a step function: at `t` the
 /// union of the claims whose `[start, end)` holds `t`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Claims(Vec<(Time, NodeSet)>);
 
 impl Claims {
