@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use tetrisched_cluster::{NodeSet, PartitionSet, Time};
-use tetrisched_milp::{LinExpr, Model, Sense, Solution, VarId, VarKind};
+use tetrisched_milp::{LinExpr, Model, Name, Sense, Solution, VarId, VarKind};
 use tetrisched_strl::StrlExpr;
 
 /// Compilation failure.
@@ -230,7 +230,7 @@ pub fn compile(
         let t = input.now + slice as u64 * ctx.quantum;
         let cap = avail(input.partitions.class(class), t);
         ctx.model.add_constraint(
-            format!("supply_c{class}_s{slice}"),
+            Name::Idx2("supply_c", class as u64, "_s", slice as u64),
             vars.iter().map(|&v| (v, 1.0)),
             Sense::Le,
             cap as f64,
@@ -279,9 +279,7 @@ impl GenCtx<'_> {
                 let mut objective = LinExpr::new();
                 let mut child_terms = Vec::with_capacity(children.len() + 1);
                 for (i, child) in children.iter().enumerate() {
-                    let ci =
-                        self.model
-                            .add_var(format!("I_max{i}"), VarKind::Binary, 0.0, 1.0, 0.0);
+                    let ci = self.model.add_binary(Name::Idx("I_max", i as u64), 0.0);
                     child_terms.push((ci, 1.0));
                     self.stack.push(indicator);
                     let f = self.gen(child, ci)?;
@@ -298,9 +296,7 @@ impl GenCtx<'_> {
                 let mut objective = LinExpr::new();
                 let mut child_terms = Vec::with_capacity(children.len() + 1);
                 for (i, child) in children.iter().enumerate() {
-                    let ci =
-                        self.model
-                            .add_var(format!("I_sum{i}"), VarKind::Binary, 0.0, 1.0, 0.0);
+                    let ci = self.model.add_binary(Name::Idx("I_sum", i as u64), 0.0);
                     child_terms.push((ci, 1.0));
                     self.stack.push(indicator);
                     let f = self.gen(child, ci)?;
@@ -385,7 +381,7 @@ impl GenCtx<'_> {
         for class in classes {
             let cap = self.partitions.class(class).len().min(k as usize) as f64;
             let p = self.model.add_var(
-                format!("P_c{class}_t{start}"),
+                Name::Idx2("P_c", class as u64, "_t", start),
                 VarKind::Integer,
                 0.0,
                 cap,

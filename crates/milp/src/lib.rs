@@ -61,7 +61,7 @@ pub use lint::{
     debug_precheck, lint_model, propagate_bounds, CertTerm, Certificate, Diagnostic, Propagation,
     Severity,
 };
-pub use model::{ConstraintId, LinExpr, Model, Sense, VarId, VarKind};
+pub use model::{ConstraintId, LinExpr, Model, Name, Sense, VarId, VarKind};
 pub use presolve::{presolve, PresolveOutcome};
 pub use simplex::{LpOutcome, Simplex};
 pub use status::{Solution, SolveStatus, SolverStats};

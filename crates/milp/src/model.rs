@@ -1,4 +1,17 @@
 //! Model representation: variables, linear expressions, and constraints.
+//!
+//! Two invariants keep building a model at the cost of its arithmetic.
+//! **Labels are values, not strings**: a [`Name`] is rendered only when a
+//! diagnostic prints it. **Rows are canonical from insertion**:
+//! [`Model::add_constraint`] stores a row's terms in ascending variable
+//! order, duplicates merged, exact zeros dropped, so no reader (simplex
+//! load, bound propagation, presolve, lint, certificates) sorts or copies a
+//! row again. The order is established by a *stable* sort, so duplicates of
+//! a variable sum in their insertion order: every merged coefficient — and
+//! with it every tableau cell — has the bits it would have had if the row
+//! had been accumulated term by term as given.
+
+use std::fmt;
 
 use crate::branch_bound::BranchBound;
 use crate::config::SolverConfig;
@@ -50,11 +63,49 @@ pub enum Sense {
     Eq,
 }
 
+/// Label of a variable or row. Only diagnostics read it, through
+/// [`fmt::Display`]; the indexed forms let a generator label what it emits
+/// without formatting (or allocating) anything.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Name {
+    /// A literal: `max_choice`.
+    Fixed(&'static str),
+    /// Prefix and index: `I_max3`.
+    Idx(&'static str, u64),
+    /// Two prefixed indices: `supply_c2_s7`.
+    Idx2(&'static str, u64, &'static str, u64),
+    /// Anything else, rendered by the caller.
+    Owned(Box<str>),
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Name::Fixed(s) => f.write_str(s),
+            Name::Idx(p, i) => write!(f, "{p}{i}"),
+            Name::Idx2(p0, i0, p1, i1) => write!(f, "{p0}{i0}{p1}{i1}"),
+            Name::Owned(s) => f.write_str(s),
+        }
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Self {
+        Name::Fixed(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name::Owned(s.into_boxed_str())
+    }
+}
+
 /// A decision variable's static description.
 #[derive(Debug, Clone)]
 pub struct Variable {
-    /// Human-readable name (used in debug output only).
-    pub name: String,
+    /// Label (rendered by diagnostics only).
+    pub name: Name,
     /// Variable domain.
     pub kind: VarKind,
     /// Lower bound (may be `-inf`).
@@ -68,9 +119,10 @@ pub struct Variable {
 /// A linear constraint `sum(coeff * var) sense rhs`.
 #[derive(Debug, Clone)]
 pub struct Constraint {
-    /// Human-readable name (used in debug output only).
-    pub name: String,
-    /// Sparse terms `(variable, coefficient)`.
+    /// Label (rendered by diagnostics only).
+    pub name: Name,
+    /// Sparse terms `(variable, coefficient)` in canonical form (see the
+    /// module documentation).
     pub terms: Vec<(VarId, f64)>,
     /// Constraint direction.
     pub sense: Sense,
@@ -136,16 +188,8 @@ impl LinExpr {
 
     /// Merges duplicate variables and drops zero coefficients.
     pub fn compact(&self) -> LinExpr {
-        let mut sorted = self.terms.clone();
-        sorted.sort_by_key(|&(v, _)| v);
-        let mut terms: Vec<(VarId, f64)> = Vec::with_capacity(sorted.len());
-        for (v, c) in sorted {
-            match terms.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc += c,
-                _ => terms.push((v, c)),
-            }
-        }
-        terms.retain(|&(_, c)| is_nonzero(c));
+        let mut terms = self.terms.clone();
+        canonicalize(&mut terms);
         LinExpr {
             terms,
             constant: self.constant,
@@ -158,6 +202,31 @@ impl LinExpr {
     pub fn eval(&self, values: &[f64]) -> f64 {
         self.constant + fixed_dot(self.terms.iter().map(|&(v, c)| (c, values[v.0])))
     }
+}
+
+/// Puts a row's terms in canonical form, in place: ascending variable order
+/// by stable sort, duplicates summed in insertion order, exact zeros dropped.
+/// Terms already in that form (what the compiler emits for most rows) are
+/// left untouched.
+// srclint: checked-indexing: `kept <= i < terms.len()` throughout the merge
+// loop, and `kept - 1` is only read once a term has been kept.
+fn canonicalize(terms: &mut Vec<(VarId, f64)>) {
+    if terms.windows(2).all(|w| w[0].0 < w[1].0) && terms.iter().all(|&(_, c)| is_nonzero(c)) {
+        return;
+    }
+    terms.sort_by_key(|&(v, _)| v);
+    let mut kept = 0;
+    for i in 0..terms.len() {
+        let (v, c) = terms[i];
+        if kept > 0 && terms[kept - 1].0 == v {
+            terms[kept - 1].1 += c;
+        } else {
+            terms[kept] = (v, c);
+            kept += 1;
+        }
+    }
+    terms.truncate(kept);
+    terms.retain(|&(_, c)| is_nonzero(c));
 }
 
 /// A MILP model: maximize a linear objective subject to linear constraints
@@ -182,7 +251,7 @@ impl Model {
     /// Binary variables have their bounds clamped to `[0, 1]`.
     pub fn add_var(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         kind: VarKind,
         lb: f64,
         ub: f64,
@@ -204,7 +273,7 @@ impl Model {
     }
 
     /// Convenience: adds a binary variable with the given objective weight.
-    pub fn add_binary(&mut self, name: impl Into<String>, obj: f64) -> VarId {
+    pub fn add_binary(&mut self, name: impl Into<Name>, obj: f64) -> VarId {
         self.add_var(name, VarKind::Binary, 0.0, 1.0, obj)
     }
 
@@ -223,18 +292,20 @@ impl Model {
         self.objective_offset += expr.constant;
     }
 
-    /// Adds a constraint and returns its id.
+    /// Adds a constraint and returns its id. The terms are stored in
+    /// canonical form (see the module documentation).
     pub fn add_constraint(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         terms: impl IntoIterator<Item = (VarId, f64)>,
         sense: Sense,
         rhs: f64,
     ) -> ConstraintId {
+        let terms: Vec<(VarId, f64)> = terms.into_iter().collect();
         let id = ConstraintId(self.constraints.len());
         self.constraints.push(Constraint {
             name: name.into(),
-            terms: terms.into_iter().collect(),
+            terms,
             sense,
             rhs,
         });
@@ -245,7 +316,7 @@ impl Model {
     /// moved to the right-hand side.
     pub fn add_constraint_expr(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         expr: &LinExpr,
         sense: Sense,
         rhs: f64,
@@ -310,7 +381,7 @@ impl Model {
         for v in &self.vars {
             if v.lb > v.ub {
                 return Err(MilpError::InvalidBounds {
-                    name: v.name.clone(),
+                    name: v.name.to_string(),
                     lb: v.lb,
                     ub: v.ub,
                 });
