@@ -320,21 +320,6 @@ pub fn propagate_bounds(model: &Model, passes: usize) -> Propagation {
         }
     }
 
-    type CompactRow = (Vec<(VarId, f64)>, Sense, f64);
-    let compacted: Vec<CompactRow> = model
-        .constraints()
-        .iter()
-        .map(|c| {
-            let terms = crate::model::LinExpr {
-                terms: c.terms.clone(),
-                constant: 0.0,
-            }
-            .compact()
-            .terms;
-            (terms, c.sense, c.rhs)
-        })
-        .collect();
-
     let activity = |terms: &[(VarId, f64)], lb: &[f64], ub: &[f64]| -> (f64, f64) {
         let (mut lo, mut hi) = (0.0f64, 0.0f64);
         for &(v, c) in terms {
@@ -351,7 +336,8 @@ pub fn propagate_bounds(model: &Model, passes: usize) -> Propagation {
     };
 
     for _ in 0..passes.max(1) {
-        for (terms, sense, rhs) in &compacted {
+        for c in model.constraints() {
+            let (terms, sense, rhs) = (&c.terms, c.sense, c.rhs);
             if terms.is_empty() {
                 continue;
             }
@@ -439,7 +425,8 @@ pub fn propagate_bounds(model: &Model, passes: usize) -> Propagation {
             });
         }
     }
-    for (row, (terms, sense, rhs)) in compacted.iter().enumerate() {
+    for (row, c) in model.constraints().iter().enumerate() {
+        let (terms, sense, rhs) = (&c.terms, c.sense, c.rhs);
         let (act_lo, act_hi) = activity(terms, &lb, &ub);
         let violated = match sense {
             Sense::Le => act_lo > rhs + FEAS_TOL,
@@ -458,8 +445,8 @@ pub fn propagate_bounds(model: &Model, passes: usize) -> Propagation {
                         ub: ub[v.index()],
                     })
                     .collect(),
-                sense: *sense,
-                rhs: *rhs,
+                sense,
+                rhs,
                 activity: (act_lo, act_hi),
             });
         }
@@ -502,8 +489,8 @@ pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
     // M001: dangling variables.
     let mut referenced = vec![false; model.num_vars()];
     for c in model.constraints() {
-        for &(v, coeff) in &c.terms {
-            if crate::kernels::is_nonzero(coeff) && v.index() < referenced.len() {
+        for &(v, _) in &c.terms {
+            if v.index() < referenced.len() {
                 referenced[v.index()] = true;
             }
         }
@@ -522,12 +509,7 @@ pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
     // M002 vacuous rows / M003 duplicate rows share the compacted terms.
     let mut seen: BTreeMap<(Vec<(usize, u64)>, u8), usize> = BTreeMap::new();
     for (i, c) in model.constraints().iter().enumerate() {
-        let terms = crate::model::LinExpr {
-            terms: c.terms.clone(),
-            constant: 0.0,
-        }
-        .compact()
-        .terms;
+        let terms = &c.terms;
         if terms.is_empty() {
             let satisfied = match c.sense {
                 Sense::Le => 0.0 <= c.rhs + TIGHTEN_TOL,

@@ -301,7 +301,8 @@ impl Model {
         sense: Sense,
         rhs: f64,
     ) -> ConstraintId {
-        let terms: Vec<(VarId, f64)> = terms.into_iter().collect();
+        let mut terms: Vec<(VarId, f64)> = terms.into_iter().collect();
+        canonicalize(&mut terms);
         let id = ConstraintId(self.constraints.len());
         self.constraints.push(Constraint {
             name: name.into(),
@@ -321,8 +322,8 @@ impl Model {
         sense: Sense,
         rhs: f64,
     ) -> ConstraintId {
-        let compact = expr.compact();
-        self.add_constraint(name, compact.terms, sense, rhs - compact.constant)
+        let terms = expr.terms.iter().copied();
+        self.add_constraint(name, terms, sense, rhs - expr.constant)
     }
 
     /// Number of variables.

@@ -92,12 +92,7 @@ pub fn presolve(model: &Model, passes: usize) -> PresolveOutcome {
     kept.objective_offset = m.objective_offset;
     for ci in 0..m.num_constraints() {
         let c = m.constraint(crate::model::ConstraintId(ci));
-        let terms = crate::model::LinExpr {
-            terms: c.terms.clone(),
-            constant: 0.0,
-        }
-        .compact()
-        .terms;
+        let terms = &c.terms;
         if terms.is_empty() {
             let ok = match c.sense {
                 Sense::Le => 0.0 <= c.rhs + TOL,
@@ -112,7 +107,7 @@ pub fn presolve(model: &Model, passes: usize) -> PresolveOutcome {
             rows_dropped += 1;
             continue;
         }
-        let (act_lo, act_hi) = activity_bounds(&kept, &terms);
+        let (act_lo, act_hi) = activity_bounds(&kept, terms);
         let (redundant, infeasible) = match c.sense {
             Sense::Le => (act_hi <= c.rhs + TOL, act_lo > c.rhs + 1e-7),
             Sense::Ge => (act_lo >= c.rhs - TOL, act_hi < c.rhs - 1e-7),
@@ -130,7 +125,7 @@ pub fn presolve(model: &Model, passes: usize) -> PresolveOutcome {
             rows_dropped += 1;
             continue;
         }
-        kept.add_constraint(c.name.clone(), terms, c.sense, c.rhs);
+        kept.add_constraint(c.name.clone(), terms.iter().copied(), c.sense, c.rhs);
     }
 
     PresolveOutcome::Reduced {
