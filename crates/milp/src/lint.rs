@@ -215,16 +215,7 @@ impl Certificate {
                     }
                 }
                 // Recompute the activity interval from the stated terms.
-                let (mut lo, mut hi) = (0.0f64, 0.0f64);
-                for t in terms {
-                    let (a, b) = if t.coeff >= 0.0 {
-                        (t.coeff * t.lb, t.coeff * t.ub)
-                    } else {
-                        (t.coeff * t.ub, t.coeff * t.lb)
-                    };
-                    lo += a;
-                    hi += b;
-                }
+                let (lo, hi) = row_activity(terms.iter().map(|t| (t.coeff, t.lb, t.ub)));
                 if (lo - activity.0).abs() > 1e-6 || (hi - activity.1).abs() > 1e-6 {
                     return Err(format!(
                         "stated activity {activity:?} does not reproduce ({lo}, {hi})"
@@ -292,6 +283,23 @@ pub struct Propagation {
     pub certificates: Vec<Certificate>,
 }
 
+/// Achievable `[min, max]` activity of a row given `(coefficient, lb, ub)`
+/// per term, accumulated in term order. The one activity loop: propagation,
+/// presolve's redundancy test and certificate verification all read it.
+pub(crate) fn row_activity(terms: impl IntoIterator<Item = (f64, f64, f64)>) -> (f64, f64) {
+    let (mut lo, mut hi) = (0.0f64, 0.0f64);
+    for (c, lb, ub) in terms {
+        let (a, b) = if c >= 0.0 {
+            (c * lb, c * ub)
+        } else {
+            (c * ub, c * lb)
+        };
+        lo += a;
+        hi += b;
+    }
+    (lo, hi)
+}
+
 /// Interval bound propagation: `passes` Gauss-Seidel sweeps of row-activity
 /// tightening (each row caps every variable's contribution by the row's
 /// right-hand side minus the extreme contribution of the other terms),
@@ -320,19 +328,12 @@ pub fn propagate_bounds(model: &Model, passes: usize) -> Propagation {
         }
     }
 
-    let activity = |terms: &[(VarId, f64)], lb: &[f64], ub: &[f64]| -> (f64, f64) {
-        let (mut lo, mut hi) = (0.0f64, 0.0f64);
-        for &(v, c) in terms {
-            let j = v.index();
-            let (a, b) = if c >= 0.0 {
-                (c * lb[j], c * ub[j])
-            } else {
-                (c * ub[j], c * lb[j])
-            };
-            lo += a;
-            hi += b;
-        }
-        (lo, hi)
+    let activity = |terms: &[(VarId, f64)], lb: &[f64], ub: &[f64]| {
+        row_activity(
+            terms
+                .iter()
+                .map(|&(v, c)| (c, lb[v.index()], ub[v.index()])),
+        )
     };
 
     for _ in 0..passes.max(1) {

@@ -17,7 +17,7 @@
 //! Variables are never removed or reindexed, so a solution of the presolved
 //! model is directly a solution of the original.
 
-use crate::lint::{propagate_bounds, Certificate};
+use crate::lint::{propagate_bounds, row_activity, Certificate};
 use crate::model::{Model, Sense};
 
 /// Outcome of presolving a model.
@@ -40,25 +40,10 @@ pub enum PresolveOutcome {
     },
 }
 
-/// Bounds on a row's activity given current variable bounds.
-fn activity_bounds(model: &Model, terms: &[(crate::model::VarId, f64)]) -> (f64, f64) {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for &(v, c) in terms {
-        let var = model.var(v);
-        let (a, b) = if c >= 0.0 {
-            (c * var.lb, c * var.ub)
-        } else {
-            (c * var.ub, c * var.lb)
-        };
-        lo += a;
-        hi += b;
-    }
-    (lo, hi)
-}
-
 /// Presolves a model. `passes` bound-tightening sweeps are applied (two is
-/// usually enough for STRL-shaped models).
+/// usually enough for STRL-shaped models). The input is copied once: into
+/// the reduced model, variable by variable under its propagated bounds and
+/// row by surviving row.
 pub fn presolve(model: &Model, passes: usize) -> PresolveOutcome {
     const TOL: f64 = 1e-9;
 
@@ -69,31 +54,27 @@ pub fn presolve(model: &Model, passes: usize) -> PresolveOutcome {
         };
     }
 
-    // Apply the propagated bounds, counting changed bound sides.
-    let mut m = model.clone();
+    // Variables under the propagated bounds, counting changed bound sides
+    // (a variable neither side of which moved keeps its bounds to the bit).
+    let mut kept = Model::maximize();
+    kept.objective_offset = model.objective_offset;
     let mut bounds_tightened = 0usize;
-    for (j, &(lb, ub)) in prop.bounds.iter().enumerate() {
-        let v = crate::model::VarId(j);
-        let old = m.var(v).clone();
-        let lb_changed = (lb - old.lb).abs() > TOL || (lb.is_finite() != old.lb.is_finite());
-        let ub_changed = (ub - old.ub).abs() > TOL || (ub.is_finite() != old.ub.is_finite());
-        if lb_changed || ub_changed {
-            m.set_bounds(v, lb, ub);
-            bounds_tightened += usize::from(lb_changed) + usize::from(ub_changed);
-        }
+    for (v, &(lb, ub)) in model.vars().iter().zip(&prop.bounds) {
+        let lb_changed = (lb - v.lb).abs() > TOL || (lb.is_finite() != v.lb.is_finite());
+        let ub_changed = (ub - v.ub).abs() > TOL || (ub.is_finite() != v.ub.is_finite());
+        bounds_tightened += usize::from(lb_changed) + usize::from(ub_changed);
+        let (lb, ub) = if lb_changed || ub_changed {
+            (lb, ub)
+        } else {
+            (v.lb, v.ub)
+        };
+        kept.add_var(v.name.clone(), v.kind, lb, ub, v.obj);
     }
 
     // Row filtering over the tightened bounds.
     let mut rows_dropped = 0usize;
-    let mut kept = Model::maximize();
-    for v in m.vars() {
-        kept.add_var(v.name.clone(), v.kind, v.lb, v.ub, v.obj);
-    }
-    kept.objective_offset = m.objective_offset;
-    for ci in 0..m.num_constraints() {
-        let c = m.constraint(crate::model::ConstraintId(ci));
-        let terms = &c.terms;
-        if terms.is_empty() {
+    for c in model.constraints() {
+        if c.terms.is_empty() {
             let ok = match c.sense {
                 Sense::Le => 0.0 <= c.rhs + TOL,
                 Sense::Ge => 0.0 >= c.rhs - TOL,
@@ -107,7 +88,10 @@ pub fn presolve(model: &Model, passes: usize) -> PresolveOutcome {
             rows_dropped += 1;
             continue;
         }
-        let (act_lo, act_hi) = activity_bounds(&kept, terms);
+        let (act_lo, act_hi) = row_activity(c.terms.iter().map(|&(v, a)| {
+            let var = kept.var(v);
+            (a, var.lb, var.ub)
+        }));
         let (redundant, infeasible) = match c.sense {
             Sense::Le => (act_hi <= c.rhs + TOL, act_lo > c.rhs + 1e-7),
             Sense::Ge => (act_lo >= c.rhs - TOL, act_hi < c.rhs - 1e-7),
@@ -125,7 +109,7 @@ pub fn presolve(model: &Model, passes: usize) -> PresolveOutcome {
             rows_dropped += 1;
             continue;
         }
-        kept.add_constraint(c.name.clone(), terms.iter().copied(), c.sense, c.rhs);
+        kept.add_constraint(c.name.clone(), c.terms.iter().copied(), c.sense, c.rhs);
     }
 
     PresolveOutcome::Reduced {
