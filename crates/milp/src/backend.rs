@@ -14,7 +14,7 @@ use crate::certify::{
     SolveProof,
 };
 use crate::config::SolverConfig;
-use crate::error::Result;
+use crate::error::{MilpError, Result};
 use crate::heuristics;
 use crate::model::Model;
 use crate::simplex::{LpOutcome, Simplex};
@@ -117,18 +117,22 @@ impl HeuristicBackend {
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
         let mut inc_source = IncumbentSource::None;
         if let Some(w) = warm {
-            if w.len() == model.num_vars() {
-                let mut snapped = w.to_vec();
-                for (j, v) in model.vars().iter().enumerate() {
-                    if v.kind != crate::model::VarKind::Continuous {
-                        snapped[j] = snapped[j].round();
-                    }
+            if w.len() != model.num_vars() {
+                return Err(MilpError::WarmStartLength {
+                    expected: model.num_vars(),
+                    got: w.len(),
+                });
+            }
+            let mut snapped = w.to_vec();
+            for (j, v) in model.vars().iter().enumerate() {
+                if v.kind != crate::model::VarKind::Continuous {
+                    snapped[j] = snapped[j].round();
                 }
-                if model.is_feasible(&snapped, 1e-6) {
-                    incumbent = Some((model.objective_value(&snapped), snapped));
-                    stats.warm_start_used = true;
-                    inc_source = IncumbentSource::WarmStart;
-                }
+            }
+            if model.is_feasible(&snapped, 1e-6) {
+                incumbent = Some((model.objective_value(&snapped), snapped));
+                stats.warm_start_used = true;
+                inc_source = IncumbentSource::WarmStart;
             }
         }
 
@@ -340,6 +344,29 @@ mod tests {
             .solve(&m, Some(&warm))
             .unwrap();
         assert!(sol.objective >= 3.0 - 1e-9);
+    }
+
+    #[test]
+    fn wrong_length_warm_start_is_the_same_error_under_both_backends() {
+        let m = knapsack(4);
+        let short = [1.0, 0.0];
+        let backends: [Box<dyn MilpBackend>; 2] = [
+            Box::new(ExactBackend::new(SolverConfig::exact())),
+            Box::new(HeuristicBackend::new(SolverConfig::exact())),
+        ];
+        for backend in backends {
+            assert!(
+                matches!(
+                    backend.solve(&m, Some(&short)),
+                    Err(MilpError::WarmStartLength {
+                        expected: 4,
+                        got: 2
+                    })
+                ),
+                "{}",
+                backend.name()
+            );
+        }
     }
 
     #[test]
