@@ -20,7 +20,6 @@
 //! window; a leaf occupies every slice its `[start, start+dur)` interval
 //! intersects.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use tetrisched_cluster::{NodeSet, PartitionSet, Time};
@@ -206,7 +205,7 @@ pub fn compile(
 ) -> Result<CompiledModel, CompileError> {
     let mut ctx = GenCtx {
         model: Model::maximize(),
-        used: BTreeMap::new(),
+        used: Vec::new(),
         leaves: Vec::new(),
         stack: Vec::new(),
         partitions: input.partitions,
@@ -224,14 +223,19 @@ pub fn compile(
     let objective = ctx.gen(input.expr, root)?;
     ctx.model.add_objective_expr(&objective);
 
-    // Supply constraints: per class per slice, usage <= expected free
-    // (the ordered map makes constraint order deterministic).
-    for (&(class, slice), vars) in &ctx.used {
+    // Supply constraints: per class per slice, usage <= expected free. The
+    // stable sort groups the uses by (class, slice) in ascending order and
+    // leaves each group's variables in creation order.
+    ctx.used.sort_by_key(|&(class, slice, _)| (class, slice));
+    for group in ctx.used.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let Some(&(class, slice, _)) = group.first() else {
+            continue;
+        };
         let t = input.now + slice as u64 * ctx.quantum;
         let cap = avail(input.partitions.class(class), t);
         ctx.model.add_constraint(
             Name::Idx2("supply_c", class as u64, "_s", slice as u64),
-            vars.iter().map(|&v| (v, 1.0)),
+            group.iter().map(|&(_, _, v)| (v, 1.0)),
             Sense::Le,
             cap as f64,
         );
@@ -246,8 +250,8 @@ pub fn compile(
 
 struct GenCtx<'a> {
     model: Model,
-    /// (class, slice) -> partition variables using that capacity.
-    used: BTreeMap<(usize, usize), Vec<VarId>>,
+    /// `(class, slice, partition variable)`: who uses which capacity.
+    used: Vec<(usize, usize, VarId)>,
     leaves: Vec<LeafInfo>,
     /// Indicator chain from the root to the current node.
     stack: Vec<VarId>,
@@ -390,7 +394,7 @@ impl GenCtx<'_> {
             partition_vars.push((class, p));
             demand_terms.push((p, 1.0));
             for slice in first_slice..last_slice {
-                self.used.entry((class, slice)).or_default().push(p);
+                self.used.push((class, slice, p));
             }
         }
 
