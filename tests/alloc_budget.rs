@@ -3,7 +3,8 @@
 //! One fixed one-job request — a four-node GPU job with a deadline on the
 //! 1 000-node cluster of the greedy benchmark workload, over a two-thirds
 //! busy ledger — goes through what `TetriSched::cycle_greedy` does per job:
-//! `PartitionSet::refine`, `compile`, `ExactBackend::solve`. A counting
+//! `PartitionSet::refine`, `compile` against the cycle's availability
+//! snapshot, `ExactBackend::solve`. A counting
 //! global allocator (counter in a const-initialised thread-local `Cell`, so
 //! the count is this test's thread's alone and reading it allocates nothing)
 //! counts every `alloc` and `realloc` in between. The count does not depend
@@ -14,8 +15,8 @@
 //! budget; CI runs this test under `--release` as well.
 //!
 //! On the parent of the PR that made names lazy, rows canonical at insertion
-//! and presolve one pass, this request (20 variables x 49 rows) cost 339
-//! allocations to build and 496 to solve: 835 in all.
+//! and presolve one pass, this request (20 variables x 49 rows) cost 259
+//! allocations to build and 496 to solve: 755 in all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,9 +29,9 @@ use tetrisched::sim::{JobId, JobSpec, JobType, PendingJob};
 use tetrisched::strl::{JobClass, StrlExpr};
 
 /// Allocations of refine + compile + solve may not exceed this …
-const TOTAL_BUDGET: u64 = 835;
+const TOTAL_BUDGET: u64 = 200;
 /// … of which this many inside `ExactBackend::solve`.
-const SOLVE_BUDGET: u64 = 496;
+const SOLVE_BUDGET: u64 = 50;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -115,7 +116,9 @@ fn one_job_unit_stays_inside_its_allocation_budget() {
     let backend = ExactBackend::new(
         SolverConfig::online(sched.solver_time_limit).with_rel_gap(sched.solver_gap),
     );
-    let avail = |set: &NodeSet, t: Time| ledger.avail_at(set, t);
+    // The cycle's availability snapshot, as the scheduler's pipeline reads it.
+    let view = ledger.availability(&[]);
+    let avail = |set: &NodeSet, t: Time| view.avail_at(set, t);
 
     let start = allocations();
     let partitions = PartitionSet::refine(n, &leaf_sets);
