@@ -4,15 +4,15 @@
 //! 1 000-node cluster of the greedy benchmark workload, over a two-thirds
 //! busy ledger — goes through what `TetriSched::cycle_greedy` does per job:
 //! `PartitionSet::refine`, `compile` against the cycle's availability
-//! snapshot, `ExactBackend::solve`. A counting
-//! global allocator (counter in a const-initialised thread-local `Cell`, so
-//! the count is this test's thread's alone and reading it allocates nothing)
-//! counts every `alloc` and `realloc` in between. The count does not depend
-//! on the machine, so it is a gate: building and presolving a 20-variable
-//! model is arithmetic, not a few hundred trips to the allocator. A debug
-//! build's solve also runs the `debug_precheck` / `debug_postcheck` audits,
-//! which allocate their findings, so there only the build half is held to its
-//! budget; CI runs this test under `--release` as well.
+//! snapshot, `ExactBackend::solve`. A counting global allocator (counter in
+//! a const-initialised thread-local `Cell`, so the count is this test's
+//! thread's alone and reading it allocates nothing) counts every `alloc` and
+//! `realloc` in between. The count does not depend on the machine, so it is
+//! a gate: building and presolving a 20-variable model is arithmetic, not a
+//! few hundred trips to the allocator. A debug build's solve also runs the
+//! `debug_precheck` / `debug_postcheck` audits, which allocate their
+//! findings, so there only the build half is held to its budget; CI runs
+//! this test under `--release` as well.
 //!
 //! On the parent of the PR that made names lazy, rows canonical at insertion
 //! and presolve one pass, this request (20 variables x 49 rows) cost 259
