@@ -208,24 +208,19 @@ impl LinExpr {
 /// by stable sort, duplicates summed in insertion order, exact zeros dropped.
 /// Terms already in that form (what the compiler emits for most rows) are
 /// left untouched.
-// srclint: checked-indexing: `kept <= i < terms.len()` throughout the merge
-// loop, and `kept - 1` is only read once a term has been kept.
 fn canonicalize(terms: &mut Vec<(VarId, f64)>) {
-    if terms.windows(2).all(|w| w[0].0 < w[1].0) && terms.iter().all(|&(_, c)| is_nonzero(c)) {
+    if terms.is_sorted_by(|a, b| a.0 < b.0) && terms.iter().all(|&(_, c)| is_nonzero(c)) {
         return;
     }
     terms.sort_by_key(|&(v, _)| v);
-    let mut kept = 0;
-    for i in 0..terms.len() {
-        let (v, c) = terms[i];
-        if kept > 0 && terms[kept - 1].0 == v {
-            terms[kept - 1].1 += c;
-        } else {
-            terms[kept] = (v, c);
-            kept += 1;
+    // A later duplicate folds into the first of its run, in order.
+    terms.dedup_by(|later, first| {
+        let same = later.0 == first.0;
+        if same {
+            first.1 += later.1;
         }
-    }
-    terms.truncate(kept);
+        same
+    });
     terms.retain(|&(_, c)| is_nonzero(c));
 }
 
