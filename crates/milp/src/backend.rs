@@ -96,6 +96,7 @@ impl HeuristicBackend {
         // dive; surface them once here.
         sol.stats.lp_iterations = simplex.iterations();
         sol.stats.refactorizations = simplex.refactorizations();
+        sol.stats.lp_resolves = simplex.resolves();
         Ok(sol)
     }
 

@@ -121,6 +121,7 @@ impl BranchBound {
         // root solve, dives, and node relaxations; surface them once here.
         sol.stats.lp_iterations = simplex.iterations();
         sol.stats.refactorizations = simplex.refactorizations();
+        sol.stats.lp_resolves = simplex.resolves();
         Ok(sol)
     }
 
@@ -238,10 +239,12 @@ impl BranchBound {
         // Root relaxation.
         stats.lp_solves += 1;
         let root = simplex.solve_with_bounds(model, &base_lb, &base_ub)?;
-        let (root_obj, root_values) = match root {
+        let (root_obj, root_values, root_duals) = match root {
             LpOutcome::Optimal {
-                objective, values, ..
-            } => (objective, values),
+                objective,
+                values,
+                duals,
+            } => (objective, values, duals),
             LpOutcome::Infeasible { farkas } => {
                 // A feasible warm start contradicting an infeasible
                 // relaxation cannot happen; report infeasible.
@@ -289,8 +292,7 @@ impl BranchBound {
                 });
             }
         };
-        let root_obj = root_obj + model.objective_offset;
-        stats.best_bound = root_obj;
+        stats.best_bound = root_obj + model.objective_offset;
 
         // Root diving heuristic for an early incumbent.
         if cfg.enable_diving {
@@ -316,16 +318,23 @@ impl BranchBound {
             audit_nodes.push(AuditNode {
                 parent: None,
                 patches: Vec::new(),
-                bound: root_obj,
+                bound: stats.best_bound,
                 status: NodeStatus::Open,
                 lp: None,
             });
         }
         heap.push(Node {
-            bound: root_obj,
+            bound: stats.best_bound,
             patches: Vec::new(),
             seq,
             aid: 0,
+        });
+        // Node 0 is the root relaxation, solved above; every later node
+        // re-solves from whatever basis the LP before it left.
+        let mut root_lp = Some(LpOutcome::Optimal {
+            objective: root_obj,
+            values: root_values,
+            duals: root_duals,
         });
 
         let mut limit_hit = false;
@@ -379,8 +388,13 @@ impl BranchBound {
                 ub_buf[j] = hi;
             }
 
-            stats.lp_solves += 1;
-            let out = simplex.solve_with_bounds(model, &lb_buf, &ub_buf)?;
+            let out = match root_lp.take() {
+                Some(root) => root,
+                None => {
+                    stats.lp_solves += 1;
+                    simplex.resolve_with_bounds(model, &lb_buf, &ub_buf)?
+                }
+            };
             let (obj, values) = match out {
                 LpOutcome::Optimal {
                     objective,
@@ -646,6 +660,29 @@ mod tests {
         let sol = m.solve(&exact()).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_eq!(sol.int_value(y), 1);
+    }
+
+    #[test]
+    fn tree_solves_the_root_once_and_re_solves_every_other_lp() {
+        // The model above, without the dive: every LP is a node's.
+        let mut m = Model::maximize();
+        let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 0.0);
+        let y = m.add_var("y", VarKind::Integer, 0.0, 10.0, 1.0);
+        m.add_constraint("c1", [(x, -1.0), (y, 1.0)], Sense::Le, 0.5);
+        m.add_constraint("c2", [(x, 1.0), (y, 1.0)], Sense::Le, 3.5);
+        let mut cfg = exact().with_audit(true);
+        cfg.enable_diving = false;
+        let sol = m.solve(&cfg).unwrap();
+        let s = &sol.stats;
+        assert!(s.nodes > 1, "the root is fractional");
+        // Node 0 is the root relaxation itself; all others start from a basis.
+        assert_eq!(s.lp_solves, s.nodes);
+        assert_eq!(s.lp_resolves, s.nodes - 1);
+        let audit = sol.audit.as_ref().expect("audited");
+        let root = audit.nodes[0].lp.as_ref().expect("node 0 is certified");
+        assert_eq!(root.objective, audit.nodes[0].bound);
+        assert!(s.certificates_verified > 0);
+        assert_eq!(s.certificate_failures, 0);
     }
 
     #[test]

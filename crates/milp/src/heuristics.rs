@@ -8,8 +8,9 @@ use crate::status::SolverStats;
 
 /// Dives from an LP-relaxation solution toward an integer-feasible point by
 /// repeatedly fixing the most fractional integer variable to its nearest
-/// integer and re-solving the relaxation. On infeasibility the most recent
-/// fixing is flipped once to the other side before giving up.
+/// integer and re-solving the relaxation from the basis `simplex` holds (the
+/// root's, then each step's). On infeasibility the most recent fixing is
+/// flipped once to the other side before giving up.
 ///
 /// Returns the objective and assignment of an integer-feasible point, or
 /// `None` when the dive dead-ends.
@@ -31,47 +32,36 @@ pub(crate) fn dive(
     let mut values = root_values.to_vec();
 
     for _ in 0..config.dive_depth {
-        match most_fractional(model, &values, config.int_tol) {
-            None => {
-                // Integral within tolerance: snap and validate.
-                let mut snapped = values;
-                for (j, v) in model.vars().iter().enumerate() {
-                    if v.kind != VarKind::Continuous {
-                        snapped[j] = snapped[j].round();
-                    }
-                }
-                if model.is_feasible(&snapped, 1e-6) {
-                    return Some((model.objective_value(&snapped), snapped));
-                }
-                return None;
-            }
-            Some((j, x)) => {
-                let rounded = x.round().clamp(lb[j], ub[j]);
-                let (saved_lb, saved_ub) = (lb[j], ub[j]);
-                lb[j] = rounded;
-                ub[j] = rounded;
-                stats.lp_solves += 1;
-                match simplex.solve_with_bounds(model, &lb, &ub).ok()? {
-                    LpOutcome::Optimal { values: v, .. } => values = v,
-                    LpOutcome::Unbounded { .. } => return None,
-                    LpOutcome::Infeasible { .. } => {
-                        // Flip to the other side of the fractional value.
-                        let other = if rounded > x { x.floor() } else { x.ceil() };
-                        let other = other.clamp(saved_lb, saved_ub);
-                        if other == rounded {
-                            return None;
-                        }
-                        lb[j] = other;
-                        ub[j] = other;
-                        stats.lp_solves += 1;
-                        match simplex.solve_with_bounds(model, &lb, &ub).ok()? {
-                            LpOutcome::Optimal { values: v, .. } => values = v,
-                            _ => return None,
-                        }
-                    }
+        let Some((j, x)) = most_fractional(model, &values, config.int_tol) else {
+            // Integral within tolerance: snap and validate.
+            let mut snapped = values;
+            for (j, v) in model.vars().iter().enumerate() {
+                if v.kind != VarKind::Continuous {
+                    snapped[j] = snapped[j].round();
                 }
             }
-        }
+            if model.is_feasible(&snapped, 1e-6) {
+                return Some((model.objective_value(&snapped), snapped));
+            }
+            return None;
+        };
+        // The nearest integer first, then once the other side of x.
+        let rounded = x.round().clamp(lb[j], ub[j]);
+        let other = if rounded > x { x.floor() } else { x.ceil() }.clamp(lb[j], ub[j]);
+        let mut sides = [rounded, other]
+            .into_iter()
+            .take(1 + usize::from(other != rounded));
+        values = loop {
+            let side = sides.next()?;
+            lb[j] = side;
+            ub[j] = side;
+            stats.lp_solves += 1;
+            match simplex.resolve_with_bounds(model, &lb, &ub).ok()? {
+                LpOutcome::Optimal { values, .. } => break values,
+                LpOutcome::Infeasible { .. } => {}
+                LpOutcome::Unbounded { .. } => return None,
+            }
+        };
     }
     None
 }

@@ -1,4 +1,5 @@
-//! Two-phase primal simplex with bounded variables.
+//! Two-phase primal simplex with bounded variables, and a bounded dual
+//! simplex that re-solves from the basis the last LP left behind.
 //!
 //! The LP relaxations produced by STRL compilation contain thousands of
 //! binary indicator variables. Handling variable bounds natively (instead of
@@ -15,6 +16,11 @@
 //! but `x -= f * 0.0`, so every stored value is what the dense loops compute
 //! (signed zeros aside). Dantzig pricing is used until a stall is detected,
 //! after which Bland's rule guarantees termination.
+//!
+//! An LP that ends `Optimal` leaves a dual-feasible basis in the workspace;
+//! [`Simplex::resolve_with_bounds`] installs new variable bounds on it and
+//! re-optimises with the dual simplex, which is how every dive step and
+//! branch-and-bound node after a solve's root LP is solved.
 
 use crate::error::{MilpError, Result};
 use crate::kernels::{fixed_dot, fixed_sum, is_nonzero};
@@ -52,8 +58,9 @@ pub enum LpOutcome {
     },
     /// No assignment satisfies the constraints and bounds.
     Infeasible {
-        /// Farkas dual candidate extracted from the phase-1 optimum, one
-        /// entry per constraint row. `None` when infeasibility was decided
+        /// Farkas dual candidate, one entry per constraint row: the phase-1
+        /// optimum's duals, or the dual simplex's blocked row written over
+        /// the original rows. `None` when infeasibility was decided
         /// before simplex ran (crossed bound overrides). Callers must
         /// verify the candidate before trusting it.
         farkas: Option<Vec<f64>>,
@@ -79,13 +86,16 @@ enum ColState {
 
 /// Reusable LP solver: one workspace per instance.
 ///
-/// Problem state never survives a call, storage does: the tableau buffers
-/// are sized by the first LP an instance solves and reused by every later
-/// one (root, dive steps, branch-and-bound nodes), each of which rebuilds
-/// its tableau from the model. The instance also carries the iteration
-/// limit and accumulates work counters across its solves (read back by
-/// branch-and-bound for telemetry via [`Simplex::iterations`] /
-/// [`Simplex::refactorizations`]).
+/// Storage survives a call, and after an LP that ended `Optimal` so does
+/// the problem: the tableau buffers are sized by the first LP an instance
+/// solves and reused by every later one, and the final tableau, basis and
+/// reduced costs stay held for [`Simplex::resolve_with_bounds`] to start
+/// the same model's next LP from (a re-solve that ends `Optimal` or
+/// `Infeasible` keeps them). [`Simplex::solve_with_bounds`] drops them and
+/// rebuilds its tableau from the model. The instance also carries the
+/// iteration limit and accumulates work counters across its solves (read
+/// back for telemetry via [`Simplex::iterations`] /
+/// [`Simplex::refactorizations`] / [`Simplex::resolves`]).
 #[derive(Debug)]
 pub struct Simplex {
     /// Maximum pivots per phase before reporting numerical trouble.
@@ -96,7 +106,9 @@ pub struct Simplex {
     /// Cumulative basis refreshes (dense refactorizations) across all
     /// solves by this instance.
     refactorizations: Cell<usize>,
-    /// The tableau storage every solve of this instance loads into.
+    /// Cumulative LPs that started from the held basis instead of a load.
+    resolves: Cell<usize>,
+    /// The tableau every solve of this instance loads into or re-solves.
     work: RefCell<Tableau>,
 }
 
@@ -107,13 +119,14 @@ impl Default for Simplex {
 }
 
 /// A clone carries the limit and the counters and starts with an empty
-/// workspace: storage is capacity only, no problem state is lost.
+/// workspace: its first LP loads cold, whatever basis the original holds.
 impl Clone for Simplex {
     fn clone(&self) -> Self {
         Self {
             max_iterations: self.max_iterations,
             iterations: self.iterations.clone(),
             refactorizations: self.refactorizations.clone(),
+            resolves: self.resolves.clone(),
             work: RefCell::default(),
         }
     }
@@ -126,6 +139,7 @@ impl Simplex {
             max_iterations,
             iterations: Cell::new(0),
             refactorizations: Cell::new(0),
+            resolves: Cell::new(0),
             work: RefCell::default(),
         }
     }
@@ -141,6 +155,12 @@ impl Simplex {
         self.refactorizations.get()
     }
 
+    /// Cumulative LPs that [`Simplex::resolve_with_bounds`] started from the
+    /// held basis; its other calls fell back to a cold load.
+    pub fn resolves(&self) -> usize {
+        self.resolves.get()
+    }
+
     /// Solves the LP relaxation of `model` using the model's own bounds.
     pub fn solve(&self, model: &Model) -> Result<LpOutcome> {
         let lb: Vec<f64> = model.vars().iter().map(|v| v.lb).collect();
@@ -149,11 +169,21 @@ impl Simplex {
     }
 
     /// Solves the LP relaxation of `model` with overridden variable bounds
-    /// (used by branch-and-bound, which tightens bounds per node).
+    /// from a cold load, whatever basis is held (the root of every solve).
+    pub fn solve_with_bounds(&self, model: &Model, lb: &[f64], ub: &[f64]) -> Result<LpOutcome> {
+        self.work.borrow_mut().held = false;
+        self.resolve_with_bounds(model, lb, ub)
+    }
+
+    /// Solves the LP relaxation of `model` under new bounds starting from
+    /// the basis this instance holds, which must be one of `model` (dive
+    /// steps and branch-and-bound nodes: same model, other bounds). Loads
+    /// cold when no basis is held or the new bounds leave a nonbasic column
+    /// no finite side on which its reduced cost is dual feasible.
     // srclint: checked-indexing: lb/ub are caller-supplied per-variable
     // vectors indexed by 0..lb.len(); branch-and-bound builds both from
     // model.vars() so the lengths agree by construction.
-    pub fn solve_with_bounds(&self, model: &Model, lb: &[f64], ub: &[f64]) -> Result<LpOutcome> {
+    pub fn resolve_with_bounds(&self, model: &Model, lb: &[f64], ub: &[f64]) -> Result<LpOutcome> {
         // Reject immediately if any bound pair is crossed: branch-and-bound
         // legitimately produces such nodes.
         for j in 0..lb.len() {
@@ -162,8 +192,20 @@ impl Simplex {
             }
         }
         let mut t = self.work.borrow_mut();
-        t.load(model, lb, ub, self.max_iterations);
-        let out = t.solve();
+        (t.iterations, t.refactorizations) = (0, 0);
+        let resolved = t.install(model, lb, ub);
+        let out = if resolved {
+            self.resolves.set(self.resolves.get() + 1);
+            t.reoptimize()
+        } else {
+            t.load(model, lb, ub, self.max_iterations);
+            t.solve()
+        };
+        t.held = match out {
+            Ok(LpOutcome::Optimal { .. }) => true,
+            Ok(LpOutcome::Infeasible { .. }) => resolved,
+            _ => false,
+        };
         self.iterations.set(self.iterations.get() + t.iterations);
         self.refactorizations
             .set(self.refactorizations.get() + t.refactorizations);
@@ -177,7 +219,8 @@ impl Simplex {
 /// `x_B[i] = rhs[i] - sum_over_nonbasic(a[i][j] * value(j))`.
 ///
 /// It doubles as the [`Simplex`] workspace: [`Tableau::load`] overwrites
-/// every field it reads, so nothing of one LP reaches the next but capacity.
+/// every field it reads, so nothing of one LP reaches a cold load but
+/// capacity; [`Tableau::install`] keeps all of it but the bounds.
 #[derive(Debug, Default)]
 struct Tableau {
     /// Number of constraint rows.
@@ -221,6 +264,10 @@ struct Tableau {
     iterations: usize,
     /// Basis refreshes performed (telemetry).
     refactorizations: usize,
+    /// Whether the last LP left a dual-feasible basis to re-solve from.
+    held: bool,
+    /// Dual pivots since the last refresh, counted across re-solves.
+    since_refresh: usize,
 }
 
 /// Empties `v` and refills it with `len` copies of `fill`, first reserving
@@ -251,7 +298,7 @@ impl Tableau {
         let base_cols = n_struct + m;
         let cap_cols = base_cols + m;
         (self.m, self.n_struct, self.art_start) = (m, n_struct, base_cols);
-        (self.max_iterations, self.iterations, self.refactorizations) = (max_iterations, 0, 0);
+        self.max_iterations = max_iterations;
 
         reset(&mut self.lb, cap_cols, base_cols, 0.0);
         reset(&mut self.ub, cap_cols, base_cols, 0.0);
@@ -393,6 +440,7 @@ impl Tableau {
     // (i + 1) * n_cols <= m * n_cols.
     fn refresh_basics(&mut self) {
         self.refactorizations += 1;
+        self.since_refresh = 0;
         self.nz.clear();
         for j in 0..self.n_cols {
             if self.state[j] != ColState::Basic {
@@ -487,9 +535,7 @@ impl Tableau {
 
     /// Runs phase 1 (if artificials exist) and phase 2.
     // srclint: checked-indexing: all loops run over the tableau's own
-    // dimensions (m rows, n_cols columns, n_struct structural values);
-    // row_of holds a row < m for every basic column (load and the pivot
-    // branch of optimize record it).
+    // dimensions (m rows, n_cols columns).
     fn solve(&mut self) -> Result<LpOutcome> {
         if self.art_start < self.n_cols {
             self.refresh_reduced_costs(true);
@@ -537,6 +583,14 @@ impl Tableau {
             PhaseEnd::Optimal => {}
             PhaseEnd::Unbounded { ray } => return Ok(LpOutcome::Unbounded { ray: Some(ray) }),
         }
+        Ok(self.finish())
+    }
+
+    /// Reads the optimum off the final basis of either simplex.
+    // srclint: checked-indexing: values is allocated to n_struct and
+    // state/lb/ub/cost to at least that; row_of holds a row < m for every
+    // basic column (load and both pivot sites record it).
+    fn finish(&mut self) -> LpOutcome {
         // Refresh once more so the extracted values and duals reflect the
         // exact final basis rather than incrementally maintained state.
         self.refresh_basics();
@@ -560,11 +614,169 @@ impl Tableau {
         }
         let objective = fixed_dot(self.cost.iter().zip(values.iter()).map(|(&c, &x)| (c, x)));
         let duals = self.extract_duals();
-        Ok(LpOutcome::Optimal {
+        LpOutcome::Optimal {
             objective,
             values,
             duals,
-        })
+        }
+    }
+
+    /// Installs new structural bounds on the held basis. A basic column
+    /// keeps its value, feasible or not. A nonbasic one rests at its value
+    /// if fixed, else on the finite side that keeps its reduced cost dual
+    /// feasible, and the basic values follow its move down its column.
+    /// Returns `false`, leaving a state only `load` may follow, when no
+    /// basis of these dimensions is held or some column has no such side.
+    // srclint: checked-indexing: the dimension check puts n_struct at the
+    // length of the caller's per-variable bounds; lb/ub/state/dj hold
+    // n_cols >= n_struct entries, x_basic m, and `at` takes i < m, j < n_cols.
+    fn install(&mut self, model: &Model, s_lb: &[f64], s_ub: &[f64]) -> bool {
+        if !self.held || self.m != model.num_constraints() || self.n_struct != model.num_vars() {
+            return false;
+        }
+        for j in 0..self.n_struct {
+            let (lo, hi) = (s_lb[j], s_ub[j]);
+            if lo == self.lb[j] && hi == self.ub[j] {
+                continue;
+            }
+            let rested = (self.state[j] != ColState::Basic).then(|| self.nonbasic_value(j));
+            (self.lb[j], self.ub[j]) = (lo, hi);
+            let Some(old) = rested else { continue };
+            let d = self.dj[j];
+            self.state[j] = if lo == hi {
+                ColState::AtLower
+            } else if d.abs() > COST_TOL {
+                // Raising the column pays (d > 0): only its upper side is
+                // dual feasible; lowering it pays: only its lower side.
+                let (side, bound) = if d > 0.0 {
+                    (ColState::AtUpper, hi)
+                } else {
+                    (ColState::AtLower, lo)
+                };
+                if !bound.is_finite() {
+                    return false;
+                }
+                side
+            } else if self.state[j] == ColState::AtUpper && hi.is_finite() {
+                ColState::AtUpper
+            } else {
+                initial_state(lo, hi)
+            };
+            let moved = self.nonbasic_value(j) - old;
+            if is_nonzero(moved) {
+                for i in 0..self.m {
+                    let alpha = self.at(i, j);
+                    if is_nonzero(alpha) {
+                        self.x_basic[i] -= alpha * moved;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Bounded dual simplex from a dual-feasible basis: the basic variable
+    /// with the largest bound violation leaves to the bound it violates, and
+    /// the column that can move it there at the least `|d_j / alpha_rj|`
+    /// enters, which keeps every reduced cost on its side. A violated row
+    /// that no column can move proves the LP infeasible, and its slack
+    /// cells — the row as a combination of the original rows — are the
+    /// Farkas vector. Stalling switches both choices to lowest index.
+    // srclint: checked-indexing: rows i, r < m and columns j < n_cols index
+    // vectors allocated to those dimensions; row r is the n_cols cells from
+    // r * n_cols; basis entries are valid columns by the pivot invariant and
+    // slack columns n_struct..n_struct + m exist for every row.
+    fn reoptimize(&mut self) -> Result<LpOutcome> {
+        let (mut bland, mut stall) = (false, 0usize);
+        loop {
+            if self.since_refresh >= REFRESH_PERIOD {
+                self.refresh_basics();
+                self.refresh_reduced_costs(false);
+            }
+            // (row, violation, whether the row sits below its lower bound)
+            let mut leave: Option<(usize, f64, bool)> = None;
+            for i in 0..self.m {
+                let (b, x) = (self.basis[i], self.x_basic[i]);
+                let (violation, below) = if x < self.lb[b] {
+                    (self.lb[b] - x, true)
+                } else {
+                    (x - self.ub[b], false)
+                };
+                let better = match leave {
+                    None => true,
+                    Some((r, _, _)) if bland => b < self.basis[r],
+                    Some((_, worst, _)) => violation > worst,
+                };
+                if violation > FEAS_TOL && better {
+                    leave = Some((i, violation, below));
+                }
+            }
+            let Some((r, violation, below)) = leave else {
+                return Ok(self.finish());
+            };
+            self.iterations += 1;
+            self.since_refresh += 1;
+            if self.iterations > self.max_iterations {
+                return Err(MilpError::IterationLimit {
+                    iterations: self.iterations,
+                });
+            }
+
+            // x_r moves by -alpha * (the entering column's move), and a
+            // column at a bound can only move off it.
+            let row = &self.a[r * self.n_cols..(r + 1) * self.n_cols];
+            let mut enter: Option<(usize, f64)> = None; // (col, |alpha|)
+            let mut best = f64::INFINITY;
+            for (j, &alpha) in row.iter().enumerate() {
+                let eligible = match self.state[j] {
+                    ColState::Basic => false,
+                    ColState::AtLower => (alpha < 0.0) == below,
+                    ColState::AtUpper => (alpha > 0.0) == below,
+                    ColState::FreeZero => true,
+                };
+                if !eligible || alpha.abs() < PIVOT_TOL || self.lb[j] == self.ub[j] {
+                    continue;
+                }
+                let ratio = (self.dj[j] / alpha).abs();
+                // Ties (none under Bland) go to the larger pivot element.
+                let tie = !bland && enter.is_some_and(|(_, a)| alpha.abs() > a);
+                if ratio < best - 1e-12 || (tie && ratio < best + 1e-12) {
+                    best = best.min(ratio);
+                    enter = Some((j, alpha.abs()));
+                }
+            }
+            let Some((j_in, _)) = enter else {
+                let sign = if below { 1.0 } else { -1.0 };
+                let slack_cells = &row[self.n_struct..self.n_struct + self.m];
+                return Ok(LpOutcome::Infeasible {
+                    farkas: Some(slack_cells.iter().map(|&a| sign * a).collect()),
+                });
+            };
+            // A pivot that does not move the dual objective is a stall.
+            let stalled = best * violation <= 1e-12;
+            stall = if stalled { stall + 1 } else { 0 };
+            bland |= stall > STALL_LIMIT;
+
+            let leaving = self.basis[r];
+            let (target, rest) = if below {
+                (self.lb[leaving], ColState::AtLower)
+            } else {
+                (self.ub[leaving], ColState::AtUpper)
+            };
+            let step = (self.x_basic[r] - target) / row[j_in];
+            for i in 0..self.m {
+                let alpha = self.at(i, j_in);
+                if i != r && is_nonzero(alpha) {
+                    self.x_basic[i] -= alpha * step;
+                }
+            }
+            self.x_basic[r] = self.nonbasic_value(j_in) + step;
+            self.state[leaving] = rest;
+            self.basis[r] = j_in;
+            self.row_of[j_in] = r;
+            self.state[j_in] = ColState::Basic;
+            self.pivot(r, j_in);
+        }
     }
 
     /// Pivots until optimality or unboundedness for the current phase.

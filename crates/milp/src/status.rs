@@ -39,6 +39,9 @@ pub struct SolverStats {
     pub refactorizations: usize,
     /// Number of LP relaxations solved.
     pub lp_solves: usize,
+    /// LPs among them that started from the basis the previous LP held;
+    /// `lp_solves - lp_resolves` loaded cold (every root, and any fallback).
+    pub lp_resolves: usize,
     /// Constraint rows removed by presolve before the solve proper.
     pub presolve_rows_dropped: usize,
     /// Variable bounds tightened by presolve before the solve proper.

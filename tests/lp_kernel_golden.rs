@@ -3,15 +3,23 @@
 //! A fixed corpus of seeded models — RC80 queue windows built through the
 //! public pipeline (`StrlGenerator::job_expr` → `PartitionSet::refine` →
 //! `compile`) plus the hand-made infeasible / unbounded / degenerate /
-//! free-variable / Eq-row shapes — is solved by `Simplex::solve`, by
-//! `ExactBackend` under a 15-node budget and by `HeuristicBackend`. Every
-//! status, objective, value and dual (bit for bit, `-0.0` read as `0.0`) and
-//! every work counter is folded into one FNV-1a digest per solver. A kernel
-//! change that keeps the digests performed the same pivots on the same
-//! numbers; one that moves a digest changed a vertex somewhere and is a
-//! behaviour change, not a refactor. The constants were captured on the
-//! `Vec<Vec<f64>>` tableau (PR 13's `simplex.rs`) and must hold in debug and
-//! in release.
+//! free-variable / Eq-row shapes — is solved by `Simplex::solve`, walked
+//! through a fixed sequence of bound changes by
+//! `Simplex::resolve_with_bounds`, and solved by `ExactBackend` under a
+//! 15-node budget and by `HeuristicBackend`. Every status, objective, value
+//! and dual (bit for bit, `-0.0` read as `0.0`) and every work counter is
+//! folded into one FNV-1a digest per solver. A kernel change that keeps the
+//! digests performed the same pivots on the same numbers; one that moves a
+//! digest changed a vertex somewhere and is a behaviour change, not a
+//! refactor. All four must hold in debug and in release.
+//!
+//! `LP_DIGEST` pins the cold path (load, two-phase primal) and dates from
+//! the `Vec<Vec<f64>>` tableau of PR 13's `simplex.rs`. The other three
+//! were captured in PR 17, which made every LP after a solve's root a dual
+//! simplex re-solve from the held basis: `RESOLVE_DIGEST` is new there, and
+//! `EXACT_DIGEST` / `DIVE_DIGEST` were re-captured once because a re-solve
+//! ends on another optimal vertex than a cold solve of the same bounds (and
+//! the tree's node 0 no longer solves the root LP a second time).
 
 use std::time::Duration;
 
@@ -26,8 +34,9 @@ use tetrisched::strl::{JobClass, StrlExpr};
 use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
 const LP_DIGEST: u64 = 0xe06d_1e98_3819_3795;
-const EXACT_DIGEST: u64 = 0xd297_d3db_663a_d74a;
-const DIVE_DIGEST: u64 = 0x7e2d_c3c8_1e92_e825;
+const RESOLVE_DIGEST: u64 = 0x13ba_18bb_3ca4_9fe1;
+const EXACT_DIGEST: u64 = 0xe55d_d5b9_6f20_95c2;
+const DIVE_DIGEST: u64 = 0x96d1_cb50_92d2_3208;
 
 /// RC80 queue windows in the corpus (the hand-made shapes come on top).
 const WINDOWS: usize = 14;
@@ -364,8 +373,9 @@ fn corpus() -> Vec<Model> {
     models
 }
 
-fn fold_lp(h: &mut Fnv, simplex: &Simplex, model: &Model) {
-    match simplex.solve(model) {
+/// One LP's outcome, then the cumulative pivots and refreshes of `simplex`.
+fn fold_lp(h: &mut Fnv, simplex: &Simplex, outcome: tetrisched::milp::Result<LpOutcome>) {
+    match outcome {
         Ok(LpOutcome::Optimal {
             objective,
             values,
@@ -452,9 +462,63 @@ fn corpus_has_the_sizes_it_claims() {
 fn simplex_digest_is_pinned() {
     let mut h = Fnv::new();
     for model in corpus() {
-        fold_lp(&mut h, &Simplex::default(), &model);
+        let simplex = Simplex::default();
+        fold_lp(&mut h, &simplex, simplex.solve(&model));
     }
     assert_eq!(h.0, LP_DIGEST, "Simplex::solve digest is {:#018x}", h.0);
+}
+
+/// Every corpus model's root, then sixteen re-solves from the held basis:
+/// each fixes one of six columns (drawn among those the root optimum uses)
+/// at either end of its box or gives it its box back (always, after a step
+/// that came out infeasible), so columns are fixed, flipped and relaxed in
+/// turn and the shapes with no optimal root load cold.
+#[test]
+fn resolve_digest_is_pinned() {
+    let mut h = Fnv::new();
+    let mut rng = SplitMix64(0x5EED_0000_D0A1_0017);
+    for model in corpus() {
+        let simplex = Simplex::default();
+        let (mut lb, mut ub): (Vec<f64>, Vec<f64>) =
+            model.vars().iter().map(|v| (v.lb, v.ub)).unzip();
+        let root = simplex.solve_with_bounds(&model, &lb, &ub);
+        // Columns the root optimum uses, so that fixing one moves the LP.
+        let mut used: Vec<usize> = match &root {
+            Ok(LpOutcome::Optimal { values, .. }) => {
+                (0..values.len()).filter(|&j| values[j] != 0.0).collect()
+            }
+            _ => Vec::new(),
+        };
+        if used.is_empty() {
+            used = (0..model.num_vars()).collect();
+        }
+        fold_lp(&mut h, &simplex, root);
+        let pool: Vec<usize> = (0..6)
+            .map(|_| used[rng.below(used.len() as u64) as usize])
+            .collect();
+        // (column, whether the step that changed it came out infeasible)
+        let mut last = (pool[0], false);
+        for _ in 0..16 {
+            // An infeasible step is undone; any other draws the next change.
+            let (j, side) = match last {
+                (j, true) => (j, 2),
+                _ => (pool[rng.below(6) as usize], rng.below(3)),
+            };
+            let v = &model.vars()[j];
+            let lo = if v.lb.is_finite() { v.lb } else { 0.0 };
+            let hi = if v.ub.is_finite() { v.ub } else { lo + 1.0 };
+            (lb[j], ub[j]) = match side {
+                0 => (lo, lo),
+                1 => (hi, hi),
+                _ => (v.lb, v.ub),
+            };
+            let out = simplex.resolve_with_bounds(&model, &lb, &ub);
+            last = (j, matches!(out, Ok(LpOutcome::Infeasible { .. })));
+            fold_lp(&mut h, &simplex, out);
+        }
+        h.usize(simplex.resolves());
+    }
+    assert_eq!(h.0, RESOLVE_DIGEST, "re-solve digest is {:#018x}", h.0);
 }
 
 #[test]
