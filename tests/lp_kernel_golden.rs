@@ -37,6 +37,10 @@ const LP_DIGEST: u64 = 0xe06d_1e98_3819_3795;
 const RESOLVE_DIGEST: u64 = 0x13ba_18bb_3ca4_9fe1;
 const EXACT_DIGEST: u64 = 0xe55d_d5b9_6f20_95c2;
 const DIVE_DIGEST: u64 = 0x96d1_cb50_92d2_3208;
+/// What a caller can act on, without the status word and the audit log:
+/// captured on PR 17's two solvers, before PR 18 made them one search.
+const EXACT_DECISIONS: u64 = 0x0d41_ef3b_438c_b6a9;
+const DIVE_DECISIONS: u64 = 0x33d5_fbc6_1a16_90c6;
 
 /// RC80 queue windows in the corpus (the hand-made shapes come on top).
 const WINDOWS: usize = 14;
@@ -428,16 +432,42 @@ fn fold_solution(h: &mut Fnv, sol: &Solution) {
     }
 }
 
-fn backend_digest(backend: &dyn MilpBackend) -> u64 {
-    let mut h = Fnv::new();
+/// Whether there is an answer, the answer, its bound and gap, and every
+/// deterministic work counter: equal digests are equal decisions at equal
+/// work, whatever the solve calls its status and however it proves it.
+fn fold_decision(h: &mut Fnv, sol: &Solution) {
+    h.u64(u64::from(sol.status.has_solution()));
+    h.f64(sol.objective);
+    h.f64s(&sol.values);
+    let s = &sol.stats;
+    h.f64(s.best_bound);
+    h.f64(s.final_gap);
+    for count in [
+        s.lp_iterations,
+        s.refactorizations,
+        s.nodes,
+        s.nodes_pruned,
+        s.lp_solves,
+        s.lp_resolves,
+        s.certificates_verified,
+        s.certificate_failures,
+    ] {
+        h.usize(count);
+    }
+}
+
+/// `(digest of everything, digest of the decisions)` over the corpus.
+fn backend_digests(backend: &dyn MilpBackend) -> (u64, u64) {
+    let (mut all, mut decisions) = (Fnv::new(), Fnv::new());
     for model in corpus() {
         let sol = backend
             .solve(&model, None)
             .expect("corpus models are well formed");
         assert_eq!(sol.stats.certificate_failures, 0, "a certificate failed");
-        fold_solution(&mut h, &sol);
+        fold_solution(&mut all, &sol);
+        fold_decision(&mut decisions, &sol);
     }
-    h.0
+    (all.0, decisions.0)
 }
 
 /// The scheduler's online solver settings, audited, with a limit no test
@@ -523,12 +553,20 @@ fn resolve_digest_is_pinned() {
 
 #[test]
 fn exact_backend_digest_is_pinned() {
-    let d = backend_digest(&ExactBackend::new(solver().with_node_limit(15)));
+    let (d, decisions) = backend_digests(&ExactBackend::new(solver().with_node_limit(15)));
+    assert_eq!(
+        decisions, EXACT_DECISIONS,
+        "ExactBackend decisions are {decisions:#018x}"
+    );
     assert_eq!(d, EXACT_DIGEST, "ExactBackend digest is {d:#018x}");
 }
 
 #[test]
 fn heuristic_backend_digest_is_pinned() {
-    let d = backend_digest(&HeuristicBackend::new(solver()));
+    let (d, decisions) = backend_digests(&HeuristicBackend::new(solver()));
+    assert_eq!(
+        decisions, DIVE_DECISIONS,
+        "HeuristicBackend decisions are {decisions:#018x}"
+    );
     assert_eq!(d, DIVE_DIGEST, "HeuristicBackend digest is {d:#018x}");
 }
