@@ -35,17 +35,12 @@ pub struct TetriSchedConfig {
     pub solver_time_limit: Duration,
     /// Relative MILP optimality gap (paper: 10%).
     pub solver_gap: f64,
-    /// Horizon over which a best-effort job's value decays to zero.
-    pub be_value_horizon: u64,
     /// Per-quantum-of-deferral multiplicative value penalty used to break
     /// ties among equally valued start times in favour of starting earlier.
     pub defer_tiebreak: f64,
     /// Warm-start each solve from the previous cycle's choices
     /// (Sec. 3.2.2).
     pub warm_start: bool,
-    /// For MPI-style rack options, consider only this many of the
-    /// highest-availability racks (generator culling; 0 = all racks).
-    pub max_rack_options: usize,
     /// Use the pure LP-dive heuristic MILP backend instead of
     /// branch-and-bound — the quality-scale tradeoff the paper's Sec. 7.3
     /// closes on. Near-constant solve time, no optimality proof.
@@ -94,10 +89,8 @@ impl Default for TetriSchedConfig {
             max_batch: 16,
             solver_time_limit: Duration::from_millis(300),
             solver_gap: 0.10,
-            be_value_horizon: 3600,
             defer_tiebreak: 0.002,
             warm_start: true,
-            max_rack_options: 4,
             solver_heuristic: false,
             preemption: false,
             chaos_global_solve_failures: Vec::new(),

@@ -78,6 +78,11 @@ impl JobRequest {
 
 /// Floor for best-effort value so fully decayed jobs still schedule.
 const BE_VALUE_FLOOR: f64 = 0.01;
+/// Horizon over which a best-effort job's value decays to the floor.
+const BE_VALUE_HORIZON: u64 = 3600;
+/// For MPI-style rack options, only this many of the highest-availability
+/// racks are considered (generator culling).
+const MAX_RACK_OPTIONS: usize = 4;
 
 /// The STRL Generator.
 pub struct StrlGenerator<'a> {
@@ -154,9 +159,7 @@ impl<'a> StrlGenerator<'a> {
                     .collect();
                 // Highest availability first; rack id breaks ties.
                 racks.sort_by_key(|&(avail, r)| (std::cmp::Reverse(avail), r));
-                if self.config.max_rack_options > 0 {
-                    racks.truncate(self.config.max_rack_options);
-                }
+                racks.truncate(MAX_RACK_OPTIONS);
                 let mut opts: Vec<PlacementOption> = racks
                     .into_iter()
                     .map(|(_, r)| PlacementOption {
@@ -191,7 +194,7 @@ impl<'a> StrlGenerator<'a> {
             job.class,
             spec.submit,
             spec.deadline.unwrap_or(Time::MAX),
-            self.config.be_value_horizon,
+            BE_VALUE_HORIZON,
         );
         let options = self.options(spec.job_type, spec.k, rack_avail);
         // The anti-affine legs of an availability job (chosen once; their
@@ -397,11 +400,10 @@ mod tests {
 
     #[test]
     fn mpi_rack_options_ranked_and_capped() {
-        let mut cfg = config(12);
-        cfg.max_rack_options = 2;
-        let cluster = Cluster::uniform(4, 4, 0);
+        let cfg = config(12);
+        let cluster = Cluster::uniform(MAX_RACK_OPTIONS + 2, 4, 0);
         let gen = StrlGenerator::new(&cfg, &cluster);
-        // Rank rack 2 highest, then rack 0.
+        // Rank rack 2 highest, then rack 0; the rest tie.
         let avail = |s: &NodeSet| {
             if s.contains(tetrisched_cluster::NodeId(8)) {
                 4
@@ -412,10 +414,10 @@ mod tests {
             }
         };
         let opts = gen.options(JobType::Mpi, 2, &avail);
-        assert_eq!(opts.len(), 3); // 2 racks + fallback
-        assert_eq!(opts[0].key, OptionKey::Rack(2));
-        assert_eq!(opts[1].key, OptionKey::Rack(0));
-        assert_eq!(opts[2].key, OptionKey::Fallback);
+        // The cap's worth of racks (ties by rack id) + fallback.
+        let keys: Vec<OptionKey> = opts.iter().map(|o| o.key).collect();
+        let racks = [2, 0, 1, 3].map(OptionKey::Rack);
+        assert_eq!(keys, [&racks[..], &[OptionKey::Fallback]].concat());
     }
 
     #[test]
@@ -539,8 +541,7 @@ mod tests {
 
     #[test]
     fn best_effort_value_decays_but_never_zeroes() {
-        let mut cfg = config(12);
-        cfg.be_value_horizon = 50; // decays fast
+        let cfg = config(12);
         let cluster = Cluster::uniform(2, 4, 1);
         let gen = StrlGenerator::new(&cfg, &cluster);
         let job = pending(JobType::Unconstrained, 2, None, JobClass::BestEffort);

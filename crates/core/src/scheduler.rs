@@ -11,7 +11,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use lint::{
-    has_errors, lint_expr, lint_model, validate_translation, Diagnostic, Severity, StrlLintContext,
+    has_errors, lint_expr, lint_model_errors, validate_translation, Diagnostic, Severity,
+    StrlLintContext,
 };
 use tetrisched_cluster::{AllocHandle, Availability, Claims, NodeId, NodeSet, PartitionSet, Time};
 use tetrisched_milp::{
@@ -471,7 +472,9 @@ impl<'a> Pipeline<'a> {
     ) -> Result<Solution, CycleError> {
         if self.config.lint_models {
             let _lint = self.phase("lint", "phase.lint_secs");
-            lint_gate(&lint_model(&compiled.model), job)?;
+            // Only Error-severity findings can stop the cycle, so only they
+            // are computed on it.
+            lint_gate(&lint_model_errors(&compiled.model), job)?;
         }
         let phase = self.phase("solve", "phase.solve_secs");
         let backend: Box<dyn MilpBackend> = if self.config.solver_heuristic {

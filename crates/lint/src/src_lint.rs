@@ -20,9 +20,9 @@
 //!   solver-adjacent crates: iteration order feeds model order.
 //! - `L005` — no process-clock access (`std::time` in any form) inside
 //!   `crates/telemetry`; time is injected by callers. No allowlist.
-//! - `L006` — no threading/channel primitives and no clock access inside
-//!   `crates/service`; the service core is single-threaded and driven by
-//!   the engine's virtual clock. No allowlist.
+//! - `L006` — no clock access inside `crates/service`; the service core is
+//!   driven by the engine's virtual clock. No allowlist. (That it is
+//!   single-threaded is `L010`'s, as everywhere.)
 //! - `L007` — the degradation ladder's rung is owned by `core::governor`;
 //!   no other non-test line in the core crate may mention `ladder_rung`.
 //!
@@ -44,9 +44,9 @@
 //!   the contract parallel shard-merge code must obey: reductions happen
 //!   in one auditable place, in one fixed order.
 //! - `L010` — **concurrency-readiness**: threads, locks, atomics,
-//!   channels, and `static mut` are forbidden everywhere except the
-//!   `crates/parallel` seam (where the decomposed-solver worker pool will
-//!   live) and the vendored third-party API stubs.
+//!   channels, and `static mut` are forbidden everywhere in product code
+//!   (the vendored third-party API stubs are exempt). The PR that first
+//!   spawns a thread names its seam in `CONCURRENCY_SEAM_PREFIXES`.
 //! - `L011` — **dead knobs**: every field of the operator-facing config
 //!   structs (`TetriSchedConfig`, `PerfFaultConfig`, `AdmissionPolicy`)
 //!   must be *read* (`.field` access that is not an assignment) somewhere
@@ -69,13 +69,11 @@ use crate::source_model::{is_keyword, FnItem, SourceFile};
 /// Files (workspace-relative, `/`-separated) allowed to read the wall
 /// clock: solver time budgets, engine cycle-latency metrics, report
 /// timing, and the linter's own runtime-budget check.
-const WALL_CLOCK_ALLOWLIST: [&str; 7] = [
+const WALL_CLOCK_ALLOWLIST: [&str; 5] = [
     "crates/milp/src/branch_bound.rs",
-    "crates/milp/src/backend.rs",
     "crates/sim/src/engine.rs",
     "crates/core/src/scheduler.rs",
     "crates/bench/src/bin/report.rs",
-    "crates/criterion/src/lib.rs",
     "crates/lint/src/bin/srclint.rs",
 ];
 
@@ -106,9 +104,8 @@ const HASH_COLLECTION_ALLOWLIST: [&str; 0] = [];
 /// Crate subtrees that must never touch process clocks at all (`L005`).
 const CLOCK_INJECTED_PREFIXES: [&str; 1] = ["crates/telemetry/src/"];
 
-/// Crate subtrees that must stay single-threaded, channel-free, and
-/// clock-free (`L006`).
-const SINGLE_THREADED_PREFIXES: [&str; 1] = ["crates/service/src/"];
+/// Crate subtrees whose only clock is the engine's virtual one (`L006`).
+const VIRTUAL_CLOCK_PREFIXES: [&str; 1] = ["crates/service/src/"];
 
 /// The crate subtree `L007` guards and the single file inside it allowed
 /// to touch the rung.
@@ -145,19 +142,16 @@ const FLOAT_DETERMINISM_PREFIXES: [&str; 3] = [
 /// through.
 const FIXED_ORDER_KERNEL_FILES: [&str; 1] = ["crates/milp/src/kernels.rs"];
 
-/// The concurrency seam: the only product subtree allowed to name
-/// threads, locks, or atomics (`L010`). Deliberately a dedicated crate so
-/// the decomposed-MILP worker pool has exactly one auditable home.
-const CONCURRENCY_SEAM_PREFIXES: [&str; 1] = ["crates/parallel/src/"];
+/// The concurrency seam: product subtrees allowed to name threads, locks,
+/// or atomics (`L010`). Kept honest and empty since the never-used
+/// `crates/parallel` was deleted; the PR that first spawns a thread gives
+/// its worker pool one auditable home here.
+const CONCURRENCY_SEAM_PREFIXES: [&str; 0] = [];
 
 /// Vendored third-party API stubs, exempt from `L010` (their upstream
 /// API surfaces name `Arc` etc.); everything else in the workspace is
-/// product code and must stay thread-free outside the seam.
-const VENDORED_STUB_PREFIXES: [&str; 3] = [
-    "crates/criterion/src/",
-    "crates/proptest/src/",
-    "crates/rand/src/",
-];
+/// product code and must stay thread-free.
+const VENDORED_STUB_PREFIXES: [&str; 2] = ["crates/proptest/src/", "crates/rand/src/"];
 
 /// Operator-facing knob structs whose fields `L011` requires to be read.
 const KNOB_STRUCTS: [&str; 3] = ["TetriSchedConfig", "PerfFaultConfig", "AdmissionPolicy"];
@@ -297,7 +291,7 @@ fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
     let hash_checked =
         in_any(rel, &NO_HASH_COLLECTION_PREFIXES) && !HASH_COLLECTION_ALLOWLIST.contains(&rel);
     let clock_injected = in_any(rel, &CLOCK_INJECTED_PREFIXES);
-    let single_threaded = in_any(rel, &SINGLE_THREADED_PREFIXES);
+    let virtual_clock = in_any(rel, &VIRTUAL_CLOCK_PREFIXES);
     let ladder_guarded = rel.starts_with(LADDER_GUARDED_PREFIX) && rel != LADDER_OWNER_FILE;
     let concurrency_checked =
         !in_any(rel, &CONCURRENCY_SEAM_PREFIXES) && !in_any(rel, &VENDORED_STUB_PREFIXES);
@@ -339,7 +333,7 @@ fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
                     rel,
                     line,
                 );
-            } else if single_threaded {
+            } else if virtual_clock {
                 push(
                     report,
                     "L006",
@@ -393,24 +387,6 @@ fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
                 line,
             );
         }
-        if single_threaded {
-            let threaded = threading_idents.contains(&text.as_ref())
-                || is_path2(f, i, "std", "thread")
-                || is_path2(f, i, "std", "sync");
-            if threaded {
-                push(
-                    report,
-                    "L006",
-                    format!(
-                        "threading/synchronization primitive (`{text}`) inside the \
-                         service crate: the service core is single-threaded and \
-                         caller-driven so same-seed runs stay byte-identical"
-                    ),
-                    rel,
-                    line,
-                );
-            }
-        }
         if ladder_guarded && text == "ladder_rung" {
             push(
                 report,
@@ -442,10 +418,10 @@ fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
                     report,
                     "L010",
                     format!(
-                        "concurrency primitive (`{what}`) outside the `crates/parallel` \
-                         seam: threads, locks, atomics, and channels live only behind \
-                         the audited worker-pool boundary so the determinism contract \
-                         has exactly one place to hold"
+                        "concurrency primitive (`{what}`): threads, locks, atomics, and \
+                         channels are allowed nowhere in product code, so same-seed runs \
+                         stay byte-identical; the first worker pool names its seam in \
+                         `CONCURRENCY_SEAM_PREFIXES`"
                     ),
                     rel,
                     line,
@@ -979,20 +955,18 @@ mod tests {
     }
 
     #[test]
-    fn l006_flags_threads_channels_and_clocks_in_service_sources() {
+    fn l006_flags_clocks_in_service_sources() {
         let report = scan_tree(
             "l006",
             &[(
                 "crates/service/src/lib.rs",
-                "use std::sync::mpsc;\n\
-                 use std::thread;\n\
-                 use std::sync::Mutex;\n\
+                "use std::sync::Mutex;\n\
                  use std::time::Instant;\n\
                  fn now() -> Instant { Instant::now() }\n",
             )],
         );
         let n = codes(&report).iter().filter(|c| **c == "L006").count();
-        assert!(n >= 5, "expected L006 x5: {report:?}");
+        assert_eq!(n, 2, "import and call; the Mutex is L010's: {report:?}");
     }
 
     #[test]
@@ -1051,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn l010_flags_concurrency_outside_the_seam_only() {
+    fn l010_flags_concurrency_in_product_code_but_not_in_vendored_stubs() {
         let report = scan_tree(
             "l010",
             &[
@@ -1061,7 +1035,7 @@ mod tests {
                      fn go(a: &AtomicUsize) { thread::spawn(|| {}); }\n",
                 ),
                 (
-                    "crates/parallel/src/lib.rs",
+                    "crates/rand/src/lib.rs",
                     "use std::thread;\nuse std::sync::Mutex;\n",
                 ),
             ],
@@ -1074,7 +1048,7 @@ mod tests {
         assert!(l010.len() >= 4, "thread/static-mut/atomic/spawn: {l010:?}");
         assert!(
             l010.iter().all(|d| d.context.contains("sim")),
-            "the parallel seam is allowlisted: {l010:?}"
+            "vendored stubs are exempt: {l010:?}"
         );
     }
 }

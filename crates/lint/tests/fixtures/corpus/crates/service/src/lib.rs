@@ -1,4 +1,4 @@
-//! Fixture: L006 — threads, channels, and clocks in the service crate.
+//! Fixture: the service crate — clocks draw L006; threads and locks, L010.
 
 use std::sync::mpsc;
 use std::sync::Mutex;

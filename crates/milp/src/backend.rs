@@ -4,21 +4,16 @@
 //! MILP backend" (Sec. 3.2.2) and closes with the observation that "even
 //! greater scale and complexity may require exploring solver heuristics to
 //! address the quality-scale tradeoff" (Sec. 7.3). This module provides
-//! both: a backend abstraction over the model, and a pure-heuristic backend
-//! that skips branch-and-bound entirely — one LP relaxation plus a rounding
-//! dive — trading bounded optimality loss for near-constant solve time.
+//! both: a backend abstraction over the model, and two backends that are one
+//! search ([`BranchBound`]) under two node budgets — the configured one, or
+//! none at all: one LP relaxation plus a rounding dive, trading bounded
+//! optimality loss for near-constant solve time.
 
 use crate::branch_bound::BranchBound;
-use crate::certify::{
-    mint_infeasibility_proof, AuditNode, IncumbentSource, LpCertificate, NodeStatus, SolveAudit,
-    SolveProof,
-};
 use crate::config::SolverConfig;
-use crate::error::{MilpError, Result};
-use crate::heuristics;
+use crate::error::Result;
 use crate::model::Model;
-use crate::simplex::{LpOutcome, Simplex};
-use crate::status::{Solution, SolveStatus, SolverStats};
+use crate::status::Solution;
 
 /// A MILP solving strategy.
 pub trait MilpBackend {
@@ -32,19 +27,21 @@ pub trait MilpBackend {
 /// The exact backend: presolve + branch-and-bound (the default).
 #[derive(Debug, Clone)]
 pub struct ExactBackend {
-    config: SolverConfig,
+    search: BranchBound,
 }
 
 impl ExactBackend {
     /// Creates the exact backend.
     pub fn new(config: SolverConfig) -> Self {
-        ExactBackend { config }
+        ExactBackend {
+            search: BranchBound::new(config),
+        }
     }
 }
 
 impl MilpBackend for ExactBackend {
     fn solve(&self, model: &Model, warm: Option<&[f64]>) -> Result<Solution> {
-        BranchBound::new(self.config.clone()).solve(model, warm)
+        self.search.solve(model, warm)
     }
 
     fn name(&self) -> &'static str {
@@ -55,211 +52,34 @@ impl MilpBackend for ExactBackend {
 /// The heuristic backend: root LP relaxation + diving, no tree search.
 ///
 /// Quality: whatever the dive lands on (often optimal on loosely coupled
-/// scheduling batches, never proven). Speed: a handful of LP solves,
-/// independent of how hard the integer program is. A feasible warm start
-/// that beats the dive is kept instead.
+/// scheduling batches; proven so only when the root bound is already within
+/// the gap). Speed: a handful of LP solves, independent of how hard the
+/// integer program is. A feasible warm start that beats the dive is kept
+/// instead.
 #[derive(Debug, Clone)]
 pub struct HeuristicBackend {
-    config: SolverConfig,
+    search: BranchBound,
 }
 
 impl HeuristicBackend {
-    /// Creates the heuristic backend.
+    /// Creates the heuristic backend: `config`'s gap, limits and audit
+    /// setting, with what "dive" means written over the rest — the search
+    /// at a node budget of zero, diving on, on the model as given.
     pub fn new(config: SolverConfig) -> Self {
-        HeuristicBackend { config }
-    }
-}
-
-impl HeuristicBackend {
-    /// Assembles a heuristic-path audit over the unreduced model.
-    fn audit(
-        &self,
-        model: &Model,
-        nodes: Vec<AuditNode>,
-        incumbent_source: IncumbentSource,
-        proof: SolveProof,
-    ) -> Box<SolveAudit> {
-        Box::new(SolveAudit {
-            solved_model: model.clone(),
-            rel_gap: self.config.rel_gap,
-            limit_hit: false,
-            nodes,
-            incumbent_source,
-            proof,
-        })
-    }
-
-    fn solve_inner(&self, model: &Model, warm: Option<&[f64]>) -> Result<Solution> {
-        let simplex = Simplex::new(self.config.max_lp_iterations);
-        let mut sol = self.solve_with_simplex(model, warm, &simplex)?;
-        // LP work counters accumulate on the Simplex across root solve and
-        // dive; surface them once here.
-        sol.stats.lp_iterations = simplex.iterations();
-        sol.stats.refactorizations = simplex.refactorizations();
-        sol.stats.lp_resolves = simplex.resolves();
-        Ok(sol)
-    }
-
-    // srclint: checked-indexing: the warm-start vector's length is checked
-    // against num_vars before the per-variable snap loop indexes it.
-    fn solve_with_simplex(
-        &self,
-        model: &Model,
-        warm: Option<&[f64]>,
-        simplex: &Simplex,
-    ) -> Result<Solution> {
-        model.validate()?;
-        // Same certificate cross-check as the exact path (debug builds only).
-        crate::lint::debug_precheck(model);
-        let start = std::time::Instant::now();
-        let mut stats = SolverStats::default();
-
-        // Warm-start incumbent, as in the exact path.
-        let mut incumbent: Option<(f64, Vec<f64>)> = None;
-        let mut inc_source = IncumbentSource::None;
-        if let Some(w) = warm {
-            if w.len() != model.num_vars() {
-                return Err(MilpError::WarmStartLength {
-                    expected: model.num_vars(),
-                    got: w.len(),
-                });
-            }
-            let mut snapped = w.to_vec();
-            for (j, v) in model.vars().iter().enumerate() {
-                if v.kind != crate::model::VarKind::Continuous {
-                    snapped[j] = snapped[j].round();
-                }
-            }
-            if model.is_feasible(&snapped, 1e-6) {
-                incumbent = Some((model.objective_value(&snapped), snapped));
-                stats.warm_start_used = true;
-                inc_source = IncumbentSource::WarmStart;
-            }
-        }
-
-        let lb: Vec<f64> = model.vars().iter().map(|v| v.lb).collect();
-        let ub: Vec<f64> = model.vars().iter().map(|v| v.ub).collect();
-        stats.lp_solves += 1;
-        let root = simplex.solve_with_bounds(model, &lb, &ub)?;
-        let (root_obj, root_values, root_duals) = match root {
-            LpOutcome::Optimal {
-                objective,
-                values,
-                duals,
-            } => (objective, values, duals),
-            LpOutcome::Infeasible { farkas } => {
-                stats.wall_secs = start.elapsed().as_secs_f64();
-                let audit = self.config.audit.then(|| {
-                    let proof = mint_infeasibility_proof(model, &lb, &ub, farkas);
-                    self.audit(
-                        model,
-                        Vec::new(),
-                        IncumbentSource::None,
-                        SolveProof::RootInfeasible { proof },
-                    )
-                });
-                return Ok(Solution {
-                    status: SolveStatus::Infeasible,
-                    objective: f64::NEG_INFINITY,
-                    values: Vec::new(),
-                    stats,
-                    audit,
-                });
-            }
-            LpOutcome::Unbounded { ray } => {
-                stats.wall_secs = start.elapsed().as_secs_f64();
-                let audit = self.config.audit.then(|| {
-                    self.audit(
-                        model,
-                        Vec::new(),
-                        IncumbentSource::None,
-                        SolveProof::UnboundedRay {
-                            patches: Vec::new(),
-                            ray,
-                        },
-                    )
-                });
-                return Ok(Solution {
-                    status: SolveStatus::Unbounded,
-                    objective: f64::INFINITY,
-                    values: Vec::new(),
-                    stats,
-                    audit,
-                });
-            }
-        };
-        stats.best_bound = root_obj + model.objective_offset;
-
-        if let Some((obj, values)) = heuristics::dive(
-            model,
-            simplex,
-            &lb,
-            &ub,
-            &root_values,
-            &self.config,
-            &mut stats,
-        ) {
-            if incumbent.as_ref().map(|(o, _)| obj > *o).unwrap_or(true) {
-                incumbent = Some((obj, values));
-                inc_source = IncumbentSource::Dive;
-            }
-        }
-
-        stats.wall_secs = start.elapsed().as_secs_f64();
-        let audit = |source: IncumbentSource| {
-            self.config.audit.then(|| {
-                let root_node = AuditNode {
-                    parent: None,
-                    patches: Vec::new(),
-                    bound: stats.best_bound,
-                    status: NodeStatus::Open,
-                    lp: Some(LpCertificate {
-                        objective: stats.best_bound,
-                        duals: root_duals.clone(),
-                    }),
-                };
-                self.audit(model, vec![root_node], source, SolveProof::HeuristicBound)
-            })
-        };
-        match incumbent {
-            Some((obj, values)) => {
-                stats.final_gap = ((stats.best_bound - obj) / obj.abs().max(1.0)).max(0.0);
-                let audit = audit(inc_source);
-                Ok(Solution {
-                    // Never proven optimal: always reported as feasible.
-                    status: SolveStatus::Feasible,
-                    objective: obj,
-                    values,
-                    stats,
-                    audit,
-                })
-            }
-            None => {
-                let audit = audit(IncumbentSource::None);
-                Ok(Solution {
-                    status: SolveStatus::NoSolutionFound,
-                    objective: f64::NEG_INFINITY,
-                    values: Vec::new(),
-                    stats,
-                    audit,
-                })
-            }
+        HeuristicBackend {
+            search: BranchBound::new(SolverConfig {
+                node_limit: 0,
+                enable_diving: true,
+                enable_presolve: false,
+                ..config
+            }),
         }
     }
 }
 
 impl MilpBackend for HeuristicBackend {
     fn solve(&self, model: &Model, warm: Option<&[f64]>) -> Result<Solution> {
-        let mut sol = self.solve_inner(model, warm)?;
-        // Debug builds re-verify the returned assignment; compiled out in
-        // release builds.
-        crate::certify::debug_postcheck(model, &sol);
-        if self.config.audit {
-            let report = crate::certify::certify_solution(model, &sol);
-            sol.stats.certificates_verified = report.verified;
-            sol.stats.certificate_failures = report.diagnostics.len();
-        }
-        Ok(sol)
+        self.search.solve(model, warm)
     }
 
     fn name(&self) -> &'static str {
@@ -270,7 +90,9 @@ impl MilpBackend for HeuristicBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MilpError;
     use crate::model::{Sense, VarKind};
+    use crate::status::SolveStatus;
 
     fn knapsack(n: usize) -> Model {
         let mut m = Model::maximize();
@@ -298,7 +120,13 @@ mod tests {
             .solve(&m, None)
             .unwrap();
         assert_eq!(exact.status, SolveStatus::Optimal);
-        assert_eq!(heur.status, SolveStatus::Feasible);
+        // Proven only where the root bound happens to meet the dive's point.
+        assert!(heur.status.has_solution());
+        assert_eq!(
+            heur.status == SolveStatus::Optimal,
+            heur.stats.final_gap <= 1e-6
+        );
+        assert_eq!(heur.stats.nodes, 0);
         assert!(m.is_feasible(&heur.values, 1e-6));
         // The dive must reach at least 70% of optimal on this easy family.
         assert!(

@@ -1,8 +1,12 @@
-//! Best-first branch-and-bound over the simplex relaxation.
+//! Best-first branch-and-bound over the simplex relaxation: the one search
+//! every backend runs.
 //!
-//! Nodes carry bound *patches* (per-variable bound tightenings accumulated
-//! from the root), the frontier is a max-heap ordered by the parent
-//! relaxation bound, and branching is on the most fractional
+//! A solve prepares its root (presolve, warm-start incumbent, root LP, dive)
+//! and then explores nodes until the gap closes, the frontier empties or a
+//! budget is spent; what a backend chooses is the budget (see
+//! [`crate::backend`]). Nodes carry bound *patches* (per-variable bound
+//! tightenings accumulated from the root), the frontier is a max-heap ordered
+//! by the parent relaxation bound, and branching is on the most fractional
 //! integer-constrained variable. Termination follows the paper's CPLEX
 //! configuration: a relative optimality gap, a wall-clock budget, and a node
 //! limit — the best incumbent found so far is returned when a limit fires.
@@ -12,15 +16,19 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use crate::certify::{
-    mint_infeasibility_proof, AuditNode, IncumbentSource, LpCertificate, NodeStatus, SolveAudit,
-    SolveProof,
+    base_bounds, mint_infeasibility_proof, AuditNode, IncumbentSource, LpCertificate, NodeStatus,
+    SolveAudit, SolveProof,
 };
 use crate::config::SolverConfig;
 use crate::error::{MilpError, Result};
 use crate::heuristics::dive;
 use crate::model::{Model, VarKind};
+use crate::presolve::{presolve, PresolveOutcome};
 use crate::simplex::{LpOutcome, Simplex};
 use crate::status::{Solution, SolveStatus, SolverStats};
+
+/// Tolerance within which a relaxation value counts as integral.
+const INT_TOL: f64 = 1e-6;
 
 /// A branch-and-bound search node.
 #[derive(Debug, Clone)]
@@ -35,26 +43,6 @@ struct Node {
     /// Index of this node's entry in the audit log (meaningful only when
     /// [`SolverConfig::audit`] is set).
     aid: usize,
-}
-
-/// Assembles the audit attached to a finished solve, draining the recorded
-/// node log.
-fn make_audit(
-    model: &Model,
-    cfg: &SolverConfig,
-    limit_hit: bool,
-    nodes: &mut Vec<AuditNode>,
-    incumbent_source: IncumbentSource,
-    proof: SolveProof,
-) -> Box<SolveAudit> {
-    Box::new(SolveAudit {
-        solved_model: model.clone(),
-        rel_gap: cfg.rel_gap,
-        limit_hit,
-        nodes: std::mem::take(nodes),
-        incumbent_source,
-        proof,
-    })
 }
 
 impl PartialEq for Node {
@@ -76,6 +64,82 @@ impl Ord for Node {
             .partial_cmp(&other.bound)
             .unwrap_or(Ordering::Equal)
             .then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// Why the node loop stopped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// The best open bound is within the gap of the incumbent.
+    GapClosed,
+    /// The node or wall-clock budget was spent with nodes still open.
+    Limit,
+    /// No node is left open.
+    Exhausted,
+}
+
+/// What a solve carries from its root to wherever it ends.
+struct Search<'a> {
+    cfg: &'a SolverConfig,
+    start: Instant,
+    stats: SolverStats,
+    /// Best integer-feasible point so far, with its objective.
+    incumbent: Option<(f64, Vec<f64>)>,
+    inc_source: IncumbentSource,
+    /// The node log (recorded only when auditing; node 0 is the root).
+    log: Vec<AuditNode>,
+}
+
+impl Search<'_> {
+    /// Keeps `values` as the incumbent if it beats the one held.
+    fn offer_incumbent(&mut self, obj: f64, values: Vec<f64>, source: IncumbentSource) {
+        if self.incumbent.as_ref().is_none_or(|(o, _)| obj > *o) {
+            self.incumbent = Some((obj, values));
+            self.inc_source = source;
+        }
+    }
+
+    /// The one way a solve ends: stamps the wall time, returns the incumbent
+    /// when `status` has a solution, and when auditing attaches the node log
+    /// with `proof` over `solved`, the model the LPs ran on.
+    fn conclude(
+        self,
+        status: SolveStatus,
+        solved: &Model,
+        limit_hit: bool,
+        proof: impl FnOnce() -> SolveProof,
+    ) -> Solution {
+        let mut stats = self.stats;
+        stats.wall_secs = self.start.elapsed().as_secs_f64();
+        let incumbent = self.incumbent.filter(|_| status.has_solution());
+        let audit = self.cfg.audit.then(|| {
+            Box::new(SolveAudit {
+                solved_model: solved.clone(),
+                rel_gap: self.cfg.rel_gap,
+                limit_hit,
+                nodes: self.log,
+                incumbent_source: match incumbent {
+                    Some(_) => self.inc_source,
+                    None => IncumbentSource::None,
+                },
+                proof: proof(),
+            })
+        });
+        let (objective, values) = incumbent.unwrap_or_else(|| {
+            let sign = if status == SolveStatus::Unbounded {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            };
+            (sign, Vec::new())
+        });
+        Solution {
+            status,
+            objective,
+            values,
+            stats,
+            audit,
+        }
     }
 }
 
@@ -102,7 +166,13 @@ impl BranchBound {
     /// and `stats.certificates_verified` / `stats.certificate_failures`
     /// report the result of the solver's own replay.
     pub fn solve(&self, model: &Model, warm: Option<&[f64]>) -> Result<Solution> {
-        let mut sol = self.solve_inner(model, warm)?;
+        let simplex = Simplex::new(self.config.max_lp_iterations);
+        let mut sol = self.solve_from_root(model, warm, &simplex)?;
+        // LP work counters accumulate on the Simplex instance across the
+        // root solve, dives, and node relaxations; surface them once here.
+        sol.stats.lp_iterations = simplex.iterations();
+        sol.stats.refactorizations = simplex.refactorizations();
+        sol.stats.lp_resolves = simplex.resolves();
         // Debug builds re-verify the returned assignment against the
         // original model; compiled out in release builds.
         crate::certify::debug_postcheck(model, &sol);
@@ -114,490 +184,323 @@ impl BranchBound {
         Ok(sol)
     }
 
-    fn solve_inner(&self, model: &Model, warm: Option<&[f64]>) -> Result<Solution> {
-        let simplex = Simplex::new(self.config.max_lp_iterations);
-        let mut sol = self.solve_with_simplex(model, warm, &simplex)?;
-        // LP work counters accumulate on the Simplex instance across the
-        // root solve, dives, and node relaxations; surface them once here.
-        sol.stats.lp_iterations = simplex.iterations();
-        sol.stats.refactorizations = simplex.refactorizations();
-        sol.stats.lp_resolves = simplex.resolves();
-        Ok(sol)
-    }
-
-    // srclint: checked-indexing: all per-variable vectors (bounds, warm
-    // starts, incumbents) are built from model.vars() and indexed by
-    // branch columns from most_fractional over the same model; warm-start
-    // length is validated before use.
-    // srclint: expect-boundary: gap termination is only reached inside
-    // `if let Some(..) = &incumbent`, so the incumbent provably exists;
-    // its absence would be control-flow corruption, not bad input.
-    fn solve_with_simplex(
+    /// Root preparation: everything a solve does before its first node, and
+    /// every way it can end there.
+    fn solve_from_root(
         &self,
-        model: &Model,
+        original: &Model,
         warm: Option<&[f64]>,
         simplex: &Simplex,
     ) -> Result<Solution> {
-        model.validate()?;
+        original.validate()?;
         // Debug builds cross-check every lint infeasibility certificate
         // against the model; compiled out in release builds.
-        crate::lint::debug_precheck(model);
-        let start = Instant::now();
+        crate::lint::debug_precheck(original);
         let cfg = &self.config;
-        let auditing = cfg.audit;
-        let n = model.num_vars();
-        let mut stats = SolverStats::default();
+        let mut search = Search {
+            cfg,
+            start: Instant::now(),
+            stats: SolverStats::default(),
+            incumbent: None,
+            inc_source: IncumbentSource::None,
+            log: Vec::new(),
+        };
 
         // Presolve keeps variable indexing intact, so its reductions are
         // transparent to the caller; implied-bound tightening preserves the
         // feasible set, so warm starts stay valid too.
-        let original = model;
         let presolved;
         let model: &Model = if cfg.enable_presolve {
-            match crate::presolve::presolve(model, 2) {
-                crate::presolve::PresolveOutcome::Infeasible { certificate } => {
-                    stats.presolve_certified = certificate.is_some();
-                    stats.wall_secs = start.elapsed().as_secs_f64();
-                    let audit = auditing.then(|| {
-                        Box::new(SolveAudit {
-                            solved_model: original.clone(),
-                            rel_gap: cfg.rel_gap,
-                            limit_hit: false,
-                            nodes: Vec::new(),
-                            incumbent_source: IncumbentSource::None,
-                            proof: SolveProof::PresolveInfeasible { certificate },
-                        })
-                    });
-                    return Ok(Solution {
-                        status: SolveStatus::Infeasible,
-                        objective: f64::NEG_INFINITY,
-                        values: Vec::new(),
-                        stats,
-                        audit,
-                    });
+            match presolve(original, 2) {
+                PresolveOutcome::Infeasible { certificate } => {
+                    search.stats.presolve_certified = certificate.is_some();
+                    return Ok(
+                        search.conclude(SolveStatus::Infeasible, original, false, || {
+                            SolveProof::PresolveInfeasible { certificate }
+                        }),
+                    );
                 }
-                crate::presolve::PresolveOutcome::Reduced {
+                PresolveOutcome::Reduced {
                     model: m,
                     rows_dropped,
                     bounds_tightened,
                 } => {
-                    stats.presolve_rows_dropped = rows_dropped;
-                    stats.presolve_bounds_tightened = bounds_tightened;
+                    search.stats.presolve_rows_dropped = rows_dropped;
+                    search.stats.presolve_bounds_tightened = bounds_tightened;
                     presolved = m;
                     &presolved
                 }
             }
         } else {
-            model
+            original
         };
-
-        // Base bounds, with integer bounds pre-tightened to integral values.
-        let mut base_lb = vec![0.0; n];
-        let mut base_ub = vec![0.0; n];
-        for (j, v) in model.vars().iter().enumerate() {
-            let (mut lo, mut hi) = (v.lb, v.ub);
-            if v.kind != VarKind::Continuous {
-                if lo.is_finite() {
-                    lo = lo.ceil();
-                }
-                if hi.is_finite() {
-                    hi = hi.floor();
-                }
-            }
-            base_lb[j] = lo;
-            base_ub[j] = hi;
-        }
-
-        // Audit node log and incumbent provenance (recorded only when
-        // auditing).
-        let mut audit_nodes: Vec<AuditNode> = Vec::new();
-        let mut inc_source = IncumbentSource::None;
+        let (base_lb, base_ub) = base_bounds(model);
 
         // Incumbent from the warm start, if it checks out.
-        let mut incumbent: Option<(f64, Vec<f64>)> = None;
         if let Some(w) = warm {
-            if w.len() != n {
+            if w.len() != model.num_vars() {
                 return Err(MilpError::WarmStartLength {
-                    expected: n,
+                    expected: model.num_vars(),
                     got: w.len(),
                 });
             }
-            let mut snapped = w.to_vec();
-            for (j, v) in model.vars().iter().enumerate() {
-                if v.kind != VarKind::Continuous {
-                    snapped[j] = snapped[j].round();
-                }
-            }
+            let snapped = snap_integers(model, w.to_vec());
             if model.is_feasible(&snapped, 1e-6) {
+                search.stats.warm_start_used = true;
                 let obj = model.objective_value(&snapped);
-                incumbent = Some((obj, snapped));
-                stats.warm_start_used = true;
-                inc_source = IncumbentSource::WarmStart;
+                search.offer_incumbent(obj, snapped, IncumbentSource::WarmStart);
             }
         }
 
-        // Root relaxation.
-        stats.lp_solves += 1;
-        let root = simplex.solve_with_bounds(model, &base_lb, &base_ub)?;
-        let (root_obj, root_values, root_duals) = match root {
-            LpOutcome::Optimal {
-                objective,
-                values,
-                duals,
-            } => (objective, values, duals),
-            LpOutcome::Infeasible { farkas } => {
-                // A feasible warm start contradicting an infeasible
-                // relaxation cannot happen; report infeasible.
-                stats.wall_secs = start.elapsed().as_secs_f64();
-                let audit = auditing.then(|| {
-                    let proof = mint_infeasibility_proof(model, &base_lb, &base_ub, farkas);
-                    make_audit(
-                        model,
-                        cfg,
-                        false,
-                        &mut audit_nodes,
-                        IncumbentSource::None,
-                        SolveProof::RootInfeasible { proof },
-                    )
-                });
-                return Ok(Solution {
-                    status: SolveStatus::Infeasible,
-                    objective: f64::NEG_INFINITY,
-                    values: Vec::new(),
-                    stats,
-                    audit,
-                });
-            }
-            LpOutcome::Unbounded { ray } => {
-                stats.wall_secs = start.elapsed().as_secs_f64();
-                let audit = auditing.then(|| {
-                    make_audit(
-                        model,
-                        cfg,
-                        false,
-                        &mut audit_nodes,
-                        IncumbentSource::None,
-                        SolveProof::UnboundedRay {
-                            patches: Vec::new(),
-                            ray,
-                        },
-                    )
-                });
-                return Ok(Solution {
-                    status: SolveStatus::Unbounded,
-                    objective: f64::INFINITY,
-                    values: Vec::new(),
-                    stats,
-                    audit,
-                });
-            }
-        };
-        stats.best_bound = root_obj + model.objective_offset;
-
-        // Root diving heuristic for an early incumbent.
-        if cfg.enable_diving {
-            if let Some((obj, values)) = dive(
-                model,
-                simplex,
-                &base_lb,
-                &base_ub,
-                &root_values,
-                cfg,
-                &mut stats,
-            ) {
-                if incumbent.as_ref().map(|(o, _)| obj > *o).unwrap_or(true) {
-                    incumbent = Some((obj, values));
-                    inc_source = IncumbentSource::Dive;
-                }
-            }
-        }
-
-        let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-        let mut seq = 0u64;
-        if auditing {
-            audit_nodes.push(AuditNode {
-                parent: None,
-                patches: Vec::new(),
-                bound: stats.best_bound,
-                status: NodeStatus::Open,
-                lp: None,
-            });
-        }
-        heap.push(Node {
-            bound: stats.best_bound,
-            patches: Vec::new(),
-            seq,
-            aid: 0,
-        });
-        // Node 0 is the root relaxation, solved above; every later node
-        // re-solves from whatever basis the LP before it left.
-        let mut root_lp = Some(LpOutcome::Optimal {
-            objective: root_obj,
-            values: root_values,
-            duals: root_duals,
-        });
-
-        let mut limit_hit = false;
-        let mut lb_buf = vec![0.0; n];
-        let mut ub_buf = vec![0.0; n];
-
-        while let Some(node) = heap.pop() {
-            stats.best_bound = node.bound;
-            // Optimality-gap termination: the best open bound cannot improve
-            // on the incumbent by more than the configured gap.
-            if let Some((inc_obj, _)) = &incumbent {
-                let gap = (node.bound - inc_obj) / inc_obj.abs().max(1.0);
-                if gap <= cfg.rel_gap {
-                    stats.final_gap = gap.max(0.0);
-                    // The incumbent is itself a valid primal bound, so the
-                    // proven bound never sits below it (the frontier can
-                    // fall under the incumbent when the gap is negative).
-                    stats.best_bound = stats.best_bound.max(*inc_obj);
-                    stats.wall_secs = start.elapsed().as_secs_f64();
-                    let (obj, values) = incumbent.expect("gap termination requires an incumbent");
-                    let audit = auditing.then(|| {
-                        make_audit(
-                            model,
-                            cfg,
-                            false,
-                            &mut audit_nodes,
-                            inc_source,
-                            SolveProof::Tree,
-                        )
-                    });
-                    return Ok(Solution {
-                        status: SolveStatus::Optimal,
-                        objective: obj,
-                        values,
-                        stats,
-                        audit,
-                    });
-                }
-            }
-            if start.elapsed() >= cfg.time_limit || stats.nodes >= cfg.node_limit {
-                limit_hit = true;
-                break;
-            }
-            stats.nodes += 1;
-
-            // Materialize this node's bounds.
-            lb_buf.copy_from_slice(&base_lb);
-            ub_buf.copy_from_slice(&base_ub);
-            for &(j, lo, hi) in &node.patches {
-                lb_buf[j] = lo;
-                ub_buf[j] = hi;
-            }
-
-            let out = match root_lp.take() {
-                Some(root) => root,
-                None => {
-                    stats.lp_solves += 1;
-                    simplex.resolve_with_bounds(model, &lb_buf, &ub_buf)?
-                }
-            };
-            let (obj, values) = match out {
+        // Root relaxation. A feasible warm start contradicting an infeasible
+        // relaxation cannot happen; report infeasible.
+        search.stats.lp_solves += 1;
+        let (root_obj, root_values, root_duals) =
+            match simplex.solve_with_bounds(model, &base_lb, &base_ub)? {
                 LpOutcome::Optimal {
                     objective,
                     values,
                     duals,
-                } => {
-                    let obj = objective + model.objective_offset;
-                    if auditing {
-                        audit_nodes[node.aid].lp = Some(LpCertificate {
-                            objective: obj,
-                            duals,
-                        });
-                    }
-                    (obj, values)
-                }
+                } => (objective + model.objective_offset, values, duals),
                 LpOutcome::Infeasible { farkas } => {
-                    stats.nodes_pruned += 1;
-                    if auditing {
-                        let proof = mint_infeasibility_proof(model, &lb_buf, &ub_buf, farkas);
-                        audit_nodes[node.aid].status = NodeStatus::PrunedInfeasible { proof };
-                    }
-                    continue;
+                    return Ok(search.conclude(SolveStatus::Infeasible, model, false, || {
+                        let proof = mint_infeasibility_proof(model, &base_lb, &base_ub, farkas);
+                        SolveProof::RootInfeasible { proof }
+                    }));
                 }
                 LpOutcome::Unbounded { ray } => {
-                    stats.wall_secs = start.elapsed().as_secs_f64();
-                    let audit = auditing.then(|| {
-                        make_audit(
-                            model,
-                            cfg,
-                            false,
-                            &mut audit_nodes,
-                            IncumbentSource::None,
-                            SolveProof::UnboundedRay {
-                                patches: node.patches.clone(),
-                                ray,
-                            },
-                        )
-                    });
-                    return Ok(Solution {
-                        status: SolveStatus::Unbounded,
-                        objective: f64::INFINITY,
-                        values: Vec::new(),
-                        stats,
-                        audit,
-                    });
+                    return Ok(search.conclude(SolveStatus::Unbounded, model, false, || {
+                        SolveProof::UnboundedRay {
+                            patches: Vec::new(),
+                            ray,
+                        }
+                    }));
                 }
             };
+        search.stats.best_bound = root_obj;
+        if cfg.audit {
+            // Node 0 is certified from the moment the root is solved: a
+            // solve that ends before the loop reaches it (gap closed at the
+            // root, no node budget) still claims this bound.
+            search.log.push(AuditNode {
+                parent: None,
+                patches: Vec::new(),
+                bound: root_obj,
+                status: NodeStatus::Open,
+                lp: Some(LpCertificate {
+                    objective: root_obj,
+                    duals: root_duals,
+                }),
+            });
+        }
 
-            // Prune against the incumbent (with gap slack: a subtree that
-            // cannot beat the incumbent by more than the gap is not worth
-            // exploring).
-            if let Some((inc_obj, _)) = &incumbent {
-                if obj <= inc_obj + cfg.rel_gap * inc_obj.abs().max(1.0) {
-                    stats.nodes_pruned += 1;
-                    if auditing {
-                        audit_nodes[node.aid].status = NodeStatus::PrunedByBound {
-                            incumbent: *inc_obj,
-                        };
+        // Root diving heuristic for an early incumbent.
+        if cfg.enable_diving {
+            let stats = &mut search.stats;
+            if let Some((obj, values)) =
+                dive(model, simplex, &base_lb, &base_ub, &root_values, stats)
+            {
+                search.offer_incumbent(obj, values, IncumbentSource::Dive);
+            }
+        }
+        explore_nodes(search, model, simplex, &base_lb, &base_ub, root_values)
+    }
+}
+
+/// The node loop: pops the best open node until the gap closes, a budget is
+/// spent or none is left, and concludes with what the tree then proves.
+// srclint: checked-indexing: all per-variable vectors (bounds, values) are
+// built from model.vars() and indexed by patch and branch columns from
+// most_fractional over the same model; audit ids index the log they were
+// pushed to.
+fn explore_nodes(
+    mut search: Search<'_>,
+    model: &Model,
+    simplex: &Simplex,
+    base_lb: &[f64],
+    base_ub: &[f64],
+    root_values: Vec<f64>,
+) -> Result<Solution> {
+    let cfg = search.cfg;
+    let auditing = cfg.audit;
+    let mut heap: BinaryHeap<Node> = BinaryHeap::new();
+    let mut seq = 0u64;
+    heap.push(Node {
+        bound: search.stats.best_bound,
+        patches: Vec::new(),
+        seq,
+        aid: 0,
+    });
+    // Node 0 is the root relaxation, solved (and certified) before the
+    // loop; every later node re-solves from whatever basis the LP before it
+    // left.
+    let mut root = Some(root_values);
+    let mut lb_buf = base_lb.to_vec();
+    let mut ub_buf = base_ub.to_vec();
+
+    let stop = loop {
+        let Some(node) = heap.pop() else {
+            break Stop::Exhausted;
+        };
+        search.stats.best_bound = node.bound;
+        // Optimality-gap termination: the best open bound cannot improve
+        // on the incumbent by more than the configured gap.
+        if let Some((inc_obj, _)) = &search.incumbent {
+            if (node.bound - inc_obj) / inc_obj.abs().max(1.0) <= cfg.rel_gap {
+                break Stop::GapClosed;
+            }
+        }
+        if search.stats.nodes >= cfg.node_limit || search.start.elapsed() >= cfg.time_limit {
+            break Stop::Limit;
+        }
+        search.stats.nodes += 1;
+
+        // Materialize this node's bounds.
+        lb_buf.copy_from_slice(base_lb);
+        ub_buf.copy_from_slice(base_ub);
+        for &(j, lo, hi) in &node.patches {
+            lb_buf[j] = lo;
+            ub_buf[j] = hi;
+        }
+
+        let (obj, values) = match root.take() {
+            Some(values) => (node.bound, values),
+            None => {
+                search.stats.lp_solves += 1;
+                match simplex.resolve_with_bounds(model, &lb_buf, &ub_buf)? {
+                    LpOutcome::Optimal {
+                        objective,
+                        values,
+                        duals,
+                    } => {
+                        let obj = objective + model.objective_offset;
+                        if auditing {
+                            search.log[node.aid].lp = Some(LpCertificate {
+                                objective: obj,
+                                duals,
+                            });
+                        }
+                        (obj, values)
                     }
-                    continue;
+                    LpOutcome::Infeasible { farkas } => {
+                        search.stats.nodes_pruned += 1;
+                        if auditing {
+                            let proof = mint_infeasibility_proof(model, &lb_buf, &ub_buf, farkas);
+                            search.log[node.aid].status = NodeStatus::PrunedInfeasible { proof };
+                        }
+                        continue;
+                    }
+                    LpOutcome::Unbounded { ray } => {
+                        return Ok(search.conclude(SolveStatus::Unbounded, model, false, || {
+                            SolveProof::UnboundedRay {
+                                patches: node.patches,
+                                ray,
+                            }
+                        }));
+                    }
                 }
             }
+        };
 
-            match most_fractional(model, &values, cfg.int_tol) {
-                None => {
-                    // Integer feasible: snap and record.
-                    let mut snapped = values;
-                    for (j, v) in model.vars().iter().enumerate() {
-                        if v.kind != VarKind::Continuous {
-                            snapped[j] = snapped[j].round();
-                        }
-                    }
-                    let obj = model.objective_value(&snapped);
-                    if auditing {
-                        audit_nodes[node.aid].status =
-                            NodeStatus::IntegerFeasible { objective: obj };
-                    }
-                    if incumbent.as_ref().map(|(o, _)| obj > *o).unwrap_or(true) {
-                        incumbent = Some((obj, snapped));
-                        inc_source = IncumbentSource::Node(node.aid);
-                    }
+        // Prune against the incumbent (with gap slack: a subtree that
+        // cannot beat the incumbent by more than the gap is not worth
+        // exploring).
+        if let Some((inc_obj, _)) = &search.incumbent {
+            if obj <= inc_obj + cfg.rel_gap * inc_obj.abs().max(1.0) {
+                search.stats.nodes_pruned += 1;
+                if auditing {
+                    search.log[node.aid].status = NodeStatus::PrunedByBound {
+                        incumbent: *inc_obj,
+                    };
                 }
-                Some((j, x)) => {
-                    let floor = x.floor();
+                continue;
+            }
+        }
+
+        match most_fractional(model, &values) {
+            None => {
+                // Integer feasible: snap and record.
+                let snapped = snap_integers(model, values);
+                let obj = model.objective_value(&snapped);
+                if auditing {
+                    search.log[node.aid].status = NodeStatus::IntegerFeasible { objective: obj };
+                }
+                search.offer_incumbent(obj, snapped, IncumbentSource::Node(node.aid));
+            }
+            Some((j, x)) => {
+                let floor = x.floor();
+                if auditing {
+                    search.log[node.aid].status = NodeStatus::Branched { var: j, floor };
+                }
+                // Down child: x_j <= floor. Up child: x_j >= floor + 1.
+                let down = (j, lb_buf[j], floor.min(ub_buf[j]));
+                let up = (j, (floor + 1.0).max(lb_buf[j]), ub_buf[j]);
+                for patch in [down, up] {
+                    let mut patches = node.patches.clone();
+                    patches.push(patch);
+                    seq += 1;
+                    let aid = search.log.len();
                     if auditing {
-                        audit_nodes[node.aid].status = NodeStatus::Branched { var: j, floor };
+                        search.log.push(AuditNode {
+                            parent: Some(node.aid),
+                            patches: patches.clone(),
+                            bound: obj,
+                            status: NodeStatus::Open,
+                            lp: None,
+                        });
                     }
-                    // Down child: x_j <= floor.
-                    let mut down = node.patches.clone();
-                    down.push((j, lb_buf[j], floor.min(ub_buf[j])));
-                    seq += 1;
-                    let down_aid = if auditing {
-                        audit_nodes.push(AuditNode {
-                            parent: Some(node.aid),
-                            patches: down.clone(),
-                            bound: obj,
-                            status: NodeStatus::Open,
-                            lp: None,
-                        });
-                        audit_nodes.len() - 1
-                    } else {
-                        0
-                    };
                     heap.push(Node {
                         bound: obj,
-                        patches: down,
+                        patches,
                         seq,
-                        aid: down_aid,
-                    });
-                    // Up child: x_j >= floor + 1.
-                    let mut up = node.patches;
-                    up.push((j, (floor + 1.0).max(lb_buf[j]), ub_buf[j]));
-                    seq += 1;
-                    let up_aid = if auditing {
-                        audit_nodes.push(AuditNode {
-                            parent: Some(node.aid),
-                            patches: up.clone(),
-                            bound: obj,
-                            status: NodeStatus::Open,
-                            lp: None,
-                        });
-                        audit_nodes.len() - 1
-                    } else {
-                        0
-                    };
-                    heap.push(Node {
-                        bound: obj,
-                        patches: up,
-                        seq,
-                        aid: up_aid,
+                        aid,
                     });
                 }
             }
         }
+    };
 
-        stats.wall_secs = start.elapsed().as_secs_f64();
-        match incumbent {
-            Some((obj, values)) => {
-                let bound = if limit_hit {
-                    stats.best_bound
-                } else {
-                    // The frontier is exhausted: the incumbent is optimal.
-                    obj
-                };
-                stats.best_bound = bound.max(obj);
-                stats.final_gap = ((stats.best_bound - obj) / obj.abs().max(1.0)).max(0.0);
-                let status = if limit_hit && stats.final_gap > cfg.rel_gap {
-                    SolveStatus::Feasible
-                } else {
-                    SolveStatus::Optimal
-                };
-                let audit = auditing.then(|| {
-                    make_audit(
-                        model,
-                        cfg,
-                        limit_hit,
-                        &mut audit_nodes,
-                        inc_source,
-                        SolveProof::Tree,
-                    )
-                });
-                Ok(Solution {
-                    status,
-                    objective: obj,
-                    values,
-                    stats,
-                    audit,
-                })
+    let status = match &search.incumbent {
+        Some((obj, _)) => {
+            // An exhausted frontier proves the incumbent optimal; otherwise
+            // the last bound popped is the best one open. The incumbent is
+            // itself a valid primal bound, so the proven bound never sits
+            // below it (the frontier can fall under the incumbent when the
+            // gap is negative).
+            let bound = match stop {
+                Stop::Exhausted => *obj,
+                Stop::GapClosed | Stop::Limit => search.stats.best_bound.max(*obj),
+            };
+            search.stats.best_bound = bound;
+            search.stats.final_gap = ((bound - obj) / obj.abs().max(1.0)).max(0.0);
+            if stop == Stop::Limit && search.stats.final_gap > cfg.rel_gap {
+                SolveStatus::Feasible
+            } else {
+                SolveStatus::Optimal
             }
-            None => {
-                let status = if limit_hit {
-                    SolveStatus::NoSolutionFound
-                } else {
-                    SolveStatus::Infeasible
-                };
-                let audit = auditing.then(|| {
-                    make_audit(
-                        model,
-                        cfg,
-                        limit_hit,
-                        &mut audit_nodes,
-                        IncumbentSource::None,
-                        SolveProof::Tree,
-                    )
-                });
-                Ok(Solution {
-                    status,
-                    objective: f64::NEG_INFINITY,
-                    values: Vec::new(),
-                    stats,
-                    audit,
-                })
-            }
+        }
+        None if stop == Stop::Limit => SolveStatus::NoSolutionFound,
+        None => SolveStatus::Infeasible,
+    };
+    Ok(search.conclude(status, model, stop == Stop::Limit, || SolveProof::Tree))
+}
+
+/// Rounds every integer-constrained entry of `values` to the nearest integer.
+pub(crate) fn snap_integers(model: &Model, mut values: Vec<f64>) -> Vec<f64> {
+    for (x, v) in values.iter_mut().zip(model.vars()) {
+        if v.kind != VarKind::Continuous {
+            *x = x.round();
         }
     }
+    values
 }
 
 /// Finds the integer-constrained variable whose relaxation value is farthest
 /// from integral (closest to `0.5` fractionality). Returns `None` when the
-/// assignment is integral within `tol`.
+/// assignment is integral within [`INT_TOL`].
 // srclint: checked-indexing: values is a per-variable vector zipped with
 // model.vars() of the same length.
-pub(crate) fn most_fractional(model: &Model, values: &[f64], tol: f64) -> Option<(usize, f64)> {
+pub(crate) fn most_fractional(model: &Model, values: &[f64]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64, f64)> = None; // (index, value, score)
     for (j, v) in model.vars().iter().enumerate() {
         if v.kind == VarKind::Continuous {
@@ -605,7 +508,7 @@ pub(crate) fn most_fractional(model: &Model, values: &[f64], tol: f64) -> Option
         }
         let x = values[j];
         let frac = (x - x.round()).abs();
-        if frac <= tol {
+        if frac <= INT_TOL {
             continue;
         }
         let score = 0.5 - (x - x.floor() - 0.5).abs();
@@ -861,8 +764,8 @@ mod tests {
         m.add_var("a", VarKind::Integer, 0.0, 5.0, 0.0);
         m.add_var("b", VarKind::Integer, 0.0, 5.0, 0.0);
         m.add_var("c", VarKind::Continuous, 0.0, 5.0, 0.0);
-        let pick = most_fractional(&m, &[1.1, 2.5, 3.3], 1e-6).unwrap();
+        let pick = most_fractional(&m, &[1.1, 2.5, 3.3]).unwrap();
         assert_eq!(pick.0, 1);
-        assert!(most_fractional(&m, &[1.0, 2.0, 3.3], 1e-6).is_none());
+        assert!(most_fractional(&m, &[1.0, 2.0, 3.3]).is_none());
     }
 }

@@ -151,9 +151,6 @@ pub enum SolveProof {
         /// Improving feasible ray over the structural variables.
         ray: Option<Vec<f64>>,
     },
-    /// Heuristic backend: only the root dual bound and the primal point
-    /// are claimed (no optimality).
-    HeuristicBound,
 }
 
 /// Audit log emitted by a solve when [`crate::SolverConfig::audit`] is set.
@@ -484,10 +481,11 @@ pub fn mint_infeasibility_proof(
         .map(|certificate| InfeasibilityProof::Propagation { certificate })
 }
 
-/// Base (integer-rounded) bounds of a model, as branch-and-bound sees them.
+/// Base (integer-rounded) bounds of a model: the root box of every search,
+/// and so of every replay.
 // srclint: checked-indexing: lb/ub are allocated to num_vars and indexed
 // by the enumeration over model.vars() of the same length.
-fn base_bounds(model: &Model) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn base_bounds(model: &Model) -> (Vec<f64>, Vec<f64>) {
     let n = model.num_vars();
     let mut lb = vec![0.0; n];
     let mut ub = vec![0.0; n];
@@ -603,6 +601,14 @@ fn certify_tree(sol: &Solution, audit: &SolveAudit, diags: &mut Vec<Diagnostic>)
     if nodes[0].parent.is_some() || !nodes[0].patches.is_empty() {
         diags.push(c002(
             "audit root must have no parent and no patches".into(),
+            "solve audit node 0".into(),
+        ));
+    }
+    // Every bound a tree claims descends from the root relaxation's, so the
+    // root's dual certificate is what backs a solve that ends at the root.
+    if nodes[0].lp.is_none() {
+        diags.push(c002(
+            "audit root carries no LP certificate".into(),
             "solve audit node 0".into(),
         ));
     }
@@ -827,57 +833,42 @@ fn certify_tree(sol: &Solution, audit: &SolveAudit, diags: &mut Vec<Diagnostic>)
         .filter(|n| matches!(n.status, NodeStatus::Open))
         .map(|n| n.bound);
     match sol.status {
-        SolveStatus::Optimal => {
-            if let Some(best) = inc_obj {
-                if sol.stats.best_bound < best - scaled(PRIMAL_TOL, best) {
-                    diags.push(c002(
-                        format!(
-                            "claimed bound {} is below the incumbent {best}",
-                            sol.stats.best_bound
-                        ),
-                        "solve audit".into(),
-                    ));
-                }
-                let slack = audit.rel_gap * best.abs().max(1.0);
-                for (k, b) in open_bounds.enumerate() {
-                    if b > best + slack + scaled(DUAL_TOL, best) {
-                        diags.push(c002(
-                            format!(
-                                "open node bound {b} contradicts the optimality claim \
-                                 (incumbent {best}, gap {})",
-                                audit.rel_gap
-                            ),
-                            format!("solve audit open node #{k}"),
-                        ));
-                        break;
-                    }
-                }
+        SolveStatus::Optimal | SolveStatus::Feasible => {
+            let (best, best_bound) = (sol.objective, sol.stats.best_bound);
+            if best_bound < best - scaled(PRIMAL_TOL, best) {
+                diags.push(c002(
+                    format!("claimed bound {best_bound} is below the incumbent {best}"),
+                    "solve audit".into(),
+                ));
             }
-        }
-        SolveStatus::Feasible => {
-            let best_bound = sol.stats.best_bound;
-            if let Some(best) = inc_obj {
-                if best_bound < best - scaled(PRIMAL_TOL, best) {
-                    diags.push(c002(
-                        format!("claimed bound {best_bound} is below the incumbent {best}"),
-                        "solve audit".into(),
-                    ));
-                }
-                let gap = ((best_bound - best) / best.abs().max(1.0)).max(0.0);
-                if (gap - sol.stats.final_gap).abs() > 1e-6 {
-                    diags.push(c002(
-                        format!(
-                            "claimed final gap {} does not reproduce ({gap})",
-                            sol.stats.final_gap
-                        ),
-                        "solve audit".into(),
-                    ));
-                }
+            let gap = ((best_bound - best) / best.abs().max(1.0)).max(0.0);
+            if (gap - sol.stats.final_gap).abs() > 1e-6 {
+                diags.push(c002(
+                    format!(
+                        "claimed final gap {} does not reproduce ({gap})",
+                        sol.stats.final_gap
+                    ),
+                    "solve audit".into(),
+                ));
             }
+            // Proven optimal means every open bound is within the gap of
+            // the incumbent; either way none may exceed the claimed bound.
+            let slack = audit.rel_gap * best.abs().max(1.0);
             for b in open_bounds {
                 if b > best_bound + scaled(DUAL_TOL, best_bound) {
                     diags.push(c002(
                         format!("open node bound {b} exceeds the claimed bound {best_bound}"),
+                        "solve audit".into(),
+                    ));
+                    break;
+                }
+                if sol.status == SolveStatus::Optimal && b > best + slack + scaled(DUAL_TOL, best) {
+                    diags.push(c002(
+                        format!(
+                            "open node bound {b} contradicts the optimality claim \
+                             (incumbent {best}, gap {})",
+                            audit.rel_gap
+                        ),
                         "solve audit".into(),
                     ));
                     break;
@@ -1029,47 +1020,6 @@ pub fn certify_solution(model: &Model, sol: &Solution) -> CertifyReport {
                     (_, Err(e)) => report.diagnostics.push(c003(e, "solve audit".into())),
                 }
             }
-            SolveProof::HeuristicBound => {
-                // Heuristics claim no optimality; only the root dual bound
-                // is auditable when present. The heuristic backend relaxes
-                // over the raw variable bounds (no integer pre-rounding),
-                // so the replay must use the same box.
-                let lb: Vec<f64> = m.vars().iter().map(|v| v.lb).collect();
-                let ub: Vec<f64> = m.vars().iter().map(|v| v.ub).collect();
-                for (ix, n) in audit.nodes.iter().enumerate() {
-                    if let Some(lp) = &n.lp {
-                        match dual_bound(m, &lb, &ub, &lp.duals) {
-                            Ok(u) => {
-                                let u = u + m.objective_offset;
-                                if (u - lp.objective).abs() > scaled(DUAL_TOL, lp.objective) {
-                                    report.diagnostics.push(c002(
-                                        format!(
-                                            "dual bound {u} does not certify root objective {}",
-                                            lp.objective
-                                        ),
-                                        format!("solve audit node {ix}"),
-                                    ));
-                                }
-                            }
-                            Err(e) => report.diagnostics.push(c002(
-                                format!("root dual certificate rejected: {e}"),
-                                format!("solve audit node {ix}"),
-                            )),
-                        }
-                    }
-                }
-                if sol.status.has_solution()
-                    && sol.objective > sol.stats.best_bound + scaled(DUAL_TOL, sol.objective)
-                {
-                    report.diagnostics.push(c002(
-                        format!(
-                            "heuristic objective {} exceeds the certified bound {}",
-                            sol.objective, sol.stats.best_bound
-                        ),
-                        "solve audit".into(),
-                    ));
-                }
-            }
         }
     }
     if report.diagnostics.len() == before {
@@ -1094,6 +1044,7 @@ pub fn debug_postcheck(model: &Model, sol: &Solution) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{HeuristicBackend, MilpBackend};
     use crate::config::SolverConfig;
     use crate::model::{Sense, VarKind};
     use crate::status::SolverStats;
@@ -1316,6 +1267,49 @@ mod tests {
         assert!(sol.status.has_solution());
         let report = certify_solution(&m, &sol);
         assert!(report.passed(), "diagnostics: {:?}", report.diagnostics);
+    }
+
+    #[test]
+    fn forged_bound_on_a_root_closed_solve_rejected() {
+        // Root bound 22, dive incumbent 21: closed at the root by the gap.
+        let m = knapsack();
+        let sol = m.solve(&audited().with_rel_gap(0.5)).unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        assert_eq!(sol.stats.nodes, 0);
+        assert!(sol.stats.best_bound > sol.objective + 0.5);
+        assert!(certify_solution(&m, &sol).passed());
+        let rejects = |forge: &dyn Fn(&mut Solution)| {
+            let mut forged = sol.clone();
+            forge(&mut forged);
+            !certify_solution(&m, &forged).passed()
+        };
+        // The incumbent passed off as the proven bound, in the claim alone
+        // and in the claim and the log both; and the log without its backing.
+        assert!(rejects(&|f| f.stats.best_bound = f.objective));
+        assert!(rejects(&|f| {
+            f.stats.best_bound = f.objective;
+            f.stats.final_gap = 0.0;
+            f.audit.as_deref_mut().expect("audit").nodes[0].bound = f.objective;
+        }));
+        assert!(rejects(&|f| {
+            f.audit.as_deref_mut().expect("audit").nodes[0].lp = None
+        }));
+    }
+
+    #[test]
+    fn forged_gap_on_a_zero_node_solve_rejected() {
+        let m = knapsack();
+        let mut sol = HeuristicBackend::new(audited()).solve(&m, None).unwrap();
+        assert_eq!(sol.status, SolveStatus::Feasible);
+        assert_eq!(sol.stats.nodes, 0);
+        assert!(sol.stats.final_gap > 0.01);
+        assert_eq!(sol.stats.certificate_failures, 0);
+        sol.stats.final_gap = 0.0;
+        let report = certify_solution(&m, &sol);
+        assert!(report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "C002" && d.message.contains("final gap")));
     }
 
     #[test]

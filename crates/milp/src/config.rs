@@ -14,16 +14,15 @@ pub struct SolverConfig {
     /// Wall-clock budget for branch-and-bound. The best incumbent found so
     /// far is returned when the budget expires.
     pub time_limit: Duration,
-    /// Maximum number of branch-and-bound nodes to explore.
+    /// Maximum number of branch-and-bound nodes to explore. A backend is
+    /// this budget: 0 ends the search after the root LP and the dive
+    /// ([`crate::HeuristicBackend`]), a handful is the ladder's anytime
+    /// rung, the default is the exact solver.
     pub node_limit: usize,
-    /// Tolerance within which a fractional value counts as integral.
-    pub int_tol: f64,
     /// Maximum simplex iterations per LP solve (safety valve).
     pub max_lp_iterations: usize,
     /// Whether to run the diving heuristic at the root to seed an incumbent.
     pub enable_diving: bool,
-    /// Maximum depth of the diving heuristic.
-    pub dive_depth: usize,
     /// Whether to run presolve reductions before branch-and-bound.
     pub enable_presolve: bool,
     /// Whether to record a proof-carrying [`crate::certify::SolveAudit`]
@@ -38,10 +37,8 @@ impl Default for SolverConfig {
             rel_gap: 1e-6,
             time_limit: Duration::from_secs(60),
             node_limit: 200_000,
-            int_tol: 1e-6,
             max_lp_iterations: 200_000,
             enable_diving: true,
-            dive_depth: 256,
             enable_presolve: true,
             audit: false,
         }

@@ -1,10 +1,12 @@
 //! Primal heuristics: diving from the root relaxation.
 
-use crate::branch_bound::most_fractional;
-use crate::config::SolverConfig;
-use crate::model::{Model, VarKind};
+use crate::branch_bound::{most_fractional, snap_integers};
+use crate::model::Model;
 use crate::simplex::{LpOutcome, Simplex};
 use crate::status::SolverStats;
+
+/// Most fixings one dive makes before giving up.
+const DIVE_DEPTH: usize = 256;
 
 /// Dives from an LP-relaxation solution toward an integer-feasible point by
 /// repeatedly fixing the most fractional integer variable to its nearest
@@ -17,29 +19,22 @@ use crate::status::SolverStats;
 // srclint: checked-indexing: j comes from most_fractional, which only
 // returns column indices of the same model; lb/ub/values/snapped are
 // per-variable vectors of num_vars entries.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn dive(
     model: &Model,
     simplex: &Simplex,
     base_lb: &[f64],
     base_ub: &[f64],
     root_values: &[f64],
-    config: &SolverConfig,
     stats: &mut SolverStats,
 ) -> Option<(f64, Vec<f64>)> {
     let mut lb = base_lb.to_vec();
     let mut ub = base_ub.to_vec();
     let mut values = root_values.to_vec();
 
-    for _ in 0..config.dive_depth {
-        let Some((j, x)) = most_fractional(model, &values, config.int_tol) else {
+    for _ in 0..DIVE_DEPTH {
+        let Some((j, x)) = most_fractional(model, &values) else {
             // Integral within tolerance: snap and validate.
-            let mut snapped = values;
-            for (j, v) in model.vars().iter().enumerate() {
-                if v.kind != VarKind::Continuous {
-                    snapped[j] = snapped[j].round();
-                }
-            }
+            let snapped = snap_integers(model, values);
             if model.is_feasible(&snapped, 1e-6) {
                 return Some((model.objective_value(&snapped), snapped));
             }
@@ -91,8 +86,7 @@ mod tests {
             panic!("root LP should be optimal");
         };
         let mut stats = SolverStats::default();
-        let cfg = SolverConfig::default();
-        let found = dive(&m, &simplex, &lb, &ub, &values, &cfg, &mut stats);
+        let found = dive(&m, &simplex, &lb, &ub, &values, &mut stats);
         let (obj, point) = found.expect("dive should find a feasible point");
         assert!(m.is_feasible(&point, 1e-6));
         assert!(obj > 0.0);
@@ -105,8 +99,7 @@ mod tests {
         m.add_constraint("c", [(x, 1.0)], Sense::Le, 1.0);
         let simplex = Simplex::default();
         let mut stats = SolverStats::default();
-        let cfg = SolverConfig::default();
-        let found = dive(&m, &simplex, &[0.0], &[1.0], &[1.0], &cfg, &mut stats);
+        let found = dive(&m, &simplex, &[0.0], &[1.0], &[1.0], &mut stats);
         assert_eq!(found.unwrap().0, 1.0);
     }
 }

@@ -3,7 +3,9 @@
 //! returned assignment must be feasible.
 
 use proptest::prelude::*;
-use tetrisched_milp::{Model, Sense, SolveStatus, SolverConfig, VarKind};
+use tetrisched_milp::{
+    ExactBackend, HeuristicBackend, MilpBackend, Model, Sense, SolveStatus, SolverConfig, VarKind,
+};
 
 /// A randomly generated small MILP over binary variables with `<=`
 /// constraints and nonnegative right-hand sides (hence always feasible at
@@ -87,6 +89,47 @@ proptest! {
         // Incumbent must be within 25% of the true optimum.
         prop_assert!(sol.objective >= best - 0.25 * best.abs().max(1.0) - 1e-6,
             "gap solution {} too far from optimum {}", sol.objective, best);
+    }
+
+    /// Every node budget's claims, against the oracle rather than against
+    /// the solve's own certificate: a returned point is feasible and no
+    /// better than the optimum, the claimed bound is no lower than it, the
+    /// audit replays clean, only a finite budget may come back
+    /// empty-handed, and an unlimited one returns the optimum.
+    #[test]
+    fn every_budget_claims_hold_against_brute_force(m in random_milp()) {
+        let model = build(&m);
+        let best = brute_force(&m);
+        let cfg = SolverConfig::exact().with_rel_gap(0.0).with_audit(true);
+        let budgets: [(Option<usize>, Box<dyn MilpBackend>); 4] = [
+            (Some(0), Box::new(HeuristicBackend::new(cfg.clone()))),
+            (Some(1), Box::new(ExactBackend::new(cfg.clone().with_node_limit(1)))),
+            (Some(4), Box::new(ExactBackend::new(cfg.clone().with_node_limit(4)))),
+            (None, Box::new(ExactBackend::new(cfg))),
+        ];
+        for (budget, backend) in budgets {
+            let sol = backend.solve(&model, None).unwrap();
+            prop_assert_eq!(sol.stats.certificate_failures, 0, "budget {:?}", budget);
+            prop_assert!(sol.stats.certificates_verified > 0, "budget {:?}", budget);
+            prop_assert!(budget.is_none_or(|b| sol.stats.nodes <= b), "budget {:?}", budget);
+            if sol.status.has_solution() {
+                prop_assert!(model.is_feasible(&sol.values, 1e-6), "budget {:?}", budget);
+                prop_assert!(sol.objective <= best + 1e-6,
+                    "budget {:?}: point {} beats the optimum {}", budget, sol.objective, best);
+                prop_assert!(sol.stats.best_bound >= best - 1e-6,
+                    "budget {:?}: bound {} undercuts the optimum {}",
+                    budget, sol.stats.best_bound, best);
+            } else {
+                // The origin is feasible, so only a spent budget explains it.
+                prop_assert_eq!(sol.status, SolveStatus::NoSolutionFound);
+                prop_assert!(budget.is_some(), "unlimited search found nothing");
+            }
+            if budget.is_none() {
+                prop_assert_eq!(sol.status, SolveStatus::Optimal);
+                prop_assert!((sol.objective - best).abs() < 1e-6,
+                    "solver {} != brute force {}", sol.objective, best);
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! folded into one FNV-1a digest per solver. A kernel change that keeps the
 //! digests performed the same pivots on the same numbers; one that moves a
 //! digest changed a vertex somewhere and is a behaviour change, not a
-//! refactor. All four must hold in debug and in release.
+//! refactor. All six must hold in debug and in release.
 //!
 //! `LP_DIGEST` pins the cold path (load, two-phase primal) and dates from
 //! the `Vec<Vec<f64>>` tableau of PR 13's `simplex.rs`. The other three
@@ -19,7 +19,14 @@
 //! simplex re-solve from the held basis: `RESOLVE_DIGEST` is new there, and
 //! `EXACT_DIGEST` / `DIVE_DIGEST` were re-captured once because a re-solve
 //! ends on another optimal vertex than a cold solve of the same bounds (and
-//! the tree's node 0 no longer solves the root LP a second time).
+//! the tree's node 0 no longer solves the root LP a second time). PR 18
+//! made the two backends one search and re-captured those two once more,
+//! for two folded words: node 0 now carries the root LP's certificate on
+//! exact solves that close at the root, and a dive whose root bound is
+//! within the gap of its point says `Optimal`, not `Feasible`. With those
+//! two words left out of the fold both digests are the parent's, and
+//! `EXACT_DECISIONS` / `DIVE_DECISIONS`, pinned on the parent first, fold
+//! neither and did not move.
 
 use std::time::Duration;
 
@@ -35,10 +42,11 @@ use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
 const LP_DIGEST: u64 = 0xe06d_1e98_3819_3795;
 const RESOLVE_DIGEST: u64 = 0x13ba_18bb_3ca4_9fe1;
-const EXACT_DIGEST: u64 = 0xe55d_d5b9_6f20_95c2;
-const DIVE_DIGEST: u64 = 0x96d1_cb50_92d2_3208;
+const EXACT_DIGEST: u64 = 0x1657_bae3_28b5_7408;
+const DIVE_DIGEST: u64 = 0xeca7_690e_a408_dedc;
 /// What a caller can act on, without the status word and the audit log:
-/// captured on PR 17's two solvers, before PR 18 made them one search.
+/// captured on PR 17's two solvers, before PR 18 made them one search, and
+/// never edited since.
 const EXACT_DECISIONS: u64 = 0x0d41_ef3b_438c_b6a9;
 const DIVE_DECISIONS: u64 = 0x33d5_fbc6_1a16_90c6;
 
