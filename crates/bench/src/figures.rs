@@ -64,7 +64,7 @@ impl FigScale {
         scale
     }
 
-    /// Small runs for Criterion benches and tests.
+    /// Small runs for `--smoke` and tests.
     pub fn smoke() -> FigScale {
         FigScale {
             num_jobs: 14,

@@ -6,7 +6,7 @@
 //! under each scheduler — and returns structured rows that the binaries in
 //! `src/bin/` print in the paper's series layout. A [`figures::FigScale`]
 //! selects between paper-sized runs (the `fig*` binaries) and smoke-sized
-//! runs (Criterion benches, CI tests).
+//! runs (`--smoke`, CI tests).
 //!
 //! Absolute numbers are not expected to match a 2016 physical testbed; the
 //! *shapes* are the reproduction target (see `EXPERIMENTS.md`): who wins,

@@ -41,9 +41,9 @@ pub struct TetriSchedConfig {
     /// Warm-start each solve from the previous cycle's choices
     /// (Sec. 3.2.2).
     pub warm_start: bool,
-    /// Use the pure LP-dive heuristic MILP backend instead of
-    /// branch-and-bound — the quality-scale tradeoff the paper's Sec. 7.3
-    /// closes on. Near-constant solve time, no optimality proof.
+    /// Use the LP-dive heuristic MILP backend — branch-and-bound at a node
+    /// budget of zero — the quality-scale tradeoff the paper's Sec. 7.3
+    /// closes on. Near-constant solve time, no search for optimality.
     pub solver_heuristic: bool,
     /// Preemption of best-effort gangs for urgent accepted-SLO jobs. The
     /// paper's TetriSched never preempts and names this as future work

@@ -6,9 +6,9 @@
 //! wall-clock reads), no `unwrap()` in scheduler/ledger/simulator hot
 //! paths, no non-vendored dependencies, no hash-based collections in
 //! solver-adjacent crates, panic-reachability over the scheduler call
-//! graph, float-determinism in the solver crates, concurrency-readiness
-//! outside the `crates/parallel` seam, and dead operator knobs. Offline
-//! and fast; run it from anywhere inside the workspace:
+//! graph, float-determinism in the solver crates, no concurrency
+//! primitive in product code, and dead operator knobs. Offline and fast;
+//! run it from anywhere inside the workspace:
 //!
 //! ```text
 //! cargo run -p lint --bin srclint [-- --root <dir>] [--json] \

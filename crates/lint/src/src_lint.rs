@@ -143,9 +143,8 @@ const FLOAT_DETERMINISM_PREFIXES: [&str; 3] = [
 const FIXED_ORDER_KERNEL_FILES: [&str; 1] = ["crates/milp/src/kernels.rs"];
 
 /// The concurrency seam: product subtrees allowed to name threads, locks,
-/// or atomics (`L010`). Kept honest and empty since the never-used
-/// `crates/parallel` was deleted; the PR that first spawns a thread gives
-/// its worker pool one auditable home here.
+/// or atomics (`L010`). Kept honest and empty: nothing spawns a thread, and
+/// the PR that first does gives its worker pool one auditable home here.
 const CONCURRENCY_SEAM_PREFIXES: [&str; 0] = [];
 
 /// Vendored third-party API stubs, exempt from `L010` (their upstream

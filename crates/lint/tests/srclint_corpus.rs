@@ -106,8 +106,9 @@ fn l010_fires_everywhere_in_product_code() {
     assert!(worker.len() >= 4, "{worker:#?}");
     let service_lines = |code| -> Vec<&str> {
         let found = with_code(&report, code).into_iter();
-        let here = found.filter_map(|d| d.context.strip_prefix("crates/service/src/lib.rs:"));
-        here.collect()
+        found
+            .filter_map(|d| d.context.strip_prefix("crates/service/src/lib.rs:"))
+            .collect()
     };
     let mut threaded = service_lines("L010");
     threaded.dedup();

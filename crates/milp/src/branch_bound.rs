@@ -433,11 +433,11 @@ fn explore_nodes(
                     search.log[node.aid].status = NodeStatus::Branched { var: j, floor };
                 }
                 // Down child: x_j <= floor. Up child: x_j >= floor + 1.
-                let down = (j, lb_buf[j], floor.min(ub_buf[j]));
-                let up = (j, (floor + 1.0).max(lb_buf[j]), ub_buf[j]);
-                for patch in [down, up] {
-                    let mut patches = node.patches.clone();
-                    patches.push(patch);
+                let mut down = node.patches.clone();
+                down.push((j, lb_buf[j], floor.min(ub_buf[j])));
+                let mut up = node.patches;
+                up.push((j, (floor + 1.0).max(lb_buf[j]), ub_buf[j]));
+                for patches in [down, up] {
                     seq += 1;
                     let aid = search.log.len();
                     if auditing {
