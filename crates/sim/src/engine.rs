@@ -1,9 +1,13 @@
 //! The discrete-event simulation engine.
 //!
-//! Drives submissions, scheduler cycles, completions, preemptions, and
-//! reservation admission; collects the paper's evaluation metrics.
+//! Drives submissions, scheduler cycles, completions, preemptions, fault
+//! transitions and reservation admission; collects the paper's evaluation
+//! metrics. One private [`Run`] owns everything that changes during a run,
+//! with one handler per [`EventKind`] and each job lifecycle transition
+//! written once.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use std::time::Instant;
 
 use tetrisched_cluster::{AllocHandle, Cluster, Ledger, NodeId, NodeSet};
@@ -14,10 +18,12 @@ use tetrisched_strl::{Atom, JobClass, Window};
 use tetrisched_telemetry::{Telemetry, TelemetryConfig};
 
 use crate::event::{EventKind, EventQueue};
-use crate::fault::{FaultPlan, PerfFaultPlan, PerfFaultWindow, RetryPolicy};
+use crate::fault::{FaultPlan, NodeFaults, PerfFaultPlan, RetryPolicy};
 use crate::job::{JobId, JobOutcome, JobSpec};
 use crate::metrics::Metrics;
-use crate::scheduler::{CycleContext, CycleError, PendingJob, RunningJob, Scheduler};
+use crate::scheduler::{
+    CycleContext, CycleDecisions, CycleError, Launch, PendingJob, RunningJob, Scheduler,
+};
 use crate::straggler::{detect_stragglers, StragglerConfig};
 use crate::trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 use crate::Time;
@@ -104,19 +110,23 @@ pub struct SimReport {
     pub telemetry: Telemetry,
 }
 
+/// A gang's current run: when and where it started.
+#[derive(Debug, Clone)]
+struct Gang {
+    started: Time,
+    nodes: Vec<NodeId>,
+    preferred: bool,
+}
+
 #[derive(Debug, Clone)]
 enum JobState {
     NotArrived,
     Pending,
-    Running {
-        started: Time,
-        nodes: Vec<NodeId>,
-        preferred: bool,
-    },
+    Running(Gang),
     /// Evicted by a node failure; waiting out the retry backoff before
     /// rejoining the pending queue.
     Backoff,
-    Terminal,
+    Terminal(JobOutcome),
 }
 
 #[derive(Debug)]
@@ -129,7 +139,6 @@ struct JobRecord {
     generation: u32,
     /// Fault-eviction retries consumed so far.
     retries: u32,
-    outcome: Option<JobOutcome>,
     /// Fraction of the job's total work completed so far (the gang's
     /// progress watermark). Preserved across speculative migrations;
     /// reset to 0 by fail-stop evictions and preemptions, which lose all
@@ -151,14 +160,31 @@ struct JobRecord {
     migrations: u32,
 }
 
-/// The simulator: owns the cluster state, the reservation system, the event
-/// queue, and the scheduler under test.
+impl JobRecord {
+    fn new(spec: JobSpec) -> Self {
+        JobRecord {
+            spec,
+            class: JobClass::BestEffort,
+            reservation: None,
+            state: JobState::NotArrived,
+            preemptions: 0,
+            generation: 0,
+            retries: 0,
+            watermark: 0.0,
+            progress_at: 0,
+            run_mult: 1.0,
+            run_total: 0.0,
+            migrations: 0,
+        }
+    }
+}
+
+/// The simulator: the cluster, the scheduler under test and the run's
+/// configuration. What changes during a run is a [`Run`].
 pub struct Simulator<S: Scheduler> {
     cluster: Cluster,
     scheduler: S,
     config: SimConfig,
-    /// Ladder rung reported by the previous cycle, for change tracking.
-    last_rung: u8,
 }
 
 impl<S: Scheduler> Simulator<S> {
@@ -168,586 +194,618 @@ impl<S: Scheduler> Simulator<S> {
             cluster,
             scheduler,
             config,
-            last_rung: 0,
         }
     }
 
     /// Runs the workload to completion (or the horizon) and reports.
-    pub fn run(mut self, jobs: Vec<JobSpec>) -> SimReport {
-        let num_nodes = self.cluster.num_nodes();
-        let mut ledger = Ledger::new(num_nodes);
-        let mut rs = ReservationSystem::new(num_nodes as u32);
-        let mut queue = EventQueue::new();
-        let mut trace = TraceLog::with_capacity(self.config.trace, self.config.trace_capacity);
-        let mut metrics = Metrics::default();
-        let telemetry = Telemetry::new(self.config.telemetry.clone());
+    pub fn run(self, jobs: Vec<JobSpec>) -> SimReport {
+        let mut run = Run::prepare(self, jobs);
+        run.play_events();
+        run.into_report()
+    }
+}
 
-        let mut records: HashMap<JobId, JobRecord> = HashMap::new();
-        let mut pending_order: Vec<JobId> = Vec::new();
-        let mut service: ServiceCore<JobSpec> = ServiceCore::new(self.config.service.clone());
-        let mut remaining = jobs.len();
-        for spec in jobs {
-            queue.push(spec.submit, EventKind::Submit { job: spec.id });
-            let id = spec.id;
-            records.insert(
-                id,
-                JobRecord {
-                    spec,
-                    class: JobClass::BestEffort,
-                    reservation: None,
-                    state: JobState::NotArrived,
-                    preemptions: 0,
-                    generation: 0,
-                    retries: 0,
-                    outcome: None,
-                    watermark: 0.0,
-                    progress_at: 0,
-                    run_mult: 1.0,
-                    run_total: 0.0,
-                    migrations: 0,
-                },
-            );
-        }
-        queue.push(0, EventKind::CycleTick);
+/// The state of one simulation run. One handler per [`EventKind`]; each
+/// job lifecycle transition (`enqueue`, `start_run` / `stop_run`, `retire`)
+/// is written once and owns its bookkeeping.
+struct Run<S: Scheduler> {
+    sim: Simulator<S>,
+    now: Time,
+    events: EventQueue,
+    ledger: Ledger,
+    rs: ReservationSystem,
+    service: ServiceCore<JobSpec>,
+    /// Every job of the run (all are known before the first event); scans
+    /// read them in id order.
+    jobs: BTreeMap<JobId, JobRecord>,
+    /// Exactly the `Pending` jobs, each once, in the order they became
+    /// pending, at every point between events.
+    pending: Vec<JobId>,
+    /// Jobs not yet terminal.
+    remaining: usize,
+    faults: Vec<NodeFaults>,
+    /// Ladder rung reported by the previous cycle, for change tracking.
+    last_rung: u8,
+    trace: TraceLog,
+    metrics: Metrics,
+    /// Shared so the cycle span can hold the registry across `&mut self`
+    /// calls; unwrapped again for the report.
+    telemetry: Rc<Telemetry>,
+}
 
-        // Replay the fault plan as events. The plan is validated up front
-        // so a plan generated for the wrong cluster fails loudly instead of
-        // corrupting state mid-run.
-        if let Some(max) = self.config.faults.max_node() {
+impl<S: Scheduler> Run<S> {
+    fn prepare(sim: Simulator<S>, jobs: Vec<JobSpec>) -> Self {
+        let config = &sim.config;
+        let num_nodes = sim.cluster.num_nodes();
+        // The plans are validated up front so one generated for the wrong
+        // cluster fails loudly instead of corrupting state mid-run.
+        if let Some(max) = config.faults.max_node().max(config.perf_faults.max_node()) {
             assert!(
                 max.index() < num_nodes,
-                "fault plan touches node {max} but the cluster has {num_nodes} nodes"
+                "a fault plan touches node {max} but the cluster has {num_nodes} nodes"
             );
         }
-        for fe in self.config.faults.events().to_vec() {
+        let mut events = EventQueue::new();
+        for spec in &jobs {
+            events.push(spec.submit, EventKind::Submit { job: spec.id });
+        }
+        events.push(0, EventKind::CycleTick);
+        for fe in config.faults.events() {
             let kind = if fe.up {
                 EventKind::NodeUp { node: fe.node }
             } else {
                 EventKind::NodeDown { node: fe.node }
             };
-            queue.push(fe.at, kind);
+            events.push(fe.at, kind);
         }
-        // Overlapping outages of one node (stochastic churn merged with a
-        // scripted rack outage) are refcounted: the node rejoins the free
-        // pool only when every overlapping outage has ended.
-        let mut down_depth: Vec<u32> = vec![0; num_nodes];
-        let mut down_since: Vec<Option<Time>> = vec![None; num_nodes];
-
-        // Replay the performance-fault plan: each window becomes a
-        // start/end event pair, and announced windows (scripted
-        // maintenance) are registered with the ledger up front so
-        // plan-ahead anticipates them. Overlapping windows on one node
-        // compose by max: the node runs at the worst active factor.
-        if let Some(max) = self.config.perf_faults.max_node() {
-            assert!(
-                max.index() < num_nodes,
-                "perf-fault plan touches node {max} but the cluster has {num_nodes} nodes"
-            );
-        }
-        let perf_windows: Vec<PerfFaultWindow> = self.config.perf_faults.windows().to_vec();
-        for (ix, w) in perf_windows.iter().enumerate() {
-            queue.push(w.start, EventKind::PerfFaultStart { ix });
-            queue.push(w.end, EventKind::PerfFaultEnd { ix });
+        // Each perf window becomes a start/end event pair, and announced
+        // windows (scripted maintenance) are registered with the ledger up
+        // front so plan-ahead anticipates them.
+        let mut ledger = Ledger::new(num_nodes);
+        for (ix, w) in config.perf_faults.windows().iter().enumerate() {
+            events.push(w.start, EventKind::PerfFaultStart { ix });
+            events.push(w.end, EventKind::PerfFaultEnd { ix });
             if w.announced {
                 ledger.health_mut().announce(w.node, w.start, w.end);
             }
         }
-        let mut active_perf: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-        let mut perf_faulted: Vec<bool> = vec![false; num_nodes];
+        Run {
+            now: 0,
+            events,
+            ledger,
+            rs: ReservationSystem::new(num_nodes as u32),
+            service: ServiceCore::new(config.service.clone()),
+            remaining: jobs.len(),
+            jobs: jobs
+                .into_iter()
+                .map(|j| (j.id, JobRecord::new(j)))
+                .collect(),
+            pending: Vec::new(),
+            faults: vec![NodeFaults::default(); num_nodes],
+            last_rung: 0,
+            trace: TraceLog::with_capacity(config.trace, config.trace_capacity),
+            metrics: Metrics::default(),
+            telemetry: Rc::new(Telemetry::new(config.telemetry.clone())),
+            sim,
+        }
+    }
 
-        let mut now: Time = 0;
-        while let Some(ev) = queue.pop() {
-            now = ev.at;
-            if let Some(h) = self.config.horizon {
-                if now > h {
-                    now = h;
-                    break;
-                }
+    fn play_events(&mut self) {
+        let horizon = self.sim.config.horizon.unwrap_or(Time::MAX);
+        while let Some(ev) = self.events.pop() {
+            // Node-seconds are the ledger's counts integrated over simulated
+            // time: allocations and outages only change inside handlers.
+            let elapsed = ev.at.min(horizon) - self.now;
+            self.metrics.busy_node_seconds += elapsed * self.ledger.busy_count() as u64;
+            self.metrics.down_node_seconds += elapsed * self.ledger.down_count() as u64;
+            self.now += elapsed;
+            if ev.at > horizon {
+                break;
             }
-            telemetry.advance(now);
-            telemetry.counter_add(event_counter(&ev.kind), 1);
+            let (_, counter) = ev.kind.priority_and_counter();
+            self.telemetry.advance(self.now);
+            self.telemetry.counter_add(counter, 1);
             match ev.kind {
-                EventKind::Submit { job } => {
-                    let rec = records.get_mut(&job).expect("unknown job submitted");
-                    match service.ingest(rec.spec.clone()) {
-                        // Closed-loop pass-through: admit inline, exactly as
-                        // the pre-service engine did.
-                        Ingest::Admitted(_) => {
-                            let weight = service.fair_share().weight(job.0);
-                            admit_job(
-                                job,
-                                now,
-                                weight,
-                                rec,
-                                &mut rs,
-                                &mut pending_order,
-                                &mut trace,
-                                &mut self.scheduler,
-                            );
-                        }
-                        // Open-loop: queued on an intake shard; reservation
-                        // admission and classification happen when a later
-                        // admission cycle drains it.
-                        Ingest::Queued { .. } => {}
-                        // Open-loop: the target shard's mailbox overflowed.
-                        Ingest::Shed(_) => {
-                            rec.state = JobState::Terminal;
-                            rec.outcome = Some(JobOutcome::Shed { at: now });
-                            remaining -= 1;
-                            trace.record(TraceEvent::Shed { job, at: now });
-                        }
-                    }
-                }
-                EventKind::Complete { job, generation } => {
-                    let rec = records.get_mut(&job).expect("unknown job completed");
-                    if rec.generation != generation {
-                        continue; // Stale completion from a preempted run.
-                    }
-                    let JobState::Running {
-                        started,
-                        ref nodes,
-                        preferred,
-                    } = rec.state
-                    else {
-                        continue;
-                    };
-                    metrics.busy_node_seconds += (now - started) * nodes.len() as u64;
-                    ledger.release(AllocHandle(job.0)).expect("ledger release");
-                    if let Some(r) = rec.reservation {
-                        rs.release_from(r.id, now);
-                    }
-                    let met = rec.spec.deadline.map(|d| now <= d);
-                    match (rec.class, met) {
-                        (JobClass::SloAccepted, Some(true)) => metrics.accepted_slo_met += 1,
-                        (JobClass::SloNoReservation, Some(true)) => metrics.nores_slo_met += 1,
-                        (JobClass::BestEffort, _) => {
-                            metrics.be_completed += 1;
-                            metrics.be_latency.push((now - rec.spec.submit) as f64);
-                        }
-                        _ => {}
-                    }
-                    rec.state = JobState::Terminal;
-                    rec.outcome = Some(JobOutcome::Completed { at: now, preferred });
-                    remaining -= 1;
-                    trace.record(TraceEvent::Completed {
-                        job,
-                        met_deadline: met,
-                        at: now,
-                    });
-                    self.scheduler.on_complete(job, now);
-                }
-                EventKind::NodeDown { node } => {
-                    down_depth[node.index()] += 1;
-                    if down_depth[node.index()] > 1 {
-                        continue; // Nested outage; the node is already down.
-                    }
-                    down_since[node.index()] = Some(now);
-                    if let Some(handle) = ledger.owner_of(node) {
-                        // Evict the gang holding the failed node: the run's
-                        // progress is lost and its queued Complete event goes
-                        // stale via the generation bump.
-                        let job = JobId(handle.0);
-                        let rec = records
-                            .get_mut(&job)
-                            .expect("down node held by unknown job");
-                        if let JobState::Running {
-                            started, ref nodes, ..
-                        } = rec.state
-                        {
-                            metrics.busy_node_seconds += (now - started) * nodes.len() as u64;
-                        }
-                        ledger.release(handle).expect("ledger release on eviction");
-                        rec.generation += 1;
-                        rec.retries += 1;
-                        // Fail-stop evictions lose all progress (unlike
-                        // speculative migrations, which preserve it).
-                        rec.watermark = 0.0;
-                        rec.run_mult = 1.0;
-                        metrics.evictions += 1;
-                        trace.record(TraceEvent::Evicted {
-                            job,
-                            node,
-                            retry: rec.retries,
-                            at: now,
-                        });
-                        self.scheduler.on_evict(job, now);
-                        if rec.retries > self.config.retry.max_retries {
-                            rec.state = JobState::Terminal;
-                            rec.outcome = Some(JobOutcome::Abandoned { at: now });
-                            metrics.abandoned_after_retries += 1;
-                            remaining -= 1;
-                            trace.record(TraceEvent::RetriesExhausted { job, at: now });
-                        } else {
-                            rec.state = JobState::Backoff;
-                            metrics.retries += 1;
-                            queue.push(
-                                now + self.config.retry.delay(rec.retries),
-                                EventKind::Resubmit { job },
-                            );
-                        }
-                    }
-                    ledger
-                        .mark_down(node)
-                        .expect("mark_down after owner eviction");
-                    trace.record(TraceEvent::NodeDown { node, at: now });
-                }
-                EventKind::NodeUp { node } => {
-                    if down_depth[node.index()] == 0 {
-                        continue; // Repair without a matching failure.
-                    }
-                    down_depth[node.index()] -= 1;
-                    if down_depth[node.index()] == 0 {
-                        ledger.mark_up(node);
-                        if let Some(since) = down_since[node.index()].take() {
-                            metrics.down_node_seconds += now - since;
-                        }
-                        trace.record(TraceEvent::NodeUp { node, at: now });
-                    }
-                }
-                EventKind::PerfFaultStart { ix } => {
-                    let w = perf_windows[ix];
-                    let nix = w.node.index();
-                    active_perf[nix].push(ix);
-                    if !perf_faulted[nix] {
-                        perf_faulted[nix] = true;
-                        metrics.perf_faulted_nodes += 1;
-                    }
-                    let factor = node_perf_factor(&perf_windows, &active_perf[nix]);
-                    ledger.health_mut().set_factor(w.node, factor);
-                    telemetry.counter_add("degraded.perf_fault_windows", 1);
-                    trace.record(TraceEvent::PerfDegraded {
-                        node: w.node,
-                        factor_pct: (factor * 100.0).round() as u32,
-                        at: now,
-                    });
-                    retime_gang_on(w.node, now, &mut records, &ledger, &mut queue, &mut trace);
-                }
-                EventKind::PerfFaultEnd { ix } => {
-                    let w = perf_windows[ix];
-                    let nix = w.node.index();
-                    active_perf[nix].retain(|&other| other != ix);
-                    let factor = node_perf_factor(&perf_windows, &active_perf[nix]);
-                    ledger.health_mut().set_factor(w.node, factor);
-                    if factor <= 1.0 {
-                        trace.record(TraceEvent::PerfRecovered {
-                            node: w.node,
-                            at: now,
-                        });
-                    }
-                    retime_gang_on(w.node, now, &mut records, &ledger, &mut queue, &mut trace);
-                }
-                EventKind::Resubmit { job } => {
-                    let rec = records.get_mut(&job).expect("resubmit of unknown job");
-                    // A Resubmit can only find the job in Backoff: evictions
-                    // out of Backoff are impossible (the job holds no nodes).
-                    if matches!(rec.state, JobState::Backoff) {
-                        rec.state = JobState::Pending;
-                        pending_order.push(job);
-                        trace.record(TraceEvent::Resubmitted { job, at: now });
-                    }
-                }
-                EventKind::CycleTick => {
-                    // Admission cycle first (open mode only): drain a batch
-                    // of queued arrivals under backpressure, then shed the
-                    // excess past the queue-depth bound. The previous
-                    // cycle's degradation-ladder rung tightens admission so
-                    // the service sheds earlier while the scheduler is
-                    // operating degraded (rung 0 is byte-identical).
-                    if service.mode() == ServiceMode::Open {
-                        let backlog = records
-                            .values()
-                            .filter(|r| matches!(r.state, JobState::Pending))
-                            .count();
-                        let batch = service.drain_cycle_with(backlog, self.last_rung);
-                        for spec in batch.admitted {
-                            let job = spec.id;
-                            let weight = service.fair_share().weight(job.0);
-                            let rec = records.get_mut(&job).expect("admitted unknown job");
-                            admit_job(
-                                job,
-                                now,
-                                weight,
-                                rec,
-                                &mut rs,
-                                &mut pending_order,
-                                &mut trace,
-                                &mut self.scheduler,
-                            );
-                        }
-                        for spec in batch.shed {
-                            let job = spec.id;
-                            let rec = records.get_mut(&job).expect("shed unknown job");
-                            rec.state = JobState::Terminal;
-                            rec.outcome = Some(JobOutcome::Shed { at: now });
-                            remaining -= 1;
-                            trace.record(TraceEvent::Shed { job, at: now });
-                        }
-                        telemetry.observe_sim("service.intake_backlog", batch.deferred as f64);
-                        if let Err(e) = service.validate() {
-                            panic!("at t={now}: {e}");
-                        }
-                    }
-                    self.run_cycle(
-                        now,
-                        &mut records,
-                        &mut pending_order,
-                        &mut ledger,
-                        &mut queue,
-                        &mut metrics,
-                        &mut trace,
-                        &telemetry,
-                        &mut remaining,
-                        &mut service,
-                    );
-                    if remaining > 0 {
-                        queue.push(now + self.config.cycle_period, EventKind::CycleTick);
-                    }
-                }
+                EventKind::Submit { job } => self.on_submit(job),
+                EventKind::Complete { job, generation } => self.on_complete(job, generation),
+                EventKind::NodeDown { node } => self.on_node_down(node),
+                EventKind::NodeUp { node } => self.on_node_up(node),
+                EventKind::PerfFaultStart { ix } => self.on_perf_fault(ix, true),
+                EventKind::PerfFaultEnd { ix } => self.on_perf_fault(ix, false),
+                EventKind::Resubmit { job } => self.on_resubmit(job),
+                EventKind::CycleTick => self.on_cycle_tick(),
             }
-            // Conservation invariant after every state-mutating event:
+            // Conservation invariant after every event:
             // free + allocated + down == total. Debug builds always check;
             // strict_accounting extends the check to release builds.
-            if self.config.strict_accounting || cfg!(debug_assertions) {
-                if let Err(e) = ledger.validate() {
-                    panic!("ledger invariant violated at t={now}: {e}");
+            if self.sim.config.strict_accounting || cfg!(debug_assertions) {
+                if let Err(e) = self.ledger.validate() {
+                    panic!("ledger invariant violated at t={}: {e}", self.now);
                 }
             }
-            if remaining == 0 {
+            if self.remaining == 0 {
                 // All jobs terminal: stop instead of draining whatever
                 // fault-plan events remain past the workload's end.
                 break;
             }
         }
+    }
 
-        // Finalize: account for jobs that never became terminal.
-        let mut outcomes = HashMap::new();
-        let mut classes = HashMap::new();
-        for (id, rec) in &mut records {
-            match rec.state {
-                JobState::Running {
-                    started, ref nodes, ..
-                } => {
-                    metrics.busy_node_seconds += now.saturating_sub(started) * nodes.len() as u64;
-                    metrics.incomplete += 1;
-                    rec.outcome = Some(JobOutcome::Incomplete);
-                }
-                JobState::Pending | JobState::Backoff | JobState::NotArrived => {
-                    if rec.outcome.is_none() {
-                        metrics.incomplete += 1;
-                        rec.outcome = Some(JobOutcome::Incomplete);
-                    }
-                }
-                JobState::Terminal => {}
-            }
-            // Class totals cover every job that entered the system. Shed
-            // jobs never did: the service rejected them before admission,
-            // so they carry no class.
-            if !matches!(rec.state, JobState::NotArrived)
-                && !matches!(rec.outcome, Some(JobOutcome::Shed { .. }))
-            {
-                match rec.class {
-                    JobClass::SloAccepted => metrics.accepted_slo_total += 1,
-                    JobClass::SloNoReservation => metrics.nores_slo_total += 1,
-                    JobClass::BestEffort => metrics.be_total += 1,
-                }
-            }
-            outcomes.insert(*id, rec.outcome.unwrap_or(JobOutcome::Incomplete));
-            classes.insert(*id, rec.class);
-        }
-        metrics.total_node_seconds = num_nodes as u64 * now;
-        // Close out outages still open when the run ended.
-        for since in down_since.iter().flatten() {
-            metrics.down_node_seconds += now.saturating_sub(*since);
-        }
-        metrics.trace_events_dropped = trace.dropped();
-        telemetry.counter_add("sim.trace_events_dropped", trace.dropped());
-        telemetry.counter_add("degraded.perf_faulted_nodes", metrics.perf_faulted_nodes);
-        // Service-core accounting: conserved (admitted + shed + backlog ==
-        // arrivals) by construction; surfaced in metrics and telemetry so
-        // open-loop overload behavior is observable.
-        let service_stats = service.stats();
-        metrics.jobs_admitted = service_stats.admitted;
-        metrics.jobs_shed = service_stats.shed;
-        metrics.jobs_deferred = service_stats.deferred;
-        metrics.intake_overflows = service_stats.mailbox_overflows;
-        telemetry.counter_add("service.jobs_admitted", service_stats.admitted);
-        telemetry.counter_add("service.jobs_shed", service_stats.shed);
-        telemetry.counter_add("service.jobs_deferred", service_stats.deferred);
-        telemetry.counter_add("service.intake_overflows", service_stats.mailbox_overflows);
-        if let Err(e) = service.validate() {
-            panic!("at end of run: {e}");
-        }
+    /// *Enqueue*: `job` becomes `Pending` and joins the back of the queue.
+    fn enqueue(&mut self, job: JobId) {
+        record(&mut self.jobs, job).state = JobState::Pending;
+        self.pending.push(job);
+    }
 
-        SimReport {
-            metrics,
-            outcomes,
-            classes,
-            trace,
-            scheduler_name: self.scheduler.name().to_string(),
-            end_time: now,
-            telemetry,
+    /// A job that stops being `Pending` (launched or abandoned) leaves the
+    /// queue there and then, so one resubmitted before the next cycle is
+    /// not offered to the scheduler twice.
+    fn dequeue(&mut self, job: JobId) {
+        let at = self.pending.iter().position(|&id| id == job);
+        self.pending.remove(at.expect("pending jobs are queued"));
+    }
+
+    /// *Start*: a pending job starts running on the gang the scheduler
+    /// chose. `start_run` and `stop_run` are the only code that touches the
+    /// ledger's allocations.
+    fn start_run(&mut self, launch: Launch) {
+        let job = launch.job;
+        let now = self.now;
+        let rec = record(&mut self.jobs, job);
+        assert!(
+            matches!(rec.state, JobState::Pending),
+            "scheduler launched non-pending job {job:?}"
+        );
+        assert_eq!(
+            launch.nodes.len(),
+            rec.spec.k as usize,
+            "gang size mismatch for {job:?}"
+        );
+        let set = NodeSet::from_ids(self.sim.cluster.num_nodes(), launch.nodes.iter().copied());
+        assert_eq!(
+            set.len(),
+            launch.nodes.len(),
+            "duplicate nodes in launch of {job:?}"
+        );
+        self.ledger
+            .allocate(AllocHandle(job.0), set, launch.expected_end.max(now + 1))
+            .unwrap_or_else(|e| panic!("scheduler double-booked nodes: {e}"));
+        let preferred = rec
+            .spec
+            .placement_preferred(&self.sim.cluster, &launch.nodes);
+        // The gang runs at its slowest member's rate; a migrated job
+        // resumes from its preserved watermark. On the healthy,
+        // from-scratch path (watermark 0, factor 1) the completion lands
+        // after exactly the integer runtime.
+        rec.run_total = rec.spec.true_runtime_for(preferred) as f64;
+        rec.run_mult = gang_mult(&self.ledger, &launch.nodes);
+        rec.progress_at = now;
+        rec.state = JobState::Running(Gang {
+            started: now,
+            nodes: launch.nodes.clone(),
+            preferred,
+        });
+        self.dequeue(job);
+        self.queue_completion(job);
+        self.trace.record(TraceEvent::Launched {
+            job,
+            nodes: launch.nodes,
+            preferred,
+            at: now,
+        });
+    }
+
+    /// Queues the `Complete` of `job`'s run at its current rate.
+    fn queue_completion(&mut self, job: JobId) {
+        let rec = &self.jobs[&job];
+        let generation = rec.generation;
+        self.events.push(
+            self.now + remaining_runtime(rec),
+            EventKind::Complete { job, generation },
+        );
+    }
+
+    /// *Stop*: the gang of `job` stops running. Its nodes go back to the
+    /// ledger, and the generation bump turns its queued `Complete` stale.
+    /// The caller moves the job on (`enqueue`, `Backoff` or `retire`) before
+    /// its handler returns.
+    fn stop_run(&mut self, job: JobId, keep_progress: bool) {
+        let rec = record(&mut self.jobs, job);
+        assert!(
+            matches!(rec.state, JobState::Running(_)),
+            "stopping {job:?}, which is not running"
+        );
+        self.ledger
+            .release(AllocHandle(job.0))
+            .expect("a running job holds its allocation");
+        if keep_progress {
+            rebase_progress(rec, self.now);
+        } else {
+            rec.watermark = 0.0;
+            rec.run_mult = 1.0;
+        }
+        rec.generation += 1;
+    }
+
+    /// Re-times the gang holding `node` (if any) onto the node-health rates
+    /// in effect from now on: a stop and start in place. Progress to date
+    /// is preserved via the watermark, the queued completion is invalidated
+    /// through the generation guard, and a fresh completion is queued at
+    /// the re-derived end time.
+    fn retime_gang_on(&mut self, node: NodeId) {
+        let Some(handle) = self.ledger.owner_of(node) else {
+            return;
+        };
+        let job = JobId(handle.0);
+        let rec = record(&mut self.jobs, job);
+        let mult = match rec.state {
+            JobState::Running(ref gang) => gang_mult(&self.ledger, &gang.nodes),
+            _ => return,
+        };
+        if mult == rec.run_mult {
+            return;
+        }
+        rebase_progress(rec, self.now);
+        rec.run_mult = mult;
+        rec.generation += 1;
+        self.queue_completion(job);
+        self.trace.record(TraceEvent::GangRetimed {
+            job,
+            factor_pct: percent(mult),
+            at: self.now,
+        });
+    }
+
+    /// *Retire*: `job` becomes terminal with `outcome`, traced as `event`.
+    /// The only code that sets `Terminal` or counts `remaining` down. Its
+    /// reservation is not touched: only completion gives one back
+    /// (`on_complete`), so an abandoned job's window stays in the plan.
+    fn retire(&mut self, job: JobId, outcome: JobOutcome, event: TraceEvent) {
+        let state = &mut record(&mut self.jobs, job).state;
+        let was_pending = matches!(state, JobState::Pending);
+        *state = JobState::Terminal(outcome);
+        if was_pending {
+            self.dequeue(job);
+        }
+        self.remaining -= 1;
+        self.trace.record(event);
+    }
+
+    fn on_submit(&mut self, job: JobId) {
+        let spec = self.jobs[&job].spec.clone();
+        match self.service.ingest(spec) {
+            // Closed-loop pass-through: admit inline, exactly as the
+            // pre-service engine did.
+            Ingest::Admitted(_) => self.admit(job),
+            // Open-loop: queued on an intake shard; reservation admission
+            // and classification happen when a later admission cycle
+            // drains it.
+            Ingest::Queued { .. } => {}
+            // Open-loop: the target shard's mailbox overflowed.
+            Ingest::Shed(_) => self.shed(job),
         }
     }
 
-    /// Runs one scheduler cycle and applies its decisions.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cycle(
-        &mut self,
-        now: Time,
-        records: &mut HashMap<JobId, JobRecord>,
-        pending_order: &mut Vec<JobId>,
-        ledger: &mut Ledger,
-        queue: &mut EventQueue,
-        metrics: &mut Metrics,
-        trace: &mut TraceLog,
-        telemetry: &Telemetry,
-        remaining: &mut usize,
-        service: &mut ServiceCore<JobSpec>,
-    ) {
-        // The cycle span wraps view building, the scheduler call (whose
-        // phase spans nest under it), and decision application.
-        let cycle_span = telemetry.span("sim", "cycle");
-        cycle_span.arg("cycle", metrics.cycle_latency.count() as u64);
-
-        // Straggler defense: compare each running gang's observed runtime
-        // to its own estimate, flag the ones that have outgrown the cohort
-        // median, and speculatively migrate the worst offenders back
-        // through the normal placement path. Progress is preserved via the
-        // watermark; the stale completion dies by the same generation bump
-        // that guards fail-stop evictions.
-        if self.config.stragglers.enabled {
-            let mut cohort: Vec<(JobId, f64)> = Vec::new();
-            for rec in records.values() {
-                if let JobState::Running {
-                    started, preferred, ..
-                } = rec.state
-                {
-                    let est = rec.spec.estimated_runtime_for(preferred).max(1) as f64;
-                    cohort.push((rec.spec.id, now.saturating_sub(started) as f64 / est));
+    /// Admits one job into the scheduler: every SLO job asks Rayon for a
+    /// window `[submit, deadline]` sized by its *estimate*, and is classed
+    /// by the answer. The closed-loop Submit path and the open-loop
+    /// admission-cycle path share this seam so both classify identically.
+    fn admit(&mut self, job: JobId) {
+        let now = self.now;
+        let rec = record(&mut self.jobs, job);
+        rec.class = match rec.spec.deadline {
+            None => JobClass::BestEffort,
+            Some(deadline) => {
+                let gang = Atom::gang(rec.spec.k, rec.spec.estimated_runtime());
+                let window = Window::new(rec.spec.submit, deadline, gang);
+                rec.reservation = self.rs.request(&window, now);
+                match rec.reservation {
+                    Some(_) => JobClass::SloAccepted,
+                    None => JobClass::SloNoReservation,
                 }
             }
-            cohort.sort_by_key(|&(id, _)| id);
-            let flagged = detect_stragglers(&cohort, &self.config.stragglers);
-            metrics.stragglers_detected += flagged.len() as u64;
-            telemetry.counter_add("degraded.stragglers_detected", flagged.len() as u64);
-            let mut migrated = 0usize;
-            for job in flagged {
-                if migrated >= self.config.stragglers.max_migrations_per_cycle {
-                    break;
-                }
-                let rec = records.get_mut(&job).expect("flagged unknown job");
-                if rec.migrations >= self.config.stragglers.max_migrations_per_job {
-                    continue;
-                }
-                let (started, width) = match rec.state {
-                    JobState::Running {
-                        started, ref nodes, ..
-                    } => (started, nodes.len() as u64),
-                    _ => continue,
-                };
-                rebase_progress(rec, now);
-                metrics.busy_node_seconds += (now - started) * width;
-                ledger
-                    .release(AllocHandle(job.0))
-                    .expect("ledger release on migration");
-                rec.generation += 1;
-                rec.migrations += 1;
-                rec.state = JobState::Pending;
-                pending_order.push(job);
-                migrated += 1;
-                metrics.speculative_migrations += 1;
-                telemetry.counter_add("degraded.speculative_migrations", 1);
-                trace.record(TraceEvent::StragglerMigrated {
+        };
+        // Class totals cover every job that entered the system, which is
+        // here. Shed jobs never do, so they carry no class.
+        let class = rec.class;
+        match class {
+            JobClass::SloAccepted => self.metrics.accepted_slo_total += 1,
+            JobClass::SloNoReservation => self.metrics.nores_slo_total += 1,
+            JobClass::BestEffort => self.metrics.be_total += 1,
+        }
+        self.enqueue(job);
+        self.trace.record(TraceEvent::Submitted {
+            job,
+            class,
+            at: now,
+        });
+        let weight = self.service.fair_share().weight(job.0);
+        let view = pending_view(&self.jobs[&job], weight);
+        self.sim.scheduler.on_submit(&view, now);
+    }
+
+    fn shed(&mut self, job: JobId) {
+        let at = self.now;
+        self.retire(job, JobOutcome::Shed { at }, TraceEvent::Shed { job, at });
+    }
+
+    fn on_complete(&mut self, job: JobId, generation: u32) {
+        let now = self.now;
+        let rec = &self.jobs[&job];
+        // A stale completion: the run it was queued for has been stopped or
+        // re-timed since, and the generation moved on.
+        if rec.generation != generation {
+            return;
+        }
+        let JobState::Running(ref gang) = rec.state else {
+            return;
+        };
+        let preferred = gang.preferred;
+        self.stop_run(job, true);
+        let rec = &self.jobs[&job];
+        if let Some(r) = rec.reservation {
+            self.rs.release_from(r.id, now);
+        }
+        let met_deadline = rec.spec.deadline.map(|d| now <= d);
+        match (rec.class, met_deadline) {
+            (JobClass::SloAccepted, Some(true)) => self.metrics.accepted_slo_met += 1,
+            (JobClass::SloNoReservation, Some(true)) => self.metrics.nores_slo_met += 1,
+            (JobClass::BestEffort, _) => {
+                self.metrics.be_completed += 1;
+                self.metrics.be_latency.push((now - rec.spec.submit) as f64);
+            }
+            _ => {}
+        }
+        self.retire(
+            job,
+            JobOutcome::Completed { at: now, preferred },
+            TraceEvent::Completed {
+                job,
+                met_deadline,
+                at: now,
+            },
+        );
+        self.sim.scheduler.on_complete(job, now);
+    }
+
+    fn on_node_down(&mut self, node: NodeId) {
+        let now = self.now;
+        if !self.faults[node.index()].fail() {
+            return; // Nested outage; the node is already down.
+        }
+        if let Some(handle) = self.ledger.owner_of(node) {
+            // Evict the gang holding the failed node: the run's progress
+            // is lost, and the job backs off for a retry or, its budget
+            // spent, is abandoned.
+            let job = JobId(handle.0);
+            let policy = self.sim.config.retry;
+            self.stop_run(job, false);
+            let rec = record(&mut self.jobs, job);
+            rec.retries += 1;
+            let retry = rec.retries;
+            self.metrics.evictions += 1;
+            self.trace.record(TraceEvent::Evicted {
+                job,
+                node,
+                retry,
+                at: now,
+            });
+            self.sim.scheduler.on_evict(job, now);
+            if retry > policy.max_retries {
+                self.metrics.abandoned_after_retries += 1;
+                self.retire(
                     job,
-                    watermark_pct: (rec.watermark * 100.0).round() as u32,
-                    at: now,
-                });
-                self.scheduler.on_evict(job, now);
+                    JobOutcome::Abandoned { at: now },
+                    TraceEvent::RetriesExhausted { job, at: now },
+                );
+            } else {
+                rec.state = JobState::Backoff;
+                self.metrics.retries += 1;
+                self.events
+                    .push(now + policy.delay(retry), EventKind::Resubmit { job });
             }
         }
+        self.ledger
+            .mark_down(node)
+            .expect("mark_down after owner eviction");
+        self.trace.record(TraceEvent::NodeDown { node, at: now });
+    }
 
-        // Build the scheduler's views.
-        pending_order.retain(|id| matches!(records[id].state, JobState::Pending));
+    fn on_node_up(&mut self, node: NodeId) {
+        if self.faults[node.index()].repair() {
+            self.ledger.mark_up(node);
+            self.trace.record(TraceEvent::NodeUp { node, at: self.now });
+        }
+    }
+
+    /// A perf-fault window opens or closes: the node stays up at a new
+    /// rate, and the gang on it (if any) is re-timed.
+    fn on_perf_fault(&mut self, ix: usize, opens: bool) {
+        let at = self.now;
+        let plan = self.sim.config.perf_faults.windows();
+        let node = plan[ix].node;
+        let factor = self.faults[node.index()].perf_window(ix, opens, plan);
+        self.ledger.health_mut().set_factor(node, factor);
+        if opens {
+            self.telemetry.counter_add("degraded.perf_fault_windows", 1);
+            self.trace.record(TraceEvent::PerfDegraded {
+                node,
+                factor_pct: percent(factor),
+                at,
+            });
+        } else if factor <= 1.0 {
+            self.trace.record(TraceEvent::PerfRecovered { node, at });
+        }
+        self.retime_gang_on(node);
+    }
+
+    fn on_resubmit(&mut self, job: JobId) {
+        // A Resubmit can only find the job in Backoff: evictions out of
+        // Backoff are impossible (the job holds no nodes).
+        if matches!(self.jobs[&job].state, JobState::Backoff) {
+            self.enqueue(job);
+            self.trace
+                .record(TraceEvent::Resubmitted { job, at: self.now });
+        }
+    }
+
+    fn on_cycle_tick(&mut self) {
+        if self.service.mode() == ServiceMode::Open {
+            self.admit_batch();
+        }
+        // The cycle span wraps straggler migration, view building, the
+        // scheduler call (whose phase spans nest under it), and decision
+        // application.
+        let telemetry = Rc::clone(&self.telemetry);
+        let span = telemetry.span("sim", "cycle");
+        span.arg("cycle", self.metrics.cycle_latency.count() as u64);
+        if self.sim.config.stragglers.enabled {
+            self.migrate_stragglers();
+        }
+        let (pending, running) = self.views();
+        let wall = Instant::now();
+        let decisions = self.sim.scheduler.cycle(&CycleContext {
+            now: self.now,
+            cluster: &self.sim.cluster,
+            ledger: &self.ledger,
+            pending: &pending,
+            running: &running,
+            telemetry: &telemetry,
+        });
+        let cycle_secs = wall.elapsed().as_secs_f64();
+        telemetry.observe_sim("sched.pending_jobs", pending.len() as f64);
+        telemetry.observe_sim("sched.running_jobs", running.len() as f64);
+        span.arg("pending", pending.len() as u64);
+        span.arg("running", running.len() as u64);
+        span.arg("launches", decisions.launches.len() as u64);
+        span.arg("preemptions", decisions.preemptions.len() as u64);
+        span.arg("errors", decisions.errors.len() as u64);
+        span.arg("degraded", u64::from(decisions.degraded));
+        self.account(&decisions, cycle_secs);
+        self.apply(decisions);
+        drop(span);
+        if self.remaining > 0 {
+            self.events.push(
+                self.now + self.sim.config.cycle_period,
+                EventKind::CycleTick,
+            );
+        }
+    }
+
+    /// Open-mode admission cycle: drain a batch of queued arrivals under
+    /// backpressure, then shed the excess past the queue-depth bound. The
+    /// previous cycle's degradation-ladder rung tightens admission so the
+    /// service sheds earlier while the scheduler is operating degraded
+    /// (rung 0 is byte-identical). The scheduler's backlog is the queue's
+    /// length.
+    fn admit_batch(&mut self) {
+        let batch = self
+            .service
+            .drain_cycle_with(self.pending.len(), self.last_rung);
+        for spec in batch.admitted {
+            self.admit(spec.id);
+        }
+        for spec in batch.shed {
+            self.shed(spec.id);
+        }
+        self.telemetry
+            .observe_sim("service.intake_backlog", batch.deferred as f64);
+        if let Err(e) = self.service.validate() {
+            panic!("at t={}: {e}", self.now);
+        }
+    }
+
+    /// Straggler defense (see [`crate::straggler`]): flag the running gangs
+    /// that have outgrown the cohort median and speculatively migrate the
+    /// worst offenders back through the normal placement path.
+    fn migrate_stragglers(&mut self) {
+        let now = self.now;
+        let config = self.sim.config.stragglers;
+        let lateness = |rec: &JobRecord| match rec.state {
+            JobState::Running(ref gang) => {
+                let est = rec.spec.estimated_runtime_for(gang.preferred).max(1) as f64;
+                Some((rec.spec.id, now.saturating_sub(gang.started) as f64 / est))
+            }
+            _ => None,
+        };
+        let cohort: Vec<(JobId, f64)> = self.jobs.values().filter_map(lateness).collect();
+        let flagged = detect_stragglers(&cohort, &config);
+        self.metrics.stragglers_detected += flagged.len() as u64;
+        self.telemetry
+            .counter_add("degraded.stragglers_detected", flagged.len() as u64);
+        let movers: Vec<JobId> = flagged
+            .into_iter()
+            .filter(|job| self.jobs[job].migrations < config.max_migrations_per_job)
+            .take(config.max_migrations_per_cycle)
+            .collect();
+        for job in movers {
+            self.stop_run(job, true);
+            self.enqueue(job);
+            let rec = record(&mut self.jobs, job);
+            rec.migrations += 1;
+            self.metrics.speculative_migrations += 1;
+            self.telemetry
+                .counter_add("degraded.speculative_migrations", 1);
+            self.trace.record(TraceEvent::StragglerMigrated {
+                job,
+                watermark_pct: percent(rec.watermark),
+                at: now,
+            });
+            self.sim.scheduler.on_evict(job, now);
+        }
+    }
+
+    /// The views a scheduler is handed: the queue in its own order, the
+    /// running gangs in the records' order, ascending by id.
+    fn views(&mut self) -> (Vec<PendingJob>, Vec<RunningJob>) {
+        let now = self.now;
+        let ledger = &self.ledger;
+        let gang = |rec: &JobRecord| match rec.state {
+            JobState::Running(ref gang) => Some(RunningJob {
+                id: rec.spec.id,
+                class: rec.class,
+                started: gang.started,
+                nodes: gang.nodes.clone(),
+                expected_end: ledger
+                    .expected_end(AllocHandle(rec.spec.id.0))
+                    .unwrap_or(now),
+                preferred: gang.preferred,
+                deadline: rec.spec.deadline,
+            }),
+            _ => None,
+        };
+        let running: Vec<RunningJob> = self.jobs.values().filter_map(gang).collect();
         // Rebuild the fair-share book from ground truth each cycle (held
         // nodes of running gangs, demand of pending gangs) so tenancy
         // weights can never drift from engine state. With fair-share
         // disabled — the closed-loop default — `weight()` returns literal
         // 1.0 and the STRL objective is unchanged.
-        if service.fair_share().config().is_enabled() {
-            let book = service.fair_share_mut();
+        if self.service.fair_share().config().is_enabled() {
+            let book = self.service.fair_share_mut();
             book.begin_cycle();
-            for rec in records.values() {
-                match rec.state {
-                    JobState::Running { ref nodes, .. } => {
-                        book.observe_held(rec.spec.id.0, nodes.len() as u64);
-                    }
-                    JobState::Pending => {
-                        book.observe_demand(rec.spec.id.0, u64::from(rec.spec.k));
-                    }
-                    _ => {}
-                }
+            for r in &running {
+                book.observe_held(r.id.0, r.nodes.len() as u64);
+            }
+            for id in &self.pending {
+                book.observe_demand(id.0, u64::from(self.jobs[id].spec.k));
             }
         }
-        let pending: Vec<PendingJob> = pending_order
-            .iter()
-            .map(|id| {
-                let rec = &records[id];
-                pending_view(rec, service.fair_share().weight(rec.spec.id.0))
-            })
-            .collect();
-        let mut running: Vec<RunningJob> = Vec::new();
-        for rec in records.values() {
-            if let JobState::Running {
-                started,
-                ref nodes,
-                preferred,
-            } = rec.state
-            {
-                running.push(RunningJob {
-                    id: rec.spec.id,
-                    class: rec.class,
-                    started,
-                    nodes: nodes.clone(),
-                    expected_end: ledger
-                        .expected_end(AllocHandle(rec.spec.id.0))
-                        .unwrap_or(now),
-                    preferred,
-                    deadline: rec.spec.deadline,
-                });
-            }
-        }
-        running.sort_by_key(|r| r.id);
+        let book = self.service.fair_share();
+        let view = |id: &JobId| pending_view(&self.jobs[id], book.weight(id.0));
+        (self.pending.iter().map(view).collect(), running)
+    }
 
-        let wall = Instant::now();
-        let decisions = {
-            let ctx = CycleContext {
-                now,
-                cluster: &self.cluster,
-                ledger,
-                pending: &pending,
-                running: &running,
-                telemetry,
-            };
-            self.scheduler.cycle(&ctx)
-        };
-        let cycle_secs = wall.elapsed().as_secs_f64();
+    fn account(&mut self, decisions: &CycleDecisions, cycle_secs: f64) {
+        let telemetry = &self.telemetry;
+        let metrics = &mut self.metrics;
+        let solver_secs = decisions.solver_time.as_secs_f64();
         metrics.cycle_latency.push(cycle_secs);
-        metrics
-            .solver_latency
-            .push(decisions.solver_time.as_secs_f64());
-        // Wall durations are measured here (this file is on the srclint
+        metrics.solver_latency.push(solver_secs);
+        // Wall durations are measured in this file (it is on the srclint
         // L001 allowlist) and enter telemetry only as wall-domain
         // observations, which default exports exclude.
         telemetry.observe_wall("cycle.wall_secs", cycle_secs);
-        telemetry.observe_wall("solver.wall_secs", decisions.solver_time.as_secs_f64());
-        telemetry.observe_sim("sched.pending_jobs", pending.len() as f64);
-        telemetry.observe_sim("sched.running_jobs", running.len() as f64);
-        cycle_span.arg("pending", pending.len() as u64);
-        cycle_span.arg("running", running.len() as u64);
-        cycle_span.arg("launches", decisions.launches.len() as u64);
-        cycle_span.arg("preemptions", decisions.preemptions.len() as u64);
-        cycle_span.arg("errors", decisions.errors.len() as u64);
-        cycle_span.arg("degraded", u64::from(decisions.degraded));
+        telemetry.observe_wall("solver.wall_secs", solver_secs);
         telemetry.counter_add("sim.launches", decisions.launches.len() as u64);
         telemetry.counter_add("sim.preemptions", decisions.preemptions.len() as u64);
         telemetry.counter_add("sim.abandons", decisions.abandons.len() as u64);
@@ -768,12 +826,11 @@ impl<S: Scheduler> Simulator<S> {
         if decisions.ladder_rung != self.last_rung {
             self.last_rung = decisions.ladder_rung;
             telemetry.counter_add("degraded.ladder_rung_changes", 1);
-            trace.record(TraceEvent::LadderRung {
+            self.trace.record(TraceEvent::LadderRung {
                 rung: decisions.ladder_rung,
-                at: now,
+                at: self.now,
             });
         }
-
         // Surface degraded-mode signals: cycles report non-fatal errors
         // instead of panicking or silently dropping work.
         for err in &decisions.errors {
@@ -793,117 +850,100 @@ impl<S: Scheduler> Simulator<S> {
         if decisions.degraded {
             metrics.degraded_cycles += 1;
             metrics.solver_fallbacks += 1;
-            trace.record(TraceEvent::CycleDegraded {
+            self.trace.record(TraceEvent::CycleDegraded {
                 errors: decisions.errors.iter().map(|e| e.to_string()).collect(),
-                at: now,
+                at: self.now,
             });
-        }
-
-        // 1. Preemptions: victims lose all progress and requeue.
-        for job in decisions.preemptions {
-            let rec = records.get_mut(&job).expect("preempting unknown job");
-            let JobState::Running {
-                started, ref nodes, ..
-            } = rec.state
-            else {
-                continue;
-            };
-            metrics.busy_node_seconds += (now - started) * nodes.len() as u64;
-            ledger.release(AllocHandle(job.0)).expect("ledger release");
-            rec.generation += 1;
-            rec.preemptions += 1;
-            rec.watermark = 0.0;
-            rec.run_mult = 1.0;
-            rec.state = JobState::Pending;
-            pending_order.push(job);
-            metrics.preemptions += 1;
-            trace.record(TraceEvent::Preempted { job, at: now });
-        }
-
-        // 2. Launches.
-        for launch in decisions.launches {
-            let rec = records.get_mut(&launch.job).expect("launching unknown job");
-            assert!(
-                matches!(rec.state, JobState::Pending),
-                "scheduler launched non-pending job {:?}",
-                launch.job
-            );
-            assert_eq!(
-                launch.nodes.len(),
-                rec.spec.k as usize,
-                "gang size mismatch for {:?}",
-                launch.job
-            );
-            let set = NodeSet::from_ids(self.cluster.num_nodes(), launch.nodes.iter().copied());
-            assert_eq!(
-                set.len(),
-                launch.nodes.len(),
-                "duplicate nodes in launch of {:?}",
-                launch.job
-            );
-            let preferred = rec.spec.placement_preferred(&self.cluster, &launch.nodes);
-            // The gang runs at its slowest member's rate; a migrated job
-            // resumes from its preserved watermark. On the healthy,
-            // from-scratch path this reduces to the exact integer runtime.
-            let mult = gang_mult(ledger, &launch.nodes);
-            rec.run_total = rec.spec.true_runtime_for(preferred) as f64;
-            rec.run_mult = mult;
-            rec.progress_at = now;
-            let true_end = if rec.watermark == 0.0 && mult == 1.0 {
-                now + rec.spec.true_runtime_for(preferred)
-            } else {
-                now + remaining_runtime(rec)
-            };
-            ledger
-                .allocate(
-                    AllocHandle(launch.job.0),
-                    set,
-                    launch.expected_end.max(now + 1),
-                )
-                .unwrap_or_else(|e| panic!("scheduler double-booked nodes: {e}"));
-            rec.state = JobState::Running {
-                started: now,
-                nodes: launch.nodes.clone(),
-                preferred,
-            };
-            queue.push(
-                true_end,
-                EventKind::Complete {
-                    job: launch.job,
-                    generation: rec.generation,
-                },
-            );
-            trace.record(TraceEvent::Launched {
-                job: launch.job,
-                nodes: launch.nodes,
-                preferred,
-                at: now,
-            });
-        }
-
-        // 3. Estimate revisions for running jobs.
-        for (job, end) in decisions.revised_ends {
-            if matches!(
-                records.get(&job).map(|r| &r.state),
-                Some(JobState::Running { .. })
-            ) {
-                let _ = ledger.set_expected_end(AllocHandle(job.0), end);
-            }
-        }
-
-        // 4. Abandons: pending jobs the scheduler gave up on.
-        for job in decisions.abandons {
-            let rec = records.get_mut(&job).expect("abandoning unknown job");
-            if !matches!(rec.state, JobState::Pending) {
-                continue;
-            }
-            rec.state = JobState::Terminal;
-            rec.outcome = Some(JobOutcome::Abandoned { at: now });
-            metrics.abandoned += 1;
-            *remaining -= 1;
-            trace.record(TraceEvent::Abandoned { job, at: now });
         }
     }
+
+    /// Applies a cycle's decisions in the order a scheduler assumes:
+    /// preemptions free the nodes its launches may use.
+    fn apply(&mut self, decisions: CycleDecisions) {
+        let at = self.now;
+        // Victims lose all progress and requeue.
+        for job in decisions.preemptions {
+            let rec = record(&mut self.jobs, job);
+            if !matches!(rec.state, JobState::Running(_)) {
+                continue;
+            }
+            rec.preemptions += 1;
+            self.stop_run(job, false);
+            self.enqueue(job);
+            self.metrics.preemptions += 1;
+            self.trace.record(TraceEvent::Preempted { job, at });
+        }
+        for launch in decisions.launches {
+            self.start_run(launch);
+        }
+        for (job, end) in decisions.revised_ends {
+            let state = self.jobs.get(&job).map(|rec| &rec.state);
+            if matches!(state, Some(JobState::Running(_))) {
+                self.ledger
+                    .set_expected_end(AllocHandle(job.0), end)
+                    .expect("a running job's allocation is live in the ledger");
+            }
+        }
+        // Only a pending job can be given up on.
+        for job in decisions.abandons {
+            if matches!(self.jobs[&job].state, JobState::Pending) {
+                self.metrics.abandoned += 1;
+                self.retire(
+                    job,
+                    JobOutcome::Abandoned { at },
+                    TraceEvent::Abandoned { job, at },
+                );
+            }
+        }
+    }
+
+    fn into_report(mut self) -> SimReport {
+        let now = self.now;
+        let metrics = &mut self.metrics;
+        let outcome = |rec: &JobRecord| match rec.state {
+            JobState::Terminal(outcome) => outcome,
+            _ => JobOutcome::Incomplete,
+        };
+        metrics.incomplete = self.remaining;
+        metrics.total_node_seconds = self.sim.cluster.num_nodes() as u64 * now;
+        let perf_faulted = self.faults.iter().filter(|node| node.perf_faulted);
+        metrics.perf_faulted_nodes = perf_faulted.count() as u64;
+        let telemetry = Rc::try_unwrap(self.telemetry).expect("the last cycle span has closed");
+        metrics.trace_events_dropped = self.trace.dropped();
+        telemetry.counter_add("sim.trace_events_dropped", self.trace.dropped());
+        telemetry.counter_add("degraded.perf_faulted_nodes", metrics.perf_faulted_nodes);
+        // Service-core accounting: conserved (admitted + shed + backlog ==
+        // arrivals) by construction; surfaced in metrics and telemetry so
+        // open-loop overload behavior is observable.
+        let service_stats = self.service.stats();
+        metrics.jobs_admitted = service_stats.admitted;
+        metrics.jobs_shed = service_stats.shed;
+        metrics.jobs_deferred = service_stats.deferred;
+        metrics.intake_overflows = service_stats.mailbox_overflows;
+        telemetry.counter_add("service.jobs_admitted", service_stats.admitted);
+        telemetry.counter_add("service.jobs_shed", service_stats.shed);
+        telemetry.counter_add("service.jobs_deferred", service_stats.deferred);
+        telemetry.counter_add("service.intake_overflows", service_stats.mailbox_overflows);
+        if let Err(e) = self.service.validate() {
+            panic!("at end of run: {e}");
+        }
+        SimReport {
+            outcomes: self.jobs.iter().map(|(id, r)| (*id, outcome(r))).collect(),
+            classes: self.jobs.iter().map(|(id, r)| (*id, r.class)).collect(),
+            metrics: self.metrics,
+            trace: self.trace,
+            scheduler_name: self.sim.scheduler.name().to_string(),
+            end_time: now,
+            telemetry,
+        }
+    }
+}
+
+/// The record of `job`. Ids reach the engine from its own event queue and
+/// from the scheduler, which is only ever shown jobs of this run.
+fn record(jobs: &mut BTreeMap<JobId, JobRecord>, job: JobId) -> &mut JobRecord {
+    jobs.get_mut(&job)
+        .unwrap_or_else(|| panic!("{job:?} is not a job of this run"))
 }
 
 fn pending_view(rec: &JobRecord, weight: f64) -> PendingJob {
@@ -916,70 +956,8 @@ fn pending_view(rec: &JobRecord, weight: f64) -> PendingJob {
     }
 }
 
-/// Admits one job into the scheduler: reservation admission (every SLO job
-/// asks Rayon for a window `[submit, deadline]` sized by its *estimate*),
-/// classification, queueing, tracing, and the scheduler's submit hook. The
-/// closed-loop Submit path and the open-loop admission-cycle path share
-/// this seam so both classify identically.
-#[allow(clippy::too_many_arguments)]
-fn admit_job<S: Scheduler>(
-    job: JobId,
-    now: Time,
-    weight: f64,
-    rec: &mut JobRecord,
-    rs: &mut ReservationSystem,
-    pending_order: &mut Vec<JobId>,
-    trace: &mut TraceLog,
-    scheduler: &mut S,
-) {
-    if let Some(deadline) = rec.spec.deadline {
-        let window = Window::new(
-            rec.spec.submit,
-            deadline,
-            Atom::gang(rec.spec.k, rec.spec.estimated_runtime()),
-        );
-        match rs.request(&window, now) {
-            Some(r) => {
-                rec.class = JobClass::SloAccepted;
-                rec.reservation = Some(r);
-            }
-            None => rec.class = JobClass::SloNoReservation,
-        }
-    } else {
-        rec.class = JobClass::BestEffort;
-    }
-    rec.state = JobState::Pending;
-    pending_order.push(job);
-    trace.record(TraceEvent::Submitted {
-        job,
-        class: rec.class,
-        at: now,
-    });
-    let view = pending_view(rec, weight);
-    scheduler.on_submit(&view, now);
-}
-
-/// Telemetry counter name for an event kind (`sim.events.*`).
-fn event_counter(kind: &EventKind) -> &'static str {
-    match kind {
-        EventKind::Submit { .. } => "sim.events.submit",
-        EventKind::Complete { .. } => "sim.events.complete",
-        EventKind::NodeDown { .. } => "sim.events.node_down",
-        EventKind::NodeUp { .. } => "sim.events.node_up",
-        EventKind::PerfFaultStart { .. } => "sim.events.perf_fault_start",
-        EventKind::PerfFaultEnd { .. } => "sim.events.perf_fault_end",
-        EventKind::Resubmit { .. } => "sim.events.resubmit",
-        EventKind::CycleTick => "sim.events.cycle_tick",
-    }
-}
-
-/// A node's runtime multiplier under its currently active perf-fault
-/// windows: the max of their factors (worst wins), 1.0 when none.
-fn node_perf_factor(windows: &[PerfFaultWindow], active: &[usize]) -> f64 {
-    active
-        .iter()
-        .map(|&ix| windows[ix].kind.slow_factor())
-        .fold(1.0, f64::max)
+fn percent(x: f64) -> u32 {
+    (x * 100.0).round() as u32
 }
 
 /// The runtime multiplier a gang experiences on `nodes`: gang semantics
@@ -994,7 +972,7 @@ fn gang_mult(ledger: &Ledger, nodes: &[NodeId]) -> f64 {
 /// Accrues progress earned since the last rebase into the watermark at the
 /// run's current rate, and moves the rebase point to `now`.
 fn rebase_progress(rec: &mut JobRecord, now: Time) {
-    if matches!(rec.state, JobState::Running { .. }) && rec.run_total > 0.0 {
+    if matches!(rec.state, JobState::Running(_)) && rec.run_total > 0.0 {
         let elapsed = now.saturating_sub(rec.progress_at) as f64;
         rec.watermark = (rec.watermark + elapsed / (rec.run_total * rec.run_mult)).min(1.0);
         rec.progress_at = now;
@@ -1007,49 +985,6 @@ fn rebase_progress(rec: &mut JobRecord, now: Time) {
 fn remaining_runtime(rec: &JobRecord) -> u64 {
     let remaining = (1.0 - rec.watermark).max(0.0) * rec.run_total * rec.run_mult;
     (remaining.ceil() as u64).max(1)
-}
-
-/// Rebases the gang holding `node` (if any) onto the node-health rates in
-/// effect from `now` on: progress to date is preserved via the watermark,
-/// the queued completion is invalidated through the generation guard, and
-/// a fresh completion is queued at the re-derived end time.
-fn retime_gang_on(
-    node: NodeId,
-    now: Time,
-    records: &mut HashMap<JobId, JobRecord>,
-    ledger: &Ledger,
-    queue: &mut EventQueue,
-    trace: &mut TraceLog,
-) {
-    let Some(handle) = ledger.owner_of(node) else {
-        return;
-    };
-    let job = JobId(handle.0);
-    let rec = records
-        .get_mut(&job)
-        .expect("degraded node held by unknown job");
-    let mult = match rec.state {
-        JobState::Running { ref nodes, .. } => gang_mult(ledger, nodes),
-        _ => return,
-    };
-    if mult == rec.run_mult {
-        return;
-    }
-    rebase_progress(rec, now);
-    rec.run_mult = mult;
-    rec.generation += 1;
-    queue.push(
-        now + remaining_runtime(rec),
-        EventKind::Complete {
-            job,
-            generation: rec.generation,
-        },
-    );
-    trace.record(TraceEvent::GangRetimed {
-        job,
-        factor_pct: (mult * 100.0).round() as u32,
-        at: now,
-    });
 }
 
 #[cfg(test)]
@@ -1398,6 +1333,29 @@ mod tests {
             .for_job(JobId(0))
             .iter()
             .any(|e| matches!(e, TraceEvent::RetriesExhausted { at: 50, .. })));
+    }
+
+    #[test]
+    fn resubmit_before_the_next_cycle_is_offered_once() {
+        // Launched at the t=0 cycle, evicted at t=1, resubmitted at t=2:
+        // all inside one cycle period. The job left the queue when it was
+        // launched, so the t=4 cycle is offered it once (a second queue
+        // entry would make FIFO launch it twice).
+        let config = SimConfig {
+            faults: one_node_outage(1, 1, 0),
+            retry: RetryPolicy {
+                backoff_base: 1,
+                backoff_cap: 1,
+                ..RetryPolicy::default()
+            },
+            strict_accounting: true,
+            ..SimConfig::default()
+        };
+        let report =
+            Simulator::new(Cluster::uniform(1, 4, 0), Fifo, config).run(vec![be_job(0, 0, 2, 40)]);
+        assert_eq!(report.metrics.evictions, 1);
+        assert_eq!(report.metrics.be_completed, 1);
+        assert_eq!(report.outcomes[&JobId(0)].completion(), Some(44));
     }
 
     #[test]

@@ -62,19 +62,21 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    fn priority(&self) -> u8 {
+    /// Processing priority at equal timestamps (lower first) and the
+    /// telemetry counter (`sim.events.*`) that counts events of the kind.
+    pub(crate) fn priority_and_counter(&self) -> (u8, &'static str) {
         match self {
-            EventKind::Complete { .. } => 0,
-            EventKind::NodeUp { .. } => 1,
-            EventKind::NodeDown { .. } => 2,
+            EventKind::Complete { .. } => (0, "sim.events.complete"),
+            EventKind::NodeUp { .. } => (1, "sim.events.node_up"),
+            EventKind::NodeDown { .. } => (2, "sim.events.node_down"),
             // Perf windows settle after fail-stop transitions (an ending
             // window on a node that just died is a no-op) and before
             // arrivals, so submissions and the cycle see final node rates.
-            EventKind::PerfFaultEnd { .. } => 3,
-            EventKind::PerfFaultStart { .. } => 4,
-            EventKind::Submit { .. } => 5,
-            EventKind::Resubmit { .. } => 6,
-            EventKind::CycleTick => 7,
+            EventKind::PerfFaultEnd { .. } => (3, "sim.events.perf_fault_end"),
+            EventKind::PerfFaultStart { .. } => (4, "sim.events.perf_fault_start"),
+            EventKind::Submit { .. } => (5, "sim.events.submit"),
+            EventKind::Resubmit { .. } => (6, "sim.events.resubmit"),
+            EventKind::CycleTick => (7, "sim.events.cycle_tick"),
         }
     }
 }
@@ -93,10 +95,12 @@ pub struct Event {
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse to pop the earliest event.
+        let (priority, _) = self.kind.priority_and_counter();
+        let (other_priority, _) = other.kind.priority_and_counter();
         other
             .at
             .cmp(&self.at)
-            .then(other.kind.priority().cmp(&self.kind.priority()))
+            .then(other_priority.cmp(&priority))
             .then(other.seq.cmp(&self.seq))
     }
 }

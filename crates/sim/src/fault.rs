@@ -60,6 +60,17 @@ pub enum FaultScope {
     Nodes(Vec<NodeId>),
 }
 
+impl FaultScope {
+    /// The nodes of `cluster` the scope covers.
+    fn nodes(&self, cluster: &Cluster) -> Vec<NodeId> {
+        match self {
+            FaultScope::Node(n) => vec![*n],
+            FaultScope::Rack(r) => cluster.rack_nodes(*r).iter().collect(),
+            FaultScope::Nodes(ns) => ns.clone(),
+        }
+    }
+}
+
 /// One scripted outage window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultScript {
@@ -127,12 +138,7 @@ impl FaultPlan {
             if s.duration == 0 {
                 continue;
             }
-            let nodes: Vec<NodeId> = match &s.scope {
-                FaultScope::Node(n) => vec![*n],
-                FaultScope::Rack(r) => cluster.rack_nodes(*r).iter().collect(),
-                FaultScope::Nodes(ns) => ns.clone(),
-            };
-            for node in nodes {
+            for node in s.scope.nodes(cluster) {
                 events.push(FaultEvent {
                     at: s.at,
                     node,
@@ -323,12 +329,7 @@ impl PerfFaultPlan {
             if s.duration == 0 {
                 continue;
             }
-            let nodes: Vec<NodeId> = match &s.scope {
-                FaultScope::Node(n) => vec![*n],
-                FaultScope::Rack(r) => cluster.rack_nodes(*r).iter().collect(),
-                FaultScope::Nodes(ns) => ns.clone(),
-            };
-            for node in nodes {
+            for node in s.scope.nodes(cluster) {
                 windows.push(PerfFaultWindow {
                     start: s.at,
                     end: s.at + s.duration,
@@ -385,6 +386,55 @@ impl PerfFaultPlan {
     fn normalize(&mut self) {
         self.windows.retain(|w| w.end > w.start);
         self.windows.sort_by_key(|w| (w.start, w.node, w.end));
+    }
+}
+
+/// One node's fault state: how overlapping entries of the two plans
+/// compose while the engine replays them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeFaults {
+    /// Fail-stop outages in force. Overlapping outages of one node
+    /// (stochastic churn merged with a scripted rack outage) are
+    /// refcounted: the node rejoins the free pool only when every one of
+    /// them has ended.
+    down_depth: u32,
+    /// Plan indices of the perf-fault windows in force.
+    active_perf: Vec<usize>,
+    /// Whether a perf-fault window ever opened on the node.
+    pub(crate) perf_faulted: bool,
+}
+
+impl NodeFaults {
+    /// An outage begins; true when it is the one that takes the node down.
+    pub(crate) fn fail(&mut self) -> bool {
+        self.down_depth += 1;
+        self.down_depth == 1
+    }
+
+    /// An outage ends; true when it was the last in force, false while
+    /// another holds the node down or when no failure preceded the repair.
+    pub(crate) fn repair(&mut self) -> bool {
+        if self.down_depth == 0 {
+            return false;
+        }
+        self.down_depth -= 1;
+        self.down_depth == 0
+    }
+
+    /// Window `ix` of `plan` opens or closes; the node's runtime multiplier
+    /// from here on. Overlapping windows compose by max (the node runs at
+    /// the worst active factor), 1.0 when none is left.
+    pub(crate) fn perf_window(&mut self, ix: usize, opens: bool, plan: &[PerfFaultWindow]) -> f64 {
+        if opens {
+            self.active_perf.push(ix);
+            self.perf_faulted = true;
+        } else {
+            self.active_perf.retain(|&other| other != ix);
+        }
+        self.active_perf
+            .iter()
+            .map(|&ix| plan[ix].kind.slow_factor())
+            .fold(1.0, f64::max)
     }
 }
 

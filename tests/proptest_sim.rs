@@ -1,11 +1,17 @@
 //! Property tests over whole simulations: for random small workloads and
 //! both scheduler stacks, structural invariants must hold.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use tetrisched::baseline::CapacityScheduler;
-use tetrisched::cluster::Cluster;
+use tetrisched::cluster::{AllocHandle, Cluster, NodeId};
 use tetrisched::core::{TetriSched, TetriSchedConfig};
-use tetrisched::sim::{JobId, JobOutcome, JobSpec, JobType, SimConfig, SimReport, Simulator};
+use tetrisched::sim::{
+    CycleContext, CycleDecisions, FaultConfig, FaultPlan, FaultScope, FaultScript, JobId,
+    JobOutcome, JobSpec, JobType, PendingJob, RetryPolicy, Scheduler, SimConfig, SimReport,
+    Simulator,
+};
 
 #[derive(Debug, Clone)]
 struct MiniJob {
@@ -88,6 +94,105 @@ fn check_invariants(report: &SimReport, n_jobs: usize, name: &str) -> Result<(),
     Ok(())
 }
 
+/// Delegates to `TetriSched` and asserts that every view it is handed is
+/// well-formed: no job offered twice, none both pending and running, the
+/// running gangs strictly ascending by id, each holding the nodes it claims.
+struct ViewChecked(TetriSched);
+
+impl Scheduler for ViewChecked {
+    fn on_submit(&mut self, job: &PendingJob, now: u64) {
+        self.0.on_submit(job, now);
+    }
+
+    fn on_complete(&mut self, job: JobId, now: u64) {
+        self.0.on_complete(job, now);
+    }
+
+    fn on_evict(&mut self, job: JobId, now: u64) {
+        self.0.on_evict(job, now);
+    }
+
+    fn cycle(&mut self, ctx: &CycleContext<'_>) -> CycleDecisions {
+        let now = ctx.now;
+        let mut pending = BTreeSet::new();
+        for p in ctx.pending {
+            assert!(
+                pending.insert(p.spec.id),
+                "{:?} is pending twice at t={now}",
+                p.spec.id
+            );
+        }
+        for pair in ctx.running.windows(2) {
+            assert!(
+                pair[0].id < pair[1].id,
+                "running view out of id order at t={now}"
+            );
+        }
+        for r in ctx.running {
+            assert!(
+                !pending.contains(&r.id),
+                "{:?} is pending and running at t={now}",
+                r.id
+            );
+            for &node in &r.nodes {
+                assert_eq!(
+                    ctx.ledger.owner_of(node),
+                    Some(AllocHandle(r.id.0)),
+                    "{:?} does not hold {node} at t={now}",
+                    r.id
+                );
+            }
+        }
+        self.0.cycle(ctx)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+fn run_view_checked(cluster: Cluster, specs: Vec<JobSpec>, config: SimConfig) -> SimReport {
+    let scheduler = ViewChecked(TetriSched::new(TetriSchedConfig::full(16)));
+    Simulator::new(cluster, scheduler, config).run(specs)
+}
+
+/// The fixed case of the property below: launched at the t=0 cycle, evicted
+/// at t=1 and resubmitted at t=2, all inside one cycle period. An engine
+/// that leaves a launched job queued until the next cycle offers it twice
+/// at t=4, whatever the random cases draw.
+#[test]
+fn views_are_well_formed_when_resubmit_beats_the_next_cycle() {
+    let cluster = Cluster::uniform(1, 2, 0);
+    let outage = FaultScript {
+        at: 1,
+        duration: 1,
+        scope: FaultScope::Node(NodeId(0)),
+    };
+    let config = SimConfig {
+        faults: FaultPlan::from_script(&cluster, &[outage]),
+        retry: RetryPolicy {
+            backoff_base: 1,
+            backoff_cap: 1,
+            ..RetryPolicy::default()
+        },
+        strict_accounting: true,
+        ..SimConfig::default()
+    };
+    let job = JobSpec {
+        id: JobId(0),
+        submit: 0,
+        job_type: JobType::Unconstrained,
+        k: 2,
+        base_runtime: 40,
+        slowdown: 1.0,
+        deadline: None,
+        estimate_error: 0.0,
+    };
+    let report = run_view_checked(cluster, vec![job], config);
+    assert_eq!(report.metrics.evictions, 1);
+    assert_eq!(report.metrics.be_completed, 1);
+}
+
 proptest! {
     // Whole-simulation properties are expensive; keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -105,6 +210,33 @@ proptest! {
         check_invariants(&report, jobs.len(), "tetrisched")?;
         // TetriSched never preempts (paper behaviour).
         prop_assert_eq!(report.metrics.preemptions, 0);
+    }
+
+    /// Under node churn with short retry backoffs (evictions and their
+    /// resubmits landing between two cycles), every view a scheduler is
+    /// handed stays well-formed and every job still ends.
+    #[test]
+    fn views_are_well_formed_under_churn(
+        jobs in proptest::collection::vec(arb_job(), 1..10),
+        seed in 0u64..10_000,
+        backoff_base in 1u64..13,
+    ) {
+        let cluster = Cluster::uniform(2, 4, 1);
+        let faults = FaultPlan::generate(
+            cluster.num_nodes(),
+            &FaultConfig { seed, mtbf: 150.0, mttr: 10.0, horizon: 600 },
+        );
+        for cycle_period in [4, 10] {
+            let config = SimConfig {
+                cycle_period,
+                faults: faults.clone(),
+                retry: RetryPolicy { backoff_base, ..RetryPolicy::default() },
+                strict_accounting: true,
+                ..SimConfig::default()
+            };
+            let report = run_view_checked(cluster.clone(), to_specs(&jobs), config);
+            prop_assert_eq!(report.metrics.incomplete, 0, "period {}", cycle_period);
+        }
     }
 
     #[test]
