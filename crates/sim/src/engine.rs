@@ -295,10 +295,10 @@ impl<S: Scheduler> Run<S> {
         while let Some(ev) = self.events.pop() {
             // Node-seconds are the ledger's counts integrated over simulated
             // time: allocations and outages only change inside handlers.
-            let elapsed = ev.at.min(horizon) - self.now;
-            self.metrics.busy_node_seconds += elapsed * self.ledger.busy_count() as u64;
-            self.metrics.down_node_seconds += elapsed * self.ledger.down_count() as u64;
-            self.now += elapsed;
+            let at = ev.at.min(horizon);
+            self.metrics.busy_node_seconds += (at - self.now) * self.ledger.busy_count() as u64;
+            self.metrics.down_node_seconds += (at - self.now) * self.ledger.down_count() as u64;
+            self.now = at;
             if ev.at > horizon {
                 break;
             }

@@ -785,6 +785,30 @@ mod tests {
     }
 
     #[test]
+    fn node_faults_refcount_outages_and_take_the_worst_factor() {
+        let mut node = NodeFaults::default();
+        assert!(!node.repair(), "a repair without a failure changes nothing");
+        assert!(node.fail());
+        assert!(!node.fail(), "nested outage: already down");
+        assert!(!node.repair(), "the outer outage still holds the node down");
+        assert!(node.repair());
+
+        let window = |factor| PerfFaultWindow {
+            start: 0,
+            end: 100,
+            node: NodeId(0),
+            kind: PerfFaultKind::SlowNode { factor },
+            announced: false,
+        };
+        let plan = [window(2.0), window(4.0)];
+        assert_eq!(node.perf_window(0, true, &plan), 2.0);
+        assert_eq!(node.perf_window(1, true, &plan), 4.0);
+        assert_eq!(node.perf_window(1, false, &plan), 2.0);
+        assert_eq!(node.perf_window(0, false, &plan), 1.0);
+        assert!(node.perf_faulted);
+    }
+
+    #[test]
     fn slow_factor_clamps() {
         assert_eq!(PerfFaultKind::SlowNode { factor: 0.5 }.slow_factor(), 1.0);
         assert_eq!(PerfFaultKind::SlowNode { factor: 3.0 }.slow_factor(), 3.0);

@@ -178,17 +178,15 @@ fn views_are_well_formed_when_resubmit_beats_the_next_cycle() {
         strict_accounting: true,
         ..SimConfig::default()
     };
-    let job = JobSpec {
-        id: JobId(0),
+    let job = MiniJob {
         submit: 0,
-        job_type: JobType::Unconstrained,
         k: 2,
-        base_runtime: 40,
-        slowdown: 1.0,
-        deadline: None,
-        estimate_error: 0.0,
+        runtime: 40,
+        slo_slack: None,
+        job_type: 0,
+        error_pm: 0,
     };
-    let report = run_view_checked(cluster, vec![job], config);
+    let report = run_view_checked(cluster, to_specs(&[job]), config);
     assert_eq!(report.metrics.evictions, 1);
     assert_eq!(report.metrics.be_completed, 1);
 }
