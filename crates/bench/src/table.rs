@@ -1,225 +1,133 @@
-//! Result rows and paper-style series printing.
+//! The one result type of the harness and its views.
+//!
+//! A [`Figure`] holds every replication's [`SimReport`] at each (series, x)
+//! point and names its metrics once, in the [`Panel`]s that show them: a
+//! panel reduces a point's replications to one cell at print time.
+//! [`print_figure`] and [`markdown`] are two views of the same figure;
+//! [`print_table`] is the row-per-series layout of the single-x tables
+//! (ablations, scalability, the correlated outage).
 
-use tetrisched_sim::SimReport;
+use std::rc::Rc;
 
-/// One experiment point: a scheduler at one x-axis value.
-#[derive(Debug, Clone)]
-pub struct MetricsRow {
-    /// Scheduler name.
-    pub scheduler: String,
-    /// X-axis value (estimate error % or plan-ahead seconds).
+use tetrisched_sim::{Metrics, SimReport};
+
+/// A label as the two views spell it: `text` in the aligned tables, `md`
+/// in the Markdown report (whose spellings `EXPERIMENTS.md` embeds).
+#[derive(Debug, Clone, Copy)]
+pub struct Label {
+    /// Spelling in [`print_figure`] and [`print_table`].
+    pub text: &'static str,
+    /// Spelling in [`markdown`].
+    pub md: &'static str,
+}
+
+impl From<&'static str> for Label {
+    fn from(s: &'static str) -> Label {
+        Label { text: s, md: s }
+    }
+}
+
+/// One panel of a figure: a per-run metric, named once here, and how a
+/// point's replications reduce to the cell it shows.
+#[derive(Debug, Clone, Copy)]
+pub struct Panel {
+    /// Panel heading (column heading in [`print_table`]).
+    pub name: Label,
+    /// The metric of one run.
+    pub metric: fn(&Metrics) -> f64,
+    /// Show the maximum over replications instead of the mean.
+    pub max: bool,
+}
+
+/// A panel showing the mean of `metric` over replications. Counts are
+/// averaged like everything else, so at two replications a count cell may
+/// read `x.5`.
+pub(crate) fn panel(name: impl Into<Label>, metric: fn(&Metrics) -> f64) -> Panel {
+    Panel {
+        name: name.into(),
+        metric,
+        max: false,
+    }
+}
+
+impl Panel {
+    /// The cell for one point's replications.
+    fn cell(&self, replications: &[SimReport]) -> f64 {
+        let values = replications.iter().map(|r| (self.metric)(&r.metrics));
+        if self.max {
+            values.fold(0.0, f64::max)
+        } else {
+            values.sum::<f64>() / replications.len() as f64
+        }
+    }
+}
+
+/// One experiment point: a series at one x-axis value, with the report of
+/// every replication (seed, seed + 1, ...).
+#[derive(Debug)]
+pub struct Point {
+    /// Series name (a scheduler or a configuration).
+    pub series: String,
+    /// X-axis value (estimate error %, plan-ahead seconds, MTBF ...).
     pub x: f64,
-    /// Accepted-SLO attainment, %.
-    pub accepted_slo: f64,
-    /// Total SLO attainment, %.
-    pub total_slo: f64,
-    /// SLO-without-reservation attainment, %.
-    pub nores_slo: f64,
-    /// Mean best-effort latency, seconds.
-    pub be_latency: f64,
-    /// Cluster utilization, fraction.
-    pub utilization: f64,
-    /// Mean scheduler cycle latency, milliseconds.
-    pub cycle_ms_mean: f64,
-    /// 99th-percentile cycle latency, milliseconds.
-    pub cycle_ms_p99: f64,
-    /// Mean MILP solver latency, milliseconds.
-    pub solver_ms_mean: f64,
-    /// 99th-percentile solver latency, milliseconds.
-    pub solver_ms_p99: f64,
-    /// Preemption count.
-    pub preemptions: usize,
-    /// Abandoned jobs.
-    pub abandoned: usize,
-    /// Gangs evicted by node failures.
-    pub evictions: usize,
-    /// Eviction retries issued.
-    pub retries: usize,
-    /// Jobs abandoned after exhausting their eviction retry budget.
-    pub abandoned_after_retries: usize,
-    /// Cycles that fell back to the degraded (greedy) placer.
-    pub solver_fallbacks: usize,
-    /// Fraction of node-seconds the cluster was up, %.
-    pub availability: f64,
-    /// Error-severity lint rejections surfaced by cycles.
-    pub lint_errors: usize,
-    /// Solves settled by a presolve infeasibility certificate.
-    pub lint_presolve_rejections: usize,
-    /// Solver/translation certificates verified (`certify_solves` knob).
-    pub certificates_verified: usize,
-    /// Certificates that failed verification.
-    pub certificate_failures: usize,
-    /// Solves whose warm start was accepted as the incumbent.
-    pub warm_start_hits: usize,
-    /// Presolve reductions (rows dropped + bounds tightened) across all
-    /// solves.
-    pub presolve_reductions: usize,
-    /// Trace events dropped by the bounded ring buffer.
-    pub trace_events_dropped: u64,
-    /// 99th-percentile MILP solve phase wall time, milliseconds, from the
-    /// telemetry wall histograms (zero when telemetry was disabled).
-    pub phase_solve_ms_p99: f64,
-    /// Nodes that entered at least one performance-fault window.
-    pub perf_faulted_nodes: u64,
-    /// Straggler tasks flagged by the progress-watermark detector.
-    pub stragglers_detected: u64,
-    /// Speculative straggler migrations actually issued.
-    pub speculative_migrations: u64,
-    /// Deepest degradation-ladder rung reached (0 = full MILP).
-    pub ladder_rung: u64,
-    /// Budget-expired anytime solves that still returned an incumbent.
-    pub anytime_incumbents: u64,
-    /// Jobs the service core admitted to the scheduler.
-    pub jobs_admitted: u64,
-    /// Jobs the service core shed (overflow or depth bound).
-    pub jobs_shed: u64,
-    /// Cumulative job-cycles arrivals spent deferred on intake shards.
-    pub jobs_deferred: u64,
+    /// One finished run per replication.
+    pub replications: Vec<SimReport>,
 }
 
-impl MetricsRow {
-    /// Builds a row from a finished run.
-    pub fn from_report(scheduler: impl Into<String>, x: f64, report: &SimReport) -> MetricsRow {
-        let m = &report.metrics;
-        MetricsRow {
-            scheduler: scheduler.into(),
-            x,
-            accepted_slo: m.accepted_slo_attainment(),
-            total_slo: m.total_slo_attainment(),
-            nores_slo: m.nores_slo_attainment(),
-            be_latency: m.be_mean_latency(),
-            utilization: m.utilization(),
-            cycle_ms_mean: m.cycle_latency.mean() * 1e3,
-            cycle_ms_p99: m.cycle_latency.quantile(0.99) * 1e3,
-            solver_ms_mean: m.solver_latency.mean() * 1e3,
-            solver_ms_p99: m.solver_latency.quantile(0.99) * 1e3,
-            preemptions: m.preemptions,
-            abandoned: m.abandoned,
-            evictions: m.evictions,
-            retries: m.retries,
-            abandoned_after_retries: m.abandoned_after_retries,
-            solver_fallbacks: m.solver_fallbacks,
-            availability: m.availability() * 100.0,
-            lint_errors: m.lint_errors,
-            lint_presolve_rejections: m.lint_presolve_rejections,
-            certificates_verified: m.certificates_verified,
-            certificate_failures: m.certificate_failures,
-            warm_start_hits: m.warm_start_hits,
-            presolve_reductions: m.presolve_reductions,
-            trace_events_dropped: m.trace_events_dropped,
-            phase_solve_ms_p99: report
-                .telemetry
-                .wall_hist("phase.solve_secs")
-                .map_or(0.0, |h| h.quantile(0.99) * 1e3),
-            perf_faulted_nodes: m.perf_faulted_nodes,
-            stragglers_detected: m.stragglers_detected,
-            speculative_migrations: m.speculative_migrations,
-            ladder_rung: m.ladder_rung,
-            anytime_incumbents: m.anytime_incumbents,
-            jobs_admitted: m.jobs_admitted,
-            jobs_shed: m.jobs_shed,
-            jobs_deferred: m.jobs_deferred,
+/// A figure: points on a series-by-x grid and the panels that read them.
+#[derive(Debug)]
+pub struct Figure {
+    /// Heading of the text view and first half of the Markdown one.
+    pub title: String,
+    /// What the figure shows; the Markdown heading appends it.
+    pub caption: &'static str,
+    /// X-axis label.
+    pub x_label: Label,
+    /// The grid, shared when two figures read the same runs.
+    pub points: Rc<[Point]>,
+    /// One block (text) or table (Markdown) per panel.
+    pub panels: Vec<Panel>,
+}
+
+impl Figure {
+    /// Series names and x values in first-appearance order.
+    fn axes(&self) -> (Vec<&str>, Vec<f64>) {
+        let (mut series, mut xs) = (Vec::new(), Vec::new());
+        for p in self.points.iter() {
+            if !series.contains(&p.series.as_str()) {
+                series.push(p.series.as_str());
+            }
+            if !xs.contains(&p.x) {
+                xs.push(p.x);
+            }
         }
+        (series, xs)
+    }
+
+    /// The cell of `panel` at (`series`, `x`), if the grid has that point.
+    fn cell(&self, panel: &Panel, series: &str, x: f64) -> Option<f64> {
+        let point = self.points.iter().find(|p| p.series == series && p.x == x);
+        point.map(|p| panel.cell(&p.replications))
     }
 }
 
-impl MetricsRow {
-    /// Pointwise average of several replications of the same experiment
-    /// point (same scheduler and x across all rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows` is empty.
-    pub fn averaged(rows: &[MetricsRow]) -> MetricsRow {
-        assert!(!rows.is_empty(), "cannot average zero rows");
-        let n = rows.len() as f64;
-        let avg = |f: fn(&MetricsRow) -> f64| rows.iter().map(f).sum::<f64>() / n;
-        MetricsRow {
-            scheduler: rows[0].scheduler.clone(),
-            x: rows[0].x,
-            accepted_slo: avg(|r| r.accepted_slo),
-            total_slo: avg(|r| r.total_slo),
-            nores_slo: avg(|r| r.nores_slo),
-            be_latency: avg(|r| r.be_latency),
-            utilization: avg(|r| r.utilization),
-            cycle_ms_mean: avg(|r| r.cycle_ms_mean),
-            cycle_ms_p99: avg(|r| r.cycle_ms_p99),
-            solver_ms_mean: avg(|r| r.solver_ms_mean),
-            solver_ms_p99: avg(|r| r.solver_ms_p99),
-            preemptions: rows.iter().map(|r| r.preemptions).sum::<usize>() / rows.len(),
-            abandoned: rows.iter().map(|r| r.abandoned).sum::<usize>() / rows.len(),
-            evictions: rows.iter().map(|r| r.evictions).sum::<usize>() / rows.len(),
-            retries: rows.iter().map(|r| r.retries).sum::<usize>() / rows.len(),
-            abandoned_after_retries: rows
-                .iter()
-                .map(|r| r.abandoned_after_retries)
-                .sum::<usize>()
-                / rows.len(),
-            solver_fallbacks: rows.iter().map(|r| r.solver_fallbacks).sum::<usize>() / rows.len(),
-            availability: avg(|r| r.availability),
-            lint_errors: rows.iter().map(|r| r.lint_errors).sum::<usize>() / rows.len(),
-            lint_presolve_rejections: rows
-                .iter()
-                .map(|r| r.lint_presolve_rejections)
-                .sum::<usize>()
-                / rows.len(),
-            certificates_verified: rows.iter().map(|r| r.certificates_verified).sum::<usize>()
-                / rows.len(),
-            certificate_failures: rows.iter().map(|r| r.certificate_failures).sum::<usize>()
-                / rows.len(),
-            warm_start_hits: rows.iter().map(|r| r.warm_start_hits).sum::<usize>() / rows.len(),
-            presolve_reductions: rows.iter().map(|r| r.presolve_reductions).sum::<usize>()
-                / rows.len(),
-            trace_events_dropped: rows.iter().map(|r| r.trace_events_dropped).sum::<u64>()
-                / rows.len() as u64,
-            phase_solve_ms_p99: avg(|r| r.phase_solve_ms_p99),
-            perf_faulted_nodes: rows.iter().map(|r| r.perf_faulted_nodes).sum::<u64>()
-                / rows.len() as u64,
-            stragglers_detected: rows.iter().map(|r| r.stragglers_detected).sum::<u64>()
-                / rows.len() as u64,
-            speculative_migrations: rows.iter().map(|r| r.speculative_migrations).sum::<u64>()
-                / rows.len() as u64,
-            // The deepest rung any replication reached, not the average: a
-            // single replication hitting the greedy floor is the signal.
-            ladder_rung: rows.iter().map(|r| r.ladder_rung).max().unwrap_or(0),
-            anytime_incumbents: rows.iter().map(|r| r.anytime_incumbents).sum::<u64>()
-                / rows.len() as u64,
-            jobs_admitted: rows.iter().map(|r| r.jobs_admitted).sum::<u64>() / rows.len() as u64,
-            jobs_shed: rows.iter().map(|r| r.jobs_shed).sum::<u64>() / rows.len() as u64,
-            jobs_deferred: rows.iter().map(|r| r.jobs_deferred).sum::<u64>() / rows.len() as u64,
-        }
-    }
-}
-
-/// A named metric extractor: one panel of a figure.
-pub type Panel = (&'static str, fn(&MetricsRow) -> f64);
-
-/// Prints a figure's rows as aligned per-scheduler series, one block per
-/// metric panel — the same layout as the paper's figure panels.
-pub fn print_figure(title: &str, x_label: &str, rows: &[MetricsRow], panels: &[Panel]) {
-    println!("== {title} ==");
-    let mut schedulers: Vec<String> = Vec::new();
-    let mut xs: Vec<f64> = Vec::new();
-    for r in rows {
-        if !schedulers.contains(&r.scheduler) {
-            schedulers.push(r.scheduler.clone());
-        }
-        if !xs.contains(&r.x) {
-            xs.push(r.x);
-        }
-    }
-    for (panel, f) in panels {
-        println!("-- {panel} --");
-        print!("{:<16}", x_label);
+/// Prints a figure as aligned per-series rows, one block per panel — the
+/// same layout as the paper's figure panels.
+pub fn print_figure(fig: &Figure) {
+    println!("== {} ==", fig.title);
+    let (series, xs) = fig.axes();
+    for panel in &fig.panels {
+        println!("-- {} --", panel.name.text);
+        print!("{:<16}", fig.x_label.text);
         for x in &xs {
             print!("{x:>10.1}");
         }
         println!();
-        for s in &schedulers {
+        for s in &series {
             print!("{s:<16}");
-            for x in &xs {
-                match rows.iter().find(|r| &r.scheduler == s && r.x == *x) {
-                    Some(r) => print!("{:>10.1}", f(r)),
+            for &x in &xs {
+                match fig.cell(panel, s, x) {
+                    Some(v) => print!("{v:>10.1}"),
                     None => print!("{:>10}", "-"),
                 }
             }
@@ -229,135 +137,148 @@ pub fn print_figure(title: &str, x_label: &str, rows: &[MetricsRow], panels: &[P
     println!();
 }
 
-/// The four standard panels of the estimate-error figures (Figs. 6–10).
-pub fn slo_panels() -> Vec<Panel> {
+/// Renders a figure as Markdown: a heading, then one table per panel.
+pub fn markdown(fig: &Figure) -> String {
+    let (series, xs) = fig.axes();
+    let mut out = format!("### {}: {}\n\n", fig.title, fig.caption);
+    for panel in &fig.panels {
+        out.push_str(&format!("**{}**\n\n| {} |", panel.name.md, fig.x_label.md));
+        for x in &xs {
+            out.push_str(&format!(" {x} |"));
+        }
+        out.push_str(&format!("\n|---|{}\n", "---|".repeat(xs.len())));
+        for s in &series {
+            out.push_str(&format!("| {s} |"));
+            for &x in &xs {
+                match fig.cell(panel, s, x) {
+                    Some(v) => out.push_str(&format!(" {v:.1} |")),
+                    None => out.push_str(" - |"),
+                }
+            }
+            out.push('\n');
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Prints a single-x figure as one row per series and one column per
+/// panel; `columns` gives each panel's width and decimals.
+pub(crate) fn print_table(
+    fig: &Figure,
+    label: &str,
+    label_width: usize,
+    columns: &[(usize, usize)],
+) {
+    print!("{label:<label_width$}");
+    for (panel, &(width, _)) in fig.panels.iter().zip(columns) {
+        print!("{:>width$}", panel.name.text);
+    }
+    println!();
+    for p in fig.points.iter() {
+        print!("{:<label_width$}", p.series);
+        for (panel, &(width, decimals)) in fig.panels.iter().zip(columns) {
+            print!("{:>width$.decimals$}", panel.cell(&p.replications));
+        }
+        println!();
+    }
+}
+
+/// The four standard panels of the estimate-error figures (Figs. 6–11).
+pub(crate) fn slo_panels() -> Vec<Panel> {
+    let accepted = Label {
+        text: "SLO attainment, accepted (with reservation) (%)",
+        md: "SLO attainment, accepted (%)",
+    };
     vec![
-        ("SLO attainment, all SLO jobs (%)", |r| r.total_slo),
-        ("SLO attainment, accepted (with reservation) (%)", |r| {
-            r.accepted_slo
+        panel(
+            "SLO attainment, all SLO jobs (%)",
+            Metrics::total_slo_attainment,
+        ),
+        panel(accepted, Metrics::accepted_slo_attainment),
+        panel(
+            "SLO attainment, w/o reservation (%)",
+            Metrics::nores_slo_attainment,
+        ),
+        panel("Best-effort mean latency (s)", Metrics::be_mean_latency),
+    ]
+}
+
+/// The latency panels of Fig. 12(a)/(b).
+pub(crate) fn latency_panels() -> Vec<Panel> {
+    vec![
+        panel("solver latency mean (ms)", |m| {
+            m.solver_latency.mean() * 1e3
         }),
-        ("SLO attainment, w/o reservation (%)", |r| r.nores_slo),
-        ("Best-effort mean latency (s)", |r| r.be_latency),
-    ]
-}
-
-/// The latency panels of Fig. 12.
-pub fn latency_panels() -> Vec<Panel> {
-    vec![
-        ("solver latency mean (ms)", |r| r.solver_ms_mean),
-        ("solver latency p99 (ms)", |r| r.solver_ms_p99),
-        ("cycle latency mean (ms)", |r| r.cycle_ms_mean),
-        ("cycle latency p99 (ms)", |r| r.cycle_ms_p99),
-    ]
-}
-
-/// Robustness panels for the churn experiments (beyond the paper, which
-/// evaluates healthy clusters only).
-pub fn robustness_panels() -> Vec<Panel> {
-    vec![
-        ("SLO attainment, all SLO jobs (%)", |r| r.total_slo),
-        ("cluster availability (%)", |r| r.availability),
-        ("evictions", |r| r.evictions as f64),
-        ("eviction retries", |r| r.retries as f64),
-        ("abandoned after retries", |r| {
-            r.abandoned_after_retries as f64
+        panel("solver latency p99 (ms)", |m| {
+            m.solver_latency.quantile(0.99) * 1e3
         }),
-        ("degraded cycles (solver fallbacks)", |r| {
-            r.solver_fallbacks as f64
+        panel("cycle latency mean (ms)", |m| m.cycle_latency.mean() * 1e3),
+        panel("cycle latency p99 (ms)", |m| {
+            m.cycle_latency.quantile(0.99) * 1e3
         }),
-    ]
-}
-
-/// Degraded-mode panels: perf faults, straggler defense, and the anytime
-/// degradation ladder (this repo's robustness extensions to the paper).
-pub fn degraded_panels() -> Vec<Panel> {
-    vec![
-        ("SLO attainment, all SLO jobs (%)", |r| r.total_slo),
-        ("perf-faulted nodes", |r| r.perf_faulted_nodes as f64),
-        ("stragglers detected", |r| r.stragglers_detected as f64),
-        ("speculative migrations", |r| {
-            r.speculative_migrations as f64
-        }),
-        ("deepest ladder rung", |r| r.ladder_rung as f64),
-        ("anytime incumbents", |r| r.anytime_incumbents as f64),
-    ]
-}
-
-/// Service-core panels: admission/backpressure accounting for open-loop
-/// service-mode experiments (beyond the paper's closed-loop evaluation).
-pub fn service_panels() -> Vec<Panel> {
-    vec![
-        ("jobs admitted", |r| r.jobs_admitted as f64),
-        ("jobs shed", |r| r.jobs_shed as f64),
-        ("deferred job-cycles", |r| r.jobs_deferred as f64),
-        ("SLO attainment, all SLO jobs (%)", |r| r.total_slo),
-    ]
-}
-
-/// Telemetry forensics panels: solver-internals and instrumentation-health
-/// counters surfaced by the tracing layer (beyond the paper's figures).
-pub fn telemetry_panels() -> Vec<Panel> {
-    vec![
-        ("warm-start hits", |r| r.warm_start_hits as f64),
-        ("presolve reductions", |r| r.presolve_reductions as f64),
-        ("trace events dropped", |r| r.trace_events_dropped as f64),
-        ("solve phase p99 (ms)", |r| r.phase_solve_ms_p99),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{run_spec, RunSpec, SchedulerKind};
+    use tetrisched_cluster::Cluster;
+    use tetrisched_workloads::Workload;
 
-    fn row(s: &str, x: f64, v: f64) -> MetricsRow {
-        MetricsRow {
-            scheduler: s.into(),
+    fn point(series: &str, x: f64, seeds: &[u64]) -> Point {
+        let run = |&seed| {
+            let cluster = Cluster::uniform(2, 4, 1);
+            run_spec(&RunSpec::new(
+                Workload::GsMix,
+                cluster,
+                4,
+                seed,
+                SchedulerKind::RayonCs,
+            ))
+        };
+        Point {
+            series: series.into(),
             x,
-            accepted_slo: v,
-            total_slo: v,
-            nores_slo: v,
-            be_latency: v,
-            utilization: 0.5,
-            cycle_ms_mean: 1.0,
-            cycle_ms_p99: 2.0,
-            solver_ms_mean: 0.5,
-            solver_ms_p99: 1.0,
-            preemptions: 0,
-            abandoned: 0,
-            evictions: 0,
-            retries: 0,
-            abandoned_after_retries: 0,
-            solver_fallbacks: 0,
-            availability: 100.0,
-            lint_errors: 0,
-            lint_presolve_rejections: 0,
-            certificates_verified: 0,
-            certificate_failures: 0,
-            warm_start_hits: 0,
-            presolve_reductions: 0,
-            trace_events_dropped: 0,
-            phase_solve_ms_p99: 0.0,
-            perf_faulted_nodes: 0,
-            stragglers_detected: 0,
-            speculative_migrations: 0,
-            ladder_rung: 0,
-            anytime_incumbents: 0,
-            jobs_admitted: 0,
-            jobs_shed: 0,
-            jobs_deferred: 0,
+            replications: seeds.iter().map(run).collect(),
         }
     }
 
     #[test]
-    fn print_figure_does_not_panic_on_sparse_grid() {
-        let rows = vec![row("a", 0.0, 1.0), row("a", 1.0, 2.0), row("b", 0.0, 3.0)];
-        print_figure("test", "x", &rows, &slo_panels());
-    }
+    fn both_views_render_a_sparse_grid_from_the_same_cells() {
+        let fig = Figure {
+            title: "T".into(),
+            caption: "sparse",
+            x_label: Label {
+                text: "x: long",
+                md: "x",
+            },
+            points: vec![
+                point("a", 0.0, &[1, 2]),
+                point("a", 1.0, &[1]),
+                point("b", 0.0, &[1]),
+            ]
+            .into(),
+            panels: vec![
+                panel("jobs", |m| m.jobs_admitted as f64),
+                slo_panels().remove(1),
+            ],
+        };
+        print_figure(&fig);
+        print_table(&fig, "series", 8, &[(6, 0), (8, 1)]);
+        let md = markdown(&fig);
+        assert!(md.starts_with("### T: sparse\n\n**jobs**\n\n| x | 0 | 1 |\n|---|---|---|\n"));
+        assert!(md.contains("| a | 4.0 | 4.0 |\n| b | 4.0 | - |\n\n"));
+        assert!(md.contains("**SLO attainment, accepted (%)**"));
 
-    #[test]
-    fn panels_extract_metrics() {
-        let r = row("a", 0.0, 42.0);
-        assert_eq!(slo_panels()[0].1(&r), 42.0);
-        assert_eq!(latency_panels()[0].1(&r), 0.5);
+        let busy = panel("busy", |m| m.busy_node_seconds as f64);
+        let two = &fig.points[0].replications;
+        let (a, b) = (
+            (busy.metric)(&two[0].metrics),
+            (busy.metric)(&two[1].metrics),
+        );
+        assert_eq!(busy.cell(two), (a + b) / 2.0);
+        assert_eq!(Panel { max: true, ..busy }.cell(two), a.max(b));
     }
 }

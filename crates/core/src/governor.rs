@@ -27,7 +27,7 @@
 //! - **Demote** one rung when a cycle overruns its work budget or the
 //!   primary solve path fails outright.
 //! - **Promote** one rung only after `promote_streak` consecutive cycles
-//!   comfortably under budget (below `promote_fraction` of it).
+//!   comfortably under budget (below `PROMOTE_FRACTION` of it).
 //! - Either way, at most **one rung change per `hysteresis_cycles`
 //!   window** — a change starts a cooldown during which the rung is
 //!   pinned, no matter what the load signal does.
@@ -89,6 +89,14 @@ impl LadderRung {
     }
 }
 
+/// A cycle below this fraction of `work_budget` votes to promote; between
+/// the two thresholds the governor holds its rung.
+const PROMOTE_FRACTION: f64 = 0.5;
+
+/// Fraction of the full plan-ahead window used on the reduced-horizon rung
+/// (floored to a multiple of the cycle period).
+const REDUCED_HORIZON_FRACTION: f64 = 0.25;
+
 /// Knobs of the cycle-budget governor. Disabled by default: with the
 /// governor off the scheduler keeps the pre-ladder binary
 /// global-or-greedy behavior byte-for-byte.
@@ -100,20 +108,12 @@ pub struct GovernorConfig {
     /// (branch-and-bound nodes + simplex iterations across the cycle's
     /// solves). A cycle above this budget votes to demote.
     pub work_budget: u64,
-    /// A cycle below `promote_fraction * work_budget` votes to promote;
-    /// between the two thresholds the governor holds its rung.
-    pub promote_fraction: f64,
     /// Consecutive promote votes required before actually promoting.
     pub promote_streak: u32,
     /// Minimum cycles between any two rung changes (the anti-flap
     /// window). A change — in either direction, forced or not — pins the
     /// rung for this many cycles.
     pub hysteresis_cycles: u32,
-    /// Fraction of the full plan-ahead window used on the reduced-horizon
-    /// rung (floored at one cycle period).
-    pub reduced_horizon_fraction: f64,
-    /// Branch-and-bound node budget of the anytime rung's solves.
-    pub anytime_node_limit: usize,
     /// Binary mode: the ladder collapses to {full, greedy}, reproducing
     /// the pre-ladder cliff under the *same* governor signal. Kept so the
     /// ladder-vs-binary comparison differs only in the intermediate rungs.
@@ -134,11 +134,8 @@ impl GovernorConfig {
         GovernorConfig {
             enabled: true,
             work_budget: 50_000,
-            promote_fraction: 0.5,
             promote_streak: 3,
             hysteresis_cycles: 4,
-            reduced_horizon_fraction: 0.25,
-            anytime_node_limit: 64,
             binary: false,
         }
     }
@@ -187,11 +184,6 @@ impl Governor {
         }
     }
 
-    /// The ladder configuration.
-    pub fn config(&self) -> &GovernorConfig {
-        &self.config
-    }
-
     /// The rung the next cycle should run at.
     pub fn rung(&self) -> LadderRung {
         if self.config.enabled {
@@ -209,7 +201,7 @@ impl Governor {
     /// The plan-ahead horizon for the reduced-horizon rung, given the
     /// configured full horizon and the cycle quantum.
     pub fn reduced_horizon(&self, plan_ahead: u64, cycle_period: u64) -> u64 {
-        let reduced = (plan_ahead as f64 * self.config.reduced_horizon_fraction).floor() as u64;
+        let reduced = (plan_ahead as f64 * REDUCED_HORIZON_FRACTION).floor() as u64;
         let q = cycle_period.max(1);
         (reduced / q) * q
     }
@@ -224,7 +216,7 @@ impl Governor {
         }
         self.since_change = self.since_change.saturating_add(1);
         let over_budget = primary_failed || work_units > self.config.work_budget;
-        let promote_cut = (self.config.work_budget as f64 * self.config.promote_fraction) as u64;
+        let promote_cut = (self.config.work_budget as f64 * PROMOTE_FRACTION) as u64;
         if over_budget {
             self.streak = 0;
             let next = self.rung.demoted(self.config.binary);
@@ -264,7 +256,6 @@ mod tests {
     fn gov(overrides: impl FnOnce(&mut GovernorConfig)) -> Governor {
         let mut cfg = GovernorConfig::defaults();
         cfg.work_budget = 100;
-        cfg.promote_fraction = 0.5;
         cfg.promote_streak = 2;
         cfg.hysteresis_cycles = 3;
         overrides(&mut cfg);
@@ -371,7 +362,7 @@ mod tests {
 
     #[test]
     fn reduced_horizon_is_quantized() {
-        let g = gov(|c| c.reduced_horizon_fraction = 0.25);
+        let g = gov(|_| {});
         assert_eq!(g.reduced_horizon(96, 4), 24);
         assert_eq!(g.reduced_horizon(10, 4), 0); // floors to a quantum multiple
         assert_eq!(g.reduced_horizon(0, 4), 0);

@@ -159,6 +159,9 @@ const ESTIMATE_BUMP: f64 = 0.10;
 /// Cap on best-effort gangs preempted per cycle for one urgent SLO job.
 const MAX_PREEMPTIONS_PER_CYCLE: usize = 4;
 
+/// Branch-and-bound node budget of the anytime rung's solves.
+const ANYTIME_NODE_LIMIT: usize = 64;
+
 impl TetriSched {
     /// Creates a scheduler with the given configuration.
     pub fn new(config: TetriSchedConfig) -> Self {
@@ -349,7 +352,7 @@ impl<'a> Pipeline<'a> {
     ) -> Self {
         let (anytime, limit) = (rung == LadderRung::Anytime, config.solver_time_limit);
         let solver = if anytime {
-            SolverConfig::anytime(limit, governor.config().anytime_node_limit)
+            SolverConfig::anytime(limit, ANYTIME_NODE_LIMIT)
         } else {
             SolverConfig::online(limit)
         };

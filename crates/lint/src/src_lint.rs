@@ -67,13 +67,12 @@ use crate::lexer::{num_is_float, TokenKind};
 use crate::source_model::{is_keyword, FnItem, SourceFile};
 
 /// Files (workspace-relative, `/`-separated) allowed to read the wall
-/// clock: solver time budgets, engine cycle-latency metrics, report
-/// timing, and the linter's own runtime-budget check.
-const WALL_CLOCK_ALLOWLIST: [&str; 5] = [
+/// clock: solver time budgets, engine cycle-latency metrics, and the
+/// linter's own runtime-budget check.
+const WALL_CLOCK_ALLOWLIST: [&str; 4] = [
     "crates/milp/src/branch_bound.rs",
     "crates/sim/src/engine.rs",
     "crates/core/src/scheduler.rs",
-    "crates/bench/src/bin/report.rs",
     "crates/lint/src/bin/srclint.rs",
 ];
 

@@ -129,6 +129,14 @@ enum JobState {
     Terminal(JobOutcome),
 }
 
+/// Speculative straggler migrations performed per scheduling cycle (the
+/// rest of the flagged jobs wait for the next cycle).
+const MAX_MIGRATIONS_PER_CYCLE: usize = 1;
+
+/// Lifetime migration budget per job; past it the job is left to finish
+/// where it runs.
+const MAX_MIGRATIONS_PER_JOB: u32 = 2;
+
 #[derive(Debug)]
 struct JobRecord {
     spec: JobSpec,
@@ -156,7 +164,7 @@ struct JobRecord {
     /// watermark arithmetic.
     run_total: f64,
     /// Speculative migrations consumed so far (bounded by
-    /// [`StragglerConfig::max_migrations_per_job`]).
+    /// [`MAX_MIGRATIONS_PER_JOB`]).
     migrations: u32,
 }
 
@@ -735,8 +743,8 @@ impl<S: Scheduler> Run<S> {
             .counter_add("degraded.stragglers_detected", flagged.len() as u64);
         let movers: Vec<JobId> = flagged
             .into_iter()
-            .filter(|job| self.jobs[job].migrations < config.max_migrations_per_job)
-            .take(config.max_migrations_per_cycle)
+            .filter(|job| self.jobs[job].migrations < MAX_MIGRATIONS_PER_JOB)
+            .take(MAX_MIGRATIONS_PER_CYCLE)
             .collect();
         for job in movers {
             self.stop_run(job, true);

@@ -4,7 +4,7 @@
 //! own estimate by more than the cluster-typical amount. Each running job
 //! carries a *lateness ratio* — elapsed wall time over estimated runtime
 //! for its placement — and the detector flags jobs whose ratio exceeds
-//! `threshold ×` the cohort median, subject to an absolute floor (so a
+//! `THRESHOLD ×` the cohort median, subject to an absolute floor (so a
 //! job a few seconds late is never flagged) and a minimum cohort size
 //! (so a lone job cannot be a straggler relative to itself).
 //!
@@ -17,56 +17,37 @@
 
 use crate::job::JobId;
 
-/// Knobs for the straggler defense. Disabled by default: detection and
+/// Flag a job when `ratio > THRESHOLD * cohort_median`.
+const THRESHOLD: f64 = 2.0;
+
+/// Never flag a job whose ratio is at or below this floor, regardless of
+/// the median (protects against flagging in an all-healthy cohort where
+/// the median is ~1).
+const MIN_RATIO: f64 = 1.5;
+
+/// Minimum number of running jobs before anyone can be flagged.
+const MIN_COHORT: usize = 3;
+
+/// The straggler defense's switch. Disabled by default: detection and
 /// migration only run when explicitly enabled, so fault-free runs
 /// reproduce pre-straggler behavior byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StragglerConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Flag a job when `ratio > threshold * cohort_median`.
-    pub threshold: f64,
-    /// Never flag a job whose ratio is at or below this floor, regardless
-    /// of the median (protects against flagging in an all-healthy cohort
-    /// where the median is ~1).
-    pub min_ratio: f64,
-    /// Minimum number of running jobs before anyone can be flagged.
-    pub min_cohort: usize,
-    /// Speculative migrations performed per scheduling cycle (the rest of
-    /// the flagged jobs wait for the next cycle).
-    pub max_migrations_per_cycle: usize,
-    /// Lifetime migration budget per job; past it the job is left to
-    /// finish where it runs.
-    pub max_migrations_per_job: u32,
 }
 
 impl StragglerConfig {
     /// Detection and migration off.
     pub fn disabled() -> Self {
-        StragglerConfig {
-            enabled: false,
-            ..StragglerConfig::defaults()
-        }
+        StragglerConfig { enabled: false }
     }
 
-    /// Detection on with the default knobs: flag at 2× the cohort median,
-    /// 1.5× absolute floor, cohorts of 3+, one migration per cycle, two
-    /// per job.
+    /// Detection on: flag at 2× the cohort median with a 1.5× absolute
+    /// floor in cohorts of 3+; the engine migrates one gang per cycle and
+    /// each job at most twice.
     pub fn defaults() -> Self {
-        StragglerConfig {
-            enabled: true,
-            threshold: 2.0,
-            min_ratio: 1.5,
-            min_cohort: 3,
-            max_migrations_per_cycle: 1,
-            max_migrations_per_job: 2,
-        }
-    }
-}
-
-impl Default for StragglerConfig {
-    fn default() -> Self {
-        StragglerConfig::disabled()
+        StragglerConfig { enabled: true }
     }
 }
 
@@ -76,18 +57,18 @@ impl Default for StragglerConfig {
 /// job id) so the caller can apply a per-cycle migration cap and always
 /// migrate the worst offender first.
 pub fn detect_stragglers(cohort: &[(JobId, f64)], config: &StragglerConfig) -> Vec<JobId> {
-    if !config.enabled || cohort.len() < config.min_cohort {
+    if !config.enabled || cohort.len() < MIN_COHORT {
         return Vec::new();
     }
     let mut ratios: Vec<f64> = cohort.iter().map(|&(_, r)| r).collect();
     ratios.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     // Lower median: deterministic for even cohorts without averaging.
     let median = ratios[(ratios.len() - 1) / 2];
-    let cutoff = config.threshold * median;
+    let cutoff = THRESHOLD * median;
     let mut flagged: Vec<(JobId, f64)> = cohort
         .iter()
         .copied()
-        .filter(|&(_, r)| r > cutoff && r > config.min_ratio)
+        .filter(|&(_, r)| r > cutoff && r > MIN_RATIO)
         .collect();
     flagged.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)

@@ -8,6 +8,9 @@
 //!    analysis is a sufficient pre-flight check before `solve()`.
 //! 3. End-to-end, a simulation with the `lint_models` knob enabled counts
 //!    zero lint rejections.
+//! 4. Over the audited corpus — three Table 1 workloads under four solve
+//!    paths, `lint_models` and `certify_solves` both on — no model is
+//!    rejected and every solve carries a certificate that verifies.
 
 use proptest::prelude::*;
 use tetrisched::cluster::{Cluster, NodeSet, PartitionSet};
@@ -16,6 +19,7 @@ use tetrisched::lint::{has_errors, lint_expr, lint_model, StrlLintContext};
 use tetrisched::milp::{Model, Sense, SolverConfig, VarKind};
 use tetrisched::sim::{JobId, JobSpec, JobType, PendingJob, SimConfig, Simulator};
 use tetrisched::strl::{JobClass, StrlExpr};
+use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
 fn spec(i: u64, j: &MiniJob) -> JobSpec {
     JobSpec {
@@ -292,4 +296,59 @@ fn e2e_lint_models_run_is_clean() {
         assert_eq!(report.metrics.lint_errors, 0);
         assert_eq!(report.metrics.incomplete, 0);
     }
+}
+
+/// The audited corpus: every generated workload under every solve path —
+/// global branch-and-bound, greedy job-at-a-time, the LP-dive backend
+/// (bound-only certificates) and a chaos-failed first solve, whose degraded
+/// fallback must certify too — lints clean and certifies (primal re-check,
+/// dual/bound-tree audit replay, STRL→MILP translation validation). The
+/// Infeasible and Unbounded certificate paths, which compiled models never
+/// reach (the root indicator is free), are `milp::certify`'s unit tests and
+/// `proptest_certify`. The solver limit cannot bind.
+#[test]
+fn audited_corpus_is_clean() {
+    let path = |name: &'static str, edit: fn(&mut TetriSchedConfig)| {
+        let mut config = TetriSchedConfig {
+            lint_models: true,
+            certify_solves: true,
+            solver_time_limit: std::time::Duration::from_secs(3600),
+            ..TetriSchedConfig::full(16)
+        };
+        edit(&mut config);
+        (name, config)
+    };
+    let paths = [
+        path("global", |_| {}),
+        path("greedy", |c| c.global = false),
+        path("lp-dive", |c| c.solver_heuristic = true),
+        path("chaos-fallback", |c| {
+            c.chaos_global_solve_failures = vec![1]
+        }),
+    ];
+    let mut cycles = 0;
+    for workload in [Workload::GrMix, Workload::GsMix, Workload::GsHet] {
+        for (path, config) in &paths {
+            let cluster = Cluster::uniform(4, 6, 2);
+            let jobs = WorkloadBuilder::new(GridmixConfig {
+                seed: 1,
+                num_jobs: 24,
+                cluster_size: cluster.num_nodes(),
+                ..GridmixConfig::default()
+            })
+            .generate(workload);
+            let sim = SimConfig {
+                horizon: Some(4000),
+                ..SimConfig::default()
+            };
+            let report = Simulator::new(cluster, TetriSched::new(config.clone()), sim).run(jobs);
+            let m = &report.metrics;
+            let point = format!("{} / {path}", workload.name());
+            assert_eq!(m.lint_errors, 0, "{point}: Error-severity lint findings");
+            assert_eq!(m.certificate_failures, 0, "{point}: certificate failures");
+            assert!(m.certificates_verified > 0, "{point}: no certificates");
+            cycles += m.cycle_latency.count();
+        }
+    }
+    assert!(cycles >= 50, "coverage shortfall: {cycles} cycles");
 }

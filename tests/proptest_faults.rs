@@ -151,10 +151,15 @@ proptest! {
             strict_accounting: true,
             ..SimConfig::default()
         };
+        // A wall-clock solver limit that bound would make the runs differ.
+        let scheduler = TetriSchedConfig {
+            solver_time_limit: std::time::Duration::from_secs(3600),
+            ..TetriSchedConfig::full(16)
+        };
         let run = || {
             Simulator::new(
                 cluster.clone(),
-                TetriSched::new(TetriSchedConfig::full(16)),
+                TetriSched::new(scheduler.clone()),
                 config.clone(),
             )
             .run(mini_jobs(8))

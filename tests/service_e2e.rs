@@ -14,18 +14,15 @@
 //!    `admitted + shed + backlog == arrivals` holds, and shed jobs carry
 //!    typed outcomes.
 
-use tetrisched::bench::{run_spec, RunSpec, SchedulerKind};
+use tetrisched::bench::{open_loop, run_spec, RunSpec, SchedulerKind, OPEN_LOOP_ARRIVALS};
 use tetrisched::cluster::{Cluster, RackId};
 use tetrisched::core::TetriSched;
 use tetrisched::core::TetriSchedConfig;
-use tetrisched::service::{AdmissionPolicy, FairShareConfig, ServiceConfig};
 use tetrisched::sim::{
     FaultScope, JobOutcome, PerfFaultKind, PerfFaultPlan, PerfFaultScript, SimConfig, SimReport,
-    Simulator, TelemetryConfig, TraceEvent,
+    Simulator, TraceEvent,
 };
-use tetrisched::workloads::{
-    GridmixConfig, OpenLoopConfig, OpenLoopDriver, Workload, WorkloadBuilder,
-};
+use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
 /// A compact, fully deterministic digest of a run's decision-relevant
 /// metrics. Any divergence in admission, classification, placement, or
@@ -51,13 +48,20 @@ fn digest(report: &SimReport) -> String {
     )
 }
 
+/// A wall-clock solver limit no solve of these tests reaches, so debug and
+/// release decide alike.
+const NON_BINDING: std::time::Duration = std::time::Duration::from_secs(3600);
+
 fn corpus_spec(workload: Workload, seed: u64) -> RunSpec {
     RunSpec::new(
         workload,
         Cluster::uniform(2, 8, 1),
         24,
         seed,
-        SchedulerKind::Tetri(TetriSchedConfig::full(16)),
+        SchedulerKind::Tetri(TetriSchedConfig {
+            solver_time_limit: NON_BINDING,
+            ..TetriSchedConfig::full(16)
+        }),
     )
 }
 
@@ -126,7 +130,7 @@ fn greedy_run(perf_faults: PerfFaultPlan) -> SimReport {
     .with_estimate_error(Workload::GsHet, -0.2);
     let mut cfg = TetriSchedConfig::no_global(96);
     cfg.max_batch = 64;
-    cfg.solver_time_limit = std::time::Duration::from_secs(3600);
+    cfg.solver_time_limit = NON_BINDING;
     Simulator::new(
         cluster,
         TetriSched::new(cfg),
@@ -191,49 +195,10 @@ fn greedy_plans_around_announced_maintenance_as_pinned() {
 const GREEDY_DIGEST: u64 = 0x6a75_c12b_0a72_e3ca;
 const GREEDY_MAINTENANCE_DIGEST: u64 = 0x1270_0007_caa3_fd6b;
 
-/// An open-loop service-mode run at the given saturation multiplier.
-fn open_loop_run(seed: u64, rate_multiplier: f64) -> SimReport {
-    let jobs = OpenLoopDriver::new(OpenLoopConfig::saturating(
-        GridmixConfig {
-            seed,
-            num_jobs: 60,
-            cluster_size: 16,
-            target_utilization: 1.0,
-            estimate_error: 0.0,
-            error_jitter: 0.0,
-            slowdown: 1.5,
-        },
-        rate_multiplier,
-    ))
-    .generate(Workload::GsMix);
-    let service = ServiceConfig::open(
-        4,
-        8,
-        AdmissionPolicy {
-            max_admissions_per_cycle: 4,
-            max_scheduler_backlog: 8,
-            shed_queue_depth: 16,
-        },
-        FairShareConfig::enabled(4),
-    );
-    Simulator::new(
-        Cluster::uniform(2, 8, 1),
-        TetriSched::new(TetriSchedConfig::full(16)),
-        SimConfig {
-            horizon: Some(3000),
-            trace: true,
-            telemetry: TelemetryConfig::on(),
-            service,
-            ..SimConfig::default()
-        },
-    )
-    .run(jobs)
-}
-
 #[test]
 fn open_loop_same_seed_telemetry_exports_are_byte_identical() {
-    let a = open_loop_run(5, 2.0);
-    let b = open_loop_run(5, 2.0);
+    let a = open_loop(5, 2.0);
+    let b = open_loop(5, 2.0);
     assert_eq!(digest(&a), digest(&b), "metrics digests diverged");
     assert_eq!(
         a.telemetry.to_jsonl(false),
@@ -254,17 +219,38 @@ fn open_loop_same_seed_telemetry_exports_are_byte_identical() {
 
 #[test]
 fn backpressure_engages_at_double_saturation() {
-    let report = open_loop_run(5, 2.0);
+    let report = open_loop(5, 2.0);
     let m = &report.metrics;
     assert!(
         m.jobs_deferred > 0,
         "2x saturation must defer arrivals (backpressure)"
     );
     assert!(m.jobs_shed > 0, "2x saturation must shed arrivals");
-    // Conservation: every arrival is admitted, shed, or still queued.
-    let backlog = 60 - m.jobs_admitted - m.jobs_shed;
     assert!(
-        m.jobs_admitted + m.jobs_shed <= 60,
+        m.intake_overflows <= m.jobs_shed,
+        "mailbox overflows {} exceed total shed {}",
+        m.intake_overflows,
+        m.jobs_shed
+    );
+    let cycles = m.cycle_latency.count();
+    assert!(cycles >= 50, "coverage shortfall: {cycles} cycles");
+    // The audited pipeline runs in service mode too: every phase spans.
+    let snap = report.telemetry.snapshot();
+    for phase in [
+        "collect", "strl_gen", "lint", "compile", "solve", "certify", "decode",
+    ] {
+        assert!(
+            snap.spans.iter().any(|s| s.name == phase),
+            "phase `{phase}` recorded zero spans in open mode"
+        );
+    }
+    assert_eq!(m.lint_errors, 0);
+    assert_eq!(m.certificate_failures, 0);
+    // Conservation: every arrival is admitted, shed, or still queued.
+    let arrivals = OPEN_LOOP_ARRIVALS as u64;
+    let backlog = arrivals - m.jobs_admitted - m.jobs_shed;
+    assert!(
+        m.jobs_admitted + m.jobs_shed <= arrivals,
         "admitted {} + shed {} exceed arrivals",
         m.jobs_admitted,
         m.jobs_shed
@@ -286,7 +272,7 @@ fn backpressure_engages_at_double_saturation() {
     // Shed jobs never enter class totals.
     assert_eq!(
         (m.accepted_slo_total + m.nores_slo_total + m.be_total) as u64 + m.jobs_shed + backlog,
-        60,
+        arrivals,
         "class totals + shed + leftover backlog must cover all arrivals"
     );
 }
@@ -295,7 +281,7 @@ fn backpressure_engages_at_double_saturation() {
 fn moderate_load_sheds_nothing() {
     // At the calibrated rate with the same bounded queues, the admission
     // layer keeps up: shedding should not engage.
-    let report = open_loop_run(5, 0.5);
+    let report = open_loop(5, 0.5);
     assert_eq!(report.metrics.jobs_shed, 0, "0.5x saturation must not shed");
     assert_eq!(report.metrics.intake_overflows, 0);
     // The horizon may cut the stretched-out arrival tail while some jobs

@@ -58,10 +58,8 @@ fn run_variant(variant: TetriSchedConfig, telemetry_on: bool, trace_capacity: us
 fn exports_are_byte_identical_across_same_seed_runs() {
     let a = run(true, 1 << 16);
     let b = run(true, 1 << 16);
-    assert!(
-        a.metrics.cycle_latency.count() > 0,
-        "run produced no cycles"
-    );
+    let cycles = a.metrics.cycle_latency.count();
+    assert!(cycles >= 50, "coverage shortfall: {cycles} cycles");
     assert_eq!(a.telemetry.to_jsonl(false), b.telemetry.to_jsonl(false));
     assert_eq!(a.telemetry.to_chrome_trace(), b.telemetry.to_chrome_trace());
     assert_eq!(
