@@ -132,6 +132,9 @@ impl Ledger {
     /// Marks a node down. The node must not be held by an allocation (the
     /// caller evicts the owning gang first); marking an already-down node
     /// is a no-op so repeated fault reports are harmless.
+    // srclint: checked-indexing: `owner` holds one entry per node of the
+    // universe the ledger was built over, and the fault replay that calls
+    // this names only nodes of that cluster.
     pub fn mark_down(&mut self, node: crate::NodeId) -> Result<(), LedgerError> {
         if self.down.contains(node) {
             return Ok(());
@@ -198,6 +201,8 @@ impl Ledger {
     }
 
     /// The handle holding a node, if any.
+    // srclint: checked-indexing: `owner` holds one entry per node of the
+    // universe, and callers ask about nodes of the same cluster.
     pub fn owner_of(&self, node: crate::NodeId) -> Option<AllocHandle> {
         self.owner[node.index()]
     }
@@ -218,6 +223,9 @@ impl Ledger {
     }
 
     /// Grants `nodes` to `handle` until roughly `expected_end`.
+    // srclint: checked-indexing: `owner` holds one entry per node of the
+    // universe, and a `NodeSet` over any other universe is the caller's
+    // bug (sets are built from `free_nodes()` of this ledger).
     pub fn allocate(
         &mut self,
         handle: AllocHandle,
@@ -250,6 +258,8 @@ impl Ledger {
     }
 
     /// Releases an allocation, returning the freed nodes.
+    // srclint: checked-indexing: the nodes come out of `allocs`, where
+    // `allocate` put them after indexing `owner` with every one.
     pub fn release(&mut self, handle: AllocHandle) -> Result<NodeSet, LedgerError> {
         let alloc = self
             .allocs

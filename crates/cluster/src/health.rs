@@ -45,17 +45,23 @@ impl NodeHealth {
     }
 
     /// The node's current runtime multiplier (>= 1).
+    // srclint: checked-indexing: `factor` holds one entry per node of the
+    // ledger's universe (`new(num_nodes)`), and node ids come from it.
     pub fn factor(&self, node: NodeId) -> f64 {
         self.factor[node.index()]
     }
 
     /// Sets the node's current runtime multiplier. Values below 1 clamp
     /// to 1 (a perf fault never speeds a node up).
+    // srclint: checked-indexing: one `factor` entry per node of the universe;
+    // the fault plan that calls this is drawn over the same cluster's ids.
     pub fn set_factor(&mut self, node: NodeId, factor: f64) {
         self.factor[node.index()] = factor.max(1.0);
     }
 
     /// Whether the node currently runs slower than nominal.
+    // srclint: checked-indexing: one `factor` entry per node of the universe,
+    // as in `factor`.
     pub fn is_degraded(&self, node: NodeId) -> bool {
         self.factor[node.index()] > 1.0
     }

@@ -72,11 +72,15 @@ impl Cluster {
     }
 
     /// A single node.
+    // srclint: checked-indexing: NodeIds are minted by this cluster's
+    // builder as 0..nodes.len(), so every id a caller holds is in range.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
     /// The rack a node belongs to.
+    // srclint: checked-indexing: NodeIds are minted by this cluster's
+    // builder as 0..nodes.len(), as in `node`.
     pub fn rack_of(&self, id: NodeId) -> RackId {
         self.nodes[id.index()].rack
     }
@@ -135,6 +139,8 @@ impl ClusterBuilder {
     /// # Panics
     ///
     /// Panics if no rack exists yet.
+    // srclint: expect-boundary: documented construction-time panic (see
+    // `# Panics`): a node needs a rack, and no cluster exists yet to harm.
     pub fn add_node(&mut self, attrs: Vec<Attr>) -> NodeId {
         let rack = RackId((self.rack_sizes.len() - 1) as u32);
         let id = NodeId(self.nodes.len() as u32);
@@ -144,6 +150,8 @@ impl ClusterBuilder {
     }
 
     /// Finalizes the cluster.
+    // srclint: checked-indexing: every node's `rack` was minted by
+    // `add_rack` as an index into `rack_sizes`, which sizes `racks`.
     pub fn build(self) -> Cluster {
         let n = self.nodes.len();
         let mut racks = vec![NodeSet::empty(n); self.rack_sizes.len()];

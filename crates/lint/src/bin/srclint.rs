@@ -1,14 +1,14 @@
 //! `srclint`: the workspace invariant linter.
 //!
-//! Walks the workspace's `.rs`/`Cargo.toml` files, lexes every source
-//! file ([`lint::lexer`]), and enforces the repo invariants documented in
-//! DESIGN.md (codes `L001`–`L011`): simulation determinism (no stray
-//! wall-clock reads), no `unwrap()` in scheduler/ledger/simulator hot
-//! paths, no non-vendored dependencies, no hash-based collections in
-//! solver-adjacent crates, panic-reachability over the scheduler call
-//! graph, float-determinism in the solver crates, no concurrency
-//! primitive in product code, and dead operator knobs. Offline and fast;
-//! run it from anywhere inside the workspace:
+//! Walks the workspace's `.rs` files, lexes every one
+//! ([`lint::lexer`]), and enforces the repo invariants documented in
+//! DESIGN.md (codes `L001`, `L004`, `L007`–`L011`): simulation
+//! determinism (no stray clock reads), no hash-based collections in
+//! solver-adjacent crates, ladder-rung ownership, no un-annotated panic
+//! source in the crates the scheduler cycle and the event loop run on,
+//! float-determinism in the solver crates, no concurrency primitive in
+//! product code, and dead operator knobs. Offline and fast; run it from
+//! anywhere inside the workspace:
 //!
 //! ```text
 //! cargo run -p lint --bin srclint [-- --root <dir>] [--json] \
@@ -129,12 +129,12 @@ fn main() -> ExitCode {
     // Stats go to stderr so `--json` stdout stays machine-parseable.
     eprintln!(
         "srclint: {} files, {} tokens, {} bytes in {elapsed_ms:.1} ms \
-         ({:.1}M tokens/sec); hot-path fns: {}, knob fields: {}",
+         ({:.1}M tokens/sec); fns_checked: {}, knob_fields_checked: {}",
         report.files_scanned,
         report.tokens_scanned,
         report.bytes_scanned,
         tokens_per_sec / 1e6,
-        report.hot_path_fns,
+        report.fns_checked,
         report.knob_fields_checked,
     );
 

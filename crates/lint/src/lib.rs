@@ -9,17 +9,16 @@
 //!    dependency cycle, and are re-exported here). Error-severity MILP
 //!    findings carry machine-checkable infeasibility [`Certificate`]s.
 //! 2. **Source analysis** — [`lint_workspace`] (and the `srclint` binary)
-//!    lexes every workspace `.rs` file into a token stream ([`lexer`]),
-//!    parses it into an item-level source model ([`source_model`]), and
-//!    enforces repo invariants over it: no wall-clock reads outside an
-//!    allowlist (`L001`), no `unwrap()` in scheduler/ledger/simulator hot
-//!    paths (`L002`), no non-vendored external dependency in any manifest
-//!    (`L003`), no hash-based collections in solver-adjacent crates
-//!    (`L004`), injected-clock and single-threaded crate contracts
-//!    (`L005`/`L006`), ladder-rung ownership (`L007`), call-graph
-//!    panic-reachability from the scheduler hot path (`L008`),
-//!    float-determinism in solver crates (`L009`), a single audited
-//!    concurrency seam (`L010`), and dead-knob detection (`L011`).
+//!    lexes every workspace `.rs` file into a token stream ([`lexer`])
+//!    with a test mask, function spans and their annotations
+//!    ([`source_model`]), and runs one table of scoped token rules over
+//!    it: no clock reads outside an allowlist, and none at all in the
+//!    telemetry and service crates (`L001`), no hash-based collections in
+//!    solver-adjacent crates (`L004`), ladder-rung ownership (`L007`), no
+//!    un-annotated panic source in the crates the cycle and the event
+//!    loop run on (`L008`), float-determinism in solver crates (`L009`),
+//!    no concurrency primitive in product code (`L010`), and dead-knob
+//!    detection over every config struct (`L011`).
 //!
 //! A third engine, [`certify`], verifies proof-carrying solver outcomes
 //! (codes `C001`–`C003`, re-exported from `tetrisched_milp::certify`) and
@@ -38,7 +37,7 @@ pub mod strl_lint;
 pub use certify::{certify_solution, check_solution, validate_translation, CertifyReport};
 pub use lexer::{lex, num_is_float, Token, TokenKind};
 pub use render::{render_json, render_pretty};
-pub use source_model::{Annotation, CallSite, FnItem, SourceFile, StructItem};
+pub use source_model::{Annotation, FnItem, SourceFile, StructItem};
 pub use src_lint::{lint_workspace, SrcLintReport};
 pub use strl_lint::{lint_expr, StrlLintContext};
 pub use tetrisched_milp::lint::{

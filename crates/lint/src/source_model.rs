@@ -1,34 +1,27 @@
-//! Item-level source model on top of the [`crate::lexer`] token stream.
+//! Source model on top of the [`crate::lexer`] token stream.
 //!
-//! One pass over a file's significant tokens recovers the structure the
-//! workspace lints need — without a full Rust parser:
+//! One pass over a file's significant tokens recovers the four things the
+//! scoped token rules of [`crate::src_lint`] need — there is no item
+//! graph, no module path and no call site:
 //!
-//! - **Items**: `mod`/`impl`/`trait`/`fn`/`struct`/`use` boundaries, with
-//!   brace-matched bodies and a scope stack giving every `fn` its module
-//!   path and (for methods) its `impl` type.
-//! - **Test scoping**: `#[cfg(test)]` / `#[test]` items are brace-matched,
+//! - **Test mask**: `#[cfg(test)]` / `#[test]` items are brace-matched,
 //!   so code *after* a test module is still analyzed (the old line scanner
 //!   gave up at the first marker) and nothing *inside* one leaks findings.
-//! - **Call sites**: `name(…)`, `Qualifier::name(…)`, `.name(…)` (with or
-//!   without turbofish), and `name!(…)` macro invocations per function
-//!   body — the edges of the panic-reachability call graph (`L008`).
-//! - **Index expressions**: `expr[…]` subscripts, the slice-index panic
-//!   class.
-//! - **Annotations**: `// srclint: <marker>: <reason>` comments attached
-//!   to the function they immediately precede. Markers are the audited
-//!   escape hatch for `L008` (`expect-boundary`, `checked-indexing`);
-//!   every one carries its justification in-line.
-//! - **Knob structs**: field names of config structs, for the dead-knob
+//! - **Function spans with their annotations**: every `fn` with its body
+//!   range and the `// srclint: <marker>: <reason>` comments immediately
+//!   preceding it. Markers are the audited escape hatch for `L008`
+//!   (`expect-boundary`, `checked-indexing`); every one carries its
+//!   justification in-line.
+//! - **Struct fields**: field names of config structs, for the dead-knob
 //!   lint (`L011`).
-//!
-//! The model is an over-approximation by design: call resolution is
-//! name-based (scoped by explicit `Type::` qualifiers where present), so
-//! the `L008` reachable set can only err toward including more code, never
-//! toward silently excluding a hot path.
+//! - **Float-ascribed names**: identifiers with a visible `: f64` /
+//!   `: f32`, for the float-determinism lint (`L009`).
+
+use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Token, TokenKind};
 
-/// Rust keywords — never call names, never index receivers.
+/// Rust keywords — never field names, never index receivers.
 const KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
     "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
@@ -49,34 +42,14 @@ pub struct Annotation {
     /// honour a marker require it to be non-empty, keeping escapes
     /// auditable).
     pub reason: String,
-    pub line: u32,
 }
 
-/// One call site inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallSite {
-    /// Explicit path qualifier, if any: `Model` in `Model::new(…)`,
-    /// `Self` in `Self::solve(…)`. `None` for bare calls and `.method()`
-    /// receivers.
-    pub qualifier: Option<String>,
-    /// Callee name (last path segment).
-    pub name: String,
-    /// Whether this is a `.name(…)` method call.
-    pub is_method: bool,
-    pub line: u32,
-}
-
-/// A function item (free function, method, or trait default method).
+/// A function item (free function, method, or trait default method): a
+/// span of tokens and the annotations that vouch for it.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// The bare name.
     pub name: String,
-    /// Module path within the file (e.g. `["imp", "detail"]`).
-    pub module: Vec<String>,
-    /// `impl`/`trait` type the fn is a method of, if any.
-    pub impl_type: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Significant-token index range of the body, *exclusive* of the
     /// outer braces. Empty for bodyless declarations.
     pub body: (usize, usize),
@@ -85,29 +58,9 @@ pub struct FnItem {
     pub is_test: bool,
     /// `srclint:` annotations attached to this fn.
     pub annotations: Vec<Annotation>,
-    /// Call sites in the body, in source order.
-    pub calls: Vec<CallSite>,
-    /// Macro invocations in the body (`name` of `name!(…)`).
-    pub macros: Vec<(String, u32)>,
-    /// Lines of `expr[…]` index expressions in the body.
-    pub index_sites: Vec<u32>,
-    /// Lines of `.unwrap(` calls in the body.
-    pub unwrap_sites: Vec<u32>,
-    /// Lines of `.expect(` calls in the body.
-    pub expect_sites: Vec<u32>,
 }
 
 impl FnItem {
-    /// Display path: `module::Type::name`.
-    pub fn qualified(&self) -> String {
-        let mut parts: Vec<&str> = self.module.iter().map(String::as_str).collect();
-        if let Some(t) = &self.impl_type {
-            parts.push(t);
-        }
-        parts.push(&self.name);
-        parts.join("::")
-    }
-
     /// Whether an annotation with `marker` and a non-empty reason is
     /// attached.
     pub fn has_annotation(&self, marker: &str) -> bool {
@@ -117,16 +70,18 @@ impl FnItem {
     }
 }
 
-/// A struct item and its named fields (tuple/unit structs record none).
+/// A non-test struct item and its named fields (tuple/unit structs record
+/// none).
 #[derive(Debug, Clone)]
 pub struct StructItem {
     pub name: String,
-    pub line: u32,
+    /// Whether the item is spelt `pub struct`.
+    pub is_pub: bool,
     /// `(field name, line)` pairs, declaration order.
     pub fields: Vec<(String, u32)>,
 }
 
-/// A parsed source file: token stream plus the item model.
+/// A parsed source file: token stream plus the model.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
@@ -140,8 +95,9 @@ pub struct SourceFile {
     pub test_mask: Vec<bool>,
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
-    /// `use` declaration paths, textually (whitespace-stripped).
-    pub uses: Vec<String>,
+    /// Names with a visible `: f64` / `: f32` ascription (params, typed
+    /// lets, struct fields) anywhere in the file.
+    pub float_idents: BTreeSet<String>,
 }
 
 impl SourceFile {
@@ -182,11 +138,22 @@ impl SourceFile {
         }
     }
 
+    /// Whether the sig token at `i` is the identifier `name`.
+    pub fn is_ident(&self, i: usize, name: &str) -> bool {
+        match self.sig.get(i) {
+            Some(&raw) => {
+                self.tokens[raw].kind == TokenKind::Ident
+                    && self.tokens[raw].bytes(&self.src) == name.as_bytes()
+            }
+            None => false,
+        }
+    }
+
     /// Whether sig tokens starting at `i` spell the operator `op`
     /// (adjacent single-byte puncts), e.g. `::` or `==`.
     pub fn is_op(&self, i: usize, op: &str) -> bool {
         for (k, ch) in op.chars().enumerate() {
-            if !self.is_punct(i + k, &ch.to_string()) {
+            if !self.is_punct(i + k, ch.encode_utf8(&mut [0; 4])) {
                 return false;
             }
             if k + 1 < op.len() && !self.sig_adjacent(i + k) {
@@ -213,8 +180,16 @@ impl SourceFile {
         true
     }
 
+    /// The innermost function whose body holds sig index `i`. Functions
+    /// are recorded in source order, so the last body containing `i` is
+    /// the most deeply nested one.
+    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
+        let holds = |f: &&FnItem| f.body.0 <= i && i < f.body.1;
+        self.fns.iter().rev().find(holds)
+    }
+
     /// Parses `bytes` into a source model. Total: never panics, even on
-    /// unbalanced or non-UTF-8 input; unclosed scopes simply end at EOF.
+    /// unbalanced or non-UTF-8 input; unclosed items simply end at EOF.
     pub fn parse(rel: &str, bytes: Vec<u8>) -> SourceFile {
         let tokens = lex(&bytes);
         let sig: Vec<usize> = tokens
@@ -231,39 +206,31 @@ impl SourceFile {
             sig,
             fns: Vec::new(),
             structs: Vec::new(),
-            uses: Vec::new(),
+            float_idents: BTreeSet::new(),
         };
         Parser::new(&mut file).run();
-        for f in 0..file.fns.len() {
-            let (calls, macros, index_sites, unwrap_sites, expect_sites) =
-                scan_body(&file, file.fns[f].body);
-            let item = &mut file.fns[f];
-            item.calls = calls;
-            item.macros = macros;
-            item.index_sites = index_sites;
-            item.unwrap_sites = unwrap_sites;
-            item.expect_sites = expect_sites;
+        // Every token counts here, signatures and struct fields included,
+        // which the item parser steps over.
+        for i in 0..file.sig.len() {
+            if file.sig_kind(i) == TokenKind::Ident
+                && file.is_punct(i + 1, ":")
+                && !file.is_op(i + 1, "::")
+                && (file.is_ident(i + 2, "f64") || file.is_ident(i + 2, "f32"))
+            {
+                let name = file.sig_text(i).into_owned();
+                if !is_keyword(&name) {
+                    file.float_idents.insert(name);
+                }
+            }
         }
         file
     }
-}
-
-/// One entry of the parser's scope stack.
-#[derive(Debug, Clone)]
-struct Scope {
-    /// Module name (for `mod` scopes) — extends the module path.
-    module: Option<String>,
-    /// Impl/trait type (for `impl`/`trait` scopes).
-    impl_type: Option<String>,
-    /// Whether the scope is test code.
-    test: bool,
 }
 
 struct Parser<'f> {
     file: &'f mut SourceFile,
     /// Cursor over sig indices.
     i: usize,
-    scopes: Vec<Scope>,
     /// Pending `srclint:` annotations (from trivia) awaiting the next fn.
     pending_markers: Vec<Annotation>,
     /// A pending `#[cfg(test)]` / `#[test]` attribute awaiting an item.
@@ -277,26 +244,10 @@ impl<'f> Parser<'f> {
         Parser {
             file,
             i: 0,
-            scopes: Vec::new(),
             pending_markers: Vec::new(),
             pending_test: false,
             pending_attr_start: None,
         }
-    }
-
-    fn in_test(&self) -> bool {
-        self.scopes.iter().any(|s| s.test)
-    }
-
-    fn module_path(&self) -> Vec<String> {
-        self.scopes
-            .iter()
-            .filter_map(|s| s.module.clone())
-            .collect()
-    }
-
-    fn impl_type(&self) -> Option<String> {
-        self.scopes.iter().rev().find_map(|s| s.impl_type.clone())
     }
 
     fn text(&self, i: usize) -> String {
@@ -331,11 +282,7 @@ impl<'f> Parser<'f> {
                         None => (rest.trim_end_matches('.').to_string(), String::new()),
                     };
                     if !marker.is_empty() {
-                        self.pending_markers.push(Annotation {
-                            marker,
-                            reason,
-                            line: t.line,
-                        });
+                        self.pending_markers.push(Annotation { marker, reason });
                     }
                 }
             }
@@ -361,8 +308,16 @@ impl<'f> Parser<'f> {
         self.file.sig.len()
     }
 
-    /// Marks sig range `[lo, hi]` as test code.
-    fn mask_test(&mut self, lo: usize, hi: usize) {
+    /// Whether the item whose keyword is at sig index `kw` is test code:
+    /// under a pending test attribute, or inside an item already masked.
+    fn is_test_at(&self, kw: usize) -> bool {
+        self.pending_test || self.file.test_mask[kw]
+    }
+
+    /// Marks the item from its pending attributes (or its keyword at `kw`)
+    /// through sig index `hi` as test code.
+    fn mask_test(&mut self, kw: usize, hi: usize) {
+        let lo = self.pending_attr_start.unwrap_or(kw);
         for m in self
             .file
             .test_mask
@@ -377,15 +332,8 @@ impl<'f> Parser<'f> {
     fn run(&mut self) {
         let n = self.file.sig.len();
         while self.i < n {
-            self.harvest_markers(self.i);
-            if self.i >= n {
-                break;
-            }
             let i = self.i;
-            // Scope masking: anything inside a test scope is test code.
-            if self.in_test() {
-                self.file.test_mask[i] = true;
-            }
+            self.harvest_markers(i);
             match self.kind(i) {
                 Some(TokenKind::Punct) => {
                     let t = self.text(i);
@@ -394,19 +342,9 @@ impl<'f> Parser<'f> {
                             self.attribute();
                             continue;
                         }
-                        "{" => {
-                            self.scopes.push(Scope {
-                                module: None,
-                                impl_type: None,
-                                test: self.in_test(),
-                            });
-                            self.clear_pending();
-                        }
-                        "}" => {
-                            self.scopes.pop();
-                            self.clear_pending();
-                        }
-                        ";" => self.clear_pending(),
+                        // Not an item after all: attributes and markers
+                        // attach to nothing.
+                        "{" | "}" | ";" => self.clear_pending(),
                         _ => {}
                     }
                     self.i += 1;
@@ -415,26 +353,15 @@ impl<'f> Parser<'f> {
                     let t = self.text(i);
                     match t.as_str() {
                         "fn" => self.fn_item(),
-                        "mod" => self.mod_item(),
-                        "impl" => self.impl_item(),
-                        "trait" => self.trait_item(),
-                        "struct" => self.struct_item(),
-                        "union" => self.struct_item(),
-                        "use" => self.use_item(),
-                        // Modifier keywords between attrs and the item
-                        // keyword: keep pending state alive.
-                        "pub" | "unsafe" | "async" | "extern" | "const" | "default" => {
-                            self.i += 1;
-                        }
-                        _ => {
-                            self.i += 1;
-                        }
+                        "mod" | "impl" | "trait" => self.braced_item(),
+                        "struct" | "union" => self.struct_item(),
+                        // Anything else — modifier keywords between
+                        // attrs and the item keyword included — keeps
+                        // pending state alive.
+                        _ => self.i += 1,
                     }
                 }
-                Some(_) => {
-                    self.i += 1;
-                }
-                None => break,
+                _ => self.i += 1,
             }
         }
     }
@@ -521,170 +448,39 @@ impl<'f> Parser<'f> {
             }
             j += 1;
         }
-        let is_test = self.in_test() || self.pending_test;
-        let body = match body_open {
-            Some(open) => {
-                let close = self.match_brace(open);
-                (open + 1, close)
-            }
-            None => (j, j),
-        };
-        let item = FnItem {
+        let is_test = self.is_test_at(fn_kw);
+        let close = body_open.map_or(j, |open| self.match_brace(open));
+        if is_test {
+            self.mask_test(fn_kw, close);
+        }
+        self.file.fns.push(FnItem {
             name,
-            module: self.module_path(),
-            impl_type: self.impl_type(),
-            line: self.file.sig_line(fn_kw),
-            body,
+            body: (body_open.map_or(j, |open| open + 1), close),
             is_test,
             annotations: std::mem::take(&mut self.pending_markers),
-            calls: Vec::new(),
-            macros: Vec::new(),
-            index_sites: Vec::new(),
-            unwrap_sites: Vec::new(),
-            expect_sites: Vec::new(),
-        };
-        if is_test {
-            let lo = self.pending_attr_start.unwrap_or(fn_kw);
-            let hi = match body_open {
-                Some(open) => self.match_brace(open),
-                None => j,
-            };
-            self.mask_test(lo, hi);
-        }
-        self.file.fns.push(item);
-        self.pending_test = false;
-        self.pending_attr_start = None;
-        // Continue parsing *inside* the body (nested fns, test mods)
-        // by resuming just past the signature; the `{` pushes a plain
-        // scope carrying the test flag.
-        match body_open {
-            Some(open) => {
-                self.scopes.push(Scope {
-                    module: None,
-                    impl_type: None,
-                    test: self.in_test() || is_test,
-                });
-                self.i = open + 1;
-            }
-            None => self.i = (j + 1).min(n),
-        }
+        });
+        self.clear_pending();
+        // Continue parsing *inside* the body (nested fns, test mods) by
+        // resuming just past the signature.
+        self.i = (body_open.unwrap_or(j) + 1).min(n);
     }
 
-    fn mod_item(&mut self) {
+    /// `mod` / `impl` / `trait`: all the rules need of these is that a
+    /// braced body under a pending `#[cfg(test)]` is test code. Parsing
+    /// resumes inside the braces, where the items are.
+    fn braced_item(&mut self) {
         let kw = self.i;
         let n = self.file.sig.len();
-        let name = if kw + 1 < n && self.kind(kw + 1) == Some(TokenKind::Ident) {
-            self.text(kw + 1)
-        } else {
-            self.i += 1;
-            return;
-        };
-        let test = self.in_test() || self.pending_test;
-        if kw + 2 < n && self.file.is_punct(kw + 2, "{") {
-            if test {
-                let close = self.match_brace(kw + 2);
-                let lo = self.pending_attr_start.unwrap_or(kw);
-                self.mask_test(lo, close);
-            }
-            self.scopes.push(Scope {
-                module: Some(name),
-                impl_type: None,
-                test,
-            });
-            self.clear_pending();
-            self.i = kw + 3;
-        } else {
-            // `mod name;` — an out-of-line module declaration.
-            self.clear_pending();
-            self.i = (kw + 2).min(n);
-        }
-    }
-
-    /// Extracts the subject type of an `impl`/`trait` header and pushes
-    /// its scope. For `impl Trait for Type`, the subject is `Type`.
-    fn impl_item(&mut self) {
-        let kw = self.i;
-        let n = self.file.sig.len();
-        let mut j = kw + 1;
-        let mut after_for: Option<String> = None;
-        let mut first: Option<String> = None;
-        let mut angle = 0i64;
-        while j < n && !self.file.is_punct(j, "{") && !self.file.is_punct(j, ";") {
-            let t = self.text(j);
-            match (self.kind(j), t.as_str()) {
-                (Some(TokenKind::Punct), "<") => angle += 1,
-                (Some(TokenKind::Punct), ">") => angle -= 1,
-                (Some(TokenKind::Ident), "for") => {
-                    after_for = None; // the next ident names the type
-                    first = first.take(); // keep trait name as fallback
-                    j += 1;
-                    if j < n && self.kind(j) == Some(TokenKind::Ident) {
-                        after_for = Some(self.text(j));
-                    }
-                    j += 1;
-                    continue;
-                }
-                (Some(TokenKind::Ident), ident)
-                    if angle == 0 && first.is_none() && !is_keyword(ident) =>
-                {
-                    first = Some(ident.to_string());
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let subject = after_for.or(first);
-        if j < n && self.file.is_punct(j, "{") {
-            let test = self.in_test() || self.pending_test;
-            if test {
-                let close = self.match_brace(j);
-                let lo = self.pending_attr_start.unwrap_or(kw);
-                self.mask_test(lo, close);
-            }
-            self.scopes.push(Scope {
-                module: None,
-                impl_type: subject,
-                test,
-            });
-            self.clear_pending();
-            self.i = j + 1;
-        } else {
-            self.clear_pending();
-            self.i = (j + 1).min(n);
-        }
-    }
-
-    fn trait_item(&mut self) {
-        // `trait Name … {` — same shape as impl with the name right after.
-        let kw = self.i;
-        let n = self.file.sig.len();
-        let name = if kw + 1 < n && self.kind(kw + 1) == Some(TokenKind::Ident) {
-            Some(self.text(kw + 1))
-        } else {
-            None
-        };
         let mut j = kw + 1;
         while j < n && !self.file.is_punct(j, "{") && !self.file.is_punct(j, ";") {
             j += 1;
         }
-        if j < n && self.file.is_punct(j, "{") {
-            let test = self.in_test() || self.pending_test;
-            if test {
-                let close = self.match_brace(j);
-                let lo = self.pending_attr_start.unwrap_or(kw);
-                self.mask_test(lo, close);
-            }
-            self.scopes.push(Scope {
-                module: None,
-                impl_type: name,
-                test,
-            });
-            self.clear_pending();
-            self.i = j + 1;
-        } else {
-            self.clear_pending();
-            self.i = (j + 1).min(n);
+        if self.pending_test && self.file.is_punct(j, "{") {
+            let close = self.match_brace(j);
+            self.mask_test(kw, close);
         }
+        self.clear_pending();
+        self.i = (j + 1).min(n);
     }
 
     fn struct_item(&mut self) {
@@ -696,7 +492,7 @@ impl<'f> Parser<'f> {
             self.i += 1;
             return;
         };
-        let line = self.file.sig_line(kw);
+        let is_pub = kw > 0 && self.file.is_ident(kw - 1, "pub");
         // Skip generics to the defining delimiter.
         let mut j = kw + 2;
         let mut angle = 0i64;
@@ -716,6 +512,7 @@ impl<'f> Parser<'f> {
             j += 1;
         }
         let mut fields = Vec::new();
+        let mut end = j;
         if j < n && self.file.is_punct(j, "{") {
             let close = self.match_brace(j);
             // Field grammar at depth 1: `(attrs) (pub(..))? name :`.
@@ -743,168 +540,33 @@ impl<'f> Parser<'f> {
                     let t = self.text(k);
                     // Only at field position: previous sig is `{`, `,`,
                     // `]` (attr end), `)` (pub(crate)), or `pub` itself.
-                    let prev_is_pub =
-                        self.kind(k - 1) == Some(TokenKind::Ident) && self.text(k - 1) == "pub";
                     let prev_ok = k == j + 1
                         || self.file.is_punct(k - 1, ",")
                         || self.file.is_punct(k - 1, "]")
                         || self.file.is_punct(k - 1, ")")
-                        || prev_is_pub;
+                        || self.file.is_ident(k - 1, "pub");
                     if prev_ok && !is_keyword(&t) {
                         fields.push((t, self.file.sig_line(k)));
                     }
                 }
                 k += 1;
             }
-            self.file.structs.push(StructItem { name, line, fields });
-            // Do not descend into the braces as scopes — skip past.
-            if self.in_test() || self.pending_test {
-                let lo = self.pending_attr_start.unwrap_or(kw);
-                self.mask_test(lo, close);
-            }
-            self.clear_pending();
-            self.i = close + 1;
+            // Do not descend into the braces — skip past.
+            end = close;
+        }
+        if self.is_test_at(kw) {
+            self.mask_test(kw, end);
         } else {
-            // Tuple / unit struct: record with no named fields.
-            self.file.structs.push(StructItem { name, line, fields });
-            self.clear_pending();
-            self.i = (j + 1).min(n);
+            let item = StructItem {
+                name,
+                is_pub,
+                fields,
+            };
+            self.file.structs.push(item);
         }
-    }
-
-    fn use_item(&mut self) {
-        let kw = self.i;
-        let n = self.file.sig.len();
-        let mut j = kw + 1;
-        let mut path = String::new();
-        let mut depth = 0i64;
-        while j < n {
-            if self.file.is_punct(j, "{") {
-                depth += 1;
-            } else if self.file.is_punct(j, "}") {
-                depth -= 1;
-            } else if depth <= 0 && self.file.is_punct(j, ";") {
-                break;
-            }
-            path.push_str(&self.text(j));
-            j += 1;
-        }
-        self.file.uses.push(path);
         self.clear_pending();
-        self.i = (j + 1).min(n);
+        self.i = (end + 1).min(n);
     }
-}
-
-/// Scans a fn body's sig range for call sites, macro invocations, index
-/// expressions, and `.unwrap()`/`.expect()` uses.
-#[allow(clippy::type_complexity)]
-fn scan_body(
-    file: &SourceFile,
-    body: (usize, usize),
-) -> (
-    Vec<CallSite>,
-    Vec<(String, u32)>,
-    Vec<u32>,
-    Vec<u32>,
-    Vec<u32>,
-) {
-    let mut calls = Vec::new();
-    let mut macros = Vec::new();
-    let mut index_sites = Vec::new();
-    let mut unwrap_sites = Vec::new();
-    let mut expect_sites = Vec::new();
-    let (lo, hi) = body;
-    let hi = hi.min(file.sig.len());
-    let mut j = lo;
-    while j < hi {
-        match file.sig_kind(j) {
-            TokenKind::Ident => {
-                let name = file.sig_text(j).into_owned();
-                if is_keyword(&name) {
-                    j += 1;
-                    continue;
-                }
-                let line = file.sig_line(j);
-                // Macro invocation: `name!` (but not `!=`).
-                if j + 1 < hi && file.is_op(j + 1, "!") && !file.is_op(j + 1, "!=") {
-                    macros.push((name, line));
-                    j += 2;
-                    continue;
-                }
-                // Qualifier of a path call: `Name::…` — remembered and
-                // consumed by the final-segment logic below.
-                let is_method = j > 0 && file.is_punct(j - 1, ".");
-                // Skip a turbofish: `name::<…>` before the call parens.
-                let mut k = j + 1;
-                if k + 1 < hi && file.is_op(k, "::") && file.is_punct(k + 2, "<") {
-                    let mut angle = 0i64;
-                    k += 2;
-                    while k < hi {
-                        if file.is_punct(k, "<") {
-                            angle += 1;
-                        } else if file.is_punct(k, ">") {
-                            angle -= 1;
-                            if angle == 0 {
-                                k += 1;
-                                break;
-                            }
-                        } else if file.is_punct(k, ";") || file.is_punct(k, "{") {
-                            break; // not a turbofish after all
-                        }
-                        k += 1;
-                    }
-                }
-                if k < hi && file.is_punct(k, "(") {
-                    // Qualifier = the ident two ops back if `Q::name(`.
-                    let qualifier = if j >= 3
-                        && file.is_op(j - 2, "::")
-                        && file.sig_kind(j - 3) == TokenKind::Ident
-                    {
-                        let q = file.sig_text(j - 3).into_owned();
-                        if is_keyword(&q) && q != "Self" && q != "self" {
-                            None
-                        } else {
-                            Some(q)
-                        }
-                    } else {
-                        None
-                    };
-                    if name == "unwrap" && is_method {
-                        unwrap_sites.push(line);
-                    } else if name == "expect" && is_method {
-                        expect_sites.push(line);
-                    }
-                    calls.push(CallSite {
-                        qualifier,
-                        name,
-                        is_method,
-                        line,
-                    });
-                }
-                j = k.max(j + 1);
-            }
-            TokenKind::Punct => {
-                // Index expression: `[` whose previous sig token ends an
-                // expression (ident, `]`, or `)`), and which is not a
-                // macro-bracket (`vec![…]` — prev is `!`) or attribute.
-                if file.is_punct(j, "[") && j > 0 {
-                    let prev_kind = file.sig_kind(j - 1);
-                    let prev = file.sig_text(j - 1);
-                    let exprish = match prev_kind {
-                        TokenKind::Ident => !is_keyword(&prev),
-                        TokenKind::Punct => prev == "]" || prev == ")",
-                        _ => false,
-                    };
-                    if exprish {
-                        index_sites.push(file.sig_line(j));
-                    }
-                }
-                j += 1;
-            }
-            _ => j += 1,
-        }
-    }
-    (calls, macros, index_sites, unwrap_sites, expect_sites)
 }
 
 #[cfg(test)]
@@ -915,15 +577,9 @@ mod tests {
         SourceFile::parse("test.rs", src.as_bytes().to_vec())
     }
 
-    #[test]
-    fn finds_fns_with_scopes() {
-        let f = parse(
-            "mod a { impl Widget { pub fn frob(&self) {} } }\n\
-             fn free() {}\n\
-             impl Tool for Hammer { fn hit(&self) {} }\n",
-        );
-        let quals: Vec<String> = f.fns.iter().map(|x| x.qualified()).collect();
-        assert_eq!(quals, vec!["a::Widget::frob", "free", "Hammer::hit"]);
+    fn masked(f: &SourceFile, ident: &str) -> bool {
+        let at = (0..f.sig.len()).find(|&i| f.sig_text(i) == ident);
+        f.test_mask[at.expect(ident)]
     }
 
     #[test]
@@ -937,16 +593,9 @@ mod tests {
         assert!(!after.is_test, "code after a test module is NOT test code");
         let helper = f.fns.iter().find(|x| x.name == "helper").expect("helper");
         assert!(helper.is_test);
-        // The unwrap inside the test mod is masked.
-        let unwrap_sig = (0..f.sig.len())
-            .find(|&i| f.sig_text(i) == "unwrap")
-            .expect("unwrap token");
-        assert!(f.test_mask[unwrap_sig]);
-        // `also_hot` is not masked.
-        let hot_sig = (0..f.sig.len())
-            .find(|&i| f.sig_text(i) == "also_hot")
-            .expect("also_hot token");
-        assert!(!f.test_mask[hot_sig]);
+        // The unwrap inside the test mod is masked; `also_hot` is not.
+        assert!(masked(&f, "unwrap"));
+        assert!(!masked(&f, "also_hot"));
     }
 
     #[test]
@@ -957,41 +606,31 @@ mod tests {
     }
 
     #[test]
-    fn calls_and_qualifiers() {
-        let f = parse(
-            "fn driver() {\n\
-                let m = Model::new(4);\n\
-                helper(m);\n\
-                m.solve();\n\
-                let v: Vec<u32> = it.collect::<Vec<u32>>();\n\
-                panic!(\"boom\");\n\
-             }\n",
-        );
-        let d = &f.fns[0];
-        let call = |n: &str| d.calls.iter().find(|c| c.name == n).expect(n);
-        assert_eq!(call("new").qualifier.as_deref(), Some("Model"));
-        assert!(call("helper").qualifier.is_none() && !call("helper").is_method);
-        assert!(call("solve").is_method);
-        assert!(call("collect").is_method);
-        assert_eq!(d.macros, vec![("panic".to_string(), 6)]);
+    fn cfg_test_masks_impl_mod_and_trait_bodies_alike() {
+        for item in [
+            "impl Widget",
+            "impl Tool for Hammer",
+            "mod helpers",
+            "trait Probe",
+        ] {
+            let f = parse(&format!(
+                "#[cfg(test)]\n{item} {{ fn inside() {{ x.unwrap(); }} }}\nfn prod() {{ live(); }}\n"
+            ));
+            assert!(f.fns[0].is_test && masked(&f, "unwrap"), "{item}");
+            assert!(!f.fns[1].is_test && !masked(&f, "live"), "{item}");
+        }
     }
 
     #[test]
-    fn index_unwrap_expect_sites() {
-        let f = parse(
-            "fn f(xs: &[u32], o: Option<u32>) -> u32 {\n\
-                let a = xs[0];\n\
-                let b = o.unwrap();\n\
-                let c = o.expect(\"why\");\n\
-                let d = vec![1, 2];\n\
-                let e: [u8; 4] = [0; 4];\n\
-                a + b + c + d[1] as u32 + e[0] as u32\n\
-             }\n",
-        );
-        let item = &f.fns[0];
-        assert_eq!(item.index_sites, vec![2, 7, 7]);
-        assert_eq!(item.unwrap_sites, vec![3]);
-        assert_eq!(item.expect_sites, vec![4]);
+    fn enclosing_fn_is_the_innermost() {
+        let f = parse("fn outer() { fn inner() { here(); } there(); }\nconst X: u8 = nowhere();\n");
+        let owner = |ident: &str| {
+            let at = (0..f.sig.len()).find(|&i| f.sig_text(i) == ident);
+            f.enclosing_fn(at.expect(ident)).map(|x| x.name.as_str())
+        };
+        assert_eq!(owner("here"), Some("inner"));
+        assert_eq!(owner("there"), Some("outer"));
+        assert_eq!(owner("nowhere"), None);
     }
 
     #[test]
@@ -1021,24 +660,22 @@ mod tests {
                 pub beta: Vec<(u32, u32)>,\n\
                 gamma: BTreeMap<String, f64>,\n\
              }\n\
-             struct Tuple(u32, u32);\n",
+             struct Tuple(u32, u32);\n\
+             #[cfg(test)]\npub struct FakeConfig { pub delta: f64 }\n",
         );
         let cfg = &f.structs[0];
         let names: Vec<&str> = cfg.fields.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["alpha", "beta", "gamma"]);
+        assert!(cfg.is_pub && !f.structs[1].is_pub);
         assert_eq!(f.structs[1].fields.len(), 0);
+        assert_eq!(f.structs.len(), 2, "test-only structs are not recorded");
     }
 
     #[test]
-    fn needles_in_strings_are_invisible() {
-        let f = parse(
-            "fn log() {\n\
-                let msg = \"do not call .unwrap() or Instant::now here\";\n\
-                print(msg);\n\
-             }\n",
-        );
-        assert!(f.fns[0].unwrap_sites.is_empty());
-        assert!(f.fns[0].calls.iter().all(|c| c.name != "now"));
+    fn float_ascriptions_are_collected() {
+        let f = parse("fn f(a: f64, n: usize) { let b: f32 = 0.0; let c = std::f64::MAX; }\n");
+        let names: Vec<&str> = f.float_idents.iter().map(String::as_str).collect();
+        assert_eq!(names, vec!["a", "b"]);
     }
 
     #[test]

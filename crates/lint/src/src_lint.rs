@@ -1,62 +1,59 @@
-//! Workspace invariant linting over source files (codes `L001`–`L011`).
+//! Workspace invariant linting over source files: seven codes, `L001`,
+//! `L004` and `L007`–`L011`. (`L002`, `L003`, `L005` and `L006` are
+//! retired and their numbers are not reused: `L002` is `L008` at crate
+//! scope, `L005` / `L006` are rows of `L001`, and what `L003` read out of
+//! manifests an offline `cargo` refuses to resolve.)
 //!
-//! The simulator's reproducibility and the offline build both rest on
-//! conventions rustc cannot enforce. This pass parses every workspace
-//! `.rs` file into a token stream + item model ([`crate::lexer`],
-//! [`crate::source_model`]) and machine-checks them. Because analysis is
-//! token-based, needles inside string literals, doc comments, and nested
-//! `/* */` blocks can never fire, and `#[cfg(test)]` scoping is
-//! brace-matched (code *after* a test module is still analyzed).
+//! The simulator's reproducibility rests on conventions rustc cannot
+//! enforce. This pass lexes every workspace `.rs` file into a token
+//! stream with a test mask, function spans and their annotations
+//! ([`crate::lexer`], [`crate::source_model`]) and machine-checks them.
+//! Because analysis is token-based, needles inside string literals, doc
+//! comments, and nested `/* */` blocks can never fire, and `#[cfg(test)]`
+//! scoping is brace-matched (code *after* a test module is still
+//! analyzed).
 //!
-//! Per-file lints:
+//! Every rule but one is a row of [`RULES`]: a code, the path prefixes it
+//! guards, the files inside them it leaves alone, a matcher over one
+//! token position, and the message. No rule follows a call: what a rule
+//! covers is read off its row, never off a function's name.
 //!
-//! - `L001` — no wall-clock reads (`Instant::now` / `SystemTime`) outside
-//!   an explicit allowlist. Simulated time must come from the engine.
-//! - `L002` — no `unwrap()` in scheduler/ledger/simulator hot-path crates
-//!   (`cluster`, `core`, `milp`, `service`, `sim` non-test code).
-//! - `L003` — no non-vendored dependency in any `Cargo.toml` (offline
-//!   build; every dep must be `path` or `workspace = true`).
+//! - `L001` — no clock reads. Three rows: `Instant::now` / `SystemTime`
+//!   anywhere outside the four-file measurement allowlist (simulated time
+//!   comes from the engine), and any `std::time` path at all inside
+//!   `crates/telemetry/src` (time is injected by callers) and
+//!   `crates/service/src` (the engine's virtual clock), no allowlist.
 //! - `L004` — no hash-based collections (`HashMap`/`HashSet`) in
 //!   solver-adjacent crates: iteration order feeds model order.
-//! - `L005` — no process-clock access (`std::time` in any form) inside
-//!   `crates/telemetry`; time is injected by callers. No allowlist.
-//! - `L006` — no clock access inside `crates/service`; the service core is
-//!   driven by the engine's virtual clock. No allowlist. (That it is
-//!   single-threaded is `L010`'s, as everywhere.)
 //! - `L007` — the degradation ladder's rung is owned by `core::governor`;
 //!   no other non-test line in the core crate may mention `ladder_rung`.
-//!
-//! Workspace lints over the item model:
-//!
-//! - `L008` — **panic-reachability**: no `panic!`-family macro, `unwrap`,
-//!   un-annotated `expect`, or un-annotated slice-index expression in any
-//!   function reachable from the scheduler hot-path root
-//!   (`Scheduler::cycle` in `crates/core/src/scheduler.rs`) through the
-//!   `cluster`/`core`/`milp`/`sim` call graph. `expect` is allowed only in
-//!   functions annotated `// srclint: expect-boundary: <why>`; indexing
-//!   only under `// srclint: checked-indexing: <why>`. Call resolution is
-//!   name-based (scoped by `Type::` qualifiers) and over-approximating:
-//!   it can include extra code, never silently exclude a hot path.
+//! - `L008` — **panic sources**: no `unwrap`, no `expect` or
+//!   `panic!`-family macro outside a function annotated
+//!   `// srclint: expect-boundary: <why>`, and no slice-index expression
+//!   outside one annotated `// srclint: checked-indexing: <why>`, in any
+//!   non-test code of `cluster`, `core`, `milp`, `service` and `sim` —
+//!   the scheduler cycle and the event loop, ledger and service that
+//!   drive it. An annotation with an empty reason is no annotation.
 //! - `L009` — **float-determinism**: in solver crates (`milp`, `core`,
 //!   `cluster`), no `f64`/`f32` `==`/`!=` comparison and no float
-//!   `Iterator::sum`/`product`/`fold` accumulation outside the designated
-//!   fixed-order reduction kernels (`crates/milp/src/kernels.rs`). This is
-//!   the contract parallel shard-merge code must obey: reductions happen
-//!   in one auditable place, in one fixed order.
-//! - `L010` — **concurrency-readiness**: threads, locks, atomics,
-//!   channels, and `static mut` are forbidden everywhere in product code
-//!   (the vendored third-party API stubs are exempt). The PR that first
-//!   spawns a thread names its seam in `CONCURRENCY_SEAM_PREFIXES`.
-//! - `L011` — **dead knobs**: every field of the operator-facing config
-//!   structs (`TetriSchedConfig`, `PerfFaultConfig`, `AdmissionPolicy`)
-//!   must be *read* (`.field` access that is not an assignment) somewhere
-//!   in non-test code. A knob that is only ever written is dead: it
-//!   silently ignores operator intent.
+//!   `Iterator::sum`/`product`/`fold` accumulation outside the fixed-order
+//!   kernels (`crates/milp/src/kernels.rs`): one auditable summation
+//!   order and one exact-zero test, so debug and release digests agree.
+//! - `L010` — **no concurrency**: threads, locks, atomics, channels, and
+//!   `static mut` are forbidden everywhere in product code (the vendored
+//!   third-party API stubs are exempt): a program whose exports are
+//!   byte-identical by seed has no interleaving to vary.
+//!
+//! The one rule that is not a token position is `L011` — **dead knobs**:
+//! every field of every `pub struct` named `*Config` or `*Policy` must be
+//! *read* (`.field` access that is not an assignment) somewhere in
+//! non-test code. A knob that is only ever written is dead: it silently
+//! ignores operator intent.
 //!
 //! Test items (brace-matched `#[cfg(test)]` / `#[test]`), `tests/` and
-//! `benches/` trees are exempt from the `.rs` rules. The scan is offline:
-//! no rustc, no network.
+//! `benches/` trees are exempt. The scan is offline: no rustc, no network.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -64,20 +61,25 @@ use std::path::Path;
 use tetrisched_milp::lint::{Diagnostic, Severity};
 
 use crate::lexer::{num_is_float, TokenKind};
-use crate::source_model::{is_keyword, FnItem, SourceFile};
+use crate::source_model::{is_keyword, SourceFile};
 
-/// Files (workspace-relative, `/`-separated) allowed to read the wall
-/// clock: solver time budgets, engine cycle-latency metrics, and the
-/// linter's own runtime-budget check.
-const WALL_CLOCK_ALLOWLIST: [&str; 4] = [
-    "crates/milp/src/branch_bound.rs",
-    "crates/sim/src/engine.rs",
-    "crates/core/src/scheduler.rs",
-    "crates/lint/src/bin/srclint.rs",
-];
+/// One scoped token rule.
+struct Rule {
+    code: &'static str,
+    /// Path prefixes (workspace-relative, `/`-separated) whose non-test
+    /// code the rule guards; `""` is the whole workspace.
+    scope: &'static [&'static str],
+    /// Files and subtrees inside the scope that the rule leaves alone.
+    exempt: &'static [&'static str],
+    /// What, if anything, offends at sig index `i`.
+    matcher: fn(&SourceFile, usize) -> Option<String>,
+    /// The finding; `{what}` is the matcher's answer.
+    message: &'static str,
+}
 
-/// Crate subtrees whose non-test code must not call `unwrap()`.
-const NO_UNWRAP_PREFIXES: [&str; 5] = [
+/// The crates that run on every cycle and every simulated event: `L008`'s
+/// scope, and the functions `fns_checked` counts.
+const PANIC_GUARDED: [&str; 5] = [
     "crates/cluster/src/",
     "crates/core/src/",
     "crates/milp/src/",
@@ -85,93 +87,125 @@ const NO_UNWRAP_PREFIXES: [&str; 5] = [
     "crates/sim/src/",
 ];
 
-/// Files allowed to keep `unwrap()` in hot paths. Kept honest and empty
-/// after the PR-3 burn-down.
-const UNWRAP_ALLOWLIST: [&str; 0] = [];
-
-/// Crate subtrees whose non-test code must not use hash-based collections.
-const NO_HASH_COLLECTION_PREFIXES: [&str; 3] = [
+/// Solver-adjacent crates: iteration order (`L004`) and float comparison
+/// and reduction order (`L009`) here reach objective values, pivoting,
+/// and certificates.
+const SOLVER_ADJACENT: [&str; 3] = [
     "crates/cluster/src/",
     "crates/core/src/",
     "crates/milp/src/",
 ];
 
-/// Files allowed to keep hash collections in solver-adjacent crates. Kept
-/// honest and empty after the PR-4 burn-down.
-const HASH_COLLECTION_ALLOWLIST: [&str; 0] = [];
-
-/// Crate subtrees that must never touch process clocks at all (`L005`).
-const CLOCK_INJECTED_PREFIXES: [&str; 1] = ["crates/telemetry/src/"];
-
-/// Crate subtrees whose only clock is the engine's virtual one (`L006`).
-const VIRTUAL_CLOCK_PREFIXES: [&str; 1] = ["crates/service/src/"];
-
-/// The crate subtree `L007` guards and the single file inside it allowed
-/// to touch the rung.
-const LADDER_GUARDED_PREFIX: &str = "crates/core/src/";
-const LADDER_OWNER_FILE: &str = "crates/core/src/governor.rs";
-
-/// The hot-path root of the `L008` call graph: the per-cycle scheduler
-/// entry point every solve, placement, and ledger mutation hangs off.
-const HOT_PATH_ROOT_FILE: &str = "crates/core/src/scheduler.rs";
-const HOT_PATH_ROOT_FN: &str = "cycle";
-
-/// Crates whose call graph `L008` traverses.
-const HOT_PATH_CRATES: [&str; 4] = [
-    "crates/cluster/src/",
-    "crates/core/src/",
-    "crates/milp/src/",
-    "crates/sim/src/",
+const RULES: [Rule; 8] = [
+    Rule {
+        code: "L001",
+        scope: &[""],
+        // Solver time budgets, engine cycle-latency metrics, and the
+        // linter's own runtime-budget check may read the wall clock; the
+        // two crates below answer to the stricter rows that follow.
+        exempt: &[
+            "crates/milp/src/branch_bound.rs",
+            "crates/sim/src/engine.rs",
+            "crates/core/src/scheduler.rs",
+            "crates/lint/src/bin/srclint.rs",
+            "crates/telemetry/src/",
+            "crates/service/src/",
+        ],
+        matcher: clock_read,
+        message: "wall-clock read (`{what}`) outside the allowlist breaks simulation determinism",
+    },
+    Rule {
+        code: "L001",
+        scope: &["crates/telemetry/src/"],
+        exempt: &[],
+        matcher: clock_mention,
+        message: "process-clock access (`{what}`) inside the telemetry crate: time must be \
+                  injected by callers (`advance` / `observe_wall`) so exports stay byte-identical",
+    },
+    Rule {
+        code: "L001",
+        scope: &["crates/service/src/"],
+        exempt: &[],
+        matcher: clock_mention,
+        message: "clock access (`{what}`) inside the service crate: time is the engine's \
+                  virtual clock, injected by the caller",
+    },
+    Rule {
+        code: "L004",
+        scope: &SOLVER_ADJACENT,
+        exempt: &[],
+        matcher: hash_collection,
+        message: "hash-based collection (`{what}`) in a solver-adjacent crate: iteration order \
+                  must be deterministic for reproducible models and audit replay; use the \
+                  `BTree` counterpart",
+    },
+    Rule {
+        code: "L007",
+        scope: &["crates/core/src/"],
+        exempt: &["crates/core/src/governor.rs"],
+        matcher: ladder_rung,
+        message: "`{what}` access outside `core::governor`: the rung transitions only through \
+                  the governor's hysteresis state machine (read it via `Governor::rung()`, \
+                  publish it via `Governor::stamp()`)",
+    },
+    Rule {
+        code: "L008",
+        scope: &PANIC_GUARDED,
+        exempt: &[],
+        matcher: panic_source,
+        message: "{what}: `cluster`, `core`, `milp`, `service` and `sim` run on every cycle and \
+                  every simulated event, and a panic there kills the whole run; propagate a \
+                  typed error, or state on the function why it cannot fire (an invariant abort \
+                  that must stay is an `expect-boundary`)",
+    },
+    Rule {
+        code: "L009",
+        scope: &SOLVER_ADJACENT,
+        // The fixed-order kernels: the only file in the solver crates
+        // allowed to spell a float reduction or an exact comparison, so
+        // there is one summation order to audit and debug and release
+        // digests agree.
+        exempt: &["crates/milp/src/kernels.rs"],
+        matcher: float_hazard,
+        message: "float {what} in a solver crate outside the fixed-order kernels: an iterator \
+                  reduction or an exact comparison written in place has its own order and its \
+                  own zero test, and the digests pin one of each; route it through \
+                  `crates/milp/src/kernels.rs`",
+    },
+    Rule {
+        code: "L010",
+        scope: &[""],
+        // Vendored third-party API stubs (their upstream API surfaces name
+        // `Arc` etc.); everything else in the workspace is product code.
+        // Nothing spawns a thread, so there is no seam to exempt: exports
+        // are byte-identical by seed because no interleaving exists.
+        exempt: &["crates/proptest/src/", "crates/rand/src/"],
+        matcher: concurrency,
+        message: "concurrency primitive (`{what}`): threads, locks, atomics, and channels are \
+                  allowed nowhere in product code, so same-seed runs stay byte-identical",
+    },
 ];
 
 /// Macros that unconditionally panic when reached (`L008`).
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Solver crates `L009` guards: float comparison and reduction order here
-/// reaches objective values, pivoting, and certificates.
-const FLOAT_DETERMINISM_PREFIXES: [&str; 3] = [
-    "crates/cluster/src/",
-    "crates/core/src/",
-    "crates/milp/src/",
-];
-
-/// The designated fixed-order reduction kernels: the only files in the
-/// solver crates allowed to spell a float reduction or comparison. This
-/// is the seam the decomposed parallel solver's shard-merge code must go
-/// through.
-const FIXED_ORDER_KERNEL_FILES: [&str; 1] = ["crates/milp/src/kernels.rs"];
-
-/// The concurrency seam: product subtrees allowed to name threads, locks,
-/// or atomics (`L010`). Kept honest and empty: nothing spawns a thread, and
-/// the PR that first does gives its worker pool one auditable home here.
-const CONCURRENCY_SEAM_PREFIXES: [&str; 0] = [];
-
-/// Vendored third-party API stubs, exempt from `L010` (their upstream
-/// API surfaces name `Arc` etc.); everything else in the workspace is
-/// product code and must stay thread-free.
-const VENDORED_STUB_PREFIXES: [&str; 2] = ["crates/proptest/src/", "crates/rand/src/"];
-
-/// Operator-facing knob structs whose fields `L011` requires to be read.
-const KNOB_STRUCTS: [&str; 3] = ["TetriSchedConfig", "PerfFaultConfig", "AdmissionPolicy"];
 
 /// Result of a workspace scan.
 #[derive(Debug, Default)]
 pub struct SrcLintReport {
     /// Findings, ordered by (file, line, code).
     pub diagnostics: Vec<Diagnostic>,
-    /// Number of files scanned (`.rs` + `Cargo.toml`).
+    /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Total lexed tokens across all `.rs` files (for the bench's
     /// tokens/sec figure).
     pub tokens_scanned: usize,
     /// Total bytes across all `.rs` files.
     pub bytes_scanned: usize,
-    /// Functions in the `L008` reachable set. Zero when the tree has no
-    /// hot-path root (e.g. fixture corpora without a scheduler); the
-    /// self-lint test asserts this is large on the real workspace, so the
-    /// lint cannot silently disarm.
-    pub hot_path_fns: usize,
-    /// Knob-struct fields checked by `L011` (same honesty guard).
+    /// Non-test functions inside `L008`'s scope. Zero when the tree has
+    /// none of the guarded crates; the self-lint test asserts this is
+    /// large on the real workspace, so the lint cannot silently disarm.
+    pub fns_checked: usize,
+    /// Config-struct fields checked by `L011` (same honesty guard).
     pub knob_fields_checked: usize,
 }
 
@@ -185,8 +219,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<SrcLintReport> {
         report.bytes_scanned += f.src.len();
         lint_file(f, &mut report);
     }
-    lint_panic_reachability(&files, &mut report);
-    lint_float_determinism(&files, &mut report);
     lint_dead_knobs(&files, &mut report);
     // Deterministic output order regardless of analysis phase: by file,
     // then line, then code. Contexts are `rel:line`.
@@ -217,9 +249,6 @@ fn walk(
                 continue;
             }
             walk(root, &path, report, files)?;
-        } else if name == "Cargo.toml" {
-            report.files_scanned += 1;
-            lint_manifest(root, &path, report)?;
         } else if name.ends_with(".rs") {
             let rel = rel_path(root, &path);
             // Integration tests and benches may use wall clock and unwrap.
@@ -247,26 +276,16 @@ fn in_any(rel: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| rel.starts_with(p))
 }
 
-/// Whether the sig token at `i` is the identifier `name`.
-fn is_ident(f: &SourceFile, i: usize, name: &str) -> bool {
-    match f.sig.get(i) {
-        Some(&raw) => {
-            f.tokens[raw].kind == TokenKind::Ident && f.tokens[raw].bytes(&f.src) == name.as_bytes()
-        }
-        None => false,
-    }
-}
-
 /// Whether sig tokens starting at `i` spell the path `a::b`.
 fn is_path2(f: &SourceFile, i: usize, a: &str, b: &str) -> bool {
-    is_ident(f, i, a) && f.is_op(i + 1, "::") && is_ident(f, i + 3, b)
+    f.is_ident(i, a) && f.is_op(i + 1, "::") && f.is_ident(i + 3, b)
 }
 
 /// Whether the sig token at `i` is a method-call name: `.name(` — with
 /// the receiver's dot immediately before and the argument paren after
 /// (turbofish allowed between).
 fn is_method_call(f: &SourceFile, i: usize, name: &str) -> bool {
-    if !is_ident(f, i, name) || i == 0 || !f.is_punct(i - 1, ".") {
+    if !f.is_ident(i, name) || i == 0 || !f.is_punct(i - 1, ".") {
         return false;
     }
     f.is_punct(i + 1, "(") || f.is_op(i + 1, "::")
@@ -281,410 +300,155 @@ fn push(report: &mut SrcLintReport, code: &'static str, msg: String, rel: &str, 
     ));
 }
 
-/// All per-file token lints (`L001`/`L002`/`L004`–`L007`, `L010`).
+/// Runs every rule whose scope holds `f` over `f`'s non-test tokens.
 fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
     let rel = f.rel.as_str();
-    let wall_clock_allowed = WALL_CLOCK_ALLOWLIST.contains(&rel);
-    let unwrap_checked = in_any(rel, &NO_UNWRAP_PREFIXES) && !UNWRAP_ALLOWLIST.contains(&rel);
-    let hash_checked =
-        in_any(rel, &NO_HASH_COLLECTION_PREFIXES) && !HASH_COLLECTION_ALLOWLIST.contains(&rel);
-    let clock_injected = in_any(rel, &CLOCK_INJECTED_PREFIXES);
-    let virtual_clock = in_any(rel, &VIRTUAL_CLOCK_PREFIXES);
-    let ladder_guarded = rel.starts_with(LADDER_GUARDED_PREFIX) && rel != LADDER_OWNER_FILE;
-    let concurrency_checked =
-        !in_any(rel, &CONCURRENCY_SEAM_PREFIXES) && !in_any(rel, &VENDORED_STUB_PREFIXES);
-
-    let wall_clock_needles: [(&str, &str); 2] = [("Instant", "now"), ("SystemTime", "")];
-    let threading_idents = ["Mutex", "RwLock", "Condvar", "mpsc"];
-
-    for i in 0..f.sig.len() {
-        if f.test_mask[i] {
-            continue;
-        }
-        let kind = f.sig_kind(i);
-        if kind != TokenKind::Ident {
-            continue;
-        }
-        let text = f.sig_text(i);
-        let line = f.sig_line(i);
-        let clockish = (text == "Instant" && f.is_op(i + 1, "::") && is_ident(f, i + 3, "now"))
-            || text == "SystemTime"
-            || is_path2(f, i, "std", "time");
-        let _ = wall_clock_needles; // the tuple list documents the needles
-        if clockish {
-            let what = if text == "std" {
-                "std::time"
-            } else if text == "Instant" {
-                "Instant::now"
-            } else {
-                "SystemTime"
-            };
-            if clock_injected {
-                push(
-                    report,
-                    "L005",
-                    format!(
-                        "process-clock access (`{what}`) inside the telemetry crate: time \
-                         must be injected by callers (`advance` / `observe_wall`) so \
-                         exports stay byte-identical"
-                    ),
-                    rel,
-                    line,
-                );
-            } else if virtual_clock {
-                push(
-                    report,
-                    "L006",
-                    format!(
-                        "clock access (`{what}`) inside the service crate: time is the \
-                         engine's virtual clock, injected by the caller"
-                    ),
-                    rel,
-                    line,
-                );
-            } else if !wall_clock_allowed && (text != "std" || !clock_injected) {
-                // `std::time` mentions outside the injected/single-threaded
-                // crates are only L001 when they name a clock source; plain
-                // `std::time::Duration` plumbing is fine.
-                if text != "std" {
-                    push(
-                        report,
-                        "L001",
-                        format!(
-                            "wall-clock read (`{what}`) outside the allowlist breaks \
-                             simulation determinism"
-                        ),
-                        rel,
-                        line,
-                    );
-                }
-            }
-        }
-        if unwrap_checked && is_method_call(f, i, "unwrap") {
-            push(
-                report,
-                "L002",
-                "`unwrap()` in a scheduler/ledger hot path; use `expect()` with an \
-                 invariant message or propagate a `Result`"
-                    .to_string(),
-                rel,
-                line,
-            );
-        }
-        if hash_checked && (text == "HashMap" || text == "HashSet") {
-            push(
-                report,
-                "L004",
-                format!(
-                    "hash-based collection (`{text}`) in a solver-adjacent crate: \
-                     iteration order must be deterministic for reproducible models and \
-                     audit replay; use `BTree{}`",
-                    &text[4..]
-                ),
-                rel,
-                line,
-            );
-        }
-        if ladder_guarded && text == "ladder_rung" {
-            push(
-                report,
-                "L007",
-                "ladder-rung access outside `core::governor`: the rung transitions only \
-                 through the governor's hysteresis state machine (read it via \
-                 `Governor::rung()`, publish it via `Governor::stamp()`)"
-                    .to_string(),
-                rel,
-                line,
-            );
-        }
-        if concurrency_checked {
-            let concurrent = threading_idents.contains(&text.as_ref())
-                || is_path2(f, i, "std", "thread")
-                || is_path2(f, i, "std", "sync")
-                || is_path2(f, i, "thread", "spawn")
-                || (text.starts_with("Atomic") && text.len() > "Atomic".len())
-                || (text == "static" && is_ident(f, i + 1, "mut"));
-            if concurrent {
-                let what = if text == "static" {
-                    "static mut".to_string()
-                } else if text == "std" {
-                    format!("std::{}", f.sig_text(i + 3))
-                } else {
-                    text.into_owned()
-                };
-                push(
-                    report,
-                    "L010",
-                    format!(
-                        "concurrency primitive (`{what}`): threads, locks, atomics, and \
-                         channels are allowed nowhere in product code, so same-seed runs \
-                         stay byte-identical; the first worker pool names its seam in \
-                         `CONCURRENCY_SEAM_PREFIXES`"
-                    ),
-                    rel,
-                    line,
-                );
-            }
-        }
+    if in_any(rel, &PANIC_GUARDED) {
+        report.fns_checked += f.fns.iter().filter(|item| !item.is_test).count();
     }
-}
-
-/// `L008`: the panic-reachability call graph.
-fn lint_panic_reachability(files: &[SourceFile], report: &mut SrcLintReport) {
-    // Index every non-test fn in the hot-path crates.
-    struct Entry<'a> {
-        file: &'a SourceFile,
-        item: &'a FnItem,
-        /// File stem, for `module::fn()` qualifier resolution.
-        stem: String,
-        crate_prefix: &'a str,
-    }
-    let mut fns: Vec<Entry<'_>> = Vec::new();
-    for f in files {
-        let Some(prefix) = HOT_PATH_CRATES.iter().find(|p| f.rel.starts_with(**p)) else {
-            continue;
-        };
-        let stem = f
-            .rel
-            .rsplit('/')
-            .next()
-            .unwrap_or("")
-            .trim_end_matches(".rs")
-            .to_string();
-        for item in &f.fns {
-            if item.is_test {
-                continue;
-            }
-            fns.push(Entry {
-                file: f,
-                item,
-                stem: stem.clone(),
-                crate_prefix: prefix,
-            });
-        }
-    }
-    // Name index: callee name -> candidate fn ids.
-    let mut by_name: std::collections::BTreeMap<&str, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (id, e) in fns.iter().enumerate() {
-        by_name.entry(e.item.name.as_str()).or_default().push(id);
-    }
-    // Roots: the scheduler cycle entry point(s).
-    let roots: Vec<usize> = fns
+    let rules: Vec<&Rule> = RULES
         .iter()
-        .enumerate()
-        .filter(|(_, e)| e.file.rel == HOT_PATH_ROOT_FILE && e.item.name == HOT_PATH_ROOT_FN)
-        .map(|(id, _)| id)
+        .filter(|r| in_any(rel, r.scope) && !in_any(rel, r.exempt))
         .collect();
-    if roots.is_empty() {
-        // No scheduler in this tree (fixture corpora): the lint is
-        // vacuous, and `hot_path_fns` stays 0 so the self-lint test can
-        // tell "nothing to check" from "checked and clean".
-        return;
-    }
-    // BFS over name-resolved edges, keeping a predecessor for diagnostics.
-    let mut pred: Vec<Option<usize>> = vec![None; fns.len()];
-    let mut seen: Vec<bool> = vec![false; fns.len()];
-    let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    for &r in &roots {
-        seen[r] = true;
-        queue.push_back(r);
-    }
-    while let Some(id) = queue.pop_front() {
-        let caller = &fns[id];
-        for call in &caller.item.calls {
-            let Some(cands) = by_name.get(call.name.as_str()) else {
-                continue;
-            };
-            for &cand in cands {
-                let callee = &fns[cand];
-                let matches = match call.qualifier.as_deref() {
-                    Some("Self") | Some("self") => {
-                        callee.item.impl_type == caller.item.impl_type
-                            && caller.item.impl_type.is_some()
-                    }
-                    Some(q) => {
-                        callee.item.impl_type.as_deref() == Some(q)
-                            || callee.stem == q
-                            || callee.item.module.last().map(String::as_str) == Some(q)
-                    }
-                    None if call.is_method => callee.item.impl_type.is_some(),
-                    // Bare call: free fns, preferring the caller's crate.
-                    None => {
-                        callee.item.impl_type.is_none()
-                            && callee.crate_prefix == caller.crate_prefix
-                    }
-                };
-                if matches && !seen[cand] {
-                    seen[cand] = true;
-                    pred[cand] = Some(id);
-                    queue.push_back(cand);
-                }
-            }
-        }
-    }
-    report.hot_path_fns = seen.iter().filter(|s| **s).count();
-    // Report panic sources in every reachable fn.
-    let chain = |mut id: usize| -> String {
-        let mut parts = vec![fns[id].item.qualified()];
-        while let Some(p) = pred[id] {
-            parts.push(fns[p].item.qualified());
-            id = p;
-            if parts.len() > 8 {
-                parts.push("…".to_string());
-                break;
-            }
-        }
-        parts.reverse();
-        parts.join(" → ")
-    };
-    for (id, e) in fns.iter().enumerate() {
-        if !seen[id] {
-            continue;
-        }
-        let via = chain(id);
-        let rel = e.file.rel.as_str();
-        for (mac, line) in &e.item.macros {
-            if PANIC_MACROS.contains(&mac.as_str()) {
-                push(
-                    report,
-                    "L008",
-                    format!(
-                        "`{mac}!` is reachable from the scheduler hot path (via {via}): \
-                         a panic here kills the whole scheduling cycle; propagate a \
-                         typed error instead"
-                    ),
-                    rel,
-                    *line,
-                );
-            }
-        }
-        for line in &e.item.unwrap_sites {
-            push(
-                report,
-                "L008",
-                format!(
-                    "`unwrap()` is reachable from the scheduler hot path (via {via}); \
-                     propagate a `Result` or use an annotated boundary"
-                ),
-                rel,
-                *line,
-            );
-        }
-        if !e.item.has_annotation("expect-boundary") {
-            for line in &e.item.expect_sites {
-                push(
-                    report,
-                    "L008",
-                    format!(
-                        "`expect()` in hot-path fn `{}` (via {via}) without a \
-                         `// srclint: expect-boundary: <why>` annotation: either \
-                         propagate the error or annotate the invariant at the boundary",
-                        e.item.qualified()
-                    ),
-                    rel,
-                    *line,
-                );
-            }
-        }
-        if !e.item.has_annotation("checked-indexing") {
-            for line in &e.item.index_sites {
-                push(
-                    report,
-                    "L008",
-                    format!(
-                        "slice/array index in hot-path fn `{}` (via {via}) without a \
-                         `// srclint: checked-indexing: <why>` annotation: indexing \
-                         panics on out-of-bounds; use `get()` or annotate why bounds \
-                         hold",
-                        e.item.qualified()
-                    ),
-                    rel,
-                    *line,
-                );
+    for i in (0..f.sig.len()).filter(|&i| !f.test_mask[i]) {
+        for rule in &rules {
+            if let Some(what) = (rule.matcher)(f, i) {
+                let msg = rule.message.replace("{what}", &what);
+                push(report, rule.code, msg, rel, f.sig_line(i));
             }
         }
     }
 }
 
-/// `L009`: float-determinism in the solver crates.
-fn lint_float_determinism(files: &[SourceFile], report: &mut SrcLintReport) {
-    for f in files {
-        if !in_any(&f.rel, &FLOAT_DETERMINISM_PREFIXES)
-            || FIXED_ORDER_KERNEL_FILES.contains(&f.rel.as_str())
-        {
-            continue;
+/// `L001`, everywhere: a read of the process's clocks.
+fn clock_read(f: &SourceFile, i: usize) -> Option<String> {
+    if is_path2(f, i, "Instant", "now") {
+        Some("Instant::now".to_string())
+    } else {
+        f.is_ident(i, "SystemTime")
+            .then(|| "SystemTime".to_string())
+    }
+}
+
+/// `L001`, in the crates whose time is handed to them: a clock read, or
+/// any `std::time` path at all.
+fn clock_mention(f: &SourceFile, i: usize) -> Option<String> {
+    clock_read(f, i).or_else(|| is_path2(f, i, "std", "time").then(|| "std::time".to_string()))
+}
+
+/// `L004`.
+fn hash_collection(f: &SourceFile, i: usize) -> Option<String> {
+    let hashed = f.is_ident(i, "HashMap") || f.is_ident(i, "HashSet");
+    hashed.then(|| f.sig_text(i).into_owned())
+}
+
+/// `L007`.
+fn ladder_rung(f: &SourceFile, i: usize) -> Option<String> {
+    f.is_ident(i, "ladder_rung")
+        .then(|| "ladder_rung".to_string())
+}
+
+/// `L010`.
+fn concurrency(f: &SourceFile, i: usize) -> Option<String> {
+    if f.sig_kind(i) != TokenKind::Ident {
+        return None;
+    }
+    let text = f.sig_text(i);
+    if is_path2(f, i, "std", "thread") || is_path2(f, i, "std", "sync") {
+        Some(format!("std::{}", f.sig_text(i + 3)))
+    } else if text == "static" && f.is_ident(i + 1, "mut") {
+        Some("static mut".to_string())
+    } else if ["Mutex", "RwLock", "Condvar", "mpsc"].contains(&text.as_ref())
+        || is_path2(f, i, "thread", "spawn")
+        || (text.starts_with("Atomic") && text.len() > "Atomic".len())
+    {
+        Some(text.into_owned())
+    } else {
+        None
+    }
+}
+
+/// `L008`: the four ways a line of the guarded crates can abort the run.
+/// The annotations are read off the innermost enclosing function; code
+/// outside any function has nowhere to carry one.
+fn panic_source(f: &SourceFile, i: usize) -> Option<String> {
+    let vouched = |marker: &str| {
+        f.enclosing_fn(i)
+            .is_some_and(|item| item.has_annotation(marker))
+    };
+    if is_method_call(f, i, "unwrap") {
+        return Some("`unwrap()`".to_string());
+    }
+    if is_method_call(f, i, "expect") && !vouched("expect-boundary") {
+        return Some(
+            "`expect()` in a function without a `// srclint: expect-boundary: <why>` annotation"
+                .to_string(),
+        );
+    }
+    if is_panic_macro(f, i) && !vouched("expect-boundary") {
+        return Some(format!(
+            "`{}!` in a function without a `// srclint: expect-boundary: <why>` annotation",
+            f.sig_text(i)
+        ));
+    }
+    if is_index_expr(f, i) && !vouched("checked-indexing") {
+        return Some(
+            "slice/array index (panics out of bounds) in a function without a \
+             `// srclint: checked-indexing: <why>` annotation"
+                .to_string(),
+        );
+    }
+    None
+}
+
+/// Whether sig index `i` is the name of a `panic!`-family invocation
+/// (`name!`, but not `name != …`).
+fn is_panic_macro(f: &SourceFile, i: usize) -> bool {
+    PANIC_MACROS.iter().any(|m| f.is_ident(i, m)) && f.is_op(i + 1, "!") && !f.is_op(i + 1, "!=")
+}
+
+/// Whether sig index `i` is the `[` of an index expression: its previous
+/// sig token ends an expression (ident, `]`, or `)`), which rules out
+/// macro brackets (`vec![…]` — prev is `!`), attributes, array literals
+/// and slice types.
+fn is_index_expr(f: &SourceFile, i: usize) -> bool {
+    if i == 0 || !f.is_punct(i, "[") {
+        return false;
+    }
+    match f.sig_kind(i - 1) {
+        TokenKind::Ident => !is_keyword(&f.sig_text(i - 1)),
+        TokenKind::Punct => f.is_punct(i - 1, "]") || f.is_punct(i - 1, ")"),
+        _ => false,
+    }
+}
+
+/// `L009`: `==` / `!=` with a float operand on either side — a float
+/// literal, or a name with a visible `: f64` / `: f32` ascription in this
+/// file (field types of other files are invisible at token level, so
+/// literal-adjacent comparisons are the other net) — or a `.sum()` /
+/// `.product()` / `.fold()` in a float statement.
+fn float_hazard(f: &SourceFile, i: usize) -> Option<String> {
+    let floatish = |i: usize| -> bool {
+        match f.sig.get(i) {
+            Some(&raw) => match f.tokens[raw].kind {
+                TokenKind::Num => num_is_float(f.tokens[raw].bytes(&f.src)),
+                TokenKind::Ident => f.float_idents.contains(f.tokens[raw].text(&f.src).as_ref()),
+                _ => false,
+            },
+            None => false,
         }
-        // Idents with a visible `: f64` / `: f32` ascription in this file
-        // (params and typed lets); field types are invisible at token
-        // level, so literal-adjacent comparisons are the other net.
-        let mut float_idents: std::collections::BTreeSet<String> =
-            std::collections::BTreeSet::new();
-        for i in 0..f.sig.len() {
-            if f.sig_kind(i) == TokenKind::Ident
-                && f.is_punct(i + 1, ":")
-                && !f.is_op(i + 1, "::")
-                && (is_ident(f, i + 2, "f64") || is_ident(f, i + 2, "f32"))
-            {
-                let t = f.sig_text(i).into_owned();
-                if !is_keyword(&t) {
-                    float_idents.insert(t);
-                }
-            }
-        }
-        let floatish = |i: usize| -> bool {
-            match f.sig.get(i) {
-                Some(&raw) => match f.tokens[raw].kind {
-                    TokenKind::Num => num_is_float(f.tokens[raw].bytes(&f.src)),
-                    TokenKind::Ident => {
-                        let t = f.tokens[raw].text(&f.src);
-                        float_idents.contains(t.as_ref())
-                    }
-                    _ => false,
-                },
-                None => false,
-            }
-        };
-        for i in 0..f.sig.len() {
-            if f.test_mask[i] {
-                continue;
-            }
-            // `==` / `!=` with a float operand on either side.
-            for op in ["==", "!="] {
-                if f.is_op(i, op) && (i > 0 && floatish(i - 1) || floatish(i + 2)) {
-                    push(
-                        report,
-                        "L009",
-                        format!(
-                            "float `{op}` comparison in a solver crate: exact float \
-                             equality is not preserved across reduction orders; use \
-                             the fixed-order kernels' tolerance/zero tests \
-                             (`crates/milp/src/kernels.rs`)"
-                        ),
-                        &f.rel,
-                        f.sig_line(i),
-                    );
-                }
-            }
-            // `.sum()` / `.product()` / `.fold()` in a float statement.
-            for red in ["sum", "product", "fold"] {
-                if is_method_call(f, i, red) && statement_mentions_float(f, i) {
-                    push(
-                        report,
-                        "L009",
-                        format!(
-                            "float `{red}` accumulation in a solver crate outside the \
-                             designated fixed-order reduction kernels: iterator \
-                             reductions pin no order once shards solve in parallel; \
-                             route through `crates/milp/src/kernels.rs`"
-                        ),
-                        &f.rel,
-                        f.sig_line(i),
-                    );
-                }
-            }
+    };
+    for op in ["==", "!="] {
+        if f.is_op(i, op) && (i > 0 && floatish(i - 1) || floatish(i + 2)) {
+            return Some(format!("`{op}` comparison"));
         }
     }
+    for red in ["sum", "product", "fold"] {
+        if is_method_call(f, i, red) && statement_mentions_float(f, i) {
+            return Some(format!("`{red}` accumulation"));
+        }
+    }
+    None
 }
 
 /// Whether the statement window around sig index `i` (back to the nearest
@@ -735,24 +499,24 @@ fn statement_mentions_float(f: &SourceFile, i: usize) -> bool {
 
 /// `L011`: dead operator knobs.
 fn lint_dead_knobs(files: &[SourceFile], report: &mut SrcLintReport) {
-    // Collect the knob structs' fields.
-    let mut knobs: Vec<(String, String, String, u32)> = Vec::new(); // (struct, field, file, line)
+    // Every field of every config struct: (struct, field, file, line).
+    let mut knobs: Vec<(&str, &str, &str, u32)> = Vec::new();
     for f in files {
         for s in &f.structs {
-            if KNOB_STRUCTS.contains(&s.name.as_str()) {
+            if s.is_pub && (s.name.ends_with("Config") || s.name.ends_with("Policy")) {
                 for (field, line) in &s.fields {
-                    knobs.push((s.name.clone(), field.clone(), f.rel.clone(), *line));
+                    knobs.push((&s.name, field, &f.rel, *line));
                 }
             }
         }
     }
-    if knobs.is_empty() {
-        return; // no knob structs in this tree (fixture corpora)
-    }
     report.knob_fields_checked = knobs.len();
+    if knobs.is_empty() {
+        return; // no config structs in this tree (fixture corpora)
+    }
     // One pass over all files: collect every field *read* — `.name` not
     // immediately assigned (`.name = …` is a write; `==` is a read).
-    let mut reads: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+    let mut reads: BTreeSet<String> = BTreeSet::new();
     for f in files {
         for i in 1..f.sig.len() {
             if f.test_mask[i] {
@@ -772,7 +536,7 @@ fn lint_dead_knobs(files: &[SourceFile], report: &mut SrcLintReport) {
         }
     }
     for (st, field, rel, line) in knobs {
-        if !reads.contains(&field) {
+        if !reads.contains(field) {
             push(
                 report,
                 "L011",
@@ -780,114 +544,11 @@ fn lint_dead_knobs(files: &[SourceFile], report: &mut SrcLintReport) {
                     "dead knob: `{st}::{field}` is never read in non-test code — the \
                      field silently ignores operator intent; wire it up or delete it"
                 ),
-                &rel,
+                rel,
                 line,
             );
         }
     }
-}
-
-/// Whether a manifest section header declares a dependency table.
-fn is_dep_section(header: &str) -> bool {
-    let h = header.trim_start_matches('[').trim_end_matches(']');
-    h == "dependencies"
-        || h == "dev-dependencies"
-        || h == "build-dependencies"
-        || h == "workspace.dependencies"
-        || (h.starts_with("target.") && h.ends_with(".dependencies"))
-}
-
-/// A `[dependencies.foo]`-style subsection header; returns the dep name.
-fn dep_subsection(header: &str) -> Option<&str> {
-    let h = header.trim_start_matches('[').trim_end_matches(']');
-    for prefix in [
-        "dependencies.",
-        "dev-dependencies.",
-        "build-dependencies.",
-        "workspace.dependencies.",
-    ] {
-        if let Some(name) = h.strip_prefix(prefix) {
-            return Some(name);
-        }
-    }
-    None
-}
-
-/// Whether an inline dependency value is vendored (a `path` dependency or
-/// a `workspace = true` inheritance).
-fn value_is_vendored(value: &str) -> bool {
-    value.contains("path") || value.contains("workspace")
-}
-
-fn lint_manifest(root: &Path, path: &Path, report: &mut SrcLintReport) -> io::Result<()> {
-    let rel = rel_path(root, path);
-    let text = fs::read_to_string(path)?;
-
-    // (name, header line, any line proved it vendored) for the open
-    // `[dependencies.foo]` subsection, if any.
-    let mut open_subsection: Option<(String, usize, bool)> = None;
-    let mut in_dep_table = false;
-
-    let flush = |sub: &mut Option<(String, usize, bool)>, diags: &mut Vec<Diagnostic>| {
-        if let Some((name, lineno, vendored)) = sub.take() {
-            if !vendored {
-                diags.push(Diagnostic::new(
-                    "L003",
-                    Severity::Error,
-                    format!(
-                        "dependency `{name}` is not vendored: declare it with a \
-                         `path` or `workspace = true` (no crates.io access)"
-                    ),
-                    format!("{rel}:{lineno}"),
-                ));
-            }
-        }
-    };
-
-    for (i, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        let lineno = i + 1;
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        if trimmed.starts_with('[') {
-            flush(&mut open_subsection, &mut report.diagnostics);
-            if let Some(name) = dep_subsection(trimmed) {
-                in_dep_table = false;
-                open_subsection = Some((name.to_string(), lineno, false));
-            } else {
-                in_dep_table = is_dep_section(trimmed);
-            }
-            continue;
-        }
-        if let Some((_, _, vendored)) = &mut open_subsection {
-            if trimmed.starts_with("path") || trimmed.contains("workspace = true") {
-                *vendored = true;
-            }
-            continue;
-        }
-        if in_dep_table {
-            if let Some((key, value)) = trimmed.split_once('=') {
-                let key = key.trim();
-                // `foo.workspace = true` is already vendored by inheritance.
-                let inherits = key.ends_with(".workspace");
-                if !inherits && !value_is_vendored(value) {
-                    let name = key.split('.').next().unwrap_or(key);
-                    report.diagnostics.push(Diagnostic::new(
-                        "L003",
-                        Severity::Error,
-                        format!(
-                            "dependency `{name}` is not vendored: declare it with a \
-                             `path` or `workspace = true` (no crates.io access)"
-                        ),
-                        format!("{rel}:{lineno}"),
-                    ));
-                }
-            }
-        }
-    }
-    flush(&mut open_subsection, &mut report.diagnostics);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -907,55 +568,27 @@ mod tests {
         report
     }
 
-    fn codes(report: &SrcLintReport) -> Vec<&str> {
-        report.diagnostics.iter().map(|d| d.code).collect()
+    fn count(report: &SrcLintReport, code: &str) -> usize {
+        let hits = report.diagnostics.iter().filter(|d| d.code == code);
+        hits.count()
     }
 
     #[test]
-    fn dep_section_recognition() {
-        assert!(is_dep_section("[dependencies]"));
-        assert!(is_dep_section("[dev-dependencies]"));
-        assert!(is_dep_section("[workspace.dependencies]"));
-        assert!(is_dep_section("[target.'cfg(unix)'.dependencies]"));
-        assert!(!is_dep_section("[package]"));
-        assert!(!is_dep_section("[profile.release]"));
-    }
-
-    #[test]
-    fn subsection_recognition() {
-        assert_eq!(dep_subsection("[dependencies.serde]"), Some("serde"));
-        assert_eq!(dep_subsection("[dev-dependencies.rand]"), Some("rand"));
-        assert_eq!(dep_subsection("[package]"), None);
-        assert_eq!(dep_subsection("[dependencies]"), None);
-    }
-
-    #[test]
-    fn vendored_values() {
-        assert!(value_is_vendored(" { path = \"crates/rand\" }"));
-        assert!(value_is_vendored(" { workspace = true }"));
-        assert!(!value_is_vendored(" \"1.0\""));
-        assert!(!value_is_vendored(
-            " { version = \"1.0\", features = [\"x\"] }"
-        ));
-    }
-
-    #[test]
-    fn l005_flags_clock_access_in_telemetry_sources() {
+    fn l001_flags_clock_access_in_telemetry_sources() {
         let report = scan_tree(
-            "l005",
+            "l001-telemetry",
             &[(
                 "crates/telemetry/src/lib.rs",
                 "use std::time::Instant;\nfn now() -> Instant { Instant::now() }\n",
             )],
         );
-        let n = codes(&report).iter().filter(|c| **c == "L005").count();
-        assert!(n >= 2, "expected L005 on import and call: {report:?}");
+        assert_eq!(count(&report, "L001"), 2, "import and call: {report:?}");
     }
 
     #[test]
-    fn l006_flags_clocks_in_service_sources() {
+    fn l001_flags_clocks_in_service_sources() {
         let report = scan_tree(
-            "l006",
+            "l001-service",
             &[(
                 "crates/service/src/lib.rs",
                 "use std::sync::Mutex;\n\
@@ -963,7 +596,7 @@ mod tests {
                  fn now() -> Instant { Instant::now() }\n",
             )],
         );
-        let n = codes(&report).iter().filter(|c| **c == "L006").count();
+        let n = count(&report, "L001");
         assert_eq!(n, 2, "import and call; the Mutex is L010's: {report:?}");
     }
 
@@ -992,16 +625,41 @@ mod tests {
     }
 
     #[test]
-    fn l002_covers_the_service_crate() {
-        assert!(NO_UNWRAP_PREFIXES.contains(&"crates/service/src/"));
+    fn l008_covers_the_service_crate() {
         let report = scan_tree(
-            "l002-svc",
+            "l008-svc",
             &[(
                 "crates/service/src/lib.rs",
                 "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
             )],
         );
-        assert!(codes(&report).contains(&"L002"), "{report:?}");
+        assert_eq!(count(&report, "L008"), 1, "{report:?}");
+        assert_eq!(report.fns_checked, 1);
+    }
+
+    #[test]
+    fn l008_index_sites_are_expressions_not_literals_or_types() {
+        let report = scan_tree(
+            "l008-index",
+            &[(
+                "crates/sim/src/lib.rs",
+                "fn f(xs: &[u32], o: Option<u32>) -> u32 {\n\
+                    let a = xs[0];\n\
+                    let d = vec![1, 2];\n\
+                    let e: [u8; 4] = [0; 4];\n\
+                    #[allow(unused)]\n\
+                    let g = if a != 1 { todo!() } else { 0 };\n\
+                    a + d[1] as u32 + e[0] as u32 + g\n\
+                 }\n",
+            )],
+        );
+        let lines: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter_map(|d| d.context.rsplit_once(':'))
+            .map(|(_, line)| line)
+            .collect();
+        assert_eq!(lines, ["2", "6", "7", "7"], "{report:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Fixture: the L008 hot-path root plus one violation of each kind,
-//! one annotated-clean twin of each kind, and one unreachable decoy.
+//! Fixture: one L008 violation of each kind, one annotated-clean twin of
+//! each kind, and a function nothing calls — flagged all the same.
 //!
 //! This file is never compiled — it is lexed by the corpus test.
 
@@ -8,7 +8,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// The L008 root: everything called from here is hot.
+    /// The scheduler cycle; every function of the crate answers to L008.
     pub fn cycle(&mut self) {
         let j = self.pick();
         helper_panics(j as usize);
@@ -19,7 +19,7 @@ impl Scheduler {
     }
 
     fn pick(&self) -> u32 {
-        // L008 (and L002): unwrap reachable from the root.
+        // L008: unwrap, a finding wherever it stands.
         self.jobs.first().copied().unwrap()
     }
 
@@ -48,13 +48,13 @@ impl Scheduler {
 
 fn helper_panics(n: usize) {
     if n > 3 {
-        // L008: panic!-family macro reachable from the root.
+        // L008: panic!-family macro without an expect-boundary.
         panic!("fixture: reachable panic");
     }
 }
 
 fn never_called() {
-    // NOT reachable from `cycle`: must not produce an L008 finding.
+    // L008: nothing calls this, and crate scope does not ask.
     unreachable!("fixture decoy");
 }
 
@@ -67,7 +67,7 @@ mod tests {
     }
 }
 
-/// Code *after* the test module is still analyzed: L002 must fire here.
+/// Code *after* the test module is still analyzed: L008 must fire here.
 pub fn post_test_mod(x: Option<u32>) -> u32 {
     x.unwrap()
 }

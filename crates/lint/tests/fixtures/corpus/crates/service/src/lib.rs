@@ -1,4 +1,4 @@
-//! Fixture: the service crate — clocks draw L006; threads and locks, L010.
+//! Fixture: the service crate — clocks draw L001; threads and locks, L010.
 
 use std::sync::mpsc;
 use std::sync::Mutex;

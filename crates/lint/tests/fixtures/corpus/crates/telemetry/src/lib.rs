@@ -1,4 +1,4 @@
-//! Fixture: L005 — clock access inside the telemetry crate.
+//! Fixture: L001 — clock access inside the telemetry crate.
 
 use std::time::Instant;
 

@@ -1,9 +1,9 @@
-//! Golden tests for the token-based workspace lints (`L001`–`L011`) over
-//! the on-disk fixture corpus in `tests/fixtures/corpus/`.
+//! Golden tests for the scoped token rules (`L001`, `L004`, `L007`–`L011`)
+//! over the on-disk fixture corpus in `tests/fixtures/corpus/`.
 //!
-//! The corpus is a miniature workspace: a hot-path root with one
-//! violation of every L008 kind plus annotated-clean twins, L009
-//! violations next to their designated exemption file, a knob struct
+//! The corpus is a miniature workspace: one violation of every L008 kind
+//! plus annotated-clean twins, an event loop no scheduler cycle calls,
+//! L009 violations next to their designated exemption file, a knob struct
 //! with a dead field, and a needle file where every banned pattern
 //! appears only inside strings, doc comments, and nested block comments.
 
@@ -38,41 +38,58 @@ fn scan_tree(name: &str, files: &[(&str, &str)]) -> SrcLintReport {
     report
 }
 
-#[test]
-fn l008_flags_exactly_the_reachable_unannotated_sites() {
-    let report = corpus();
-    let l008 = with_code(&report, "L008");
-    assert_eq!(l008.len(), 4, "panic, unwrap, expect, index: {l008:#?}");
-    assert!(l008.iter().all(|d| d.context.contains("scheduler.rs")));
-    let msgs: Vec<&str> = l008.iter().map(|d| d.message.as_str()).collect();
-    assert!(msgs.iter().any(|m| m.contains("`panic!`")), "{msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("`unwrap()`")), "{msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("`expect()`")), "{msgs:?}");
-    assert!(
-        msgs.iter().any(|m| m.contains("slice/array index")),
-        "{msgs:?}"
-    );
-    // Every diagnostic names its call chain from the root.
-    assert!(
-        msgs.iter().all(|m| m.contains("Scheduler::cycle")),
-        "{msgs:?}"
-    );
-    // The unreachable decoy and the annotated twins stay silent.
-    assert!(!msgs.iter().any(|m| m.contains("unreachable")), "{msgs:?}");
-    assert!(
-        !msgs
-            .iter()
-            .any(|m| m.contains("Scheduler::annotated_index") || m.contains("Scheduler::boundary")),
-        "{msgs:?}"
-    );
+/// The `path:line` contexts of `code`'s findings under `dir`, in order.
+fn sites<'a>(report: &'a SrcLintReport, code: &str, dir: &str) -> Vec<&'a str> {
+    let found = with_code(report, code).into_iter();
+    found.filter_map(|d| d.context.strip_prefix(dir)).collect()
 }
 
 #[test]
-fn l008_reachable_set_is_reported_for_honesty() {
+fn l008_flags_every_unannotated_site_whoever_calls_it() {
     let report = corpus();
-    // cycle, pick, indexed, expected, annotated_index, boundary,
-    // helper_panics — but not never_called or post_test_mod.
-    assert_eq!(report.hot_path_fns, 7, "{report:#?}");
+    // unwrap, index, expect, panic!, the unreachable! in a function that
+    // nothing calls, and the unwrap after the test module; the annotated
+    // twins (lines 39, 45) stay silent.
+    let core = sites(&report, "L008", "crates/core/src/");
+    let expected = ["23", "28", "33", "52", "58", "72"].map(|l| format!("scheduler.rs:{l}"));
+    assert_eq!(core, expected, "{report:#?}");
+    let msgs: Vec<&str> = with_code(&report, "L008")
+        .iter()
+        .map(|d| d.message.as_str())
+        .collect();
+    for kind in [
+        "`panic!`",
+        "`unreachable!`",
+        "`unwrap()`",
+        "`expect()`",
+        "slice/array index",
+    ] {
+        assert!(msgs.iter().any(|m| m.contains(kind)), "{kind}: {msgs:?}");
+    }
+}
+
+#[test]
+fn l008_reaches_the_event_loop_and_an_empty_reason_vouches_for_nothing() {
+    let report = corpus();
+    // An index and a `panic!` in each of `on_node_down` (no annotation;
+    // clean under the call graph, which never left `cycle`) and
+    // `on_node_down_unreasoned` (markers without reasons); the twin with
+    // both reasons is clean.
+    let sim = sites(&report, "L008", "crates/sim/src/events.rs:");
+    assert_eq!(sim, ["11", "12", "28", "29"], "{report:#?}");
+}
+
+#[test]
+fn a_helper_named_run_in_an_unguarded_crate_changes_no_count() {
+    let report = corpus();
+    let bench = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.context.contains("crates/bench/"));
+    assert_eq!(bench.count(), 0, "{report:#?}");
+    // Every non-test fn of the five guarded crates' fixtures, `masked`
+    // excluded — and neither `run` nor `cycle` of `crates/bench`.
+    assert_eq!(report.fns_checked, 25, "{report:#?}");
 }
 
 #[test]
@@ -98,22 +115,15 @@ fn l010_fires_everywhere_in_product_code() {
     let l010 = with_code(&report, "L010");
     // std::thread, static mut, AtomicUsize, std::sync, thread::spawn in
     // worker.rs — plus the service crate's channel, lock and thread
-    // imports, which are L010's alone (L006 is the crate's clock rule).
+    // imports, which are L010's alone (L001 is the crate's clock rule).
     let worker: Vec<_> = l010
         .iter()
         .filter(|d| d.context.contains("sim/src/worker.rs"))
         .collect();
     assert!(worker.len() >= 4, "{worker:#?}");
-    let service_lines = |code| -> Vec<&str> {
-        let found = with_code(&report, code).into_iter();
-        found
-            .filter_map(|d| d.context.strip_prefix("crates/service/src/lib.rs:"))
-            .collect()
-    };
-    let mut threaded = service_lines("L010");
+    let mut threaded = sites(&report, "L010", "crates/service/src/lib.rs:");
     threaded.dedup();
     assert_eq!(threaded, ["3", "4", "5"], "one code per site: {l010:#?}");
-    assert_eq!(service_lines("L006"), ["6", "9"], "import and call");
 }
 
 #[test]
@@ -126,12 +136,12 @@ fn l011_flags_the_dead_knob_only() {
 }
 
 #[test]
-fn l005_l006_l007_goldens() {
+fn l001_l007_goldens() {
     let report = corpus();
-    let l005 = with_code(&report, "L005");
-    assert_eq!(l005.len(), 2, "telemetry import + call: {l005:#?}");
-    let l006 = with_code(&report, "L006");
-    assert_eq!(l006.len(), 2, "service clock import + call: {l006:#?}");
+    let telemetry = sites(&report, "L001", "crates/telemetry/src/lib.rs:");
+    assert_eq!(telemetry, ["3", "6"], "import and call");
+    let service = sites(&report, "L001", "crates/service/src/lib.rs:");
+    assert_eq!(service, ["6", "9"], "import and call");
     let l007 = with_code(&report, "L007");
     assert_eq!(l007.len(), 1, "{l007:#?}");
     assert!(l007[0].context.contains("core/src/other.rs"));
@@ -146,19 +156,19 @@ fn needle_file_yields_exactly_its_one_real_violation() {
         .filter(|d| d.context.contains("needles.rs"))
         .collect();
     assert_eq!(needles.len(), 1, "only the real unwrap: {needles:#?}");
-    assert_eq!(needles[0].code, "L002");
+    assert_eq!(needles[0].code, "L008");
 }
 
 #[test]
 fn test_masked_code_is_exempt_but_code_after_the_test_mod_is_not() {
     let report = corpus();
-    let l002: Vec<_> = with_code(&report, "L002")
+    let unwraps: Vec<_> = with_code(&report, "L008")
         .into_iter()
-        .filter(|d| d.context.contains("scheduler.rs"))
+        .filter(|d| d.context.contains("scheduler.rs") && d.message.contains("`unwrap()`"))
         .collect();
-    // `pick` (line 23) and `post_test_mod` (line 73) — but never the
+    // `pick` (line 23) and `post_test_mod` (line 72) — but never the
     // unwrap inside `mod tests`.
-    assert_eq!(l002.len(), 2, "{l002:#?}");
+    assert_eq!(unwraps.len(), 2, "{unwraps:#?}");
 }
 
 #[test]
@@ -182,20 +192,6 @@ fn l001_respects_the_wall_clock_allowlist() {
         l001.iter().all(|d| d.context.contains("reservation")),
         "engine.rs is allowlisted: {l001:#?}"
     );
-}
-
-#[test]
-fn l003_flags_unvendored_manifest_deps() {
-    let report = scan_tree(
-        "l003",
-        &[(
-            "crates/x/Cargo.toml",
-            "[package]\nname = \"x\"\n\n[dependencies]\nserde = \"1.0\"\nmilp = { path = \"../milp\" }\n",
-        )],
-    );
-    let l003 = with_code(&report, "L003");
-    assert_eq!(l003.len(), 1, "{l003:#?}");
-    assert!(l003[0].message.contains("`serde`"));
 }
 
 #[test]

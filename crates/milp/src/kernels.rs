@@ -4,9 +4,10 @@
 //! Same-seed byte-identity is the workspace's core quality contract, and
 //! float arithmetic is where it quietly dies: `(a + b) + c != a + (b + c)`
 //! in general, so any reduction whose order is not pinned — an iterator
-//! chain today, a parallel shard-merge tomorrow — can change the objective
-//! value, the pivot choice, and ultimately the placement. `srclint` code
-//! `L009` therefore forbids `f64`/`f32` `==`/`!=` and iterator
+//! chain the optimiser may vectorise in one profile and not the other —
+//! can change the objective value, the pivot choice, and ultimately the
+//! placement, and the debug and release digests stop agreeing. `srclint`
+//! code `L009` therefore forbids `f64`/`f32` `==`/`!=` and iterator
 //! `sum`/`product`/`fold` reductions throughout the solver crates
 //! (`milp`, `core`, `cluster`) **except in this file**. Everything here
 //! reduces left-to-right, sequentially, in the caller's iteration order;
@@ -14,10 +15,10 @@
 //! container (which `L004` guarantees by banning hash maps in these
 //! crates).
 //!
-//! When the decomposed parallel solver lands (ROADMAP item 1), its
-//! shard-merge code must funnel every cross-shard reduction through these
-//! kernels in shard-index order. Worker *completion* order may then vary
-//! freely without perturbing a single output bit.
+//! One file, then, holds the summation order and the exact-zero test the
+//! golden digests pin, and a change to either is a change here. (The
+//! thread-pool sharded solver this file once awaited is retired; nothing
+//! in the program runs concurrently, which `L010` holds.)
 
 /// Left-to-right sequential sum. The reduction order is the iterator
 /// order, always — never a tree, never completion order.

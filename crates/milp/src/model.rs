@@ -273,6 +273,8 @@ impl Model {
     }
 
     /// Adds to the objective coefficient of an existing variable.
+    // srclint: checked-indexing: VarIds are only minted by this model's
+    // add_var and always index `vars`.
     pub fn add_objective_term(&mut self, var: VarId, coeff: f64) {
         self.vars[var.0].obj += coeff;
     }

@@ -64,6 +64,8 @@ impl<J: ServiceJob> IntakeLayer<J> {
 
     /// Offers an arrival to its shard; returns the receiving shard index,
     /// or hands the job back when the shard's mailbox is full.
+    // srclint: checked-indexing: `route` reduces the id modulo `shards.len()`,
+    // which `new` holds at one or more.
     pub fn offer(&mut self, job: J) -> Result<u32, J> {
         let shard = self.route(&job);
         match self.shards[shard as usize].mailbox.offer(job) {
@@ -75,6 +77,8 @@ impl<J: ServiceJob> IntakeLayer<J> {
     /// Drains up to `max` jobs round-robin across shards, starting at the
     /// persisted cursor; the cursor advances so the next drain starts at
     /// the following shard.
+    // srclint: checked-indexing: `shard` is `cursor % n` with `n` the shard
+    // count, which `new` holds at one or more.
     pub fn drain(&mut self, max: usize) -> Vec<J> {
         let n = self.shards.len();
         let mut out = Vec::new();

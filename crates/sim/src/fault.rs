@@ -424,6 +424,9 @@ impl NodeFaults {
     /// Window `ix` of `plan` opens or closes; the node's runtime multiplier
     /// from here on. Overlapping windows compose by max (the node runs at
     /// the worst active factor), 1.0 when none is left.
+    // srclint: checked-indexing: every `ix` in `active_perf` arrived through
+    // this function from the engine's perf-fault events, which are made by
+    // enumerating the same `plan`.
     pub(crate) fn perf_window(&mut self, ix: usize, opens: bool, plan: &[PerfFaultWindow]) -> f64 {
         if opens {
             self.active_perf.push(ix);

@@ -11,6 +11,8 @@ use crate::trace::{TraceEvent, TraceLog};
 use crate::Time;
 
 /// Symbol assigned to the `i`-th distinct job in the trace.
+// srclint: checked-indexing: the index is reduced modulo the non-empty
+// table's own length.
 fn symbol(i: usize) -> char {
     const SYMS: &[u8] = b"123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
     SYMS[i % SYMS.len()] as char
@@ -21,6 +23,10 @@ fn symbol(i: usize) -> char {
 ///
 /// Returns a multi-line string: a legend mapping symbols to jobs, a header
 /// of slice start times, and one row per machine.
+// srclint: checked-indexing: `s` ranges over 0..slices, the row width;
+// `sym_of` is keyed by every job of `jobs`; a node id at or above
+// `num_nodes` is the caller passing another cluster's trace, and this
+// renderer runs after the simulation, in examples only.
 pub fn render(trace: &TraceLog, num_nodes: usize, t0: Time, t1: Time, quantum: u64) -> String {
     let quantum = quantum.max(1);
     let slices = ((t1.saturating_sub(t0)) / quantum).max(1) as usize;

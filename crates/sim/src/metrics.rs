@@ -65,6 +65,8 @@ impl LatencyStats {
     }
 
     /// Quantile in `[0, 1]` by nearest-rank, or 0 for an empty set.
+    // srclint: checked-indexing: `sorted` is non-empty past the early return
+    // and `q` is clamped to [0, 1], so the rank is at most `len() - 1`.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
@@ -73,18 +75,6 @@ impl LatencyStats {
         let sorted = self.sorted.borrow();
         let rank = ((q.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
         sorted[rank]
-    }
-
-    /// CDF points `(value, cumulative_fraction)` for plotting (Fig. 12(c)).
-    pub fn cdf(&self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let sorted = self.sorted.borrow();
-        let n = sorted.len();
-        sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, (i + 1) as f64 / n as f64))
-            .collect()
     }
 
     /// Raw samples, in insertion order.
@@ -271,10 +261,9 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
-        assert!(s.cdf().is_empty());
     }
 
-    /// Regression for the sorted-cache rewrite: quantiles and CDF must be
+    /// Regression for the sorted-cache rewrite: quantiles must be
     /// identical to the reference clone-and-sort-per-call implementation,
     /// including when queries interleave with pushes.
     #[test]
@@ -302,27 +291,6 @@ mod tests {
         for q in [0.0, 0.1, 0.5, 0.95, 1.0] {
             assert_eq!(s.quantile(q), reference_quantile(&pushed, q));
         }
-        // CDF agrees with the reference shape.
-        let cdf = s.cdf();
-        assert_eq!(cdf.len(), pushed.len());
-        let mut sorted = pushed.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        for (i, (v, frac)) in cdf.iter().enumerate() {
-            assert_eq!(*v, sorted[i]);
-            assert!((frac - (i + 1) as f64 / pushed.len() as f64).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let mut s = LatencyStats::new();
-        for v in [5.0, 1.0, 3.0] {
-            s.push(v);
-        }
-        let cdf = s.cdf();
-        assert_eq!(cdf.len(), 3);
-        assert_eq!(cdf[0], (1.0, 1.0 / 3.0));
-        assert_eq!(cdf[2], (5.0, 1.0));
     }
 
     #[test]

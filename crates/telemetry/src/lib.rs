@@ -10,8 +10,8 @@
 //! timestamp base to `t * 1_000_000` microseconds, and every subsequent
 //! span open/close draws `base + seq` for a strictly increasing sequence
 //! counter. Two runs with the same seed therefore produce byte-identical
-//! exports, which srclint rule L001 (no wall clock outside the allowlist)
-//! and L005 (no wall clock in this crate or its span arguments) protect.
+//! exports, which srclint rule L001 (no wall clock outside the allowlist,
+//! and none at all in this crate or its span arguments) protects.
 //!
 //! Real wall-clock durations — measured with `Instant` only inside the
 //! L001 allowlist — enter as *histogram observations* tagged with
@@ -375,7 +375,7 @@ pub struct SpanGuard<'a> {
 
 impl SpanGuard<'_> {
     /// Attaches a deterministic integer annotation to the span. Values
-    /// must not derive from a wall clock (srclint L005).
+    /// must not derive from a wall clock (srclint L001).
     pub fn arg(&self, key: &'static str, v: u64) {
         let Some(id) = self.id else { return };
         self.tel.inner.borrow_mut().args.push((id, key, v));
