@@ -335,8 +335,9 @@ fn explore_nodes(
     // loop; every later node re-solves from whatever basis the LP before it
     // left.
     let mut root = Some(root_values);
-    let mut lb_buf = base_lb.to_vec();
-    let mut ub_buf = base_ub.to_vec();
+    // Sized by the first node materialized: a node budget of zero (the
+    // LP-dive backend) stops before one and allocates neither.
+    let (mut lb_buf, mut ub_buf) = (Vec::new(), Vec::new());
 
     let stop = loop {
         let Some(node) = heap.pop() else {
@@ -356,8 +357,10 @@ fn explore_nodes(
         search.stats.nodes += 1;
 
         // Materialize this node's bounds.
-        lb_buf.copy_from_slice(base_lb);
-        ub_buf.copy_from_slice(base_ub);
+        lb_buf.clear();
+        lb_buf.extend_from_slice(base_lb);
+        ub_buf.clear();
+        ub_buf.extend_from_slice(base_ub);
         for &(j, lo, hi) in &node.patches {
             lb_buf[j] = lo;
             ub_buf[j] = hi;
