@@ -19,6 +19,14 @@
 //! Time is discretized into `quantum`-sized slices across the plan-ahead
 //! window; a leaf occupies every slice its `[start, start+dur)` interval
 //! intersects.
+//!
+//! What is emitted is Algorithm 1's model reduced three ways, each keeping
+//! the integer-feasible set and the objective (DESIGN §3.7 has the
+//! arguments): a `P_x` is bounded by the least expected availability of its
+//! class over the slices its leaf covers, and is not created when that is
+//! zero; an `nCk` leaf whose bounds sum below `k` gets no partition
+//! variables and its indicator fixed at zero; and a class gets one supply
+//! row per maximal set of users, not one per slice.
 
 use std::fmt;
 
@@ -96,8 +104,11 @@ pub struct LeafInfo {
     pub linear: bool,
     /// The leaf's indicator variable.
     pub indicator: VarId,
-    /// Partition variables `(class index, var)` created for the leaf.
-    pub partition_vars: Vec<(usize, VarId)>,
+    /// Where the leaf's nodes come from: `(class index, var, nodes per unit
+    /// of var)`. A partition variable counts nodes one for one; an `nCk`
+    /// leaf left with a single class takes all `k` from it exactly when its
+    /// indicator is set, so the indicator stands in (`P = k * I`).
+    pub draws: Vec<(usize, VarId, u32)>,
     /// Indicator chain from the root (exclusive) to the leaf's parent that
     /// must be set for the leaf to be active (used for warm starts).
     pub ancestors: Vec<VarId>,
@@ -122,6 +133,11 @@ pub struct CompiledModel {
     pub leaves: Vec<LeafInfo>,
     /// The root indicator (fixed to 1).
     pub root_indicator: VarId,
+    /// `nCk` leaves given no variables: their classes can never supply `k`.
+    pub leaves_dead: usize,
+    /// Per-(class, slice) supply rows of Algorithm 1 not emitted because an
+    /// emitted row of the class implies them.
+    pub supply_rows_dropped: usize,
 }
 
 impl CompiledModel {
@@ -133,9 +149,9 @@ impl CompiledModel {
                 continue;
             }
             let counts: Vec<(usize, u32)> = leaf
-                .partition_vars
+                .draws
                 .iter()
-                .map(|&(class, v)| (class, sol.int_value(v).max(0) as u32))
+                .map(|&(class, v, per)| (class, sol.int_value(v).max(0) as u32 * per))
                 .filter(|&(_, c)| c > 0)
                 .collect();
             let total: u32 = counts.iter().map(|&(_, c)| c).sum();
@@ -160,9 +176,9 @@ impl CompiledModel {
                 if !sol.is_set(leaf.indicator) {
                     return 0;
                 }
-                leaf.partition_vars
+                leaf.draws
                     .iter()
-                    .map(|&(_, v)| sol.int_value(v).max(0) as u32)
+                    .map(|&(_, v, per)| sol.int_value(v).max(0) as u32 * per)
                     .sum()
             })
             .collect()
@@ -186,8 +202,8 @@ impl CompiledModel {
                 v[a.index()] = 1.0;
             }
             for (class, count) in counts {
-                if let Some(&(_, var)) = leaf.partition_vars.iter().find(|(c, _)| c == class) {
-                    v[var.index()] = *count as f64;
+                if let Some(&(_, var, per)) = leaf.draws.iter().find(|(c, _, _)| c == class) {
+                    v[var.index()] = (*count / per) as f64;
                 }
             }
         }
@@ -203,15 +219,20 @@ pub fn compile(
     input: &CompileInput<'_>,
     avail: &dyn Fn(&NodeSet, Time) -> usize,
 ) -> Result<CompiledModel, CompileError> {
+    let n_slices = input.n_slices.max(1);
     let mut ctx = GenCtx {
         model: Model::maximize(),
         used: Vec::new(),
         leaves: Vec::new(),
+        leaves_dead: 0,
         stack: Vec::new(),
+        caps: Vec::new(),
         partitions: input.partitions,
+        avail,
+        free: vec![UNASKED; input.partitions.len() * n_slices],
         now: input.now,
         quantum: input.quantum.max(1),
-        n_slices: input.n_slices.max(1),
+        n_slices,
     };
 
     // genAndSolve: a free binary root indicator. It must stay free (not
@@ -222,46 +243,120 @@ pub fn compile(
     let root = ctx.model.add_var("I_root", VarKind::Binary, 0.0, 1.0, 0.0);
     let objective = ctx.gen(input.expr, root)?;
     ctx.model.add_objective_expr(&objective);
-
-    // Supply constraints: per class per slice, usage <= expected free. The
-    // stable sort groups the uses by (class, slice) in ascending order and
-    // leaves each group's variables in creation order.
-    ctx.used.sort_by_key(|&(class, slice, _)| (class, slice));
-    for group in ctx.used.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        let Some(&(class, slice, _)) = group.first() else {
-            continue;
-        };
-        let t = input.now + slice as u64 * ctx.quantum;
-        let cap = avail(input.partitions.class(class), t);
-        ctx.model.add_constraint(
-            Name::Idx2("supply_c", class as u64, "_s", slice as u64),
-            group.iter().map(|&(_, _, v)| (v, 1.0)),
-            Sense::Le,
-            cap as f64,
-        );
-    }
+    let supply_rows_dropped = ctx.supply_rows();
 
     Ok(CompiledModel {
         model: ctx.model,
         leaves: ctx.leaves,
         root_indicator: root,
+        leaves_dead: ctx.leaves_dead,
+        supply_rows_dropped,
     })
+}
+
+/// A cell of [`GenCtx::free`] not asked for yet (no class has this many nodes).
+const UNASKED: usize = usize::MAX;
+
+/// One use of capacity: `(class, slice, variable, nodes per unit of it)`.
+type Use = (usize, usize, VarId, u32);
+
+/// Whether every user of `sub` is one of `sup`. Both list a class's users in
+/// leaf order, so this is a subsequence test.
+fn covers(sup: &[Use], sub: &[Use]) -> bool {
+    let mut sup = sup.iter();
+    sub.iter().all(|u| sup.any(|s| (s.2, s.3) == (u.2, u.3)))
 }
 
 struct GenCtx<'a> {
     model: Model,
-    /// `(class, slice, partition variable)`: who uses which capacity.
-    used: Vec<(usize, usize, VarId)>,
+    /// Who uses which capacity.
+    used: Vec<Use>,
     leaves: Vec<LeafInfo>,
+    leaves_dead: usize,
     /// Indicator chain from the root to the current node.
     stack: Vec<VarId>,
+    /// `(class, bound)` of the leaf being generated: scratch of `gen_leaf`.
+    caps: Vec<(usize, usize)>,
     partitions: &'a PartitionSet,
+    avail: &'a dyn Fn(&NodeSet, Time) -> usize,
+    /// Expected free nodes of class `c` in slice `s` at `c * n_slices + s`,
+    /// asked for once; the partition bounds and the supply rows both read it.
+    free: Vec<usize>,
     now: Time,
     quantum: u64,
     n_slices: usize,
 }
 
 impl GenCtx<'_> {
+    /// Expected free nodes of `class` in `slice`.
+    // srclint: checked-indexing: `free` holds partitions.len() x n_slices
+    // cells; class comes from partitions.cover and slice is below n_slices.
+    fn free_at(&mut self, class: usize, slice: usize) -> usize {
+        let cell = &mut self.free[class * self.n_slices + slice];
+        if *cell == UNASKED {
+            let t = self.now + slice as u64 * self.quantum;
+            *cell = (self.avail)(self.partitions.class(class), t);
+        }
+        *cell
+    }
+
+    /// Supply constraints: usage of a class at most its expected free nodes,
+    /// one row per maximal set of users. Returns how many of Algorithm 1's
+    /// per-(class, slice) rows that leaves out.
+    ///
+    /// The stable sort groups the uses by (class, slice) in ascending order
+    /// and leaves each group's variables in creation order. Consecutive
+    /// slices with the same users are one row at the least of their free
+    /// counts; a row is implied, and dropped, when another row of its class
+    /// has every one of its users and no larger right-hand side (every use
+    /// is non-negative), whatever shape the availability profile has.
+    fn supply_rows(&mut self) -> usize {
+        let mut used = std::mem::take(&mut self.used);
+        used.sort_by_key(|&(class, slice, _, _)| (class, slice));
+        let (mut groups, mut emitted) = (0, 0);
+        // `(users, first slice, free)` of the current class's merged rows.
+        let mut rows: Vec<(&[Use], usize, usize)> = Vec::new();
+        for of_class in used.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(class, ..)) = of_class.first() else {
+                continue;
+            };
+            rows.clear();
+            for users in of_class.chunk_by(|a, b| a.1 == b.1) {
+                let Some(&(_, slice, ..)) = users.first() else {
+                    continue;
+                };
+                groups += 1;
+                let free = self.free_at(class, slice);
+                match rows.last_mut() {
+                    Some(last) if last.0.len() == users.len() && covers(last.0, users) => {
+                        last.2 = last.2.min(free);
+                    }
+                    _ => rows.push((users, slice, free)),
+                }
+            }
+            for (i, &(users, slice, free)) in rows.iter().enumerate() {
+                // Of two rows that imply each other the earlier is kept.
+                let implied = rows.iter().enumerate().any(|(j, &(sup, _, other))| {
+                    j != i
+                        && other <= free
+                        && sup.len() >= users.len()
+                        && (other < free || sup.len() > users.len() || j < i)
+                        && covers(sup, users)
+                });
+                if !implied {
+                    emitted += 1;
+                    self.model.add_constraint(
+                        Name::Idx2("supply_c", class as u64, "_s", slice as u64),
+                        users.iter().map(|&(_, _, v, per)| (v, per as f64)),
+                        Sense::Le,
+                        free as f64,
+                    );
+                }
+            }
+        }
+        groups - emitted
+    }
+
     /// Algorithm 1's `gen(expr, I)`: returns the subtree's objective.
     fn gen(&mut self, expr: &StrlExpr, indicator: VarId) -> Result<LinExpr, CompileError> {
         match expr {
@@ -380,41 +475,80 @@ impl GenCtx<'_> {
             .partitions
             .cover(set)
             .map_err(|class| CompileError::UnalignedSet { class })?;
-        let mut partition_vars = Vec::with_capacity(classes.len());
-        let mut demand_terms = Vec::with_capacity(classes.len() + 1);
+        // What each class can give the leaf: no more than its size, than k,
+        // or than it has free in any slice the leaf covers. Every supply row
+        // of the class over those slices implies the bound.
+        self.caps.clear();
         for class in classes {
-            let cap = self.partitions.class(class).len().min(k as usize) as f64;
-            let p = self.model.add_var(
-                Name::Idx2("P_c", class as u64, "_t", start),
-                VarKind::Integer,
-                0.0,
-                cap,
-                0.0,
-            );
-            partition_vars.push((class, p));
-            demand_terms.push((p, 1.0));
+            let mut cap = self.partitions.class(class).len().min(k as usize);
             for slice in first_slice..last_slice {
-                self.used.push((class, slice, p));
+                if cap == 0 {
+                    break;
+                }
+                cap = cap.min(self.free_at(class, slice));
+            }
+            if cap > 0 {
+                self.caps.push((class, cap));
             }
         }
+        let reachable: usize = self.caps.iter().map(|&(_, cap)| cap).sum();
+        let dead = !linear && reachable < k as usize;
+        if dead {
+            // `sum(P) = k * I` within the bounds leaves only I = 0, whoever
+            // else shares the indicator. No variables, no value; the leaf
+            // keeps its place so leaf indices still match the tags.
+            self.model.set_bounds(indicator, 0.0, 0.0);
+            self.leaves_dead += 1;
+            self.caps.clear();
+        }
 
-        let objective = if linear {
-            // sum(P) <= k * I; objective v/k per node obtained.
-            let mut terms = demand_terms.clone();
-            terms.push((indicator, -(k as f64)));
-            self.model
-                .add_constraint("lnck_demand", terms, Sense::Le, 0.0);
-            let mut obj = LinExpr::new();
-            for &(p, _) in &demand_terms {
-                obj.add_term(p, value / k as f64);
+        // The one class left to an `nCk` leaf gives all k or nothing.
+        let sole = !linear && self.caps.len() == 1;
+        let mut draws = Vec::with_capacity(self.caps.len());
+        for &(class, cap) in &self.caps {
+            let (var, per) = if sole {
+                (indicator, k)
+            } else {
+                let p = self.model.add_var(
+                    Name::Idx2("P_c", class as u64, "_t", start),
+                    VarKind::Integer,
+                    0.0,
+                    cap as f64,
+                    0.0,
+                );
+                (p, 1)
+            };
+            draws.push((class, var, per));
+            for slice in first_slice..last_slice {
+                self.used.push((class, slice, var, per));
             }
-            obj
+        }
+        let demand = draws
+            .iter()
+            .map(|&(_, p, _)| (p, 1.0))
+            .chain([(indicator, -(k as f64))]);
+
+        let objective = if dead {
+            LinExpr::new()
+        } else if linear {
+            // sum(P) <= k * I (nothing to say with no P); objective v/k per
+            // node obtained.
+            if !draws.is_empty() {
+                self.model
+                    .add_constraint("lnck_demand", demand, Sense::Le, 0.0);
+            }
+            let per_node = value / k as f64;
+            LinExpr {
+                terms: draws.iter().map(|&(_, p, _)| (p, per_node)).collect(),
+                constant: 0.0,
+            }
         } else {
-            // sum(P) = k * I; objective v when chosen.
-            let mut terms = demand_terms;
-            terms.push((indicator, -(k as f64)));
-            self.model
-                .add_constraint("nck_demand", terms, Sense::Eq, 0.0);
+            // sum(P) = k * I, which `sole` has substituted; objective v when
+            // chosen.
+            if !sole {
+                self.model
+                    .add_constraint("nck_demand", demand, Sense::Eq, 0.0);
+            }
             LinExpr::term(indicator, value)
         };
 
@@ -424,7 +558,7 @@ impl GenCtx<'_> {
             k,
             linear,
             indicator,
-            partition_vars,
+            draws,
             ancestors: self.stack.clone(),
         });
         Ok(objective)
@@ -617,6 +751,123 @@ mod tests {
         assert_eq!(compiled.chosen(&sol).len(), 1);
     }
 
+    /// Free nodes of the one class by slice, for the reduction tests.
+    fn compile_over(expr: &StrlExpr, free: &'static [usize]) -> CompiledModel {
+        let all = set(4, &[0, 1, 2, 3]);
+        let partitions = PartitionSet::refine(4, &[all]);
+        let input = CompileInput {
+            expr,
+            partitions: &partitions,
+            now: 0,
+            quantum: 1,
+            n_slices: free.len(),
+        };
+        compile(&input, &|_, t| free[t as usize])
+            .expect("expression is well-formed and inside the window; compile must succeed")
+    }
+
+    fn supply_rows(compiled: &CompiledModel) -> Vec<(String, usize, f64)> {
+        let rows = compiled.model.constraints().iter();
+        rows.filter(|c| c.name.to_string().starts_with("supply"))
+            .map(|c| (c.name.to_string(), c.terms.len(), c.rhs))
+            .collect()
+    }
+
+    #[test]
+    fn dead_leaf_gets_no_variables_and_a_fixed_indicator() {
+        // Three of four nodes are free in slice 1 only: the leaf covering it
+        // can never have four, the later one can.
+        let all = set(4, &[0, 1, 2, 3]);
+        let expr = StrlExpr::max([
+            StrlExpr::nck(all.clone(), 4, 0, 3, 9.0),
+            StrlExpr::nck(all, 4, 2, 2, 5.0),
+        ]);
+        let compiled = compile_over(&expr, &[4, 3, 4, 4]);
+        assert_eq!(compiled.leaves_dead, 1);
+        assert_eq!(compiled.leaves.len(), 2, "a dead leaf keeps its index");
+        let dead = &compiled.leaves[0];
+        assert!(dead.draws.is_empty());
+        assert_eq!(compiled.model.var(dead.indicator).ub, 0.0);
+        let sol = compiled
+            .model
+            .solve(&SolverConfig::exact())
+            .expect("compiled models are solver-valid");
+        assert!((sol.objective - 5.0).abs() < 1e-6);
+        assert_eq!(compiled.granted(&sol), vec![0, 4]);
+    }
+
+    #[test]
+    fn sole_class_leaf_draws_through_its_indicator() {
+        let all = set(4, &[0, 1, 2, 3]);
+        let expr = StrlExpr::nck(all, 3, 0, 2, 1.0);
+        let compiled = compile_over(&expr, &[4, 4]);
+        assert_eq!(compiled.model.num_vars(), 1, "no partition variable");
+        assert_eq!(
+            supply_rows(&compiled),
+            vec![("supply_c0_s0".into(), 1, 4.0)]
+        );
+        let sol = compiled
+            .model
+            .solve(&SolverConfig::exact())
+            .expect("compiled models are solver-valid");
+        let chosen = compiled.chosen(&sol);
+        assert_eq!(chosen[0].counts, vec![(0, 3)]);
+        assert_eq!(compiled.granted(&sol), vec![3]);
+    }
+
+    #[test]
+    fn supply_rows_are_one_per_maximal_user_set() {
+        // Availability dips in slice 2 and recovers: not monotone. Users by
+        // slice: {a} {a,b} {a,b} {b} {b,c} {c}.
+        let all = set(4, &[0, 1, 2, 3]);
+        let expr = StrlExpr::sum([
+            StrlExpr::nck(all.clone(), 1, 0, 3, 1.0),
+            StrlExpr::nck(all.clone(), 1, 1, 4, 1.0),
+            StrlExpr::nck(all, 1, 4, 2, 1.0),
+        ]);
+        let compiled = compile_over(&expr, &[3, 4, 2, 2, 3, 1]);
+        // {a} <= 3 and {b} <= 2 are implied by {a,b} <= 2 (slices 1 and 2
+        // merged at the lesser); {c} <= 1 is not implied by {b,c} <= 3.
+        assert_eq!(
+            supply_rows(&compiled),
+            vec![
+                ("supply_c0_s1".into(), 2, 2.0),
+                ("supply_c0_s4".into(), 2, 3.0),
+                ("supply_c0_s5".into(), 1, 1.0),
+            ]
+        );
+        assert_eq!(compiled.supply_rows_dropped, 3);
+    }
+
+    #[test]
+    fn partition_bound_is_the_least_free_count_the_leaf_covers() {
+        let gpus = set(4, &[0, 1]);
+        let all = set(4, &[0, 1, 2, 3]);
+        let expr = StrlExpr::lnck(all.clone(), 4, 0, 3, 4.0);
+        let partitions = PartitionSet::refine(4, &[gpus.clone(), all]);
+        let input = CompileInput {
+            expr: &expr,
+            partitions: &partitions,
+            now: 0,
+            quantum: 1,
+            n_slices: 3,
+        };
+        // The GPU class has one node free in slice 1 and none in slice 2;
+        // the other class is always free.
+        let compiled = compile(&input, &|class: &NodeSet, t| {
+            if class.is_subset(&gpus) {
+                [2, 1, 0][t as usize]
+            } else {
+                2
+            }
+        })
+        .expect("expression is well-formed and inside the window; compile must succeed");
+        let draws = &compiled.leaves[0].draws;
+        assert_eq!(draws.len(), 1, "a class that can give nothing has no P");
+        assert_eq!(compiled.model.var(draws[0].1).ub, 2.0);
+        assert_eq!(compiled.leaves_dead, 0, "a linear leaf is never dead");
+    }
+
     #[test]
     fn linear_leaf_takes_partial_allocation() {
         // LnCk over 3 machines asking for up to 4, value 4 (1 per node).
@@ -708,7 +959,7 @@ mod tests {
         let compiled = compile(&input, &|_, _| 3)
             .expect("expression is well-formed and inside the window; compile must succeed");
         // Choose the second start with 2 nodes from class 0.
-        let class = compiled.leaves[1].partition_vars[0].0;
+        let class = compiled.leaves[1].draws[0].0;
         let warm = compiled.warm_vector(&[(1, vec![(class, 2)])]);
         assert!(compiled.model.is_feasible(&warm, 1e-6));
         let sol = compiled

@@ -100,9 +100,9 @@ impl JobMemory {
             // Greedily distribute k over the leaf's classes by availability.
             let leaf = &compiled.leaves[ix];
             let mut classes: Vec<(usize, usize)> = leaf
-                .partition_vars
+                .draws
                 .iter()
-                .map(|&(c, _)| (view.avail_at(partitions.class(c), tag.start), c))
+                .map(|&(c, _, _)| (view.avail_at(partitions.class(c), tag.start), c))
                 .collect();
             classes.sort_by_key(|&(a, c)| (std::cmp::Reverse(a), c));
             let mut remaining = leaf.k;
@@ -455,6 +455,10 @@ impl<'a> Pipeline<'a> {
         phase
             .span
             .arg("constraints", compiled.model.num_constraints() as u64);
+        phase.span.arg("leaves_dead", compiled.leaves_dead as u64);
+        phase
+            .span
+            .arg("supply_rows_dropped", compiled.supply_rows_dropped as u64);
         Ok((compiled, partitions))
     }
 
@@ -1535,6 +1539,8 @@ mod tests {
             model,
             leaves: Vec::new(),
             root_indicator: crossed,
+            leaves_dead: 0,
+            supply_rows_dropped: 0,
         };
         let expr = StrlExpr::Max(Vec::new());
         let (mut memory, mut d) = (JobMemory::default(), CycleDecisions::default());
