@@ -20,7 +20,7 @@ use std::time::Duration;
 use tetrisched::cluster::{AllocHandle, Cluster, Ledger, NodeId, NodeSet, PartitionSet, Time};
 use tetrisched::core::{compile, CompileInput, StrlGenerator, TetriSchedConfig};
 use tetrisched::milp::{
-    presolve, LpOutcome, Model, PresolveOutcome, Sense, Simplex, VarId, VarKind,
+    lint_model, presolve, LpOutcome, Model, PresolveOutcome, Sense, Simplex, VarId, VarKind,
 };
 use tetrisched::sim::{JobSpec, PendingJob};
 use tetrisched::strl::{JobClass, StrlExpr};
@@ -342,4 +342,19 @@ fn compiled_models_presolve_and_lps_are_pinned() {
         got.1,
         got.2
     );
+}
+
+/// `compile` emits one supply row per class and maximal user set: no row is
+/// left that the model lint's `M003` (duplicate parallel rows) would name.
+/// Algorithm 1's per-(class, slice) rows had some 70 a model on RC80.
+#[test]
+fn corpus_has_no_duplicate_rows() {
+    for (i, model) in corpus().iter().enumerate() {
+        let duplicates: Vec<String> = lint_model(model)
+            .iter()
+            .filter(|d| d.code == "M003")
+            .map(|d| d.to_string())
+            .collect();
+        assert!(duplicates.is_empty(), "model {i}: {duplicates:?}");
+    }
 }
