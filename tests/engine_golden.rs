@@ -241,5 +241,5 @@ fn closed_loop_churn_path_is_pinned() {
 }
 
 const CHURN_SEED: u64 = 4;
-const OPEN_LOOP_DIGEST: u64 = 0xb211_6b9b_6448_a690;
-const CHURN_DIGEST: u64 = 0xf6e9_1c9b_d3ae_400a;
+const OPEN_LOOP_DIGEST: u64 = 0xdc2f_9760_eb80_5f4d;
+const CHURN_DIGEST: u64 = 0xa054_393b_7cbe_fbc3;

@@ -257,7 +257,7 @@ fn pure_fail_stop_plan_reproduces_pre_degraded_goldens() {
         (
             Workload::GsMix,
             11,
-            "slo=8/17 nores=0/1 be=6/6 lat=2781.000 busy=12092 pre=0 ab=8 inc=0 ev=29 ret=28 end=1170 cycles=293",
+            "slo=10/17 nores=0/1 be=6/6 lat=4057.000 busy=13148 pre=0 ab=8 inc=0 ev=27 ret=27 end=1212 cycles=303",
         ),
         (
             Workload::GsHet,
@@ -267,7 +267,7 @@ fn pure_fail_stop_plan_reproduces_pre_degraded_goldens() {
         (
             Workload::GsHet,
             11,
-            "slo=4/17 nores=0/1 be=6/6 lat=1993.000 busy=10720 pre=0 ab=12 inc=0 ev=27 ret=26 end=1209 cycles=303",
+            "slo=5/17 nores=0/1 be=6/6 lat=2409.000 busy=11004 pre=0 ab=13 inc=0 ev=29 ret=29 end=1152 cycles=288",
         ),
     ];
     for (workload, seed, expected) in goldens {
