@@ -20,13 +20,15 @@
 //! window; a leaf occupies every slice its `[start, start+dur)` interval
 //! intersects.
 //!
-//! What is emitted is Algorithm 1's model reduced three ways, each keeping
+//! What is emitted is Algorithm 1's model reduced four ways, each keeping
 //! the integer-feasible set and the objective (DESIGN §3.7 has the
 //! arguments): a `P_x` is bounded by the least expected availability of its
 //! class over the slices its leaf covers, and is not created when that is
 //! zero; an `nCk` leaf whose bounds sum below `k` gets no partition
-//! variables and its indicator fixed at zero; and a class gets one supply
-//! row per maximal set of users, not one per slice.
+//! variables and its indicator fixed at zero; one left with a single class
+//! draws through its indicator (`P_x = k * I`) and needs neither `P_x` nor
+//! a demand constraint; and a class gets one supply row per maximal set of
+//! users, not one per slice.
 
 use std::fmt;
 

@@ -4,7 +4,9 @@
 //! runs and four fail-stop runs (`service_e2e`, `proptest_degraded`). What
 //! they leave to same-seed self-consistency is pinned here by two small
 //! runs, captured on the engine as it stood before it became one state
-//! struct with one handler per event; the constants are never edited:
+//! struct with one handler per event, and re-captured once in PR 22, which
+//! changed what `compile` emits (the open loop's decisions moved; under
+//! churn only the telemetry export did):
 //!
 //! - **open loop**: arrivals at 2x saturation through the sharded service
 //!   core with fair-share weights, so admission cycles drain, defer and

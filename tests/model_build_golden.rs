@@ -12,8 +12,10 @@
 //! and stripped of exact zeros *by this test* before they are folded, so the
 //! digest is defined on a row's canonical form and does not care whether the
 //! model stores rows that way. The constants were captured on the parent of
-//! the PR that made names lazy and rows canonical at insertion; they must
-//! hold in debug and in release, and are never edited.
+//! the PR that made names lazy and rows canonical at insertion, and
+//! re-captured once in PR 22, a behaviour change on model bytes: `compile`
+//! emits the reduced model (`compile_oracle` holds it to Algorithm 1's).
+//! They must hold in debug and in release.
 
 use std::time::Duration;
 

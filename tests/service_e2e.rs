@@ -69,7 +69,8 @@ fn corpus_spec(workload: Workload, seed: u64) -> RunSpec {
 /// the Submit path was routed through the service core, which must not
 /// change them. GsMix seed 3 was re-captured in PR 17 (best-effort latency
 /// sum 3408 → 3416): dual-simplex re-solves end on other optimal vertices
-/// than the cold LPs they replaced. The other three did not move.
+/// than the cold LPs they replaced; PR 22's reduced model moved it back
+/// (3416 → 3408). The other three did not move either time.
 #[test]
 fn closed_loop_reproduces_pre_refactor_decisions() {
     let goldens = [
@@ -159,7 +160,11 @@ fn greedy_digest(report: &SimReport) -> u64 {
 
 /// Greedy decisions, pinned on the code before availability became a
 /// per-cycle snapshot (`Ledger::free_at` per query, commitments scanned as a
-/// list). Equal in debug and release; the constants are never edited.
+/// list) and re-captured once in PR 22: a leaf left with one partition
+/// class is drawn through its indicator (`P = k * I`), and the LPs that
+/// remain break ties between classes of equal value another way (first at
+/// job 67's launch, t = 308). The row, bound and dead-leaf reductions of the
+/// same PR leave both digests as they were. Equal in debug and release.
 #[test]
 fn greedy_closed_loop_reproduces_pinned_decisions() {
     let report = greedy_run(PerfFaultPlan::none());
