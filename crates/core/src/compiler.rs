@@ -259,14 +259,21 @@ pub fn compile(
 /// A cell of [`GenCtx::free`] not asked for yet (no class has this many nodes).
 const UNASKED: usize = usize::MAX;
 
-/// One use of capacity: `(class, slice, variable, nodes per unit of it)`.
-type Use = (usize, usize, VarId, u32);
+/// One use of capacity: `per * var` nodes of `class` held in `slice`.
+#[derive(Clone, Copy)]
+struct Use {
+    class: usize,
+    slice: usize,
+    var: VarId,
+    per: u32,
+}
 
 /// Whether every user of `sub` is one of `sup`. Both list a class's users in
 /// leaf order, so this is a subsequence test.
 fn covers(sup: &[Use], sub: &[Use]) -> bool {
     let mut sup = sup.iter();
-    sub.iter().all(|u| sup.any(|s| (s.2, s.3) == (u.2, u.3)))
+    sub.iter()
+        .all(|u| sup.any(|s| (s.var, s.per) == (u.var, u.per)))
 }
 
 struct GenCtx<'a> {
@@ -314,31 +321,31 @@ impl GenCtx<'_> {
     /// is non-negative), whatever shape the availability profile has.
     fn supply_rows(&mut self) -> usize {
         let mut used = std::mem::take(&mut self.used);
-        used.sort_by_key(|&(class, slice, _, _)| (class, slice));
+        used.sort_by_key(|u| (u.class, u.slice));
         let (mut groups, mut emitted) = (0, 0);
-        // `(users, first slice, free)` of the current class's merged rows.
-        let mut rows: Vec<(&[Use], usize, usize)> = Vec::new();
-        for of_class in used.chunk_by(|a, b| a.0 == b.0) {
-            let Some(&(class, ..)) = of_class.first() else {
-                continue;
-            };
+        // `(users, free)` of the current class's merged rows.
+        let mut rows: Vec<(&[Use], usize)> = Vec::new();
+        for of_class in used.chunk_by(|a, b| a.class == b.class) {
             rows.clear();
-            for users in of_class.chunk_by(|a, b| a.1 == b.1) {
-                let Some(&(_, slice, ..)) = users.first() else {
+            for users in of_class.chunk_by(|a, b| a.slice == b.slice) {
+                let Some(&Use { class, slice, .. }) = users.first() else {
                     continue;
                 };
                 groups += 1;
                 let free = self.free_at(class, slice);
                 match rows.last_mut() {
                     Some(last) if last.0.len() == users.len() && covers(last.0, users) => {
-                        last.2 = last.2.min(free);
+                        last.1 = last.1.min(free);
                     }
-                    _ => rows.push((users, slice, free)),
+                    _ => rows.push((users, free)),
                 }
             }
-            for (i, &(users, slice, free)) in rows.iter().enumerate() {
+            for (i, &(users, free)) in rows.iter().enumerate() {
+                let Some(first) = users.first() else {
+                    continue;
+                };
                 // Of two rows that imply each other the earlier is kept.
-                let implied = rows.iter().enumerate().any(|(j, &(sup, _, other))| {
+                let implied = rows.iter().enumerate().any(|(j, &(sup, other))| {
                     j != i
                         && other <= free
                         && sup.len() >= users.len()
@@ -348,8 +355,8 @@ impl GenCtx<'_> {
                 if !implied {
                     emitted += 1;
                     self.model.add_constraint(
-                        Name::Idx2("supply_c", class as u64, "_s", slice as u64),
-                        users.iter().map(|&(_, _, v, per)| (v, per as f64)),
+                        Name::Idx2("supply_c", first.class as u64, "_s", first.slice as u64),
+                        users.iter().map(|u| (u.var, u.per as f64)),
                         Sense::Le,
                         free as f64,
                     );
@@ -522,7 +529,12 @@ impl GenCtx<'_> {
             };
             draws.push((class, var, per));
             for slice in first_slice..last_slice {
-                self.used.push((class, slice, var, per));
+                self.used.push(Use {
+                    class,
+                    slice,
+                    var,
+                    per,
+                });
             }
         }
         let demand = draws

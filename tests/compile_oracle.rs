@@ -27,7 +27,9 @@
 use std::ops::Range;
 use std::time::Duration;
 
-use tetrisched::cluster::{AllocHandle, Claims, Ledger, NodeId, NodeSet, PartitionSet, Time};
+use tetrisched::cluster::{
+    AllocHandle, Availability, Claims, Ledger, NodeId, NodeSet, PartitionSet, Time,
+};
 use tetrisched::core::{compile, CompileInput, CompiledModel};
 use tetrisched::milp::{ExactBackend, MilpBackend, Sense, SolveStatus, SolverConfig, VarId};
 use tetrisched::strl::StrlExpr;
@@ -58,14 +60,14 @@ impl SplitMix64 {
 /// What an instance's availability is made of; `avail` is what the greedy
 /// pipeline hands `compile` (snapshot minus claims, saturating).
 struct Supply {
-    ledger: Ledger,
+    view: Availability,
     claims: Claims,
 }
 
 impl Supply {
     fn avail(&self, set: &NodeSet, t: Time) -> usize {
-        let view = self.ledger.availability(&[]);
-        view.avail_at(set, t)
+        self.view
+            .avail_at(set, t)
             .saturating_sub(self.claims.held_at(t).and_len(set))
     }
 }
@@ -163,7 +165,10 @@ fn instance(seed: u64) -> Instance {
     Instance {
         nodes,
         expr: StrlExpr::sum(jobs),
-        supply: Supply { ledger, claims },
+        supply: Supply {
+            view: ledger.availability(&[]),
+            claims,
+        },
         has_lnck,
     }
 }
