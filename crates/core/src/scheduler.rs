@@ -498,6 +498,7 @@ impl<'a> Pipeline<'a> {
         let stats = &sol.stats;
         phase.span.arg("lp_iterations", stats.lp_iterations as u64);
         phase.span.arg("lp_resolves", stats.lp_resolves as u64);
+        phase.span.arg("dive_lps", stats.dive_lp_solves as u64);
         phase.span.arg("bb_nodes", stats.nodes as u64);
         phase.span.arg("bb_nodes_pruned", stats.nodes_pruned as u64);
         drop(phase);
@@ -510,6 +511,8 @@ impl<'a> Pipeline<'a> {
             ("milp.lp_iterations", stats.lp_iterations),
             ("milp.lp_solves", stats.lp_solves),
             ("milp.lp_resolves", stats.lp_resolves),
+            ("milp.dive_lp_solves", stats.dive_lp_solves),
+            ("milp.root_closed", usize::from(stats.root_closed)),
             ("milp.refactorizations", stats.refactorizations),
             ("milp.bb_nodes", stats.nodes),
             ("milp.bb_nodes_pruned", stats.nodes_pruned),

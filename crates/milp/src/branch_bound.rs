@@ -28,7 +28,7 @@ use crate::simplex::{LpOutcome, Simplex};
 use crate::status::{Solution, SolveStatus, SolverStats};
 
 /// Tolerance within which a relaxation value counts as integral.
-const INT_TOL: f64 = 1e-6;
+pub(crate) const INT_TOL: f64 = 1e-6;
 
 /// A branch-and-bound search node.
 #[derive(Debug, Clone)]
@@ -348,6 +348,7 @@ fn explore_nodes(
         // on the incumbent by more than the configured gap.
         if let Some((inc_obj, _)) = &search.incumbent {
             if (node.bound - inc_obj) / inc_obj.abs().max(1.0) <= cfg.rel_gap {
+                search.stats.root_closed = search.stats.nodes == 0;
                 break Stop::GapClosed;
             }
         }
@@ -581,6 +582,7 @@ mod tests {
         let sol = m.solve(&cfg).unwrap();
         let s = &sol.stats;
         assert!(s.nodes > 1, "the root is fractional");
+        assert!(!s.root_closed && s.dive_lp_solves == 0);
         // Node 0 is the root relaxation itself; all others start from a basis.
         assert_eq!(s.lp_solves, s.nodes);
         assert_eq!(s.lp_resolves, s.nodes - 1);
@@ -716,8 +718,10 @@ mod tests {
         let sol = m
             .solve(&SolverConfig::exact().with_time_limit(Duration::ZERO))
             .unwrap();
-        // Root LP + dive still run; search loop then stops immediately.
+        // Root LP + dive still run; search loop then stops immediately, on
+        // the closed gap: the root is integral and the dive returns it.
         assert!(sol.status.has_solution());
+        assert!(sol.stats.root_closed && sol.stats.nodes == 0);
     }
 
     #[test]

@@ -42,6 +42,12 @@ pub struct SolverStats {
     /// LPs among them that started from the basis the previous LP held;
     /// `lp_solves - lp_resolves` loaded cold (every root, and any fallback).
     pub lp_resolves: usize,
+    /// LPs among `lp_solves` that the root dive solved, infeasible probes
+    /// included.
+    pub dive_lp_solves: usize,
+    /// Whether the gap closed before the first node: the root bound and the
+    /// incumbent held after the dive were already within it.
+    pub root_closed: bool,
     /// Constraint rows removed by presolve before the solve proper.
     pub presolve_rows_dropped: usize,
     /// Variable bounds tightened by presolve before the solve proper.

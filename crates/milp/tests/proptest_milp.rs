@@ -28,6 +28,41 @@ fn random_milp() -> impl Strategy<Value = RandomMilp> {
     })
 }
 
+/// The shape STRL compilation emits, small enough to enumerate: a valueless
+/// gate binary, one to three jobs of one to three valued options each under
+/// a choose-at-most-one row, one row tying every option to the gate, and one
+/// to three knapsack rows the options share. The root relaxation splits jobs
+/// between options and leaves the gate fractional, which is what the dive's
+/// support, hold and failed-probe rules read.
+fn compiled_shape() -> impl Strategy<Value = RandomMilp> {
+    let jobs = proptest::collection::vec(proptest::collection::vec(1.0..10.0f64, 1..4), 1..4);
+    jobs.prop_flat_map(|jobs| {
+        let n = 1 + jobs.iter().map(Vec::len).sum::<usize>();
+        let knapsacks =
+            proptest::collection::vec((proptest::collection::vec(0u32..5, n - 1), 2u32..9), 1..4);
+        (Just(jobs), knapsacks).prop_map(move |(jobs, knapsacks)| {
+            let mut obj = vec![0.0];
+            let mut rows = Vec::new();
+            for values in &jobs {
+                let mut choice = vec![0.0; n];
+                choice[obj.len()..obj.len() + values.len()].fill(1.0);
+                rows.push((choice, 1.0));
+                obj.extend(values);
+            }
+            let mut gate = vec![1.0; n];
+            gate[0] = -(jobs.len() as f64);
+            rows.push((gate, 0.0));
+            for (weights, cap) in knapsacks {
+                let row = std::iter::once(0.0)
+                    .chain(weights.into_iter().map(f64::from))
+                    .collect();
+                rows.push((row, f64::from(cap)));
+            }
+            RandomMilp { n, obj, rows }
+        })
+    })
+}
+
 fn build(m: &RandomMilp) -> Model {
     let mut model = Model::maximize();
     let vars: Vec<_> = (0..m.n)
@@ -95,9 +130,13 @@ proptest! {
     /// the solve's own certificate: a returned point is feasible and no
     /// better than the optimum, the claimed bound is no lower than it, the
     /// audit replays clean, only a finite budget may come back
-    /// empty-handed, and an unlimited one returns the optimum.
+    /// empty-handed, and an unlimited one returns the optimum. Half the
+    /// cases have the compiled shape, where the dive's rules have
+    /// something to read.
     #[test]
-    fn every_budget_claims_hold_against_brute_force(m in random_milp()) {
+    fn every_budget_claims_hold_against_brute_force(
+        m in prop_oneof![random_milp(), compiled_shape()],
+    ) {
         let model = build(&m);
         let best = brute_force(&m);
         let cfg = SolverConfig::exact().with_rel_gap(0.0).with_audit(true);

@@ -7,8 +7,9 @@
 //!    `trace_event` file for `chrome://tracing`/Perfetto, Prometheus-style
 //!    text snapshot) under `target/observe/` (`target/observe-open/`), and
 //! 2. prints a per-cycle forensics report: the phase-latency table, the
-//!    top-k slowest cycles with their span trees, and counter deltas
-//!    between degraded (greedy-fallback) and healthy cycles.
+//!    search profile (root-closed share, LPs a dive), the top-k slowest
+//!    cycles with their span trees, and counter deltas between degraded
+//!    (greedy-fallback) and healthy cycles.
 //!
 //! ```text
 //! cargo run --release --bin observe [open]
@@ -114,6 +115,26 @@ fn print_phase_table(report: &SimReport) {
             h.quantile(0.99) * 1e3,
         );
     }
+}
+
+/// The search profile in two counts: the share of solves whose gap closed
+/// before the first branch-and-bound node, and what a root dive costs in LPs.
+fn print_search_profile(report: &SimReport) {
+    let t = &report.telemetry;
+    let solves = t.wall_hist("phase.solve_secs").map_or(0, |h| h.count());
+    let per_solve = |n: u64| n as f64 / solves.max(1) as f64;
+    println!("-- search profile --");
+    println!("{:<22}{:>8}", "solves", solves);
+    println!(
+        "{:<22}{:>8.3}",
+        "root-closed share",
+        per_solve(t.counter("milp.root_closed"))
+    );
+    println!(
+        "{:<22}{:>8.2}",
+        "LPs a dive",
+        per_solve(t.counter("milp.dive_lp_solves"))
+    );
 }
 
 /// Value of a span's integer annotation, if present.
@@ -247,6 +268,8 @@ fn main() -> ExitCode {
     );
     println!();
     print_phase_table(&report);
+    println!();
+    print_search_profile(&report);
     println!();
     print_slowest_cycles(&report, &snap);
     println!();
