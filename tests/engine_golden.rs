@@ -4,9 +4,13 @@
 //! runs and four fail-stop runs (`service_e2e`, `proptest_degraded`). What
 //! they leave to same-seed self-consistency is pinned here by two small
 //! runs, captured on the engine as it stood before it became one state
-//! struct with one handler per event, and re-captured once in PR 22, which
+//! struct with one handler per event, re-captured once in PR 22, which
 //! changed what `compile` emits (the open loop's decisions moved; under
-//! churn only the telemetry export did):
+//! churn only the telemetry export did), and once in PR 23, which replaced
+//! the solver's root dive (both runs' plans and every `solve` span moved;
+//! under the new plans churn seed 4 no longer exhausts a retry budget, so
+//! `CHURN_SEED` is 7, the lowest seed that reaches every path asserted
+//! below):
 //!
 //! - **open loop**: arrivals at 2x saturation through the sharded service
 //!   core with fair-share weights, so admission cycles drain, defer and
@@ -242,6 +246,6 @@ fn closed_loop_churn_path_is_pinned() {
     assert_eq!(digest(&report), CHURN_DIGEST);
 }
 
-const CHURN_SEED: u64 = 4;
-const OPEN_LOOP_DIGEST: u64 = 0xdc2f_9760_eb80_5f4d;
-const CHURN_DIGEST: u64 = 0xa054_393b_7cbe_fbc3;
+const CHURN_SEED: u64 = 7;
+const OPEN_LOOP_DIGEST: u64 = 0x91c7_a5bd_f034_ad11;
+const CHURN_DIGEST: u64 = 0x5ce1_afd7_4283_fab3;

@@ -247,29 +247,30 @@ fn fail_stop_digest(report: &SimReport) -> String {
 /// re-captured in PR 17, whose dual-simplex re-solves end on other optimal
 /// vertices than the cold LPs they replaced (GsMix 3 did not move), and the
 /// two seed-11 runs again in PR 22, whose reduced model gives the 10 %-gap
-/// search other LPs to end on (the two seed-3 runs did not move).
+/// search other LPs to end on (the two seed-3 runs did not move), and all
+/// four in PR 23, whose root dive hands that search other incumbents.
 #[test]
 fn pure_fail_stop_plan_reproduces_pre_degraded_goldens() {
     let goldens = [
         (
             Workload::GsMix,
             3u64,
-            "slo=4/12 nores=0/3 be=9/9 lat=6516.000 busy=13268 pre=0 ab=11 inc=0 ev=31 ret=31 end=1234 cycles=309",
+            "slo=4/12 nores=0/3 be=8/9 lat=6150.000 busy=13244 pre=0 ab=11 inc=0 ev=33 ret=32 end=1234 cycles=309",
         ),
         (
             Workload::GsMix,
             11,
-            "slo=10/17 nores=0/1 be=6/6 lat=4057.000 busy=13148 pre=0 ab=8 inc=0 ev=27 ret=27 end=1212 cycles=303",
+            "slo=10/17 nores=0/1 be=6/6 lat=3857.000 busy=13160 pre=0 ab=8 inc=0 ev=28 ret=28 end=1268 cycles=317",
         ),
         (
             Workload::GsHet,
             3,
-            "slo=3/12 nores=0/3 be=9/9 lat=6104.000 busy=12488 pre=0 ab=12 inc=0 ev=28 ret=28 end=1130 cycles=283",
+            "slo=2/12 nores=0/3 be=9/9 lat=6488.000 busy=13244 pre=0 ab=13 inc=0 ev=29 ret=29 end=1235 cycles=309",
         ),
         (
             Workload::GsHet,
             11,
-            "slo=5/17 nores=0/1 be=6/6 lat=2409.000 busy=11004 pre=0 ab=13 inc=0 ev=29 ret=29 end=1152 cycles=288",
+            "slo=8/17 nores=0/1 be=6/6 lat=2057.000 busy=10568 pre=0 ab=10 inc=0 ev=28 ret=28 end=1176 cycles=294",
         ),
     ];
     for (workload, seed, expected) in goldens {
