@@ -284,8 +284,11 @@ pub fn chaos_gate(scale: &FigScale) -> bool {
     // multiple of 100 at which the backlog drives the ladder to its last
     // rung on every gate seed ("ladder engages" below holds it to that).
     // 400 while every LP loaded cold; 300 since LPs after a solve's root
-    // re-solve from the held basis (at 400, seed 2 stops at rung 2).
-    let budget = scale.pick(50_000, 300);
+    // re-solve from the held basis (at 400, seed 2 stops at rung 2); 100
+    // since the dive finds the incumbent at the root and most solves open
+    // no node (at 200, seed 4 stops at rung 1; the reduced model between
+    // the two was never calibrated and failed the SLO check at 300).
+    let budget = scale.pick(50_000, 100);
     let mut ladder_gov = GovernorConfig::defaults();
     ladder_gov.work_budget = budget;
     let mut binary_gov = GovernorConfig::binary_fallback();
