@@ -46,8 +46,8 @@ pub enum LadderRung {
     Full,
     /// Global MILP over a reduced plan-ahead horizon (smaller model).
     ReducedHorizon,
-    /// Incumbent-only anytime solve: tight node budget, diving on; the
-    /// budget-expired incumbent is returned with its bound + certificate.
+    /// Incumbent-only anytime solve: tight node budget; the budget-expired
+    /// incumbent is returned with its bound + certificate.
     Anytime,
     /// Greedy job-at-a-time placement (the old fallback, now the floor).
     Greedy,

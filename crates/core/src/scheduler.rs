@@ -505,7 +505,6 @@ impl<'a> Pipeline<'a> {
         // The ladder governor's deterministic load signal: solver work in
         // branch-and-bound nodes + simplex iterations (never wall-clock).
         d.solver_work_units += stats.nodes as u64 + stats.lp_iterations as u64;
-        d.presolve_reductions += stats.presolve_rows_dropped + stats.presolve_bounds_tightened;
         let telemetry = self.ctx.telemetry;
         for (counter, n) in [
             ("milp.lp_iterations", stats.lp_iterations),
@@ -516,11 +515,6 @@ impl<'a> Pipeline<'a> {
             ("milp.refactorizations", stats.refactorizations),
             ("milp.bb_nodes", stats.nodes),
             ("milp.bb_nodes_pruned", stats.nodes_pruned),
-            ("milp.presolve_rows_dropped", stats.presolve_rows_dropped),
-            (
-                "milp.presolve_bounds_tightened",
-                stats.presolve_bounds_tightened,
-            ),
         ] {
             telemetry.counter_add(counter, n as u64);
         }
@@ -535,9 +529,6 @@ impl<'a> Pipeline<'a> {
         }
         if self.anytime && sol.status == SolveStatus::Feasible {
             d.anytime_incumbents += 1;
-        }
-        if stats.presolve_certified {
-            d.lint_presolve_rejections += 1;
         }
         // Proof-carrying solves: the backend self-certified its outcome
         // (primal check + bound-tree audit replay). A failed certificate
@@ -1284,7 +1275,6 @@ mod tests {
             };
             let report = run(Cluster::uniform(4, 4, 1), lint_cfg, jobs());
             assert_eq!(report.metrics.lint_errors, 0);
-            assert_eq!(report.metrics.lint_presolve_rejections, 0);
             assert_eq!(report.metrics.accepted_slo_met, 2);
             assert_eq!(report.metrics.be_completed, 1);
         }

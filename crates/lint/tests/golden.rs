@@ -261,12 +261,11 @@ fn c003_unsupported_infeasibility_claim_is_error() {
     let (m, _) = certified_solve();
     let mut sol = Solution::empty(SolveStatus::Infeasible);
     sol.audit = Some(Box::new(SolveAudit {
-        solved_model: m.clone(),
         rel_gap: 0.0,
         limit_hit: false,
         nodes: Vec::new(),
         incumbent_source: IncumbentSource::None,
-        proof: SolveProof::PresolveInfeasible { certificate: None },
+        proof: SolveProof::RootInfeasible { proof: None },
     }));
     let diags = certify_solution(&m, &sol).diagnostics;
     let d = diags.iter().find(|d| d.code == "C003").expect("C003");

@@ -24,7 +24,8 @@ pub trait MilpBackend {
     fn name(&self) -> &'static str;
 }
 
-/// The exact backend: presolve + branch-and-bound (the default).
+/// The exact backend: branch-and-bound under the configured node budget
+/// (the default).
 #[derive(Debug, Clone)]
 pub struct ExactBackend {
     search: BranchBound,
@@ -63,16 +64,10 @@ pub struct HeuristicBackend {
 
 impl HeuristicBackend {
     /// Creates the heuristic backend: `config`'s gap, limits and audit
-    /// setting, with what "dive" means written over the rest — the search
-    /// at a node budget of zero, diving on, on the model as given.
+    /// setting at a node budget of zero.
     pub fn new(config: SolverConfig) -> Self {
         HeuristicBackend {
-            search: BranchBound::new(SolverConfig {
-                node_limit: 0,
-                enable_diving: true,
-                enable_presolve: false,
-                ..config
-            }),
+            search: BranchBound::new(config.with_node_limit(0)),
         }
     }
 }

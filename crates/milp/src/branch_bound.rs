@@ -1,9 +1,9 @@
 //! Best-first branch-and-bound over the simplex relaxation: the one search
 //! every backend runs.
 //!
-//! A solve prepares its root (presolve, warm-start incumbent, root LP, dive)
-//! and then explores nodes until the gap closes, the frontier empties or a
-//! budget is spent; what a backend chooses is the budget (see
+//! A solve prepares its root (warm-start incumbent, root LP, dive) on the
+//! caller's model and then explores nodes until the gap closes, the frontier
+//! empties or a budget is spent; what a backend chooses is the budget (see
 //! [`crate::backend`]). Nodes carry bound *patches* (per-variable bound
 //! tightenings accumulated from the root), the frontier is a max-heap ordered
 //! by the parent relaxation bound, and branching is on the most fractional
@@ -23,7 +23,6 @@ use crate::config::SolverConfig;
 use crate::error::{MilpError, Result};
 use crate::heuristics::dive;
 use crate::model::{Model, VarKind};
-use crate::presolve::{presolve, PresolveOutcome};
 use crate::simplex::{LpOutcome, Simplex};
 use crate::status::{Solution, SolveStatus, SolverStats};
 
@@ -101,11 +100,10 @@ impl Search<'_> {
 
     /// The one way a solve ends: stamps the wall time, returns the incumbent
     /// when `status` has a solution, and when auditing attaches the node log
-    /// with `proof` over `solved`, the model the LPs ran on.
+    /// with `proof`.
     fn conclude(
         self,
         status: SolveStatus,
-        solved: &Model,
         limit_hit: bool,
         proof: impl FnOnce() -> SolveProof,
     ) -> Solution {
@@ -114,7 +112,6 @@ impl Search<'_> {
         let incumbent = self.incumbent.filter(|_| status.has_solution());
         let audit = self.cfg.audit.then(|| {
             Box::new(SolveAudit {
-                solved_model: solved.clone(),
                 rel_gap: self.cfg.rel_gap,
                 limit_hit,
                 nodes: self.log,
@@ -188,14 +185,14 @@ impl BranchBound {
     /// every way it can end there.
     fn solve_from_root(
         &self,
-        original: &Model,
+        model: &Model,
         warm: Option<&[f64]>,
         simplex: &Simplex,
     ) -> Result<Solution> {
-        original.validate()?;
+        model.validate()?;
         // Debug builds cross-check every lint infeasibility certificate
         // against the model; compiled out in release builds.
-        crate::lint::debug_precheck(original);
+        crate::lint::debug_precheck(model);
         let cfg = &self.config;
         let mut search = Search {
             cfg,
@@ -206,34 +203,6 @@ impl BranchBound {
             log: Vec::new(),
         };
 
-        // Presolve keeps variable indexing intact, so its reductions are
-        // transparent to the caller; implied-bound tightening preserves the
-        // feasible set, so warm starts stay valid too.
-        let presolved;
-        let model: &Model = if cfg.enable_presolve {
-            match presolve(original, 2) {
-                PresolveOutcome::Infeasible { certificate } => {
-                    search.stats.presolve_certified = certificate.is_some();
-                    return Ok(
-                        search.conclude(SolveStatus::Infeasible, original, false, || {
-                            SolveProof::PresolveInfeasible { certificate }
-                        }),
-                    );
-                }
-                PresolveOutcome::Reduced {
-                    model: m,
-                    rows_dropped,
-                    bounds_tightened,
-                } => {
-                    search.stats.presolve_rows_dropped = rows_dropped;
-                    search.stats.presolve_bounds_tightened = bounds_tightened;
-                    presolved = m;
-                    &presolved
-                }
-            }
-        } else {
-            original
-        };
         let (base_lb, base_ub) = base_bounds(model);
 
         // Incumbent from the warm start, if it checks out.
@@ -263,13 +232,13 @@ impl BranchBound {
                     duals,
                 } => (objective + model.objective_offset, values, duals),
                 LpOutcome::Infeasible { farkas } => {
-                    return Ok(search.conclude(SolveStatus::Infeasible, model, false, || {
+                    return Ok(search.conclude(SolveStatus::Infeasible, false, || {
                         let proof = mint_infeasibility_proof(model, &base_lb, &base_ub, farkas);
                         SolveProof::RootInfeasible { proof }
                     }));
                 }
                 LpOutcome::Unbounded { ray } => {
-                    return Ok(search.conclude(SolveStatus::Unbounded, model, false, || {
+                    return Ok(search.conclude(SolveStatus::Unbounded, false, || {
                         SolveProof::UnboundedRay {
                             patches: Vec::new(),
                             ray,
@@ -295,13 +264,9 @@ impl BranchBound {
         }
 
         // Root diving heuristic for an early incumbent.
-        if cfg.enable_diving {
-            let stats = &mut search.stats;
-            if let Some((obj, values)) =
-                dive(model, simplex, &base_lb, &base_ub, &root_values, stats)
-            {
-                search.offer_incumbent(obj, values, IncumbentSource::Dive);
-            }
+        let stats = &mut search.stats;
+        if let Some((obj, values)) = dive(model, simplex, &base_lb, &base_ub, &root_values, stats) {
+            search.offer_incumbent(obj, values, IncumbentSource::Dive);
         }
         explore_nodes(search, model, simplex, &base_lb, &base_ub, root_values)
     }
@@ -395,7 +360,7 @@ fn explore_nodes(
                         continue;
                     }
                     LpOutcome::Unbounded { ray } => {
-                        return Ok(search.conclude(SolveStatus::Unbounded, model, false, || {
+                        return Ok(search.conclude(SolveStatus::Unbounded, false, || {
                             SolveProof::UnboundedRay {
                                 patches: node.patches,
                                 ray,
@@ -486,7 +451,7 @@ fn explore_nodes(
         None if stop == Stop::Limit => SolveStatus::NoSolutionFound,
         None => SolveStatus::Infeasible,
     };
-    Ok(search.conclude(status, model, stop == Stop::Limit, || SolveProof::Tree))
+    Ok(search.conclude(status, stop == Stop::Limit, || SolveProof::Tree))
 }
 
 /// Rounds every integer-constrained entry of `values` to the nearest integer.
@@ -571,21 +536,21 @@ mod tests {
 
     #[test]
     fn tree_solves_the_root_once_and_re_solves_every_other_lp() {
-        // The model above, without the dive: every LP is a node's.
+        // The model above: the dive lands on y = 1 under a root bound of 2,
+        // so the tree has to close the gap.
         let mut m = Model::maximize();
         let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 0.0);
         let y = m.add_var("y", VarKind::Integer, 0.0, 10.0, 1.0);
         m.add_constraint("c1", [(x, -1.0), (y, 1.0)], Sense::Le, 0.5);
         m.add_constraint("c2", [(x, 1.0), (y, 1.0)], Sense::Le, 3.5);
-        let mut cfg = exact().with_audit(true);
-        cfg.enable_diving = false;
-        let sol = m.solve(&cfg).unwrap();
+        let sol = m.solve(&exact().with_audit(true)).unwrap();
         let s = &sol.stats;
         assert!(s.nodes > 1, "the root is fractional");
-        assert!(!s.root_closed && s.dive_lp_solves == 0);
-        // Node 0 is the root relaxation itself; all others start from a basis.
-        assert_eq!(s.lp_solves, s.nodes);
-        assert_eq!(s.lp_resolves, s.nodes - 1);
+        assert!(!s.root_closed && s.dive_lp_solves > 0);
+        // Node 0 is the root relaxation itself, solved cold once; every
+        // other LP, the dive's included, starts from a basis.
+        assert_eq!(s.lp_solves, s.nodes + s.dive_lp_solves);
+        assert_eq!(s.lp_resolves, s.lp_solves - 1);
         let audit = sol.audit.as_ref().expect("audited");
         let root = audit.nodes[0].lp.as_ref().expect("node 0 is certified");
         assert_eq!(root.objective, audit.nodes[0].bound);
@@ -599,10 +564,16 @@ mod tests {
         let x = m.add_binary("x", 1.0);
         let y = m.add_binary("y", 1.0);
         m.add_constraint("lo", [(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
-        let sol = m.solve(&exact()).unwrap();
+        let sol = m.solve(&exact().with_audit(true)).unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
-        // Presolve's bound propagation certifies this without simplex.
-        assert!(sol.stats.presolve_certified);
+        // The root LP refutes it, and the refutation certifies.
+        let audit = sol.audit.as_deref().expect("audited");
+        assert!(matches!(
+            audit.proof,
+            SolveProof::RootInfeasible { proof: Some(_) }
+        ));
+        assert!(sol.stats.certificates_verified > 0);
+        assert_eq!(sol.stats.certificate_failures, 0);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   ray, completing the Farkas trio (`C003` on failure).
 //!
 //! Verification never consults tableau state: every check is arithmetic
-//! over the original [`Model`] (or the audited presolved model) and the
-//! shipped certificate data.
+//! over the [`Model`] the caller names and the shipped certificate data, so
+//! a certificate vouches for that model and no other.
 
 use crate::kernels::{fixed_dot, fixed_max, is_nonzero};
 use crate::lint::{propagate_bounds, Certificate, Diagnostic, Severity, PROPAGATION_PASSES};
@@ -134,11 +134,6 @@ pub enum IncumbentSource {
 pub enum SolveProof {
     /// The audit tree justifies the status/bound/gap claims.
     Tree,
-    /// Presolve refuted the model before any LP ran.
-    PresolveInfeasible {
-        /// Bound-propagation certificate against the *original* model.
-        certificate: Option<Certificate>,
-    },
     /// The root relaxation was infeasible.
     RootInfeasible {
         /// Refutation under the root bounds.
@@ -155,14 +150,11 @@ pub enum SolveProof {
 
 /// Audit log emitted by a solve when [`crate::SolverConfig::audit`] is set.
 ///
-/// `solved_model` is the model the search actually ran on (post-presolve;
-/// same variable indexing as the original), so node-level duals and bound
-/// patches replay against the exact rows the solver saw, while the primal
-/// check always runs against the original model.
+/// It carries no model: node duals, bound patches, refutations and rays
+/// replay against the model handed to [`certify_solution`], so they certify
+/// a solve of that model only.
 #[derive(Debug, Clone)]
 pub struct SolveAudit {
-    /// The (presolved) model the tree searched.
-    pub solved_model: Model,
     /// Relative gap the solve was configured with.
     pub rel_gap: f64,
     /// Whether a time/node limit interrupted the search.
@@ -586,12 +578,12 @@ fn check_complementary_slackness(
     Ok(())
 }
 
-/// Replays a branch-and-bound audit tree and validates every claim in it.
+/// Replays a branch-and-bound audit tree against `m` and validates every
+/// claim in it.
 // srclint: checked-indexing: node/parent indices are range-checked against
 // nodes.len() as the tree is walked (out-of-range indices become C002
 // diagnostics, not accesses); per-variable vectors come from base_bounds.
-fn certify_tree(sol: &Solution, audit: &SolveAudit, diags: &mut Vec<Diagnostic>) {
-    let m = &audit.solved_model;
+fn certify_tree(m: &Model, sol: &Solution, audit: &SolveAudit, diags: &mut Vec<Diagnostic>) {
     let (base_lb, base_ub) = base_bounds(m);
     let nodes = &audit.nodes;
     if nodes.is_empty() {
@@ -912,11 +904,12 @@ fn certify_tree(sol: &Solution, audit: &SolveAudit, diags: &mut Vec<Diagnostic>)
 
 /// Certifies a solution against `model`: the primal check always runs;
 /// when the solution carries a [`SolveAudit`], the audited claim (tree
-/// replay, infeasibility refutation, or unbounded ray) is verified too.
+/// replay, infeasibility refutation, or unbounded ray) is replayed against
+/// `model` too.
 pub fn certify_solution(model: &Model, sol: &Solution) -> CertifyReport {
     let mut report = CertifyReport::default();
 
-    // Check 1: primal claims, against the ORIGINAL model.
+    // Check 1: primal claims.
     match check_solution(model, sol) {
         Ok(()) => report.verified += 1,
         Err(e) => report.diagnostics.push(Diagnostic::new(
@@ -932,93 +925,54 @@ pub fn certify_solution(model: &Model, sol: &Solution) -> CertifyReport {
         return report;
     };
     let before = report.diagnostics.len();
-    let m = &audit.solved_model;
-    if m.num_vars() != model.num_vars() {
-        report.diagnostics.push(c002(
-            format!(
-                "audited model has {} variables, original has {}",
-                m.num_vars(),
-                model.num_vars()
-            ),
-            "solve audit".into(),
-        ));
-    } else {
-        if sol.status.has_solution() && !m.is_feasible(&sol.values, CS_TOL) {
-            report.diagnostics.push(c002(
-                "incumbent is not feasible in the audited (presolved) model".into(),
-                "solve audit".into(),
-            ));
+    let diags = &mut report.diagnostics;
+    match &audit.proof {
+        SolveProof::Tree => certify_tree(model, sol, audit, diags),
+        SolveProof::RootInfeasible { proof } => {
+            if sol.status != SolveStatus::Infeasible {
+                diags.push(c003(
+                    format!("root refutation attached to status {:?}", sol.status),
+                    "solve audit".into(),
+                ));
+            }
+            let (lb, ub) = base_bounds(model);
+            match proof {
+                None => diags.push(c003(
+                    "root relaxation claimed infeasible without a refutation".into(),
+                    "solve audit".into(),
+                )),
+                Some(p) => {
+                    if let Err(e) = verify_infeasibility_proof(model, &lb, &ub, p) {
+                        diags.push(c003(
+                            format!("root refutation rejected: {e}"),
+                            "solve audit".into(),
+                        ));
+                    }
+                }
+            }
         }
-        match &audit.proof {
-            SolveProof::Tree => certify_tree(sol, audit, &mut report.diagnostics),
-            SolveProof::PresolveInfeasible { certificate } => {
-                if sol.status != SolveStatus::Infeasible {
-                    report.diagnostics.push(c003(
-                        format!("presolve refutation attached to status {:?}", sol.status),
-                        "solve audit".into(),
-                    ));
-                }
-                match certificate {
-                    None => report.diagnostics.push(c003(
-                        "presolve claimed infeasibility without a certificate".into(),
-                        "solve audit".into(),
-                    )),
-                    Some(cert) => {
-                        if let Err(e) = cert.verify(model) {
-                            report.diagnostics.push(c003(
-                                format!("presolve certificate rejected: {e}"),
-                                "solve audit".into(),
-                            ));
-                        }
-                    }
-                }
+        SolveProof::UnboundedRay { patches, ray } => {
+            if sol.status != SolveStatus::Unbounded {
+                diags.push(c003(
+                    format!("unbounded ray attached to status {:?}", sol.status),
+                    "solve audit".into(),
+                ));
             }
-            SolveProof::RootInfeasible { proof } => {
-                if sol.status != SolveStatus::Infeasible {
-                    report.diagnostics.push(c003(
-                        format!("root refutation attached to status {:?}", sol.status),
-                        "solve audit".into(),
-                    ));
-                }
-                let (lb, ub) = base_bounds(m);
-                match proof {
-                    None => report.diagnostics.push(c003(
-                        "root relaxation claimed infeasible without a refutation".into(),
-                        "solve audit".into(),
-                    )),
-                    Some(p) => {
-                        if let Err(e) = verify_infeasibility_proof(m, &lb, &ub, p) {
-                            report.diagnostics.push(c003(
-                                format!("root refutation rejected: {e}"),
-                                "solve audit".into(),
-                            ));
-                        }
+            let (base_lb, base_ub) = base_bounds(model);
+            match (ray, node_bounds(&base_lb, &base_ub, patches)) {
+                (None, _) => diags.push(c003(
+                    "unboundedness claimed without a ray".into(),
+                    "solve audit".into(),
+                )),
+                (Some(r), Ok((lb, ub))) => {
+                    if let Err(e) = verify_ray(model, &lb, &ub, r) {
+                        diags.push(c003(
+                            format!("unbounded ray rejected: {e}"),
+                            "solve audit".into(),
+                        ));
                     }
                 }
-            }
-            SolveProof::UnboundedRay { patches, ray } => {
-                if sol.status != SolveStatus::Unbounded {
-                    report.diagnostics.push(c003(
-                        format!("unbounded ray attached to status {:?}", sol.status),
-                        "solve audit".into(),
-                    ));
-                }
-                let (base_lb, base_ub) = base_bounds(m);
-                match (ray, node_bounds(&base_lb, &base_ub, patches)) {
-                    (None, _) => report.diagnostics.push(c003(
-                        "unboundedness claimed without a ray".into(),
-                        "solve audit".into(),
-                    )),
-                    (Some(r), Ok((lb, ub))) => {
-                        if let Err(e) = verify_ray(m, &lb, &ub, r) {
-                            report.diagnostics.push(c003(
-                                format!("unbounded ray rejected: {e}"),
-                                "solve audit".into(),
-                            ));
-                        }
-                    }
-                    (_, Err(e)) => report.diagnostics.push(c003(e, "solve audit".into())),
-                }
+                (_, Err(e)) => diags.push(c003(e, "solve audit".into())),
             }
         }
     }
@@ -1082,35 +1036,24 @@ mod tests {
     }
 
     #[test]
-    fn presolve_infeasible_certifies() {
-        let mut m = Model::maximize();
-        let x = m.add_binary("x", 1.0);
-        let y = m.add_binary("y", 1.0);
-        m.add_constraint("lo", [(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
-        let sol = m.solve(&audited()).unwrap();
-        assert_eq!(sol.status, SolveStatus::Infeasible);
-        let report = certify_solution(&m, &sol);
-        assert!(report.passed(), "diagnostics: {:?}", report.diagnostics);
-    }
-
-    #[test]
-    fn root_farkas_infeasible_certifies() {
-        // Presolve disabled so the refutation must come from the LP itself.
-        let mut m = Model::maximize();
-        let x = m.add_var("x", VarKind::Continuous, 0.0, 1.0, 1.0);
-        let y = m.add_var("y", VarKind::Continuous, 0.0, 1.0, 1.0);
-        m.add_constraint("hi", [(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
-        let mut cfg = audited();
-        cfg.enable_presolve = false;
-        let sol = m.solve(&cfg).unwrap();
-        assert_eq!(sol.status, SolveStatus::Infeasible);
-        let audit = sol.audit.as_deref().expect("audit");
-        assert!(matches!(
-            audit.proof,
-            SolveProof::RootInfeasible { proof: Some(_) }
-        ));
-        let report = certify_solution(&m, &sol);
-        assert!(report.passed(), "diagnostics: {:?}", report.diagnostics);
+    fn root_refutation_certifies() {
+        // x + y >= 3 over two unit boxes, binary and continuous: the root
+        // LP refutes both.
+        for kind in [VarKind::Binary, VarKind::Continuous] {
+            let mut m = Model::maximize();
+            let x = m.add_var("x", kind, 0.0, 1.0, 1.0);
+            let y = m.add_var("y", kind, 0.0, 1.0, 1.0);
+            m.add_constraint("hi", [(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
+            let sol = m.solve(&audited()).unwrap();
+            assert_eq!(sol.status, SolveStatus::Infeasible);
+            let audit = sol.audit.as_deref().expect("audit");
+            assert!(matches!(
+                audit.proof,
+                SolveProof::RootInfeasible { proof: Some(_) }
+            ));
+            let report = certify_solution(&m, &sol);
+            assert!(report.passed(), "diagnostics: {:?}", report.diagnostics);
+        }
     }
 
     #[test]
@@ -1118,9 +1061,7 @@ mod tests {
         let mut m = Model::maximize();
         m.add_var("x", VarKind::Continuous, 0.0, f64::INFINITY, 1.0);
         m.add_var("y", VarKind::Continuous, 0.0, f64::INFINITY, 0.0);
-        let mut cfg = audited();
-        cfg.enable_presolve = false;
-        let sol = m.solve(&cfg).unwrap();
+        let sol = m.solve(&audited()).unwrap();
         assert_eq!(sol.status, SolveStatus::Unbounded);
         let report = certify_solution(&m, &sol);
         assert!(report.passed(), "diagnostics: {:?}", report.diagnostics);
@@ -1190,19 +1131,43 @@ mod tests {
     #[test]
     fn fake_infeasibility_claim_rejected() {
         // A feasible model with a forged infeasibility status and no
-        // certificate must not certify.
+        // refutation must not certify.
         let m = knapsack();
         let mut sol = Solution::empty(SolveStatus::Infeasible);
         sol.audit = Some(Box::new(SolveAudit {
-            solved_model: m.clone(),
             rel_gap: 0.0,
             limit_hit: false,
             nodes: Vec::new(),
             incumbent_source: IncumbentSource::None,
-            proof: SolveProof::PresolveInfeasible { certificate: None },
+            proof: SolveProof::RootInfeasible { proof: None },
         }));
         let report = certify_solution(&m, &sol);
         assert!(report.diagnostics.iter().any(|d| d.code == "C003"));
+    }
+
+    #[test]
+    fn solve_of_another_model_rejected() {
+        // max x over [0, 10] with x <= 4 solves to an optimal 4. The same
+        // audit replayed against x <= 6 must not vouch for 4 there: the
+        // root's duals bound that model at 6, not at the claimed 4.
+        let model = |cap: f64| {
+            let mut m = Model::maximize();
+            let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 1.0);
+            m.add_constraint("cap", [(x, 1.0)], Sense::Le, cap);
+            m
+        };
+        let sol = model(4.0).solve(&audited()).unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        assert!(certify_solution(&model(4.0), &sol).passed());
+        let report = certify_solution(&model(6.0), &sol);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == "C002" && d.message.starts_with("dual bound 6 ")),
+            "diagnostics: {:?}",
+            report.diagnostics
+        );
     }
 
     #[test]

@@ -21,10 +21,6 @@ pub struct SolverConfig {
     pub node_limit: usize,
     /// Maximum simplex iterations per LP solve (safety valve).
     pub max_lp_iterations: usize,
-    /// Whether to run the diving heuristic at the root to seed an incumbent.
-    pub enable_diving: bool,
-    /// Whether to run presolve reductions before branch-and-bound.
-    pub enable_presolve: bool,
     /// Whether to record a proof-carrying [`crate::certify::SolveAudit`]
     /// on the returned solution and self-certify it (filling
     /// `stats.certificates_verified` / `stats.certificate_failures`).
@@ -38,8 +34,6 @@ impl Default for SolverConfig {
             time_limit: Duration::from_secs(60),
             node_limit: 200_000,
             max_lp_iterations: 200_000,
-            enable_diving: true,
-            enable_presolve: true,
             audit: false,
         }
     }
@@ -61,21 +55,14 @@ impl SolverConfig {
         Self::default()
     }
 
-    /// Incumbent-only anytime configuration: a very tight branch-and-bound
-    /// node budget with root diving forced on, so the solver almost always
-    /// stops on its budget and returns the best incumbent found so far
-    /// *with* its `best_bound` (and, under audit, a feasibility
-    /// certificate). Used by the degradation ladder's anytime rung: the
-    /// caller trades the optimality proof for a bounded, predictable
-    /// amount of solver work.
+    /// The online configuration under a tight node budget (at least one
+    /// node), so the solver almost always stops on its budget and returns
+    /// the dive's or the tree's best incumbent *with* its `best_bound` (and,
+    /// under audit, its certificate). Used by the degradation ladder's
+    /// anytime rung: the caller trades the optimality proof for a bounded,
+    /// predictable amount of solver work.
     pub fn anytime(time_limit: Duration, node_limit: usize) -> Self {
-        Self {
-            rel_gap: 0.10,
-            time_limit,
-            node_limit: node_limit.max(1),
-            enable_diving: true,
-            ..Self::default()
-        }
+        Self::online(time_limit).with_node_limit(node_limit.max(1))
     }
 
     /// Builder-style setter for the relative gap.
@@ -118,7 +105,6 @@ mod tests {
     fn anytime_config_is_tightly_budgeted() {
         let c = SolverConfig::anytime(Duration::from_millis(50), 64);
         assert_eq!(c.node_limit, 64);
-        assert!(c.enable_diving, "anytime needs the dive for an incumbent");
         assert_eq!(c.rel_gap, 0.10);
         // A zero node budget is clamped so the root node always runs.
         assert_eq!(SolverConfig::anytime(Duration::ZERO, 0).node_limit, 1);

@@ -1,7 +1,10 @@
-//! Presolve: cheap model reductions applied before branch-and-bound.
+//! Presolve: cheap model reductions, as a library pass.
 //!
-//! STRL compilation emits many structurally simple rows (demand equalities,
-//! small supply caps). Presolve shrinks the LP work per node:
+//! No solve calls it: branch-and-bound runs on the caller's model, since on
+//! compiled models presolve decided nothing and cost a copy of the model.
+//! It stays for the benchmark's `milp.presolve_us` probe and for
+//! `model_build_golden`, which pin what it finds on compiled models;
+//! deleting it waits for ROADMAP 1(a) to unpin it. The reductions:
 //!
 //! - **bound tightening** propagates row activity bounds into variable
 //!   bounds (and rounds integer bounds inward) via [`crate::lint::propagate_bounds`],

@@ -48,10 +48,6 @@ pub struct SolverStats {
     /// Whether the gap closed before the first node: the root bound and the
     /// incumbent held after the dive were already within it.
     pub root_closed: bool,
-    /// Constraint rows removed by presolve before the solve proper.
-    pub presolve_rows_dropped: usize,
-    /// Variable bounds tightened by presolve before the solve proper.
-    pub presolve_bounds_tightened: usize,
     /// Wall-clock time of the solve in seconds.
     pub wall_secs: f64,
     /// Best dual (upper) bound proven.
@@ -60,9 +56,6 @@ pub struct SolverStats {
     pub final_gap: f64,
     /// Whether the incumbent came from the warm start.
     pub warm_start_used: bool,
-    /// Whether an `Infeasible` status was established by presolve's bound
-    /// propagation with a machine-checkable certificate (no simplex run).
-    pub presolve_certified: bool,
     /// Certificate checks that passed when the solve ran with
     /// [`crate::SolverConfig::audit`] (see [`crate::certify`]).
     pub certificates_verified: usize,

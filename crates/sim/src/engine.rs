@@ -859,7 +859,6 @@ impl<S: Scheduler> Run<S> {
         }
         metrics.warm_start_hits += decisions.warm_start_hits;
         metrics.warm_start_misses += decisions.warm_start_misses;
-        metrics.presolve_reductions += decisions.presolve_reductions;
         // Ladder accounting: rung changes are governed (and rate-limited)
         // inside the scheduler; the engine only observes and records them.
         metrics.ladder_rung = metrics.ladder_rung.max(u64::from(decisions.ladder_rung));
@@ -889,7 +888,6 @@ impl<S: Scheduler> Run<S> {
                 CycleError::Certificate { .. } => {}
             }
         }
-        metrics.lint_presolve_rejections += decisions.lint_presolve_rejections;
         metrics.certificates_verified += decisions.certificates_verified;
         metrics.certificate_failures += decisions.certificate_failures;
         if decisions.degraded {

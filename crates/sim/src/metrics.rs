@@ -135,9 +135,6 @@ pub struct Metrics {
     /// Error-severity lint rejections surfaced by cycles (the
     /// `lint_models` knob).
     pub lint_errors: usize,
-    /// Solves settled by a presolve infeasibility certificate without
-    /// entering simplex.
-    pub lint_presolve_rejections: usize,
     /// Solver and translation certificates verified across all cycles
     /// (the `certify_solves` knob; zero when certification is off).
     pub certificates_verified: usize,
@@ -149,9 +146,6 @@ pub struct Metrics {
     pub warm_start_hits: usize,
     /// Global solves that built a warm start the solver did not use.
     pub warm_start_misses: usize,
-    /// Presolve reductions (rows dropped + bounds tightened) across all
-    /// solves.
-    pub presolve_reductions: usize,
     /// Trace events evicted by the trace retention bound
     /// ([`crate::TraceLog::dropped`]).
     pub trace_events_dropped: u64,

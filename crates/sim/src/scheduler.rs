@@ -192,10 +192,6 @@ pub struct CycleDecisions {
     /// produced the decisions instead. The engine counts degraded cycles
     /// as solver fallbacks.
     pub degraded: bool,
-    /// How many solves this cycle were settled by a presolve
-    /// infeasibility certificate (lint bound propagation) without
-    /// entering simplex.
-    pub lint_presolve_rejections: usize,
     /// Solver and translation certificates verified this cycle (the
     /// `certify_solves` knob; zero when certification is off).
     pub certificates_verified: usize,
@@ -207,9 +203,6 @@ pub struct CycleDecisions {
     /// Solves this cycle that built a warm start the solver rejected (or
     /// had none to offer while warm-starting was on).
     pub warm_start_misses: usize,
-    /// Presolve reductions (constraint rows dropped + variable bounds
-    /// tightened) across this cycle's solves.
-    pub presolve_reductions: usize,
     /// Degradation-ladder rung the cycle ran at (0 = full MILP; higher
     /// rungs trade solution quality for cycle budget). Schedulers without
     /// a ladder leave it 0. In the TetriSched core this is stamped by the

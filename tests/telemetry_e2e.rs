@@ -83,7 +83,6 @@ fn telemetry_does_not_change_decisions() {
     assert_eq!(m_on.certificates_verified, m_off.certificates_verified);
     assert_eq!(m_on.warm_start_hits, m_off.warm_start_hits);
     assert_eq!(m_on.warm_start_misses, m_off.warm_start_misses);
-    assert_eq!(m_on.presolve_reductions, m_off.presolve_reductions);
     assert_eq!(
         m_on.cycle_latency.count(),
         m_off.cycle_latency.count(),
