@@ -32,7 +32,10 @@
 //! re-captured the two backend pairs and nothing else: it replaced the root
 //! dive (`milp/src/heuristics.rs`), so incumbents, node and LP counts moved
 //! on unchanged models and an unchanged kernel — `LP_DIGEST`,
-//! `RESOLVE_DIGEST` and all of `model_build_golden` held.
+//! `RESOLVE_DIGEST` and all of `model_build_golden` held. PR 25 re-captured
+//! the exact pair alone: the search stopped presolving, which moved six of
+//! the hand-made shapes (two infeasible ones are now refuted by the root LP)
+//! while the fourteen windows fold to the parent's decisions.
 
 use std::time::Duration;
 
@@ -48,12 +51,13 @@ use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
 const LP_DIGEST: u64 = 0x1141_0c75_7a99_2733;
 const RESOLVE_DIGEST: u64 = 0x4dd2_31d8_447e_af01;
-const EXACT_DIGEST: u64 = 0x3b3b_0a5c_4551_628c;
+const EXACT_DIGEST: u64 = 0x7711_b8a1_3c15_e91c;
 const DIVE_DIGEST: u64 = 0xb3db_27c4_aa7d_f2fd;
 /// What a caller can act on, without the status word and the audit log:
 /// captured on PR 17's two solvers, before PR 18 made them one search, and
-/// not edited until PR 22 changed the corpus under them and PR 23 the dive.
-const EXACT_DECISIONS: u64 = 0x0a9e_94f3_6eb3_107c;
+/// not edited until PR 22 changed the corpus under them, PR 23 the dive and
+/// PR 25 the exact backend's presolve.
+const EXACT_DECISIONS: u64 = 0xbacb_f5f0_cea1_a176;
 const DIVE_DECISIONS: u64 = 0x3d85_b786_9b22_1a06;
 
 /// RC80 queue windows in the corpus (the hand-made shapes come on top).
