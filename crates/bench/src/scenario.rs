@@ -15,7 +15,7 @@ pub const OPEN_LOOP_ARRIVALS: usize = 60;
 /// event-driven service core (sharded intake, admission batching,
 /// backpressure, fair-share weighting), traced, with telemetry and both
 /// audit knobs on. The bounded queues are small enough that 2x saturation
-/// visibly defers and sheds. The wall-clock solver limit cannot bind, so
+/// visibly defers and sheds. Every solve stops on work, not on a clock, so
 /// same-seed runs export the same bytes in debug and release.
 pub fn open_loop(seed: u64, rate_multiplier: f64) -> SimReport {
     let jobs = OpenLoopDriver::new(OpenLoopConfig::saturating(
@@ -44,7 +44,6 @@ pub fn open_loop(seed: u64, rate_multiplier: f64) -> SimReport {
     let config = TetriSchedConfig {
         lint_models: true,
         certify_solves: true,
-        solver_time_limit: std::time::Duration::from_secs(3600),
         ..TetriSchedConfig::full(16)
     };
     Simulator::new(

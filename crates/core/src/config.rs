@@ -31,7 +31,8 @@ pub struct TetriSchedConfig {
     /// the flexibility of aggregating a subset of the pending jobs to
     /// reduce the scheduling complexity", Sec. 5). Excess jobs wait.
     pub max_batch: usize,
-    /// Wall-clock budget for the MILP solver per cycle (Sec. 3.2.2).
+    /// Budget of each MILP solve (Sec. 3.2.2): a duration read as a work
+    /// budget (`SolverConfig::online`), so no solve reads a clock.
     pub solver_time_limit: Duration,
     /// Relative MILP optimality gap (paper: 10%).
     pub solver_gap: f64,

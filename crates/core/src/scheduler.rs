@@ -350,15 +350,13 @@ impl<'a> Pipeline<'a> {
         ctx: &'a CycleContext<'a>,
         view: &'a Availability,
     ) -> Self {
-        let (anytime, limit) = (rung == LadderRung::Anytime, config.solver_time_limit);
-        let solver = if anytime {
-            SolverConfig::anytime(limit, ANYTIME_NODE_LIMIT)
-        } else {
-            SolverConfig::online(limit)
-        };
-        let solver = solver
+        let anytime = rung == LadderRung::Anytime;
+        let mut solver = SolverConfig::online(config.solver_time_limit)
             .with_rel_gap(config.solver_gap)
             .with_audit(config.certify_solves);
+        if anytime {
+            solver = solver.with_node_limit(ANYTIME_NODE_LIMIT);
+        }
         let config = if rung == LadderRung::ReducedHorizon {
             let plan_ahead = governor.reduced_horizon(config.plan_ahead, config.cycle_period);
             Cow::Owned(TetriSchedConfig {
@@ -502,9 +500,9 @@ impl<'a> Pipeline<'a> {
         phase.span.arg("bb_nodes", stats.nodes as u64);
         phase.span.arg("bb_nodes_pruned", stats.nodes_pruned as u64);
         drop(phase);
-        // The ladder governor's deterministic load signal: solver work in
-        // branch-and-bound nodes + simplex iterations (never wall-clock).
-        d.solver_work_units += stats.nodes as u64 + stats.lp_iterations as u64;
+        // The ladder governor's deterministic load signal: the unit the
+        // solver's own work budget counts (never wall-clock).
+        d.solver_work_units += stats.work_units();
         let telemetry = self.ctx.telemetry;
         for (counter, n) in [
             ("milp.lp_iterations", stats.lp_iterations),

@@ -19,7 +19,7 @@
 //! covers is read off its row, never off a function's name.
 //!
 //! - `L001` — no clock reads. Three rows: `Instant::now` / `SystemTime`
-//!   anywhere outside the four-file measurement allowlist (simulated time
+//!   anywhere outside the three-file measurement allowlist (simulated time
 //!   comes from the engine), and any `std::time` path at all inside
 //!   `crates/telemetry/src` (time is injected by callers) and
 //!   `crates/service/src` (the engine's virtual clock), no allowlist.
@@ -100,11 +100,10 @@ const RULES: [Rule; 8] = [
     Rule {
         code: "L001",
         scope: &[""],
-        // Solver time budgets, engine cycle-latency metrics, and the
-        // linter's own runtime-budget check may read the wall clock; the
-        // two crates below answer to the stricter rows that follow.
+        // Measurement sites only (the engine's cycle timer, the scheduler's
+        // phase and solve timers, the linter's own runtime budget); the two
+        // crates below answer to the stricter rows that follow.
         exempt: &[
-            "crates/milp/src/branch_bound.rs",
             "crates/sim/src/engine.rs",
             "crates/core/src/scheduler.rs",
             "crates/lint/src/bin/srclint.rs",
@@ -112,7 +111,7 @@ const RULES: [Rule; 8] = [
             "crates/service/src/",
         ],
         matcher: clock_read,
-        message: "wall-clock read (`{what}`) outside the allowlist breaks simulation determinism",
+        message: "clock read (`{what}`) outside a measurement site breaks simulation determinism",
     },
     Rule {
         code: "L001",

@@ -89,7 +89,7 @@ fn a_helper_named_run_in_an_unguarded_crate_changes_no_count() {
     assert_eq!(bench.count(), 0, "{report:#?}");
     // Every non-test fn of the five guarded crates' fixtures, `masked`
     // excluded — and neither `run` nor `cycle` of `crates/bench`.
-    assert_eq!(report.fns_checked, 25, "{report:#?}");
+    assert_eq!(report.fns_checked, 26, "{report:#?}");
 }
 
 #[test]
@@ -142,6 +142,9 @@ fn l001_l007_goldens() {
     assert_eq!(telemetry, ["3", "6"], "import and call");
     let service = sites(&report, "L001", "crates/service/src/lib.rs:");
     assert_eq!(service, ["6", "9"], "import and call");
+    // The solver reads no clock: its search file is not a measurement site.
+    let search = sites(&report, "L001", "crates/milp/src/branch_bound.rs:");
+    assert_eq!(search, ["7"], "the call; the import is not a read");
     let l007 = with_code(&report, "L007");
     assert_eq!(l007.len(), 1, "{l007:#?}");
     assert!(l007[0].context.contains("core/src/other.rs"));

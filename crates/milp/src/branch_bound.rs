@@ -8,12 +8,11 @@
 //! tightenings accumulated from the root), the frontier is a max-heap ordered
 //! by the parent relaxation bound, and branching is on the most fractional
 //! integer-constrained variable. Termination follows the paper's CPLEX
-//! configuration: a relative optimality gap, a wall-clock budget, and a node
-//! limit — the best incumbent found so far is returned when a limit fires.
+//! configuration: a relative optimality gap, a work budget (no clock), and a
+//! node limit — the best incumbent found so far is returned when a limit fires.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use crate::certify::{
     base_bounds, mint_infeasibility_proof, AuditNode, IncumbentSource, LpCertificate, NodeStatus,
@@ -71,7 +70,7 @@ impl Ord for Node {
 enum Stop {
     /// The best open bound is within the gap of the incumbent.
     GapClosed,
-    /// The node or wall-clock budget was spent with nodes still open.
+    /// The node or work budget was spent with nodes still open.
     Limit,
     /// No node is left open.
     Exhausted,
@@ -80,7 +79,6 @@ enum Stop {
 /// What a solve carries from its root to wherever it ends.
 struct Search<'a> {
     cfg: &'a SolverConfig,
-    start: Instant,
     stats: SolverStats,
     /// Best integer-feasible point so far, with its objective.
     incumbent: Option<(f64, Vec<f64>)>,
@@ -98,17 +96,14 @@ impl Search<'_> {
         }
     }
 
-    /// The one way a solve ends: stamps the wall time, returns the incumbent
-    /// when `status` has a solution, and when auditing attaches the node log
-    /// with `proof`.
+    /// The one way a solve ends: returns the incumbent when `status` has a
+    /// solution, and when auditing attaches the node log with `proof`.
     fn conclude(
         self,
         status: SolveStatus,
         limit_hit: bool,
         proof: impl FnOnce() -> SolveProof,
     ) -> Solution {
-        let mut stats = self.stats;
-        stats.wall_secs = self.start.elapsed().as_secs_f64();
         let incumbent = self.incumbent.filter(|_| status.has_solution());
         let audit = self.cfg.audit.then(|| {
             Box::new(SolveAudit {
@@ -134,7 +129,7 @@ impl Search<'_> {
             status,
             objective,
             values,
-            stats,
+            stats: self.stats,
             audit,
         }
     }
@@ -196,7 +191,6 @@ impl BranchBound {
         let cfg = &self.config;
         let mut search = Search {
             cfg,
-            start: Instant::now(),
             stats: SolverStats::default(),
             incumbent: None,
             inc_source: IncumbentSource::None,
@@ -317,7 +311,8 @@ fn explore_nodes(
                 break Stop::GapClosed;
             }
         }
-        if search.stats.nodes >= cfg.node_limit || search.start.elapsed() >= cfg.time_limit {
+        search.stats.lp_iterations = simplex.iterations();
+        if search.stats.nodes >= cfg.node_limit || search.stats.work_units() >= cfg.work_limit {
             break Stop::Limit;
         }
         search.stats.nodes += 1;
@@ -667,7 +662,9 @@ mod tests {
             Sense::Le,
             10.0,
         );
-        let cfg = SolverConfig::anytime(Duration::from_millis(50), 1).with_audit(true);
+        let cfg = SolverConfig::online(Duration::from_millis(50))
+            .with_node_limit(1)
+            .with_audit(true);
         let sol = m.solve(&cfg).unwrap();
         assert!(sol.status.has_solution());
         assert!(m.is_feasible(&sol.values, 1e-6));
@@ -682,13 +679,15 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_zero_with_dive_incumbent() {
+    fn work_limit_zero_with_dive_incumbent() {
         let mut m = Model::maximize();
         let x = m.add_binary("x", 1.0);
         m.add_constraint("c", [(x, 1.0)], Sense::Le, 1.0);
-        let sol = m
-            .solve(&SolverConfig::exact().with_time_limit(Duration::ZERO))
-            .unwrap();
+        let cfg = SolverConfig {
+            work_limit: 0,
+            ..SolverConfig::exact()
+        };
+        let sol = m.solve(&cfg).unwrap();
         // Root LP + dive still run; search loop then stops immediately, on
         // the closed gap: the root is integral and the dive returns it.
         assert!(sol.status.has_solution());

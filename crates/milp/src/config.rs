@@ -2,18 +2,28 @@
 
 use std::time::Duration;
 
+/// Work units a second of a duration budget buys ([`SolverConfig::online`]).
+/// Calibration: the median work of the solves a 300 ms wall-clock limit
+/// stopped (`tetrisched-bench scalability` plus `churn --smoke --check`,
+/// release, 2-core x86-64: 8 292 and 8 564 in two runs of 45 solves) over
+/// 0.3 s, to two significant figures. A unit's wall cost grows with the
+/// model: those 300 ms held 4.2–43 k units on RC256 and 15–58 k on the chaos
+/// gate's RC16. So the budget bounds work, not time.
+pub const WORK_UNITS_PER_SEC: u64 = 28_000;
+
 /// Tunable parameters for the MILP solver.
 ///
 /// The defaults mirror the paper's CPLEX configuration (Sec. 3.2.2): return
-/// "good enough" solutions within 10% of optimal, bounded wall-clock time.
+/// "good enough" solutions within 10% of optimal from a bounded amount of
+/// solver work; no solve reads a clock.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Relative MIP gap at which the search stops: terminate once
     /// `(best_bound - incumbent) <= rel_gap * max(|incumbent|, 1)`.
     pub rel_gap: f64,
-    /// Wall-clock budget for branch-and-bound. The best incumbent found so
-    /// far is returned when the budget expires.
-    pub time_limit: Duration,
+    /// Work budget in [`crate::SolverStats::work_units`], root LP and dive
+    /// included; the best incumbent so far is returned once it is spent.
+    pub work_limit: u64,
     /// Maximum number of branch-and-bound nodes to explore. A backend is
     /// this budget: 0 ends the search after the root LP and the dive
     /// ([`crate::HeuristicBackend`]), a handful is the ladder's anytime
@@ -31,7 +41,7 @@ impl Default for SolverConfig {
     fn default() -> Self {
         Self {
             rel_gap: 1e-6,
-            time_limit: Duration::from_secs(60),
+            work_limit: work_budget(Duration::from_secs(60)),
             node_limit: 200_000,
             max_lp_iterations: 200_000,
             audit: false,
@@ -39,13 +49,20 @@ impl Default for SolverConfig {
     }
 }
 
+/// `limit` read as a work budget at [`WORK_UNITS_PER_SEC`], saturating.
+fn work_budget(limit: Duration) -> u64 {
+    let units = limit.as_nanos() * u128::from(WORK_UNITS_PER_SEC) / 1_000_000_000;
+    u64::try_from(units).unwrap_or(u64::MAX)
+}
+
 impl SolverConfig {
     /// The configuration the TetriSched scheduler uses online: 10% relative
-    /// gap and a bounded per-cycle solve time, as in the paper.
-    pub fn online(time_limit: Duration) -> Self {
+    /// gap and a bounded per-cycle solve, as in the paper; `limit` is read
+    /// as a work budget at [`WORK_UNITS_PER_SEC`].
+    pub fn online(limit: Duration) -> Self {
         Self {
             rel_gap: 0.10,
-            time_limit,
+            work_limit: work_budget(limit),
             ..Self::default()
         }
     }
@@ -55,25 +72,9 @@ impl SolverConfig {
         Self::default()
     }
 
-    /// The online configuration under a tight node budget (at least one
-    /// node), so the solver almost always stops on its budget and returns
-    /// the dive's or the tree's best incumbent *with* its `best_bound` (and,
-    /// under audit, its certificate). Used by the degradation ladder's
-    /// anytime rung: the caller trades the optimality proof for a bounded,
-    /// predictable amount of solver work.
-    pub fn anytime(time_limit: Duration, node_limit: usize) -> Self {
-        Self::online(time_limit).with_node_limit(node_limit.max(1))
-    }
-
     /// Builder-style setter for the relative gap.
     pub fn with_rel_gap(mut self, gap: f64) -> Self {
         self.rel_gap = gap;
-        self
-    }
-
-    /// Builder-style setter for the time limit.
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = limit;
         self
     }
 
@@ -98,16 +99,16 @@ mod tests {
     fn online_config_matches_paper() {
         let c = SolverConfig::online(Duration::from_secs(2));
         assert_eq!(c.rel_gap, 0.10);
-        assert_eq!(c.time_limit, Duration::from_secs(2));
+        assert_eq!(c.work_limit, 2 * WORK_UNITS_PER_SEC);
     }
 
     #[test]
-    fn anytime_config_is_tightly_budgeted() {
-        let c = SolverConfig::anytime(Duration::from_millis(50), 64);
-        assert_eq!(c.node_limit, 64);
-        assert_eq!(c.rel_gap, 0.10);
-        // A zero node budget is clamped so the root node always runs.
-        assert_eq!(SolverConfig::anytime(Duration::ZERO, 0).node_limit, 1);
+    fn durations_convert_to_work_exactly_and_saturate() {
+        let budget = |ms| SolverConfig::online(Duration::from_millis(ms)).work_limit;
+        assert_eq!(budget(300), 8_400);
+        assert_eq!(budget(0), 0);
+        assert_eq!(SolverConfig::default().work_limit, 60 * WORK_UNITS_PER_SEC);
+        assert_eq!(SolverConfig::online(Duration::MAX).work_limit, u64::MAX);
     }
 
     #[test]
@@ -115,9 +116,9 @@ mod tests {
         let c = SolverConfig::default()
             .with_rel_gap(0.5)
             .with_node_limit(7)
-            .with_time_limit(Duration::from_millis(5));
+            .with_audit(true);
         assert_eq!(c.rel_gap, 0.5);
         assert_eq!(c.node_limit, 7);
-        assert_eq!(c.time_limit, Duration::from_millis(5));
+        assert!(c.audit);
     }
 }

@@ -8,7 +8,8 @@
 //!   variables with per-variable bounds,
 //! - `<=` / `>=` / `=` linear constraints,
 //! - "good enough" termination: a relative optimality gap (the paper uses
-//!   10%), a wall-clock time limit, and a node limit,
+//!   10%), a work limit in nodes + simplex iterations (no clock), and a
+//!   node limit,
 //! - warm starting from a feasible solution (the paper seeds each cycle's
 //!   solve with the previous cycle's schedule),
 //! - a diving primal heuristic to find incumbents early.

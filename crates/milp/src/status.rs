@@ -7,7 +7,7 @@ use crate::model::VarId;
 pub enum SolveStatus {
     /// Proven optimal within the configured gap tolerance.
     Optimal,
-    /// A feasible incumbent was found, but a limit (time/node) stopped the
+    /// A feasible incumbent was found, but a limit (work/node) stopped the
     /// proof of optimality.
     Feasible,
     /// The model has no feasible assignment.
@@ -48,8 +48,6 @@ pub struct SolverStats {
     /// Whether the gap closed before the first node: the root bound and the
     /// incumbent held after the dive were already within it.
     pub root_closed: bool,
-    /// Wall-clock time of the solve in seconds.
-    pub wall_secs: f64,
     /// Best dual (upper) bound proven.
     pub best_bound: f64,
     /// Relative gap at termination.
@@ -62,6 +60,14 @@ pub struct SolverStats {
     /// Certificate checks that failed under audit (always 0 for a sound
     /// solver; any nonzero value is a bug surfaced to the caller).
     pub certificate_failures: usize,
+}
+
+impl SolverStats {
+    /// The solver's unit of work, nodes + simplex iterations: what
+    /// [`crate::SolverConfig::work_limit`] counts and the governor reads.
+    pub fn work_units(&self) -> u64 {
+        (self.nodes + self.lp_iterations) as u64
+    }
 }
 
 /// Result of solving a [`crate::Model`].

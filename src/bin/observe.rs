@@ -53,15 +53,9 @@ fn run_closed() -> SimReport {
         ..GridmixConfig::default()
     })
     .generate(Workload::GsMix);
-    // A generous solver budget that no solve actually reaches: the MILP
-    // time limit is a *wall-clock* cutoff (L001-allowlisted), so a solve
-    // that hits it explores a run-dependent number of nodes and the
-    // byte-identity of the exports would be lost. The modest plan-ahead
-    // keeps every exact solve comfortably under the budget.
     let config = TetriSchedConfig {
         lint_models: true,
         certify_solves: true,
-        solver_time_limit: std::time::Duration::from_secs(120),
         ..TetriSchedConfig::full(8)
     };
     Simulator::new(

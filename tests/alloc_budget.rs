@@ -23,7 +23,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::time::Duration;
 
 use tetrisched::cluster::{AllocHandle, Cluster, Ledger, NodeId, NodeSet, PartitionSet, Time};
 use tetrisched::core::{compile, CompileInput, StrlGenerator, TetriSchedConfig};
@@ -87,7 +86,6 @@ fn one_job_unit_stays_inside_its_allocation_budget() {
             .expect("gangs are disjoint and their handles fresh");
     }
     let sched = TetriSchedConfig {
-        solver_time_limit: Duration::from_secs(3600),
         cycle_period: 4,
         ..TetriSchedConfig::default()
     };

@@ -27,7 +27,6 @@
 //! lives.)
 
 use std::ops::Range;
-use std::time::Duration;
 
 use tetrisched::cluster::{
     AllocHandle, Availability, Claims, Ledger, NodeId, NodeSet, PartitionSet, Time,
@@ -403,11 +402,7 @@ fn oracle(inst: &Instance, partitions: &PartitionSet) -> f64 {
 
 #[test]
 fn compiled_optimum_is_the_enumerated_optimum() {
-    let backend = ExactBackend::new(
-        SolverConfig::exact()
-            .with_rel_gap(0.0)
-            .with_time_limit(Duration::from_secs(3600)),
-    );
+    let backend = ExactBackend::new(SolverConfig::exact().with_rel_gap(0.0));
     let dive = HeuristicBackend::new(SolverConfig::exact());
     let (mut dived, mut optimal) = (0.0, 0.0);
     let (mut dead, mut elastic, mut placed) = (0, 0, 0);

@@ -158,11 +158,7 @@ fn availability_mixture_end_to_end() {
 fn simulation_is_deterministic() {
     let cluster = Cluster::uniform(4, 5, 1);
     let jobs = workload(13, 20, &cluster, Workload::GsHet, 0.1);
-    // A wall-clock solver limit that bound would make the two runs differ.
-    let config = TetriSchedConfig {
-        solver_time_limit: std::time::Duration::from_secs(3600),
-        ..TetriSchedConfig::default()
-    };
+    let config = TetriSchedConfig::default();
     let a = run_ts(&cluster, config.clone(), jobs.clone());
     let b = run_ts(&cluster, config, jobs);
     assert_eq!(a.end_time, b.end_time);

@@ -66,8 +66,8 @@ fn gridmix(seed: u64, num_jobs: usize, target_utilization: f64) -> GridmixConfig
 
 fn run(jobs: Vec<JobSpec>, config: SimConfig) -> SimReport {
     let mut cfg = TetriSchedConfig::full(16);
-    // The default 300 ms is wall-clock; a limit that cannot bind keeps the
-    // digests independent of build profile and machine.
+    // The digests were captured under this budget; the default's binds in
+    // the churn run and would move `CHURN_DIGEST`.
     cfg.solver_time_limit = std::time::Duration::from_secs(3600);
     Simulator::new(cluster(), TetriSched::new(cfg), config).run(jobs)
 }

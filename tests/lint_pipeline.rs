@@ -312,7 +312,6 @@ fn audited_corpus_is_clean() {
         let mut config = TetriSchedConfig {
             lint_models: true,
             certify_solves: true,
-            solver_time_limit: std::time::Duration::from_secs(3600),
             ..TetriSchedConfig::full(16)
         };
         edit(&mut config);

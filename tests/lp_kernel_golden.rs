@@ -11,7 +11,7 @@
 //! folded into one FNV-1a digest per solver. A kernel change that keeps the
 //! digests performed the same pivots on the same numbers; one that moves a
 //! digest changed a vertex somewhere and is a behaviour change, not a
-//! refactor. All six must hold in debug and in release.
+//! refactor. Every digest must hold in debug and in release.
 //!
 //! `LP_DIGEST` pins the cold path (load, two-phase primal) and dates from
 //! the `Vec<Vec<f64>>` tableau of PR 13's `simplex.rs`. The other three
@@ -36,6 +36,9 @@
 //! the exact pair alone: the search stopped presolving, which moved six of
 //! the hand-made shapes (two infeasible ones are now refuted by the root LP)
 //! while the fourteen windows fold to the parent's decisions.
+//! `BUDGET_DECISIONS` is the one digest of a solve that stops on its budget:
+//! the windows at gap 0 under the scheduler's default work budget, which a
+//! wall clock would have made machine-dependent.
 
 use std::time::Duration;
 
@@ -59,6 +62,10 @@ const DIVE_DIGEST: u64 = 0xb3db_27c4_aa7d_f2fd;
 /// PR 25 the exact backend's presolve.
 const EXACT_DECISIONS: u64 = 0xbacb_f5f0_cea1_a176;
 const DIVE_DECISIONS: u64 = 0x3d85_b786_9b22_1a06;
+/// The windows' decisions at gap 0 under the scheduler's default budget,
+/// where it binds: captured once when the solver's stop became a work
+/// budget, equal in debug, release and at opt-level 0.
+const BUDGET_DECISIONS: u64 = 0x4e5e_690e_2e13_8235;
 
 /// RC80 queue windows in the corpus (the hand-made shapes come on top).
 const WINDOWS: usize = 14;
@@ -166,7 +173,6 @@ fn window_model(
     }
 
     let sched = TetriSchedConfig {
-        solver_time_limit: Duration::from_secs(3600),
         cycle_period: CYCLE_PERIOD,
         ..TetriSchedConfig::default()
     };
@@ -488,8 +494,10 @@ fn backend_digests(backend: &dyn MilpBackend) -> (u64, u64) {
     (all.0, decisions.0)
 }
 
-/// The scheduler's online solver settings, audited, with a limit no test
-/// machine reaches.
+/// The scheduler's online solver settings, audited, under a budget no window
+/// reaches: the digests were captured under it, and `dive_is_near_the_optimum`
+/// needs every window's optimum proven (window 11's proof is over the
+/// default budget).
 fn solver() -> SolverConfig {
     SolverConfig::online(Duration::from_secs(3600))
         .with_rel_gap(0.10)
@@ -587,6 +595,29 @@ fn heuristic_backend_digest_is_pinned() {
         "HeuristicBackend decisions are {decisions:#018x}"
     );
     assert_eq!(d, DIVE_DIGEST, "HeuristicBackend digest is {d:#018x}");
+}
+
+/// Where the budget binds, the answer is still a function of the model. The
+/// scheduler's default budget (300 ms, read as 8 400 units) at gap 0 stops
+/// window 11 short of its proof at 8 510 units and 144 nodes (12 896 units
+/// and 213 nodes to optimality); the other windows finish under 4 000. A
+/// clock in the stop would make this digest depend on the machine.
+#[test]
+fn budget_stops_are_deterministic() {
+    let cfg = SolverConfig::online(TetriSchedConfig::default().solver_time_limit).with_rel_gap(0.0);
+    let exact = ExactBackend::new(cfg.clone());
+    let mut h = Fnv::new();
+    let mut stopped = Vec::new();
+    for (w, model) in rc80_windows().iter().enumerate() {
+        let sol = exact.solve(model, None).expect("windows are well formed");
+        if sol.status == SolveStatus::Feasible && sol.stats.nodes < cfg.node_limit {
+            assert!(sol.stats.work_units() >= cfg.work_limit, "window {w}");
+            stopped.push(w);
+        }
+        fold_decision(&mut h, &sol);
+    }
+    assert_eq!(stopped, [11], "the windows the budget stops");
+    assert_eq!(h.0, BUDGET_DECISIONS, "budget decisions are {:#018x}", h.0);
 }
 
 /// The dive against the optimum over the queue windows. The backend is

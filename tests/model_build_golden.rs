@@ -17,8 +17,6 @@
 //! emits the reduced model (`compile_oracle` holds it to Algorithm 1's).
 //! They must hold in debug and in release.
 
-use std::time::Duration;
-
 use tetrisched::cluster::{AllocHandle, Cluster, Ledger, NodeId, NodeSet, PartitionSet, Time};
 use tetrisched::core::{compile, CompileInput, StrlGenerator, TetriSchedConfig};
 use tetrisched::milp::{
@@ -127,7 +125,6 @@ fn unit_model(
     rng: &mut SplitMix64,
 ) -> Option<Model> {
     let sched = TetriSchedConfig {
-        solver_time_limit: Duration::from_secs(3600),
         cycle_period: CYCLE_PERIOD,
         ..TetriSchedConfig::default()
     };

@@ -53,9 +53,6 @@ fn degraded_run(seed: u64, perf: &PerfFaultPlan) -> SimReport {
     })
     .with_estimate_error(Workload::GsMix, 0.0);
     let mut cfg = TetriSchedConfig::full(8);
-    // Byte-identity needs a solver limit that cannot bind: the default
-    // 300 ms is wall-clock, so a slow machine would truncate a solve.
-    cfg.solver_time_limit = std::time::Duration::from_secs(3600);
     cfg.governor = GovernorConfig::defaults();
     cfg.governor.work_budget = 500;
     Simulator::new(
@@ -208,8 +205,7 @@ fn fail_stop_spec(workload: Workload, seed: u64) -> RunSpec {
             scope: FaultScope::Rack(RackId(1)),
         }],
     );
-    let mut cfg = TetriSchedConfig::full(16);
-    cfg.solver_time_limit = std::time::Duration::from_secs(3600);
+    let cfg = TetriSchedConfig::full(16);
     RunSpec {
         faults: generated.merge(scripted),
         ..RunSpec::new(workload, cluster, 24, seed, SchedulerKind::Tetri(cfg))

@@ -48,20 +48,13 @@ fn digest(report: &SimReport) -> String {
     )
 }
 
-/// A wall-clock solver limit no solve of these tests reaches, so debug and
-/// release decide alike.
-const NON_BINDING: std::time::Duration = std::time::Duration::from_secs(3600);
-
 fn corpus_spec(workload: Workload, seed: u64) -> RunSpec {
     RunSpec::new(
         workload,
         Cluster::uniform(2, 8, 1),
         24,
         seed,
-        SchedulerKind::Tetri(TetriSchedConfig {
-            solver_time_limit: NON_BINDING,
-            ..TetriSchedConfig::full(16)
-        }),
+        SchedulerKind::Tetri(TetriSchedConfig::full(16)),
     )
 }
 
@@ -133,7 +126,6 @@ fn greedy_run(perf_faults: PerfFaultPlan) -> SimReport {
     .with_estimate_error(Workload::GsHet, -0.2);
     let mut cfg = TetriSchedConfig::no_global(96);
     cfg.max_batch = 64;
-    cfg.solver_time_limit = NON_BINDING;
     Simulator::new(
         cluster,
         TetriSched::new(cfg),

@@ -6,8 +6,6 @@
 //! - every pipeline phase records spans on a telemetry-enabled run,
 //! - an undersized trace ring accounts for exactly what it dropped.
 
-use std::time::Duration;
-
 use tetrisched::cluster::Cluster;
 use tetrisched::core::{TetriSched, TetriSchedConfig};
 use tetrisched::sim::{SimConfig, SimReport, Simulator, TelemetryConfig};
@@ -33,7 +31,6 @@ fn run_variant(variant: TetriSchedConfig, telemetry_on: bool, trace_capacity: us
     let config = TetriSchedConfig {
         lint_models: true,
         certify_solves: true,
-        solver_time_limit: Duration::from_secs(120),
         ..variant
     };
     Simulator::new(
