@@ -36,9 +36,8 @@
 //! the exact pair alone: the search stopped presolving, which moved six of
 //! the hand-made shapes (two infeasible ones are now refuted by the root LP)
 //! while the fourteen windows fold to the parent's decisions.
-//! `BUDGET_DECISIONS` is the one digest of a solve that stops on its budget:
-//! the windows at gap 0 under the scheduler's default work budget, which a
-//! wall clock would have made machine-dependent.
+//! `BUDGET_DECISIONS` folds the windows at gap 0 under the scheduler's
+//! default work budget, which stops one of them.
 
 use std::time::Duration;
 
@@ -63,8 +62,7 @@ const DIVE_DIGEST: u64 = 0xb3db_27c4_aa7d_f2fd;
 const EXACT_DECISIONS: u64 = 0xbacb_f5f0_cea1_a176;
 const DIVE_DECISIONS: u64 = 0x3d85_b786_9b22_1a06;
 /// The windows' decisions at gap 0 under the scheduler's default budget,
-/// where it binds: captured once when the solver's stop became a work
-/// budget, equal in debug, release and at opt-level 0.
+/// where it binds; equal in debug, release and at opt-level 0.
 const BUDGET_DECISIONS: u64 = 0x4e5e_690e_2e13_8235;
 
 /// RC80 queue windows in the corpus (the hand-made shapes come on top).
