@@ -29,7 +29,7 @@ pub mod generator;
 pub mod governor;
 pub mod scheduler;
 
-pub use compiler::{compile, ChosenAlloc, CompileInput, CompiledModel};
+pub use compiler::{compile, evaluate, ChosenAlloc, CompileInput, CompiledModel, Evaluation};
 pub use config::TetriSchedConfig;
 pub use generator::{JobRequest, PlacementOption, StrlGenerator};
 pub use governor::{Governor, GovernorConfig, LadderRung};
