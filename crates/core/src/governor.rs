@@ -20,7 +20,10 @@
 //! deterministic **solver work units** — branch-and-bound nodes plus
 //! simplex iterations — which are pure functions of the model and the
 //! solver configuration. (The PR 5 phase histograms remain the operator's
-//! view of real latency; the governor is the control loop's view.)
+//! view of real latency; the governor is the control loop's view.) The
+//! greedy floor does no solver work: it evaluates each job's request
+//! directly, so a cycle on it reports only the work of a global solve that
+//! failed before it.
 //!
 //! Transitions are hysteresis-governed so the ladder cannot flap:
 //!
@@ -49,7 +52,8 @@ pub enum LadderRung {
     /// Incumbent-only anytime solve: tight node budget; the budget-expired
     /// incumbent is returned with its bound + certificate.
     Anytime,
-    /// Greedy job-at-a-time placement (the old fallback, now the floor).
+    /// Greedy job-at-a-time placement (the old fallback, now the floor),
+    /// evaluated without a solver.
     Greedy,
 }
 

@@ -1,10 +1,12 @@
 //! The TetriSched scheduler: global re-planning with adaptive plan-ahead.
 //!
-//! Every cycle runs one pipeline — generate → compile → solve → certify →
-//! decode — over *units* of pending jobs. Global scheduling (Sec. 5) is one
-//! unit holding the whole batch; greedy `TetriSched-NG` (Sec. 6.3) is one
-//! unit per job with claims committed between solves; a degradation-ladder
-//! rung is the parameter set a unit runs under ([`Pipeline::at`]).
+//! Every cycle runs *units* of pending jobs. Global scheduling (Sec. 5) is
+//! one unit holding the whole batch: generate → compile → solve → certify →
+//! decode. Greedy `TetriSched-NG` (Sec. 6.3) is one unit per job with claims
+//! committed between units: generate → refine → evaluate → materialize,
+//! where [`evaluate`] reads the job's `max` directly and no model is built.
+//! A degradation-ladder rung is the parameter set a unit runs under
+//! ([`Pipeline::at`]).
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,7 +26,7 @@ use tetrisched_sim::{
 };
 use tetrisched_strl::{JobClass, StrlExpr};
 
-use crate::compiler::{compile, ChosenAlloc, CompileInput, CompiledModel};
+use crate::compiler::{compile, evaluate, ChosenAlloc, CompileInput, CompiledModel, Evaluation};
 use crate::config::TetriSchedConfig;
 use crate::generator::{JobRequest, LeafTag, OptionKey, StrlGenerator};
 use crate::governor::{Governor, LadderRung};
@@ -420,10 +422,11 @@ impl<'a> Pipeline<'a> {
         requests
     }
 
-    /// Step 2 — compile: refines the leaf equivalence sets of `expr` (one
-    /// request, or the `sum` of a batch) into partition classes and
-    /// compiles it against `avail` (Algorithm 1). A failure is pinned on
-    /// `job` when the expression is that job's alone.
+    /// Step 2 — compile: refines the leaf equivalence sets of `expr` (the
+    /// `sum` of a batch, or one request compiled alone to find a culprit)
+    /// into partition classes and compiles it against `avail`
+    /// (Algorithm 1). A failure is pinned on `job` when the expression is
+    /// that job's alone.
     fn compile_requests(
         &self,
         expr: &StrlExpr,
@@ -460,18 +463,17 @@ impl<'a> Pipeline<'a> {
         Ok((compiled, partitions))
     }
 
-    /// Step 3 — solve and certify: gates the compiled model through the
-    /// MILP lints, solves it, accounts the solver's statistics and
-    /// self-certificates, and validates the translation (C004) by
+    /// Step 3 — solve and certify the global unit: gates the compiled model
+    /// through the MILP lints, solves it, accounts the solver's statistics
+    /// and self-certificates, and validates the translation (C004) by
     /// re-evaluating `expr` under the decoded placement. An `Err` means no
     /// trustworthy schedule; what happens next is the caller's policy.
-    /// `warm` is `Some` for units that warm start (holding the warm point,
-    /// if one survived), so hits and misses count only for them.
+    /// `warm` is `Some` when the unit warm starts (holding the warm point,
+    /// if one survived), so hits and misses count only then.
     fn solve_compiled(
         &self,
         expr: &StrlExpr,
         compiled: &CompiledModel,
-        job: Option<JobId>,
         warm: Option<Option<&[f64]>>,
         d: &mut CycleDecisions,
     ) -> Result<Solution, CycleError> {
@@ -479,7 +481,7 @@ impl<'a> Pipeline<'a> {
             let _lint = self.phase("lint", "phase.lint_secs");
             // Only Error-severity findings can stop the cycle, so only they
             // are computed on it.
-            lint_gate(&lint_model_errors(&compiled.model), job)?;
+            lint_gate(&lint_model_errors(&compiled.model), None)?;
         }
         let phase = self.phase("solve", "phase.solve_secs");
         let backend: Box<dyn MilpBackend> = if self.config.solver_heuristic {
@@ -534,11 +536,10 @@ impl<'a> Pipeline<'a> {
         d.certificates_verified += stats.certificates_verified;
         if stats.certificate_failures > 0 {
             d.certificate_failures += stats.certificate_failures;
-            let unit = if job.is_some() { "per-job" } else { "global" };
             let n = stats.certificate_failures;
             return Err(CycleError::Certificate {
-                job,
-                detail: format!("{unit} solve failed {n} certificate check(s)"),
+                job: None,
+                detail: format!("global solve failed {n} certificate check(s)"),
             });
         }
         if !sol.status.has_solution() {
@@ -546,44 +547,59 @@ impl<'a> Pipeline<'a> {
                 detail: format!("{:?}", sol.status),
             });
         }
-        if self.config.certify_solves {
-            let _certify = self.phase("certify", "phase.certify_secs");
-            let granted = compiled.granted(&sol);
-            match validate_translation(expr, &granted, sol.objective, stats.best_bound) {
-                Ok(_) => d.certificates_verified += 1,
-                Err(diag) => {
-                    d.certificate_failures += 1;
-                    let detail = diag.to_string();
-                    return Err(CycleError::Certificate { job, detail });
-                }
+        let granted = || compiled.granted(&sol);
+        self.certify(expr, granted, sol.objective, stats.best_bound, None, d)?;
+        Ok(sol)
+    }
+
+    /// Translation validation (C004) under `certify_solves`: `expr`, valued
+    /// under the per-leaf grants `granted` yields, must match the claimed
+    /// `objective` and stay under `bound`. A failure is pinned on `job` when
+    /// the expression is that job's alone.
+    fn certify(
+        &self,
+        expr: &StrlExpr,
+        granted: impl FnOnce() -> Vec<u32>,
+        objective: f64,
+        bound: f64,
+        job: Option<JobId>,
+        d: &mut CycleDecisions,
+    ) -> Result<(), CycleError> {
+        if !self.config.certify_solves {
+            return Ok(());
+        }
+        let _certify = self.phase("certify", "phase.certify_secs");
+        match validate_translation(expr, &granted(), objective, bound) {
+            Ok(_) => {
+                d.certificates_verified += 1;
+                Ok(())
+            }
+            Err(diag) => {
+                d.certificate_failures += 1;
+                let detail = diag.to_string();
+                Err(CycleError::Certificate { job, detail })
             }
         }
-        Ok(sol)
     }
 
     /// Step 4 — decode: turns one gang's chosen per-class counts into
     /// concrete nodes drawn (lowest id first) from `free`, the caller's
     /// view of what may be claimed; picked nodes leave `free`. `None` when
     /// `free` cannot supply the whole gang.
-    // srclint: checked-indexing: leaf indices in ChosenAlloc come from the
-    // compiler's own leaves vector.
     fn materialize(
-        compiled: &CompiledModel,
         allocs: &[ChosenAlloc],
         partitions: &PartitionSet,
         free: &mut NodeSet,
     ) -> Option<Vec<NodeId>> {
         let mut nodes = Vec::new();
         let mut gang = 0usize;
-        for c in allocs {
-            gang += compiled.leaves[c.leaf].k as usize;
-            for &(class, count) in &c.counts {
-                let picked = free.and(partitions.class(class)).take(count as usize);
-                for n in &picked {
-                    free.remove(*n);
-                }
-                nodes.extend(picked);
+        for &(class, count) in allocs.iter().flat_map(|c| &c.counts) {
+            gang += count as usize;
+            let picked = free.and(partitions.class(class)).take(count as usize);
+            for n in &picked {
+                free.remove(*n);
             }
+            nodes.extend(picked);
         }
         (nodes.len() == gang).then_some(nodes)
     }
@@ -643,7 +659,7 @@ impl<'a> Pipeline<'a> {
             Err(CycleError::Solver { detail })
         } else {
             let warm = warm.as_ref().map(|w| w.as_deref());
-            self.solve_compiled(&aggregate, &compiled, None, warm, d)
+            self.solve_compiled(&aggregate, &compiled, warm, d)
         };
         let sol = match solved {
             Ok(sol) => sol,
@@ -677,7 +693,7 @@ impl<'a> Pipeline<'a> {
             }
             // The slice-0 supply constraints guarantee the per-class
             // counts fit the currently free nodes.
-            let nodes = Self::materialize(&compiled, &allocs, &partitions, &mut free);
+            let nodes = Self::materialize(&allocs, &partitions, &mut free);
             debug_assert!(nodes.is_some(), "supply violated");
             if let Some(nodes) = nodes {
                 d.launches.push(Launch {
@@ -697,9 +713,10 @@ impl<'a> Pipeline<'a> {
     /// saturating, because a node claimed now and inside a later announced
     /// window is missing from the view and still counted in the claims.
     /// Failure policy: an `Err` costs only that job its turn (and, when
-    /// structural, a strike); the rest of the batch still schedules.
+    /// structural, a strike); the rest of the batch still schedules. The
+    /// unit builds no model, so the floor rung adds no solver work.
     // srclint: checked-indexing: the chosen leaf indexes the tags of the
-    // request it was compiled from.
+    // request it was evaluated from.
     fn cycle_greedy(&self, batch: &[&PendingJob], memory: &mut JobMemory, d: &mut CycleDecisions) {
         let (now, cluster) = (self.ctx.now, self.ctx.cluster);
         let greedy = self.phase("greedy", "phase.greedy_secs");
@@ -716,51 +733,100 @@ impl<'a> Pipeline<'a> {
                 let claimed = claims.held_at(t).and_len(set);
                 self.view.avail_at(set, t).saturating_sub(claimed)
             };
-            let solved = self
-                .compile_requests(&req.expr, Some(job), &avail)
-                .and_then(|(compiled, partitions)| {
-                    let sol = self.solve_compiled(&req.expr, &compiled, Some(job), None, d)?;
-                    Ok((compiled, partitions, sol))
-                });
-            let (compiled, partitions, sol) = match solved {
+            let phase = self.phase("evaluate", "phase.evaluate_secs");
+            phase.span.arg("leaves", req.tags.len() as u64);
+            let (evaluation, partitions) = match self.evaluate_request(&req, &avail, d) {
                 Ok(unit) => unit,
                 Err(e) => {
                     memory.record_job_failure(e, d);
                     continue;
                 }
             };
+            phase.span.arg("dead", evaluation.leaves_dead as u64);
+            let chosen = evaluation.chosen;
             memory.strikes.remove(&job);
             memory.choices.remove(&job);
 
-            let _decode = self.phase("decode", "phase.decode_secs");
-            let chosen = compiled.chosen(&sol);
-            // All chosen leaves belong to this one job (possibly several
-            // `min` legs of an anti-affine option sharing one start).
-            let Some(first) = chosen.first() else {
-                continue;
-            };
-            let tag = &req.tags[first.leaf];
-            let end = tag.start + tag.dur;
-            memory.choices.insert(job, (tag.key, tag.start));
-            let mut free = self
-                .view
-                .free_at(&all_nodes, tag.start)
-                .minus(&assigned_now)
-                .minus(&claims.held_over(tag.start, end));
-            let Some(nodes) = Self::materialize(&compiled, &chosen, &partitions, &mut free) else {
-                continue; // Claim could not be materialized; re-plan next cycle.
-            };
-            let held = NodeSet::from_ids(cluster.num_nodes(), nodes.iter().copied());
-            claims.claim(&held, tag.start, end);
-            if tag.start == now {
+            let launched = 'place: {
+                // All chosen leaves belong to this one job (possibly several
+                // `min` legs of an anti-affine option sharing one start).
+                let Some(first) = chosen.first() else {
+                    break 'place false;
+                };
+                let tag = &req.tags[first.leaf];
+                let end = tag.start + tag.dur;
+                memory.choices.insert(job, (tag.key, tag.start));
+                let mut free = self
+                    .view
+                    .free_at(&all_nodes, tag.start)
+                    .minus(&assigned_now)
+                    .minus(&claims.held_over(tag.start, end));
+                let Some(nodes) = Self::materialize(&chosen, &partitions, &mut free) else {
+                    break 'place false; // Not materialized; re-plan next cycle.
+                };
+                let held = NodeSet::from_ids(cluster.num_nodes(), nodes.iter().copied());
+                claims.claim(&held, tag.start, end);
+                if tag.start != now {
+                    break 'place false;
+                }
                 assigned_now.or_with(&held);
                 d.launches.push(Launch {
                     job,
                     nodes,
                     expected_end: end,
                 });
-            }
+                true
+            };
+            phase.span.arg("launched", u64::from(launched));
         }
+    }
+
+    /// The greedy unit's choice: refines the request's distinct leaf sets
+    /// into partition classes and evaluates its `max` against `avail`
+    /// without a model ([`evaluate`]). Refining by a set twice splits
+    /// nothing, so the classes come out as from every leaf's set, in the
+    /// same order. Under `certify_solves` the choice is translation-validated
+    /// (C004), its value both objective and bound. Every failure is the
+    /// job's own.
+    fn evaluate_request(
+        &self,
+        req: &JobRequest,
+        avail: &dyn Fn(&NodeSet, Time) -> usize,
+        d: &mut CycleDecisions,
+    ) -> Result<(Evaluation, PartitionSet), CycleError> {
+        let mut sets: Vec<NodeSet> = Vec::new();
+        req.expr.visit(&mut |node| {
+            if let StrlExpr::NCk { set, .. } | StrlExpr::LnCk { set, .. } = node {
+                if !sets.contains(set) {
+                    sets.push(set.clone());
+                }
+            }
+        });
+        let partitions = PartitionSet::refine(self.ctx.cluster.num_nodes(), &sets);
+        let input = CompileInput {
+            expr: &req.expr,
+            partitions: &partitions,
+            now: self.ctx.now,
+            quantum: self.config.cycle_period,
+            n_slices: self.config.n_slices(),
+        };
+        let job = Some(req.job);
+        let evaluation = evaluate(&input, avail).map_err(|e| CycleError::Compile {
+            job,
+            detail: e.to_string(),
+        })?;
+        let granted = || {
+            let mut granted = vec![0; req.tags.len()];
+            for c in &evaluation.chosen {
+                if let Some(g) = granted.get_mut(c.leaf) {
+                    *g = c.counts.iter().map(|&(_, n)| n).sum();
+                }
+            }
+            granted
+        };
+        let value = evaluation.value;
+        self.certify(&req.expr, granted, value, value, job, d)?;
+        Ok((evaluation, partitions))
     }
 }
 
@@ -1500,12 +1566,35 @@ mod tests {
     }
 
     #[test]
-    fn lint_rejected_model_takes_strikes_until_quarantined() {
-        // The compiler never emits a model the MILP lints reject, so hand
-        // the solve step one (crossed bounds, M004) and feed what it
-        // returns to the failure policy, exactly as a greedy unit does: a
-        // per-job model rejection is structural, so the job is abandoned
-        // at the threshold instead of being retried and reported forever.
+    fn lint_rejections_quarantine_only_the_job_they_are_pinned_on() {
+        // The generator never emits a request the expression lints reject,
+        // so hand the gate one (k = 0, S009) and feed what it returns to
+        // the failure policy, as a greedy unit does: a per-job rejection is
+        // structural, so the job is abandoned at the threshold instead of
+        // being retried and reported forever.
+        let all = NodeSet::from_ids(4, (0..4).map(NodeId));
+        let request = StrlExpr::max([StrlExpr::nck(all, 0, 0, 4, 1.0)]);
+        let window = StrlLintContext {
+            now: 0,
+            window_end: Some(64),
+        };
+        let (mut memory, mut d) = (JobMemory::default(), CycleDecisions::default());
+        for strike in 1..=MAX_JOB_FAILURES {
+            assert!(d.abandons.is_empty(), "abandoned before strike {strike}");
+            let err = lint_gate(&lint_expr(&request, &window), Some(JobId(7)))
+                .expect_err("the expression lint must reject k = 0");
+            assert!(
+                matches!(&err, CycleError::Lint { job: Some(JobId(7)), detail } if detail.contains("S009")),
+                "{err:?}"
+            );
+            memory.record_job_failure(err, &mut d);
+        }
+        assert_eq!(d.abandons, vec![JobId(7)]);
+        assert_eq!(d.errors.len(), MAX_JOB_FAILURES as usize);
+
+        // The model gate runs on the global unit alone: the compiler never
+        // emits a model the MILP lints reject, so hand the solve step one
+        // (crossed bounds, M004). It is pinned on no job and never solved.
         let cluster = Cluster::uniform(1, 4, 0);
         let ledger = Ledger::new(cluster.num_nodes());
         let telemetry = Telemetry::disabled();
@@ -1519,7 +1608,7 @@ mod tests {
         };
         let config = TetriSchedConfig {
             lint_models: true,
-            ..TetriSchedConfig::no_global(16)
+            ..TetriSchedConfig::full(16)
         };
         let governor = Governor::new(config.governor.clone());
         let view = ledger.availability(&[]);
@@ -1534,20 +1623,13 @@ mod tests {
             supply_rows_dropped: 0,
         };
         let expr = StrlExpr::Max(Vec::new());
-        let (mut memory, mut d) = (JobMemory::default(), CycleDecisions::default());
-        for strike in 1..=MAX_JOB_FAILURES {
-            assert!(d.abandons.is_empty(), "abandoned before strike {strike}");
-            let err = pipeline
-                .solve_compiled(&expr, &compiled, Some(JobId(7)), None, &mut d)
-                .expect_err("the model lint must reject crossed bounds");
-            assert!(
-                matches!(&err, CycleError::Lint { job: Some(JobId(7)), detail } if detail.contains("M004")),
-                "{err:?}"
-            );
-            memory.record_job_failure(err, &mut d);
-        }
-        assert_eq!(d.abandons, vec![JobId(7)]);
-        assert_eq!(d.errors.len(), MAX_JOB_FAILURES as usize);
+        let err = pipeline
+            .solve_compiled(&expr, &compiled, None, &mut d)
+            .expect_err("the model lint must reject crossed bounds");
+        assert!(
+            matches!(&err, CycleError::Lint { job: None, detail } if detail.contains("M004")),
+            "{err:?}"
+        );
         assert_eq!(d.solver_work_units, 0, "a rejected model is never solved");
 
         // Failures that say nothing about the job never quarantine it.

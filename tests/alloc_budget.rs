@@ -1,37 +1,46 @@
-//! Heap allocations of one greedy unit, as an exact count.
+//! Heap allocations of one greedy unit, and of the model builder the global
+//! unit still runs, as exact counts.
 //!
 //! One fixed one-job request — a four-node GPU job with a deadline on the
 //! 1 000-node cluster of the greedy benchmark workload, over a two-thirds
 //! busy ledger — goes through what `TetriSched::cycle_greedy` does per job:
-//! `PartitionSet::refine`, `compile` against the cycle's availability
-//! snapshot, `ExactBackend::solve`. A counting global allocator (counter in
-//! a const-initialised thread-local `Cell`, so the count is this test's
-//! thread's alone and reading it allocates nothing) counts every `alloc` and
-//! `realloc` in between. The count does not depend on the machine, so it is
-//! a gate: building and solving a 15-variable model is arithmetic, not a
-//! few hundred trips to the allocator. A debug build's solve also runs the
-//! `debug_precheck` / `debug_postcheck` audits, which allocate their
-//! findings, so there only the build half is held to its budget; CI runs
-//! this test under `--release` as well.
+//! `PartitionSet::refine` over the request's distinct leaf sets, then
+//! `evaluate` against the cycle's availability snapshot. A counting global
+//! allocator (counter in a const-initialised thread-local `Cell`, so the
+//! count is this test's thread's alone and reading it allocates nothing)
+//! counts every `alloc` and `realloc` in between. The count does not depend
+//! on the machine, so it is a gate. It is exactly 28, in release and debug:
+//! refined classes, the evaluator's free table and scratch, the chosen
+//! counts.
 //!
-//! On the parent of the PR that made names lazy, rows canonical at insertion
-//! and presolve one pass, this request (20 variables x 49 rows) cost 259
-//! allocations to build and 496 to solve: 755 in all. Since the search
-//! stopped presolving (PR 25; the presolved copy of the model cost 11), the
-//! request (15 variables x 12 rows) costs exactly 105 to build and 20 to
-//! solve in release, against budgets of 114 and 29.
+//! The same request through `compile` and `ExactBackend::solve` guards the
+//! model builder and the solver the global unit runs on every cycle. Before
+//! names were lazy, rows canonical at insertion and presolve one pass, it
+//! (20 variables x 49 rows) cost 259 allocations to build and 496 to solve:
+//! 755 in all. Since the search stopped presolving (the presolved copy of
+//! the model cost 11), the request (15 variables x 12 rows) costs exactly
+//! 105 to build and 20 to solve in release, against budgets of 114 and 29.
+//! Through this model the greedy unit cost 125. A debug build's solve also runs
+//! the `debug_precheck` / `debug_postcheck` audits, which allocate their
+//! findings, so there only the build half is held to its budget; CI runs
+//! this test under `--release` as well. Each budget is its exact release
+//! count plus 9.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tetrisched::cluster::{AllocHandle, Cluster, Ledger, NodeId, NodeSet, PartitionSet, Time};
-use tetrisched::core::{compile, CompileInput, StrlGenerator, TetriSchedConfig};
+use tetrisched::core::{
+    compile, evaluate, CompileInput, JobRequest, StrlGenerator, TetriSchedConfig,
+};
 use tetrisched::milp::{ExactBackend, MilpBackend, SolveStatus, SolverConfig};
 use tetrisched::sim::{JobId, JobSpec, JobType, PendingJob};
 use tetrisched::strl::{JobClass, StrlExpr};
 
-/// Allocations of refine + compile + solve may not exceed this …
-const TOTAL_BUDGET: u64 = 143;
+/// Allocations of the greedy unit: refine over distinct sets + evaluate.
+const GREEDY_UNIT_BUDGET: u64 = 37;
+/// Allocations of compile + solve may not exceed this …
+const MODEL_BUDGET: u64 = 143;
 /// … of which this many inside `ExactBackend::solve`.
 const SOLVE_BUDGET: u64 = 29;
 
@@ -71,12 +80,13 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-#[test]
-fn one_job_unit_stays_inside_its_allocation_budget() {
-    const NOW: Time = 400;
+const NOW: Time = 400;
+
+/// The benchmark's cluster, two nodes in three busy in gangs of four that
+/// end over the next 80 s, the scheduler's configuration and the request.
+fn setup() -> (Ledger, TetriSchedConfig, JobRequest) {
     let cluster = Cluster::uniform(10, 100, 2);
     let n = cluster.num_nodes();
-    // Two nodes in three busy, in gangs of four that end over the next 80 s.
     let mut ledger = Ledger::new(n);
     let busy: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 0).collect();
     for (g, gang) in busy.chunks(4).enumerate() {
@@ -108,6 +118,53 @@ fn one_job_unit_stays_inside_its_allocation_budget() {
     let rack_avail = |s: &NodeSet| ledger.avail_at(s, NOW);
     let request = StrlGenerator::new(&sched, &cluster).job_expr(&pending, NOW, &rack_avail);
     assert!(request.is_schedulable());
+    (ledger, sched, request)
+}
+
+#[test]
+fn one_job_unit_stays_inside_its_allocation_budget() {
+    let (ledger, sched, request) = setup();
+    let n = ledger.num_nodes();
+    // The cycle's availability snapshot, as the scheduler's pipeline reads it.
+    let view = ledger.availability(&[]);
+    let avail = |set: &NodeSet, t: Time| view.avail_at(set, t);
+
+    let start = allocations();
+    let mut sets: Vec<NodeSet> = Vec::new();
+    request.expr.visit(&mut |e| {
+        if let StrlExpr::NCk { set, .. } | StrlExpr::LnCk { set, .. } = e {
+            if !sets.contains(set) {
+                sets.push(set.clone());
+            }
+        }
+    });
+    let partitions = PartitionSet::refine(n, &sets);
+    let input = CompileInput {
+        expr: &request.expr,
+        partitions: &partitions,
+        now: NOW,
+        quantum: sched.cycle_period,
+        n_slices: sched.n_slices(),
+    };
+    let evaluation = evaluate(&input, &avail).expect("generated requests evaluate");
+    let used = allocations() - start;
+
+    assert_eq!(evaluation.chosen.len(), 1, "{evaluation:?}");
+    println!(
+        "{} leaves over {} distinct sets: {used} allocations",
+        request.tags.len(),
+        sets.len()
+    );
+    assert!(
+        used <= GREEDY_UNIT_BUDGET,
+        "{used} allocations: budget {GREEDY_UNIT_BUDGET}"
+    );
+}
+
+#[test]
+fn global_model_builder_stays_inside_its_allocation_budget() {
+    let (ledger, sched, request) = setup();
+    let n = ledger.num_nodes();
     let mut leaf_sets = Vec::new();
     request.expr.visit(&mut |e| {
         if let StrlExpr::NCk { set, .. } | StrlExpr::LnCk { set, .. } = e {
@@ -117,7 +174,6 @@ fn one_job_unit_stays_inside_its_allocation_budget() {
     let backend = ExactBackend::new(
         SolverConfig::online(sched.solver_time_limit).with_rel_gap(sched.solver_gap),
     );
-    // The cycle's availability snapshot, as the scheduler's pipeline reads it.
     let view = ledger.availability(&[]);
     let avail = |set: &NodeSet, t: Time| view.avail_at(set, t);
 
@@ -142,15 +198,15 @@ fn one_job_unit_stays_inside_its_allocation_budget() {
     let (build, solve) = (built - start, solved - built);
     println!("{vars} vars x {rows} rows: {build} allocations to build, {solve} to solve");
     assert!(
-        build <= TOTAL_BUDGET - SOLVE_BUDGET,
+        build <= MODEL_BUDGET - SOLVE_BUDGET,
         "{build} allocations to build: budget {}",
-        TOTAL_BUDGET - SOLVE_BUDGET
+        MODEL_BUDGET - SOLVE_BUDGET
     );
     if !cfg!(debug_assertions) {
         assert!(
-            build + solve <= TOTAL_BUDGET && solve <= SOLVE_BUDGET,
+            build + solve <= MODEL_BUDGET && solve <= SOLVE_BUDGET,
             "{build} allocations to build + {solve} to solve: \
-             budget {TOTAL_BUDGET}, of which solve {SOLVE_BUDGET}"
+             budget {MODEL_BUDGET}, of which solve {SOLVE_BUDGET}"
         );
     }
 }

@@ -92,9 +92,16 @@ fn telemetry_does_not_change_decisions() {
 
 #[test]
 fn every_pipeline_phase_records_spans() {
-    // Global and greedy run the same pipeline, so both record every phase;
-    // a greedy unit's phases nest under that cycle's `greedy` span.
-    for variant in [TetriSchedConfig::full(8), TetriSchedConfig::no_global(8)] {
+    // Each path records its own phases. The global unit compiles, solves,
+    // certifies and decodes the batch; a greedy unit evaluates its job's
+    // request (certifying inside) and builds no model, under the cycle's
+    // `greedy` span.
+    let global = ["compile", "solve", "certify", "decode"];
+    let greedy = ["evaluate", "certify"];
+    for (variant, own) in [
+        (TetriSchedConfig::full(8), &global[..]),
+        (TetriSchedConfig::no_global(8), &greedy[..]),
+    ] {
         let greedy = !variant.global;
         let report = run_variant(variant, true, 1 << 16);
         let snap = report.telemetry.snapshot();
@@ -109,9 +116,8 @@ fn every_pipeline_phase_records_spans() {
             }
             false
         };
-        for phase in [
-            "cycle", "collect", "strl_gen", "lint", "compile", "solve", "certify", "decode",
-        ] {
+        let shared = ["cycle", "collect", "strl_gen", "lint"];
+        for &phase in shared.iter().chain(own) {
             let mut spans = snap.spans.iter().filter(|s| s.name == phase).peekable();
             assert!(
                 spans.peek().is_some(),
@@ -125,8 +131,19 @@ fn every_pipeline_phase_records_spans() {
             }
         }
         assert_eq!(snap.spans_dropped, 0, "span capacity was large enough");
+        assert!(report.telemetry.counter("sim.launches") > 0);
+        if greedy {
+            for phase in ["compile", "solve", "decode"] {
+                assert!(
+                    snap.spans.iter().all(|s| s.name != phase),
+                    "a greedy run recorded a `{phase}` span"
+                );
+            }
+            assert_eq!(report.telemetry.counter("milp.lp_solves"), 0);
+            continue;
+        }
         // Solver internals surfaced as counters.
-        for counter in ["milp.lp_iterations", "milp.lp_solves", "sim.launches"] {
+        for counter in ["milp.lp_iterations", "milp.lp_solves"] {
             assert!(
                 report.telemetry.counter(counter) > 0,
                 "counter `{counter}` never incremented"
