@@ -359,6 +359,30 @@ mod tests {
     }
 
     #[test]
+    fn intake_drains_in_arrival_order_after_an_overflow() {
+        let admission = AdmissionPolicy {
+            max_admissions_per_cycle: 2,
+            max_scheduler_backlog: 100,
+            shed_queue_depth: usize::MAX,
+        };
+        let mut core: ServiceCore<u32> = ServiceCore::new(ServiceConfig::open(
+            2,
+            1,
+            admission,
+            FairShareConfig::disabled(),
+        ));
+        core.ingest(0);
+        core.ingest(1);
+        // The queue holds its bound of 2 x 1.
+        assert_eq!(core.ingest(2), Ingest::Shed(2));
+        assert_eq!(core.drain_cycle(0).admitted, vec![0, 1]);
+        core.ingest(3);
+        core.ingest(4);
+        assert_eq!(core.drain_cycle(0).admitted, vec![3, 4]);
+        core.validate().expect("accounting after the overflow");
+    }
+
+    #[test]
     fn open_mode_sheds_on_queue_depth() {
         let admission = AdmissionPolicy {
             max_admissions_per_cycle: 1,

@@ -1,13 +1,18 @@
 //! Property tests over the service core's conservation law.
 //!
 //! For arbitrary interleavings of ingest and drain operations, under
-//! arbitrary shard counts, mailbox bounds, and admission policies:
+//! arbitrary intake bounds and admission policies:
 //!
 //! - `admitted + shed + backlog == arrivals` at every step (no job is
-//!   lost or double-counted), and
+//!   lost or double-counted),
 //! - each drain batch's own accounting is exact: the batch admits at
 //!   most the cycle budget, sheds exactly the depth excess, and reports
-//!   the true residual backlog.
+//!   the true residual backlog, and
+//! - the intake is one FIFO: an arrival is shed at ingest only when the
+//!   queue holds its bound, and each batch's admitted jobs followed by
+//!   its shed jobs are the oldest queued, in arrival order.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use tetrisched_service::{
@@ -52,8 +57,9 @@ fn arb_policy() -> impl Strategy<Value = AdmissionPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The conservation law holds after every operation, and every drain
-    /// batch's per-cycle accounting agrees with the policy.
+    /// The conservation law holds after every operation, every drain
+    /// batch's per-cycle accounting agrees with the policy, and the queue
+    /// drains in arrival order.
     #[test]
     fn accounting_is_conserved_under_arbitrary_programs(
         shards in 1u32..6,
@@ -67,6 +73,11 @@ proptest! {
             policy.clone(),
             FairShareConfig::disabled(),
         ));
+        // `ServiceConfig::open` bounds the queue at the product of its
+        // first two arguments.
+        let bound = (shards as usize).saturating_mul(capacity);
+        // Ids accepted at ingest and not yet drained, oldest first.
+        let mut shadow: VecDeque<u64> = VecDeque::new();
         let mut next_id = 0u64;
         let mut arrivals = 0u64;
         let mut admitted = 0u64;
@@ -81,13 +92,25 @@ proptest! {
                                 // Open mode never passes arrivals through.
                                 prop_assert!(false, "open-mode ingest returned Admitted");
                             }
-                            Ingest::Queued { shard } => {
-                                prop_assert!(shard < shards, "shard {shard} out of range");
-                            }
                             Ingest::Shed(job) => {
-                                // Overflow hands the job back intact.
+                                // Overflow hands the job back intact, and
+                                // only a full queue overflows.
                                 prop_assert_eq!(job.0, next_id);
+                                prop_assert_eq!(
+                                    shadow.len(),
+                                    bound,
+                                    "id {} shed at ingest below the bound",
+                                    next_id
+                                );
                                 shed += 1;
+                            }
+                            // Queued.
+                            _ => {
+                                prop_assert!(
+                                    shadow.len() < bound,
+                                    "id {next_id} queued past the bound {bound}"
+                                );
+                                shadow.push_back(next_id);
                             }
                         }
                         next_id += 1;
@@ -117,6 +140,11 @@ proptest! {
                         "drain batch does not partition the backlog"
                     );
                     prop_assert_eq!(batch.deferred, core.backlog());
+                    // Admitted then shed is the queue's front, in order.
+                    let drained: Vec<u64> =
+                        batch.admitted.iter().chain(&batch.shed).map(|a| a.0).collect();
+                    let front: Vec<u64> = shadow.drain(..drained.len()).collect();
+                    prop_assert_eq!(drained, front, "drain out of arrival order");
                     admitted += batch.admitted.len() as u64;
                     shed += batch.shed.len() as u64;
                 }
@@ -128,6 +156,7 @@ proptest! {
             prop_assert_eq!(stats.arrivals, arrivals);
             prop_assert_eq!(stats.admitted, admitted);
             prop_assert_eq!(stats.shed, shed);
+            prop_assert_eq!(stats.backlog, shadow.len() as u64);
             prop_assert_eq!(
                 stats.admitted + stats.shed + stats.backlog,
                 stats.arrivals
