@@ -12,10 +12,10 @@ pub const OPEN_LOOP_ARRIVALS: usize = 60;
 
 /// An open-loop service-mode run on 16 nodes: GS MIX arrivals at
 /// `rate_multiplier` times the calibrated saturation rate into the
-/// event-driven service core (sharded intake, admission batching,
-/// backpressure, fair-share weighting), traced, with telemetry and both
-/// audit knobs on. The bounded queues are small enough that 2x saturation
-/// visibly defers and sheds. Every solve stops on work, not on a clock, so
+/// event-driven service core (an intake queue bounded at 4 x 8 = 32,
+/// admission batching, backpressure, fair-share weighting), traced, with
+/// telemetry and both audit knobs on. The bounds are small enough that 2x
+/// saturation visibly defers and sheds. Every solve stops on work, not on a clock, so
 /// same-seed runs export the same bytes in debug and release.
 pub fn open_loop(seed: u64, rate_multiplier: f64) -> SimReport {
     let jobs = OpenLoopDriver::new(OpenLoopConfig::saturating(

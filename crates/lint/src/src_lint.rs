@@ -31,9 +31,11 @@
 //!   `panic!`-family macro outside a function annotated
 //!   `// srclint: expect-boundary: <why>`, and no slice-index expression
 //!   outside one annotated `// srclint: checked-indexing: <why>`, in any
-//!   non-test code of `cluster`, `core`, `milp`, `service` and `sim` —
-//!   the scheduler cycle and the event loop, ledger and service that
-//!   drive it. An annotation with an empty reason is no annotation.
+//!   non-test code of `cluster`, `core`, `milp`, `service`, `sim` and
+//!   `strl` (its text parser aside), and of `lint`'s STRL lint and
+//!   certifier — the scheduler cycle, the STRL code it builds, lints and
+//!   certifies, and the event loop, ledger and service that drive it. An
+//!   annotation with an empty reason is no annotation.
 //! - `L009` — **float-determinism**: in solver crates (`milp`, `core`,
 //!   `cluster`), no `f64`/`f32` `==`/`!=` comparison and no float
 //!   `Iterator::sum`/`product`/`fold` accumulation outside the fixed-order
@@ -77,15 +79,21 @@ struct Rule {
     message: &'static str,
 }
 
-/// The crates that run on every cycle and every simulated event: `L008`'s
-/// scope, and the functions `fns_checked` counts.
-const PANIC_GUARDED: [&str; 5] = [
+/// The code that runs on every cycle and every simulated event: `L008`'s
+/// scope (less [`PANIC_EXEMPT`]), and the functions `fns_checked` counts.
+const PANIC_GUARDED: [&str; 8] = [
     "crates/cluster/src/",
     "crates/core/src/",
+    "crates/lint/src/certify.rs",
+    "crates/lint/src/strl_lint.rs",
     "crates/milp/src/",
     "crates/service/src/",
     "crates/sim/src/",
+    "crates/strl/src/",
 ];
+
+/// The STRL text parser: no cycle parses text, so `L008` leaves it alone.
+const PANIC_EXEMPT: [&str; 1] = ["crates/strl/src/parser.rs"];
 
 /// Solver-adjacent crates: iteration order (`L004`) and float comparison
 /// and reduction order (`L009`) here reach objective values, pivoting,
@@ -150,12 +158,13 @@ const RULES: [Rule; 8] = [
     Rule {
         code: "L008",
         scope: &PANIC_GUARDED,
-        exempt: &[],
+        exempt: &PANIC_EXEMPT,
         matcher: panic_source,
-        message: "{what}: `cluster`, `core`, `milp`, `service` and `sim` run on every cycle and \
-                  every simulated event, and a panic there kills the whole run; propagate a \
-                  typed error, or state on the function why it cannot fire (an invariant abort \
-                  that must stay is an `expect-boundary`)",
+        message: "{what}: `cluster`, `core`, `milp`, `service`, `sim`, `strl` (less its parser) \
+                  and `lint`'s `strl_lint` and `certify` run on every cycle and every simulated \
+                  event, and a panic there kills the whole run; propagate a typed error, or \
+                  state on the function why it cannot fire (an invariant abort that must stay \
+                  is an `expect-boundary`)",
     },
     Rule {
         code: "L009",
@@ -302,7 +311,7 @@ fn push(report: &mut SrcLintReport, code: &'static str, msg: String, rel: &str, 
 /// Runs every rule whose scope holds `f` over `f`'s non-test tokens.
 fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
     let rel = f.rel.as_str();
-    if in_any(rel, &PANIC_GUARDED) {
+    if in_any(rel, &PANIC_GUARDED) && !in_any(rel, &PANIC_EXEMPT) {
         report.fns_checked += f.fns.iter().filter(|item| !item.is_test).count();
     }
     let rules: Vec<&Rule> = RULES

@@ -23,14 +23,8 @@ pub struct StrlLintContext {
 fn node_context(e: &StrlExpr) -> String {
     let s = e.to_string();
     if s.len() > 96 {
-        format!(
-            "{}…",
-            &s[..s
-                .char_indices()
-                .take(93)
-                .last()
-                .map_or(0, |(i, c)| i + c.len_utf8())]
-        )
+        let head: String = s.chars().take(93).collect();
+        format!("{head}…")
     } else {
         s
     }

@@ -3,6 +3,7 @@
 //!
 //! The corpus is a miniature workspace: one violation of every L008 kind
 //! plus annotated-clean twins, an event loop no scheduler cycle calls,
+//! STRL and `lint` files on both sides of L008's scope,
 //! L009 violations next to their designated exemption file, a knob struct
 //! with a dead field, and a needle file where every banned pattern
 //! appears only inside strings, doc comments, and nested block comments.
@@ -80,6 +81,16 @@ fn l008_reaches_the_event_loop_and_an_empty_reason_vouches_for_nothing() {
 }
 
 #[test]
+fn l008_covers_the_strl_code_the_cycle_runs_but_not_the_parser() {
+    let report = corpus();
+    let strl = sites(&report, "L008", "crates/strl/src/");
+    assert_eq!(strl, ["analysis.rs:12"], "not parser.rs: {report:#?}");
+    // `strl_lint.rs` is guarded; `render.rs` beside it is not.
+    let lint = sites(&report, "L008", "crates/lint/src/");
+    assert_eq!(lint, ["strl_lint.rs:5"], "{report:#?}");
+}
+
+#[test]
 fn a_helper_named_run_in_an_unguarded_crate_changes_no_count() {
     let report = corpus();
     let bench = report
@@ -87,9 +98,10 @@ fn a_helper_named_run_in_an_unguarded_crate_changes_no_count() {
         .iter()
         .filter(|d| d.context.contains("crates/bench/"));
     assert_eq!(bench.count(), 0, "{report:#?}");
-    // Every non-test fn of the five guarded crates' fixtures, `masked`
-    // excluded — and neither `run` nor `cycle` of `crates/bench`.
-    assert_eq!(report.fns_checked, 26, "{report:#?}");
+    // Every non-test fn of the guarded fixtures, `masked` excluded — and
+    // neither `run` nor `cycle` of `crates/bench`, nor the STRL parser's
+    // or `lint::render`'s.
+    assert_eq!(report.fns_checked, 28, "{report:#?}");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! The admission layer: per-cycle batching, backpressure, load shedding.
 //!
 //! Every scheduler cycle the admission layer drains a bounded batch of
-//! queued arrivals out of the intake shards and decides each job's fate:
+//! queued arrivals off the front of the intake queue and decides each
+//! job's fate:
 //!
 //! - **Admit** — hand the job to the scheduler's pending queue now.
 //! - **Defer** — leave it queued for a later cycle (backpressure: the
@@ -15,17 +16,6 @@
 //! randomness — so admission decisions replay identically under the same
 //! seed.
 
-/// The typed fate of one arrival at admission time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionDecision {
-    /// Enter the scheduler's pending queue this cycle.
-    Admit,
-    /// Stay queued in the intake shards for a later cycle.
-    Defer,
-    /// Rejected permanently to protect the service under overload.
-    Shed,
-}
-
 /// Backpressure and shedding thresholds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionPolicy {
@@ -36,7 +26,7 @@ pub struct AdmissionPolicy {
     pub max_scheduler_backlog: usize,
     /// Intake backlog bound: after admission, queued jobs beyond this
     /// depth are shed oldest-first. `usize::MAX` disables shedding from
-    /// depth (mailbox overflow can still shed).
+    /// depth (intake overflow can still shed).
     pub shed_queue_depth: usize,
 }
 
@@ -90,25 +80,6 @@ impl AdmissionPolicy {
             shed_queue_depth: halve(self.shed_queue_depth),
         }
     }
-
-    /// The decision for a job at position `index` (0-based) in this
-    /// cycle's drain order, given the scheduler backlog and the intake
-    /// backlog *before* draining.
-    pub fn decide(
-        &self,
-        index: usize,
-        scheduler_backlog: usize,
-        intake_backlog: usize,
-    ) -> AdmissionDecision {
-        let budget = self.budget(scheduler_backlog);
-        if index < budget {
-            AdmissionDecision::Admit
-        } else if index < budget + self.excess(intake_backlog.saturating_sub(budget)) {
-            AdmissionDecision::Shed
-        } else {
-            AdmissionDecision::Defer
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,16 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn decide_partitions_admit_shed_defer() {
-        let p = policy();
-        // 12 queued, no scheduler backlog: budget 4, remaining 8, shed 2.
-        let decisions: Vec<_> = (0..12).map(|i| p.decide(i, 0, 12)).collect();
-        assert_eq!(&decisions[..4], &[AdmissionDecision::Admit; 4]);
-        assert_eq!(&decisions[4..6], &[AdmissionDecision::Shed; 2]);
-        assert_eq!(&decisions[6..], &[AdmissionDecision::Defer; 6]);
-    }
-
-    #[test]
     fn degraded_policy_tightens_per_rung_and_is_identity_at_zero() {
         let p = policy(); // 4 / 10 / 6
         assert_eq!(p.degraded(0), p);
@@ -173,14 +134,5 @@ mod tests {
             AdmissionPolicy::default().degraded(3).shed_queue_depth,
             usize::MAX
         );
-    }
-
-    #[test]
-    fn full_backpressure_defers_everything_within_bound() {
-        let p = policy();
-        // Scheduler saturated, queue within the shed bound: all defer.
-        for i in 0..6 {
-            assert_eq!(p.decide(i, 10, 6), AdmissionDecision::Defer);
-        }
     }
 }

@@ -7,14 +7,14 @@
 //! produces a multiplicative weight
 //!
 //! ```text
-//! weight(t) = clamp(fair_fraction / actual_fraction(t), min, max)
+//! weight(t) = clamp(fair_fraction / actual_fraction(t), MIN_WEIGHT, MAX_WEIGHT)
 //! ```
 //!
 //! where `fair_fraction` splits the cluster evenly across tenants with
 //! demand and `actual_fraction(t)` is the share of currently-held nodes.
 //! A tenant holding exactly its fair share gets weight 1.0; starved
-//! tenants are boosted toward `max_weight`, hogs damped toward
-//! `min_weight`. The accounting is plain integer tallies over a dense
+//! tenants are boosted toward `MAX_WEIGHT`, hogs damped toward
+//! `MIN_WEIGHT`. The accounting is plain integer tallies over a dense
 //! `Vec` keyed by tenant index, so weights replay identically for the
 //! same seed.
 
@@ -23,35 +23,28 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
+/// Lower clamp on the weight of an over-served tenant.
+const MIN_WEIGHT: f64 = 0.25;
+/// Upper clamp on the weight of a starved tenant.
+const MAX_WEIGHT: f64 = 4.0;
+
 /// Fair-share configuration.
 #[derive(Debug, Clone)]
 pub struct FairShareConfig {
     /// Number of tenants. `0` disables fair-share weighting entirely
     /// (every job gets weight exactly 1.0 — the closed-loop default).
     pub tenants: u32,
-    /// Lower clamp on the weight of an over-served tenant.
-    pub min_weight: f64,
-    /// Upper clamp on the weight of a starved tenant.
-    pub max_weight: f64,
 }
 
 impl FairShareConfig {
     /// Fair-share disabled: every job weighs exactly 1.0.
     pub fn disabled() -> Self {
-        FairShareConfig {
-            tenants: 0,
-            min_weight: 1.0,
-            max_weight: 1.0,
-        }
+        FairShareConfig { tenants: 0 }
     }
 
-    /// Fair-share across `tenants` tenants with the default clamp.
+    /// Fair-share across `tenants` tenants.
     pub fn enabled(tenants: u32) -> Self {
-        FairShareConfig {
-            tenants,
-            min_weight: 0.25,
-            max_weight: 4.0,
-        }
+        FairShareConfig { tenants }
     }
 
     /// Whether weighting is active.
@@ -151,10 +144,10 @@ impl FairShareBook {
         let held = self.ledgers[t as usize].held_nodes;
         if held == 0 {
             // Starved tenant with demand: maximum boost.
-            return self.config.max_weight;
+            return MAX_WEIGHT;
         }
         let actual = held as f64 / total_held as f64;
-        (fair / actual).clamp(self.config.min_weight, self.config.max_weight)
+        (fair / actual).clamp(MIN_WEIGHT, MAX_WEIGHT)
     }
 }
 
@@ -204,21 +197,21 @@ mod tests {
         let mut book = FairShareBook::new(FairShareConfig::enabled(2));
         book.observe_held(0, 8); // tenant 0 holds everything
         book.observe_demand(1, 2); // tenant 1 only has demand
-        assert_eq!(book.weight(1), 4.0);
+        assert_eq!(book.weight(1), MAX_WEIGHT);
     }
 
     #[test]
     fn weights_are_clamped() {
         // Eight active tenants, one holding the whole cluster: fair is
-        // 0.125, the hog's raw weight 0.125 clamps up to min 0.25 and the
-        // starved tenants clamp down to max 4.0.
+        // 0.125, the hog's raw weight 0.125 clamps up to `MIN_WEIGHT` and
+        // the starved tenants clamp down to `MAX_WEIGHT`.
         let mut book = FairShareBook::new(FairShareConfig::enabled(8));
         book.observe_held(0, 100);
         for t in 1..8u64 {
             book.observe_demand(t, 1);
         }
-        assert_eq!(book.weight(0), 0.25);
-        assert_eq!(book.weight(1), 4.0);
+        assert_eq!(book.weight(0), MIN_WEIGHT);
+        assert_eq!(book.weight(1), MAX_WEIGHT);
     }
 
     #[test]

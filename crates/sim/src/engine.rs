@@ -65,7 +65,7 @@ pub struct SimConfig {
     /// Service-core configuration. The default ([`ServiceConfig::closed_loop`])
     /// is a pass-through that reproduces the pre-service engine
     /// byte-for-byte; [`tetrisched_service::ServiceMode::Open`] enables
-    /// sharded intake, admission batching with backpressure/shedding, and
+    /// a bounded intake, admission batching with backpressure/shedding, and
     /// fair-share tenancy weights.
     pub service: ServiceConfig,
 }
@@ -500,11 +500,10 @@ impl<S: Scheduler> Run<S> {
             // Closed-loop pass-through: admit inline, exactly as the
             // pre-service engine did.
             Ingest::Admitted(_) => self.admit(job),
-            // Open-loop: queued on an intake shard; reservation admission
-            // and classification happen when a later admission cycle
-            // drains it.
-            Ingest::Queued { .. } => {}
-            // Open-loop: the target shard's mailbox overflowed.
+            // Open-loop: queued on the intake; reservation admission and
+            // classification happen when a later admission cycle drains it.
+            Ingest::Queued => {}
+            // Open-loop: the intake queue was full.
             Ingest::Shed(_) => self.shed(job),
         }
     }
@@ -969,11 +968,11 @@ impl<S: Scheduler> Run<S> {
         metrics.jobs_admitted = service_stats.admitted;
         metrics.jobs_shed = service_stats.shed;
         metrics.jobs_deferred = service_stats.deferred;
-        metrics.intake_overflows = service_stats.mailbox_overflows;
+        metrics.intake_overflows = service_stats.intake_overflows;
         telemetry.counter_add("service.jobs_admitted", service_stats.admitted);
         telemetry.counter_add("service.jobs_shed", service_stats.shed);
         telemetry.counter_add("service.jobs_deferred", service_stats.deferred);
-        telemetry.counter_add("service.intake_overflows", service_stats.mailbox_overflows);
+        telemetry.counter_add("service.intake_overflows", service_stats.intake_overflows);
         if let Err(e) = self.service.validate() {
             panic!("at end of run: {e}");
         }

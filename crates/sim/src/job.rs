@@ -107,7 +107,7 @@ fn scaled(base: u64, factor: f64) -> u64 {
     ((base as f64 * factor).round() as u64).max(1)
 }
 
-/// Job ids drive service-core shard routing and tenant assignment.
+/// Job ids drive service-core tenant assignment.
 impl tetrisched_service::ServiceJob for JobSpec {
     fn service_id(&self) -> u64 {
         self.id.0

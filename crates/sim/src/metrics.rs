@@ -152,13 +152,14 @@ pub struct Metrics {
     /// Jobs the service core handed to the scheduler (equals arrivals in
     /// closed-loop mode, where ingest is a pass-through).
     pub jobs_admitted: u64,
-    /// Jobs the service core shed under overload (mailbox overflow plus
+    /// Jobs the service core shed under overload (intake overflow plus
     /// queue-depth load shedding; zero in closed-loop mode).
     pub jobs_shed: u64,
-    /// Cumulative job-cycles spent deferred in intake queues under
+    /// Cumulative job-cycles spent deferred in the intake queue under
     /// backpressure (each admission cycle adds its leftover backlog).
     pub jobs_deferred: u64,
-    /// Intake-shard mailbox overflows (a subset of `jobs_shed`).
+    /// Arrivals shed at ingest because the intake queue was full (a
+    /// subset of `jobs_shed`).
     pub intake_overflows: u64,
     /// Distinct nodes that experienced at least one performance-fault
     /// window (slow node, degraded capacity, or maintenance) during the

@@ -100,7 +100,7 @@ pub enum TraceEvent {
         at: Time,
     },
     /// The service core shed an arriving job under overload (open-loop
-    /// mode only: mailbox overflow or queue-depth load shedding).
+    /// mode only: intake overflow or queue-depth load shedding).
     Shed {
         /// Job identity.
         job: JobId,

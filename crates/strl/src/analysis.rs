@@ -56,26 +56,16 @@ impl ExprStats {
 /// - unsatisfiable subtrees normalize to the empty `max()`.
 pub fn simplify(expr: StrlExpr) -> StrlExpr {
     match expr {
-        leaf @ (StrlExpr::NCk { .. } | StrlExpr::LnCk { .. }) => {
-            let worthless = match &leaf {
-                StrlExpr::NCk { k, value, .. } | StrlExpr::LnCk { k, value, .. } => {
-                    *k == 0 || *value <= 0.0
-                }
-                _ => unreachable!(),
-            };
-            // Also unsatisfiable: an `nCk` asking for more nodes than the
-            // set holds, or a linear leaf over an empty set.
-            let infeasible = match &leaf {
-                StrlExpr::NCk { set, k, .. } => (set.len() as u32) < *k,
-                StrlExpr::LnCk { set, .. } => set.is_empty(),
-                _ => false,
-            };
-            if worthless || infeasible {
-                StrlExpr::Max(Vec::new())
-            } else {
-                leaf
-            }
+        // A leaf asking for nothing or worth nothing is worthless; an `nCk`
+        // asking for more nodes than the set holds, or a linear leaf over
+        // an empty set, is unsatisfiable.
+        StrlExpr::NCk { set, k, value, .. } if k == 0 || value <= 0.0 || (set.len() as u32) < k => {
+            StrlExpr::Max(Vec::new())
         }
+        StrlExpr::LnCk { set, k, value, .. } if k == 0 || value <= 0.0 || set.is_empty() => {
+            StrlExpr::Max(Vec::new())
+        }
+        leaf @ (StrlExpr::NCk { .. } | StrlExpr::LnCk { .. }) => leaf,
         StrlExpr::Max(children) => {
             let mut out = Vec::with_capacity(children.len());
             for c in children {
@@ -136,6 +126,8 @@ pub fn simplify(expr: StrlExpr) -> StrlExpr {
 
 /// Collapses a single-child operator to its child; empty `min` (vacuous
 /// truth has no value here) normalizes to empty `max`.
+// srclint: expect-boundary: the arm's guard holds the operator at exactly
+// one child, so `pop` returns it.
 fn collapse(expr: StrlExpr) -> StrlExpr {
     match expr {
         StrlExpr::Max(mut c) | StrlExpr::Min(mut c) | StrlExpr::Sum(mut c) if c.len() == 1 => {

@@ -16,12 +16,12 @@
 //! ```
 //!
 //! The default scenario is a closed loop of 48 GS MIX jobs on 24 nodes.
-//! `open` drives the event-driven service core (sharded intake, admission
-//! batching, backpressure, fair-share weighting) with an open-loop arrival
-//! stream at 2× the cluster's calibrated saturation rate and adds the
-//! service-core accounting: arrivals, admitted, shed, deferred job-cycles,
-//! mailbox overflows, and the resulting SLO/BE class outcomes — the run
-//! `tests/service_e2e.rs` asserts over (`bench::open_loop`).
+//! `open` drives the event-driven service core (one bounded intake queue,
+//! admission batching, backpressure, fair-share weighting) with an
+//! open-loop arrival stream at 2× the cluster's calibrated saturation rate
+//! and adds the service-core accounting: arrivals, admitted, shed, deferred
+//! job-cycles, intake overflows, and the resulting SLO/BE class outcomes —
+//! the run `tests/service_e2e.rs` asserts over (`bench::open_loop`).
 //!
 //! Exit codes: `0` ok, `1` an exporter write failed, `2` bad arguments.
 
@@ -212,7 +212,7 @@ fn print_service_accounting(report: &SimReport) {
     println!("{:<22}{:>8}", "admitted", m.jobs_admitted);
     println!("{:<22}{:>8}", "shed", m.jobs_shed);
     println!("{:<22}{:>8}", "deferred job-cycles", m.jobs_deferred);
-    println!("{:<22}{:>8}", "mailbox overflows", m.intake_overflows);
+    println!("{:<22}{:>8}", "intake overflows", m.intake_overflows);
     println!();
     println!("-- admitted job classes --");
     println!(

@@ -14,9 +14,9 @@
 //! two `milp.presolve_*` counters left both exports; under churn six `solve`
 //! spans take other LP iterations to the same decisions):
 //!
-//! - **open loop**: arrivals at 2x saturation through the sharded service
-//!   core with fair-share weights, so admission cycles drain, defer and
-//!   shed, and every pending view carries a tenancy weight;
+//! - **open loop**: arrivals at 2x saturation through the service core's
+//!   one bounded intake queue with fair-share weights, so admission cycles
+//!   drain, defer and shed, and every pending view carries a tenancy weight;
 //! - **closed loop under churn**: overlapping fail-stop outages (seeded
 //!   churn merged with a scripted rack outage, so the refcount decides),
 //!   seeded slow-node windows merged with one announced maintenance

@@ -227,7 +227,7 @@ fn backpressure_engages_at_double_saturation() {
     assert!(m.jobs_shed > 0, "2x saturation must shed arrivals");
     assert!(
         m.intake_overflows <= m.jobs_shed,
-        "mailbox overflows {} exceed total shed {}",
+        "intake overflows {} exceed total shed {}",
         m.intake_overflows,
         m.jobs_shed
     );
