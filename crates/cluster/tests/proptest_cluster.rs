@@ -83,6 +83,63 @@ fn build_ledger((allocs, released, down, windows, twice): &LedgerParts) -> Ledge
     ledger
 }
 
+/// Refinement as first written: every class split at every set into its
+/// inside and outside parts, in that order, empty parts dropped. The classes
+/// and their order are the contract `PartitionSet::refine` keeps.
+fn refine_splitting_every_class(universe: usize, sets: &[NodeSet]) -> Vec<NodeSet> {
+    let mut classes = vec![NodeSet::full(universe)];
+    for s in sets {
+        let mut next = Vec::new();
+        for c in classes {
+            let (inside, outside) = (c.and(s), c.minus(s));
+            if !inside.is_empty() {
+                next.push(inside);
+            }
+            if !outside.is_empty() {
+                next.push(outside);
+            }
+        }
+        classes = next;
+    }
+    classes
+}
+
+/// Refining sets over `universe` nodes, each made from a strided run plus a
+/// few scattered nodes and the sets before it: as it is, a duplicate of an
+/// earlier set, nested in one, disjoint from one, its complement, empty or
+/// full.
+fn arb_refining_sets(universe: usize) -> impl Strategy<Value = Vec<NodeSet>> {
+    let n = universe as u32;
+    let shape = (
+        0u8..7,
+        0usize..64,
+        (0u32..n, 0u32..n, 1u32..9),
+        proptest::collection::btree_set(0u32..n, 0..8),
+    );
+    proptest::collection::vec(shape, 0..12).prop_map(move |shapes| {
+        let full = NodeSet::full(universe);
+        let mut sets: Vec<NodeSet> = Vec::new();
+        for (kind, back, (a, b, step), scattered) in shapes {
+            let run = (a.min(b)..a.max(b)).step_by(step as usize);
+            let own = NodeSet::from_ids(universe, run.chain(scattered).map(NodeId));
+            let earlier = match sets.len() {
+                0 => full.clone(),
+                len => sets[back % len].clone(),
+            };
+            sets.push(match kind {
+                0 => own,
+                1 => earlier,
+                2 => earlier.and(&own),
+                3 => own.minus(&earlier),
+                4 => full.minus(&earlier),
+                5 => NodeSet::empty(universe),
+                _ => full.clone(),
+            });
+        }
+        sets
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -126,6 +183,20 @@ proptest! {
             p.classes(),
         );
         prop_assert_eq!(again.len(), p.len());
+    }
+
+    /// The classes and their order are what every caller indexes by, so a
+    /// faster refinement must give exactly those of splitting every class:
+    /// at one word (64 nodes) and at sixteen, the last one partial.
+    #[test]
+    fn refine_keeps_the_classes_and_order_of_splitting_every_class(
+        narrow in arb_refining_sets(64),
+        wide in arb_refining_sets(1000),
+    ) {
+        for (universe, sets) in [(64, &narrow), (1000, &wide)] {
+            let p = PartitionSet::refine(universe, sets);
+            prop_assert_eq!(p.classes(), refine_splitting_every_class(universe, sets).as_slice());
+        }
     }
 
     #[test]
