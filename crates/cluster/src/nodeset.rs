@@ -115,6 +115,14 @@ impl NodeSet {
         }
     }
 
+    /// In-place intersection: `self = self ∩ other`.
+    pub fn and_with(&mut self, other: &NodeSet) {
+        self.assert_same_universe(other);
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
     /// Whether `self` is a subset of `other`.
     pub fn is_subset(&self, other: &NodeSet) -> bool {
         self.words

@@ -19,25 +19,34 @@ pub struct PartitionSet {
 impl PartitionSet {
     /// Refines the universe against the given equivalence sets.
     ///
-    /// Starts from the single class of all nodes and repeatedly splits
-    /// classes at each set's boundary. Classes that end up empty are
-    /// dropped. The result is the coarsest partition in which every input
-    /// set is a union of classes.
+    /// Starts from the single class of all nodes and, for each set in turn,
+    /// splits the classes that straddle it: such a class becomes its part
+    /// inside the set, followed by its part outside. A class inside the set
+    /// or disjoint from it is kept as it is, so a set that splits nothing
+    /// allocates nothing. The result is the coarsest partition in which
+    /// every input set is a union of classes.
+    // srclint: checked-indexing: the loop guard keeps `i` below
+    // `classes.len()` where it indexes.
     pub fn refine(universe: usize, sets: &[NodeSet]) -> PartitionSet {
-        let mut classes = vec![NodeSet::full(universe)];
+        // An empty universe has no classes once anything refines it.
+        let mut classes = if universe == 0 && !sets.is_empty() {
+            Vec::new()
+        } else {
+            vec![NodeSet::full(universe)]
+        };
         for s in sets {
-            let mut next = Vec::with_capacity(classes.len() + 1);
-            for c in classes {
-                let inside = c.and(s);
+            let mut i = 0;
+            while i < classes.len() {
+                let c = &mut classes[i];
+                if c.is_subset(s) || c.is_disjoint(s) {
+                    i += 1;
+                    continue;
+                }
                 let outside = c.minus(s);
-                if !inside.is_empty() {
-                    next.push(inside);
-                }
-                if !outside.is_empty() {
-                    next.push(outside);
-                }
+                c.and_with(s);
+                classes.insert(i + 1, outside);
+                i += 2;
             }
-            classes = next;
         }
         PartitionSet { classes }
     }
