@@ -56,13 +56,13 @@ pub struct TetriSchedConfig {
     /// affected cycle must degrade to the greedy placer rather than drop
     /// work. Empty in production configurations.
     pub chaos_global_solve_failures: Vec<u64>,
-    /// Run the `tetrisched-lint` model analyses inside every cycle:
-    /// generated STRL expressions and compiled MILP models with
-    /// Error-severity diagnostics are rejected before the solver sees them
-    /// (the offending job takes a quarantine strike; a bad aggregate
-    /// degrades the cycle to greedy). Off by default: the compiler is
-    /// expected to emit lint-clean models, and the sweep costs a pass over
-    /// every model.
+    /// Run the `tetrisched-lint` STRL analyses (the `S` codes) inside every
+    /// cycle: a generated expression with an Error-severity diagnostic is
+    /// struck before it reaches the compiler, and its job takes a
+    /// quarantine strike. Compiled models are not linted: each is feasible
+    /// at x = 0, so no propagation can refute one. Off by default: the
+    /// generator is expected to emit lint-clean expressions, and the sweep
+    /// costs a pass over every request.
     pub lint_models: bool,
     /// Proof-carrying solves: make every MILP backend emit and self-verify
     /// optimality/feasibility certificates (primal re-check, dual bounds,

@@ -41,6 +41,6 @@ pub use source_model::{Annotation, FnItem, SourceFile, StructItem};
 pub use src_lint::{lint_workspace, SrcLintReport};
 pub use strl_lint::{lint_expr, StrlLintContext};
 pub use tetrisched_milp::lint::{
-    debug_precheck, has_errors, lint_model, lint_model_errors, propagate_bounds, CertTerm,
-    Certificate, Diagnostic, Propagation, Severity,
+    debug_precheck, has_errors, lint_model, propagate_bounds, CertTerm, Certificate, Diagnostic,
+    Propagation, Severity,
 };

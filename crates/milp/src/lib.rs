@@ -59,8 +59,8 @@ pub use certify::{
 pub use config::SolverConfig;
 pub use error::{MilpError, Result};
 pub use lint::{
-    debug_precheck, lint_model, lint_model_errors, propagate_bounds, CertTerm, Certificate,
-    Diagnostic, Propagation, Severity,
+    debug_precheck, lint_model, propagate_bounds, CertTerm, Certificate, Diagnostic, Propagation,
+    Severity,
 };
 pub use model::{ConstraintId, LinExpr, Model, Name, Sense, VarId, VarKind};
 pub use presolve::{presolve, PresolveOutcome};

@@ -481,8 +481,9 @@ const COEFF_RATIO_WARN: f64 = 1e6;
 ///   magnitude ratio exceeds 1e6,
 /// - `M007` (Error + certificate) — a row violated by every point inside
 ///   the propagated variable bounds.
-// srclint: checked-indexing: `referenced` is allocated to num_vars and
-// VarId accesses are explicitly range-guarded.
+// srclint: checked-indexing: `referenced` is allocated to num_vars,
+// VarId accesses are explicitly range-guarded, and certificate var/row
+// indices come from propagate_bounds over the same model.
 pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
@@ -598,17 +599,8 @@ pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
         }
     }
 
-    diags.extend(lint_model_errors(model));
-    diags
-}
-
-/// The Error-severity findings of [`lint_model`] alone — `M004`, `M005` and
-/// `M007`, each with its propagation-backed certificate — which is all a
-/// gate that only refuses proven-infeasible models needs computed.
-// srclint: checked-indexing: certificate var/row indices come from
-// propagate_bounds over the same model.
-pub fn lint_model_errors(model: &Model) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+    // M004 / M005 / M007: the Error-severity findings, each with its
+    // propagation-backed certificate.
     for cert in propagate_bounds(model, PROPAGATION_PASSES).certificates {
         let diag = match &cert {
             Certificate::CrossedBounds { var, lb, ub } => Diagnostic::new(

@@ -22,7 +22,6 @@
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod gantt;
 pub mod job;
 pub mod metrics;
 pub mod scheduler;

@@ -154,29 +154,6 @@ impl StrlExpr {
         n
     }
 
-    /// Tree depth (a leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .map(StrlExpr::depth)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Latest end time (`start + dur`) over all leaves, or `None` for an
-    /// expression without leaves.
-    pub fn horizon(&self) -> Option<Time> {
-        let mut h: Option<Time> = None;
-        self.visit(&mut |e| {
-            if let StrlExpr::NCk { start, dur, .. } | StrlExpr::LnCk { start, dur, .. } = e {
-                let end = start + dur;
-                h = Some(h.map_or(end, |x| x.max(end)));
-            }
-        });
-        h
-    }
-
     /// Evaluates the expression under a concrete placement: `granted[i]`
     /// is the number of resources awarded to the `i`-th leaf in pre-order
     /// walk order (the order [`StrlExpr::visit`] uses, and the order the
@@ -377,18 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn leaf_count_and_depth() {
+    fn leaf_count() {
         let e = gpu_choice();
         assert_eq!(e.leaf_count(), 2);
-        assert_eq!(e.depth(), 2);
-        assert_eq!(StrlExpr::scale(2.0, e.clone()).depth(), 3);
-    }
-
-    #[test]
-    fn horizon_is_latest_leaf_end() {
-        let e = gpu_choice();
-        assert_eq!(e.horizon(), Some(3));
-        assert_eq!(StrlExpr::Max(vec![]).horizon(), None);
+        assert_eq!(StrlExpr::scale(2.0, e.clone()).leaf_count(), 2);
     }
 
     #[test]

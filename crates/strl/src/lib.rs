@@ -16,9 +16,10 @@
 //! - `sum` — batching all pending jobs for global scheduling (\[R5\]).
 //!
 //! The crate also provides the paper's value functions (Fig. 5), the RDL
-//! reservation types STRL is generated from (Sec. 4.4), a text
-//! representation with a parser (round-trip tested), and analysis passes
-//! used by the scheduler to cull and simplify expressions.
+//! reservation types STRL is generated from (Sec. 4.4), and a text
+//! representation with a parser (round-trip tested). Culling is not done
+//! here: the generator drops worthless replicas and the compiler fixes
+//! dead leaves at zero.
 //!
 //! # Examples
 //!
@@ -42,13 +43,11 @@
 //! assert_eq!(reparsed, expr);
 //! ```
 
-pub mod analysis;
 pub mod expr;
 pub mod parser;
 pub mod rdl;
 pub mod value;
 
-pub use analysis::{simplify, ExprStats};
 pub use expr::StrlExpr;
 pub use parser::{parse, ParseError};
 pub use rdl::{Atom, Window};

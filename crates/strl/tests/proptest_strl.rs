@@ -1,9 +1,9 @@
-//! Property tests for STRL: display/parse round-trips and
-//! simplification invariants on randomly generated expression trees.
+//! Property tests for STRL: display/parse round-trips on randomly
+//! generated expression trees.
 
 use proptest::prelude::*;
 use tetrisched_cluster::{NodeId, NodeSet};
-use tetrisched_strl::{parse, simplify, StrlExpr};
+use tetrisched_strl::{parse, StrlExpr};
 
 const UNIVERSE: usize = 16;
 
@@ -53,36 +53,5 @@ proptest! {
         let text = e.to_string();
         let parsed = parse(&text, UNIVERSE).unwrap();
         prop_assert_eq!(e, parsed);
-    }
-
-    #[test]
-    fn simplify_preserves_value_upper_bound(e in arb_expr()) {
-        let before = e.value_upper_bound();
-        let after = simplify(e).value_upper_bound();
-        prop_assert!((before - after).abs() < 1e-9,
-            "bound changed: {} -> {}", before, after);
-    }
-
-    #[test]
-    fn simplify_never_grows(e in arb_expr()) {
-        let before = tetrisched_strl::ExprStats::of(&e).nodes;
-        let after = tetrisched_strl::ExprStats::of(&simplify(e)).nodes;
-        prop_assert!(after <= before);
-    }
-
-    #[test]
-    fn simplify_is_idempotent(e in arb_expr()) {
-        let once = simplify(e);
-        let twice = simplify(once.clone());
-        prop_assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn horizon_never_shrinks_value_window(e in arb_expr()) {
-        // The horizon (latest leaf end) bounds any completion the
-        // expression can describe; simplification may only tighten it.
-        if let (Some(h0), Some(h1)) = (e.horizon(), simplify(e.clone()).horizon()) {
-            prop_assert!(h1 <= h0);
-        }
     }
 }

@@ -27,13 +27,11 @@
 pub mod compositions;
 pub mod distributions;
 pub mod gridmix;
-pub mod io;
 pub mod openloop;
 pub mod swim;
 
 pub use compositions::{Composition, Workload};
 pub use distributions::{BoundedPareto, Empirical, Exp, LogNormal, Sample};
 pub use gridmix::{GridmixConfig, WorkloadBuilder};
-pub use io::{from_csv, to_csv, TraceError};
 pub use openloop::{ArrivalProcess, OpenLoopConfig, OpenLoopDriver};
 pub use swim::JobClassParams;

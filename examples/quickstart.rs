@@ -9,8 +9,8 @@
 //! The only way to meet every deadline is *global* scheduling with
 //! *plan-ahead*: job 1 now, job 3 at t=10, job 2 at t=20 (Fig. 4). This
 //! example builds the STRL expressions, compiles them to a MILP with
-//! Algorithm 1, solves with the in-repo branch-and-bound, and prints the
-//! chosen schedule.
+//! Algorithm 1, solves with the in-repo branch-and-bound, asserts that the
+//! solver found Fig. 4's plan, and prints it.
 //!
 //! Run: `cargo run --release --example quickstart`
 
@@ -36,8 +36,16 @@ fn main() {
         StrlExpr::nck(all.clone(), 3, 10, 10, 1.0),
     ]);
 
+    // Leaves are numbered in pre-order, so each job owns a contiguous run
+    // of leaf indices.
+    let jobs = [job1, job2, job3];
+    let job_of_leaf: Vec<usize> = (1..)
+        .zip(&jobs)
+        .flat_map(|(job, expr)| std::iter::repeat_n(job, expr.leaf_count()))
+        .collect();
+
     // Global scheduling: batch all pending jobs under one `sum`.
-    let global = StrlExpr::sum([job1, job2, job3]);
+    let global = StrlExpr::sum(jobs);
     println!("global STRL expression:\n  {global}\n");
 
     // One equivalence set (every machine is interchangeable here), so
@@ -61,17 +69,26 @@ fn main() {
     );
 
     let sol = compiled.model.solve(&SolverConfig::exact()).expect("solve");
-    println!("objective = {} (all three jobs satisfied)\n", sol.objective);
+    let mut chosen: Vec<_> = compiled
+        .chosen(&sol)
+        .iter()
+        .map(|c| (job_of_leaf[c.leaf], &compiled.leaves[c.leaf]))
+        .collect();
+    chosen.sort_by_key(|&(job, _)| job);
+    let starts: Vec<(usize, u64)> = chosen.iter().map(|&(job, l)| (job, l.start)).collect();
+    assert!(
+        (sol.objective - 3.0).abs() < 1e-9,
+        "objective {} != 3: not every job is satisfied",
+        sol.objective
+    );
+    assert_eq!(starts, [(1, 0), (2, 20), (3, 10)], "not Fig. 4's plan");
 
+    println!("objective = {} (all three jobs satisfied)\n", sol.objective);
     println!("schedule:");
-    for (i, c) in compiled.chosen(&sol).iter().enumerate() {
-        let leaf = &compiled.leaves[c.leaf];
+    for (job, leaf) in chosen {
         println!(
-            "  job {} -> start t={:<2} k={} dur={}s",
-            i + 1,
-            leaf.start,
-            leaf.k,
-            leaf.dur
+            "  job {job} -> start t={:<2} k={} dur={}s",
+            leaf.start, leaf.k, leaf.dur
         );
     }
     println!("\n(matches Fig. 4: job1 @ 0, job2 @ 20, job3 @ 10)");

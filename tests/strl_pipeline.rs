@@ -1,13 +1,13 @@
-//! Integration of the STRL pipeline: text -> parse -> simplify ->
-//! partition refinement -> MILP compile -> solve -> extract.
+//! Integration of the STRL pipeline: text -> parse -> partition
+//! refinement -> MILP compile -> solve -> extract.
 
 use tetrisched::cluster::{NodeSet, PartitionSet};
 use tetrisched::core::{compile, CompileInput};
 use tetrisched::milp::SolverConfig;
-use tetrisched::strl::{parse, simplify, StrlExpr};
+use tetrisched::strl::{parse, StrlExpr};
 
 fn pipeline(text: &str, universe: usize, cap: usize) -> (f64, usize) {
-    let expr = simplify(parse(text, universe).expect("parse"));
+    let expr = parse(text, universe).expect("parse");
     let mut sets = Vec::new();
     expr.visit(&mut |e| {
         if let StrlExpr::NCk { set, .. } | StrlExpr::LnCk { set, .. } = e {
@@ -57,9 +57,9 @@ fn textual_global_batch() {
 }
 
 #[test]
-fn simplify_culls_before_compile() {
-    // The second branch is infeasible (k > |set|) and is culled by
-    // simplify; the pipeline still solves the remaining branch.
+fn compile_fixes_the_unsatisfiable_leaf_dead() {
+    // The second branch is infeasible (k > |set|): compile fixes that leaf
+    // at zero, and the pipeline still solves the remaining branch.
     let (obj, chosen) = pipeline(
         "max(nCk({M0}, k=1, s=0, dur=2, v=1), nCk({M1}, k=5, s=0, dur=2, v=9))",
         4,
