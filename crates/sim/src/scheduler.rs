@@ -104,13 +104,11 @@ pub enum CycleError {
         /// Solver status rendering.
         detail: String,
     },
-    /// Static analysis rejected a generated STRL expression or compiled
-    /// MILP model at Error severity before it reached the solver (the
-    /// `lint_models` knob).
+    /// Static analysis rejected a job's generated STRL expression at Error
+    /// severity before it reached the compiler (the `lint_models` knob).
     Lint {
-        /// The offending job, when the finding is per-job; `None` for the
-        /// cycle's aggregate model.
-        job: Option<JobId>,
+        /// The offending job.
+        job: JobId,
         /// Rendered Error-severity diagnostics.
         detail: String,
     },
@@ -141,15 +139,7 @@ impl std::fmt::Display for CycleError {
             }
             CycleError::Solver { detail } => write!(f, "solver error: {detail}"),
             CycleError::NoSolution { detail } => write!(f, "no solution: {detail}"),
-            CycleError::Lint {
-                job: Some(j),
-                detail,
-            } => {
-                write!(f, "lint rejected {j:?}: {detail}")
-            }
-            CycleError::Lint { job: None, detail } => {
-                write!(f, "lint rejected aggregate model: {detail}")
-            }
+            CycleError::Lint { job, detail } => write!(f, "lint rejected {job:?}: {detail}"),
             CycleError::Certificate {
                 job: Some(j),
                 detail,
@@ -312,16 +302,11 @@ mod tests {
         .to_string()
         .contains("no solution"));
         let e = CycleError::Lint {
-            job: Some(JobId(7)),
+            job: JobId(7),
             detail: "error[S001] empty set".into(),
         };
         assert!(e.to_string().contains("JobId(7)"));
         assert!(e.to_string().contains("S001"));
-        let e = CycleError::Lint {
-            job: None,
-            detail: "error[M004] crossed bounds".into(),
-        };
-        assert!(e.to_string().contains("aggregate model"));
         let e = CycleError::Certificate {
             job: Some(JobId(9)),
             detail: "error[C001] primal check failed".into(),
