@@ -20,6 +20,8 @@
 //!   pseudo-randomly, so GPU/MPI jobs frequently land on slow placements,
 //! - there is no plan-ahead and no estimate use at scheduling time.
 
+#![deny(unsafe_code)]
+
 pub mod capacity_scheduler;
 pub mod preemption;
 

@@ -14,6 +14,8 @@
 //! *shapes* are the reproduction target (see `EXPERIMENTS.md`): who wins,
 //! by roughly what factor, and where the crossovers fall.
 
+#![deny(unsafe_code)]
+
 mod churn;
 mod figures;
 pub mod harness;

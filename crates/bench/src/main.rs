@@ -4,6 +4,8 @@
 //! Exit codes: `0` ok, `1` the chaos gate (`churn --check`) failed, `2`
 //! the arguments were not understood.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 use tetrisched_bench::{chaos_gate, index, parse};

@@ -37,6 +37,8 @@
 //! assert_eq!(ledger.avail_at(&gpus, 20), 2);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod allocation;
 pub mod health;
 pub mod node;

@@ -23,6 +23,8 @@
 //! of global), and `TetriSched-NP` (no plan-ahead, ≙ alsched) — are all
 //! expressible through [`TetriSchedConfig`].
 
+#![deny(unsafe_code)]
+
 pub mod compiler;
 pub mod config;
 pub mod generator;

@@ -19,6 +19,8 @@
 //! under `--deny-warnings`, or the runtime budget blown), `2` usage or
 //! I/O error.
 
+#![deny(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;

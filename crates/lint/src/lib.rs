@@ -27,6 +27,8 @@
 //! Findings render as pretty text ([`render_pretty`]) or JSON
 //! ([`render_json`]). The full diagnostic-code table lives in DESIGN.md.
 
+#![deny(unsafe_code)]
+
 pub mod certify;
 pub mod lexer;
 pub mod render;

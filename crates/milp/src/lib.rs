@@ -16,8 +16,8 @@
 //!
 //! The LP relaxations are solved with a two-phase primal simplex that handles
 //! variable bounds natively (nonbasic variables rest at either bound and may
-//! "bound flip"), so the thousands of binary variables produced by STRL
-//! compilation do not add constraint rows. Integer feasibility is obtained by
+//! "bound flip"), so the binary variables produced by STRL compilation do
+//! not add constraint rows. Integer feasibility is obtained by
 //! best-first branch-and-bound with most-fractional branching.
 //!
 //! # Examples
@@ -36,6 +36,8 @@
 //! assert_eq!(sol.value(y).round() as i64, 0);
 //! assert!((sol.objective - 12.0).abs() < 1e-6);
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod backend;
 pub mod branch_bound;

@@ -1,9 +1,10 @@
 //! Two-phase primal simplex with bounded variables, and a bounded dual
 //! simplex that re-solves from the basis the last LP left behind.
 //!
-//! The LP relaxations produced by STRL compilation contain thousands of
-//! binary indicator variables. Handling variable bounds natively (instead of
-//! encoding `x <= 1` as constraint rows) keeps the basis small: nonbasic
+//! The LP relaxations produced by STRL compilation are mostly binary
+//! indicator variables (a compiled RC80 or RC256 model has some 200 to 300
+//! columns). Handling variable bounds natively (instead of encoding
+//! `x <= 1` as constraint rows) keeps the basis small: nonbasic
 //! variables rest at either their lower or upper bound, the ratio test
 //! includes "bound flips", and phase 1 introduces artificial variables only
 //! for rows whose slack cannot absorb the initial residual.
@@ -22,13 +23,20 @@
 //! in column order makes. Dantzig pricing is used until a stall is
 //! detected, after which Bland's rule guarantees termination.
 //!
+//! An iteration reads each operand once: the entering column is gathered
+//! into one buffer that the ratio test, the basic-value update and the
+//! pivot read, and pricing keeps its scores between iterations, rescoring
+//! only the columns whose reduced cost or state the iteration changed. The
+//! select-and-reduce scans run through [`Width`], at the host's vector
+//! width, with the same bits at every width.
+//!
 //! An LP that ends `Optimal` leaves a dual-feasible basis in the workspace;
 //! [`Simplex::resolve_with_bounds`] installs new variable bounds on it and
 //! re-optimises with the dual simplex, which is how every dive step and
 //! branch-and-bound node after a solve's root LP is solved.
 
 use crate::error::{MilpError, Result};
-use crate::kernels::{exact_eq, fixed_dot, fixed_max, fixed_sum, is_nonzero};
+use crate::kernels::{exact_eq, fixed_dot, fixed_max, fixed_sum, is_nonzero, Width};
 use crate::model::{Model, Sense};
 use std::cell::{Cell, RefCell};
 
@@ -132,7 +140,7 @@ impl Clone for Simplex {
             iterations: self.iterations.clone(),
             refactorizations: self.refactorizations.clone(),
             resolves: self.resolves.clone(),
-            work: RefCell::default(),
+            work: workspace(),
         }
     }
 }
@@ -145,7 +153,7 @@ impl Simplex {
             iterations: Cell::new(0),
             refactorizations: Cell::new(0),
             resolves: Cell::new(0),
-            work: RefCell::default(),
+            work: workspace(),
         }
     }
 
@@ -218,6 +226,14 @@ impl Simplex {
     }
 }
 
+/// An empty workspace that runs its scans at the host's width.
+fn workspace() -> RefCell<Tableau> {
+    RefCell::new(Tableau {
+        width: Width::host(),
+        ..Tableau::default()
+    })
+}
+
 /// Dense simplex tableau in canonical form: the columns of basic variables
 /// are unit vectors, `a` holds the transformed constraint matrix, and `rhs`
 /// the transformed right-hand side, so basic values satisfy
@@ -254,10 +270,18 @@ struct Tableau {
     row_of: Vec<usize>,
     /// Current value of the basic variable in each row.
     x_basic: Vec<f64>,
+    /// The entering column, one slot per row, gathered once an iteration
+    /// for the ratio test, the basic-value update and the pivot.
+    col: Vec<f64>,
+    /// Primal pricing's score per column (see [`score`]), kept between
+    /// iterations: valid from the start of a primal phase, and each
+    /// iteration rescores the columns it changes.
+    scores: Vec<f64>,
     /// Scratch of one slot per column: indexed by column, the row being
-    /// summed during a load and the scores during pricing; packed beside
-    /// `nz`, the pivot row's nonzero values during a pivot and the `nz`
-    /// columns' rest values during a refresh.
+    /// summed during a load and a fresh score pass checking `scores` in a
+    /// debug build; indexed by row, the dual's bound violations; packed
+    /// beside `nz`, the pivot row's nonzero values during a pivot and the
+    /// `nz` columns' rest values during a refresh.
     scratch: Vec<f64>,
     /// Scratch list of columns, one slot per column, filled from the front
     /// by a branch-free compaction (its count is held by the filler): the
@@ -276,6 +300,8 @@ struct Tableau {
     held: bool,
     /// Dual pivots since the last refresh, counted across re-solves.
     since_refresh: usize,
+    /// The instantiation the scans run (see [`Width`]).
+    width: Width,
 }
 
 /// Empties `v` and refills it with `len` copies of `fill`, first reserving
@@ -313,6 +339,7 @@ impl Tableau {
         reset(&mut self.cost, cap_cols, base_cols, 0.0);
         reset(&mut self.state, cap_cols, base_cols, ColState::AtLower);
         reset(&mut self.scratch, cap_cols, cap_cols, 0.0);
+        reset(&mut self.scores, cap_cols, cap_cols, 0.0);
         reset(&mut self.nz, cap_cols, cap_cols, 0);
         for j in 0..n_struct {
             self.lb[j] = s_lb[j];
@@ -323,6 +350,7 @@ impl Tableau {
         }
         reset(&mut self.rhs, m, m, 0.0);
         reset(&mut self.x_basic, m, m, 0.0);
+        reset(&mut self.col, m, m, 0.0);
         reset(&mut self.basis, m, m, 0);
 
         // First pass: decide the initial basis per row — the slack if it can
@@ -497,11 +525,8 @@ impl Tableau {
             let cb = c(self.basis[i]);
             if is_nonzero(cb) {
                 let row = &self.a[i * self.n_cols..(i + 1) * self.n_cols];
-                // A select, not a branch: a zero cell leaves `d` as it is
-                // (`d - cb * 0.0` could flip a signed zero or make a NaN).
-                for (d, &a) in self.dj.iter_mut().zip(row.iter()) {
-                    *d = if is_nonzero(a) { *d - cb * a } else { *d };
-                }
+                let dj = &mut self.dj[..self.n_cols];
+                self.width.run(move || subtract_row(dj, row, cb));
             }
         }
         // Basic columns have zero reduced cost by construction; enforce it to
@@ -704,27 +729,11 @@ impl Tableau {
                 self.refresh_basics();
                 self.refresh_reduced_costs(false);
             }
-            // (row, violation, whether the row sits below its lower bound)
-            let mut leave: Option<(usize, f64, bool)> = None;
-            for i in 0..self.m {
-                let (b, x) = (self.basis[i], self.x_basic[i]);
-                let (violation, below) = if x < self.lb[b] {
-                    (self.lb[b] - x, true)
-                } else {
-                    (x - self.ub[b], false)
-                };
-                let better = match leave {
-                    None => true,
-                    Some((r, _, _)) if bland => b < self.basis[r],
-                    Some((_, worst, _)) => violation > worst,
-                };
-                if violation > FEAS_TOL && better {
-                    leave = Some((i, violation, below));
-                }
-            }
-            let Some((r, violation, below)) = leave else {
+            let Some(r) = self.leaving_row(bland) else {
                 return Ok(self.finish());
             };
+            let leaving = self.basis[r];
+            let (violation, below) = violation(self.x_basic[r], self.lb[leaving], self.ub[leaving]);
             self.iterations += 1;
             self.since_refresh += 1;
             if self.iterations > self.max_iterations {
@@ -739,13 +748,11 @@ impl Tableau {
             // branch; the ratio test then reads those alone.
             let n = self.n_cols;
             let row = &self.a[r * n..(r + 1) * n];
-            let movable = gather_movable(
-                row,
-                &self.state[..n],
-                (&self.lb[..n], &self.ub[..n]),
-                below,
-                &mut self.nz,
-            );
+            let (state, bounds) = (&self.state[..n], (&self.lb[..n], &self.ub[..n]));
+            let verdicts = &mut self.nz[..n];
+            self.width
+                .run(move || movable_verdicts(row, state, bounds, below, verdicts));
+            let movable = compact(&mut self.nz[..n]);
             let mut enter: Option<(usize, f64)> = None; // (col, |alpha|)
             let mut best = f64::INFINITY;
             for &j in &self.nz[..movable] {
@@ -770,19 +777,17 @@ impl Tableau {
             stall = if stalled { stall + 1 } else { 0 };
             bland |= stall > STALL_LIMIT;
 
-            let leaving = self.basis[r];
             let (target, rest) = if below {
                 (self.lb[leaving], ColState::AtLower)
             } else {
                 (self.ub[leaving], ColState::AtUpper)
             };
             let step = (self.x_basic[r] - target) / row[j_in];
-            for i in 0..self.m {
-                let alpha = self.at(i, j_in);
-                if i != r && is_nonzero(alpha) {
-                    self.x_basic[i] -= alpha * step;
-                }
-            }
+            self.gather_column(j_in);
+            // Row r is written over below.
+            let (x_basic, col) = (&mut self.x_basic, &self.col);
+            self.width
+                .run(move || move_basics(x_basic, col, move |x, alpha| x - alpha * step));
             self.x_basic[r] = self.nonbasic_value(j_in) + step;
             self.state[leaving] = rest;
             self.basis[r] = j_in;
@@ -801,6 +806,7 @@ impl Tableau {
         let mut stall = 0usize;
         let mut iterations = 0usize;
         let mut since_refresh = 0usize;
+        self.rescore_all();
         loop {
             iterations += 1;
             self.iterations += 1;
@@ -811,6 +817,7 @@ impl Tableau {
             if since_refresh >= REFRESH_PERIOD {
                 self.refresh_basics();
                 self.refresh_reduced_costs(phase1);
+                self.rescore_all();
                 since_refresh = 0;
             }
 
@@ -818,6 +825,7 @@ impl Tableau {
             let Some((j_in, dir)) = self.price(bland) else {
                 return Ok(PhaseEnd::Optimal);
             };
+            self.gather_column(j_in);
 
             // Ratio test.
             let enter_span = if self.lb[j_in].is_finite() && self.ub[j_in].is_finite() {
@@ -827,8 +835,7 @@ impl Tableau {
             };
             let mut t_best = enter_span;
             let mut leave: Option<(usize, bool, f64)> = None; // (row, hits_upper, |alpha|)
-            for i in 0..self.m {
-                let alpha = self.at(i, j_in);
+            for (i, &alpha) in self.col.iter().enumerate() {
                 if alpha.abs() < PIVOT_TOL {
                     continue;
                 }
@@ -882,56 +889,18 @@ impl Tableau {
                 stall = 0;
             }
 
+            // The entering variable reaching its opposite bound first, or as
+            // soon as a basis change, flips (cheaper: no pivot). Without a
+            // leaving row, t_best is enter_span.
+            let flips = t_best >= enter_span - 1e-12 && enter_span.is_finite();
             match leave {
-                // The entering variable reaches its opposite bound first:
-                // bound flip, no basis change.
-                None => {
-                    debug_assert!(enter_span.is_finite());
-                    for i in 0..self.m {
-                        let alpha = self.at(i, j_in);
-                        if is_nonzero(alpha) {
-                            self.x_basic[i] += -alpha * dir * t_best;
-                        }
-                    }
-                    self.state[j_in] = match self.state[j_in] {
-                        ColState::AtLower => ColState::AtUpper,
-                        ColState::AtUpper => ColState::AtLower,
-                        other => other,
-                    };
-                }
-                Some((r, hits_upper, _))
-                    if t_best >= enter_span - 1e-12 && enter_span.is_finite() =>
-                {
-                    // Tie between bound flip and basis change: prefer the
-                    // flip (cheaper, no pivot).
-                    let _ = (r, hits_upper);
-                    for i in 0..self.m {
-                        let alpha = self.at(i, j_in);
-                        if is_nonzero(alpha) {
-                            self.x_basic[i] += -alpha * dir * enter_span;
-                        }
-                    }
-                    self.state[j_in] = match self.state[j_in] {
-                        ColState::AtLower => ColState::AtUpper,
-                        ColState::AtUpper => ColState::AtLower,
-                        other => other,
-                    };
-                }
-                Some((r, hits_upper, _)) => {
+                Some((r, hits_upper, _)) if !flips => {
                     // Standard pivot: j_in enters the basis in row r.
                     let entering_value = match self.state[j_in] {
                         ColState::FreeZero => dir * t_best,
                         _ => self.nonbasic_value(j_in) + dir * t_best,
                     };
-                    for i in 0..self.m {
-                        if i == r {
-                            continue;
-                        }
-                        let alpha = self.at(i, j_in);
-                        if is_nonzero(alpha) {
-                            self.x_basic[i] += -alpha * dir * t_best;
-                        }
-                    }
+                    self.enter_by(dir, t_best);
                     let leaving = self.basis[r];
                     self.state[leaving] = if hits_upper {
                         ColState::AtUpper
@@ -942,43 +911,141 @@ impl Tableau {
                     self.row_of[j_in] = r;
                     self.state[j_in] = ColState::Basic;
                     self.x_basic[r] = entering_value;
-                    self.pivot(r, j_in);
+                    let nonzeros = self.pivot(r, j_in);
+                    // The pivot changed the reduced costs at the pivot row's
+                    // nonzeros alone, the entering column among them. The
+                    // leaving column is rescored by name: its cell is
+                    // nonzero unless an infinite pivot element scaled the
+                    // row to zeros.
+                    for k in 0..nonzeros {
+                        self.rescore(self.nz[k]);
+                    }
+                    self.rescore(leaving);
+                }
+                _ => {
+                    // Bound flip, no basis change.
+                    debug_assert!(enter_span.is_finite());
+                    self.enter_by(dir, enter_span);
+                    self.state[j_in] = match self.state[j_in] {
+                        ColState::AtLower => ColState::AtUpper,
+                        ColState::AtUpper => ColState::AtLower,
+                        other => other,
+                    };
+                    self.rescore(j_in);
                 }
             }
         }
     }
 
-    /// Primal pricing: the nonbasic, unfixed column whose reduced cost
-    /// improves the objective by the most (under Bland's rule the first
-    /// that improves it at all), and the direction it moves. The scores go
-    /// to `scratch` without a branch (see [`score_columns`]); the entering
-    /// column is the first that attains the maximum, which is the column a
-    /// scan that skips ineligible columns and keeps the first best picks.
-    // srclint: checked-indexing: scratch and dj hold at least n_cols slots
-    // and the position found is below n_cols.
-    fn price(&mut self, bland: bool) -> Option<(usize, f64)> {
+    /// Moves every basic value along the entering column as the entering
+    /// variable moves by `dir * t` (a pivot's row `r` too, which its caller
+    /// then writes over).
+    fn enter_by(&mut self, dir: f64, t: f64) {
+        let (x_basic, col) = (&mut self.x_basic, &self.col);
+        self.width
+            .run(move || move_basics(x_basic, col, move |x, alpha| x + -alpha * dir * t));
+    }
+
+    /// Copies column `j` of the matrix into `col`, one cell per row.
+    fn gather_column(&mut self, j: usize) {
+        let cells = self.a.iter().skip(j).step_by(self.n_cols);
+        for (c, &a) in self.col.iter_mut().zip(cells) {
+            *c = a;
+        }
+    }
+
+    /// Scores every column (the start of a primal phase, and after a
+    /// refresh recomputed every reduced cost).
+    // srclint: checked-indexing: state, lb, ub, dj and scores all hold at
+    // least n_cols slots.
+    fn rescore_all(&mut self) {
         let n = self.n_cols;
-        let scores = &mut self.scratch[..n];
-        let best = score_columns(
+        let (state, bounds, dj) = (
             &self.state[..n],
             (&self.lb[..n], &self.ub[..n]),
             &self.dj[..n],
-            scores,
         );
+        let scores = &mut self.scores[..n];
+        self.width
+            .run(move || score_columns(state, bounds, dj, scores));
+    }
+
+    /// Scores column `j` again after its reduced cost or state changed.
+    // srclint: checked-indexing: j < n_cols, and scores, state, lb, ub and
+    // dj all hold at least n_cols slots.
+    fn rescore(&mut self, j: usize) {
+        self.scores[j] = score(self.state[j], self.lb[j], self.ub[j], self.dj[j]);
+    }
+
+    /// Primal pricing: the nonbasic, unfixed column whose reduced cost
+    /// improves the objective by the most (under Bland's rule the first
+    /// that improves it at all), and the direction it moves. It reads the
+    /// kept scores (see [`score`]); the entering column is the first that
+    /// attains the maximum ([`first_max`]), which is the column a scan that
+    /// skips ineligible columns and keeps the first best picks.
+    // srclint: checked-indexing: scratch, scores and dj hold at least n_cols
+    // slots and the position found is below n_cols.
+    fn price(&mut self, bland: bool) -> Option<(usize, f64)> {
+        let n = self.n_cols;
+        if cfg!(debug_assertions) {
+            let fresh = &mut self.scratch[..n];
+            score_columns(
+                &self.state[..n],
+                (&self.lb[..n], &self.ub[..n]),
+                &self.dj[..n],
+                fresh,
+            );
+            let same = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+            debug_assert!(
+                fresh.iter().zip(&self.scores[..n]).all(same),
+                "a kept pricing score went stale"
+            );
+        }
+        let scores = &self.scores[..n];
         // An eligible score exceeds COST_TOL > 0.0, so 0.0 stands for none.
         let j = if bland {
             scores.iter().position(|&s| s > 0.0)
-        } else if best > 0.0 {
-            scores.iter().position(|&s| exact_eq(s, best))
         } else {
-            None
+            self.width.run(move || first_max(scores, 0.0))
         }?;
         // Only a column at its lower bound or free rises, and only when
         // its reduced cost is positive; any other eligible column falls.
         Some((j, if self.dj[j] > COST_TOL { 1.0 } else { -1.0 }))
     }
 
-    /// Gaussian elimination step making column `j` a unit vector at row `r`.
+    /// The dual simplex's leaving row: the row whose basic value violates a
+    /// bound the most (the first such row on a tie), or under Bland's rule
+    /// the violated row whose basic column has the lowest index; `None`
+    /// when no violation exceeds `FEAS_TOL`. The violations go to
+    /// `scratch` in one select pass ([`row_violations`]).
+    // srclint: checked-indexing: basis and x_basic hold m slots, scratch at
+    // least n_cols >= m, and basis entries are columns below n_cols, the
+    // length of lb and ub.
+    fn leaving_row(&mut self, bland: bool) -> Option<usize> {
+        if bland {
+            let mut leave: Option<usize> = None;
+            for i in 0..self.m {
+                let b = self.basis[i];
+                let (v, _) = violation(self.x_basic[i], self.lb[b], self.ub[b]);
+                if v > FEAS_TOL && leave.is_none_or(|r| b < self.basis[r]) {
+                    leave = Some(i);
+                }
+            }
+            return leave;
+        }
+        let m = self.m;
+        let (x_basic, basis) = (&self.x_basic[..m], &self.basis[..m]);
+        let bounds = (&self.lb[..], &self.ub[..]);
+        let violations = &mut self.scratch[..m];
+        self.width.run(move || {
+            row_violations(x_basic, basis, bounds, violations);
+            first_max(violations, FEAS_TOL)
+        })
+    }
+
+    /// Gaussian elimination step making column `j` a unit vector at row `r`;
+    /// `col` holds column `j` as the iteration gathered it. Returns how
+    /// many nonzeros the pivot row has.
     ///
     /// The pivot row is scaled once and its nonzeros gathered, without a
     /// branch, as their columns in `nz` and their values packed in
@@ -986,12 +1053,12 @@ impl Tableau {
     /// only (see [`eliminate`]).
     // srclint: checked-indexing: r < m and j < n_cols come straight from
     // the caller's ratio test; the matrix holds m rows of n_cols cells
-    // (cell (i, k) at i * n_cols + k < m * n_cols), rhs/dj are allocated to
-    // match, and nz/scratch hold at least n_cols slots, which the count
+    // (cell (i, k) at i * n_cols + k < m * n_cols), rhs/dj/col are allocated
+    // to match, and nz/scratch hold at least n_cols slots, which the count
     // never passes.
-    fn pivot(&mut self, r: usize, j: usize) {
+    fn pivot(&mut self, r: usize, j: usize) -> usize {
         let n = self.n_cols;
-        let p = self.at(r, j);
+        let p = self.col[r];
         debug_assert!(p.abs() >= PIVOT_TOL, "pivot too small: {p}");
         let inv = 1.0 / p;
         let pivot_row = &mut self.a[r * n..(r + 1) * n];
@@ -999,12 +1066,8 @@ impl Tableau {
         let (cols, vals) = (&self.nz[..nonzeros], &self.scratch[..nonzeros]);
         self.rhs[r] *= inv;
         let pivot_rhs = self.rhs[r];
-        for i in 0..self.m {
-            if i == r {
-                continue;
-            }
-            let factor = self.a[i * n + j];
-            if is_nonzero(factor) {
+        for (i, &factor) in self.col.iter().enumerate() {
+            if i != r && is_nonzero(factor) {
                 let row = &mut self.a[i * n..(i + 1) * n];
                 eliminate(row, factor, cols, vals);
                 self.rhs[i] -= factor * pivot_rhs;
@@ -1015,68 +1078,131 @@ impl Tableau {
             eliminate(&mut self.dj, dfac, cols, vals);
         }
         self.dj[j] = 0.0;
+        nonzeros
     }
 }
 
-/// Writes each column's pricing score to `scores` and returns the largest:
-/// `|d_j|` for a column that can move the way its reduced cost `d_j`
-/// improves the objective (up from its lower bound or from free when
-/// `d_j > COST_TOL`, down from its upper bound or from free when
-/// `d_j < -COST_TOL`) and is not fixed, `0.0` for any other. The score is a
-/// select and the maximum runs in four lanes, so nothing branches on the
-/// data; every score is finite or infinite but never NaN, so the lanes'
-/// order cannot change the maximum.
-// srclint: checked-indexing: lanes[0] indexes a four-element array.
-fn score_columns(
-    state: &[ColState],
-    (lb, ub): (&[f64], &[f64]),
-    dj: &[f64],
-    scores: &mut [f64],
-) -> f64 {
-    let columns = state.iter().zip(dj).zip(lb.iter().zip(ub));
-    for (score, ((&st, &d), (&lo, &hi))) in scores.iter_mut().zip(columns) {
-        let free = st == ColState::FreeZero;
-        let up = ((st == ColState::AtLower) | free) & (d > COST_TOL);
-        let down = ((st == ColState::AtUpper) | free) & (d < -COST_TOL);
-        // Fixed columns (lb == ub) can never make progress.
-        *score = if (up | down) & !exact_eq(lo, hi) {
-            d.abs()
-        } else {
-            0.0
-        };
+/// One column's pricing score: `|d|` for a column that can move the way
+/// its reduced cost `d` improves the objective (up from its lower bound or
+/// from free when `d > COST_TOL`, down from its upper bound or from free
+/// when `d < -COST_TOL`) and is not fixed, `0.0` for any other. A select,
+/// so nothing branches on the data; never NaN.
+#[inline(always)]
+fn score(st: ColState, lo: f64, hi: f64, d: f64) -> f64 {
+    let free = st == ColState::FreeZero;
+    let up = ((st == ColState::AtLower) | free) & (d > COST_TOL);
+    let down = ((st == ColState::AtUpper) | free) & (d < -COST_TOL);
+    // Fixed columns (lb == ub) can never make progress.
+    if (up | down) & !exact_eq(lo, hi) {
+        d.abs()
+    } else {
+        0.0
     }
-    let mut lanes = [0.0_f64; 4];
-    let chunks = scores.chunks_exact(4);
+}
+
+/// Writes each column's [`score`] to `scores`.
+#[inline(always)]
+fn score_columns(state: &[ColState], (lb, ub): (&[f64], &[f64]), dj: &[f64], scores: &mut [f64]) {
+    let columns = state.iter().zip(dj).zip(lb.iter().zip(ub));
+    for (s, ((&st, &d), (&lo, &hi))) in scores.iter_mut().zip(columns) {
+        *s = score(st, lo, hi, d);
+    }
+}
+
+/// The first index at which `values` attains its maximum, if that maximum
+/// exceeds `floor`: the index a left-to-right scan keeping the first best
+/// finds. Four lanes each keep their greatest value and the first chunk of
+/// four that held it (a strict `>`, so a NaN never enters); the lowest
+/// index among the lanes at the overall maximum stands unless the tail
+/// past the last whole chunk holds a greater value.
+#[inline(always)]
+fn first_max(values: &[f64], floor: f64) -> Option<usize> {
+    let mut best = [floor; 4];
+    // Lane k's best so far is at index 4 * at[k] + k.
+    let mut at = [u64::MAX; 4];
+    let chunks = values.chunks_exact(4);
     let tail = chunks.remainder();
-    for chunk in chunks {
-        for (lane, &s) in lanes.iter_mut().zip(chunk) {
-            *lane = if s > *lane { s } else { *lane };
+    let tail_start = values.len() - tail.len();
+    for (c, chunk) in (0u64..).zip(chunks) {
+        for ((b, a), &v) in best.iter_mut().zip(at.iter_mut()).zip(chunk) {
+            let gt = v > *b;
+            *b = if gt { v } else { *b };
+            *a = if gt { c } else { *a };
         }
     }
-    for &s in tail {
-        lanes[0] = if s > lanes[0] { s } else { lanes[0] };
+    let mut first = usize::MAX;
+    let mut top = fixed_max(best);
+    for (k, (&b, &a)) in best.iter().zip(&at).enumerate() {
+        if exact_eq(b, top) && a != u64::MAX {
+            first = first.min(4 * a as usize + k);
+        }
     }
-    fixed_max(lanes)
+    for (k, &v) in tail.iter().enumerate() {
+        if v > top {
+            (top, first) = (v, tail_start + k);
+        }
+    }
+    (first < values.len()).then_some(first)
 }
 
-/// The columns that can move a row's basic variable back to the bound it
-/// violates (below its lower bound when `below`), written in ascending order
-/// to the front of `out`; returns their count. A column qualifies when it is
+/// A basic value's bound violation, with whether it lies below its lower
+/// bound: `lb - x` when `x < lb`, otherwise `x - ub`.
+#[inline(always)]
+fn violation(x: f64, lb: f64, ub: f64) -> (f64, bool) {
+    if x < lb {
+        (lb - x, true)
+    } else {
+        (x - ub, false)
+    }
+}
+
+/// Writes each row's [`violation`] to `out`, the row's basic column
+/// `basis[i]` naming its bounds in `lb` and `ub`.
+// srclint: checked-indexing: basis holds columns below the length of lb
+// and ub.
+#[inline(always)]
+fn row_violations(x_basic: &[f64], basis: &[usize], (lb, ub): (&[f64], &[f64]), out: &mut [f64]) {
+    for ((v, &x), &b) in out.iter_mut().zip(x_basic).zip(basis) {
+        (*v, _) = violation(x, lb[b], ub[b]);
+    }
+}
+
+/// `d -= cb * a` for every nonzero cell `a` of `row`: a select, not a
+/// branch, and a zero cell leaves `d` as it is (`d - cb * 0.0` could flip
+/// a signed zero or make a NaN).
+#[inline(always)]
+fn subtract_row(dj: &mut [f64], row: &[f64], cb: f64) {
+    for (d, &a) in dj.iter_mut().zip(row) {
+        *d = if is_nonzero(a) { *d - cb * a } else { *d };
+    }
+}
+
+/// Moves each basic value `x` along its nonzero cell `alpha` of the
+/// entering column to `moved(x, alpha)`; a zero cell leaves `x` as it is.
+#[inline(always)]
+fn move_basics(x_basic: &mut [f64], col: &[f64], moved: impl Fn(f64, f64) -> f64) {
+    for (x, &alpha) in x_basic.iter_mut().zip(col) {
+        *x = if is_nonzero(alpha) {
+            moved(*x, alpha)
+        } else {
+            *x
+        };
+    }
+}
+
+/// Writes each column's verdict for the dual ratio test to `out`: 1 when it
+/// can move a row's basic variable back to the bound it violates (below
+/// its lower bound when `below`), else 0. A column qualifies when it is
 /// nonbasic, unfixed, free to move off its bound the way `alpha`'s sign
-/// needs, and `|alpha| >= PIVOT_TOL`. A first pass writes each column's
-/// verdict (0 or 1) to its own slot and vectorises; a second compacts in
-/// place, every column writing its index at the count and only a qualifying
-/// one advancing it. The count never passes the column, so no verdict is
-/// overwritten before it is read, and neither pass branches on the data.
-// srclint: checked-indexing: out holds at least row.len() slots, j is
-// below row.len() and the count never passes j.
-fn gather_movable(
+/// needs, and `|alpha| >= PIVOT_TOL`.
+#[inline(always)]
+fn movable_verdicts(
     row: &[f64],
     state: &[ColState],
     (lb, ub): (&[f64], &[f64]),
     below: bool,
     out: &mut [usize],
-) -> usize {
+) {
     let columns = row.iter().zip(state).zip(lb.iter().zip(ub));
     for (flag, ((&alpha, &st), (&lo, &hi))) in out.iter_mut().zip(columns) {
         let eligible = (st == ColState::AtLower) & ((alpha < 0.0) == below)
@@ -1086,8 +1212,18 @@ fn gather_movable(
         // let it through, but its ratio is NaN and could never win.
         *flag = usize::from(eligible & (alpha.abs() >= PIVOT_TOL) & !exact_eq(lo, hi));
     }
+}
+
+/// Compacts [`movable_verdicts`]' flags in place into the columns that
+/// qualify, in ascending order at the front; returns their count. Every
+/// column writes its index at the count and only a qualifying one advances
+/// it, so nothing branches on the data; the count never passes the column,
+/// so no verdict is overwritten before it is read.
+// srclint: checked-indexing: j is below out.len() and the count never
+// passes j.
+fn compact(out: &mut [usize]) -> usize {
     let mut count = 0;
-    for j in 0..row.len() {
+    for j in 0..out.len() {
         let flag = out[j];
         out[count] = j;
         count += flag;
@@ -1097,8 +1233,8 @@ fn gather_movable(
 
 /// Scales `row` by `inv` in place and writes its nonzero columns and their
 /// values, in ascending order, to the front of `cols` and `vals`; returns
-/// their count. As in [`gather_movable`], every cell writes and only a
-/// nonzero one advances the count.
+/// their count. As in [`compact`], every cell writes and only a nonzero
+/// one advances the count.
 // srclint: checked-indexing: cols and vals hold at least row.len() slots,
 // which the count (at most k) never passes.
 fn scale_and_gather(row: &mut [f64], inv: f64, cols: &mut [usize], vals: &mut [f64]) -> usize {
@@ -1426,6 +1562,237 @@ mod tests {
             LpOutcome::Infeasible { farkas } => (1, of(farkas.as_deref().unwrap_or(&[]))),
             LpOutcome::Unbounded { ray } => (2, of(ray.as_deref().unwrap_or(&[]))),
         }
+    }
+
+    /// Seeded inputs for the kernel equivalence tests: values mix the
+    /// edge cases a scan must treat alike at every width with plain ones.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            // SplitMix64.
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, k: usize) -> usize {
+            (self.next() % k as u64) as usize
+        }
+
+        fn value(&mut self) -> f64 {
+            const EDGES: [f64; 22] = [
+                0.0,
+                -0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                5e-324,
+                -5e-324,
+                f64::MIN_POSITIVE / 2.0,
+                1e300,
+                -1e300,
+                1e-300,
+                -1e-300,
+                COST_TOL,
+                -COST_TOL,
+                PIVOT_TOL,
+                -PIVOT_TOL,
+                FEAS_TOL,
+                -FEAS_TOL,
+                1.0,
+                -1.0,
+                2.0,
+                0.5,
+            ];
+            match self.below(3) {
+                0 => EDGES[self.below(EDGES.len())],
+                // Small integers tie often, which the picks must break alike.
+                1 => self.below(7) as f64 - 3.0,
+                _ => (self.next() >> 11) as f64 / (1u64 << 50) as f64 - 4.0,
+            }
+        }
+
+        fn values(&mut self, n: usize) -> Vec<f64> {
+            (0..n).map(|_| self.value()).collect()
+        }
+
+        fn states(&mut self, n: usize) -> Vec<ColState> {
+            const ALL: [ColState; 4] = [
+                ColState::Basic,
+                ColState::AtLower,
+                ColState::AtUpper,
+                ColState::FreeZero,
+            ];
+            (0..n).map(|_| ALL[self.below(4)]).collect()
+        }
+
+        /// Bounds per column, about one column in four fixed.
+        fn bounds(&mut self, n: usize) -> (Vec<f64>, Vec<f64>) {
+            let lb = self.values(n);
+            let ub = lb
+                .iter()
+                .map(|&lo| if self.below(4) == 0 { lo } else { self.value() })
+                .collect();
+            (lb, ub)
+        }
+    }
+
+    fn to_bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The AVX2 instantiation, or `None` (with a note) on a host without it.
+    fn wide() -> Option<Width> {
+        let host = Width::host();
+        if !host.is_wide() {
+            eprintln!("note: no AVX2 on this host; only the portable kernels ran");
+        }
+        host.is_wide().then_some(host)
+    }
+
+    /// Each case of an equivalence test: every slice length from 0 to 130,
+    /// three seeds each.
+    fn cases() -> impl Iterator<Item = (usize, Draw)> {
+        (0..=130).flat_map(|n| (0..3).map(move |seed| (n, Draw(seed * 1000 + n as u64))))
+    }
+
+    /// The pick a left-to-right scan makes: the first index of the largest
+    /// value above `floor`.
+    fn scan_first_max(values: &[f64], floor: f64) -> Option<usize> {
+        let mut pick: Option<(usize, f64)> = None;
+        for (i, &v) in values.iter().enumerate() {
+            if v > floor && pick.is_none_or(|(_, best)| v > best) {
+                pick = Some((i, v));
+            }
+        }
+        pick.map(|(i, _)| i)
+    }
+
+    #[test]
+    fn pricing_scans_agree_at_every_width() {
+        let Some(wide) = wide() else { return };
+        let portable = Width::PORTABLE;
+        for (n, mut draw) in cases() {
+            let state = draw.states(n);
+            let (lb, ub) = draw.bounds(n);
+            let dj = draw.values(n);
+            let pick = |w: Width| {
+                let mut scores = vec![f64::NAN; n];
+                w.run(|| score_columns(&state, (&lb, &ub), &dj, &mut scores));
+                let j = w.run(|| first_max(&scores, 0.0));
+                (to_bits(&scores), j)
+            };
+            let (scores, j) = pick(portable);
+            assert_eq!((scores.clone(), j), pick(wide), "n = {n}");
+            let scores: Vec<f64> = scores.into_iter().map(f64::from_bits).collect();
+            assert_eq!(j, scan_first_max(&scores, 0.0), "n = {n}");
+            // The pick alone, over values with NaN and a floor of any sign.
+            let values = draw.values(n);
+            let floor = draw.value();
+            let floor = if floor.is_nan() { 0.0 } else { floor };
+            let first = |w: Width| w.run(|| first_max(&values, floor));
+            assert_eq!(first(portable), first(wide), "n = {n}");
+            assert_eq!(first(portable), scan_first_max(&values, floor), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn dual_ratio_verdicts_agree_at_every_width() {
+        let Some(wide) = wide() else { return };
+        for (n, mut draw) in cases() {
+            let row = draw.values(n);
+            let state = draw.states(n);
+            let (lb, ub) = draw.bounds(n);
+            for below in [false, true] {
+                let verdicts = |w: Width| {
+                    let mut out = vec![7; n];
+                    w.run(|| movable_verdicts(&row, &state, (&lb, &ub), below, &mut out));
+                    out
+                };
+                assert_eq!(verdicts(Width::PORTABLE), verdicts(wide), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn reduced_cost_refresh_agrees_at_every_width() {
+        let Some(wide) = wide() else { return };
+        for (n, mut draw) in cases() {
+            let (dj, row, cb) = (draw.values(n), draw.values(n), draw.value());
+            let refreshed = |w: Width| {
+                let mut out = dj.clone();
+                w.run(|| subtract_row(&mut out, &row, cb));
+                to_bits(&out)
+            };
+            assert_eq!(refreshed(Width::PORTABLE), refreshed(wide), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn leaving_row_scan_agrees_at_every_width() {
+        let Some(wide) = wide() else { return };
+        for (m, mut draw) in cases() {
+            let n = m + 1 + draw.below(8);
+            let (lb, ub) = draw.bounds(n);
+            let x_basic = draw.values(m);
+            let basis: Vec<usize> = (0..m).map(|_| draw.below(n)).collect();
+            let scan = |w: Width| {
+                let mut out = vec![f64::NAN; m];
+                let r = w.run(|| {
+                    row_violations(&x_basic, &basis, (&lb, &ub), &mut out);
+                    first_max(&out, FEAS_TOL)
+                });
+                (to_bits(&out), r)
+            };
+            let (violations, r) = scan(Width::PORTABLE);
+            assert_eq!((violations.clone(), r), scan(wide), "m = {m}");
+            let violations: Vec<f64> = violations.into_iter().map(f64::from_bits).collect();
+            assert_eq!(r, scan_first_max(&violations, FEAS_TOL), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn basic_value_updates_agree_at_every_width() {
+        let Some(wide) = wide() else { return };
+        for (m, mut draw) in cases() {
+            let (x_basic, col) = (draw.values(m), draw.values(m));
+            let (dir, t) = (if draw.below(2) == 0 { 1.0 } else { -1.0 }, draw.value());
+            let moved = |w: Width, primal: bool| {
+                let mut out = x_basic.clone();
+                if primal {
+                    w.run(|| move_basics(&mut out, &col, |x, alpha| x + -alpha * dir * t));
+                } else {
+                    w.run(|| move_basics(&mut out, &col, |x, alpha| x - alpha * t));
+                }
+                to_bits(&out)
+            };
+            for primal in [true, false] {
+                assert_eq!(
+                    moved(Width::PORTABLE, primal),
+                    moved(wide, primal),
+                    "m = {m}"
+                );
+            }
+        }
+    }
+
+    /// A primal phase of more than `REFRESH_PERIOD` pivots recomputes its
+    /// reduced costs midway, and in a debug build `price` checks every kept
+    /// score against a fresh pass: this LP holds the rescore after a refresh.
+    #[test]
+    fn a_long_primal_phase_rescores_after_its_refresh() {
+        let model = mixed_lp(100, 60, 0);
+        let simplex = Simplex::default();
+        let LpOutcome::Optimal { values, .. } = simplex.solve(&model).unwrap() else {
+            panic!("expected optimal");
+        };
+        assert!(model.is_feasible(&values, 1e-6));
+        // Phase 2's start and the optimum refresh once each; any more came
+        // inside a phase.
+        assert!(simplex.refactorizations() > 2, "{simplex:?}");
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! under-estimates let reservations expire before their jobs finish;
 //! over-estimates admit fewer jobs and release capacity early.
 
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod plan;
 

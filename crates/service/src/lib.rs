@@ -20,6 +20,8 @@
 //! [`ServiceMode::Open`] enables the full intake/admission pipeline for
 //! open-loop arrival streams.
 
+#![deny(unsafe_code)]
+
 use std::collections::VecDeque;
 
 pub mod admission;

@@ -19,6 +19,8 @@
 //! Schedulers plug in through the [`Scheduler`] trait; both the TetriSched
 //! core and the YARN CapacityScheduler baseline implement it.
 
+#![deny(unsafe_code)]
+
 pub mod engine;
 pub mod event;
 pub mod fault;

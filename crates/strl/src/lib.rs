@@ -43,6 +43,8 @@
 //! assert_eq!(reparsed, expr);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod expr;
 pub mod parser;
 pub mod rdl;

@@ -39,6 +39,8 @@
 //! asserted by `tests/telemetry_e2e.rs` via decision equality and
 //! reported by `bin/observe.rs`.
 
+#![deny(unsafe_code)]
+
 mod export;
 mod sketch;
 

@@ -24,6 +24,8 @@
 //! ("we adjust the load to utilize near 100% of the available cluster
 //! capacity").
 
+#![deny(unsafe_code)]
+
 pub mod compositions;
 pub mod distributions;
 pub mod gridmix;

@@ -25,6 +25,8 @@
 //!
 //! Exit codes: `0` ok, `1` an exporter write failed, `2` bad arguments.
 
+#![deny(unsafe_code)]
+
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;

@@ -51,6 +51,8 @@
 //! assert_eq!(sol.objective, 4.0); // the GPU option wins
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use lint;
 pub use tetrisched_baseline as baseline;
 pub use tetrisched_bench as bench;
