@@ -39,8 +39,9 @@
 //! the model cost 11), the request (15 variables x 12 rows) cost 105 to
 //! build; 71 once refine stopped allocating where a set splits nothing and
 //! the supply rows were bucketed by a counting pass. With one cover per
-//! distinct leaf set it costs exactly 66 to build and 20 to solve in
-//! release, against budgets of 75 and 29.
+//! distinct leaf set it costs exactly 66 to build and 22 to solve in
+//! release (20 before the simplex kept its pricing scores and entering
+//! column in two buffers of their own), against budgets of 75 and 29.
 //! Through this model the greedy unit cost 125. A debug build's solve also runs
 //! the `debug_precheck` / `debug_postcheck` audits, which allocate their
 //! findings, so there only the build half is held to its budget; CI runs
