@@ -59,18 +59,6 @@ impl NodeHealth {
         self.factor[node.index()] = factor.max(1.0);
     }
 
-    /// Whether the node currently runs slower than nominal.
-    // srclint: checked-indexing: one `factor` entry per node of the universe,
-    // as in `factor`.
-    pub fn is_degraded(&self, node: NodeId) -> bool {
-        self.factor[node.index()] > 1.0
-    }
-
-    /// Number of nodes currently degraded.
-    pub fn degraded_count(&self) -> usize {
-        self.factor.iter().filter(|&&f| f > 1.0).count()
-    }
-
     /// Registers an announced maintenance window. Zero-length windows are
     /// dropped.
     pub fn announce(&mut self, node: NodeId, start: Time, end: Time) {
@@ -85,13 +73,6 @@ impl NodeHealth {
     pub fn announced(&self) -> &[MaintenanceWindow] {
         &self.windows
     }
-
-    /// Whether an announced window covers the node at time `t`.
-    pub fn in_maintenance(&self, node: NodeId, t: Time) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.node == node && w.start <= t && t < w.end)
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +83,6 @@ mod tests {
     fn starts_healthy() {
         let h = NodeHealth::new(4);
         assert_eq!(h.factor(NodeId(2)), 1.0);
-        assert!(!h.is_degraded(NodeId(2)));
-        assert_eq!(h.degraded_count(), 0);
         assert!(h.announced().is_empty());
     }
 
@@ -114,18 +93,6 @@ mod tests {
         assert_eq!(h.factor(NodeId(0)), 1.0);
         h.set_factor(NodeId(0), 3.5);
         assert_eq!(h.factor(NodeId(0)), 3.5);
-        assert_eq!(h.degraded_count(), 1);
-    }
-
-    #[test]
-    fn maintenance_windows_are_half_open() {
-        let mut h = NodeHealth::new(2);
-        h.announce(NodeId(1), 10, 20);
-        assert!(!h.in_maintenance(NodeId(1), 9));
-        assert!(h.in_maintenance(NodeId(1), 10));
-        assert!(h.in_maintenance(NodeId(1), 19));
-        assert!(!h.in_maintenance(NodeId(1), 20));
-        assert!(!h.in_maintenance(NodeId(0), 15));
     }
 
     #[test]

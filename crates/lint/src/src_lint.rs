@@ -13,7 +13,7 @@
 //! scoping is brace-matched (code *after* a test module is still
 //! analyzed).
 //!
-//! Every rule but one is a row of [`RULES`]: a code, the path prefixes it
+//! Every rule but one is a row of `RULES`: a code, the path prefixes it
 //! guards, the files inside them it leaves alone, a matcher over one
 //! token position, and the message. No rule follows a call: what a rule
 //! covers is read off its row, never off a function's name.
@@ -32,10 +32,10 @@
 //!   `// srclint: expect-boundary: <why>`, and no slice-index expression
 //!   outside one annotated `// srclint: checked-indexing: <why>`, in any
 //!   non-test code of `cluster`, `core`, `milp`, `service`, `sim` and
-//!   `strl` (its text parser aside), and of `lint`'s STRL lint and
-//!   certifier — the scheduler cycle, the STRL code it builds, lints and
-//!   certifies, and the event loop, ledger and service that drive it. An
-//!   annotation with an empty reason is no annotation.
+//!   `strl`, and of `lint`'s STRL lint and certifier — the scheduler
+//!   cycle, the STRL code it builds, lints and certifies, and the event
+//!   loop, ledger and service that drive it. An annotation with an empty
+//!   reason is no annotation.
 //! - `L009` — **float-determinism**: in solver crates (`milp`, `core`,
 //!   `cluster`), no `f64`/`f32` `==`/`!=` comparison and no float
 //!   `Iterator::sum`/`product`/`fold` accumulation outside the fixed-order
@@ -80,7 +80,7 @@ struct Rule {
 }
 
 /// The code that runs on every cycle and every simulated event: `L008`'s
-/// scope (less [`PANIC_EXEMPT`]), and the functions `fns_checked` counts.
+/// scope, and the functions `fns_checked` counts.
 const PANIC_GUARDED: [&str; 8] = [
     "crates/cluster/src/",
     "crates/core/src/",
@@ -91,9 +91,6 @@ const PANIC_GUARDED: [&str; 8] = [
     "crates/sim/src/",
     "crates/strl/src/",
 ];
-
-/// The STRL text parser: no cycle parses text, so `L008` leaves it alone.
-const PANIC_EXEMPT: [&str; 1] = ["crates/strl/src/parser.rs"];
 
 /// Solver-adjacent crates: iteration order (`L004`) and float comparison
 /// and reduction order (`L009`) here reach objective values, pivoting,
@@ -158,10 +155,10 @@ const RULES: [Rule; 8] = [
     Rule {
         code: "L008",
         scope: &PANIC_GUARDED,
-        exempt: &PANIC_EXEMPT,
+        exempt: &[],
         matcher: panic_source,
-        message: "{what}: `cluster`, `core`, `milp`, `service`, `sim`, `strl` (less its parser) \
-                  and `lint`'s `strl_lint` and `certify` run on every cycle and every simulated \
+        message: "{what}: `cluster`, `core`, `milp`, `service`, `sim`, `strl` and \
+                  `lint`'s `strl_lint` and `certify` run on every cycle and every simulated \
                   event, and a panic there kills the whole run; propagate a typed error, or \
                   state on the function why it cannot fire (an invariant abort that must stay \
                   is an `expect-boundary`)",
@@ -311,7 +308,7 @@ fn push(report: &mut SrcLintReport, code: &'static str, msg: String, rel: &str, 
 /// Runs every rule whose scope holds `f` over `f`'s non-test tokens.
 fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
     let rel = f.rel.as_str();
-    if in_any(rel, &PANIC_GUARDED) && !in_any(rel, &PANIC_EXEMPT) {
+    if in_any(rel, &PANIC_GUARDED) {
         report.fns_checked += f.fns.iter().filter(|item| !item.is_test).count();
     }
     let rules: Vec<&Rule> = RULES

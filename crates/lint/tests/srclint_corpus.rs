@@ -81,10 +81,10 @@ fn l008_reaches_the_event_loop_and_an_empty_reason_vouches_for_nothing() {
 }
 
 #[test]
-fn l008_covers_the_strl_code_the_cycle_runs_but_not_the_parser() {
+fn l008_covers_the_strl_code_the_cycle_runs() {
     let report = corpus();
     let strl = sites(&report, "L008", "crates/strl/src/");
-    assert_eq!(strl, ["expr.rs:12"], "not parser.rs: {report:#?}");
+    assert_eq!(strl, ["expr.rs:12"], "{report:#?}");
     // `strl_lint.rs` is guarded; `render.rs` beside it is not.
     let lint = sites(&report, "L008", "crates/lint/src/");
     assert_eq!(lint, ["strl_lint.rs:5"], "{report:#?}");
@@ -99,8 +99,7 @@ fn a_helper_named_run_in_an_unguarded_crate_changes_no_count() {
         .filter(|d| d.context.contains("crates/bench/"));
     assert_eq!(bench.count(), 0, "{report:#?}");
     // Every non-test fn of the guarded fixtures, `masked` excluded — and
-    // neither `run` nor `cycle` of `crates/bench`, nor the STRL parser's
-    // or `lint::render`'s.
+    // neither `run` nor `cycle` of `crates/bench`, nor `lint::render`'s.
     assert_eq!(report.fns_checked, 28, "{report:#?}");
 }
 

@@ -13,7 +13,7 @@
 //!   violated by every point inside the variable bounds) becomes an Error
 //!   diagnostic carrying a machine-checkable [`Certificate`],
 //! - the same interval bound propagation that powers the certificates is
-//!   exported ([`propagate_bounds`]) and reused by [`crate::presolve`], so
+//!   exported ([`propagate_bounds`]) and reused by [`crate::presolve()`], so
 //!   certified-infeasible models never enter simplex.
 //!
 //! The shared [`Diagnostic`] type is re-exported by the workspace `lint`
@@ -32,8 +32,6 @@ const TIGHTEN_TOL: f64 = 1e-9;
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Informational; no action needed.
-    Info,
     /// Suspicious structure; the model still solves correctly.
     Warning,
     /// The model is malformed or provably infeasible.
@@ -43,7 +41,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Severity::Info => write!(f, "info"),
             Severity::Warning => write!(f, "warning"),
             Severity::Error => write!(f, "error"),
         }

@@ -165,12 +165,6 @@ impl LinExpr {
         }
     }
 
-    /// Adds `coeff * var` to the expression.
-    pub fn add_term(&mut self, var: VarId, coeff: f64) -> &mut Self {
-        self.terms.push((var, coeff));
-        self
-    }
-
     /// Adds another expression to this one.
     pub fn add_expr(&mut self, other: &LinExpr) -> &mut Self {
         self.terms.extend_from_slice(&other.terms);
@@ -194,13 +188,6 @@ impl LinExpr {
             terms,
             constant: self.constant,
         }
-    }
-
-    /// Evaluates the expression against a dense assignment.
-    // srclint: checked-indexing: VarIds in the terms index the assignment
-    // of the model that minted them; callers pass num_vars-length slices.
-    pub fn eval(&self, values: &[f64]) -> f64 {
-        self.constant + fixed_dot(self.terms.iter().map(|&(v, c)| (c, values[v.0])))
     }
 }
 
@@ -272,13 +259,6 @@ impl Model {
         self.add_var(name, VarKind::Binary, 0.0, 1.0, obj)
     }
 
-    /// Adds to the objective coefficient of an existing variable.
-    // srclint: checked-indexing: VarIds are only minted by this model's
-    // add_var and always index `vars`.
-    pub fn add_objective_term(&mut self, var: VarId, coeff: f64) {
-        self.vars[var.0].obj += coeff;
-    }
-
     /// Installs a whole expression into the objective.
     // srclint: checked-indexing: VarIds are only minted by this model's
     // add_var and always index `vars`.
@@ -308,19 +288,6 @@ impl Model {
             rhs,
         });
         id
-    }
-
-    /// Adds a constraint from a [`LinExpr`]; the expression's constant is
-    /// moved to the right-hand side.
-    pub fn add_constraint_expr(
-        &mut self,
-        name: impl Into<Name>,
-        expr: &LinExpr,
-        sense: Sense,
-        rhs: f64,
-    ) -> ConstraintId {
-        let terms = expr.terms.iter().copied();
-        self.add_constraint(name, terms, sense, rhs - expr.constant)
     }
 
     /// Number of variables.
@@ -468,8 +435,10 @@ mod tests {
     fn linexpr_compact_merges_terms() {
         let a = VarId(0);
         let b = VarId(1);
-        let mut e = LinExpr::new();
-        e.add_term(a, 1.0).add_term(b, 2.0).add_term(a, 3.0);
+        let e = LinExpr {
+            terms: vec![(a, 1.0), (b, 2.0), (a, 3.0)],
+            constant: 0.0,
+        };
         let c = e.compact();
         assert_eq!(c.terms, vec![(a, 4.0), (b, 2.0)]);
     }
@@ -477,18 +446,11 @@ mod tests {
     #[test]
     fn linexpr_compact_drops_zeros() {
         let a = VarId(0);
-        let mut e = LinExpr::new();
-        e.add_term(a, 1.0).add_term(a, -1.0);
+        let e = LinExpr {
+            terms: vec![(a, 1.0), (a, -1.0)],
+            constant: 0.0,
+        };
         assert!(e.compact().terms.is_empty());
-    }
-
-    #[test]
-    fn linexpr_eval() {
-        let a = VarId(0);
-        let b = VarId(1);
-        let mut e = LinExpr::constant(1.5);
-        e.add_term(a, 2.0).add_term(b, -1.0);
-        assert_eq!(e.eval(&[3.0, 4.0]), 1.5 + 6.0 - 4.0);
     }
 
     #[test]
@@ -532,16 +494,5 @@ mod tests {
         assert!(m.is_feasible(&[3.0], 1e-6));
         assert!(!m.is_feasible(&[3.5], 1e-6));
         assert!(!m.is_feasible(&[6.0], 1e-6));
-    }
-
-    #[test]
-    fn constraint_expr_folds_constant() {
-        let mut m = Model::maximize();
-        let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 1.0);
-        let mut e = LinExpr::constant(2.0);
-        e.add_term(x, 1.0);
-        // x + 2 <= 5  =>  x <= 3
-        let c = m.add_constraint_expr("c", &e, Sense::Le, 5.0);
-        assert_eq!(m.constraint(c).rhs, 3.0);
     }
 }

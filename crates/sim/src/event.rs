@@ -136,11 +136,6 @@ impl EventQueue {
         self.heap.pop()
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of queued events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -214,14 +209,5 @@ mod tests {
             q.pop().unwrap().kind,
             EventKind::Submit { job: JobId(2) }
         ));
-    }
-
-    #[test]
-    fn peek_time() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(7, EventKind::CycleTick);
-        assert_eq!(q.peek_time(), Some(7));
-        assert_eq!(q.len(), 1);
     }
 }

@@ -46,7 +46,6 @@ pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 // naming the telemetry crate directly.
 pub use tetrisched_telemetry::{
     HistogramSketch, SpanGuard, SpanRecord, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    TimeDomain,
 };
 
 /// Simulated wall-clock time in seconds (re-exported convention).

@@ -275,11 +275,6 @@ impl TraceLog {
         self.recorded - self.events().len() as u64
     }
 
-    /// Retention bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Retained events concerning one job, in order.
     pub fn for_job(&self, job: JobId) -> Vec<&TraceEvent> {
         self.events()

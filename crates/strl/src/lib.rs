@@ -16,10 +16,10 @@
 //! - `sum` — batching all pending jobs for global scheduling (\[R5\]).
 //!
 //! The crate also provides the paper's value functions (Fig. 5), the RDL
-//! reservation types STRL is generated from (Sec. 4.4), and a text
-//! representation with a parser (round-trip tested). Culling is not done
-//! here: the generator drops worthless replicas and the compiler fixes
-//! dead leaves at zero.
+//! reservation types STRL is generated from (Sec. 4.4), and a printed text
+//! form (`Display`) for diagnostics. Culling is not done here: the
+//! generator drops worthless replicas and the compiler fixes dead leaves
+//! at zero.
 //!
 //! # Examples
 //!
@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use tetrisched_cluster::{NodeId, NodeSet};
-//! use tetrisched_strl::{parse, StrlExpr};
+//! use tetrisched_strl::StrlExpr;
 //!
 //! let gpus = NodeSet::from_ids(4, [NodeId(0), NodeId(1)]);
 //! let all = NodeSet::full(4);
@@ -37,21 +37,15 @@
 //!     StrlExpr::nck(all, 2, 0, 3, 3.0),
 //! ]);
 //! assert_eq!(expr.value_upper_bound(), 4.0);
-//!
-//! // The textual form round-trips through the parser.
-//! let reparsed = parse(&expr.to_string(), 4).unwrap();
-//! assert_eq!(reparsed, expr);
 //! ```
 
 #![deny(unsafe_code)]
 
 pub mod expr;
-pub mod parser;
 pub mod rdl;
 pub mod value;
 
 pub use expr::StrlExpr;
-pub use parser::{parse, ParseError};
 pub use rdl::{Atom, Window};
 pub use value::{JobClass, ValueFn, BE_BASE_VALUE, SLO_ACCEPTED_FACTOR, SLO_NO_RESERVATION_FACTOR};
 

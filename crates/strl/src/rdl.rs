@@ -59,11 +59,6 @@ impl Window {
             Some(self.finish - self.atom.dur)
         }
     }
-
-    /// Whether an allocation starting at `s` fits in the window.
-    pub fn admits_start(&self, s: Time) -> bool {
-        s >= self.start && s + self.atom.dur <= self.finish
-    }
 }
 
 #[cfg(test)]
@@ -75,24 +70,17 @@ mod tests {
         // Sec. 4.4: Window(s=0, f=3, Atom(k=2, gang=2, dur=3)).
         let w = Window::new(0, 3, Atom::gang(2, 3));
         assert_eq!(w.latest_start(), Some(0));
-        assert!(w.admits_start(0));
-        assert!(!w.admits_start(1));
     }
 
     #[test]
     fn latest_start_with_slack() {
         let w = Window::new(10, 40, Atom::gang(4, 20));
         assert_eq!(w.latest_start(), Some(20));
-        assert!(w.admits_start(10));
-        assert!(w.admits_start(20));
-        assert!(!w.admits_start(21));
-        assert!(!w.admits_start(9));
     }
 
     #[test]
     fn too_short_window() {
         let w = Window::new(0, 5, Atom::gang(1, 10));
         assert_eq!(w.latest_start(), None);
-        assert!(!w.admits_start(0));
     }
 }

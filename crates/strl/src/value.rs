@@ -56,10 +56,6 @@ pub enum ValueFn {
         /// Time span over which the value decays to zero.
         horizon: u64,
     },
-    /// Piecewise-constant table of `(time, value)` breakpoints: the value of
-    /// completing at `t` is the value of the last breakpoint at or before
-    /// `t` (zero before the first breakpoint).
-    Table(Vec<(Time, f64)>),
 }
 
 impl ValueFn {
@@ -103,30 +99,6 @@ impl ValueFn {
                 let elapsed = t.saturating_sub(*submit) as f64;
                 (start_value * (1.0 - elapsed / *horizon as f64)).max(0.0)
             }
-            ValueFn::Table(points) => points
-                .iter()
-                .take_while(|(bt, _)| *bt <= t)
-                .last()
-                .map(|&(_, v)| v)
-                .unwrap_or(0.0),
-        }
-    }
-
-    /// Latest completion time with positive value, if bounded.
-    pub fn zero_after(&self) -> Option<Time> {
-        match self {
-            ValueFn::StepDeadline { deadline, .. } => Some(*deadline),
-            ValueFn::LinearDecay {
-                submit, horizon, ..
-            } => Some(submit + horizon),
-            ValueFn::Table(points) => {
-                // The function is zero after the last breakpoint only if that
-                // breakpoint's value is zero.
-                match points.last() {
-                    Some(&(t, 0.0)) => Some(t),
-                    _ => None,
-                }
-            }
         }
     }
 }
@@ -144,7 +116,6 @@ mod tests {
         assert_eq!(v.at(0), 1000.0);
         assert_eq!(v.at(50), 1000.0);
         assert_eq!(v.at(51), 0.0);
-        assert_eq!(v.zero_after(), Some(50));
     }
 
     #[test]
@@ -160,7 +131,6 @@ mod tests {
         assert_eq!(v.at(400), 0.0);
         // Completion "before submission" (clamped) is full value.
         assert_eq!(v.at(0), 1.0);
-        assert_eq!(v.zero_after(), Some(300));
     }
 
     #[test]
@@ -173,23 +143,6 @@ mod tests {
         // SLO value collapses past the deadline; BE value only decays.
         assert_eq!(slo.at(101), 0.0);
         assert!(be.at(101) > 0.0);
-    }
-
-    #[test]
-    fn table_lookup() {
-        let v = ValueFn::Table(vec![(10, 5.0), (20, 3.0), (30, 0.0)]);
-        assert_eq!(v.at(5), 0.0);
-        assert_eq!(v.at(10), 5.0);
-        assert_eq!(v.at(19), 5.0);
-        assert_eq!(v.at(25), 3.0);
-        assert_eq!(v.at(35), 0.0);
-        assert_eq!(v.zero_after(), Some(30));
-    }
-
-    #[test]
-    fn table_without_zero_tail_is_unbounded() {
-        let v = ValueFn::Table(vec![(0, 5.0)]);
-        assert_eq!(v.zero_after(), None);
     }
 
     #[test]

@@ -100,8 +100,8 @@ fn jsonl_hist(domain: &str, name: &str, h: &HistogramSketch, out: &mut String) {
     out.push_str("]}\n");
 }
 
-/// JSONL export: a `meta` line, then spans in id order, then counters,
-/// gauges, and histogram summaries in name order.
+/// JSONL export: a `meta` line, then spans in id order, then counters and
+/// histogram summaries in name order.
 pub fn jsonl(snap: &TelemetrySnapshot, include_wall: bool) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -135,13 +135,6 @@ pub fn jsonl(snap: &TelemetrySnapshot, include_wall: bool) -> String {
         json_str_field("name", name, &mut out);
         let _ = write!(out, ",\"value\":{v}}}");
         out.push('\n');
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str("{\"type\":\"gauge\",");
-        json_str_field("name", name, &mut out);
-        out.push_str(",\"value\":");
-        json_f64(*v, &mut out);
-        out.push_str("}\n");
     }
     for (name, h) in &snap.sim_hists {
         jsonl_hist("sim", name, h, &mut out);
@@ -221,8 +214,7 @@ fn prom_hist(name: &str, h: &HistogramSketch, out: &mut String) {
 }
 
 /// Prometheus text exposition snapshot: counters and span totals as
-/// `counter`, gauges as `gauge`, histograms as `summary` with
-/// `quantile` labels.
+/// `counter`, histograms as `summary` with `quantile` labels.
 pub fn prometheus(snap: &TelemetrySnapshot, include_wall: bool) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# TYPE tetrisched_spans_recorded counter");
@@ -234,12 +226,6 @@ pub fn prometheus(snap: &TelemetrySnapshot, include_wall: bool) -> String {
         prom_name(name, &mut metric);
         let _ = writeln!(out, "# TYPE {metric} counter");
         let _ = writeln!(out, "{metric} {v}");
-    }
-    for (name, v) in &snap.gauges {
-        let mut metric = String::new();
-        prom_name(name, &mut metric);
-        let _ = writeln!(out, "# TYPE {metric} gauge");
-        let _ = writeln!(out, "{metric} {}", prom_f64(*v));
     }
     for (name, h) in &snap.sim_hists {
         prom_hist(name, h, &mut out);
@@ -265,7 +251,6 @@ mod tests {
             let _solve = t.span("sched", "solve");
         }
         t.counter_add("sim.submits", 3);
-        t.gauge_set("sched.batch", 2.0);
         t.observe_sim("sched.batch_size", 2.0);
         t.observe_wall("cycle.wall_us", 1234.5);
         t

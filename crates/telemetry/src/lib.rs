@@ -1,4 +1,4 @@
-//! Zero-dependency instrumentation substrate: spans, counters, gauges, and
+//! Zero-dependency instrumentation substrate: spans, counters and
 //! bounded-memory histograms, with JSONL / Chrome-trace / Prometheus
 //! exporters (DESIGN.md §3.11).
 //!
@@ -14,9 +14,9 @@
 //! and none at all in this crate or its span arguments) protects.
 //!
 //! Real wall-clock durations — measured with `Instant` only inside the
-//! L001 allowlist — enter as *histogram observations* tagged with
-//! [`TimeDomain::Wall`]. Wall histograms are excluded from exports by
-//! default so the default artifacts stay reproducible; pass
+//! L001 allowlist — enter as *wall histogram observations*
+//! ([`Telemetry::observe_wall`]). Wall histograms are excluded from
+//! exports by default so the default artifacts stay reproducible; pass
 //! `include_wall = true` to get Fig.-12-style latency data out
 //! (EXPERIMENTS.md "Telemetry" recipe).
 //!
@@ -48,19 +48,6 @@ pub use sketch::{HistogramSketch, BUCKETS_PER_DOUBLING};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-
-/// Which clock a histogram's observations came from.
-///
-/// `Sim` values derive from simulated time or deterministic counts and are
-/// safe to export byte-stably; `Wall` values are real measured durations
-/// and vary run to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeDomain {
-    /// Deterministic simulated time / counts.
-    Sim,
-    /// Real elapsed time, measured by an L001-allowlisted caller.
-    Wall,
-}
 
 /// Construction-time options for a [`Telemetry`] registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,7 +114,6 @@ struct Inner {
     open: Vec<u32>,
     spans_dropped: u64,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     sim_hists: BTreeMap<&'static str, HistogramSketch>,
     wall_hists: BTreeMap<&'static str, HistogramSketch>,
 }
@@ -169,8 +155,6 @@ pub struct TelemetrySnapshot {
     pub spans_dropped: u64,
     /// Monotonic counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Last-write-wins gauges, sorted by name.
-    pub gauges: Vec<(String, f64)>,
     /// Histograms over deterministic values, sorted by name.
     pub sim_hists: Vec<(String, HistogramSketch)>,
     /// Histograms over wall-clock values, sorted by name.
@@ -256,14 +240,6 @@ impl Telemetry {
         self.inner.borrow().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets gauge `name` to `v` (last write wins).
-    pub fn gauge_set(&self, name: &'static str, v: f64) {
-        if !self.on {
-            return;
-        }
-        self.inner.borrow_mut().gauges.insert(name, v);
-    }
-
     /// Records a deterministic (sim-domain) histogram observation.
     pub fn observe_sim(&self, name: &'static str, v: f64) {
         if !self.on {
@@ -297,11 +273,6 @@ impl Telemetry {
         self.inner.borrow().wall_hists.get(name).cloned()
     }
 
-    /// A clone of one sim histogram, if it exists.
-    pub fn sim_hist(&self, name: &str) -> Option<HistogramSketch> {
-        self.inner.borrow().sim_hists.get(name).cloned()
-    }
-
     /// Spans not recorded because capacity was reached.
     pub fn spans_dropped(&self) -> u64 {
         self.inner.borrow().spans_dropped
@@ -329,11 +300,6 @@ impl Telemetry {
                 .iter()
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
             sim_hists: inner
                 .sim_hists
                 .iter()
@@ -347,9 +313,9 @@ impl Telemetry {
         }
     }
 
-    /// JSONL export: one JSON object per line (spans, then counters,
-    /// gauges, and histogram summaries). `include_wall` adds wall-domain
-    /// histograms, making the output run-specific.
+    /// JSONL export: one JSON object per line (spans, then counters and
+    /// histogram summaries). `include_wall` adds wall-domain histograms,
+    /// making the output run-specific.
     pub fn to_jsonl(&self, include_wall: bool) -> String {
         export::jsonl(&self.snapshot(), include_wall)
     }
@@ -360,8 +326,8 @@ impl Telemetry {
         export::chrome(&self.snapshot())
     }
 
-    /// Prometheus-style text exposition snapshot of counters, gauges, and
-    /// histogram summaries.
+    /// Prometheus-style text exposition snapshot of counters and histogram
+    /// summaries.
     pub fn to_prometheus(&self, include_wall: bool) -> String {
         export::prometheus(&self.snapshot(), include_wall)
     }
@@ -482,16 +448,13 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_accumulate() {
+    fn counters_accumulate() {
         let t = Telemetry::new(TelemetryConfig::on());
         t.counter_add("a.b", 2);
         t.counter_add("a.b", 3);
-        t.gauge_set("g", 1.5);
-        t.gauge_set("g", 2.5);
         assert_eq!(t.counter("a.b"), 5);
         let snap = t.snapshot();
         assert_eq!(snap.counters, vec![("a.b".to_string(), 5)]);
-        assert_eq!(snap.gauges, vec![("g".to_string(), 2.5)]);
     }
 
     #[test]

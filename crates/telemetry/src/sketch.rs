@@ -19,7 +19,7 @@ pub const BUCKETS_PER_DOUBLING: f64 = 4.0;
 /// this workspace produces — and bounds the map even on garbage input.
 const MAX_BUCKET: i32 = 2048;
 
-/// A mergeable, bounded-memory quantile sketch over nonnegative samples.
+/// A bounded-memory quantile sketch over nonnegative samples.
 ///
 /// Values `<= 0` are tallied in a dedicated underflow bucket whose
 /// representative is zero, so latency streams that contain exact zeros
@@ -165,26 +165,6 @@ impl HistogramSketch {
         }
         out
     }
-
-    /// Folds another sketch into this one. `min`/`max` stay exact.
-    pub fn merge(&mut self, other: &HistogramSketch) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.zero_or_less += other.zero_or_less;
-        for (&i, &n) in &other.buckets {
-            *self.buckets.entry(i).or_insert(0) += n;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,23 +219,6 @@ mod tests {
         assert_eq!(s.quantile(0.0), 0.0);
         assert_eq!(s.count(), 3);
         assert!(s.quantile(1.0) > 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential_observation() {
-        let mut a = HistogramSketch::new();
-        let mut b = HistogramSketch::new();
-        let mut all = HistogramSketch::new();
-        for v in [0.5, 1.5, 2.5] {
-            a.observe(v);
-            all.observe(v);
-        }
-        for v in [4.0, 0.0, 9.0] {
-            b.observe(v);
-            all.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 
     #[test]

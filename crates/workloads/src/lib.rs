@@ -35,5 +35,5 @@ pub mod swim;
 pub use compositions::{Composition, Workload};
 pub use distributions::{BoundedPareto, Empirical, Exp, LogNormal, Sample};
 pub use gridmix::{GridmixConfig, WorkloadBuilder};
-pub use openloop::{ArrivalProcess, OpenLoopConfig, OpenLoopDriver};
+pub use openloop::{OpenLoopConfig, OpenLoopDriver};
 pub use swim::JobClassParams;

@@ -1,37 +1,17 @@
-//! Open-loop arrival processes for service-mode experiments.
+//! Open-loop arrivals for service-mode experiments.
 //!
 //! The closed-loop builders calibrate arrivals so offered load tracks the
 //! cluster's capacity. A long-lived scheduling *service* instead faces an
 //! open-loop stream whose rate is set by the outside world — including
 //! sustained overload. The driver wraps the existing gridmix/swim
 //! generators: a `rate_multiplier` of 2.0 doubles the calibrated Poisson
-//! arrival rate (2× saturation), and the burst process retimes the stream
-//! into alternating burst/lull phases while preserving every job's
-//! deadline slack. All output is deterministic under the seed of the
-//! wrapped [`GridmixConfig`].
+//! arrival rate (2× saturation). All output is deterministic under the
+//! seed of the wrapped [`GridmixConfig`].
 
 use tetrisched_sim::JobSpec;
 
 use crate::compositions::Workload;
 use crate::gridmix::{GridmixConfig, WorkloadBuilder};
-
-/// The shape of the arrival stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalProcess {
-    /// Homogeneous Poisson arrivals at the multiplied rate.
-    Poisson,
-    /// Alternating burst/lull phases: inter-arrival gaps shrink by
-    /// `factor` for `period` consecutive jobs, then stretch by `factor`
-    /// for the next `period`, and so on. The long-run mean rate stays at
-    /// the multiplied Poisson rate's order while the instantaneous rate
-    /// swings by `factor²`.
-    Burst {
-        /// Gap compression during a burst (>= 1).
-        factor: f64,
-        /// Jobs per phase.
-        period: u64,
-    },
-}
 
 /// Open-loop driver configuration.
 #[derive(Debug, Clone)]
@@ -43,8 +23,6 @@ pub struct OpenLoopConfig {
     /// the closed-loop calibration, 2.0 offers twice the cluster's
     /// capacity (2× saturation).
     pub rate_multiplier: f64,
-    /// Arrival process shape.
-    pub process: ArrivalProcess,
 }
 
 impl OpenLoopConfig {
@@ -53,7 +31,6 @@ impl OpenLoopConfig {
         OpenLoopConfig {
             base,
             rate_multiplier,
-            process: ArrivalProcess::Poisson,
         }
     }
 }
@@ -82,23 +59,7 @@ impl OpenLoopDriver {
             target_utilization: self.config.base.target_utilization * self.config.rate_multiplier,
             ..self.config.base.clone()
         };
-        let mut jobs = WorkloadBuilder::new(scaled).generate(workload);
-        if let ArrivalProcess::Burst { factor, period } = self.config.process {
-            let factor = factor.max(1.0);
-            let period = period.max(1);
-            let mut t = 0.0f64;
-            let mut prev_submit = 0u64;
-            for (i, job) in jobs.iter_mut().enumerate() {
-                let gap = job.submit.saturating_sub(prev_submit) as f64;
-                prev_submit = job.submit;
-                let in_burst = (i as u64 / period).is_multiple_of(2);
-                t += if in_burst { gap / factor } else { gap * factor };
-                let slack = job.deadline.map(|d| d - job.submit);
-                job.submit = t.round() as u64;
-                job.deadline = slack.map(|s| job.submit + s);
-            }
-        }
-        jobs
+        WorkloadBuilder::new(scaled).generate(workload)
     }
 }
 
@@ -152,55 +113,5 @@ mod tests {
             assert_eq!(c.submit, o.submit);
             assert_eq!(c.deadline, o.deadline);
         }
-    }
-
-    #[test]
-    fn burst_preserves_deadline_slack_and_ordering() {
-        let cfg = OpenLoopConfig {
-            base: base(9),
-            rate_multiplier: 2.0,
-            process: ArrivalProcess::Burst {
-                factor: 3.0,
-                period: 25,
-            },
-        };
-        let poisson =
-            OpenLoopDriver::new(OpenLoopConfig::saturating(base(9), 2.0)).generate(Workload::GsMix);
-        let burst = OpenLoopDriver::new(cfg).generate(Workload::GsMix);
-        assert_eq!(poisson.len(), burst.len());
-        let mut prev = 0;
-        for (p, b) in poisson.iter().zip(&burst) {
-            // Same job bodies, same relative deadline slack.
-            assert_eq!(p.k, b.k);
-            assert_eq!(p.base_runtime, b.base_runtime);
-            assert_eq!(
-                p.deadline.map(|d| d - p.submit),
-                b.deadline.map(|d| d - b.submit)
-            );
-            // Arrivals stay monotone.
-            assert!(b.submit >= prev);
-            prev = b.submit;
-        }
-    }
-
-    #[test]
-    fn burst_phases_swing_the_local_rate() {
-        let period = 50u64;
-        let cfg = OpenLoopConfig {
-            base: base(13),
-            rate_multiplier: 1.0,
-            process: ArrivalProcess::Burst {
-                factor: 4.0,
-                period,
-            },
-        };
-        let jobs = OpenLoopDriver::new(cfg).generate(Workload::GsMix);
-        let phase_span = |lo: usize, hi: usize| (jobs[hi].submit - jobs[lo].submit) as f64;
-        let burst_span = phase_span(0, period as usize - 1);
-        let lull_span = phase_span(period as usize, 2 * period as usize - 1);
-        assert!(
-            lull_span > 2.0 * burst_span,
-            "lull {lull_span} vs burst {burst_span}"
-        );
     }
 }
