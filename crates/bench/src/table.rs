@@ -15,7 +15,7 @@ use tetrisched_sim::{Metrics, SimReport};
 /// in the Markdown report (whose spellings `EXPERIMENTS.md` embeds).
 #[derive(Debug, Clone, Copy)]
 pub struct Label {
-    /// Spelling in [`print_figure`] and [`print_table`].
+    /// Spelling in [`print_figure`] and `print_table`.
     pub text: &'static str,
     /// Spelling in [`markdown`].
     pub md: &'static str,
@@ -31,7 +31,7 @@ impl From<&'static str> for Label {
 /// point's replications reduce to the cell it shows.
 #[derive(Debug, Clone, Copy)]
 pub struct Panel {
-    /// Panel heading (column heading in [`print_table`]).
+    /// Panel heading (column heading in `print_table`).
     pub name: Label,
     /// The metric of one run.
     pub metric: fn(&Metrics) -> f64,

@@ -7,7 +7,7 @@
 //! [`evaluate`] reads the job's `max` directly and no model is built, over
 //! one free table a cycle that refines each leaf-set shape once.
 //! A degradation-ladder rung is the parameter set a unit runs under
-//! ([`Pipeline::at`]).
+//! (`Pipeline::at`).
 
 use std::borrow::Cow;
 use std::cell::Cell;

@@ -67,7 +67,8 @@ impl SolverConfig {
         }
     }
 
-    /// Exact configuration for tests: zero gap, generous limits.
+    /// Exact configuration for tests: [`Self::default`] (relative gap
+    /// 1e-6, generous limits).
     pub fn exact() -> Self {
         Self::default()
     }

@@ -20,7 +20,7 @@
 //! equality tests the golden digests pin, and a change to any is a change
 //! here.
 //!
-//! [`Width`] runs a scan either as compiled for the build's baseline CPU
+//! `Width` runs a scan either as compiled for the build's baseline CPU
 //! or, when the host has AVX2, the same source compiled for AVX2. The
 //! simplex's branch-free scans go through it: pricing's scores and its
 //! first-maximum pick, the dual ratio test's verdicts, the reduced-cost

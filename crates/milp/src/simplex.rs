@@ -27,7 +27,7 @@
 //! into one buffer that the ratio test, the basic-value update and the
 //! pivot read, and pricing keeps its scores between iterations, rescoring
 //! only the columns whose reduced cost or state the iteration changed. The
-//! select-and-reduce scans run through [`Width`], at the host's vector
+//! select-and-reduce scans run through `kernels::Width`, at the host's vector
 //! width, with the same bits at every width.
 //!
 //! An LP that ends `Optimal` leaves a dual-feasible basis in the workspace;

@@ -2,7 +2,7 @@
 //!
 //! Drives submissions, scheduler cycles, completions, preemptions, fault
 //! transitions and reservation admission; collects the paper's evaluation
-//! metrics. One private [`Run`] owns everything that changes during a run,
+//! metrics. One private `Run` owns everything that changes during a run,
 //! with one handler per [`EventKind`] and each job lifecycle transition
 //! written once.
 
@@ -188,7 +188,7 @@ impl JobRecord {
 }
 
 /// The simulator: the cluster, the scheduler under test and the run's
-/// configuration. What changes during a run is a [`Run`].
+/// configuration. What changes during a run is a private `Run`.
 pub struct Simulator<S: Scheduler> {
     cluster: Cluster,
     scheduler: S,
