@@ -15,9 +15,8 @@ use std::rc::Rc;
 use tetrisched_cluster::{NodeId, RackId};
 use tetrisched_core::{GovernorConfig, TetriSched, TetriSchedConfig};
 use tetrisched_sim::{
-    FaultConfig, FaultPlan, FaultScope, FaultScript, Metrics, PerfFaultConfig, PerfFaultKind,
-    PerfFaultPlan, PerfFaultScript, SimConfig, SimReport, Simulator, StragglerConfig,
-    TelemetryConfig, TraceEvent,
+    FaultConfig, FaultKind, FaultPlan, FaultScope, FaultScript, Metrics, SimConfig, SimReport,
+    Simulator, StragglerConfig, TelemetryConfig, TraceEvent,
 };
 use tetrisched_workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
@@ -89,9 +88,8 @@ pub(crate) fn figures(args: &Args) -> Vec<Figure> {
         SchedulerKind::Tetri(TetriSchedConfig::no_global(plan_ahead)),
         SchedulerKind::RayonCs,
     ]);
-    let spec = |kind: &SchedulerKind, seed, faults, perf_faults| RunSpec {
+    let spec = |kind: &SchedulerKind, seed, faults| RunSpec {
         faults,
-        perf_faults,
         stragglers,
         ..gs_het(cluster.clone(), scale.num_jobs, seed, kind.clone())
     };
@@ -101,37 +99,29 @@ pub(crate) fn figures(args: &Args) -> Vec<Figure> {
     // node every few seconds of simulated time.
     let mtbfs: &[f64] = scale.pick(&[0.0, 4000.0, 1000.0, 250.0], &[0.0, 2000.0, 500.0]);
     let points = sweep(scale, &kinds, mtbfs, |kind, mtbf, seed| {
-        let faults = if mtbf == 0.0 {
-            FaultPlan::none()
-        } else {
-            FaultPlan::generate(
-                num_nodes,
-                &FaultConfig {
-                    seed,
-                    mtbf,
-                    mttr: 60.0,
-                    horizon: FAULT_HORIZON,
-                },
-            )
+        let outages = FaultConfig {
+            seed,
+            mtbf,
+            mttr: 60.0,
+            horizon: FAULT_HORIZON,
+            slow_factor: None,
         };
         // Seeded slow-node windows: a node drifts into a 2-4x degradation
         // window on average every ~1500 s and stays degraded for ~120 s.
-        let perf = if with_perf {
-            PerfFaultPlan::generate(
-                num_nodes,
-                &PerfFaultConfig {
-                    seed,
-                    mtbf: 1500.0,
-                    duration: 120.0,
-                    factor_min: 2.0,
-                    factor_max: 4.0,
-                    horizon: FAULT_HORIZON,
-                },
-            )
-        } else {
-            PerfFaultPlan::none()
+        let slow = FaultConfig {
+            mtbf: 1500.0,
+            mttr: 120.0,
+            slow_factor: Some((2.0, 4.0)),
+            ..outages
         };
-        spec(kind, seed, faults, perf)
+        let mut faults = FaultPlan::default();
+        if mtbf > 0.0 {
+            faults = FaultPlan::generate(num_nodes, &outages);
+        }
+        if with_perf {
+            faults = faults.merge(FaultPlan::generate(num_nodes, &slow));
+        }
+        spec(kind, seed, faults)
     });
     let sweep_figure = |title: &str, panels| Figure {
         title: title.into(),
@@ -156,6 +146,8 @@ pub(crate) fn figures(args: &Args) -> Vec<Figure> {
         at: 200,
         duration: 120,
         scope: FaultScope::Rack(RackId(0)),
+        kind: FaultKind::Down,
+        announced: false,
     };
     out.push(Figure {
         title: "Correlated outage: rack 0 down [200, 320)".into(),
@@ -163,7 +155,7 @@ pub(crate) fn figures(args: &Args) -> Vec<Figure> {
         x_label: "-".into(),
         points: sweep(&scale.single(), &kinds, &[0.0], |kind, _, seed| {
             let faults = FaultPlan::from_script(&cluster, std::slice::from_ref(&outage));
-            spec(kind, seed, faults, PerfFaultPlan::none())
+            spec(kind, seed, faults)
         }),
         panels: vec![
             panel("SLO %", Metrics::total_slo_attainment),
@@ -203,13 +195,13 @@ pub(crate) fn print(args: &Args, figures: &[Figure]) {
 fn chaos_run(scale: &FigScale, governor: GovernorConfig) -> SimReport {
     let cluster = scale.rc80();
     let slow = cluster.num_nodes().div_ceil(10);
-    let perf_faults = PerfFaultPlan::from_script(
+    let faults = FaultPlan::from_script(
         &cluster,
-        &[PerfFaultScript {
+        &[FaultScript {
             at: 40,
             duration: 800,
             scope: FaultScope::Nodes((0..slow).map(|i| NodeId(i as u32)).collect()),
-            kind: PerfFaultKind::SlowNode { factor: 4.0 },
+            kind: FaultKind::SlowNode { factor: 4.0 },
             announced: false,
         }],
     );
@@ -234,7 +226,7 @@ fn chaos_run(scale: &FigScale, governor: GovernorConfig) -> SimReport {
         SimConfig {
             horizon: Some(1_000_000),
             trace: true,
-            perf_faults,
+            faults,
             stragglers: StragglerConfig::defaults(),
             telemetry: TelemetryConfig::on(),
             ..SimConfig::default()

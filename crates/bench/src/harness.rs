@@ -4,8 +4,7 @@ use tetrisched_baseline::CapacityScheduler;
 use tetrisched_cluster::Cluster;
 use tetrisched_core::{TetriSched, TetriSchedConfig};
 use tetrisched_sim::{
-    FaultPlan, PerfFaultPlan, RetryPolicy, SimConfig, SimReport, Simulator, StragglerConfig,
-    TelemetryConfig,
+    FaultPlan, SimConfig, SimReport, Simulator, StragglerConfig, TelemetryConfig,
 };
 use tetrisched_workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
@@ -50,14 +49,10 @@ pub struct RunSpec {
     pub utilization: f64,
     /// Slowdown multiplier on non-preferred placements for GPU/MPI jobs.
     pub slowdown: f64,
-    /// Node fault plan injected into the run (`FaultPlan::none()` for a
-    /// healthy cluster, as in all paper experiments).
+    /// Fault plan injected into the run: outages and slow-node /
+    /// degraded-capacity windows, scripted or seeded (empty for a healthy,
+    /// full-speed cluster, as in all paper experiments).
     pub faults: FaultPlan,
-    /// Backoff/budget policy for gangs evicted by node failures.
-    pub retry: RetryPolicy,
-    /// Performance-fault plan: scripted or seeded slow-node / degraded-
-    /// capacity windows (`PerfFaultPlan::none()` for full-speed nodes).
-    pub perf_faults: PerfFaultPlan,
     /// Straggler detection and speculative migration knobs
     /// (`StragglerConfig::disabled()` reproduces pre-defense behavior).
     pub stragglers: StragglerConfig,
@@ -85,9 +80,7 @@ impl RunSpec {
             cycle_period: 4,
             utilization: 1.0,
             slowdown: 1.5,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            perf_faults: PerfFaultPlan::none(),
+            faults: FaultPlan::default(),
             stragglers: StragglerConfig::disabled(),
         }
     }
@@ -112,8 +105,6 @@ pub fn run_spec(spec: &RunSpec) -> SimReport {
         horizon: Some(1_000_000),
         trace: false,
         faults: spec.faults.clone(),
-        retry: spec.retry,
-        perf_faults: spec.perf_faults.clone(),
         stragglers: spec.stragglers,
         // Spans, counters, and phase wall histograms for the telemetry
         // columns of the result tables (Fig. 12-style forensics).

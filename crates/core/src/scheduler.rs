@@ -1433,7 +1433,7 @@ mod tests {
     fn eviction_invalidates_warm_start_cache() {
         // A fault under a running TetriSched gang: on_evict must clear the
         // stale cached choice and the job must complete via its retry.
-        use tetrisched_sim::{FaultPlan, FaultScope, FaultScript, RetryPolicy};
+        use tetrisched_sim::{FaultKind, FaultPlan, FaultScope, FaultScript, RetryPolicy};
         let cluster = Cluster::uniform(1, 4, 0);
         let sim_cfg = SimConfig {
             cycle_period: 4,
@@ -1445,6 +1445,8 @@ mod tests {
                     at: 10,
                     duration: 6,
                     scope: FaultScope::Node(tetrisched_cluster::NodeId(0)),
+                    kind: FaultKind::Down,
+                    announced: false,
                 }],
             ),
             retry: RetryPolicy {

@@ -35,7 +35,7 @@ pub enum EventKind {
     },
     /// A performance-fault window starts: the node stays up but slows, and
     /// in-flight work on it is rebased to the new rate. `ix` indexes the
-    /// run's [`PerfFaultPlan`](crate::fault::PerfFaultPlan) windows.
+    /// run's [`FaultPlan`](crate::fault::FaultPlan) windows.
     PerfFaultStart {
         /// Window index in the plan.
         ix: usize,

@@ -1,22 +1,23 @@
-//! Deterministic fault injection: node failure/repair plans.
+//! Deterministic fault injection: one plan of node fault windows.
 //!
 //! The paper's evaluation assumes a static, healthy cluster; real deployments
-//! see node churn. This module produces a [`FaultPlan`] — a fully
-//! pre-computed, seeded sequence of node down/up transitions — that the
-//! simulator replays as [`EventKind::NodeDown`](crate::event::EventKind) /
-//! `NodeUp` events. Pre-computing the plan (rather than sampling online)
-//! keeps runs bit-for-bit reproducible regardless of how the engine
-//! interleaves other events, and lets tests assert on the exact transition
-//! sequence.
+//! see node churn and slow nodes. This module produces a [`FaultPlan`] — a
+//! fully pre-computed, seeded list of [`FaultWindow`]s — that the simulator
+//! replays as events: a [`FaultKind::Down`] window as
+//! [`EventKind::NodeDown`](crate::event::EventKind) / `NodeUp`, a slow one
+//! as `PerfFaultStart` / `PerfFaultEnd`. Pre-computing the plan (rather than
+//! sampling online) keeps runs bit-for-bit reproducible regardless of how
+//! the engine interleaves other events, and lets tests assert on the exact
+//! windows.
 //!
-//! Two sources compose:
+//! Two sources compose, for every kind:
 //!
-//! - **Stochastic churn**: per-node alternating up/down renewal process with
-//!   exponentially distributed time-between-failures (MTBF) and
-//!   time-to-repair (MTTR), seeded; and
-//! - **Scripted outages**: explicit windows taking down a node, a whole
-//!   rack, or an arbitrary node set at a fixed time — the correlated-failure
-//!   cases (top-of-rack switch loss) stochastic churn cannot express.
+//! - **Stochastic**: a per-node alternating renewal process, healthy for an
+//!   exponentially distributed time (MTBF) and faulty for another (MTTR),
+//!   seeded; and
+//! - **Scripted**: explicit windows on a node, a whole rack, or an arbitrary
+//!   node set at a fixed time — the correlated cases (top-of-rack switch
+//!   loss, announced maintenance) stochastic churn cannot express.
 //!
 //! The module is dependency-free: it carries its own splitmix64 generator so
 //! the sim crate's non-test builds stay free of a `rand` dependency.
@@ -25,31 +26,78 @@ use tetrisched_cluster::{Cluster, NodeId, RackId};
 
 use crate::Time;
 
-/// One node state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// When the transition fires.
-    pub at: Time,
-    /// The node changing state.
-    pub node: NodeId,
-    /// `true` for repair (node up), `false` for failure (node down).
-    pub up: bool,
+/// What a fault window does to its node while it is in force.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultKind {
+    /// Fail-stop: the node leaves the cluster, evicting any gang on it,
+    /// and rejoins when the window ends.
+    Down,
+    /// The node stays up, but task runtimes on it stretch by `factor`
+    /// (slow disk, thermal throttling, noisy neighbor). Factors below 1 are
+    /// clamped to 1.
+    SlowNode { factor: f64 },
+    /// The node stays up, but its effective capacity shrinks to `fraction`
+    /// of nominal (0 < fraction <= 1): work proceeds at `fraction` speed,
+    /// i.e. a runtime multiplier of `1 / fraction`.
+    DegradedCapacity { fraction: f64 },
 }
 
-/// Parameters for stochastic per-node churn.
+impl FaultKind {
+    /// The runtime multiplier a slow kind imposes while in force (>= 1),
+    /// so the engine can rebase in-flight progress exactly; `None` for
+    /// [`FaultKind::Down`].
+    pub fn slow_factor(&self) -> Option<f64> {
+        match *self {
+            FaultKind::Down => None,
+            FaultKind::SlowNode { factor } => Some(factor.max(1.0)),
+            FaultKind::DegradedCapacity { fraction } => Some(1.0 / fraction.clamp(0.01, 1.0)),
+        }
+    }
+}
+
+/// One fault window on one node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultWindow {
+    /// The fault starts.
+    pub start: Time,
+    /// The node recovers (exclusive end). `Time::MAX` for an outage that
+    /// never ends: generated churn whose repair falls at or after the
+    /// config's horizon leaves its node down for the rest of the run.
+    pub end: Time,
+    /// The affected node.
+    pub node: NodeId,
+    /// What the fault does while in force.
+    pub kind: FaultKind,
+    /// Whether the window is announced in advance (scripted maintenance):
+    /// announced windows are registered in the ledger's [`NodeHealth`]
+    /// before the run starts so plan-ahead can schedule around them.
+    /// Stochastic faults are unannounced — the scheduler only sees their
+    /// effects.
+    ///
+    /// [`NodeHealth`]: tetrisched_cluster::NodeHealth
+    pub announced: bool,
+}
+
+/// Parameters for stochastic per-node faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// RNG seed; equal seeds yield identical plans.
+    /// RNG seed; equal seeds yield identical plans. Slow windows draw from
+    /// a differently salted stream, so an outage plan and a slow-window
+    /// plan built from the same seed do not correlate.
     pub seed: u64,
-    /// Mean time between failures per node, in seconds.
+    /// Mean time between faults per node, in seconds.
     pub mtbf: f64,
-    /// Mean time to repair, in seconds.
+    /// Mean fault length (time to repair or recover), in seconds.
     pub mttr: f64,
-    /// Transitions are generated in `[0, horizon)`.
+    /// Faults start in `[0, horizon)`.
     pub horizon: Time,
+    /// `None` draws fail-stop outages. `Some((min, max))` draws slow-node
+    /// windows instead, with factors uniform in `[min, max]` and ends
+    /// clamped to `horizon`.
+    pub slow_factor: Option<(f64, f64)>,
 }
 
-/// Which nodes a scripted outage takes down.
+/// Which nodes a scripted fault covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultScope {
     /// A single node.
@@ -71,266 +119,82 @@ impl FaultScope {
     }
 }
 
-/// One scripted outage window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultScript {
-    /// Outage start.
-    pub at: Time,
-    /// Outage length; the repair fires at `at + duration`. A zero duration
-    /// is dropped (it would be a no-op: `NodeUp` sorts before `NodeDown` at
-    /// equal times).
-    pub duration: Time,
-    /// Affected nodes.
-    pub scope: FaultScope,
-}
-
-/// A pre-computed, deterministic sequence of node transitions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// The empty plan: a perfectly healthy cluster.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Samples stochastic churn for every node of a `num_nodes` cluster.
-    ///
-    /// Each node runs an independent renewal process — up for
-    /// `Exp(1/mtbf)`, down for `max(1, Exp(1/mttr))` — with its own RNG
-    /// stream derived from `config.seed` and the node id, so the plan for
-    /// node `k` does not depend on how many other nodes exist.
-    pub fn generate(num_nodes: usize, config: &FaultConfig) -> Self {
-        let mut events = Vec::new();
-        for ix in 0..num_nodes {
-            let node = NodeId(ix as u32);
-            let mut rng = SplitMix64::new(config.seed ^ splitmix_scramble(ix as u64 + 1));
-            let mut t = rng.sample_exp(config.mtbf);
-            while t < config.horizon as f64 {
-                let down_at = t as Time;
-                let repair_at = down_at + (rng.sample_exp(config.mttr) as Time).max(1);
-                events.push(FaultEvent {
-                    at: down_at,
-                    node,
-                    up: false,
-                });
-                if repair_at < config.horizon {
-                    events.push(FaultEvent {
-                        at: repair_at,
-                        node,
-                        up: true,
-                    });
-                }
-                t = repair_at as f64 + rng.sample_exp(config.mtbf);
-            }
-        }
-        let mut plan = FaultPlan { events };
-        plan.normalize();
-        plan
-    }
-
-    /// Expands scripted outage windows against a concrete cluster topology.
-    pub fn from_script(cluster: &Cluster, scripts: &[FaultScript]) -> Self {
-        let mut events = Vec::new();
-        for s in scripts {
-            if s.duration == 0 {
-                continue;
-            }
-            for node in s.scope.nodes(cluster) {
-                events.push(FaultEvent {
-                    at: s.at,
-                    node,
-                    up: false,
-                });
-                events.push(FaultEvent {
-                    at: s.at + s.duration,
-                    node,
-                    up: true,
-                });
-            }
-        }
-        let mut plan = FaultPlan { events };
-        plan.normalize();
-        plan
-    }
-
-    /// Merges another plan into this one. Overlapping outages of the same
-    /// node are legal; the engine refcounts down transitions so a node
-    /// only rejoins the free pool once every overlapping outage has ended.
-    pub fn merge(mut self, other: FaultPlan) -> Self {
-        self.events.extend(other.events);
-        self.normalize();
-        self
-    }
-
-    /// The transitions in deterministic firing order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Whether the plan contains no transitions.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Highest node index the plan touches, if any (used to validate a plan
-    /// against the cluster it is replayed on).
-    pub fn max_node(&self) -> Option<NodeId> {
-        self.events.iter().map(|e| e.node).max()
-    }
-
-    fn normalize(&mut self) {
-        // Repairs sort before failures at equal (time, node) so a
-        // back-to-back outage pair nets to a state change, matching the
-        // event-queue priority order.
-        self.events.sort_by_key(|e| (e.at, e.node, !e.up as u8));
-    }
-}
-
-/// What a performance fault does to its node while the window is active.
-///
-/// Unlike the fail-stop transitions above, a performance fault leaves the
-/// node *up* but degraded: work placed on it proceeds slower. Both kinds
-/// reduce to a single deterministic runtime multiplier so the engine can
-/// rebase in-flight progress exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PerfFaultKind {
-    /// Task runtimes on the node stretch by `factor` (slow disk, thermal
-    /// throttling, noisy neighbor). Factors below 1 are clamped to 1.
-    SlowNode { factor: f64 },
-    /// The node's effective capacity shrinks to `fraction` of nominal
-    /// (0 < fraction <= 1): work proceeds at `fraction` speed, i.e. a
-    /// runtime multiplier of `1 / fraction`.
-    DegradedCapacity { fraction: f64 },
-}
-
-impl PerfFaultKind {
-    /// The runtime multiplier this fault imposes while active (>= 1).
-    pub fn slow_factor(&self) -> f64 {
-        match *self {
-            PerfFaultKind::SlowNode { factor } => factor.max(1.0),
-            PerfFaultKind::DegradedCapacity { fraction } => 1.0 / fraction.clamp(0.01, 1.0),
-        }
-    }
-}
-
-/// One performance-degradation window on one node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfFaultWindow {
-    /// Degradation start.
-    pub start: Time,
-    /// Degradation end (exclusive); the node recovers at `end`.
-    pub end: Time,
-    /// The affected node.
-    pub node: NodeId,
-    /// What the fault does while active.
-    pub kind: PerfFaultKind,
-    /// Whether the window is announced in advance (scripted maintenance):
-    /// announced windows are registered in the ledger's [`NodeHealth`]
-    /// before the run starts so plan-ahead can schedule around them.
-    /// Stochastic degradation is unannounced — the scheduler only sees its
-    /// effects.
-    ///
-    /// [`NodeHealth`]: tetrisched_cluster::NodeHealth
-    pub announced: bool,
-}
-
-/// Parameters for stochastic per-node performance degradation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfFaultConfig {
-    /// RNG seed; equal seeds yield identical plans. The stream is salted
-    /// differently from [`FaultConfig`] so perf and fail-stop plans built
-    /// from the same seed do not correlate.
-    pub seed: u64,
-    /// Mean time between degradation windows per node, in seconds.
-    pub mtbf: f64,
-    /// Mean window length, in seconds.
-    pub duration: f64,
-    /// Sampled slowdown factors are uniform in `[factor_min, factor_max]`.
-    pub factor_min: f64,
-    pub factor_max: f64,
-    /// Windows are generated in `[0, horizon)`.
-    pub horizon: Time,
-}
-
-/// One scripted degradation window (performance analogue of
-/// [`FaultScript`]).
+/// One scripted fault window, expanded to every node of its scope.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerfFaultScript {
-    /// Window start.
+pub struct FaultScript {
+    /// The fault starts.
     pub at: Time,
-    /// Window length; the node recovers at `at + duration`. Zero-length
-    /// windows are dropped.
+    /// Fault length; the nodes recover at `at + duration`. A zero duration
+    /// is dropped.
     pub duration: Time,
     /// Affected nodes.
     pub scope: FaultScope,
-    /// What the fault does while active.
-    pub kind: PerfFaultKind,
-    /// Whether plan-ahead is told about the window in advance (maintenance
-    /// announcements); see [`PerfFaultWindow::announced`].
+    /// What the fault does while in force.
+    pub kind: FaultKind,
+    /// Whether plan-ahead is told about the window in advance; see
+    /// [`FaultWindow::announced`].
     pub announced: bool,
 }
 
-/// A pre-computed, deterministic set of performance-degradation windows.
+/// A pre-computed, deterministic list of fault windows, sorted by
+/// `(start, node, end)`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct PerfFaultPlan {
-    windows: Vec<PerfFaultWindow>,
+pub struct FaultPlan {
+    windows: Vec<FaultWindow>,
 }
 
-/// Salt mixed into the per-node stream key so a perf plan and a fail-stop
-/// plan generated from the same seed stay independent.
+/// Salt mixed into the per-node stream key of slow windows so they stay
+/// independent of outages generated from the same seed.
 const PERF_STREAM_SALT: u64 = 0x05ca_1ab1_e0dd_ba11;
 
-impl PerfFaultPlan {
-    /// The empty plan: every node at full speed.
-    pub fn none() -> Self {
-        PerfFaultPlan::default()
-    }
-
-    /// Samples stochastic slow-node windows for every node of a
-    /// `num_nodes` cluster. Each node runs an independent renewal process
-    /// (healthy for `Exp(mtbf)`, degraded for `max(1, Exp(duration))`)
-    /// with its own RNG stream derived from the seed and node id, so node
-    /// `k`'s windows do not depend on cluster size.
-    pub fn generate(num_nodes: usize, config: &PerfFaultConfig) -> Self {
+impl FaultPlan {
+    /// Samples stochastic faults for every node of a `num_nodes` cluster.
+    ///
+    /// Each node runs an independent renewal process — healthy for
+    /// `Exp(mtbf)`, faulty for `max(1, Exp(mttr))` — with its own RNG
+    /// stream derived from `config.seed` and the node id, so the plan for
+    /// node `k` does not depend on how many other nodes exist. A slow
+    /// window draws one more uniform for its factor.
+    pub fn generate(num_nodes: usize, config: &FaultConfig) -> Self {
+        let salt = match config.slow_factor {
+            None => 0,
+            Some(_) => PERF_STREAM_SALT,
+        };
         let mut windows = Vec::new();
         for ix in 0..num_nodes {
             let node = NodeId(ix as u32);
-            let mut rng =
-                SplitMix64::new(config.seed ^ splitmix_scramble(ix as u64 + 1) ^ PERF_STREAM_SALT);
+            let mut rng = SplitMix64::new(config.seed ^ splitmix_scramble(ix as u64 + 1) ^ salt);
             let mut t = rng.sample_exp(config.mtbf);
             while t < config.horizon as f64 {
                 let start = t as Time;
-                let end = start + (rng.sample_exp(config.duration) as Time).max(1);
-                let unit = rng.next_unit();
-                let factor =
-                    config.factor_min + (config.factor_max - config.factor_min) * (1.0 - unit);
-                windows.push(PerfFaultWindow {
+                let end = start + (rng.sample_exp(config.mttr) as Time).max(1);
+                let (kind, until) = match config.slow_factor {
+                    None if end < config.horizon => (FaultKind::Down, end),
+                    None => (FaultKind::Down, Time::MAX),
+                    Some((min, max)) => {
+                        let factor = min + (max - min) * (1.0 - rng.next_unit());
+                        (FaultKind::SlowNode { factor }, end.min(config.horizon))
+                    }
+                };
+                windows.push(FaultWindow {
                     start,
-                    end: end.min(config.horizon),
+                    end: until,
                     node,
-                    kind: PerfFaultKind::SlowNode { factor },
+                    kind,
                     announced: false,
                 });
                 t = end as f64 + rng.sample_exp(config.mtbf);
             }
         }
-        let mut plan = PerfFaultPlan { windows };
-        plan.normalize();
-        plan
+        FaultPlan::sorted(windows)
     }
 
-    /// Expands scripted degradation windows against a cluster topology.
-    pub fn from_script(cluster: &Cluster, scripts: &[PerfFaultScript]) -> Self {
+    /// Expands scripted fault windows against a concrete cluster topology.
+    pub fn from_script(cluster: &Cluster, scripts: &[FaultScript]) -> Self {
         let mut windows = Vec::new();
-        for s in scripts {
-            if s.duration == 0 {
-                continue;
-            }
+        for s in scripts.iter().filter(|s| s.duration > 0) {
             for node in s.scope.nodes(cluster) {
-                windows.push(PerfFaultWindow {
+                windows.push(FaultWindow {
                     start: s.at,
                     end: s.at + s.duration,
                     node,
@@ -339,68 +203,64 @@ impl PerfFaultPlan {
                 });
             }
         }
-        let mut plan = PerfFaultPlan { windows };
-        plan.normalize();
-        plan
+        FaultPlan::sorted(windows)
     }
 
-    /// An announced maintenance window: the nodes run at `fraction`
-    /// capacity during `[at, at + duration)` and plan-ahead is told in
-    /// advance (the window lands in the ledger's `NodeHealth`).
+    /// An announced maintenance window: the nodes run at a quarter of
+    /// their capacity during `[at, at + duration)` and plan-ahead is told
+    /// in advance (the window lands in the ledger's `NodeHealth`).
     pub fn maintenance(cluster: &Cluster, at: Time, duration: Time, scope: FaultScope) -> Self {
-        PerfFaultPlan::from_script(
+        FaultPlan::from_script(
             cluster,
-            &[PerfFaultScript {
+            &[FaultScript {
                 at,
                 duration,
                 scope,
-                kind: PerfFaultKind::DegradedCapacity { fraction: 0.25 },
+                kind: FaultKind::DegradedCapacity { fraction: 0.25 },
                 announced: true,
             }],
         )
     }
 
-    /// Merges another plan into this one. Overlapping windows on the same
-    /// node are legal; the engine applies the *maximum* active slowdown.
-    pub fn merge(mut self, other: PerfFaultPlan) -> Self {
+    /// Merges another plan into this one; windows with equal sort keys
+    /// keep `self`'s before `other`'s. Overlapping windows on one node are
+    /// legal: the engine refcounts outages, so a node rejoins the free pool
+    /// only once every one has ended, and applies the *maximum* slowdown in
+    /// force.
+    pub fn merge(mut self, other: FaultPlan) -> Self {
         self.windows.extend(other.windows);
-        self.normalize();
-        self
+        FaultPlan::sorted(self.windows)
     }
 
-    /// The windows in deterministic order.
-    pub fn windows(&self) -> &[PerfFaultWindow] {
+    /// The windows in `(start, node, end)` order.
+    pub fn windows(&self) -> &[FaultWindow] {
         &self.windows
     }
 
-    /// Whether the plan contains no windows.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Highest node index the plan touches, if any.
+    /// Highest node index the plan touches, if any (used to validate a plan
+    /// against the cluster it is replayed on).
     pub fn max_node(&self) -> Option<NodeId> {
         self.windows.iter().map(|w| w.node).max()
     }
 
-    fn normalize(&mut self) {
-        self.windows.retain(|w| w.end > w.start);
-        self.windows.sort_by_key(|w| (w.start, w.node, w.end));
+    /// A stable sort, so windows with equal keys keep their order.
+    fn sorted(mut windows: Vec<FaultWindow>) -> Self {
+        windows.sort_by_key(|w| (w.start, w.node, w.end));
+        FaultPlan { windows }
     }
 }
 
-/// One node's fault state: how overlapping entries of the two plans
-/// compose while the engine replays them.
+/// One node's fault state: how overlapping windows compose while the
+/// engine replays them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeFaults {
-    /// Fail-stop outages in force. Overlapping outages of one node
-    /// (stochastic churn merged with a scripted rack outage) are
-    /// refcounted: the node rejoins the free pool only when every one of
-    /// them has ended.
+    /// Outages in force. Overlapping outages of one node (stochastic churn
+    /// merged with a scripted rack outage) are refcounted: the node rejoins
+    /// the free pool only when every one of them has ended.
     down_depth: u32,
-    /// Plan indices of the perf-fault windows in force.
+    /// Plan indices of the slow windows in force.
     active_perf: Vec<usize>,
-    /// Whether a perf-fault window ever opened on the node.
+    /// Whether a slow window ever opened on the node.
     pub(crate) perf_faulted: bool,
 }
 
@@ -421,13 +281,13 @@ impl NodeFaults {
         self.down_depth == 0
     }
 
-    /// Window `ix` of `plan` opens or closes; the node's runtime multiplier
-    /// from here on. Overlapping windows compose by max (the node runs at
-    /// the worst active factor), 1.0 when none is left.
+    /// Slow window `ix` of `plan` opens or closes; the node's runtime
+    /// multiplier from here on. Overlapping windows compose by max (the
+    /// node runs at the worst active factor), 1.0 when none is left.
     // srclint: checked-indexing: every `ix` in `active_perf` arrived through
     // this function from the engine's perf-fault events, which are made by
     // enumerating the same `plan`.
-    pub(crate) fn perf_window(&mut self, ix: usize, opens: bool, plan: &[PerfFaultWindow]) -> f64 {
+    pub(crate) fn perf_window(&mut self, ix: usize, opens: bool, plan: &[FaultWindow]) -> f64 {
         if opens {
             self.active_perf.push(ix);
             self.perf_faulted = true;
@@ -436,7 +296,7 @@ impl NodeFaults {
         }
         self.active_perf
             .iter()
-            .map(|&ix| plan[ix].kind.slow_factor())
+            .filter_map(|&ix| plan[ix].kind.slow_factor())
             .fold(1.0, f64::max)
     }
 }
@@ -515,154 +375,164 @@ impl SplitMix64 {
 mod tests {
     use super::*;
 
-    fn cfg(seed: u64) -> FaultConfig {
+    /// Outages (`slow_factor: None`) or 2-6x slow windows.
+    fn cfg(seed: u64, slow: bool) -> FaultConfig {
         FaultConfig {
             seed,
             mtbf: 500.0,
             mttr: 60.0,
             horizon: 10_000,
+            slow_factor: slow.then_some((2.0, 6.0)),
+        }
+    }
+
+    fn script(at: Time, duration: Time, scope: FaultScope, kind: FaultKind) -> FaultScript {
+        FaultScript {
+            at,
+            duration,
+            scope,
+            kind,
+            announced: false,
+        }
+    }
+
+    fn on_node(plan: &FaultPlan, node: u32) -> Vec<FaultWindow> {
+        let windows = plan.windows().iter().copied();
+        windows.filter(|w| w.node == NodeId(node)).collect()
+    }
+
+    #[test]
+    fn generate_is_deterministic_per_seed() {
+        for slow in [false, true] {
+            let a = FaultPlan::generate(16, &cfg(7, slow));
+            assert_eq!(a, FaultPlan::generate(16, &cfg(7, slow)));
+            assert_ne!(a, FaultPlan::generate(16, &cfg(8, slow)));
+            assert!(!a.windows().is_empty());
         }
     }
 
     #[test]
-    fn generate_is_deterministic() {
-        let a = FaultPlan::generate(16, &cfg(7));
-        let b = FaultPlan::generate(16, &cfg(7));
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn distinct_seeds_differ() {
-        let a = FaultPlan::generate(16, &cfg(7));
-        let b = FaultPlan::generate(16, &cfg(8));
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn node_stream_independent_of_cluster_size() {
-        // Node 3's transitions must be identical in an 8- and a 64-node
+        // Node 3's windows must be identical in an 8- and a 64-node
         // cluster: streams are keyed by node id, not sampled in sequence.
-        let small = FaultPlan::generate(8, &cfg(3));
-        let big = FaultPlan::generate(64, &cfg(3));
-        let pick = |p: &FaultPlan| -> Vec<FaultEvent> {
-            p.events()
-                .iter()
-                .copied()
-                .filter(|e| e.node == NodeId(3))
-                .collect()
-        };
-        assert_eq!(pick(&small), pick(&big));
+        for slow in [false, true] {
+            let small = FaultPlan::generate(8, &cfg(3, slow));
+            let big = FaultPlan::generate(64, &cfg(3, slow));
+            assert_eq!(on_node(&small, 3), on_node(&big, 3));
+        }
     }
 
     #[test]
-    fn transitions_alternate_per_node() {
-        let plan = FaultPlan::generate(8, &cfg(11));
-        for ix in 0..8u32 {
-            let mut down = false;
-            let mut last_at = 0;
-            for e in plan.events().iter().filter(|e| e.node == NodeId(ix)) {
-                assert_eq!(e.up, down, "node {ix} transition does not alternate");
-                assert!(e.at >= last_at);
-                down = !e.up;
-                last_at = e.at;
+    fn slow_windows_draw_from_their_own_stream() {
+        // Same seed must not produce correlated timelines: the slow stream
+        // is salted. (If the salts matched, node 0's first slow window and
+        // first outage would start at the same instant.)
+        let down = FaultPlan::generate(8, &cfg(7, false));
+        let slow = FaultPlan::generate(8, &cfg(7, true));
+        assert_ne!(on_node(&down, 0)[0].start, on_node(&slow, 0)[0].start);
+    }
+
+    #[test]
+    fn generated_windows_are_sorted_disjoint_per_node_and_start_before_the_horizon() {
+        for slow in [false, true] {
+            let plan = FaultPlan::generate(32, &cfg(5, slow));
+            for pair in plan.windows().windows(2) {
+                assert!(pair[0].start <= pair[1].start);
+            }
+            for node in 0..32 {
+                let windows = on_node(&plan, node);
+                for pair in windows.windows(2) {
+                    assert!(pair[0].end <= pair[1].start, "node {node}: {pair:?}");
+                }
+                for w in windows {
+                    assert!(w.start < w.end && w.start < 10_000);
+                    match w.kind.slow_factor() {
+                        None => assert!(!slow && (w.end < 10_000 || w.end == Time::MAX)),
+                        Some(f) => assert!(slow && (2.0..=6.0).contains(&f) && w.end <= 10_000),
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn events_sorted_and_within_horizon() {
-        let plan = FaultPlan::generate(32, &cfg(5));
-        let mut prev = 0;
-        for e in plan.events() {
-            assert!(e.at >= prev);
-            assert!(e.at < 10_000);
-            prev = e.at;
-        }
+    fn horizon_leaves_outages_open_and_clamps_slow_windows() {
+        let past = |slow| {
+            let config = FaultConfig {
+                horizon: 700,
+                mttr: 400.0,
+                ..cfg(1, slow)
+            };
+            let plan = FaultPlan::generate(16, &config);
+            let ends = plan.windows().iter().map(|w| w.end);
+            ends.filter(|&end| end >= 700).collect::<Vec<_>>()
+        };
+        let open = past(false);
+        assert!(!open.is_empty() && open.iter().all(|&end| end == Time::MAX));
+        let clamped = past(true);
+        assert!(!clamped.is_empty() && clamped.iter().all(|&end| end == 700));
     }
 
     #[test]
-    fn script_expands_rack_scope() {
+    fn script_expands_scope_and_keeps_kind_and_announcement() {
         let c = Cluster::uniform(2, 4, 0);
+        let slow = FaultKind::SlowNode { factor: 4.0 };
         let plan = FaultPlan::from_script(
             &c,
-            &[FaultScript {
-                at: 100,
-                duration: 50,
-                scope: FaultScope::Rack(RackId(1)),
-            }],
+            &[
+                script(100, 50, FaultScope::Rack(RackId(1)), FaultKind::Down),
+                FaultScript {
+                    announced: true,
+                    ..script(0, 10, FaultScope::Nodes(vec![NodeId(0), NodeId(2)]), slow)
+                },
+            ],
         );
-        // 4 nodes down at 100, 4 back up at 150.
-        assert_eq!(plan.events().len(), 8);
-        let downs: Vec<_> = plan.events().iter().filter(|e| !e.up).collect();
-        assert_eq!(downs.len(), 4);
-        assert!(downs.iter().all(|e| e.at == 100));
-        assert!(downs.iter().all(|e| c.rack_of(e.node) == RackId(1)));
+        let windows = plan.windows();
+        assert_eq!(windows.len(), 6);
+        assert!(windows[..2].iter().all(|w| w.kind == slow && w.announced));
+        assert!(windows[2..]
+            .iter()
+            .all(|w| w.kind == FaultKind::Down && !w.announced));
+        assert!(windows[2..].iter().all(|w| (w.start, w.end) == (100, 150)));
+        assert!(windows[2..].iter().all(|w| c.rack_of(w.node) == RackId(1)));
         assert_eq!(plan.max_node(), Some(NodeId(7)));
     }
 
     #[test]
     fn zero_duration_script_dropped() {
         let c = Cluster::uniform(1, 2, 0);
-        let plan = FaultPlan::from_script(
-            &c,
-            &[FaultScript {
-                at: 5,
-                duration: 0,
-                scope: FaultScope::Node(NodeId(0)),
-            }],
-        );
-        assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn merge_interleaves_sorted() {
-        let c = Cluster::uniform(1, 4, 0);
-        let scripted = FaultPlan::from_script(
-            &c,
-            &[FaultScript {
-                at: 0,
-                duration: 10,
-                scope: FaultScope::Node(NodeId(2)),
-            }],
-        );
-        let random = FaultPlan::generate(4, &cfg(9));
-        let merged = random.clone().merge(scripted.clone());
-        assert_eq!(
-            merged.events().len(),
-            random.events().len() + scripted.events().len()
-        );
-        let mut prev = 0;
-        for e in merged.events() {
-            assert!(e.at >= prev);
-            prev = e.at;
-        }
-    }
-
-    #[test]
-    fn up_sorts_before_down_at_equal_time() {
-        let c = Cluster::uniform(1, 1, 0);
-        // Outage [5, 10) followed immediately by outage [10, 20): at t=10
-        // the repair must come first so the second failure finds the node
-        // up.
+        let node = || FaultScope::Node(NodeId(0));
         let plan = FaultPlan::from_script(
             &c,
             &[
-                FaultScript {
-                    at: 5,
-                    duration: 5,
-                    scope: FaultScope::Node(NodeId(0)),
-                },
-                FaultScript {
-                    at: 10,
-                    duration: 10,
-                    scope: FaultScope::Node(NodeId(0)),
-                },
+                script(5, 0, node(), FaultKind::Down),
+                script(5, 0, node(), FaultKind::SlowNode { factor: 2.0 }),
             ],
         );
-        let at_10: Vec<_> = plan.events().iter().filter(|e| e.at == 10).collect();
-        assert_eq!(at_10.len(), 2);
-        assert!(at_10[0].up && !at_10[1].up);
+        assert!(plan.windows().is_empty());
+    }
+
+    #[test]
+    fn merge_interleaves_sorted_and_keeps_ties_in_order() {
+        let c = Cluster::uniform(1, 4, 0);
+        let node = || FaultScope::Node(NodeId(2));
+        let outage = FaultPlan::from_script(&c, &[script(0, 10, node(), FaultKind::Down)]);
+        let slow = FaultPlan::from_script(
+            &c,
+            &[script(0, 10, node(), FaultKind::SlowNode { factor: 3.0 })],
+        );
+        let random = FaultPlan::generate(4, &cfg(9, false));
+        let merged = random.clone().merge(outage).merge(slow);
+        assert_eq!(merged.windows().len(), random.windows().len() + 2);
+        for pair in merged.windows().windows(2) {
+            assert!(pair[0].start <= pair[1].start);
+        }
+        let ties: Vec<_> = on_node(&merged, 2)
+            .into_iter()
+            .filter(|w| w.start == 0)
+            .collect();
+        assert_eq!(ties[0].kind, FaultKind::Down);
+        assert_eq!(ties[1].kind, FaultKind::SlowNode { factor: 3.0 });
     }
 
     #[test]
@@ -690,103 +560,6 @@ mod tests {
         assert_eq!(p.delay(1), 1);
     }
 
-    fn perf_cfg(seed: u64) -> PerfFaultConfig {
-        PerfFaultConfig {
-            seed,
-            mtbf: 400.0,
-            duration: 80.0,
-            factor_min: 2.0,
-            factor_max: 6.0,
-            horizon: 10_000,
-        }
-    }
-
-    #[test]
-    fn perf_generate_is_deterministic() {
-        let a = PerfFaultPlan::generate(16, &perf_cfg(7));
-        let b = PerfFaultPlan::generate(16, &perf_cfg(7));
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn perf_plan_independent_of_fail_stop_plan() {
-        // Same seed must not produce correlated timelines: the perf stream
-        // is salted. (If the salts matched, node 0's first perf window and
-        // first outage would start at the same instant.)
-        let perf = PerfFaultPlan::generate(8, &perf_cfg(7));
-        let stop = FaultPlan::generate(8, &cfg(7));
-        let first_perf = perf.windows().iter().find(|w| w.node == NodeId(0));
-        let first_stop = stop.events().iter().find(|e| e.node == NodeId(0));
-        if let (Some(w), Some(e)) = (first_perf, first_stop) {
-            assert_ne!(w.start, e.at);
-        }
-    }
-
-    #[test]
-    fn perf_windows_sorted_sane_and_within_horizon() {
-        let plan = PerfFaultPlan::generate(32, &perf_cfg(5));
-        let mut prev = 0;
-        for w in plan.windows() {
-            assert!(w.start >= prev);
-            assert!(w.end > w.start);
-            assert!(w.end <= 10_000);
-            assert!(w.kind.slow_factor() >= 2.0 && w.kind.slow_factor() <= 6.0);
-            prev = w.start;
-        }
-    }
-
-    #[test]
-    fn perf_stream_independent_of_cluster_size() {
-        let small = PerfFaultPlan::generate(8, &perf_cfg(3));
-        let big = PerfFaultPlan::generate(64, &perf_cfg(3));
-        let pick = |p: &PerfFaultPlan| -> Vec<PerfFaultWindow> {
-            p.windows()
-                .iter()
-                .copied()
-                .filter(|w| w.node == NodeId(3))
-                .collect()
-        };
-        assert_eq!(pick(&small), pick(&big));
-    }
-
-    #[test]
-    fn perf_script_expands_rack_and_keeps_announcement() {
-        let c = Cluster::uniform(2, 4, 0);
-        let plan = PerfFaultPlan::from_script(
-            &c,
-            &[PerfFaultScript {
-                at: 100,
-                duration: 50,
-                scope: FaultScope::Rack(RackId(0)),
-                kind: PerfFaultKind::SlowNode { factor: 4.0 },
-                announced: true,
-            }],
-        );
-        assert_eq!(plan.windows().len(), 4);
-        assert!(plan.windows().iter().all(|w| w.announced));
-        assert!(plan
-            .windows()
-            .iter()
-            .all(|w| w.start == 100 && w.end == 150));
-    }
-
-    #[test]
-    fn perf_zero_duration_script_dropped() {
-        let c = Cluster::uniform(1, 2, 0);
-        let plan = PerfFaultPlan::from_script(
-            &c,
-            &[PerfFaultScript {
-                at: 5,
-                duration: 0,
-                scope: FaultScope::Node(NodeId(0)),
-                kind: PerfFaultKind::SlowNode { factor: 2.0 },
-                announced: false,
-            }],
-        );
-        assert!(plan.is_empty());
-    }
-
     #[test]
     fn node_faults_refcount_outages_and_take_the_worst_factor() {
         let mut node = NodeFaults::default();
@@ -796,43 +569,42 @@ mod tests {
         assert!(!node.repair(), "the outer outage still holds the node down");
         assert!(node.repair());
 
-        let window = |factor| PerfFaultWindow {
+        let window = |kind| FaultWindow {
             start: 0,
             end: 100,
             node: NodeId(0),
-            kind: PerfFaultKind::SlowNode { factor },
+            kind,
             announced: false,
         };
-        let plan = [window(2.0), window(4.0)];
+        let slow = |factor| window(FaultKind::SlowNode { factor });
+        let plan = [slow(2.0), window(FaultKind::Down), slow(4.0)];
         assert_eq!(node.perf_window(0, true, &plan), 2.0);
-        assert_eq!(node.perf_window(1, true, &plan), 4.0);
-        assert_eq!(node.perf_window(1, false, &plan), 2.0);
+        assert_eq!(node.perf_window(2, true, &plan), 4.0);
+        assert_eq!(node.perf_window(2, false, &plan), 2.0);
         assert_eq!(node.perf_window(0, false, &plan), 1.0);
         assert!(node.perf_faulted);
     }
 
     #[test]
     fn slow_factor_clamps() {
-        assert_eq!(PerfFaultKind::SlowNode { factor: 0.5 }.slow_factor(), 1.0);
-        assert_eq!(PerfFaultKind::SlowNode { factor: 3.0 }.slow_factor(), 3.0);
-        assert_eq!(
-            PerfFaultKind::DegradedCapacity { fraction: 0.5 }.slow_factor(),
-            2.0
-        );
+        assert_eq!(FaultKind::Down.slow_factor(), None);
+        assert_eq!(FaultKind::SlowNode { factor: 0.5 }.slow_factor(), Some(1.0));
+        assert_eq!(FaultKind::SlowNode { factor: 3.0 }.slow_factor(), Some(3.0));
+        let half = FaultKind::DegradedCapacity { fraction: 0.5 };
+        assert_eq!(half.slow_factor(), Some(2.0));
         // A zero fraction clamps instead of dividing by zero.
-        assert!(PerfFaultKind::DegradedCapacity { fraction: 0.0 }
-            .slow_factor()
-            .is_finite());
+        let zero = FaultKind::DegradedCapacity { fraction: 0.0 };
+        assert!(zero.slow_factor().is_some_and(f64::is_finite));
     }
 
     #[test]
     fn maintenance_is_announced_capacity_window() {
         let c = Cluster::uniform(1, 4, 0);
-        let plan = PerfFaultPlan::maintenance(&c, 200, 100, FaultScope::Node(NodeId(1)));
+        let plan = FaultPlan::maintenance(&c, 200, 100, FaultScope::Node(NodeId(1)));
         assert_eq!(plan.windows().len(), 1);
         let w = plan.windows()[0];
         assert!(w.announced);
-        assert!(matches!(w.kind, PerfFaultKind::DegradedCapacity { .. }));
+        assert!(matches!(w.kind, FaultKind::DegradedCapacity { .. }));
         assert_eq!((w.start, w.end), (200, 300));
     }
 }

@@ -32,8 +32,7 @@ pub mod trace;
 
 pub use engine::{SimConfig, SimReport, Simulator};
 pub use fault::{
-    FaultConfig, FaultEvent, FaultPlan, FaultScope, FaultScript, PerfFaultConfig, PerfFaultKind,
-    PerfFaultPlan, PerfFaultScript, PerfFaultWindow, RetryPolicy,
+    FaultConfig, FaultKind, FaultPlan, FaultScope, FaultScript, FaultWindow, RetryPolicy,
 };
 pub use job::{JobId, JobOutcome, JobSpec, JobType};
 pub use metrics::{LatencyStats, Metrics};

@@ -58,14 +58,10 @@ fn churn_killing_ten_percent_of_nodes_is_survived() {
             mtbf: 400.0,
             mttr: 40.0,
             horizon: 2_000,
+            slow_factor: None,
         },
     );
-    let failed: HashSet<_> = faults
-        .events()
-        .iter()
-        .filter(|e| !e.up)
-        .map(|e| e.node)
-        .collect();
+    let failed: HashSet<_> = faults.windows().iter().map(|w| w.node).collect();
     assert!(
         failed.len() * 10 >= num_nodes,
         "fault plan too tame: only {} of {} nodes fail",
@@ -155,7 +151,7 @@ fn forced_global_solver_failure_degrades_one_cycle() {
         &cluster,
         cfg,
         workload(7, 12, &cluster),
-        FaultPlan::none(),
+        FaultPlan::default(),
         RetryPolicy::default(),
     );
     let m = &report.metrics;
@@ -193,6 +189,7 @@ fn churn_plus_chaos_still_terminates_cleanly() {
             mtbf: 600.0,
             mttr: 30.0,
             horizon: 1_500,
+            slow_factor: None,
         },
     );
     let cfg = TetriSchedConfig {

@@ -6,7 +6,7 @@
 //!   closer than its hysteresis window, under arbitrary load sequences;
 //! - straggler eviction and speculative re-placement preserve the
 //!   allocation ledger's conservation invariant;
-//! - a pure fail-stop `FaultPlan` (no perf faults, no straggler defense,
+//! - a pure fail-stop `FaultPlan` (no slow windows, no straggler defense,
 //!   governor disabled) reproduces the pre-degraded-mode engine's golden
 //!   digests byte-for-byte.
 
@@ -15,12 +15,12 @@ use tetrisched::bench::{run_spec, RunSpec, SchedulerKind};
 use tetrisched::cluster::{Cluster, RackId};
 use tetrisched::core::{Governor, GovernorConfig, TetriSched, TetriSchedConfig};
 use tetrisched::sim::{
-    FaultConfig, FaultPlan, FaultScope, FaultScript, PerfFaultConfig, PerfFaultPlan, SimConfig,
-    SimReport, Simulator, StragglerConfig, TelemetryConfig,
+    FaultConfig, FaultKind, FaultPlan, FaultScope, FaultScript, SimConfig, SimReport, Simulator,
+    StragglerConfig, TelemetryConfig,
 };
 use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
-fn arb_perf_config() -> impl Strategy<Value = PerfFaultConfig> {
+fn arb_perf_config() -> impl Strategy<Value = FaultConfig> {
     (
         0u64..1000,
         100.0f64..1500.0,
@@ -28,19 +28,18 @@ fn arb_perf_config() -> impl Strategy<Value = PerfFaultConfig> {
         1.5f64..4.0,
         300u64..1500,
     )
-        .prop_map(|(seed, mtbf, duration, factor, horizon)| PerfFaultConfig {
+        .prop_map(|(seed, mtbf, mttr, factor, horizon)| FaultConfig {
             seed,
             mtbf,
-            duration,
-            factor_min: factor,
-            factor_max: factor + 2.0,
+            mttr,
             horizon,
+            slow_factor: Some((factor, factor + 2.0)),
         })
 }
 
 /// A degraded-mode simulation: seeded perf faults, straggler defense on,
 /// governor enabled with a budget small enough to exercise the ladder.
-fn degraded_run(seed: u64, perf: &PerfFaultPlan) -> SimReport {
+fn degraded_run(seed: u64, perf: &FaultPlan) -> SimReport {
     let cluster = Cluster::uniform(2, 4, 1);
     let jobs = WorkloadBuilder::new(GridmixConfig {
         seed,
@@ -61,7 +60,7 @@ fn degraded_run(seed: u64, perf: &PerfFaultPlan) -> SimReport {
         SimConfig {
             trace: true,
             strict_accounting: true,
-            perf_faults: perf.clone(),
+            faults: perf.clone(),
             stragglers: StragglerConfig::defaults(),
             telemetry: TelemetryConfig::on(),
             horizon: Some(100_000),
@@ -80,9 +79,9 @@ proptest! {
     /// telemetry exports, run to run.
     #[test]
     fn perf_fault_runs_are_byte_identical(cfg in arb_perf_config(), seed in 0u64..500) {
-        let perf = PerfFaultPlan::generate(8, &cfg);
+        let perf = FaultPlan::generate(8, &cfg);
         prop_assert_eq!(
-            PerfFaultPlan::generate(8, &cfg).windows(),
+            FaultPlan::generate(8, &cfg).windows(),
             perf.windows(),
             "perf-fault plan generation must be pure"
         );
@@ -110,7 +109,7 @@ proptest! {
         cfg in arb_perf_config(),
         seed in 0u64..500,
     ) {
-        let perf = PerfFaultPlan::generate(8, &cfg);
+        let perf = FaultPlan::generate(8, &cfg);
         let report = degraded_run(seed, &perf);
         prop_assert_eq!(report.metrics.incomplete, 0, "every job terminal");
         prop_assert!(
@@ -195,6 +194,7 @@ fn fail_stop_spec(workload: Workload, seed: u64) -> RunSpec {
             mtbf: 400.0,
             mttr: 40.0,
             horizon: 900,
+            slow_factor: None,
         },
     );
     let scripted = FaultPlan::from_script(
@@ -203,6 +203,8 @@ fn fail_stop_spec(workload: Workload, seed: u64) -> RunSpec {
             at: 200,
             duration: 80,
             scope: FaultScope::Rack(RackId(1)),
+            kind: FaultKind::Down,
+            announced: false,
         }],
     );
     let cfg = TetriSchedConfig::full(16);

@@ -18,6 +18,7 @@ fn arb_fault_config() -> impl Strategy<Value = FaultConfig> {
             mtbf,
             mttr,
             horizon,
+            slow_factor: None,
         },
     )
 }
@@ -25,19 +26,21 @@ fn arb_fault_config() -> impl Strategy<Value = FaultConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Same seed and parameters => bit-identical fault plan; the events
-    /// are sorted, alternate per node, and respect the horizon.
+    /// Same seed and parameters => bit-identical fault plan; the windows
+    /// are sorted, start before the horizon, and are repaired before it or
+    /// never.
     #[test]
     fn fault_plan_is_deterministic(cfg in arb_fault_config(), nodes in 1usize..48) {
         let a = FaultPlan::generate(nodes, &cfg);
         let b = FaultPlan::generate(nodes, &cfg);
-        prop_assert_eq!(a.events(), b.events());
-        for w in a.events().windows(2) {
-            prop_assert!((w[0].at, w[0].node.0) <= (w[1].at, w[1].node.0));
+        prop_assert_eq!(a.windows(), b.windows());
+        for w in a.windows().windows(2) {
+            prop_assert!((w[0].start, w[0].node.0) <= (w[1].start, w[1].node.0));
         }
-        for e in a.events() {
-            prop_assert!(e.at < cfg.horizon);
-            prop_assert!((e.node.index()) < nodes);
+        for w in a.windows() {
+            prop_assert!(w.start < cfg.horizon);
+            prop_assert!(w.start < w.end && (w.end < cfg.horizon || w.end == u64::MAX));
+            prop_assert!((w.node.index()) < nodes);
         }
     }
 
@@ -47,8 +50,8 @@ proptest! {
     fn fault_plan_seed_matters(cfg in arb_fault_config(), nodes in 4usize..32) {
         let a = FaultPlan::generate(nodes, &cfg);
         let b = FaultPlan::generate(nodes, &FaultConfig { seed: cfg.seed ^ 0xdead_beef, ..cfg });
-        if !a.is_empty() || !b.is_empty() {
-            prop_assert_ne!(a.events(), b.events());
+        if !a.windows().is_empty() || !b.windows().is_empty() {
+            prop_assert_ne!(a.windows(), b.windows());
         }
     }
 }
@@ -143,7 +146,7 @@ proptest! {
         let cluster = Cluster::uniform(2, 4, 1);
         let faults = FaultPlan::generate(
             cluster.num_nodes(),
-            &FaultConfig { seed, mtbf: 150.0, mttr: 20.0, horizon: 600 },
+            &FaultConfig { seed, mtbf: 150.0, mttr: 20.0, horizon: 600, slow_factor: None },
         );
         let config = SimConfig {
             faults,

@@ -8,8 +8,8 @@ use tetrisched::baseline::CapacityScheduler;
 use tetrisched::cluster::{AllocHandle, Cluster, NodeId};
 use tetrisched::core::{TetriSched, TetriSchedConfig};
 use tetrisched::sim::{
-    CycleContext, CycleDecisions, FaultConfig, FaultPlan, FaultScope, FaultScript, JobId,
-    JobOutcome, JobSpec, JobType, PendingJob, RetryPolicy, Scheduler, SimConfig, SimReport,
+    CycleContext, CycleDecisions, FaultConfig, FaultKind, FaultPlan, FaultScope, FaultScript,
+    JobId, JobOutcome, JobSpec, JobType, PendingJob, RetryPolicy, Scheduler, SimConfig, SimReport,
     Simulator,
 };
 
@@ -167,6 +167,8 @@ fn views_are_well_formed_when_resubmit_beats_the_next_cycle() {
         at: 1,
         duration: 1,
         scope: FaultScope::Node(NodeId(0)),
+        kind: FaultKind::Down,
+        announced: false,
     };
     let config = SimConfig {
         faults: FaultPlan::from_script(&cluster, &[outage]),
@@ -222,7 +224,7 @@ proptest! {
         let cluster = Cluster::uniform(2, 4, 1);
         let faults = FaultPlan::generate(
             cluster.num_nodes(),
-            &FaultConfig { seed, mtbf: 150.0, mttr: 10.0, horizon: 600 },
+            &FaultConfig { seed, mtbf: 150.0, mttr: 10.0, horizon: 600, slow_factor: None },
         );
         for cycle_period in [4, 10] {
             let config = SimConfig {

@@ -19,8 +19,8 @@ use tetrisched::cluster::{Cluster, RackId};
 use tetrisched::core::TetriSched;
 use tetrisched::core::TetriSchedConfig;
 use tetrisched::sim::{
-    FaultScope, JobOutcome, PerfFaultKind, PerfFaultPlan, PerfFaultScript, SimConfig, SimReport,
-    Simulator, TraceEvent,
+    FaultKind, FaultPlan, FaultScope, FaultScript, JobOutcome, SimConfig, SimReport, Simulator,
+    TraceEvent,
 };
 use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
@@ -112,7 +112,7 @@ fn closed_loop_reproduces_pre_refactor_decisions() {
 /// cycles carry up to 30 deferred commitments and most cycles revise the
 /// expected end of an overrunning gang. The solver limit cannot bind, so
 /// debug and release decide alike.
-fn greedy_run(perf_faults: PerfFaultPlan) -> SimReport {
+fn greedy_run(faults: FaultPlan) -> SimReport {
     let cluster = Cluster::uniform(8, 32, 2);
     let jobs = WorkloadBuilder::new(GridmixConfig {
         seed: 42,
@@ -132,7 +132,7 @@ fn greedy_run(perf_faults: PerfFaultPlan) -> SimReport {
         SimConfig {
             horizon: Some(1_000_000),
             trace: true,
-            perf_faults,
+            faults,
             ..SimConfig::default()
         },
     )
@@ -161,7 +161,7 @@ fn greedy_digest(report: &SimReport) -> u64 {
 /// same PR leave both digests as they were. Equal in debug and release.
 #[test]
 fn greedy_closed_loop_reproduces_pinned_decisions() {
-    let report = greedy_run(PerfFaultPlan::none());
+    let report = greedy_run(FaultPlan::default());
     assert!(report.metrics.accepted_slo_total > 0 && report.metrics.be_total > 0);
     assert_eq!(greedy_digest(&report), GREEDY_DIGEST);
 }
@@ -171,14 +171,14 @@ fn greedy_closed_loop_reproduces_pinned_decisions() {
 #[test]
 fn greedy_plans_around_announced_maintenance_as_pinned() {
     let cluster = Cluster::uniform(8, 32, 2);
-    let window = PerfFaultScript {
+    let window = FaultScript {
         at: 400,
         duration: 300,
         scope: FaultScope::Rack(RackId(3)),
-        kind: PerfFaultKind::SlowNode { factor: 4.0 },
+        kind: FaultKind::SlowNode { factor: 4.0 },
         announced: true,
     };
-    let report = greedy_run(PerfFaultPlan::from_script(&cluster, &[window]));
+    let report = greedy_run(FaultPlan::from_script(&cluster, &[window]));
     assert!(
         report.metrics.perf_faulted_nodes > 0,
         "the window never opened"
