@@ -15,49 +15,28 @@ use tetrisched_strl::JobClass;
 
 use crate::preemption::{is_preemptible, select_victims};
 
-/// Baseline configuration.
-#[derive(Debug, Clone)]
-pub struct CapacitySchedulerConfig {
-    /// Whether reserved jobs may preempt best-effort containers — the
-    /// paper enables this to give the baseline its best configuration.
-    pub enable_preemption: bool,
-    /// Seed for the heterogeneity-oblivious placement order.
-    pub placement_seed: u64,
-}
-
-impl Default for CapacitySchedulerConfig {
-    fn default() -> Self {
-        CapacitySchedulerConfig {
-            enable_preemption: true,
-            placement_seed: 1,
-        }
-    }
-}
+/// Seed for the heterogeneity-oblivious placement order.
+const PLACEMENT_SEED: u64 = 1;
 
 /// The Rayon/CapacityScheduler baseline.
 ///
 /// See the crate docs for the modelled behaviours. The scheduler is
 /// deliberately ignorant of job runtime estimates, placement preferences,
 /// and future availability: exactly the information TetriSched exploits.
+/// Reserved jobs may preempt best-effort containers: the paper enables this
+/// to give the baseline its best configuration.
 pub struct CapacityScheduler {
-    config: CapacitySchedulerConfig,
     /// Reservations by job, recorded at submission (the scheduler needs
     /// them to know which running containers are protected).
     reservations: HashMap<JobId, Reservation>,
 }
 
 impl CapacityScheduler {
-    /// Creates the baseline scheduler.
-    pub fn new(config: CapacitySchedulerConfig) -> Self {
+    /// Creates the baseline in the paper's configuration.
+    pub fn paper_default() -> Self {
         CapacityScheduler {
-            config,
             reservations: HashMap::new(),
         }
-    }
-
-    /// Creates the baseline with default (paper) configuration.
-    pub fn paper_default() -> Self {
-        Self::new(CapacitySchedulerConfig::default())
     }
 
     fn reservation_end(&self, job: JobId) -> Option<Time> {
@@ -68,9 +47,7 @@ impl CapacityScheduler {
     /// from the seed and cycle time.
     fn shuffled_free(&self, ctx: &CycleContext<'_>) -> Vec<NodeId> {
         let mut free: Vec<NodeId> = ctx.ledger.free_nodes().iter().collect();
-        let seed = self
-            .config
-            .placement_seed
+        let seed = PLACEMENT_SEED
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add(ctx.now);
         free.shuffle(&mut StdRng::seed_from_u64(seed));
@@ -108,7 +85,7 @@ impl Scheduler for CapacityScheduler {
 
         for p in &production {
             let k = p.spec.k as usize;
-            if free.len() < k && self.config.enable_preemption {
+            if free.len() < k {
                 let needed = k - free.len();
                 let candidates: Vec<&RunningJob> = ctx
                     .running
@@ -293,18 +270,6 @@ mod tests {
         let report = run(Cluster::uniform(1, 4, 0), jobs);
         // Jobs 0/1 occupy [0, 100); job 2's deadline 35 is blown.
         assert_eq!(report.metrics.nores_slo_met, 0);
-    }
-
-    #[test]
-    fn does_not_preempt_when_disabled() {
-        let sched = CapacityScheduler::new(CapacitySchedulerConfig {
-            enable_preemption: false,
-            placement_seed: 1,
-        });
-        let report = Simulator::new(Cluster::uniform(1, 4, 0), sched, SimConfig::default())
-            .run(vec![be_job(0, 0, 4, 300), slo_job(1, 8, 4, 40, 100)]);
-        assert_eq!(report.metrics.preemptions, 0);
-        assert_eq!(report.metrics.accepted_slo_met, 0);
     }
 
     #[test]

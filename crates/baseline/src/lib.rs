@@ -25,4 +25,4 @@
 pub mod capacity_scheduler;
 pub mod preemption;
 
-pub use capacity_scheduler::{CapacityScheduler, CapacitySchedulerConfig};
+pub use capacity_scheduler::CapacityScheduler;

@@ -16,7 +16,7 @@ use tetrisched_cluster::{NodeId, RackId};
 use tetrisched_core::{GovernorConfig, TetriSched, TetriSchedConfig};
 use tetrisched_sim::{
     FaultConfig, FaultKind, FaultPlan, FaultScope, FaultScript, Metrics, SimConfig, SimReport,
-    Simulator, StragglerConfig, TelemetryConfig, TraceEvent,
+    Simulator, TelemetryConfig, TraceEvent,
 };
 use tetrisched_workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
@@ -42,7 +42,7 @@ fn robustness_panels() -> Vec<Panel> {
             m.abandoned_after_retries as f64
         }),
         panel("degraded cycles (solver fallbacks)", |m| {
-            m.solver_fallbacks as f64
+            m.degraded_cycles as f64
         }),
     ]
 }
@@ -75,11 +75,7 @@ fn degraded_panels() -> Vec<Panel> {
 pub(crate) fn figures(args: &Args) -> Vec<Figure> {
     let scale = &args.scale;
     let with_perf = args.has("--perf-faults");
-    let stragglers = if args.has("--stragglers") {
-        StragglerConfig::defaults()
-    } else {
-        StragglerConfig::disabled()
-    };
+    let stragglers = args.has("--stragglers");
     let cluster = scale.rc80();
     let num_nodes = cluster.num_nodes();
     let plan_ahead = TetriSchedConfig::default().plan_ahead;
@@ -134,7 +130,7 @@ pub(crate) fn figures(args: &Args) -> Vec<Figure> {
         "Churn: MTBF sweep (0 = healthy cluster)",
         robustness_panels(),
     )];
-    if with_perf || stragglers.enabled {
+    if with_perf || stragglers {
         out.push(sweep_figure(
             "Degraded mode: perf faults / straggler defense",
             degraded_panels(),
@@ -227,7 +223,7 @@ fn chaos_run(scale: &FigScale, governor: GovernorConfig) -> SimReport {
             horizon: Some(1_000_000),
             trace: true,
             faults,
-            stragglers: StragglerConfig::defaults(),
+            stragglers: true,
             telemetry: TelemetryConfig::on(),
             ..SimConfig::default()
         },
@@ -377,8 +373,8 @@ pub fn chaos_gate(scale: &FigScale) -> bool {
              greedy cycles {} vs {}",
             runs.len(),
             per_seed(&|r| format!("{} vs {}", slo_met(&r.ladder), slo_met(&r.binary))),
-            total(&|r| r.ladder.metrics.solver_fallbacks),
-            total(&|r| r.binary.metrics.solver_fallbacks),
+            total(&|r| r.ladder.metrics.degraded_cycles),
+            total(&|r| r.binary.metrics.degraded_cycles),
         ),
     );
     let detected = |r: &SeedRun| r.ladder.metrics.stragglers_detected;

@@ -3,9 +3,7 @@
 use tetrisched_baseline::CapacityScheduler;
 use tetrisched_cluster::Cluster;
 use tetrisched_core::{TetriSched, TetriSchedConfig};
-use tetrisched_sim::{
-    FaultPlan, SimConfig, SimReport, Simulator, StragglerConfig, TelemetryConfig,
-};
+use tetrisched_sim::{FaultPlan, SimConfig, SimReport, Simulator, TelemetryConfig};
 use tetrisched_workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
 /// Which scheduler stack to run.
@@ -49,13 +47,13 @@ pub struct RunSpec {
     pub utilization: f64,
     /// Slowdown multiplier on non-preferred placements for GPU/MPI jobs.
     pub slowdown: f64,
-    /// Fault plan injected into the run: outages and slow-node /
-    /// degraded-capacity windows, scripted or seeded (empty for a healthy,
-    /// full-speed cluster, as in all paper experiments).
+    /// Fault plan injected into the run: outages and slow-node windows,
+    /// scripted or seeded (empty for a healthy, full-speed cluster, as in
+    /// all paper experiments).
     pub faults: FaultPlan,
-    /// Straggler detection and speculative migration knobs
-    /// (`StragglerConfig::disabled()` reproduces pre-defense behavior).
-    pub stragglers: StragglerConfig,
+    /// Straggler detection and speculative migration (`false` reproduces
+    /// pre-defense behavior).
+    pub stragglers: bool,
 }
 
 impl RunSpec {
@@ -81,7 +79,7 @@ impl RunSpec {
             utilization: 1.0,
             slowdown: 1.5,
             faults: FaultPlan::default(),
-            stragglers: StragglerConfig::disabled(),
+            stragglers: false,
         }
     }
 }

@@ -1395,7 +1395,6 @@ mod tests {
                 job(1, 0, JobType::Unconstrained, 2, 20, 1.0, None),
             ],
         );
-        assert_eq!(report.metrics.solver_fallbacks, 1);
         assert_eq!(report.metrics.degraded_cycles, 1);
         assert_eq!(report.metrics.solver_errors, 1);
         // The degraded cycle still scheduled everything: both jobs finish
@@ -1425,7 +1424,6 @@ mod tests {
             ],
         );
         assert_eq!(report.metrics.degraded_cycles, 1);
-        assert_eq!(report.metrics.solver_fallbacks, 1);
         assert_eq!(report.metrics.be_completed, 3);
     }
 
@@ -1444,7 +1442,7 @@ mod tests {
                 &[FaultScript {
                     at: 10,
                     duration: 6,
-                    scope: FaultScope::Node(tetrisched_cluster::NodeId(0)),
+                    scope: FaultScope::Nodes(vec![tetrisched_cluster::NodeId(0)]),
                     kind: FaultKind::Down,
                     announced: false,
                 }],

@@ -54,32 +54,6 @@ impl AdmissionPolicy {
     pub fn excess(&self, intake_backlog: usize) -> usize {
         intake_backlog.saturating_sub(self.shed_queue_depth)
     }
-
-    /// The policy tightened for degraded operation. `rung` is the
-    /// scheduler's degradation-ladder rung (0 = healthy): each rung
-    /// halves the admission batch, the scheduler-backlog target, and the
-    /// shed depth, so an already-struggling scheduler is fed less and the
-    /// intake queue sheds *earlier* instead of building unbounded wait.
-    /// Rung 0 returns the policy unchanged, keeping healthy-path
-    /// admission byte-identical.
-    pub fn degraded(&self, rung: u8) -> AdmissionPolicy {
-        if rung == 0 {
-            return self.clone();
-        }
-        let shift = u32::from(rung.min(3));
-        let halve = |v: usize| {
-            if v == usize::MAX {
-                usize::MAX // "unbounded" stays unbounded
-            } else {
-                (v >> shift).max(1)
-            }
-        };
-        AdmissionPolicy {
-            max_admissions_per_cycle: halve(self.max_admissions_per_cycle),
-            max_scheduler_backlog: halve(self.max_scheduler_backlog),
-            shed_queue_depth: halve(self.shed_queue_depth),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,26 +87,5 @@ mod tests {
         assert_eq!(policy().excess(9), 3);
         let unbounded = AdmissionPolicy::default();
         assert_eq!(unbounded.excess(1_000_000), 0);
-    }
-
-    #[test]
-    fn degraded_policy_tightens_per_rung_and_is_identity_at_zero() {
-        let p = policy(); // 4 / 10 / 6
-        assert_eq!(p.degraded(0), p);
-        let r1 = p.degraded(1);
-        assert_eq!(r1.max_admissions_per_cycle, 2);
-        assert_eq!(r1.max_scheduler_backlog, 5);
-        assert_eq!(r1.shed_queue_depth, 3);
-        let r3 = p.degraded(3);
-        assert_eq!(r3.max_admissions_per_cycle, 1);
-        assert_eq!(r3.max_scheduler_backlog, 1);
-        assert_eq!(r3.shed_queue_depth, 1);
-        // Rungs past the ladder floor clamp to the floor's tightening.
-        assert_eq!(p.degraded(7), r3);
-        // "No depth shedding" stays disabled even when degraded.
-        assert_eq!(
-            AdmissionPolicy::default().degraded(3).shed_queue_depth,
-            usize::MAX
-        );
     }
 }

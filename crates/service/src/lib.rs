@@ -216,24 +216,14 @@ impl<J: ServiceJob> ServiceCore<J> {
     /// Runs one admission cycle against the current scheduler pending
     /// depth. Closed mode is a no-op (arrivals were already passed
     /// through).
-    pub fn drain_cycle(&mut self, scheduler_backlog: usize) -> DrainBatch<J> {
-        self.drain_cycle_with(scheduler_backlog, 0)
-    }
-
-    /// Degradation-aware admission cycle: `degradation` is the
-    /// scheduler's current ladder rung (0 = healthy). Higher rungs run
-    /// admission under a tightened policy
-    /// ([`AdmissionPolicy::degraded`]), so the service sheds earlier and
-    /// admits less while the scheduler is operating degraded. Rung 0 is
-    /// byte-identical to [`ServiceCore::drain_cycle`].
     ///
     /// Both the admitted batch and the shed excess come off the intake's
     /// front, so jobs leave in arrival order.
-    pub fn drain_cycle_with(&mut self, scheduler_backlog: usize, degradation: u8) -> DrainBatch<J> {
+    pub fn drain_cycle(&mut self, scheduler_backlog: usize) -> DrainBatch<J> {
         if self.config.mode == ServiceMode::Closed {
             return DrainBatch::empty();
         }
-        let policy = self.config.admission.degraded(degradation);
+        let policy = &self.config.admission;
         let budget = policy.budget(scheduler_backlog).min(self.intake.len());
         let admitted: Vec<J> = self.intake.drain(..budget).collect();
         let excess = policy.excess(self.intake.len());
@@ -401,39 +391,6 @@ mod tests {
         assert_eq!(batch.shed.len(), 3);
         assert_eq!(batch.deferred, 2);
         core.validate().expect("accounting after depth shed");
-    }
-
-    #[test]
-    fn degraded_drain_sheds_earlier_and_admits_less() {
-        let admission = AdmissionPolicy {
-            max_admissions_per_cycle: 4,
-            max_scheduler_backlog: 100,
-            shed_queue_depth: 8,
-        };
-        let make = || -> ServiceCore<u32> {
-            let mut core = ServiceCore::new(ServiceConfig::open(
-                2,
-                64,
-                admission.clone(),
-                FairShareConfig::disabled(),
-            ));
-            for id in 0..12 {
-                assert_eq!(core.ingest(id), Ingest::Queued);
-            }
-            core
-        };
-        // Healthy: admit 4, 8 remain at the depth bound, nothing shed.
-        let healthy = make().drain_cycle_with(0, 0);
-        assert_eq!(healthy.admitted.len(), 4);
-        assert!(healthy.shed.is_empty());
-        // Ladder rung 2: batch 4>>2 = 1 admitted, depth bound 8>>2 = 2,
-        // so 9 of the 11 remaining shed instead of queueing unbounded.
-        let mut core = make();
-        let degraded = core.drain_cycle_with(0, 2);
-        assert_eq!(degraded.admitted.len(), 1);
-        assert_eq!(degraded.shed.len(), 9);
-        assert_eq!(degraded.deferred, 2);
-        core.validate().expect("accounting under degraded drain");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::metrics::Metrics;
 use crate::scheduler::{
     CycleContext, CycleDecisions, CycleError, Launch, PendingJob, RunningJob, Scheduler,
 };
-use crate::straggler::{detect_stragglers, StragglerConfig};
+use crate::straggler::detect_stragglers;
 use crate::trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 use crate::Time;
 
@@ -43,10 +43,9 @@ pub struct SimConfig {
     /// [`tetrisched_cluster::NodeHealth`] so plan-ahead schedules around
     /// them.
     pub faults: FaultPlan,
-    /// Straggler detection and speculative migration (disabled by
-    /// default; a disabled config reproduces pre-straggler runs
-    /// byte-for-byte).
-    pub stragglers: StragglerConfig,
+    /// Straggler detection and speculative migration (off by default;
+    /// off reproduces pre-straggler runs byte-for-byte).
+    pub stragglers: bool,
     /// Backoff and budget applied to jobs evicted by node failures.
     pub retry: RetryPolicy,
     /// When set, the ledger conservation invariant
@@ -54,7 +53,7 @@ pub struct SimConfig {
     /// event even in release builds; debug builds always check.
     pub strict_accounting: bool,
     /// Maximum trace events retained (ring-buffer semantics); older events
-    /// are evicted and counted in `Metrics::trace_events_dropped`.
+    /// are evicted and counted in [`TraceLog::dropped`].
     pub trace_capacity: usize,
     /// Telemetry registry options (disabled by default). Enabling records
     /// spans, counters, and histograms into `SimReport::telemetry` without
@@ -75,7 +74,7 @@ impl Default for SimConfig {
             horizon: None,
             trace: false,
             faults: FaultPlan::default(),
-            stragglers: StragglerConfig::disabled(),
+            stragglers: false,
             retry: RetryPolicy::default(),
             strict_accounting: false,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
@@ -277,7 +276,7 @@ impl<'t, S: Scheduler> Run<'t, S> {
                         repairs.push((w.end, w.node));
                     }
                 }
-                FaultKind::SlowNode { .. } | FaultKind::DegradedCapacity { .. } => {
+                FaultKind::SlowNode { .. } => {
                     events.push(w.start, EventKind::PerfFaultStart { ix });
                     events.push(w.end, EventKind::PerfFaultEnd { ix });
                 }
@@ -709,7 +708,7 @@ impl<'t, S: Scheduler> Run<'t, S> {
         let telemetry = self.telemetry;
         let span = telemetry.span("sim", "cycle");
         span.arg("cycle", self.metrics.cycle_latency.count() as u64);
-        if self.sim.config.stragglers.enabled {
+        if self.sim.config.stragglers {
             self.migrate_stragglers();
         }
         let (pending, running) = self.views();
@@ -744,17 +743,12 @@ impl<'t, S: Scheduler> Run<'t, S> {
 
     /// Open-mode admission cycle: drain a batch of queued arrivals under
     /// backpressure, then shed the excess past the queue-depth bound. The
-    /// previous cycle's degradation-ladder rung tightens admission so the
-    /// service sheds earlier while the scheduler is operating degraded
-    /// (rung 0 is byte-identical). The scheduler's backlog is the queue's
-    /// length.
+    /// scheduler's backlog is the queue's length.
     // srclint: expect-boundary: the service core's conservation check
     // (admitted + shed + backlog == arrivals) is fault detection, like the
     // ledger's; a run that fails it stops.
     fn admit_batch(&mut self) {
-        let batch = self
-            .service
-            .drain_cycle_with(self.pending.len(), self.last_rung);
+        let batch = self.service.drain_cycle(self.pending.len());
         for spec in batch.admitted {
             self.admit(spec.id);
         }
@@ -775,7 +769,6 @@ impl<'t, S: Scheduler> Run<'t, S> {
     // collected from `jobs` just above.
     fn migrate_stragglers(&mut self) {
         let now = self.now;
-        let config = self.sim.config.stragglers;
         let lateness = |rec: &JobRecord| match rec.state {
             JobState::Running(ref gang) => {
                 let est = rec.spec.estimated_runtime_for(gang.preferred).max(1) as f64;
@@ -784,7 +777,7 @@ impl<'t, S: Scheduler> Run<'t, S> {
             _ => None,
         };
         let cohort: Vec<(JobId, f64)> = self.jobs.values().filter_map(lateness).collect();
-        let flagged = detect_stragglers(&cohort, &config);
+        let flagged = detect_stragglers(&cohort);
         self.metrics.stragglers_detected += flagged.len() as u64;
         self.telemetry
             .counter_add("degraded.stragglers_detected", flagged.len() as u64);
@@ -904,7 +897,6 @@ impl<'t, S: Scheduler> Run<'t, S> {
         metrics.certificate_failures += decisions.certificate_failures;
         if decisions.degraded {
             metrics.degraded_cycles += 1;
-            metrics.solver_fallbacks += 1;
             self.trace.record(TraceEvent::CycleDegraded {
                 errors: decisions.errors.iter().map(|e| e.to_string()).collect(),
                 at: self.now,
@@ -972,7 +964,6 @@ impl<'t, S: Scheduler> Run<'t, S> {
         let perf_faulted = self.faults.iter().filter(|node| node.perf_faulted);
         metrics.perf_faulted_nodes = perf_faulted.count() as u64;
         let telemetry = self.telemetry;
-        metrics.trace_events_dropped = self.trace.dropped();
         telemetry.counter_add("sim.trace_events_dropped", self.trace.dropped());
         telemetry.counter_add("degraded.perf_faulted_nodes", metrics.perf_faulted_nodes);
         // Service-core accounting: conserved (admitted + shed + backlog ==
@@ -1544,7 +1535,6 @@ mod tests {
         )
         .run(vec![be_job(0, 0, 1, 10)]);
         assert_eq!(report.metrics.degraded_cycles, 1);
-        assert_eq!(report.metrics.solver_fallbacks, 1);
         assert_eq!(report.metrics.solver_errors, 1);
         assert_eq!(report.metrics.compile_errors, 1);
         assert!(report
@@ -1674,7 +1664,7 @@ mod tests {
         // 112).
         let config = SimConfig {
             faults: slow_node_window(0, 0, 10_000, 4.0),
-            stragglers: StragglerConfig::defaults(),
+            stragglers: true,
             strict_accounting: true,
             trace: true,
             ..SimConfig::default()
@@ -1747,7 +1737,7 @@ mod tests {
         // ledger excludes the node from future availability (covered by
         // cluster tests) and the engine still degrades it while active.
         let cluster = Cluster::uniform(1, 4, 0);
-        let plan = FaultPlan::maintenance(&cluster, 50, 30, FaultScope::Node(NodeId(2)));
+        let plan = FaultPlan::maintenance(&cluster, 50, 30, FaultScope::Nodes(vec![NodeId(2)]));
         let config = SimConfig {
             faults: plan,
             strict_accounting: true,

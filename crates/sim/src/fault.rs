@@ -36,21 +36,16 @@ pub enum FaultKind {
     /// (slow disk, thermal throttling, noisy neighbor). Factors below 1 are
     /// clamped to 1.
     SlowNode { factor: f64 },
-    /// The node stays up, but its effective capacity shrinks to `fraction`
-    /// of nominal (0 < fraction <= 1): work proceeds at `fraction` speed,
-    /// i.e. a runtime multiplier of `1 / fraction`.
-    DegradedCapacity { fraction: f64 },
 }
 
 impl FaultKind {
-    /// The runtime multiplier a slow kind imposes while in force (>= 1),
+    /// The runtime multiplier a slow window imposes while in force (>= 1),
     /// so the engine can rebase in-flight progress exactly; `None` for
     /// [`FaultKind::Down`].
     pub fn slow_factor(&self) -> Option<f64> {
         match *self {
             FaultKind::Down => None,
             FaultKind::SlowNode { factor } => Some(factor.max(1.0)),
-            FaultKind::DegradedCapacity { fraction } => Some(1.0 / fraction.clamp(0.01, 1.0)),
         }
     }
 }
@@ -100,8 +95,6 @@ pub struct FaultConfig {
 /// Which nodes a scripted fault covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultScope {
-    /// A single node.
-    Node(NodeId),
     /// Every node in a rack (correlated failure, e.g. ToR switch loss).
     Rack(RackId),
     /// An explicit node list.
@@ -112,7 +105,6 @@ impl FaultScope {
     /// The nodes of `cluster` the scope covers.
     fn nodes(&self, cluster: &Cluster) -> Vec<NodeId> {
         match self {
-            FaultScope::Node(n) => vec![*n],
             FaultScope::Rack(r) => cluster.rack_nodes(*r).iter().collect(),
             FaultScope::Nodes(ns) => ns.clone(),
         }
@@ -207,8 +199,9 @@ impl FaultPlan {
     }
 
     /// An announced maintenance window: the nodes run at a quarter of
-    /// their capacity during `[at, at + duration)` and plan-ahead is told
-    /// in advance (the window lands in the ledger's `NodeHealth`).
+    /// their capacity (a 4x slowdown) during `[at, at + duration)` and
+    /// plan-ahead is told in advance (the window lands in the ledger's
+    /// `NodeHealth`).
     pub fn maintenance(cluster: &Cluster, at: Time, duration: Time, scope: FaultScope) -> Self {
         FaultPlan::from_script(
             cluster,
@@ -216,7 +209,7 @@ impl FaultPlan {
                 at,
                 duration,
                 scope,
-                kind: FaultKind::DegradedCapacity { fraction: 0.25 },
+                kind: FaultKind::SlowNode { factor: 4.0 },
                 announced: true,
             }],
         )
@@ -501,7 +494,7 @@ mod tests {
     #[test]
     fn zero_duration_script_dropped() {
         let c = Cluster::uniform(1, 2, 0);
-        let node = || FaultScope::Node(NodeId(0));
+        let node = || FaultScope::Nodes(vec![NodeId(0)]);
         let plan = FaultPlan::from_script(
             &c,
             &[
@@ -515,7 +508,7 @@ mod tests {
     #[test]
     fn merge_interleaves_sorted_and_keeps_ties_in_order() {
         let c = Cluster::uniform(1, 4, 0);
-        let node = || FaultScope::Node(NodeId(2));
+        let node = || FaultScope::Nodes(vec![NodeId(2)]);
         let outage = FaultPlan::from_script(&c, &[script(0, 10, node(), FaultKind::Down)]);
         let slow = FaultPlan::from_script(
             &c,
@@ -590,21 +583,16 @@ mod tests {
         assert_eq!(FaultKind::Down.slow_factor(), None);
         assert_eq!(FaultKind::SlowNode { factor: 0.5 }.slow_factor(), Some(1.0));
         assert_eq!(FaultKind::SlowNode { factor: 3.0 }.slow_factor(), Some(3.0));
-        let half = FaultKind::DegradedCapacity { fraction: 0.5 };
-        assert_eq!(half.slow_factor(), Some(2.0));
-        // A zero fraction clamps instead of dividing by zero.
-        let zero = FaultKind::DegradedCapacity { fraction: 0.0 };
-        assert!(zero.slow_factor().is_some_and(f64::is_finite));
     }
 
     #[test]
     fn maintenance_is_announced_capacity_window() {
         let c = Cluster::uniform(1, 4, 0);
-        let plan = FaultPlan::maintenance(&c, 200, 100, FaultScope::Node(NodeId(1)));
+        let plan = FaultPlan::maintenance(&c, 200, 100, FaultScope::Nodes(vec![NodeId(1)]));
         assert_eq!(plan.windows().len(), 1);
         let w = plan.windows()[0];
         assert!(w.announced);
-        assert!(matches!(w.kind, FaultKind::DegradedCapacity { .. }));
+        assert_eq!(w.kind.slow_factor(), Some(4.0));
         assert_eq!((w.start, w.end), (200, 300));
     }
 }

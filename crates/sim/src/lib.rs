@@ -39,7 +39,7 @@ pub use metrics::{LatencyStats, Metrics};
 pub use scheduler::{
     CycleContext, CycleDecisions, CycleError, Launch, PendingJob, RunningJob, Scheduler,
 };
-pub use straggler::{detect_stragglers, StragglerConfig};
+pub use straggler::detect_stragglers;
 pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};
 // Re-exported so engine embedders can configure and read telemetry without
 // naming the telemetry crate directly.

@@ -121,12 +121,8 @@ pub struct Metrics {
     /// Jobs abandoned because their eviction retry budget ran out
     /// (disjoint from scheduler-initiated `abandoned`).
     pub abandoned_after_retries: usize,
-    /// Cycles where the primary placement path failed and the scheduler
-    /// fell back to a degraded placer.
-    pub solver_fallbacks: usize,
-    /// Cycles flagged degraded by the scheduler (currently equal to
-    /// `solver_fallbacks`; kept separate so future degraded modes that do
-    /// not involve a solver fallback stay countable).
+    /// Cycles flagged degraded by the scheduler: the primary placement
+    /// path failed and it fell back to a degraded placer.
     pub degraded_cycles: usize,
     /// STRL compile errors surfaced by cycles.
     pub compile_errors: usize,
@@ -146,9 +142,6 @@ pub struct Metrics {
     pub warm_start_hits: usize,
     /// Global solves that built a warm start the solver did not use.
     pub warm_start_misses: usize,
-    /// Trace events evicted by the trace retention bound
-    /// ([`crate::TraceLog::dropped`]).
-    pub trace_events_dropped: u64,
     /// Jobs the service core handed to the scheduler (equals arrivals in
     /// closed-loop mode, where ingest is a pass-through).
     pub jobs_admitted: u64,
@@ -162,8 +155,7 @@ pub struct Metrics {
     /// subset of `jobs_shed`).
     pub intake_overflows: u64,
     /// Distinct nodes that experienced at least one performance-fault
-    /// window (slow node, degraded capacity, or maintenance) during the
-    /// run.
+    /// window (slow node or announced maintenance) during the run.
     pub perf_faulted_nodes: u64,
     /// Straggler-detector flags raised across all cycles (a job can be
     /// flagged in more than one cycle).

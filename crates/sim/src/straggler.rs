@@ -28,38 +28,16 @@ const MIN_RATIO: f64 = 1.5;
 /// Minimum number of running jobs before anyone can be flagged.
 const MIN_COHORT: usize = 3;
 
-/// The straggler defense's switch. Disabled by default: detection and
-/// migration only run when explicitly enabled, so fault-free runs
-/// reproduce pre-straggler behavior byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StragglerConfig {
-    /// Master switch.
-    pub enabled: bool,
-}
-
-impl StragglerConfig {
-    /// Detection and migration off.
-    pub fn disabled() -> Self {
-        StragglerConfig { enabled: false }
-    }
-
-    /// Detection on: flag at 2× the cohort median with a 1.5× absolute
-    /// floor in cohorts of 3+; the engine migrates one gang per cycle and
-    /// each job at most twice.
-    pub fn defaults() -> Self {
-        StragglerConfig { enabled: true }
-    }
-}
-
 /// Flags stragglers in a cohort of `(job, lateness_ratio)` pairs.
 ///
-/// Returns the flagged jobs ordered worst-first (highest ratio, ties by
+/// Flags at 2x the cohort median with a 1.5x absolute floor in cohorts of
+/// 3+. Returns the flagged jobs ordered worst-first (highest ratio, ties by
 /// job id) so the caller can apply a per-cycle migration cap and always
 /// migrate the worst offender first.
 // srclint: checked-indexing: past the early return `ratios` holds at least
 // `MIN_COHORT` entries, and `(len - 1) / 2` is below `len`.
-pub fn detect_stragglers(cohort: &[(JobId, f64)], config: &StragglerConfig) -> Vec<JobId> {
-    if !config.enabled || cohort.len() < MIN_COHORT {
+pub fn detect_stragglers(cohort: &[(JobId, f64)]) -> Vec<JobId> {
+    if cohort.len() < MIN_COHORT {
         return Vec::new();
     }
     let mut ratios: Vec<f64> = cohort.iter().map(|&(_, r)| r).collect();
@@ -93,28 +71,22 @@ mod tests {
     }
 
     #[test]
-    fn disabled_flags_nothing() {
-        let c = cohort(&[1.0, 1.0, 10.0]);
-        assert!(detect_stragglers(&c, &StragglerConfig::disabled()).is_empty());
-    }
-
-    #[test]
     fn flags_outlier_above_median_multiple() {
         let c = cohort(&[1.0, 1.1, 0.9, 4.0]);
-        let flagged = detect_stragglers(&c, &StragglerConfig::defaults());
+        let flagged = detect_stragglers(&c);
         assert_eq!(flagged, vec![JobId(3)]);
     }
 
     #[test]
     fn healthy_cohort_flags_nothing() {
         let c = cohort(&[0.9, 1.0, 1.1, 1.05]);
-        assert!(detect_stragglers(&c, &StragglerConfig::defaults()).is_empty());
+        assert!(detect_stragglers(&c).is_empty());
     }
 
     #[test]
     fn small_cohort_flags_nothing() {
         let c = cohort(&[1.0, 40.0]);
-        assert!(detect_stragglers(&c, &StragglerConfig::defaults()).is_empty());
+        assert!(detect_stragglers(&c).is_empty());
     }
 
     #[test]
@@ -122,7 +94,7 @@ mod tests {
         // Median 0.2: 3x the median is still a fast job; the floor keeps
         // it unflagged.
         let c = cohort(&[0.2, 0.2, 0.2, 0.7]);
-        assert!(detect_stragglers(&c, &StragglerConfig::defaults()).is_empty());
+        assert!(detect_stragglers(&c).is_empty());
     }
 
     #[test]
@@ -135,14 +107,13 @@ mod tests {
             (JobId(4), 0.9),
             (JobId(9), 8.0),
         ];
-        let flagged = detect_stragglers(&c, &StragglerConfig::defaults());
+        let flagged = detect_stragglers(&c);
         assert_eq!(flagged, vec![JobId(9), JobId(1), JobId(3)]);
     }
 
     #[test]
     fn detection_is_pure() {
         let c = cohort(&[1.0, 1.0, 1.0, 3.2, 6.0]);
-        let cfg = StragglerConfig::defaults();
-        assert_eq!(detect_stragglers(&c, &cfg), detect_stragglers(&c, &cfg));
+        assert_eq!(detect_stragglers(&c), detect_stragglers(&c));
     }
 }

@@ -1,9 +1,8 @@
 //! Probability distributions implemented in-repo.
 //!
 //! Only `rand` is in the approved dependency set (not `rand_distr`), so the
-//! few distributions the generator needs are implemented here: exponential
-//! inter-arrivals, log-normal runtimes (Box–Muller), bounded Pareto tails,
-//! and weighted empirical tables.
+//! few distributions the generator needs are implemented here: log-normal
+//! runtimes (Box–Muller) and weighted empirical tables.
 
 use rand::{Rng, RngExt};
 
@@ -16,21 +15,6 @@ pub trait Sample {
     /// calibration).
     fn empirical_mean(&self, rng: &mut impl Rng, n: usize) -> f64 {
         (0..n.max(1)).map(|_| self.sample(rng)).sum::<f64>() / n.max(1) as f64
-    }
-}
-
-/// Exponential distribution with the given rate (mean `1 / rate`).
-#[derive(Debug, Clone, Copy)]
-pub struct Exp {
-    /// Rate parameter (events per unit time).
-    pub rate: f64,
-}
-
-impl Sample for Exp {
-    fn sample(&self, rng: &mut impl Rng) -> f64 {
-        // Inverse CDF; 1 - U avoids ln(0).
-        let u: f64 = rng.random();
-        -(1.0 - u).ln() / self.rate
     }
 }
 
@@ -67,26 +51,6 @@ impl Sample for LogNormal {
         let u2: f64 = rng.random();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (self.mu + self.sigma * z).exp().clamp(self.min, self.max)
-    }
-}
-
-/// Bounded Pareto distribution (heavy tail truncated to `[min, max]`).
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedPareto {
-    /// Tail index (smaller is heavier).
-    pub alpha: f64,
-    /// Lower bound.
-    pub min: f64,
-    /// Upper bound.
-    pub max: f64,
-}
-
-impl Sample for BoundedPareto {
-    fn sample(&self, rng: &mut impl Rng) -> f64 {
-        let u: f64 = rng.random::<f64>().clamp(1e-12, 1.0 - 1e-12);
-        let (l, h, a) = (self.min, self.max, self.alpha);
-        let num = u * h.powf(a) - u * l.powf(a) - h.powf(a);
-        (-(num / (h.powf(a) * l.powf(a)))).powf(-1.0 / a)
     }
 }
 
@@ -140,22 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_mean_matches_rate() {
-        let d = Exp { rate: 0.5 };
-        let mean = d.empirical_mean(&mut rng(), 20_000);
-        assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn exp_is_nonnegative() {
-        let d = Exp { rate: 3.0 };
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(d.sample(&mut r) >= 0.0);
-        }
-    }
-
-    #[test]
     fn lognormal_median_and_clamp() {
         let d = LogNormal::with_median(100.0, 0.5, 10.0, 1000.0);
         let mut r = rng();
@@ -164,22 +112,6 @@ mod tests {
         let median = samples[samples.len() / 2];
         assert!((median - 100.0).abs() < 5.0, "median {median}");
         assert!(samples.iter().all(|&x| (10.0..=1000.0).contains(&x)));
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let d = BoundedPareto {
-            alpha: 1.2,
-            min: 2.0,
-            max: 64.0,
-        };
-        let mut r = rng();
-        for _ in 0..5000 {
-            let x = d.sample(&mut r);
-            assert!((2.0..=64.0 + 1e-9).contains(&x), "sample {x}");
-        }
-        // Heavy tail: mean well above the minimum.
-        assert!(d.empirical_mean(&mut rng(), 20_000) > 4.0);
     }
 
     #[test]

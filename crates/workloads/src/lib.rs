@@ -33,7 +33,7 @@ pub mod openloop;
 pub mod swim;
 
 pub use compositions::{Composition, Workload};
-pub use distributions::{BoundedPareto, Empirical, Exp, LogNormal, Sample};
+pub use distributions::{Empirical, LogNormal, Sample};
 pub use gridmix::{GridmixConfig, WorkloadBuilder};
 pub use openloop::{OpenLoopConfig, OpenLoopDriver};
 pub use swim::JobClassParams;

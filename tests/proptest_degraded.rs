@@ -16,7 +16,7 @@ use tetrisched::cluster::{Cluster, RackId};
 use tetrisched::core::{Governor, GovernorConfig, TetriSched, TetriSchedConfig};
 use tetrisched::sim::{
     FaultConfig, FaultKind, FaultPlan, FaultScope, FaultScript, SimConfig, SimReport, Simulator,
-    StragglerConfig, TelemetryConfig,
+    TelemetryConfig,
 };
 use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};
 
@@ -61,7 +61,7 @@ fn degraded_run(seed: u64, perf: &FaultPlan) -> SimReport {
             trace: true,
             strict_accounting: true,
             faults: perf.clone(),
-            stragglers: StragglerConfig::defaults(),
+            stragglers: true,
             telemetry: TelemetryConfig::on(),
             horizon: Some(100_000),
             ..SimConfig::default()

@@ -166,7 +166,7 @@ fn views_are_well_formed_when_resubmit_beats_the_next_cycle() {
     let outage = FaultScript {
         at: 1,
         duration: 1,
-        scope: FaultScope::Node(NodeId(0)),
+        scope: FaultScope::Nodes(vec![NodeId(0)]),
         kind: FaultKind::Down,
         announced: false,
     };

@@ -142,7 +142,7 @@ fn greedy_run(faults: FaultPlan) -> SimReport {
 /// FNV-1a over every trace event (launches with their node ids) and the
 /// digest line of the metrics: one moved greedy decision moves it.
 fn greedy_digest(report: &SimReport) -> u64 {
-    assert_eq!(report.metrics.trace_events_dropped, 0, "trace truncated");
+    assert_eq!(report.trace.dropped(), 0, "trace truncated");
     let mut text = digest(report);
     for event in report.trace.events() {
         text.push_str(&format!("{event:?}"));

@@ -75,7 +75,7 @@ fn telemetry_does_not_change_decisions() {
     let (m_on, m_off) = (&on.metrics, &off.metrics);
     assert_eq!(m_on.preemptions, m_off.preemptions);
     assert_eq!(m_on.abandoned, m_off.abandoned);
-    assert_eq!(m_on.solver_fallbacks, m_off.solver_fallbacks);
+    assert_eq!(m_on.degraded_cycles, m_off.degraded_cycles);
     assert_eq!(m_on.lint_errors, m_off.lint_errors);
     assert_eq!(m_on.certificates_verified, m_off.certificates_verified);
     assert_eq!(m_on.warm_start_hits, m_off.warm_start_hits);
@@ -166,13 +166,11 @@ fn undersized_trace_ring_accounts_for_drops() {
         "scenario too small to exercise the ring ({recorded} events)"
     );
     assert_eq!(full.trace.dropped(), 0);
-    assert_eq!(full.metrics.trace_events_dropped, 0);
 
     let small = run(true, 4);
     assert_eq!(small.trace.recorded(), recorded, "same events either way");
     assert_eq!(small.trace.events().len(), 4, "ring keeps exactly capacity");
     assert_eq!(small.trace.dropped(), recorded - 4);
-    assert_eq!(small.metrics.trace_events_dropped, recorded - 4);
     assert_eq!(
         small.telemetry.counter("sim.trace_events_dropped"),
         recorded - 4
