@@ -9,11 +9,10 @@ use rand::SeedableRng;
 use tetrisched_cluster::NodeId;
 use tetrisched_reservation::Reservation;
 use tetrisched_sim::{
-    CycleContext, CycleDecisions, JobId, Launch, PendingJob, RunningJob, Scheduler, Time,
+    select_victims, CycleContext, CycleDecisions, JobId, Launch, PendingJob, RunningJob, Scheduler,
+    Time,
 };
 use tetrisched_strl::JobClass;
-
-use crate::preemption::{is_preemptible, select_victims};
 
 /// Seed for the heterogeneity-oblivious placement order.
 const PLACEMENT_SEED: u64 = 1;
@@ -92,7 +91,7 @@ impl Scheduler for CapacityScheduler {
                     .iter()
                     .filter(|r| {
                         !preempted.contains(&r.id)
-                            && is_preemptible(r, self.reservation_end(r.id), ctx.now)
+                            && is_preemptible(self.reservation_end(r.id), ctx.now)
                     })
                     .collect();
                 if let Some(victims) = select_victims(&candidates, needed) {
@@ -137,6 +136,20 @@ impl Scheduler for CapacityScheduler {
     }
 }
 
+/// Whether a running job may be preempted to enforce a capacity guarantee.
+///
+/// Preemptible containers are those *not* currently protected by a live
+/// reservation window: best-effort jobs, SLO jobs without reservations, and
+/// formerly reserved jobs that outlived their reservation window.
+fn is_preemptible(reservation_end: Option<Time>, now: Time) -> bool {
+    match reservation_end {
+        // Accepted-SLO job: protected while its reservation window is live.
+        Some(end) => now >= end,
+        // Everything else runs at best-effort priority.
+        None => true,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,6 +183,13 @@ mod tests {
             SimConfig::default(),
         )
         .run(jobs)
+    }
+
+    #[test]
+    fn reservation_protects_until_window_end() {
+        assert!(!is_preemptible(Some(50), 10));
+        assert!(is_preemptible(Some(50), 50));
+        assert!(is_preemptible(None, 10));
     }
 
     #[test]

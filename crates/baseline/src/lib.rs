@@ -23,6 +23,5 @@
 #![deny(unsafe_code)]
 
 pub mod capacity_scheduler;
-pub mod preemption;
 
 pub use capacity_scheduler::CapacityScheduler;

@@ -16,13 +16,22 @@
 
 use std::collections::BTreeMap;
 
-use crate::health::{MaintenanceWindow, NodeHealth};
+use crate::node::NodeId;
 use crate::nodeset::NodeSet;
 use crate::Time;
 
 /// Opaque handle naming one gang allocation (typically a job id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AllocHandle(pub u64);
+
+/// One announced maintenance window: the node is best avoided during
+/// `[start, end)`, so availability queries leave it out there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaintenanceWindow {
+    pub node: NodeId,
+    pub start: Time,
+    pub end: Time,
+}
 
 /// One live allocation.
 #[derive(Debug, Clone)]
@@ -77,7 +86,8 @@ pub struct Ledger {
     down: NodeSet,
     owner: Vec<Option<AllocHandle>>,
     allocs: BTreeMap<AllocHandle, Alloc>,
-    health: NodeHealth,
+    /// Announced maintenance windows, kept sorted by (start, node, end).
+    windows: Vec<MaintenanceWindow>,
 }
 
 impl Ledger {
@@ -89,19 +99,23 @@ impl Ledger {
             down: NodeSet::empty(num_nodes),
             owner: vec![None; num_nodes],
             allocs: BTreeMap::new(),
-            health: NodeHealth::new(num_nodes),
+            windows: Vec::new(),
         }
     }
 
-    /// The performance-health view: live slowdown factors plus announced
-    /// maintenance windows. Fail-stop state stays in free/down.
-    pub fn health(&self) -> &NodeHealth {
-        &self.health
+    /// Registers an announced maintenance window. Zero-length windows are
+    /// dropped.
+    pub fn announce(&mut self, node: NodeId, start: Time, end: Time) {
+        if end <= start {
+            return;
+        }
+        self.windows.push(MaintenanceWindow { node, start, end });
+        self.windows.sort_by_key(|w| (w.start, w.node, w.end));
     }
 
-    /// Mutable health view, updated by the fault-replay layer.
-    pub fn health_mut(&mut self) -> &mut NodeHealth {
-        &mut self.health
+    /// The announced windows, in deterministic order.
+    pub fn announced(&self) -> &[MaintenanceWindow] {
+        &self.windows
     }
 
     /// Universe size.
@@ -297,7 +311,7 @@ impl Ledger {
             }
         }
         let mut out = out.and(within);
-        for w in self.health.announced() {
+        for w in &self.windows {
             if w.start <= t && t < w.end {
                 out.remove(w.node);
             }
@@ -338,7 +352,7 @@ impl Ledger {
         steps.push((at, free));
         Availability {
             steps,
-            windows: self.health.announced().to_vec(),
+            windows: self.windows.clone(),
         }
     }
 }
@@ -428,7 +442,6 @@ impl Claims {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeId;
 
     fn set(cap: usize, ids: &[u32]) -> NodeSet {
         NodeSet::from_ids(cap, ids.iter().map(|&i| NodeId(i)))
@@ -584,7 +597,7 @@ mod tests {
     #[test]
     fn announced_maintenance_excluded_from_future_availability() {
         let mut l = Ledger::new(4);
-        l.health_mut().announce(NodeId(2), 10, 30);
+        l.announce(NodeId(2), 10, 30);
         let all = NodeSet::full(4);
         // Before and after the window the node counts; inside it does not.
         assert_eq!(l.avail_at(&all, 0), 4);
@@ -592,10 +605,25 @@ mod tests {
         assert_eq!(l.avail_at(&all, 29), 3);
         assert_eq!(l.avail_at(&all, 30), 4);
         assert!(!l.free_at(&all, 15).contains(NodeId(2)));
-        // Unannounced degradation does not affect availability.
-        l.health_mut().set_factor(NodeId(1), 4.0);
-        assert_eq!(l.avail_at(&all, 0), 4);
         l.validate().expect("ledger invariants must hold");
+    }
+
+    #[test]
+    fn zero_length_announcement_dropped() {
+        let mut l = Ledger::new(2);
+        l.announce(NodeId(0), 10, 10);
+        assert!(l.announced().is_empty());
+    }
+
+    #[test]
+    fn announcements_sort_deterministically() {
+        let mut l = Ledger::new(4);
+        l.announce(NodeId(3), 50, 60);
+        l.announce(NodeId(1), 10, 20);
+        l.announce(NodeId(2), 10, 30);
+        let starts: Vec<Time> = l.announced().iter().map(|w| w.start).collect();
+        assert_eq!(starts, vec![10, 10, 50]);
+        assert_eq!(l.announced()[0].node, NodeId(1));
     }
 
     #[test]

@@ -40,14 +40,12 @@
 #![deny(unsafe_code)]
 
 pub mod allocation;
-pub mod health;
 pub mod node;
 pub mod nodeset;
 pub mod partition;
 pub mod topology;
 
-pub use allocation::{AllocHandle, Availability, Claims, Ledger};
-pub use health::{MaintenanceWindow, NodeHealth};
+pub use allocation::{AllocHandle, Availability, Claims, Ledger, MaintenanceWindow};
 pub use node::{Attr, Node, NodeId, RackId};
 pub use nodeset::NodeSet;
 pub use partition::PartitionSet;

@@ -73,13 +73,11 @@ fn build_ledger((allocs, released, down, windows, twice): &LedgerParts) -> Ledge
         let _ = ledger.mark_down(NodeId(*n));
     }
     for &(n, start, len) in windows {
-        ledger.health_mut().announce(NodeId(n), start, start + len);
+        ledger.announce(NodeId(n), start, start + len);
     }
     let (n, start, len, gap) = *twice;
-    ledger.health_mut().announce(NodeId(n), start, start + len);
-    ledger
-        .health_mut()
-        .announce(NodeId(n), start + gap, start + gap + len);
+    ledger.announce(NodeId(n), start, start + len);
+    ledger.announce(NodeId(n), start + gap, start + gap + len);
     ledger
 }
 
@@ -374,7 +372,7 @@ proptest! {
         let all = NodeSet::full(WIDE);
         let lowest_free = ledger.free_at(&all, 0).iter().next();
         if let Some(node) = lowest_free {
-            ledger.health_mut().announce(node, 10, 20);
+            ledger.announce(node, 10, 20);
         }
         let snapshot = ledger.availability(&[]);
         let free_over = |list: &[(NodeSet, Time, Time)], start: Time, end: Time| {

@@ -14,14 +14,16 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use lint::{has_errors, lint_expr, validate_translation, Diagnostic, Severity, StrlLintContext};
+use lint::{lint_expr, validate_translation, StrlLintContext};
 use tetrisched_cluster::{AllocHandle, Availability, Claims, NodeId, NodeSet, PartitionSet, Time};
+use tetrisched_milp::lint::has_errors;
 use tetrisched_milp::{
-    ExactBackend, HeuristicBackend, MilpBackend, Solution, SolveStatus, SolverConfig,
+    Diagnostic, ExactBackend, HeuristicBackend, MilpBackend, Severity, Solution, SolveStatus,
+    SolverConfig,
 };
 use tetrisched_sim::{
-    CycleContext, CycleDecisions, CycleError, JobId, Launch, PendingJob, RunningJob, Scheduler,
-    SpanGuard, Telemetry,
+    select_victims, CycleContext, CycleDecisions, CycleError, JobId, Launch, PendingJob,
+    RunningJob, Scheduler, SpanGuard, Telemetry,
 };
 use tetrisched_strl::{JobClass, StrlExpr};
 
@@ -300,23 +302,14 @@ impl TetriSched {
         }
 
         // Victims: best-effort gangs, most recently started first.
-        let mut victims: Vec<&RunningJob> = ctx
+        let candidates: Vec<&RunningJob> = ctx
             .running
             .iter()
             .filter(|r| r.class == JobClass::BestEffort && !d.preemptions.contains(&r.id))
             .collect();
-        victims.sort_by_key(|r| (std::cmp::Reverse(r.started), r.id));
-        let mut freed = 0usize;
-        let mut chosen = Vec::new();
-        for v in victims.into_iter().take(MAX_PREEMPTIONS_PER_CYCLE) {
-            if freed >= need {
-                break;
-            }
-            freed += v.nodes.len();
-            chosen.push(v.id);
-        }
-        if freed >= need {
-            d.preemptions.extend(chosen);
+        let victims = select_victims(&candidates, need);
+        if let Some(victims) = victims.filter(|v| v.len() <= MAX_PREEMPTIONS_PER_CYCLE) {
+            d.preemptions.extend(victims.iter().map(|v| v.id));
         }
     }
 }
@@ -1806,7 +1799,7 @@ mod free_table_tests {
                 let _ = ledger.allocate(AllocHandle(h as u64), nodes, NOW + end);
             }
             for &(node, from, dur) in &windows {
-                ledger.health_mut().announce(NodeId(node), NOW + from, NOW + from + dur);
+                ledger.announce(NodeId(node), NOW + from, NOW + from + dur);
             }
             let view = ledger.availability(&[]);
             let evens = NodeSet::from_ids(n, (0..NODES).step_by(2).map(NodeId));

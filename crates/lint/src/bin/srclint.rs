@@ -25,7 +25,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lint::{lint_workspace, render_json, render_pretty, Severity};
+use lint::{lint_workspace, render_json, render_pretty};
+use tetrisched_milp::Severity;
 
 /// Ascends from `start` to the directory whose `Cargo.toml` declares
 /// `[workspace]`.

@@ -2,8 +2,8 @@
 //!
 //! The solver-side machinery (primal checks, dual/bound-tree audits,
 //! Farkas/ray certificates, codes `C001`–`C003`) lives in
-//! [`tetrisched_milp::certify`] and is re-exported here. This module adds
-//! the piece the MILP crate cannot see: **translation validation** of the
+//! [`tetrisched_milp::certify`]. This module adds the piece the MILP crate
+//! cannot see: **translation validation** of the
 //! STRL→MILP compilation (code `C004`). The MILP solution is decoded back
 //! into STRL space (granted resources per leaf), the *original* expression
 //! is evaluated under that placement with
@@ -13,13 +13,6 @@
 
 use tetrisched_milp::lint::{Diagnostic, Severity};
 use tetrisched_strl::StrlExpr;
-
-pub use tetrisched_milp::certify::{
-    certify_solution, check_solution, debug_postcheck, dual_bound, mint_infeasibility_proof,
-    verify_farkas, verify_infeasibility_proof, verify_ray, AuditNode, CertifyReport,
-    IncumbentSource, InfeasibilityProof, LpCertificate, NodeStatus, SolveAudit, SolveProof,
-    DUAL_TOL, PRIMAL_TOL,
-};
 
 /// Tolerance for objective/valuation agreement, scaled by magnitude.
 pub const TRANSLATION_TOL: f64 = 1e-6;

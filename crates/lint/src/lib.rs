@@ -6,8 +6,8 @@
 //!    ([`lint_expr`], codes `S001`–`S009`) and compiled MILP models
 //!    ([`lint_model`], codes `M001`–`M007`; the MILP passes live in
 //!    `tetrisched_milp::lint` so the solver can run them without a
-//!    dependency cycle, and are re-exported here). Error-severity MILP
-//!    findings carry machine-checkable infeasibility [`Certificate`]s.
+//!    dependency cycle). Error-severity MILP findings carry
+//!    machine-checkable infeasibility [`Certificate`]s.
 //! 2. **Source analysis** — [`lint_workspace`] (and the `srclint` binary)
 //!    lexes every workspace `.rs` file into a token stream ([`lexer`])
 //!    with a test mask, function spans and their annotations
@@ -20,12 +20,16 @@
 //!    no concurrency primitive in product code (`L010`), and dead-knob
 //!    detection over every config struct (`L011`).
 //!
-//! A third engine, [`certify`], verifies proof-carrying solver outcomes
-//! (codes `C001`–`C003`, re-exported from `tetrisched_milp::certify`) and
-//! validates the STRL→MILP translation end-to-end (`C004`).
+//! Proof-carrying solver outcomes (codes `C001`–`C003`) are verified by
+//! `tetrisched_milp::certify`; this crate's [`certify`] validates the
+//! STRL→MILP translation end-to-end (`C004`).
 //!
 //! Findings render as pretty text ([`render_pretty`]) or JSON
 //! ([`render_json`]). The full diagnostic-code table lives in DESIGN.md.
+//!
+//! [`Diagnostic`]: tetrisched_milp::Diagnostic
+//! [`lint_model`]: tetrisched_milp::lint_model
+//! [`Certificate`]: tetrisched_milp::Certificate
 
 #![deny(unsafe_code)]
 
@@ -36,13 +40,9 @@ pub mod source_model;
 pub mod src_lint;
 pub mod strl_lint;
 
-pub use certify::{certify_solution, check_solution, validate_translation, CertifyReport};
+pub use certify::validate_translation;
 pub use lexer::{lex, num_is_float, Token, TokenKind};
 pub use render::{render_json, render_pretty};
 pub use source_model::{Annotation, FnItem, SourceFile, StructItem};
 pub use src_lint::{lint_workspace, SrcLintReport};
 pub use strl_lint::{lint_expr, StrlLintContext};
-pub use tetrisched_milp::lint::{
-    debug_precheck, has_errors, lint_model, propagate_bounds, CertTerm, Certificate, Diagnostic,
-    Propagation, Severity,
-};

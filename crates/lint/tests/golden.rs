@@ -10,12 +10,13 @@
 use std::fs;
 use std::path::PathBuf;
 
-use lint::{
-    certify_solution, has_errors, lint_expr, lint_model, lint_workspace, validate_translation,
-    Severity, StrlLintContext,
-};
+use lint::{lint_expr, lint_workspace, validate_translation, StrlLintContext};
 use tetrisched_cluster::{NodeId, NodeSet};
-use tetrisched_milp::{Model, Sense, Solution, SolveStatus, SolverConfig, VarKind};
+use tetrisched_milp::lint::has_errors;
+use tetrisched_milp::{
+    certify_solution, lint_model, Diagnostic, Model, Sense, Severity, Solution, SolveStatus,
+    SolverConfig, VarKind,
+};
 use tetrisched_strl::StrlExpr;
 
 fn set(ids: &[u32]) -> NodeSet {
@@ -30,7 +31,7 @@ fn ctx() -> StrlLintContext {
 }
 
 /// Codes (with severities) of a lint result, for compact assertions.
-fn codes(diags: &[lint::Diagnostic]) -> Vec<(&'static str, Severity)> {
+fn codes(diags: &[Diagnostic]) -> Vec<(&'static str, Severity)> {
     diags.iter().map(|d| (d.code, d.severity)).collect()
 }
 
@@ -257,7 +258,7 @@ fn c002_tampered_dual_certificate_is_error() {
 
 #[test]
 fn c003_unsupported_infeasibility_claim_is_error() {
-    use lint::certify::{IncumbentSource, SolveAudit, SolveProof};
+    use tetrisched_milp::{IncumbentSource, SolveAudit, SolveProof};
     let (m, _) = certified_solve();
     let mut sol = Solution::empty(SolveStatus::Infeasible);
     sol.audit = Some(Box::new(SolveAudit {

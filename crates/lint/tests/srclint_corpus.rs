@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use lint::src_lint::SrcLintReport;
-use lint::Diagnostic;
+use tetrisched_milp::Diagnostic;
 
 fn corpus() -> SrcLintReport {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/corpus");

@@ -16,8 +16,8 @@
 //!   exported ([`propagate_bounds`]) and reused by [`crate::presolve()`], so
 //!   certified-infeasible models never enter simplex.
 //!
-//! The shared [`Diagnostic`] type is re-exported by the workspace `lint`
-//! crate, which adds the STRL-expression and source-tree analyses on top.
+//! The shared [`Diagnostic`] type is also what the workspace `lint` crate
+//! emits from the STRL-expression and source-tree analyses it adds on top.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -39,9 +39,8 @@ pub struct SimConfig {
     /// Fault windows to replay (empty = a healthy, full-speed run): down
     /// windows take nodes out of the cluster, slow ones leave them up but
     /// stretch in-flight work deterministically. Announced windows
-    /// (scripted maintenance) are registered with the ledger's
-    /// [`tetrisched_cluster::NodeHealth`] so plan-ahead schedules around
-    /// them.
+    /// (scripted maintenance) are announced to the ledger
+    /// ([`Ledger::announce`]) so plan-ahead schedules around them.
     pub faults: FaultPlan,
     /// Straggler detection and speculative migration (off by default;
     /// off reproduces pre-straggler runs byte-for-byte).
@@ -152,7 +151,7 @@ struct JobRecord {
     /// `progress_at` and now accrued at rate `1 / (run_total * run_mult)`
     /// per second).
     progress_at: Time,
-    /// Runtime multiplier of the current run: the max node-health factor
+    /// Runtime multiplier of the current run: the max slowdown factor
     /// over the gang (a gang is as slow as its slowest member). 1.0 on a
     /// healthy placement.
     run_mult: f64,
@@ -282,7 +281,7 @@ impl<'t, S: Scheduler> Run<'t, S> {
                 }
             }
             if w.announced {
-                ledger.health_mut().announce(w.node, w.start, w.end);
+                ledger.announce(w.node, w.start, w.end);
             }
         }
         repairs.sort_unstable();
@@ -407,7 +406,7 @@ impl<'t, S: Scheduler> Run<'t, S> {
         // from-scratch path (watermark 0, factor 1) the completion lands
         // after exactly the integer runtime.
         rec.run_total = rec.spec.true_runtime_for(preferred) as f64;
-        rec.run_mult = gang_mult(&self.ledger, &launch.nodes);
+        rec.run_mult = gang_mult(&self.faults, &launch.nodes);
         rec.progress_at = now;
         rec.state = JobState::Running(Gang {
             started: now,
@@ -460,7 +459,7 @@ impl<'t, S: Scheduler> Run<'t, S> {
         rec.generation += 1;
     }
 
-    /// Re-times the gang holding `node` (if any) onto the node-health rates
+    /// Re-times the gang holding `node` (if any) onto the node rates
     /// in effect from now on: a stop and start in place. Progress to date
     /// is preserved via the watermark, the queued completion is invalidated
     /// through the generation guard, and a fresh completion is queued at
@@ -472,7 +471,7 @@ impl<'t, S: Scheduler> Run<'t, S> {
         let job = JobId(handle.0);
         let rec = record(&mut self.jobs, job);
         let mult = match rec.state {
-            JobState::Running(ref gang) => gang_mult(&self.ledger, &gang.nodes),
+            JobState::Running(ref gang) => gang_mult(&self.faults, &gang.nodes),
             _ => return,
         };
         if mult == rec.run_mult {
@@ -672,7 +671,6 @@ impl<'t, S: Scheduler> Run<'t, S> {
         let plan = self.sim.config.faults.windows();
         let node = plan[ix].node;
         let factor = self.faults[node.index()].perf_window(ix, opens, plan);
-        self.ledger.health_mut().set_factor(node, factor);
         if opens {
             self.telemetry.counter_add("degraded.perf_fault_windows", 1);
             self.trace.record(TraceEvent::PerfDegraded {
@@ -1019,10 +1017,12 @@ fn percent(x: f64) -> u32 {
 
 /// The runtime multiplier a gang experiences on `nodes`: gang semantics
 /// make it as slow as its slowest member.
-fn gang_mult(ledger: &Ledger, nodes: &[NodeId]) -> f64 {
+// srclint: checked-indexing: `faults` holds one entry per cluster node, and
+// a gang's node ids come from that cluster's ledger.
+fn gang_mult(faults: &[NodeFaults], nodes: &[NodeId]) -> f64 {
     nodes
         .iter()
-        .map(|&n| ledger.health().factor(n))
+        .map(|&n| faults[n.index()].factor)
         .fold(1.0, f64::max)
 }
 
@@ -1732,7 +1732,7 @@ mod tests {
     }
 
     #[test]
-    fn announced_maintenance_registers_with_ledger_health() {
+    fn announced_maintenance_registers_with_ledger() {
         // An announced window is registered before the run starts; the
         // ledger excludes the node from future availability (covered by
         // cluster tests) and the engine still degrades it while active.

@@ -64,12 +64,12 @@ pub struct FaultWindow {
     /// What the fault does while in force.
     pub kind: FaultKind,
     /// Whether the window is announced in advance (scripted maintenance):
-    /// announced windows are registered in the ledger's [`NodeHealth`]
-    /// before the run starts so plan-ahead can schedule around them.
-    /// Stochastic faults are unannounced — the scheduler only sees their
-    /// effects.
+    /// announced windows are registered with the ledger
+    /// ([`Ledger::announce`]) before the run starts so plan-ahead can
+    /// schedule around them. Stochastic faults are unannounced — the
+    /// scheduler only sees their effects.
     ///
-    /// [`NodeHealth`]: tetrisched_cluster::NodeHealth
+    /// [`Ledger::announce`]: tetrisched_cluster::Ledger::announce
     pub announced: bool,
 }
 
@@ -200,8 +200,8 @@ impl FaultPlan {
 
     /// An announced maintenance window: the nodes run at a quarter of
     /// their capacity (a 4x slowdown) during `[at, at + duration)` and
-    /// plan-ahead is told in advance (the window lands in the ledger's
-    /// `NodeHealth`).
+    /// plan-ahead is told in advance (the window is announced to the
+    /// ledger).
     pub fn maintenance(cluster: &Cluster, at: Time, duration: Time, scope: FaultScope) -> Self {
         FaultPlan::from_script(
             cluster,
@@ -253,6 +253,10 @@ pub(crate) struct NodeFaults {
     down_depth: u32,
     /// Plan indices of the slow windows in force.
     active_perf: Vec<usize>,
+    /// The node's runtime multiplier as `perf_window` last computed it;
+    /// 0.0 until a slow window touches the node, which a reader folding
+    /// from 1.0 (`gang_mult`) reads as full speed.
+    pub(crate) factor: f64,
     /// Whether a slow window ever opened on the node.
     pub(crate) perf_faulted: bool,
 }
@@ -275,8 +279,9 @@ impl NodeFaults {
     }
 
     /// Slow window `ix` of `plan` opens or closes; the node's runtime
-    /// multiplier from here on. Overlapping windows compose by max (the
-    /// node runs at the worst active factor), 1.0 when none is left.
+    /// multiplier from here on, also kept in `factor`. Overlapping windows
+    /// compose by max (the node runs at the worst active factor), 1.0 when
+    /// none is left.
     // srclint: checked-indexing: every `ix` in `active_perf` arrived through
     // this function from the engine's perf-fault events, which are made by
     // enumerating the same `plan`.
@@ -287,10 +292,12 @@ impl NodeFaults {
         } else {
             self.active_perf.retain(|&other| other != ix);
         }
-        self.active_perf
+        self.factor = self
+            .active_perf
             .iter()
             .filter_map(|&ix| plan[ix].kind.slow_factor())
-            .fold(1.0, f64::max)
+            .fold(1.0, f64::max);
+        self.factor
     }
 }
 
@@ -575,6 +582,7 @@ mod tests {
         assert_eq!(node.perf_window(2, true, &plan), 4.0);
         assert_eq!(node.perf_window(2, false, &plan), 2.0);
         assert_eq!(node.perf_window(0, false, &plan), 1.0);
+        assert_eq!(node.factor, 1.0);
         assert!(node.perf_faulted);
     }
 

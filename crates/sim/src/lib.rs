@@ -37,7 +37,8 @@ pub use fault::{
 pub use job::{JobId, JobOutcome, JobSpec, JobType};
 pub use metrics::{LatencyStats, Metrics};
 pub use scheduler::{
-    CycleContext, CycleDecisions, CycleError, Launch, PendingJob, RunningJob, Scheduler,
+    select_victims, CycleContext, CycleDecisions, CycleError, Launch, PendingJob, RunningJob,
+    Scheduler,
 };
 pub use straggler::detect_stragglers;
 pub use trace::{TraceEvent, TraceLog, DEFAULT_TRACE_CAPACITY};

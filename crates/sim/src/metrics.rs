@@ -7,19 +7,9 @@
 //! time around each cycle.
 
 /// An accumulating sample set with summary statistics.
-///
-/// Quantile queries use a lazily maintained sorted cache: the first query
-/// after a batch of pushes sorts once, and subsequent queries are O(1)
-/// lookups — instead of the previous clone + O(n log n) sort *per call*.
-/// The cache lives behind interior mutability so the read-only query
-/// signatures are unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     samples: Vec<f64>,
-    /// Sorted copy of `samples`, rebuilt lazily when `dirty`.
-    sorted: std::cell::RefCell<Vec<f64>>,
-    /// Whether `sorted` is stale relative to `samples`.
-    dirty: std::cell::Cell<bool>,
 }
 
 impl LatencyStats {
@@ -31,18 +21,6 @@ impl LatencyStats {
     /// Records one sample.
     pub fn push(&mut self, v: f64) {
         self.samples.push(v);
-        self.dirty.set(true);
-    }
-
-    /// Rebuilds the sorted cache if stale.
-    fn ensure_sorted(&self) {
-        if self.dirty.get() || self.sorted.borrow().len() != self.samples.len() {
-            let mut sorted = self.sorted.borrow_mut();
-            sorted.clear();
-            sorted.extend_from_slice(&self.samples);
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            self.dirty.set(false);
-        }
     }
 
     /// Number of samples.
@@ -71,8 +49,8 @@ impl LatencyStats {
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.ensure_sorted();
-        let sorted = self.sorted.borrow();
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let rank = ((q.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
         sorted[rank]
     }
@@ -248,36 +226,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
-    }
-
-    /// Regression for the sorted-cache rewrite: quantiles must be
-    /// identical to the reference clone-and-sort-per-call implementation,
-    /// including when queries interleave with pushes.
-    #[test]
-    fn cached_quantiles_match_reference_implementation() {
-        let reference_quantile = |samples: &[f64], q: f64| -> f64 {
-            let mut sorted = samples.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let rank = ((q.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
-            sorted[rank]
-        };
-        let mut s = LatencyStats::new();
-        let mut pushed = Vec::new();
-        // Deterministic pseudo-random-ish stream, interleaving queries so
-        // the cache is invalidated and rebuilt repeatedly.
-        for i in 0..500u64 {
-            let v = ((i * 2_654_435_761) % 1000) as f64 / 7.0;
-            s.push(v);
-            pushed.push(v);
-            if i % 37 == 0 {
-                for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-                    assert_eq!(s.quantile(q), reference_quantile(&pushed, q), "q={q} i={i}");
-                }
-            }
-        }
-        for q in [0.0, 0.1, 0.5, 0.95, 1.0] {
-            assert_eq!(s.quantile(q), reference_quantile(&pushed, q));
-        }
     }
 
     #[test]

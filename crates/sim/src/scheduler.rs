@@ -47,6 +47,35 @@ pub struct RunningJob {
     pub deadline: Option<Time>,
 }
 
+/// Picks preemption victims from `candidates` to free at least `needed`
+/// nodes, most recently started first (minimizing lost work), job id
+/// breaking ties.
+///
+/// Returns the chosen victims (possibly freeing more than `needed` since
+/// gangs release whole node sets), or `None` when even preempting every
+/// candidate cannot cover the deficit.
+pub fn select_victims<'a>(
+    candidates: &[&'a RunningJob],
+    needed: usize,
+) -> Option<Vec<&'a RunningJob>> {
+    let total: usize = candidates.iter().map(|j| j.nodes.len()).sum();
+    if total < needed {
+        return None;
+    }
+    let mut by_recency: Vec<&RunningJob> = candidates.to_vec();
+    by_recency.sort_by_key(|j| (std::cmp::Reverse(j.started), j.id));
+    let mut out = Vec::new();
+    let mut freed = 0usize;
+    for j in by_recency {
+        if freed >= needed {
+            break;
+        }
+        freed += j.nodes.len();
+        out.push(j);
+    }
+    Some(out)
+}
+
 /// Everything a scheduler may observe during one cycle.
 #[derive(Debug)]
 pub struct CycleContext<'a> {
@@ -276,6 +305,32 @@ mod tests {
         let mut s = FifoScheduler;
         s.on_complete(JobId(0), 0);
         s.on_evict(JobId(0), 0);
+    }
+
+    #[test]
+    fn victims_most_recent_first_until_the_need_is_covered() {
+        let running = |id, started, width: u32| RunningJob {
+            id: JobId(id),
+            class: JobClass::BestEffort,
+            started,
+            nodes: (0..width).map(NodeId).collect(),
+            expected_end: started + 100,
+            preferred: true,
+            deadline: None,
+        };
+        let ids = |picked: Option<Vec<&RunningJob>>| {
+            picked.map(|p| p.iter().map(|j| j.id.0).collect::<Vec<_>>())
+        };
+        let (a, b, c) = (running(0, 10, 2), running(1, 30, 2), running(2, 20, 2));
+        // Started at 30, then 20.
+        assert_eq!(ids(select_victims(&[&a, &b, &c], 3)), Some(vec![1, 2]));
+        assert_eq!(ids(select_victims(&[&a], 3)), None);
+        // An exact fit stops early.
+        let (wide_a, wide_b) = (running(0, 10, 4), running(1, 20, 4));
+        assert_eq!(ids(select_victims(&[&wide_a, &wide_b], 4)), Some(vec![1]));
+        // A tie on start breaks by id.
+        let (one_a, one_b) = (running(0, 10, 1), running(1, 10, 1));
+        assert_eq!(ids(select_victims(&[&one_b, &one_a], 1)), Some(vec![0]));
     }
 
     #[test]

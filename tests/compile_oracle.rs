@@ -97,9 +97,7 @@ fn instance(seed: u64) -> Instance {
     let (gpu, all) = (rack(nodes, 0), NodeSet::full(nodes));
 
     let mut ledger = Ledger::new(nodes);
-    ledger
-        .health_mut()
-        .announce(NodeId(rng.below(4) as u32), NOW + 8, NOW + 20);
+    ledger.announce(NodeId(rng.below(4) as u32), NOW + 8, NOW + 20);
     // Gangs hold the last two nodes of racks 1 and 2 until mid-window.
     for (g, r) in [1u32, 2].into_iter().enumerate() {
         let held = NodeSet::from_ids(nodes, [NodeId(r * RACK + 2), NodeId(r * RACK + 3)]);

@@ -16,8 +16,9 @@
 use proptest::prelude::*;
 use tetrisched::cluster::{Cluster, NodeSet, PartitionSet};
 use tetrisched::core::{compile, CompileInput, StrlGenerator, TetriSched, TetriSchedConfig};
-use tetrisched::lint::{has_errors, lint_expr, lint_model, StrlLintContext};
-use tetrisched::milp::{Model, Sense, SolverConfig, VarKind};
+use tetrisched::lint::{lint_expr, StrlLintContext};
+use tetrisched::milp::lint::has_errors;
+use tetrisched::milp::{lint_model, Model, Sense, SolverConfig, VarKind};
 use tetrisched::sim::{JobId, JobSpec, JobType, PendingJob, SimConfig, Simulator};
 use tetrisched::strl::{JobClass, StrlExpr};
 use tetrisched::workloads::{GridmixConfig, Workload, WorkloadBuilder};

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use tetrisched::cluster::{NodeId, NodeSet, PartitionSet};
 use tetrisched::core::{compile, CompileInput};
-use tetrisched::lint::{certify_solution, validate_translation};
-use tetrisched::milp::{Model, Sense, SolveStatus, SolverConfig, VarKind};
+use tetrisched::lint::validate_translation;
+use tetrisched::milp::{certify_solution, Model, Sense, SolveStatus, SolverConfig, VarKind};
 use tetrisched::strl::StrlExpr;
 
 fn audited() -> SolverConfig {
