@@ -113,11 +113,6 @@ impl Ledger {
         self.windows.sort_by_key(|w| (w.start, w.node, w.end));
     }
 
-    /// The announced windows, in deterministic order.
-    pub fn announced(&self) -> &[MaintenanceWindow] {
-        &self.windows
-    }
-
     /// Universe size.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -612,7 +607,7 @@ mod tests {
     fn zero_length_announcement_dropped() {
         let mut l = Ledger::new(2);
         l.announce(NodeId(0), 10, 10);
-        assert!(l.announced().is_empty());
+        assert!(l.windows.is_empty());
     }
 
     #[test]
@@ -621,9 +616,9 @@ mod tests {
         l.announce(NodeId(3), 50, 60);
         l.announce(NodeId(1), 10, 20);
         l.announce(NodeId(2), 10, 30);
-        let starts: Vec<Time> = l.announced().iter().map(|w| w.start).collect();
+        let starts: Vec<Time> = l.windows.iter().map(|w| w.start).collect();
         assert_eq!(starts, vec![10, 10, 50]);
-        assert_eq!(l.announced()[0].node, NodeId(1));
+        assert_eq!(l.windows[0].node, NodeId(1));
     }
 
     #[test]

@@ -86,15 +86,25 @@ impl PartitionSet {
     /// classes partially overlapping are reported via `Err` with the
     /// offending class index.
     pub fn cover(&self, set: &NodeSet) -> Result<Vec<usize>, usize> {
-        let mut out = Vec::new();
-        for (i, c) in self.classes.iter().enumerate() {
+        self.covering(set).collect()
+    }
+
+    /// [`PartitionSet::cover`] one class at a time, in class order, without
+    /// collecting: `Ok` for a class inside `set`, `Err` for one partially
+    /// overlapping it.
+    pub fn covering<'s>(
+        &'s self,
+        set: &'s NodeSet,
+    ) -> impl Iterator<Item = Result<usize, usize>> + 's {
+        self.classes.iter().enumerate().filter_map(|(i, c)| {
             if c.is_subset(set) {
-                out.push(i);
-            } else if !c.is_disjoint(set) {
-                return Err(i);
+                Some(Ok(i))
+            } else if c.is_disjoint(set) {
+                None
+            } else {
+                Some(Err(i))
             }
-        }
-        Ok(out)
+        })
     }
 }
 

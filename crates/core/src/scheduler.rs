@@ -101,8 +101,8 @@ impl JobMemory {
             }
             // Greedily distribute k over the leaf's classes by availability.
             let leaf = &compiled.leaves[ix];
-            let mut classes: Vec<(usize, usize)> = leaf
-                .draws
+            let mut classes: Vec<(usize, usize)> = compiled
+                .draws(leaf)
                 .iter()
                 .map(|&(c, _, _)| (view.avail_at(partitions.class(c), tag.start), c))
                 .collect();

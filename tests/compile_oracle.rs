@@ -501,7 +501,7 @@ fn emitted_rows_and_bounds_are_algorithm_ones_reduced() {
                     if !slices(leaf.start, leaf.dur).contains(&slice) {
                         continue;
                     }
-                    for &(c, var, per) in &leaf.draws {
+                    for &(c, var, per) in model.draws(leaf) {
                         if c == class {
                             terms.push((var, f64::from(per)));
                         }
@@ -578,17 +578,20 @@ fn emitted_rows_and_bounds_are_algorithm_ones_reduced() {
             let reachable: usize = caps.iter().map(|&(_, cap)| cap).sum();
             if !leaf.linear && reachable < *k as usize {
                 dead += 1;
-                assert!(leaf.draws.is_empty(), "seed {seed}: a dead leaf draws");
+                assert!(
+                    model.draws(leaf).is_empty(),
+                    "seed {seed}: a dead leaf draws"
+                );
                 assert_eq!(vars[leaf.indicator.index()].ub, 0.0, "seed {seed}");
                 return;
             }
-            let classes: Vec<usize> = leaf.draws.iter().map(|d| d.0).collect();
+            let classes: Vec<usize> = model.draws(leaf).iter().map(|d| d.0).collect();
             assert_eq!(
                 classes,
                 caps.iter().map(|c| c.0).collect::<Vec<_>>(),
                 "seed {seed}"
             );
-            for (&(_, var, per), &(_, cap)) in leaf.draws.iter().zip(&caps) {
+            for (&(_, var, per), &(_, cap)) in model.draws(leaf).iter().zip(&caps) {
                 if var == leaf.indicator {
                     // `P = k * I`: one class, and it can give all k.
                     assert!(!leaf.linear && caps.len() == 1 && cap == *k as usize && per == *k);
