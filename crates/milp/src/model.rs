@@ -228,6 +228,16 @@ impl Model {
         Self::default()
     }
 
+    /// [`Model::maximize`] with room for `vars` variables and `constraints`
+    /// rows, for a builder that knows about how large its model will be.
+    pub fn maximize_with_capacity(vars: usize, constraints: usize) -> Self {
+        Model {
+            vars: Vec::with_capacity(vars),
+            constraints: Vec::with_capacity(constraints),
+            objective_offset: 0.0,
+        }
+    }
+
     /// Adds a variable and returns its id.
     ///
     /// Binary variables have their bounds clamped to `[0, 1]`.
