@@ -141,9 +141,11 @@ impl Ledger {
     /// Marks a node down. The node must not be held by an allocation (the
     /// caller evicts the owning gang first); marking an already-down node
     /// is a no-op so repeated fault reports are harmless.
-    // srclint: checked-indexing: `owner` holds one entry per node of the
-    // universe the ledger was built over, and the fault replay that calls
-    // this names only nodes of that cluster.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`owner` holds one entry per node of the universe the ledger was built over, and \
+                  the fault replay that calls this names only nodes of that cluster"
+    )]
     pub fn mark_down(&mut self, node: crate::NodeId) -> Result<(), LedgerError> {
         if self.down.contains(node) {
             return Ok(());
@@ -169,8 +171,11 @@ impl Ledger {
     /// node universe into free/allocated/down, and agreement between the
     /// owner index and the allocation table. Returns a description of the
     /// first violation found.
-    // srclint: checked-indexing: ix ranges over 0..num_nodes and `owner`
-    // is allocated with exactly num_nodes entries at construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ix ranges over 0..num_nodes and `owner` is allocated with exactly num_nodes \
+                  entries at construction"
+    )]
     pub fn validate(&self) -> Result<(), String> {
         let mut allocated = 0usize;
         for ix in 0..self.num_nodes {
@@ -210,8 +215,11 @@ impl Ledger {
     }
 
     /// The handle holding a node, if any.
-    // srclint: checked-indexing: `owner` holds one entry per node of the
-    // universe, and callers ask about nodes of the same cluster.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`owner` holds one entry per node of the universe, and callers ask about nodes of \
+                  the same cluster"
+    )]
     pub fn owner_of(&self, node: crate::NodeId) -> Option<AllocHandle> {
         self.owner[node.index()]
     }
@@ -232,9 +240,11 @@ impl Ledger {
     }
 
     /// Grants `nodes` to `handle` until roughly `expected_end`.
-    // srclint: checked-indexing: `owner` holds one entry per node of the
-    // universe, and a `NodeSet` over any other universe is the caller's
-    // bug (sets are built from `free_nodes()` of this ledger).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`owner` holds one entry per node of the universe, and a `NodeSet` over any other \
+                  universe is the caller's bug (sets are built from `free_nodes()` of this ledger)"
+    )]
     pub fn allocate(
         &mut self,
         handle: AllocHandle,
@@ -267,8 +277,11 @@ impl Ledger {
     }
 
     /// Releases an allocation, returning the freed nodes.
-    // srclint: checked-indexing: the nodes come out of `allocs`, where
-    // `allocate` put them after indexing `owner` with every one.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the nodes come out of `allocs`, where `allocate` put them after indexing `owner` \
+                  with every one"
+    )]
     pub fn release(&mut self, handle: AllocHandle) -> Result<NodeSet, LedgerError> {
         let alloc = self
             .allocs
@@ -355,8 +368,11 @@ impl Ledger {
 /// The set in force at `t`. Both step functions below keep `(from, set)`
 /// pairs in ascending `from`, each set in force until the next pair's
 /// `from`, and the first pair at `from = 0`, so every `t` has a step.
-// srclint: checked-indexing: a non-empty slice whose first `from` is 0 has
-// at least one pair at or before any `t`, so the subtraction cannot wrap.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a non-empty slice whose first `from` is 0 has at least one pair at or before any \
+              `t`, so the subtraction cannot wrap"
+)]
 fn set_at(steps: &[(Time, NodeSet)], t: Time) -> &NodeSet {
     &steps[steps.partition_point(|&(from, _)| from <= t) - 1].1
 }

@@ -74,16 +74,21 @@ impl NodeSet {
     /// # Panics
     ///
     /// Panics if the node id is outside the universe.
-    // srclint: checked-indexing: the assert above the store guarantees
-    // id.index() < capacity, and words holds ceil(capacity/64) entries.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the assert above the store guarantees id.index() < capacity, and words holds \
+                  ceil(capacity/64) entries"
+    )]
     pub fn insert(&mut self, id: NodeId) {
         assert!(id.index() < self.capacity, "node id out of universe");
         self.words_mut()[id.index() / 64] |= 1u64 << (id.index() % 64);
     }
 
     /// Removes a node.
-    // srclint: checked-indexing: guarded by id.index() < capacity, and
-    // words holds ceil(capacity/64) entries.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "guarded by id.index() < capacity, and words holds ceil(capacity/64) entries"
+    )]
     pub fn remove(&mut self, id: NodeId) {
         if id.index() < self.capacity {
             self.words_mut()[id.index() / 64] &= !(1u64 << (id.index() % 64));
@@ -91,8 +96,11 @@ impl NodeSet {
     }
 
     /// Membership test.
-    // srclint: checked-indexing: short-circuit id.index() < capacity guard
-    // precedes the word lookup; words holds ceil(capacity/64) entries.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "short-circuit id.index() < capacity guard precedes the word lookup; words holds \
+                  ceil(capacity/64) entries"
+    )]
     pub fn contains(&self, id: NodeId) -> bool {
         id.index() < self.capacity && self.words[id.index() / 64] & (1u64 << (id.index() % 64)) != 0
     }

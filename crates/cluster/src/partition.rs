@@ -27,9 +27,11 @@ impl PartitionSet {
     /// skipped: refining by the same set twice splits nothing, so the
     /// classes and their order are the same. The result is the coarsest
     /// partition in which every input set is a union of classes.
-    // srclint: checked-indexing: the loop guard keeps `i` below
-    // `classes.len()` where it indexes, and `sets[..at]` is a prefix of the
-    // slice `at` enumerates.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the loop guard keeps `i` below `classes.len()` where it indexes, and \
+                  `sets[..at]` is a prefix of the slice `at` enumerates"
+    )]
     pub fn refine(universe: usize, sets: &[NodeSet]) -> PartitionSet {
         // An empty universe has no classes once anything refines it.
         let mut classes = if universe == 0 && !sets.is_empty() {
@@ -73,8 +75,11 @@ impl PartitionSet {
     }
 
     /// One class by index.
-    // srclint: checked-indexing: class indices are produced by this set's
-    // own covering()/classes() and stay in range for its lifetime.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "class indices are produced by this set's own covering()/classes() and stay in \
+                  range for its lifetime"
+    )]
     pub fn class(&self, ix: usize) -> &NodeSet {
         &self.classes[ix]
     }

@@ -78,22 +78,29 @@ impl Cluster {
     }
 
     /// A single node.
-    // srclint: checked-indexing: NodeIds are minted by this cluster's
-    // builder as 0..nodes.len(), so every id a caller holds is in range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are minted by this cluster's builder as 0..nodes.len(), so every id a \
+                  caller holds is in range"
+    )]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
     /// The rack a node belongs to.
-    // srclint: checked-indexing: NodeIds are minted by this cluster's
-    // builder as 0..nodes.len(), as in `node`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are minted by this cluster's builder as 0..nodes.len(), as in `node`"
+    )]
     pub fn rack_of(&self, id: NodeId) -> RackId {
         self.nodes[id.index()].rack
     }
 
     /// The set of nodes in a rack.
-    // srclint: checked-indexing: RackIds are minted by this cluster's
-    // builder and always index the racks vector.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "RackIds are minted by this cluster's builder and always index the racks vector"
+    )]
     pub fn rack_nodes(&self, rack: RackId) -> &NodeSet {
         &self.racks[rack.index()]
     }
@@ -145,8 +152,11 @@ impl ClusterBuilder {
     /// # Panics
     ///
     /// Panics if no rack exists yet.
-    // srclint: expect-boundary: documented construction-time panic (see
-    // `# Panics`): a node needs a rack, and no cluster exists yet to harm.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented construction-time panic (see `# Panics`): a node needs a rack, and no \
+                  cluster exists yet to harm"
+    )]
     pub fn add_node(&mut self, attrs: Vec<Attr>) -> NodeId {
         let rack = RackId((self.rack_sizes.len() - 1) as u32);
         let id = NodeId(self.nodes.len() as u32);
@@ -156,8 +166,11 @@ impl ClusterBuilder {
     }
 
     /// Finalizes the cluster.
-    // srclint: checked-indexing: every node's `rack` was minted by
-    // `add_rack` as an index into `rack_sizes`, which sizes `racks`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every node's `rack` was minted by `add_rack` as an index into `rack_sizes`, \
+                  which sizes `racks`"
+    )]
     pub fn build(self) -> Cluster {
         let n = self.nodes.len();
         let mut racks: Vec<NodeSet> = self.rack_sizes.iter().map(|_| NodeSet::empty(n)).collect();

@@ -24,6 +24,12 @@
 //! expressible through [`TetriSchedConfig`].
 
 #![deny(unsafe_code)]
+// A panic here kills the run: a function that keeps one says why in an `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
+#![deny(clippy::float_cmp)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests pin exact values"))]
 
 pub mod compiler;
 pub mod config;

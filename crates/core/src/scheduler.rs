@@ -85,8 +85,11 @@ impl JobMemory {
 
     /// Builds a warm-start vector reactivating last cycle's choices that
     /// are still present in this cycle's model.
-    // srclint: checked-indexing: ix enumerates tags, which the caller
-    // builds with exactly one tag per compiled leaf.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ix enumerates tags, which the caller builds with exactly one tag per compiled \
+                  leaf"
+    )]
     fn warm_start(
         &self,
         compiled: &CompiledModel,
@@ -598,9 +601,11 @@ impl<'a> Pipeline<'a> {
     /// requests fail to compile are isolated (by compiling each alone),
     /// struck and dropped, and the rest retry; any other failure returns
     /// `false` and the caller degrades the cycle. Nothing to place succeeds.
-    // srclint: checked-indexing: leaf indices in ChosenAlloc come from the
-    // compiler's own leaves vector, tags is built leaf-for-leaf with it,
-    // and by_job groups are non-empty by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "leaf indices in ChosenAlloc come from the compiler's own leaves vector, tags is \
+                  built leaf-for-leaf with it, and by_job groups are non-empty by construction"
+    )]
     fn cycle_global(
         &self,
         batch: &[&PendingJob],
@@ -704,8 +709,10 @@ impl<'a> Pipeline<'a> {
     /// its turn (and, when structural, a strike); the rest of the batch
     /// still schedules. The unit builds no model, so the floor rung adds no
     /// solver work.
-    // srclint: checked-indexing: the chosen leaf indexes the tags of the
-    // request it was evaluated from.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the chosen leaf indexes the tags of the request it was evaluated from"
+    )]
     fn cycle_greedy(&self, batch: &[&PendingJob], memory: &mut JobMemory, d: &mut CycleDecisions) {
         let (now, cluster) = (self.ctx.now, self.ctx.cluster);
         let greedy = self.phase("greedy", "phase.greedy_secs");
@@ -904,7 +911,10 @@ impl<'a> FreeTable<'a> {
     }
 
     /// The classes every unit of `shape` reads and draws from.
-    // srclint: checked-indexing: `shape` comes from `FreeTable::shape`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shape` comes from `FreeTable::shape`"
+    )]
     fn partitions(&self, shape: usize) -> &PartitionSet {
         &self.shapes[shape].partitions
     }
@@ -912,8 +922,11 @@ impl<'a> FreeTable<'a> {
     /// Expected free nodes of `set` at `t` for a unit of `shape`: from the
     /// table when `set` is one of its classes and `t` a slice's time, as
     /// every read of `evaluate` is; read directly otherwise.
-    // srclint: checked-indexing: `shape` comes from `FreeTable::shape`, and
-    // the cell of a class of it at a slice below n_slices is in `cells`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shape` comes from `FreeTable::shape`, and the cell of a class of it at a slice \
+                  below n_slices is in `cells`"
+    )]
     fn avail(&self, shape: usize, set: &NodeSet, t: Time) -> usize {
         let shape = &self.shapes[shape];
         let class = shape

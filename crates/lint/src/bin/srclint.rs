@@ -2,12 +2,11 @@
 //!
 //! Walks the workspace's `.rs` files, lexes every one
 //! ([`lint::lexer`]), and enforces the repo invariants documented in
-//! DESIGN.md (codes `L001`, `L004`, `L007`–`L011`): simulation
+//! DESIGN.md (codes `L001`, `L004`, `L007`, `L009`–`L011`): simulation
 //! determinism (no stray clock reads), no hash-based collections in
-//! solver-adjacent crates, ladder-rung ownership, no un-annotated panic
-//! source in the crates the scheduler cycle and the event loop run on,
-//! float-determinism in the solver crates, no concurrency primitive in
-//! product code, and dead operator knobs. Offline and fast; run it from
+//! solver-adjacent crates, ladder-rung ownership, float-determinism in the
+//! solver crates, no concurrency primitive in product code, and dead
+//! operator knobs. Offline and fast; run it from
 //! anywhere inside the workspace:
 //!
 //! ```text
@@ -132,12 +131,11 @@ fn main() -> ExitCode {
     // Stats go to stderr so `--json` stdout stays machine-parseable.
     eprintln!(
         "srclint: {} files, {} tokens, {} bytes in {elapsed_ms:.1} ms \
-         ({:.1}M tokens/sec); fns_checked: {}, knob_fields_checked: {}",
+         ({:.1}M tokens/sec); knob_fields_checked: {}",
         report.files_scanned,
         report.tokens_scanned,
         report.bytes_scanned,
         tokens_per_sec / 1e6,
-        report.fns_checked,
         report.knob_fields_checked,
     );
 

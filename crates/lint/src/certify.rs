@@ -11,6 +11,11 @@
 //! the solver's claimed objective — catching compiler bugs end-to-end, in
 //! the spirit of translation validation for compilers.
 
+// This pass runs inside the audited cycle: panic sources are denied as in its crates.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
+
 use tetrisched_milp::lint::{Diagnostic, Severity};
 use tetrisched_strl::StrlExpr;
 

@@ -10,15 +10,15 @@
 //!    machine-checkable infeasibility [`Certificate`]s.
 //! 2. **Source analysis** — [`lint_workspace`] (and the `srclint` binary)
 //!    lexes every workspace `.rs` file into a token stream ([`lexer`])
-//!    with a test mask, function spans and their annotations
-//!    ([`source_model`]), and runs one table of scoped token rules over
-//!    it: no clock reads outside an allowlist, and none at all in the
-//!    telemetry and service crates (`L001`), no hash-based collections in
-//!    solver-adjacent crates (`L004`), ladder-rung ownership (`L007`), no
-//!    un-annotated panic source in the crates the cycle and the event
-//!    loop run on (`L008`), float-determinism in solver crates (`L009`),
-//!    no concurrency primitive in product code (`L010`), and dead-knob
-//!    detection over every config struct (`L011`).
+//!    with a test mask ([`source_model`]), and runs one table of scoped
+//!    token rules over it: no clock reads outside an allowlist, and none
+//!    at all in the telemetry and service crates (`L001`), no hash-based
+//!    collections in solver-adjacent crates (`L004`), ladder-rung
+//!    ownership (`L007`), float-determinism in solver crates (`L009`), no
+//!    concurrency primitive in product code (`L010`), and dead-knob
+//!    detection over every config struct (`L011`). Panic sources are not
+//!    its job: clippy's restriction lints deny them at the roots of the
+//!    crates the cycle and the event loop run on.
 //!
 //! Proof-carrying solver outcomes (codes `C001`–`C003`) are verified by
 //! `tetrisched_milp::certify`; this crate's [`certify`] validates the
@@ -43,6 +43,6 @@ pub mod strl_lint;
 pub use certify::validate_translation;
 pub use lexer::{lex, num_is_float, Token, TokenKind};
 pub use render::{render_json, render_pretty};
-pub use source_model::{Annotation, FnItem, SourceFile, StructItem};
+pub use source_model::{SourceFile, StructItem};
 pub use src_lint::{lint_workspace, SrcLintReport};
 pub use strl_lint::{lint_expr, StrlLintContext};

@@ -1,17 +1,12 @@
 //! Source model on top of the [`crate::lexer`] token stream.
 //!
-//! One pass over a file's significant tokens recovers the four things the
+//! One pass over a file's significant tokens recovers the three things the
 //! scoped token rules of [`crate::src_lint`] need — there is no item
 //! graph, no module path and no call site:
 //!
 //! - **Test mask**: `#[cfg(test)]` / `#[test]` items are brace-matched,
 //!   so code *after* a test module is still analyzed (the old line scanner
 //!   gave up at the first marker) and nothing *inside* one leaks findings.
-//! - **Function spans with their annotations**: every `fn` with its body
-//!   range and the `// srclint: <marker>: <reason>` comments immediately
-//!   preceding it. Markers are the audited escape hatch for `L008`
-//!   (`expect-boundary`, `checked-indexing`); every one carries its
-//!   justification in-line.
 //! - **Struct fields**: field names of config structs, for the dead-knob
 //!   lint (`L011`).
 //! - **Float-ascribed names**: identifiers with a visible `: f64` /
@@ -21,7 +16,7 @@ use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Token, TokenKind};
 
-/// Rust keywords — never field names, never index receivers.
+/// Rust keywords — never field names, never float-ascribed names.
 const KEYWORDS: &[&str] = &[
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
     "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
@@ -29,45 +24,8 @@ const KEYWORDS: &[&str] = &[
     "type", "union", "unsafe", "use", "where", "while", "yield",
 ];
 
-pub fn is_keyword(text: &str) -> bool {
+fn is_keyword(text: &str) -> bool {
     KEYWORDS.contains(&text)
-}
-
-/// A `// srclint: <marker>: <reason>` annotation comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Annotation {
-    /// The marker, e.g. `expect-boundary` or `checked-indexing`.
-    pub marker: String,
-    /// The justification text after the marker (may be empty — lints that
-    /// honour a marker require it to be non-empty, keeping escapes
-    /// auditable).
-    pub reason: String,
-}
-
-/// A function item (free function, method, or trait default method): a
-/// span of tokens and the annotations that vouch for it.
-#[derive(Debug, Clone)]
-pub struct FnItem {
-    /// The bare name.
-    pub name: String,
-    /// Significant-token index range of the body, *exclusive* of the
-    /// outer braces. Empty for bodyless declarations.
-    pub body: (usize, usize),
-    /// Whether the item is test code (`#[test]`, `#[cfg(test)]`, or
-    /// lexically inside a test-scoped item).
-    pub is_test: bool,
-    /// `srclint:` annotations attached to this fn.
-    pub annotations: Vec<Annotation>,
-}
-
-impl FnItem {
-    /// Whether an annotation with `marker` and a non-empty reason is
-    /// attached.
-    pub fn has_annotation(&self, marker: &str) -> bool {
-        self.annotations
-            .iter()
-            .any(|a| a.marker == marker && !a.reason.trim().is_empty())
-    }
 }
 
 /// A non-test struct item and its named fields (tuple/unit structs record
@@ -93,7 +51,6 @@ pub struct SourceFile {
     pub sig: Vec<usize>,
     /// Per-`sig`-index: whether the token is inside test code.
     pub test_mask: Vec<bool>,
-    pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
     /// Names with a visible `: f64` / `: f32` ascription (params, typed
     /// lets, struct fields) anywhere in the file.
@@ -180,14 +137,6 @@ impl SourceFile {
         true
     }
 
-    /// The innermost function whose body holds sig index `i`. Functions
-    /// are recorded in source order, so the last body containing `i` is
-    /// the most deeply nested one.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
-        let holds = |f: &&FnItem| f.body.0 <= i && i < f.body.1;
-        self.fns.iter().rev().find(holds)
-    }
-
     /// Parses `bytes` into a source model. Total: never panics, even on
     /// unbalanced or non-UTF-8 input; unclosed items simply end at EOF.
     pub fn parse(rel: &str, bytes: Vec<u8>) -> SourceFile {
@@ -204,7 +153,6 @@ impl SourceFile {
             test_mask: vec![false; sig.len()],
             tokens,
             sig,
-            fns: Vec::new(),
             structs: Vec::new(),
             float_idents: BTreeSet::new(),
         };
@@ -231,8 +179,6 @@ struct Parser<'f> {
     file: &'f mut SourceFile,
     /// Cursor over sig indices.
     i: usize,
-    /// Pending `srclint:` annotations (from trivia) awaiting the next fn.
-    pending_markers: Vec<Annotation>,
     /// A pending `#[cfg(test)]` / `#[test]` attribute awaiting an item.
     pending_test: bool,
     /// Sig index where the pending attribute run started (for masking).
@@ -244,7 +190,6 @@ impl<'f> Parser<'f> {
         Parser {
             file,
             i: 0,
-            pending_markers: Vec::new(),
             pending_test: false,
             pending_attr_start: None,
         }
@@ -259,33 +204,6 @@ impl<'f> Parser<'f> {
             Some(self.file.sig_kind(i))
         } else {
             None
-        }
-    }
-
-    /// Collects `srclint:` annotations out of the trivia gap *before* sig
-    /// token `i` (comments between the previous significant token and
-    /// this one).
-    fn harvest_markers(&mut self, i: usize) {
-        let lo = if i == 0 { 0 } else { self.file.sig[i - 1] + 1 };
-        let hi = match self.file.sig.get(i) {
-            Some(&raw) => raw,
-            None => self.file.tokens.len(),
-        };
-        for raw in lo..hi {
-            let t = self.file.tokens[raw];
-            if matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-                let text = t.text(&self.file.src).into_owned();
-                if let Some(rest) = text.split("srclint:").nth(1) {
-                    let rest = rest.trim();
-                    let (marker, reason) = match rest.split_once(':') {
-                        Some((m, r)) => (m.trim().to_string(), r.trim().to_string()),
-                        None => (rest.trim_end_matches('.').to_string(), String::new()),
-                    };
-                    if !marker.is_empty() {
-                        self.pending_markers.push(Annotation { marker, reason });
-                    }
-                }
-            }
         }
     }
 
@@ -333,7 +251,6 @@ impl<'f> Parser<'f> {
         let n = self.file.sig.len();
         while self.i < n {
             let i = self.i;
-            self.harvest_markers(i);
             match self.kind(i) {
                 Some(TokenKind::Punct) => {
                     let t = self.text(i);
@@ -342,8 +259,8 @@ impl<'f> Parser<'f> {
                             self.attribute();
                             continue;
                         }
-                        // Not an item after all: attributes and markers
-                        // attach to nothing.
+                        // Not an item after all: attributes attach to
+                        // nothing.
                         "{" | "}" | ";" => self.clear_pending(),
                         _ => {}
                     }
@@ -367,7 +284,6 @@ impl<'f> Parser<'f> {
     }
 
     fn clear_pending(&mut self) {
-        self.pending_markers.clear();
         self.pending_test = false;
         self.pending_attr_start = None;
     }
@@ -415,19 +331,20 @@ impl<'f> Parser<'f> {
         self.i = (j + 1).min(self.file.sig.len());
     }
 
+    /// `fn`: under a pending test attribute, or inside test code, the item
+    /// is masked through its closing brace. Parsing resumes inside the
+    /// body (nested fns, test mods), just past the signature.
     fn fn_item(&mut self) {
         let fn_kw = self.i;
         let n = self.file.sig.len();
         // A `fn` not followed by a name is a function-pointer type.
-        let name_at = fn_kw + 1;
-        if name_at >= n || self.kind(name_at) != Some(TokenKind::Ident) {
+        if self.kind(fn_kw + 1) != Some(TokenKind::Ident) {
             self.i += 1;
             return;
         }
-        let name = self.text(name_at);
         // Scan to the body `{` (or `;` for bodyless decls) at bracket
         // depth 0 — parens/brackets from params and return types nest.
-        let mut j = name_at + 1;
+        let mut j = fn_kw + 2;
         let mut paren = 0i64;
         let mut bracket = 0i64;
         let mut body_open = None;
@@ -448,20 +365,11 @@ impl<'f> Parser<'f> {
             }
             j += 1;
         }
-        let is_test = self.is_test_at(fn_kw);
-        let close = body_open.map_or(j, |open| self.match_brace(open));
-        if is_test {
+        if self.is_test_at(fn_kw) {
+            let close = body_open.map_or(j, |open| self.match_brace(open));
             self.mask_test(fn_kw, close);
         }
-        self.file.fns.push(FnItem {
-            name,
-            body: (body_open.map_or(j, |open| open + 1), close),
-            is_test,
-            annotations: std::mem::take(&mut self.pending_markers),
-        });
         self.clear_pending();
-        // Continue parsing *inside* the body (nested fns, test mods) by
-        // resuming just past the signature.
         self.i = (body_open.unwrap_or(j) + 1).min(n);
     }
 
@@ -589,20 +497,16 @@ mod tests {
              #[cfg(test)]\nmod tests {\n    fn helper() { x.unwrap(); }\n}\n\
              fn after() { also_hot(); }\n",
         );
-        let after = f.fns.iter().find(|x| x.name == "after").expect("after fn");
-        assert!(!after.is_test, "code after a test module is NOT test code");
-        let helper = f.fns.iter().find(|x| x.name == "helper").expect("helper");
-        assert!(helper.is_test);
-        // The unwrap inside the test mod is masked; `also_hot` is not.
-        assert!(masked(&f, "unwrap"));
-        assert!(!masked(&f, "also_hot"));
+        // Code after a test module is NOT test code; the module is.
+        assert!(!masked(&f, "hot") && !masked(&f, "after") && !masked(&f, "also_hot"));
+        assert!(masked(&f, "helper") && masked(&f, "unwrap"));
     }
 
     #[test]
     fn test_attr_masks_single_fn() {
         let f = parse("#[test]\nfn check() { assert!(true); }\nfn prod() {}\n");
-        assert!(f.fns[0].is_test);
-        assert!(!f.fns[1].is_test);
+        assert!(masked(&f, "check") && masked(&f, "assert"));
+        assert!(!masked(&f, "prod"));
     }
 
     #[test]
@@ -616,38 +520,9 @@ mod tests {
             let f = parse(&format!(
                 "#[cfg(test)]\n{item} {{ fn inside() {{ x.unwrap(); }} }}\nfn prod() {{ live(); }}\n"
             ));
-            assert!(f.fns[0].is_test && masked(&f, "unwrap"), "{item}");
-            assert!(!f.fns[1].is_test && !masked(&f, "live"), "{item}");
+            assert!(masked(&f, "inside") && masked(&f, "unwrap"), "{item}");
+            assert!(!masked(&f, "prod") && !masked(&f, "live"), "{item}");
         }
-    }
-
-    #[test]
-    fn enclosing_fn_is_the_innermost() {
-        let f = parse("fn outer() { fn inner() { here(); } there(); }\nconst X: u8 = nowhere();\n");
-        let owner = |ident: &str| {
-            let at = (0..f.sig.len()).find(|&i| f.sig_text(i) == ident);
-            f.enclosing_fn(at.expect(ident)).map(|x| x.name.as_str())
-        };
-        assert_eq!(owner("here"), Some("inner"));
-        assert_eq!(owner("there"), Some("outer"));
-        assert_eq!(owner("nowhere"), None);
-    }
-
-    #[test]
-    fn annotations_attach_to_next_fn() {
-        let f = parse(
-            "// srclint: expect-boundary: config is validated at startup\n\
-             pub fn load() { cfg.expect(\"validated\"); }\n\
-             fn other() {}\n",
-        );
-        assert!(f.fns[0].has_annotation("expect-boundary"));
-        assert!(!f.fns[1].has_annotation("expect-boundary"));
-    }
-
-    #[test]
-    fn annotation_requires_reason() {
-        let f = parse("// srclint: checked-indexing\nfn f(xs: &[u8]) -> u8 { xs[0] }\n");
-        assert!(!f.fns[0].has_annotation("checked-indexing"));
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Workspace invariant linting over source files: seven codes, `L001`,
-//! `L004` and `L007`–`L011`. (`L002`, `L003`, `L005` and `L006` are
-//! retired and their numbers are not reused: `L002` is `L008` at crate
-//! scope, `L005` / `L006` are rows of `L001`, and what `L003` read out of
-//! manifests an offline `cargo` refuses to resolve.)
+//! Workspace invariant linting over source files: six codes, `L001`,
+//! `L004`, `L007` and `L009`–`L011`. (`L002`, `L003`, `L005`, `L006` and
+//! `L008` are retired and their numbers are not reused: `L005` / `L006`
+//! are rows of `L001`, what `L003` read out of manifests an offline
+//! `cargo` refuses to resolve, and panic sources, `L002` and then `L008`,
+//! are clippy's restriction lints, denied at the guarded crate roots,
+//! where a function that keeps one carries an `#[expect(…, reason = …)]`
+//! that fails the build once nothing fires under it.)
 //!
 //! The simulator's reproducibility rests on conventions rustc cannot
 //! enforce. This pass lexes every workspace `.rs` file into a token
-//! stream with a test mask, function spans and their annotations
-//! ([`crate::lexer`], [`crate::source_model`]) and machine-checks them.
+//! stream with a test mask ([`crate::lexer`], [`crate::source_model`])
+//! and machine-checks them.
 //! Because analysis is token-based, needles inside string literals, doc
 //! comments, and nested `/* */` blocks can never fire, and `#[cfg(test)]`
 //! scoping is brace-matched (code *after* a test module is still
@@ -27,20 +30,15 @@
 //!   solver-adjacent crates: iteration order feeds model order.
 //! - `L007` — the degradation ladder's rung is owned by `core::governor`;
 //!   no other non-test line in the core crate may mention `ladder_rung`.
-//! - `L008` — **panic sources**: no `unwrap`, no `expect` or
-//!   `panic!`-family macro outside a function annotated
-//!   `// srclint: expect-boundary: <why>`, and no slice-index expression
-//!   outside one annotated `// srclint: checked-indexing: <why>`, in any
-//!   non-test code of `cluster`, `core`, `milp`, `service`, `sim` and
-//!   `strl`, and of `lint`'s STRL lint and certifier — the scheduler
-//!   cycle, the STRL code it builds, lints and certifies, and the event
-//!   loop, ledger and service that drive it. An annotation with an empty
-//!   reason is no annotation.
 //! - `L009` — **float-determinism**: in solver crates (`milp`, `core`,
 //!   `cluster`), no `f64`/`f32` `==`/`!=` comparison and no float
 //!   `Iterator::sum`/`product`/`fold` accumulation outside the fixed-order
 //!   kernels (`crates/milp/src/kernels.rs`): one auditable summation
 //!   order and one exact-zero test, so debug and release digests agree.
+//!   Clippy's `float_cmp`, denied at these crates' roots, is the
+//!   type-aware second net: it sees operands whose float type is inferred,
+//!   which this rule cannot, but exempts comparisons with zero and never
+//!   sees a reduction.
 //! - `L010` — **no concurrency**: threads, locks, atomics, channels, and
 //!   `static mut` are forbidden everywhere in product code (the vendored
 //!   third-party API stubs are exempt): a program whose exports are
@@ -63,7 +61,7 @@ use std::path::Path;
 use tetrisched_milp::lint::{Diagnostic, Severity};
 
 use crate::lexer::{num_is_float, TokenKind};
-use crate::source_model::{is_keyword, SourceFile};
+use crate::source_model::SourceFile;
 
 /// One scoped token rule.
 struct Rule {
@@ -79,19 +77,6 @@ struct Rule {
     message: &'static str,
 }
 
-/// The code that runs on every cycle and every simulated event: `L008`'s
-/// scope, and the functions `fns_checked` counts.
-const PANIC_GUARDED: [&str; 8] = [
-    "crates/cluster/src/",
-    "crates/core/src/",
-    "crates/lint/src/certify.rs",
-    "crates/lint/src/strl_lint.rs",
-    "crates/milp/src/",
-    "crates/service/src/",
-    "crates/sim/src/",
-    "crates/strl/src/",
-];
-
 /// Solver-adjacent crates: iteration order (`L004`) and float comparison
 /// and reduction order (`L009`) here reach objective values, pivoting,
 /// and certificates.
@@ -101,7 +86,7 @@ const SOLVER_ADJACENT: [&str; 3] = [
     "crates/milp/src/",
 ];
 
-const RULES: [Rule; 8] = [
+const RULES: [Rule; 7] = [
     Rule {
         code: "L001",
         scope: &[""],
@@ -153,17 +138,6 @@ const RULES: [Rule; 8] = [
                   publish it via `Governor::stamp()`)",
     },
     Rule {
-        code: "L008",
-        scope: &PANIC_GUARDED,
-        exempt: &[],
-        matcher: panic_source,
-        message: "{what}: `cluster`, `core`, `milp`, `service`, `sim`, `strl` and \
-                  `lint`'s `strl_lint` and `certify` run on every cycle and every simulated \
-                  event, and a panic there kills the whole run; propagate a typed error, or \
-                  state on the function why it cannot fire (an invariant abort that must stay \
-                  is an `expect-boundary`)",
-    },
-    Rule {
         code: "L009",
         scope: &SOLVER_ADJACENT,
         // The fixed-order kernels: the only file in the solver crates
@@ -191,9 +165,6 @@ const RULES: [Rule; 8] = [
     },
 ];
 
-/// Macros that unconditionally panic when reached (`L008`).
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
 /// Result of a workspace scan.
 #[derive(Debug, Default)]
 pub struct SrcLintReport {
@@ -206,11 +177,9 @@ pub struct SrcLintReport {
     pub tokens_scanned: usize,
     /// Total bytes across all `.rs` files.
     pub bytes_scanned: usize,
-    /// Non-test functions inside `L008`'s scope. Zero when the tree has
-    /// none of the guarded crates; the self-lint test asserts this is
-    /// large on the real workspace, so the lint cannot silently disarm.
-    pub fns_checked: usize,
-    /// Config-struct fields checked by `L011` (same honesty guard).
+    /// Config-struct fields checked by `L011`. Zero when the tree has no
+    /// config struct; the self-lint test asserts this is large on the real
+    /// workspace, so the rule cannot silently disarm.
     pub knob_fields_checked: usize,
 }
 
@@ -308,9 +277,6 @@ fn push(report: &mut SrcLintReport, code: &'static str, msg: String, rel: &str, 
 /// Runs every rule whose scope holds `f` over `f`'s non-test tokens.
 fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
     let rel = f.rel.as_str();
-    if in_any(rel, &PANIC_GUARDED) {
-        report.fns_checked += f.fns.iter().filter(|item| !item.is_test).count();
-    }
     let rules: Vec<&Rule> = RULES
         .iter()
         .filter(|r| in_any(rel, r.scope) && !in_any(rel, r.exempt))
@@ -370,60 +336,6 @@ fn concurrency(f: &SourceFile, i: usize) -> Option<String> {
         Some(text.into_owned())
     } else {
         None
-    }
-}
-
-/// `L008`: the four ways a line of the guarded crates can abort the run.
-/// The annotations are read off the innermost enclosing function; code
-/// outside any function has nowhere to carry one.
-fn panic_source(f: &SourceFile, i: usize) -> Option<String> {
-    let vouched = |marker: &str| {
-        f.enclosing_fn(i)
-            .is_some_and(|item| item.has_annotation(marker))
-    };
-    if is_method_call(f, i, "unwrap") {
-        return Some("`unwrap()`".to_string());
-    }
-    if is_method_call(f, i, "expect") && !vouched("expect-boundary") {
-        return Some(
-            "`expect()` in a function without a `// srclint: expect-boundary: <why>` annotation"
-                .to_string(),
-        );
-    }
-    if is_panic_macro(f, i) && !vouched("expect-boundary") {
-        return Some(format!(
-            "`{}!` in a function without a `// srclint: expect-boundary: <why>` annotation",
-            f.sig_text(i)
-        ));
-    }
-    if is_index_expr(f, i) && !vouched("checked-indexing") {
-        return Some(
-            "slice/array index (panics out of bounds) in a function without a \
-             `// srclint: checked-indexing: <why>` annotation"
-                .to_string(),
-        );
-    }
-    None
-}
-
-/// Whether sig index `i` is the name of a `panic!`-family invocation
-/// (`name!`, but not `name != …`).
-fn is_panic_macro(f: &SourceFile, i: usize) -> bool {
-    PANIC_MACROS.iter().any(|m| f.is_ident(i, m)) && f.is_op(i + 1, "!") && !f.is_op(i + 1, "!=")
-}
-
-/// Whether sig index `i` is the `[` of an index expression: its previous
-/// sig token ends an expression (ident, `]`, or `)`), which rules out
-/// macro brackets (`vec![…]` — prev is `!`), attributes, array literals
-/// and slice types.
-fn is_index_expr(f: &SourceFile, i: usize) -> bool {
-    if i == 0 || !f.is_punct(i, "[") {
-        return false;
-    }
-    match f.sig_kind(i - 1) {
-        TokenKind::Ident => !is_keyword(&f.sig_text(i - 1)),
-        TokenKind::Punct => f.is_punct(i - 1, "]") || f.is_punct(i - 1, ")"),
-        _ => false,
     }
 }
 
@@ -627,44 +539,6 @@ mod tests {
             .collect();
         assert_eq!(l007.len(), 1, "exactly the scheduler line: {l007:?}");
         assert!(l007[0].context.contains("scheduler.rs"));
-    }
-
-    #[test]
-    fn l008_covers_the_service_crate() {
-        let report = scan_tree(
-            "l008-svc",
-            &[(
-                "crates/service/src/lib.rs",
-                "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-            )],
-        );
-        assert_eq!(count(&report, "L008"), 1, "{report:?}");
-        assert_eq!(report.fns_checked, 1);
-    }
-
-    #[test]
-    fn l008_index_sites_are_expressions_not_literals_or_types() {
-        let report = scan_tree(
-            "l008-index",
-            &[(
-                "crates/sim/src/lib.rs",
-                "fn f(xs: &[u32], o: Option<u32>) -> u32 {\n\
-                    let a = xs[0];\n\
-                    let d = vec![1, 2];\n\
-                    let e: [u8; 4] = [0; 4];\n\
-                    #[allow(unused)]\n\
-                    let g = if a != 1 { todo!() } else { 0 };\n\
-                    a + d[1] as u32 + e[0] as u32 + g\n\
-                 }\n",
-            )],
-        );
-        let lines: Vec<&str> = report
-            .diagnostics
-            .iter()
-            .filter_map(|d| d.context.rsplit_once(':'))
-            .map(|(_, line)| line)
-            .collect();
-        assert_eq!(lines, ["2", "6", "7", "7"], "{report:?}");
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! `max`/`min` branches, starts outside the plan-ahead window, and value
 //! plumbing (scale/barrier) that zeroes the upward flow of value.
 
+// This pass runs inside the audited cycle: panic sources are denied as in its crates.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
+
 use tetrisched_milp::lint::{Diagnostic, Severity};
 use tetrisched_strl::{StrlExpr, Time};
 

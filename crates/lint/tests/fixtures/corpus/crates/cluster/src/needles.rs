@@ -1,6 +1,6 @@
 //! Fixture: every banned needle, in trivia and literals only — the token
-//! port must produce exactly ONE finding in this file (the real unwrap at
-//! the bottom) and nothing for the needles.
+//! port must produce exactly ONE finding in this file (the real hash map
+//! at the bottom) and nothing for the needles.
 //!
 //! Doc-comment needles: Instant::now(), SystemTime, .unwrap(), HashMap,
 //! HashSet, std::time, ladder_rung, Mutex, std::thread, static mut,
@@ -15,6 +15,6 @@ pub fn needles() -> (&'static str, &'static str) {
 }
 
 /// A real violation after the needles proves the port misses nothing.
-pub fn real(x: Option<u32>) -> u32 {
-    x.unwrap()
+pub fn real(m: &std::collections::HashMap<u32, u32>) -> usize {
+    m.len()
 }

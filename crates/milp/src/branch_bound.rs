@@ -268,10 +268,12 @@ impl BranchBound {
 
 /// The node loop: pops the best open node until the gap closes, a budget is
 /// spent or none is left, and concludes with what the tree then proves.
-// srclint: checked-indexing: all per-variable vectors (bounds, values) are
-// built from model.vars() and indexed by patch and branch columns from
-// most_fractional over the same model; audit ids index the log they were
-// pushed to.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "all per-variable vectors (bounds, values) are built from model.vars() and indexed by \
+              patch and branch columns from most_fractional over the same model; audit ids index \
+              the log they were pushed to"
+)]
 fn explore_nodes(
     mut search: Search<'_>,
     model: &Model,
@@ -462,8 +464,10 @@ pub(crate) fn snap_integers(model: &Model, mut values: Vec<f64>) -> Vec<f64> {
 /// Finds the integer-constrained variable whose relaxation value is farthest
 /// from integral (closest to `0.5` fractionality). Returns `None` when the
 /// assignment is integral within [`INT_TOL`].
-// srclint: checked-indexing: values is a per-variable vector zipped with
-// model.vars() of the same length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "values is a per-variable vector zipped with model.vars() of the same length"
+)]
 pub(crate) fn most_fractional(model: &Model, values: &[f64]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64, f64)> = None; // (index, value, score)
     for (j, v) in model.vars().iter().enumerate() {

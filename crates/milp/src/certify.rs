@@ -188,8 +188,11 @@ impl CertifyReport {
 /// integrality, every constraint row, and the claimed objective value.
 ///
 /// Statuses without an assignment have no primal claim and pass trivially.
-// srclint: checked-indexing: x.len() == num_vars is checked at entry, and
-// every constraint term's VarId indexes a model variable by construction.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "x.len() == num_vars is checked at entry, and every constraint term's VarId indexes a \
+              model variable by construction"
+)]
 pub fn check_solution(model: &Model, sol: &Solution) -> Result<(), String> {
     if !sol.status.has_solution() {
         return Ok(());
@@ -247,9 +250,11 @@ pub fn check_solution(model: &Model, sol: &Solution) -> Result<(), String> {
 /// Checks dual feasibility of `y` for the (maximization) model under the
 /// given bounds and returns the certified dual upper bound
 /// `yᵀb + Σ_j max over [lb_j, ub_j] of d_j x_j` where `d = c - yᵀA`.
-// srclint: checked-indexing: y.len() is checked against num_constraints at
-// entry; yta/lb/ub are per-variable vectors the callers build from
-// model.vars(), indexed by VarId / 0..num_vars.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "y.len() is checked against num_constraints at entry; yta/lb/ub are per-variable \
+              vectors the callers build from model.vars(), indexed by VarId / 0..num_vars"
+)]
 pub fn dual_bound(model: &Model, lb: &[f64], ub: &[f64], y: &[f64]) -> Result<f64, String> {
     if y.len() != model.num_constraints() {
         return Err(format!(
@@ -315,8 +320,11 @@ pub fn dual_bound(model: &Model, lb: &[f64], ub: &[f64], y: &[f64]) -> Result<f6
 /// Verifies a Farkas infeasibility certificate: under the dual sign
 /// conditions, the minimum of `(yᵀA)x` over the variable box must strictly
 /// exceed `yᵀb`, so no point in the box satisfies all rows.
-// srclint: checked-indexing: y.len() is checked against num_constraints at
-// entry; w/lb/ub are per-variable vectors indexed by VarId / 0..num_vars.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "y.len() is checked against num_constraints at entry; w/lb/ub are per-variable \
+              vectors indexed by VarId / 0..num_vars"
+)]
 pub fn verify_farkas(model: &Model, lb: &[f64], ub: &[f64], y: &[f64]) -> Result<(), String> {
     if y.len() != model.num_constraints() {
         return Err(format!(
@@ -375,8 +383,11 @@ pub fn verify_farkas(model: &Model, lb: &[f64], ub: &[f64], y: &[f64]) -> Result
 /// Verifies an unboundedness ray: every component growing toward an
 /// infinite bound, every row's activity moving in a feasible direction,
 /// and a strictly positive objective rate.
-// srclint: checked-indexing: ray.len() is checked against num_vars at
-// entry; lb/ub are per-variable vectors from the same callers.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ray.len() is checked against num_vars at entry; lb/ub are per-variable vectors from \
+              the same callers"
+)]
 pub fn verify_ray(model: &Model, lb: &[f64], ub: &[f64], ray: &[f64]) -> Result<(), String> {
     if ray.len() != model.num_vars() {
         return Err(format!(
@@ -426,8 +437,11 @@ pub fn verify_ray(model: &Model, lb: &[f64], ub: &[f64], ray: &[f64]) -> Result<
 }
 
 /// Clones `model` with the given bound overrides installed.
-// srclint: checked-indexing: lb/ub are per-variable vectors of length
-// num_vars at every call site (base_bounds / node_bounds products).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lb/ub are per-variable vectors of length num_vars at every call site (base_bounds / \
+              node_bounds products)"
+)]
 pub fn bounded_model(model: &Model, lb: &[f64], ub: &[f64]) -> Model {
     let mut m = model.clone();
     for j in 0..m.num_vars() {
@@ -475,8 +489,11 @@ pub fn mint_infeasibility_proof(
 
 /// Base (integer-rounded) bounds of a model: the root box of every search,
 /// and so of every replay.
-// srclint: checked-indexing: lb/ub are allocated to num_vars and indexed
-// by the enumeration over model.vars() of the same length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lb/ub are allocated to num_vars and indexed by the enumeration over model.vars() of \
+              the same length"
+)]
 pub(crate) fn base_bounds(model: &Model) -> (Vec<f64>, Vec<f64>) {
     let n = model.num_vars();
     let mut lb = vec![0.0; n];
@@ -498,8 +515,11 @@ pub(crate) fn base_bounds(model: &Model) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Materializes a node's bounds from the base bounds plus its patches.
-// srclint: checked-indexing: patch indices are range-checked against
-// lb.len() right before use; an out-of-range patch returns Err.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "patch indices are range-checked against lb.len() right before use; an out-of-range \
+              patch returns Err"
+)]
 fn node_bounds(
     base_lb: &[f64],
     base_ub: &[f64],
@@ -528,9 +548,11 @@ fn c003(message: String, context: String) -> Diagnostic {
 /// Complementary slackness of the incumbent against its node's duals:
 /// active duals imply tight rows, decisive reduced costs imply the
 /// variable rests at the matching bound.
-// srclint: checked-indexing: duals has one entry per constraint and
-// yta/lb/ub/x one per variable; the caller (certify_tree) validates both
-// lengths before invoking this check.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "duals has one entry per constraint and yta/lb/ub/x one per variable; the caller \
+              (certify_tree) validates both lengths before invoking this check"
+)]
 fn check_complementary_slackness(
     model: &Model,
     lb: &[f64],
@@ -580,9 +602,12 @@ fn check_complementary_slackness(
 
 /// Replays a branch-and-bound audit tree against `m` and validates every
 /// claim in it.
-// srclint: checked-indexing: node/parent indices are range-checked against
-// nodes.len() as the tree is walked (out-of-range indices become C002
-// diagnostics, not accesses); per-variable vectors come from base_bounds.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node/parent indices are range-checked against nodes.len() as the tree is walked \
+              (out-of-range indices become C002 diagnostics, not accesses); per-variable vectors \
+              come from base_bounds"
+)]
 fn certify_tree(m: &Model, sol: &Solution, audit: &SolveAudit, diags: &mut Vec<Diagnostic>) {
     let (base_lb, base_ub) = base_bounds(m);
     let nodes = &audit.nodes;

@@ -1,6 +1,7 @@
 //! Primal heuristics: diving from the root relaxation.
 
 use crate::branch_bound::{most_fractional, snap_integers, INT_TOL};
+use crate::kernels::exact_eq;
 use crate::model::{Model, VarKind};
 use crate::simplex::{LpOutcome, Simplex};
 use crate::status::SolverStats;
@@ -26,9 +27,12 @@ const DIVE_DEPTH: usize = 256;
 ///
 /// Returns the objective and assignment of an integer-feasible point, or
 /// `None` when the dive dead-ends.
-// srclint: checked-indexing: j comes from largest_share or most_fractional,
-// which only return column indices of the same model; lb/ub/values/snapped
-// are per-variable vectors of num_vars entries, as model.vars() is.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "j comes from largest_share or most_fractional, which only return column indices of \
+              the same model; lb/ub/values/snapped are per-variable vectors of num_vars entries, \
+              as model.vars() is"
+)]
 pub(crate) fn dive(
     model: &Model,
     simplex: &Simplex,
@@ -73,7 +77,7 @@ pub(crate) fn dive(
             let other = if rounded > x { x.floor() } else { x.ceil() }.clamp(lb[j], ub[j]);
             let mut sides = [rounded, other]
                 .into_iter()
-                .take(1 + usize::from(other != rounded));
+                .take(1 + usize::from(!exact_eq(other, rounded)));
             loop {
                 let side = sides.next()?;
                 (lb[j], ub[j]) = (side, side);
@@ -114,8 +118,11 @@ fn relax(
 
 /// The unfixed binary fractional in `values` that carries the largest share
 /// of the objective, `obj * x`; the lowest index among equals.
-// srclint: checked-indexing: values, lb and ub are per-variable vectors
-// zipped with model.vars() of the same length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "values, lb and ub are per-variable vectors zipped with model.vars() of the same \
+              length"
+)]
 fn largest_share(model: &Model, values: &[f64], lb: &[f64], ub: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (j, v) in model.vars().iter().enumerate() {

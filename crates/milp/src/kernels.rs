@@ -127,7 +127,11 @@ impl Width {
     /// Runs `scan` at this width. The scan's kernels are `#[inline(always)]`
     /// so that they are compiled into both call sites below.
     #[inline(always)]
-    #[allow(unsafe_code)]
+    #[allow(
+        unsafe_code,
+        reason = "`avx2` is true only in a `Width` that `Width::host` built after \
+                  `is_x86_feature_detected!(\"avx2\")` held"
+    )]
     pub(crate) fn run<R>(self, scan: impl FnOnce() -> R) -> R {
         #[cfg(target_arch = "x86_64")]
         if self.avx2 {

@@ -305,9 +305,11 @@ pub(crate) fn row_activity(terms: impl IntoIterator<Item = (f64, f64, f64)>) -> 
 /// Always returns the final bounds; any trivial infeasibility found —
 /// crossed bounds, an empty integer domain, a row violated by every point
 /// inside the final bounds — is reported as a [`Certificate`].
-// srclint: checked-indexing: lb/ub are collected from model.vars() and
-// every index is a VarId of the same model or an enumeration bounded by
-// num_vars.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lb/ub are collected from model.vars() and every index is a VarId of the same model \
+              or an enumeration bounded by num_vars"
+)]
 pub fn propagate_bounds(model: &Model, passes: usize) -> Propagation {
     let mut lb: Vec<f64> = model.vars().iter().map(|v| v.lb).collect();
     let mut ub: Vec<f64> = model.vars().iter().map(|v| v.ub).collect();
@@ -478,9 +480,11 @@ const COEFF_RATIO_WARN: f64 = 1e6;
 ///   magnitude ratio exceeds 1e6,
 /// - `M007` (Error + certificate) — a row violated by every point inside
 ///   the propagated variable bounds.
-// srclint: checked-indexing: `referenced` is allocated to num_vars,
-// VarId accesses are explicitly range-guarded, and certificate var/row
-// indices come from propagate_bounds over the same model.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`referenced` is allocated to num_vars, VarId accesses are explicitly range-guarded, \
+              and certificate var/row indices come from propagate_bounds over the same model"
+)]
 pub fn lint_model(model: &Model) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 

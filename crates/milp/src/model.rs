@@ -270,8 +270,10 @@ impl Model {
     }
 
     /// Installs a whole expression into the objective.
-    // srclint: checked-indexing: VarIds are only minted by this model's
-    // add_var and always index `vars`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "VarIds are only minted by this model's add_var and always index `vars`"
+    )]
     pub fn add_objective_expr(&mut self, expr: &LinExpr) {
         for &(v, c) in &expr.terms {
             self.vars[v.0].obj += c;
@@ -319,8 +321,10 @@ impl Model {
     }
 
     /// Read access to a variable description.
-    // srclint: checked-indexing: VarIds are only minted by this model's
-    // add_var and always index `vars`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "VarIds are only minted by this model's add_var and always index `vars`"
+    )]
     pub fn var(&self, id: VarId) -> &Variable {
         &self.vars[id.0]
     }
@@ -331,8 +335,11 @@ impl Model {
     }
 
     /// Read access to a constraint.
-    // srclint: checked-indexing: ConstraintIds are only minted by this
-    // model's add_constraint and always index `constraints`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ConstraintIds are only minted by this model's add_constraint and always index \
+                  `constraints`"
+    )]
     pub fn constraint(&self, id: ConstraintId) -> &Constraint {
         &self.constraints[id.0]
     }
@@ -343,8 +350,10 @@ impl Model {
     }
 
     /// Mutably overrides the bounds of a variable (used by branch-and-bound).
-    // srclint: checked-indexing: VarIds are only minted by this model's
-    // add_var and always index `vars`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "VarIds are only minted by this model's add_var and always index `vars`"
+    )]
     pub fn set_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
         self.vars[var.0].lb = lb;
         self.vars[var.0].ub = ub;
@@ -394,8 +403,11 @@ impl Model {
 
     /// Checks whether a dense assignment satisfies every constraint, bound,
     /// and integrality requirement within tolerance `tol`.
-    // srclint: checked-indexing: the assignment length is checked against
-    // num_vars at entry, and every term VarId indexes this model.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the assignment length is checked against num_vars at entry, and every term VarId \
+                  indexes this model"
+    )]
     pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
         if values.len() != self.vars.len() {
             return false;

@@ -193,9 +193,12 @@ impl Simplex {
     /// steps and branch-and-bound nodes: same model, other bounds). Loads
     /// cold when no basis is held or the new bounds leave a nonbasic column
     /// no finite side on which its reduced cost is dual feasible.
-    // srclint: checked-indexing: lb/ub are caller-supplied per-variable
-    // vectors indexed by 0..lb.len(); branch-and-bound builds both from
-    // model.vars() so the lengths agree by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lb/ub are caller-supplied per-variable vectors indexed by 0..lb.len(); \
+                  branch-and-bound builds both from model.vars() so the lengths agree by \
+                  construction"
+    )]
     pub fn resolve_with_bounds(&self, model: &Model, lb: &[f64], ub: &[f64]) -> Result<LpOutcome> {
         // Reject immediately if any bound pair is crossed: branch-and-bound
         // legitimately produces such nodes.
@@ -321,11 +324,13 @@ impl Tableau {
     /// `n_struct + 2m` columns, one artificial per row — so only the first
     /// LP of a solve allocates: the LPs that follow share the model's
     /// dimensions and differ at most in their artificial count.
-    // srclint: checked-indexing: every index is derived from the tableau's
-    // own dimensions (m rows, n_struct + m + artificials columns), and all
-    // vectors are reset to those dimensions in this function (scratch to
-    // the n_struct + 2m upper bound); cell (i, j) sits at
-    // i * n_cols + j < m * n_cols.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is derived from the tableau's own dimensions (m rows, n_struct + m + \
+                  artificials columns), and all vectors are reset to those dimensions in this \
+                  function (scratch to the n_struct + 2m upper bound); cell (i, j) sits at i * \
+                  n_cols + j < m * n_cols"
+    )]
     fn load(&mut self, model: &Model, s_lb: &[f64], s_ub: &[f64], max_iterations: usize) {
         let m = model.num_constraints();
         let n_struct = model.num_vars();
@@ -438,8 +443,11 @@ impl Tableau {
     }
 
     /// Cell `(i, j)` of the matrix.
-    // srclint: checked-indexing: callers pass a row i < m and a column
-    // j < n_cols, so i * n_cols + j < m * n_cols == a.len().
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a row i < m and a column j < n_cols, so i * n_cols + j < m * n_cols \
+                  == a.len()"
+    )]
     #[inline]
     fn at(&self, i: usize, j: usize) -> f64 {
         self.a[i * self.n_cols + j]
@@ -449,8 +457,11 @@ impl Tableau {
     /// state is nonbasic; a basic column answers `0.0` (its value lives in
     /// `x_basic`, and `0.0` is the contribution a basic column makes to the
     /// residual sums this feeds).
-    // srclint: checked-indexing: j < n_cols is the column-iteration
-    // invariant of every caller; state/lb/ub are allocated to n_cols.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j < n_cols is the column-iteration invariant of every caller; state/lb/ub are \
+                  allocated to n_cols"
+    )]
     fn nonbasic_value(&self, j: usize) -> f64 {
         match self.state[j] {
             ColState::AtLower => self.lb[j],
@@ -470,11 +481,13 @@ impl Tableau {
     /// order and with their values packed beside them, and each row
     /// subtracts them alone: the sequence of non-trivial floating-point
     /// operations is that of a scan over every cell.
-    // srclint: checked-indexing: rhs/x_basic are allocated to m rows and
-    // state/lb/ub to n_cols; nz and scratch hold at least n_cols slots and
-    // the count never passes the column index; nz holds columns < n_cols and
-    // row i is the n_cols cells from i * n_cols, which end at
-    // (i + 1) * n_cols <= m * n_cols.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rhs/x_basic are allocated to m rows and state/lb/ub to n_cols; nz and scratch \
+                  hold at least n_cols slots and the count never passes the column index; nz holds \
+                  columns < n_cols and row i is the n_cols cells from i * n_cols, which end at (i \
+                  + 1) * n_cols <= m * n_cols"
+    )]
     fn refresh_basics(&mut self) {
         self.refactorizations += 1;
         self.since_refresh = 0;
@@ -503,9 +516,11 @@ impl Tableau {
     }
 
     /// Recomputes reduced costs for the given phase cost vector.
-    // srclint: checked-indexing: dj/cost are allocated to n_cols and the
-    // matrix to m rows; basis entries are valid column indices by the pivot
-    // invariant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dj/cost are allocated to n_cols and the matrix to m rows; basis entries are \
+                  valid column indices by the pivot invariant"
+    )]
     fn refresh_reduced_costs(&mut self, phase1: bool) {
         let c = |j: usize| -> f64 {
             if phase1 {
@@ -543,8 +558,10 @@ impl Tableau {
     /// negation and the slack's column is `T_i * e_i`; slack costs are zero
     /// in both phases and the negation cancels against the transformed row,
     /// so `y_i = -dj[s]` holds for the *original* row orientation.
-    // srclint: checked-indexing: slack columns n_struct..n_struct+m exist
-    // for every row by construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slack columns n_struct..n_struct+m exist for every row by construction"
+    )]
     fn extract_duals(&self) -> Vec<f64> {
         (0..self.m).map(|i| -self.dj[self.n_struct + i]).collect()
     }
@@ -553,8 +570,11 @@ impl Tableau {
     /// entering column `j_in` moves in direction `dir` with no blocking
     /// basic variable, so the structural components move at rate `dir` (for
     /// `j_in` itself) and `-a[i][j_in] * dir` (for structural basics).
-    // srclint: checked-indexing: j_in is a pricing-loop column < n_cols;
-    // the ray is allocated to n_struct and only indexed below it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j_in is a pricing-loop column < n_cols; the ray is allocated to n_struct and \
+                  only indexed below it"
+    )]
     fn extract_ray(&self, j_in: usize, dir: f64) -> Vec<f64> {
         let mut ray = vec![0.0; self.n_struct];
         if j_in < self.n_struct {
@@ -570,8 +590,10 @@ impl Tableau {
     }
 
     /// Runs phase 1 (if artificials exist) and phase 2.
-    // srclint: checked-indexing: all loops run over the tableau's own
-    // dimensions (m rows, n_cols columns).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "all loops run over the tableau's own dimensions (m rows, n_cols columns)"
+    )]
     fn solve(&mut self) -> Result<LpOutcome> {
         if self.art_start < self.n_cols {
             self.refresh_reduced_costs(true);
@@ -623,9 +645,11 @@ impl Tableau {
     }
 
     /// Reads the optimum off the final basis of either simplex.
-    // srclint: checked-indexing: values is allocated to n_struct and
-    // state/lb/ub/cost to at least that; row_of holds a row < m for every
-    // basic column (load and both pivot sites record it).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "values is allocated to n_struct and state/lb/ub/cost to at least that; row_of \
+                  holds a row < m for every basic column (load and both pivot sites record it)"
+    )]
     fn finish(&mut self) -> LpOutcome {
         // Refresh once more so the extracted values and duals reflect the
         // exact final basis rather than incrementally maintained state.
@@ -663,9 +687,12 @@ impl Tableau {
     /// feasible, and the basic values follow its move down its column.
     /// Returns `false`, leaving a state only `load` may follow, when no
     /// basis of these dimensions is held or some column has no such side.
-    // srclint: checked-indexing: the dimension check puts n_struct at the
-    // length of the caller's per-variable bounds; lb/ub/state/dj hold
-    // n_cols >= n_struct entries, x_basic m, and `at` takes i < m, j < n_cols.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the dimension check puts n_struct at the length of the caller's per-variable \
+                  bounds; lb/ub/state/dj hold n_cols >= n_struct entries, x_basic m, and `at` \
+                  takes i < m, j < n_cols"
+    )]
     fn install(&mut self, model: &Model, s_lb: &[f64], s_ub: &[f64]) -> bool {
         if !self.held || self.m != model.num_constraints() || self.n_struct != model.num_vars() {
             return false;
@@ -718,10 +745,13 @@ impl Tableau {
     /// that no column can move proves the LP infeasible, and its slack
     /// cells — the row as a combination of the original rows — are the
     /// Farkas vector. Stalling switches both choices to lowest index.
-    // srclint: checked-indexing: rows i, r < m and columns j < n_cols index
-    // vectors allocated to those dimensions; row r is the n_cols cells from
-    // r * n_cols; basis entries are valid columns by the pivot invariant and
-    // slack columns n_struct..n_struct + m exist for every row.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rows i, r < m and columns j < n_cols index vectors allocated to those \
+                  dimensions; row r is the n_cols cells from r * n_cols; basis entries are valid \
+                  columns by the pivot invariant and slack columns n_struct..n_struct + m exist \
+                  for every row"
+    )]
     fn reoptimize(&mut self) -> Result<LpOutcome> {
         let (mut bland, mut stall) = (false, 0usize);
         loop {
@@ -798,9 +828,11 @@ impl Tableau {
     }
 
     /// Pivots until optimality or unboundedness for the current phase.
-    // srclint: checked-indexing: pricing and ratio-test loops index by
-    // column j < n_cols and row i < m; basis entries are valid columns by
-    // the pivot invariant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pricing and ratio-test loops index by column j < n_cols and row i < m; basis \
+                  entries are valid columns by the pivot invariant"
+    )]
     fn optimize(&mut self, phase1: bool) -> Result<PhaseEnd> {
         let mut bland = false;
         let mut stall = 0usize;
@@ -956,8 +988,10 @@ impl Tableau {
 
     /// Scores every column (the start of a primal phase, and after a
     /// refresh recomputed every reduced cost).
-    // srclint: checked-indexing: state, lb, ub, dj and scores all hold at
-    // least n_cols slots.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "state, lb, ub, dj and scores all hold at least n_cols slots"
+    )]
     fn rescore_all(&mut self) {
         let n = self.n_cols;
         let (state, bounds, dj) = (
@@ -971,8 +1005,10 @@ impl Tableau {
     }
 
     /// Scores column `j` again after its reduced cost or state changed.
-    // srclint: checked-indexing: j < n_cols, and scores, state, lb, ub and
-    // dj all hold at least n_cols slots.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j < n_cols, and scores, state, lb, ub and dj all hold at least n_cols slots"
+    )]
     fn rescore(&mut self, j: usize) {
         self.scores[j] = score(self.state[j], self.lb[j], self.ub[j], self.dj[j]);
     }
@@ -983,8 +1019,11 @@ impl Tableau {
     /// kept scores (see [`score`]); the entering column is the first that
     /// attains the maximum ([`first_max`]), which is the column a scan that
     /// skips ineligible columns and keeps the first best picks.
-    // srclint: checked-indexing: scratch, scores and dj hold at least n_cols
-    // slots and the position found is below n_cols.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "scratch, scores and dj hold at least n_cols slots and the position found is \
+                  below n_cols"
+    )]
     fn price(&mut self, bland: bool) -> Option<(usize, f64)> {
         let n = self.n_cols;
         if cfg!(debug_assertions) {
@@ -1018,9 +1057,11 @@ impl Tableau {
     /// the violated row whose basic column has the lowest index; `None`
     /// when no violation exceeds `FEAS_TOL`. The violations go to
     /// `scratch` in one select pass ([`row_violations`]).
-    // srclint: checked-indexing: basis and x_basic hold m slots, scratch at
-    // least n_cols >= m, and basis entries are columns below n_cols, the
-    // length of lb and ub.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "basis and x_basic hold m slots, scratch at least n_cols >= m, and basis entries \
+                  are columns below n_cols, the length of lb and ub"
+    )]
     fn leaving_row(&mut self, bland: bool) -> Option<usize> {
         if bland {
             let mut leave: Option<usize> = None;
@@ -1051,11 +1092,13 @@ impl Tableau {
     /// branch, as their columns in `nz` and their values packed in
     /// `scratch`; the other rows and `dj` are then updated at those columns
     /// only (see [`eliminate`]).
-    // srclint: checked-indexing: r < m and j < n_cols come straight from
-    // the caller's ratio test; the matrix holds m rows of n_cols cells
-    // (cell (i, k) at i * n_cols + k < m * n_cols), rhs/dj/col are allocated
-    // to match, and nz/scratch hold at least n_cols slots, which the count
-    // never passes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < m and j < n_cols come straight from the caller's ratio test; the matrix \
+                  holds m rows of n_cols cells (cell (i, k) at i * n_cols + k < m * n_cols), \
+                  rhs/dj/col are allocated to match, and nz/scratch hold at least n_cols slots, \
+                  which the count never passes"
+    )]
     fn pivot(&mut self, r: usize, j: usize) -> usize {
         let n = self.n_cols;
         let p = self.col[r];
@@ -1158,8 +1201,10 @@ fn violation(x: f64, lb: f64, ub: f64) -> (f64, bool) {
 
 /// Writes each row's [`violation`] to `out`, the row's basic column
 /// `basis[i]` naming its bounds in `lb` and `ub`.
-// srclint: checked-indexing: basis holds columns below the length of lb
-// and ub.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "basis holds columns below the length of lb and ub"
+)]
 #[inline(always)]
 fn row_violations(x_basic: &[f64], basis: &[usize], (lb, ub): (&[f64], &[f64]), out: &mut [f64]) {
     for ((v, &x), &b) in out.iter_mut().zip(x_basic).zip(basis) {
@@ -1219,8 +1264,10 @@ fn movable_verdicts(
 /// column writes its index at the count and only a qualifying one advances
 /// it, so nothing branches on the data; the count never passes the column,
 /// so no verdict is overwritten before it is read.
-// srclint: checked-indexing: j is below out.len() and the count never
-// passes j.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "j is below out.len() and the count never passes j"
+)]
 fn compact(out: &mut [usize]) -> usize {
     let mut count = 0;
     for j in 0..out.len() {
@@ -1235,8 +1282,11 @@ fn compact(out: &mut [usize]) -> usize {
 /// values, in ascending order, to the front of `cols` and `vals`; returns
 /// their count. As in [`compact`], every cell writes and only a nonzero
 /// one advances the count.
-// srclint: checked-indexing: cols and vals hold at least row.len() slots,
-// which the count (at most k) never passes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "cols and vals hold at least row.len() slots, which the count (at most k) never \
+              passes"
+)]
 fn scale_and_gather(row: &mut [f64], inv: f64, cols: &mut [usize], vals: &mut [f64]) -> usize {
     let mut count = 0;
     for (k, a) in row.iter_mut().enumerate() {
@@ -1252,8 +1302,11 @@ fn scale_and_gather(row: &mut [f64], inv: f64, cols: &mut [usize], vals: &mut [f
 /// `row -= factor * pivot_row` at the pivot row's nonzero columns `cols`,
 /// whose values `vals` holds in the same order; the cells skipped are
 /// `x -= factor * 0.0`, which leaves `x` as it is.
-// srclint: checked-indexing: row holds at least n_cols cells and cols holds
-// columns k < n_cols gathered from the pivot row.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "row holds at least n_cols cells and cols holds columns k < n_cols gathered from the \
+              pivot row"
+)]
 #[inline]
 fn eliminate(row: &mut [f64], factor: f64, cols: &[usize], vals: &[f64]) {
     for (&k, &v) in cols.iter().zip(vals) {

@@ -106,9 +106,11 @@ impl Solution {
     /// # Panics
     ///
     /// Panics if the solution carries no assignment.
-    // srclint: checked-indexing: documented panic contract — callers gate
-    // on status.has_solution(), and VarIds index the solved model's
-    // num_vars-length assignment.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic contract — callers gate on status.has_solution(), and VarIds \
+                  index the solved model's num_vars-length assignment"
+    )]
     pub fn value(&self, var: VarId) -> f64 {
         self.values[var.index()]
     }

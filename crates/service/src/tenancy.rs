@@ -102,8 +102,11 @@ impl FairShareBook {
 
     /// Records `nodes` held by a running job of the tenant owning
     /// `service_id`.
-    // srclint: checked-indexing: `tenant_of` reduces the id modulo
-    // `config.tenants`, the count `new` sized `ledgers` with.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`tenant_of` reduces the id modulo `config.tenants`, the count `new` sized \
+                  `ledgers` with"
+    )]
     pub fn observe_held(&mut self, service_id: u64, nodes: u64) {
         if let Some(TenantId(t)) = self.config.tenant_of(service_id) {
             self.ledgers[t as usize].held_nodes += nodes;
@@ -112,8 +115,11 @@ impl FairShareBook {
 
     /// Records `nodes` demanded by a pending job of the tenant owning
     /// `service_id`.
-    // srclint: checked-indexing: `tenant_of` reduces the id modulo
-    // `config.tenants`, the count `new` sized `ledgers` with.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`tenant_of` reduces the id modulo `config.tenants`, the count `new` sized \
+                  `ledgers` with"
+    )]
     pub fn observe_demand(&mut self, service_id: u64, nodes: u64) {
         if let Some(TenantId(t)) = self.config.tenant_of(service_id) {
             self.ledgers[t as usize].demand_nodes += nodes;
@@ -125,8 +131,11 @@ impl FairShareBook {
     /// Exactly `1.0` when fair-share is disabled, when no tenant holds
     /// anything yet, or when the tenant sits at its fair fraction — so the
     /// closed-loop path multiplies by literal 1.0 and stays byte-identical.
-    // srclint: checked-indexing: `tenant_of` reduces the id modulo
-    // `config.tenants`, the count `new` sized `ledgers` with.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`tenant_of` reduces the id modulo `config.tenants`, the count `new` sized \
+                  `ledgers` with"
+    )]
     pub fn weight(&self, service_id: u64) -> f64 {
         let Some(TenantId(t)) = self.config.tenant_of(service_id) else {
             return 1.0;

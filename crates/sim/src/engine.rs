@@ -309,9 +309,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
         }
     }
 
-    // srclint: expect-boundary: the conservation check after every event is
-    // the run's fault detector. A ledger that fails it must stop the run
-    // there, not be scheduled on.
+    #[expect(
+        clippy::panic,
+        reason = "the conservation check after every event is the run's fault detector. A ledger \
+                  that fails it must stop the run there, not be scheduled on"
+    )]
     fn play_events(&mut self) {
         let horizon = self.sim.config.horizon.unwrap_or(Time::MAX);
         while let Some(ev) = self.events.pop() {
@@ -362,9 +364,12 @@ impl<'t, S: Scheduler> Run<'t, S> {
     /// A job that stops being `Pending` (launched or abandoned) leaves the
     /// queue there and then, so one resubmitted before the next cycle is
     /// not offered to the scheduler twice.
-    // srclint: expect-boundary: `pending` holds exactly the `Pending` jobs
-    // (its field doc), and both callers check the state first; a miss is a
-    // broken queue invariant and must not pass silently.
+    #[expect(
+        clippy::expect_used,
+        reason = "`pending` holds exactly the `Pending` jobs (its field doc), and both callers \
+                  check the state first; a miss is a broken queue invariant and must not pass \
+                  silently"
+    )]
     fn dequeue(&mut self, job: JobId) {
         let at = self.pending.iter().position(|&id| id == job);
         self.pending.remove(at.expect("pending jobs are queued"));
@@ -373,9 +378,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
     /// *Start*: a pending job starts running on the gang the scheduler
     /// chose. `start_run` and `stop_run` are the only code that touches the
     /// ledger's allocations.
-    // srclint: expect-boundary: a launch onto held or down nodes is a scheduler
-    // bug caught at the one place allocations are made; the asserts beside it
-    // abort on the same class of fault.
+    #[expect(
+        clippy::panic,
+        reason = "a launch onto held or down nodes is a scheduler bug caught at the one place \
+                  allocations are made; the asserts beside it abort on the same class of fault"
+    )]
     fn start_run(&mut self, launch: Launch) {
         let job = launch.job;
         let now = self.now;
@@ -424,8 +431,10 @@ impl<'t, S: Scheduler> Run<'t, S> {
     }
 
     /// Queues the `Complete` of `job`'s run at its current rate.
-    // srclint: checked-indexing: both callers hold `job` from `record`, which
-    // has already found it in `jobs`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "both callers hold `job` from `record`, which has already found it in `jobs`"
+    )]
     fn queue_completion(&mut self, job: JobId) {
         let rec = &self.jobs[&job];
         let generation = rec.generation;
@@ -439,8 +448,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
     /// ledger, and the generation bump turns its queued `Complete` stale.
     /// The caller moves the job on (`enqueue`, `Backoff` or `retire`) before
     /// its handler returns.
-    // srclint: expect-boundary: `start_run` allocates under `AllocHandle(job.0)`
-    // whenever it sets `Running`, which the assert above has just checked.
+    #[expect(
+        clippy::expect_used,
+        reason = "`start_run` allocates under `AllocHandle(job.0)` whenever it sets `Running`, \
+                  which the assert above has just checked"
+    )]
     fn stop_run(&mut self, job: JobId, keep_progress: bool) {
         let rec = record(&mut self.jobs, job);
         assert!(
@@ -503,8 +515,10 @@ impl<'t, S: Scheduler> Run<'t, S> {
         self.trace.record(event);
     }
 
-    // srclint: checked-indexing: `prepare` queues one `Submit` per record of
-    // `jobs`, keyed by the same id.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`prepare` queues one `Submit` per record of `jobs`, keyed by the same id"
+    )]
     fn on_submit(&mut self, job: JobId) {
         let spec = self.jobs[&job].spec.clone();
         match self.service.ingest(spec) {
@@ -523,8 +537,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
     /// window `[submit, deadline]` sized by its *estimate*, and is classed
     /// by the answer. The closed-loop Submit path and the open-loop
     /// admission-cycle path share this seam so both classify identically.
-    // srclint: checked-indexing: `record` above has already found `job` in
-    // `jobs`, and nothing is ever removed from the map.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`record` above has already found `job` in `jobs`, and nothing is ever removed \
+                  from the map"
+    )]
     fn admit(&mut self, job: JobId) {
         let now = self.now;
         let rec = record(&mut self.jobs, job);
@@ -564,8 +581,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
         self.retire(job, JobOutcome::Shed { at }, TraceEvent::Shed { job, at });
     }
 
-    // srclint: checked-indexing: only `queue_completion` queues a `Complete`,
-    // for a job it has just read out of `jobs`; nothing is ever removed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "only `queue_completion` queues a `Complete`, for a job it has just read out of \
+                  `jobs`; nothing is ever removed"
+    )]
     fn on_complete(&mut self, job: JobId, generation: u32) {
         let now = self.now;
         let rec = &self.jobs[&job];
@@ -605,10 +625,16 @@ impl<'t, S: Scheduler> Run<'t, S> {
         self.sim.scheduler.on_complete(job, now);
     }
 
-    // srclint: checked-indexing: `faults` has one entry per cluster node, and
-    // `prepare` asserts that the fault plans name no node beyond them.
-    // srclint: expect-boundary: `mark_down` fails only on a node that is still
-    // allocated, and the branch above has just evicted its owner.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`faults` has one entry per cluster node, and `prepare` asserts that the fault \
+                  plans name no node beyond them"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "`mark_down` fails only on a node that is still allocated, and the branch above \
+                  has just evicted its owner"
+    )]
     fn on_node_down(&mut self, node: NodeId) {
         let now = self.now;
         if !self.faults[node.index()].fail() {
@@ -652,8 +678,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
         self.trace.record(TraceEvent::NodeDown { node, at: now });
     }
 
-    // srclint: checked-indexing: `faults` has one entry per cluster node, and
-    // `prepare` asserts that the fault plans name no node beyond them.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`faults` has one entry per cluster node, and `prepare` asserts that the fault \
+                  plans name no node beyond them"
+    )]
     fn on_node_up(&mut self, node: NodeId) {
         if self.faults[node.index()].repair() {
             self.ledger.mark_up(node);
@@ -663,9 +692,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
 
     /// A slow window opens or closes: the node stays up at a new rate, and
     /// the gang on it (if any) is re-timed.
-    // srclint: checked-indexing: `prepare` makes the perf-fault events by
-    // enumerating this same `windows()` slice and asserts its nodes are in
-    // the cluster, which sizes `faults`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`prepare` makes the perf-fault events by enumerating this same `windows()` slice \
+                  and asserts its nodes are in the cluster, which sizes `faults`"
+    )]
     fn on_perf_fault(&mut self, ix: usize, opens: bool) {
         let at = self.now;
         let plan = self.sim.config.faults.windows();
@@ -684,8 +715,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
         self.retime_gang_on(node);
     }
 
-    // srclint: checked-indexing: `on_node_down` queues a `Resubmit` only for a
-    // job it has just found through `record`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`on_node_down` queues a `Resubmit` only for a job it has just found through \
+                  `record`"
+    )]
     fn on_resubmit(&mut self, job: JobId) {
         // A Resubmit can only find the job in Backoff: evictions out of
         // Backoff are impossible (the job holds no nodes).
@@ -742,9 +776,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
     /// Open-mode admission cycle: drain a batch of queued arrivals under
     /// backpressure, then shed the excess past the queue-depth bound. The
     /// scheduler's backlog is the queue's length.
-    // srclint: expect-boundary: the service core's conservation check
-    // (admitted + shed + backlog == arrivals) is fault detection, like the
-    // ledger's; a run that fails it stops.
+    #[expect(
+        clippy::panic,
+        reason = "the service core's conservation check (admitted + shed + backlog == arrivals) is \
+                  fault detection, like the ledger's; a run that fails it stops"
+    )]
     fn admit_batch(&mut self) {
         let batch = self.service.drain_cycle(self.pending.len());
         for spec in batch.admitted {
@@ -763,8 +799,10 @@ impl<'t, S: Scheduler> Run<'t, S> {
     /// Straggler defense (see [`crate::straggler`]): flag the running gangs
     /// that have outgrown the cohort median and speculatively migrate the
     /// worst offenders back through the normal placement path.
-    // srclint: checked-indexing: `flagged` is a subset of `cohort`, which was
-    // collected from `jobs` just above.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`flagged` is a subset of `cohort`, which was collected from `jobs` just above"
+    )]
     fn migrate_stragglers(&mut self) {
         let now = self.now;
         let lateness = |rec: &JobRecord| match rec.state {
@@ -803,8 +841,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
 
     /// The views a scheduler is handed: the queue in its own order, the
     /// running gangs in the records' order, ascending by id.
-    // srclint: checked-indexing: `pending` holds ids `enqueue` put there after
-    // finding each in `jobs` through `record`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pending` holds ids `enqueue` put there after finding each in `jobs` through \
+                  `record`"
+    )]
     fn views(&mut self) -> (Vec<PendingJob>, Vec<RunningJob>) {
         let now = self.now;
         let ledger = &self.ledger;
@@ -904,10 +945,16 @@ impl<'t, S: Scheduler> Run<'t, S> {
 
     /// Applies a cycle's decisions in the order a scheduler assumes:
     /// preemptions free the nodes its launches may use.
-    // srclint: expect-boundary: `set_expected_end` fails only on a dead handle,
-    // and a `Running` job holds its allocation (`start_run` / `stop_run`).
-    // srclint: checked-indexing: the scheduler is only ever shown jobs of this
-    // run, the contract `record` states and aborts on.
+    #[expect(
+        clippy::expect_used,
+        reason = "`set_expected_end` fails only on a dead handle, and a `Running` job holds its \
+                  allocation (`start_run` / `stop_run`)"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the scheduler is only ever shown jobs of this run, the contract `record` states \
+                  and aborts on"
+    )]
     fn apply(&mut self, decisions: CycleDecisions) {
         let at = self.now;
         // Victims lose all progress and requeue.
@@ -948,8 +995,10 @@ impl<'t, S: Scheduler> Run<'t, S> {
 
     /// The report of the run, with its end-of-run counters added to the
     /// borrowed registry; `Simulator::run` moves the registry in.
-    // srclint: expect-boundary: the end-of-run service check is fault
-    // detection, as in `admit_batch`.
+    #[expect(
+        clippy::panic,
+        reason = "the end-of-run service check is fault detection, as in `admit_batch`"
+    )]
     fn into_report(mut self) -> SimReport {
         let now = self.now;
         let metrics = &mut self.metrics;
@@ -994,8 +1043,11 @@ impl<'t, S: Scheduler> Run<'t, S> {
 
 /// The record of `job`. Ids reach the engine from its own event queue and
 /// from the scheduler, which is only ever shown jobs of this run.
-// srclint: expect-boundary: a decision about a job the scheduler was never
-// shown is a scheduler bug, and this is where every such id is caught.
+#[expect(
+    clippy::panic,
+    reason = "a decision about a job the scheduler was never shown is a scheduler bug, and this is \
+              where every such id is caught"
+)]
 fn record(jobs: &mut BTreeMap<JobId, JobRecord>, job: JobId) -> &mut JobRecord {
     jobs.get_mut(&job)
         .unwrap_or_else(|| panic!("{job:?} is not a job of this run"))
@@ -1017,8 +1069,11 @@ fn percent(x: f64) -> u32 {
 
 /// The runtime multiplier a gang experiences on `nodes`: gang semantics
 /// make it as slow as its slowest member.
-// srclint: checked-indexing: `faults` holds one entry per cluster node, and
-// a gang's node ids come from that cluster's ledger.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`faults` holds one entry per cluster node, and a gang's node ids come from that \
+              cluster's ledger"
+)]
 fn gang_mult(faults: &[NodeFaults], nodes: &[NodeId]) -> f64 {
     nodes
         .iter()

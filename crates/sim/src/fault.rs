@@ -282,9 +282,11 @@ impl NodeFaults {
     /// multiplier from here on, also kept in `factor`. Overlapping windows
     /// compose by max (the node runs at the worst active factor), 1.0 when
     /// none is left.
-    // srclint: checked-indexing: every `ix` in `active_perf` arrived through
-    // this function from the engine's perf-fault events, which are made by
-    // enumerating the same `plan`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every `ix` in `active_perf` arrived through this function from the engine's \
+                  perf-fault events, which are made by enumerating the same `plan`"
+    )]
     pub(crate) fn perf_window(&mut self, ix: usize, opens: bool, plan: &[FaultWindow]) -> f64 {
         if opens {
             self.active_perf.push(ix);

@@ -20,6 +20,10 @@
 //! core and the YARN CapacityScheduler baseline implement it.
 
 #![deny(unsafe_code)]
+// A panic here kills the run: a function that keeps one says why in an `#[expect]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unreachable)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
 
 pub mod engine;
 pub mod event;

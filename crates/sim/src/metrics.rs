@@ -43,8 +43,11 @@ impl LatencyStats {
     }
 
     /// Quantile in `[0, 1]` by nearest-rank, or 0 for an empty set.
-    // srclint: checked-indexing: `sorted` is non-empty past the early return
-    // and `q` is clamped to [0, 1], so the rank is at most `len() - 1`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`sorted` is non-empty past the early return and `q` is clamped to [0, 1], so the \
+                  rank is at most `len() - 1`"
+    )]
     pub fn quantile(&self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;

@@ -34,8 +34,11 @@ const MIN_COHORT: usize = 3;
 /// 3+. Returns the flagged jobs ordered worst-first (highest ratio, ties by
 /// job id) so the caller can apply a per-cycle migration cap and always
 /// migrate the worst offender first.
-// srclint: checked-indexing: past the early return `ratios` holds at least
-// `MIN_COHORT` entries, and `(len - 1) / 2` is below `len`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "past the early return `ratios` holds at least `MIN_COHORT` entries, and `(len - 1) / \
+              2` is below `len`"
+)]
 pub fn detect_stragglers(cohort: &[(JobId, f64)]) -> Vec<JobId> {
     if cohort.len() < MIN_COHORT {
         return Vec::new();

@@ -258,8 +258,10 @@ impl TraceLog {
     }
 
     /// The most recent events (at most `capacity` of them), in order.
-    // srclint: checked-indexing: a range start of `len - capacity`, saturating
-    // at 0, never exceeds `len`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a range start of `len - capacity`, saturating at 0, never exceeds `len`"
+    )]
     pub fn events(&self) -> &[TraceEvent] {
         let start = self.events.len().saturating_sub(self.capacity);
         &self.events[start..]
