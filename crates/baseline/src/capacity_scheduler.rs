@@ -1,6 +1,6 @@
 //! The CapacityScheduler emulation (Rayon/CS stack of Sec. 6.1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -27,14 +27,14 @@ const PLACEMENT_SEED: u64 = 1;
 pub struct CapacityScheduler {
     /// Reservations by job, recorded at submission (the scheduler needs
     /// them to know which running containers are protected).
-    reservations: HashMap<JobId, Reservation>,
+    reservations: BTreeMap<JobId, Reservation>,
 }
 
 impl CapacityScheduler {
     /// Creates the baseline in the paper's configuration.
     pub fn paper_default() -> Self {
         CapacityScheduler {
-            reservations: HashMap::new(),
+            reservations: BTreeMap::new(),
         }
     }
 
@@ -64,7 +64,7 @@ impl Scheduler for CapacityScheduler {
     fn cycle(&mut self, ctx: &CycleContext<'_>) -> CycleDecisions {
         let mut d = CycleDecisions::default();
         let mut free = self.shuffled_free(ctx);
-        let mut preempted: HashSet<JobId> = HashSet::new();
+        let mut preempted: BTreeSet<JobId> = BTreeSet::new();
 
         // Split pending work into the production queue (live reservation
         // window) and the best-effort queue; jobs whose window has not

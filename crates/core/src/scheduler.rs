@@ -139,6 +139,10 @@ struct Phase<'t> {
 }
 
 impl<'t> Phase<'t> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement site: a phase's wall time feeds only its `phase.*_secs` histogram"
+    )]
     fn open(telemetry: &'t Telemetry, name: &'static str, hist: &'static str) -> Self {
         Phase {
             span: telemetry.span("sched", name),
@@ -150,6 +154,10 @@ impl<'t> Phase<'t> {
 }
 
 impl Drop for Phase<'_> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement site: a phase's wall time feeds only its `phase.*_secs` histogram"
+    )]
     fn drop(&mut self) {
         if let Some((telemetry, hist, started)) = self.timer.take() {
             telemetry.observe_wall(hist, started.elapsed().as_secs_f64());
@@ -466,6 +474,10 @@ impl<'a> Pipeline<'a> {
     /// trustworthy schedule; what happens next is the caller's policy.
     /// `warm` is `Some` when the unit warm starts (holding the warm point,
     /// if one survived), so hits and misses count only then.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measurement site: `solver_time` is reported, and the solve stops on work units"
+    )]
     fn solve_compiled(
         &self,
         expr: &StrlExpr,

@@ -11,14 +11,13 @@
 //! 2. **Source analysis** — [`lint_workspace`] (and the `srclint` binary)
 //!    lexes every workspace `.rs` file into a token stream ([`lexer`])
 //!    with a test mask ([`source_model`]), and runs one table of scoped
-//!    token rules over it: no clock reads outside an allowlist, and none
-//!    at all in the telemetry and service crates (`L001`), no hash-based
-//!    collections in solver-adjacent crates (`L004`), ladder-rung
-//!    ownership (`L007`), float-determinism in solver crates (`L009`), no
-//!    concurrency primitive in product code (`L010`), and dead-knob
-//!    detection over every config struct (`L011`). Panic sources are not
-//!    its job: clippy's restriction lints deny them at the roots of the
-//!    crates the cycle and the event loop run on.
+//!    token rules over it: ladder-rung ownership (`L007`),
+//!    float-determinism in solver crates (`L009`), and dead-knob detection
+//!    over every config struct (`L011`). What rustc can state is not its
+//!    job: clippy's restriction lints deny panic sources at the roots of
+//!    the crates the cycle and the event loop run on, and the root
+//!    `clippy.toml` bans clock reads, hash collections and concurrency
+//!    everywhere (`disallowed_methods` / `disallowed_types`).
 //!
 //! Proof-carrying solver outcomes (codes `C001`–`C003`) are verified by
 //! `tetrisched_milp::certify`; this crate's [`certify`] validates the

@@ -1,11 +1,14 @@
-//! Workspace invariant linting over source files: six codes, `L001`,
-//! `L004`, `L007` and `L009`–`L011`. (`L002`, `L003`, `L005`, `L006` and
-//! `L008` are retired and their numbers are not reused: `L005` / `L006`
-//! are rows of `L001`, what `L003` read out of manifests an offline
-//! `cargo` refuses to resolve, and panic sources, `L002` and then `L008`,
-//! are clippy's restriction lints, denied at the guarded crate roots,
-//! where a function that keeps one carries an `#[expect(…, reason = …)]`
-//! that fails the build once nothing fires under it.)
+//! Workspace invariant linting over source files: three codes, `L007`,
+//! `L009` and `L011`. (`L001`–`L006`, `L008` and `L010` are retired and
+//! their numbers are not reused: what `L003` read out of manifests an
+//! offline `cargo` refuses to resolve; panic sources, `L002` and then
+//! `L008`, are clippy's restriction lints, denied at the guarded crate
+//! roots; and clock reads (`L001`, with its rows `L005` / `L006`), hash
+//! collections (`L004`) and concurrency (`L010`) are clippy's
+//! `disallowed_methods` / `disallowed_types`, listed in the root
+//! `clippy.toml`. Where one of those must stay, its function carries an
+//! `#[expect(…, reason = …)]` that fails the build once nothing fires
+//! under it.)
 //!
 //! The simulator's reproducibility rests on conventions rustc cannot
 //! enforce. This pass lexes every workspace `.rs` file into a token
@@ -21,13 +24,6 @@
 //! token position, and the message. No rule follows a call: what a rule
 //! covers is read off its row, never off a function's name.
 //!
-//! - `L001` — no clock reads. Three rows: `Instant::now` / `SystemTime`
-//!   anywhere outside the three-file measurement allowlist (simulated time
-//!   comes from the engine), and any `std::time` path at all inside
-//!   `crates/telemetry/src` (time is injected by callers) and
-//!   `crates/service/src` (the engine's virtual clock), no allowlist.
-//! - `L004` — no hash-based collections (`HashMap`/`HashSet`) in
-//!   solver-adjacent crates: iteration order feeds model order.
 //! - `L007` — the degradation ladder's rung is owned by `core::governor`;
 //!   no other non-test line in the core crate may mention `ladder_rung`.
 //! - `L009` — **float-determinism**: in solver crates (`milp`, `core`,
@@ -39,10 +35,6 @@
 //!   type-aware second net: it sees operands whose float type is inferred,
 //!   which this rule cannot, but exempts comparisons with zero and never
 //!   sees a reduction.
-//! - `L010` — **no concurrency**: threads, locks, atomics, channels, and
-//!   `static mut` are forbidden everywhere in product code (the vendored
-//!   third-party API stubs are exempt): a program whose exports are
-//!   byte-identical by seed has no interleaving to vary.
 //!
 //! The one rule that is not a token position is `L011` — **dead knobs**:
 //! every field of every `pub struct` named `*Config` or `*Policy` must be
@@ -77,57 +69,7 @@ struct Rule {
     message: &'static str,
 }
 
-/// Solver-adjacent crates: iteration order (`L004`) and float comparison
-/// and reduction order (`L009`) here reach objective values, pivoting,
-/// and certificates.
-const SOLVER_ADJACENT: [&str; 3] = [
-    "crates/cluster/src/",
-    "crates/core/src/",
-    "crates/milp/src/",
-];
-
-const RULES: [Rule; 7] = [
-    Rule {
-        code: "L001",
-        scope: &[""],
-        // Measurement sites only (the engine's cycle timer, the scheduler's
-        // phase and solve timers, the linter's own runtime budget); the two
-        // crates below answer to the stricter rows that follow.
-        exempt: &[
-            "crates/sim/src/engine.rs",
-            "crates/core/src/scheduler.rs",
-            "crates/lint/src/bin/srclint.rs",
-            "crates/telemetry/src/",
-            "crates/service/src/",
-        ],
-        matcher: clock_read,
-        message: "clock read (`{what}`) outside a measurement site breaks simulation determinism",
-    },
-    Rule {
-        code: "L001",
-        scope: &["crates/telemetry/src/"],
-        exempt: &[],
-        matcher: clock_mention,
-        message: "process-clock access (`{what}`) inside the telemetry crate: time must be \
-                  injected by callers (`advance` / `observe_wall`) so exports stay byte-identical",
-    },
-    Rule {
-        code: "L001",
-        scope: &["crates/service/src/"],
-        exempt: &[],
-        matcher: clock_mention,
-        message: "clock access (`{what}`) inside the service crate: time is the engine's \
-                  virtual clock, injected by the caller",
-    },
-    Rule {
-        code: "L004",
-        scope: &SOLVER_ADJACENT,
-        exempt: &[],
-        matcher: hash_collection,
-        message: "hash-based collection (`{what}`) in a solver-adjacent crate: iteration order \
-                  must be deterministic for reproducible models and audit replay; use the \
-                  `BTree` counterpart",
-    },
+const RULES: [Rule; 2] = [
     Rule {
         code: "L007",
         scope: &["crates/core/src/"],
@@ -139,7 +81,13 @@ const RULES: [Rule; 7] = [
     },
     Rule {
         code: "L009",
-        scope: &SOLVER_ADJACENT,
+        // The solver crates: float comparison and reduction order here
+        // reach objective values, pivoting, and certificates.
+        scope: &[
+            "crates/cluster/src/",
+            "crates/core/src/",
+            "crates/milp/src/",
+        ],
         // The fixed-order kernels: the only file in the solver crates
         // allowed to spell a float reduction or an exact comparison, so
         // there is one summation order to audit and debug and release
@@ -150,18 +98,6 @@ const RULES: [Rule; 7] = [
                   reduction or an exact comparison written in place has its own order and its \
                   own zero test, and the digests pin one of each; route it through \
                   `crates/milp/src/kernels.rs`",
-    },
-    Rule {
-        code: "L010",
-        scope: &[""],
-        // Vendored third-party API stubs (their upstream API surfaces name
-        // `Arc` etc.); everything else in the workspace is product code.
-        // Nothing spawns a thread, so there is no seam to exempt: exports
-        // are byte-identical by seed because no interleaving exists.
-        exempt: &["crates/proptest/src/", "crates/rand/src/"],
-        matcher: concurrency,
-        message: "concurrency primitive (`{what}`): threads, locks, atomics, and channels are \
-                  allowed nowhere in product code, so same-seed runs stay byte-identical",
     },
 ];
 
@@ -225,7 +161,7 @@ fn walk(
             walk(root, &path, report, files)?;
         } else if name.ends_with(".rs") {
             let rel = rel_path(root, &path);
-            // Integration tests and benches may use wall clock and unwrap.
+            // Integration tests and benches are not product code.
             if rel.split('/').any(|seg| seg == "tests" || seg == "benches") {
                 continue;
             }
@@ -248,11 +184,6 @@ fn rel_path(root: &Path, path: &Path) -> String {
 
 fn in_any(rel: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| rel.starts_with(p))
-}
-
-/// Whether sig tokens starting at `i` spell the path `a::b`.
-fn is_path2(f: &SourceFile, i: usize, a: &str, b: &str) -> bool {
-    f.is_ident(i, a) && f.is_op(i + 1, "::") && f.is_ident(i + 3, b)
 }
 
 /// Whether the sig token at `i` is a method-call name: `.name(` — with
@@ -291,52 +222,10 @@ fn lint_file(f: &SourceFile, report: &mut SrcLintReport) {
     }
 }
 
-/// `L001`, everywhere: a read of the process's clocks.
-fn clock_read(f: &SourceFile, i: usize) -> Option<String> {
-    if is_path2(f, i, "Instant", "now") {
-        Some("Instant::now".to_string())
-    } else {
-        f.is_ident(i, "SystemTime")
-            .then(|| "SystemTime".to_string())
-    }
-}
-
-/// `L001`, in the crates whose time is handed to them: a clock read, or
-/// any `std::time` path at all.
-fn clock_mention(f: &SourceFile, i: usize) -> Option<String> {
-    clock_read(f, i).or_else(|| is_path2(f, i, "std", "time").then(|| "std::time".to_string()))
-}
-
-/// `L004`.
-fn hash_collection(f: &SourceFile, i: usize) -> Option<String> {
-    let hashed = f.is_ident(i, "HashMap") || f.is_ident(i, "HashSet");
-    hashed.then(|| f.sig_text(i).into_owned())
-}
-
 /// `L007`.
 fn ladder_rung(f: &SourceFile, i: usize) -> Option<String> {
     f.is_ident(i, "ladder_rung")
         .then(|| "ladder_rung".to_string())
-}
-
-/// `L010`.
-fn concurrency(f: &SourceFile, i: usize) -> Option<String> {
-    if f.sig_kind(i) != TokenKind::Ident {
-        return None;
-    }
-    let text = f.sig_text(i);
-    if is_path2(f, i, "std", "thread") || is_path2(f, i, "std", "sync") {
-        Some(format!("std::{}", f.sig_text(i + 3)))
-    } else if text == "static" && f.is_ident(i + 1, "mut") {
-        Some("static mut".to_string())
-    } else if ["Mutex", "RwLock", "Condvar", "mpsc"].contains(&text.as_ref())
-        || is_path2(f, i, "thread", "spawn")
-        || (text.starts_with("Atomic") && text.len() > "Atomic".len())
-    {
-        Some(text.into_owned())
-    } else {
-        None
-    }
 }
 
 /// `L009`: `==` / `!=` with a float operand on either side — a float
@@ -465,125 +354,5 @@ fn lint_dead_knobs(files: &[SourceFile], report: &mut SrcLintReport) {
                 line,
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scan_tree(name: &str, files: &[(&str, &str)]) -> SrcLintReport {
-        let dir = std::env::temp_dir().join(format!("srclint-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        for (rel, content) in files {
-            let path = dir.join(rel);
-            fs::create_dir_all(path.parent().expect("parent")).expect("temp tree");
-            fs::write(&path, content).expect("write fixture");
-        }
-        let report = lint_workspace(&dir).expect("scan");
-        fs::remove_dir_all(&dir).expect("cleanup");
-        report
-    }
-
-    fn count(report: &SrcLintReport, code: &str) -> usize {
-        let hits = report.diagnostics.iter().filter(|d| d.code == code);
-        hits.count()
-    }
-
-    #[test]
-    fn l001_flags_clock_access_in_telemetry_sources() {
-        let report = scan_tree(
-            "l001-telemetry",
-            &[(
-                "crates/telemetry/src/lib.rs",
-                "use std::time::Instant;\nfn now() -> Instant { Instant::now() }\n",
-            )],
-        );
-        assert_eq!(count(&report, "L001"), 2, "import and call: {report:?}");
-    }
-
-    #[test]
-    fn l001_flags_clocks_in_service_sources() {
-        let report = scan_tree(
-            "l001-service",
-            &[(
-                "crates/service/src/lib.rs",
-                "use std::sync::Mutex;\n\
-                 use std::time::Instant;\n\
-                 fn now() -> Instant { Instant::now() }\n",
-            )],
-        );
-        let n = count(&report, "L001");
-        assert_eq!(n, 2, "import and call; the Mutex is L010's: {report:?}");
-    }
-
-    #[test]
-    fn l007_flags_rung_writes_outside_the_governor() {
-        let report = scan_tree(
-            "l007",
-            &[
-                (
-                    "crates/core/src/governor.rs",
-                    "pub fn stamp(d: &mut D) { d.ladder_rung = 1; }\n",
-                ),
-                (
-                    "crates/core/src/scheduler.rs",
-                    "fn sneak(d: &mut D) { d.ladder_rung = 3; }\n",
-                ),
-            ],
-        );
-        let l007: Vec<_> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.code == "L007")
-            .collect();
-        assert_eq!(l007.len(), 1, "exactly the scheduler line: {l007:?}");
-        assert!(l007[0].context.contains("scheduler.rs"));
-    }
-
-    #[test]
-    fn needles_in_strings_and_comments_do_not_fire() {
-        let report = scan_tree(
-            "strings",
-            &[(
-                "crates/core/src/lib.rs",
-                "fn f() {\n\
-                     let a = \"Instant::now() and .unwrap() and HashMap\";\n\
-                     // Instant::now() .unwrap() HashMap ladder_rung\n\
-                     /* nested /* SystemTime std::sync Mutex */ still */\n\
-                     let b = r#\"static mut AtomicUsize\"#;\n\
-                     print(a, b);\n\
-                 }\n",
-            )],
-        );
-        assert!(report.diagnostics.is_empty(), "{report:?}");
-    }
-
-    #[test]
-    fn l010_flags_concurrency_in_product_code_but_not_in_vendored_stubs() {
-        let report = scan_tree(
-            "l010",
-            &[
-                (
-                    "crates/sim/src/worker.rs",
-                    "use std::thread;\nstatic mut COUNTER: u64 = 0;\n\
-                     fn go(a: &AtomicUsize) { thread::spawn(|| {}); }\n",
-                ),
-                (
-                    "crates/rand/src/lib.rs",
-                    "use std::thread;\nuse std::sync::Mutex;\n",
-                ),
-            ],
-        );
-        let l010: Vec<_> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.code == "L010")
-            .collect();
-        assert!(l010.len() >= 4, "thread/static-mut/atomic/spawn: {l010:?}");
-        assert!(
-            l010.iter().all(|d| d.context.contains("sim")),
-            "vendored stubs are exempt: {l010:?}"
-        );
     }
 }

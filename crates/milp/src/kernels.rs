@@ -13,8 +13,8 @@
 //! (`milp`, `core`, `cluster`) **except in this file**. Everything here
 //! reduces left-to-right, sequentially, in the caller's iteration order;
 //! callers are responsible for iterating a deterministically-ordered
-//! container (which `L004` guarantees by banning hash maps in these
-//! crates).
+//! container (which the root `clippy.toml` guarantees by banning hash
+//! maps everywhere).
 //!
 //! One file, then, holds the summation order and the exact zero and
 //! equality tests the golden digests pin, and a change to any is a change

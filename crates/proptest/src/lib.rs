@@ -15,6 +15,11 @@
 //!   seed from `hash(t) ^ i`, so CI failures reproduce locally without a
 //!   persistence file. Set `PROPTEST_CASES` to override the case count.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "vendored API stub: upstream's `BoxedStrategy` shares its strategy through an `Arc`"
+)]
+
 pub mod strategy;
 pub mod test_runner;
 

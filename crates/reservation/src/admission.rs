@@ -1,6 +1,6 @@
 //! Reservation admission control.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use tetrisched_strl::Window;
 
@@ -30,7 +30,7 @@ pub struct Reservation {
 pub struct ReservationSystem {
     capacity: u32,
     plan: CapacityPlan,
-    live: HashMap<ReservationId, Reservation>,
+    live: BTreeMap<ReservationId, Reservation>,
     next_id: u64,
 }
 
@@ -40,7 +40,7 @@ impl ReservationSystem {
         ReservationSystem {
             capacity,
             plan: CapacityPlan::new(),
-            live: HashMap::new(),
+            live: BTreeMap::new(),
             next_id: 0,
         }
     }

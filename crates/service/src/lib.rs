@@ -14,7 +14,7 @@
 //!   objective generation.
 //!
 //! Everything is single-threaded and caller-driven: no threads, no
-//! channels, no clocks (srclint L010 and L001 enforce this). In
+//! channels, no clocks (the root `clippy.toml` enforces this). In
 //! [`ServiceMode::Closed`] the core is a pure pass-through so the
 //! existing trace-replay path reproduces its decisions byte-for-byte;
 //! [`ServiceMode::Open`] enables the full intake/admission pipeline for

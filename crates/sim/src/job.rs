@@ -90,7 +90,7 @@ impl JobSpec {
                 }
             },
             JobType::Availability => {
-                let racks: std::collections::HashSet<_> =
+                let racks: std::collections::BTreeSet<_> =
                     nodes.iter().map(|&n| cluster.rack_of(n)).collect();
                 racks.len() == nodes.len()
             }

@@ -10,11 +10,13 @@
 //! timestamp base to `t * 1_000_000` microseconds, and every subsequent
 //! span open/close draws `base + seq` for a strictly increasing sequence
 //! counter. Two runs with the same seed therefore produce byte-identical
-//! exports, which srclint rule L001 (no wall clock outside the allowlist,
-//! and none at all in this crate or its span arguments) protects.
+//! exports, which the root `clippy.toml`'s clock-read ban (no wall clock
+//! outside the measurement sites, and none at all in this crate or its
+//! span arguments) protects.
 //!
-//! Real wall-clock durations — measured with `Instant` only inside the
-//! L001 allowlist — enter as *wall histogram observations*
+//! Real wall-clock durations — measured with `Instant` only inside a
+//! measurement site's `#[expect(clippy::disallowed_methods, …)]` — enter
+//! as *wall histogram observations*
 //! ([`Telemetry::observe_wall`]). Wall histograms are excluded from
 //! exports by default so the default artifacts stay reproducible; pass
 //! `include_wall = true` to get Fig.-12-style latency data out
@@ -254,8 +256,9 @@ impl Telemetry {
     }
 
     /// Records a wall-clock histogram observation. The *caller* measures
-    /// the duration (it must be on the srclint L001 allowlist); this crate
-    /// only stores the number, and only exports it on request.
+    /// the duration (in a measurement site, whose function expects
+    /// `clippy::disallowed_methods`); this crate only stores the number,
+    /// and only exports it on request.
     pub fn observe_wall(&self, name: &'static str, v: f64) {
         if !self.on {
             return;
@@ -343,7 +346,7 @@ pub struct SpanGuard<'a> {
 
 impl SpanGuard<'_> {
     /// Attaches a deterministic integer annotation to the span. Values
-    /// must not derive from a wall clock (srclint L001).
+    /// must not derive from a wall clock.
     pub fn arg(&self, key: &'static str, v: u64) {
         let Some(id) = self.id else { return };
         self.tel.inner.borrow_mut().args.push((id, key, v));

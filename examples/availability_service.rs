@@ -15,6 +15,8 @@
 //!
 //! Run: `cargo run --release --example availability_service`
 
+#![deny(unsafe_code)]
+
 use tetrisched::cluster::{Cluster, NodeSet, PartitionSet, RackId};
 use tetrisched::core::{compile, CompileInput};
 use tetrisched::milp::SolverConfig;

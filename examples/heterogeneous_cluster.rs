@@ -13,6 +13,8 @@
 //!
 //! Run: `cargo run --release --example heterogeneous_cluster`
 
+#![deny(unsafe_code)]
+
 use tetrisched::cluster::{Cluster, NodeSet, PartitionSet, RackId};
 use tetrisched::core::{compile, CompileInput};
 use tetrisched::milp::SolverConfig;

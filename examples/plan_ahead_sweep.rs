@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run --release --example plan_ahead_sweep`
 
+#![deny(unsafe_code)]
+
 use tetrisched::cluster::Cluster;
 use tetrisched::core::{TetriSched, TetriSchedConfig};
 use tetrisched::sim::{SimConfig, Simulator};

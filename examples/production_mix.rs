@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run --release --example production_mix`
 
+#![deny(unsafe_code)]
+
 use tetrisched::baseline::CapacityScheduler;
 use tetrisched::cluster::Cluster;
 use tetrisched::core::{TetriSched, TetriSchedConfig};

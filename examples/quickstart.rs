@@ -14,6 +14,8 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
+#![deny(unsafe_code)]
+
 use tetrisched::cluster::{Cluster, NodeSet, PartitionSet};
 use tetrisched::core::{compile, CompileInput};
 use tetrisched::milp::SolverConfig;

@@ -5,7 +5,7 @@
 //! every event, and a forced global-MILP failure degrades exactly the
 //! affected cycle to the greedy placer.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use tetrisched::cluster::Cluster;
 use tetrisched::core::{TetriSched, TetriSchedConfig};
@@ -61,7 +61,7 @@ fn churn_killing_ten_percent_of_nodes_is_survived() {
             slow_factor: None,
         },
     );
-    let failed: HashSet<_> = faults.windows().iter().map(|w| w.node).collect();
+    let failed: BTreeSet<_> = faults.windows().iter().map(|w| w.node).collect();
     assert!(
         failed.len() * 10 >= num_nodes,
         "fault plan too tame: only {} of {} nodes fail",
@@ -99,7 +99,7 @@ fn churn_killing_ten_percent_of_nodes_is_survived() {
     // metrics, and each resubmission obeys the backoff schedule.
     let mut evicted = 0usize;
     let mut exhausted = 0usize;
-    let mut pending_backoff: HashMap<_, _> = HashMap::new();
+    let mut pending_backoff: BTreeMap<_, _> = BTreeMap::new();
     for e in report.trace.events() {
         match e {
             TraceEvent::Evicted {
