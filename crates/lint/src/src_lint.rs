@@ -356,3 +356,63 @@ fn lint_dead_knobs(files: &[SourceFile], report: &mut SrcLintReport) {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scan_tree(name: &str, files: &[(&str, &str)]) -> SrcLintReport {
+        let dir = std::env::temp_dir().join(format!("srclint-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for (rel, content) in files {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().expect("parent")).expect("temp tree");
+            fs::write(&path, content).expect("write fixture");
+        }
+        let report = lint_workspace(&dir).expect("scan");
+        fs::remove_dir_all(&dir).expect("cleanup");
+        report
+    }
+
+    #[test]
+    fn l007_flags_rung_writes_outside_the_governor() {
+        let report = scan_tree(
+            "l007",
+            &[
+                (
+                    "crates/core/src/governor.rs",
+                    "pub fn stamp(d: &mut D) { d.ladder_rung = 1; }\n",
+                ),
+                (
+                    "crates/core/src/scheduler.rs",
+                    "fn sneak(d: &mut D) { d.ladder_rung = 3; }\n",
+                ),
+            ],
+        );
+        let l007: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "L007")
+            .collect();
+        assert_eq!(l007.len(), 1, "exactly the scheduler line: {l007:?}");
+        assert!(l007[0].context.contains("scheduler.rs"));
+    }
+
+    #[test]
+    fn needles_in_strings_and_comments_do_not_fire() {
+        let report = scan_tree(
+            "strings",
+            &[(
+                "crates/core/src/lib.rs",
+                "fn f() {\n\
+                     let a = \"Instant::now() and .unwrap() and HashMap\";\n\
+                     // Instant::now() .unwrap() HashMap ladder_rung\n\
+                     /* nested /* SystemTime std::sync Mutex */ still */\n\
+                     let b = r#\"static mut AtomicUsize\"#;\n\
+                     print(a, b);\n\
+                 }\n",
+            )],
+        );
+        assert!(report.diagnostics.is_empty(), "{report:?}");
+    }
+}

@@ -241,9 +241,13 @@ const CLOCK_FILES: [&str; 4] = [
     "crates/lint/src/bin/srclint.rs",
     "crates/lint/tests/self_lint.rs",
 ];
-/// The vendored stubs' roots allow `disallowed_types` file-wide: they
-/// mirror upstream APIs that name `Arc`.
-const STUB_ROOTS: [&str; 2] = ["crates/proptest/src/lib.rs", "crates/rand/src/lib.rs"];
+/// The vendored stub's root allows `disallowed_types` file-wide: it
+/// mirrors an upstream API that names `Arc`.
+const STUB_ROOTS: [&str; 1] = ["crates/proptest/src/lib.rs"];
+
+/// The lint groups that hold both bans: clippy's `style` and `all`, and
+/// rustc's `warnings`, which CI's `-D warnings` turns into errors.
+const BAN_GROUPS: [&str; 3] = ["style", "all", "warnings"];
 
 /// Functions that read a clock: `Phase::open`, `Phase::drop` and
 /// `solve_compiled` in the scheduler, the engine's `on_cycle_tick`,
@@ -286,7 +290,8 @@ fn determinism_bans_are_configured_and_vouched_for_only_where_a_clock_is_read() 
         let listed = |list: &[&str]| list.iter().any(|file| rel == Path::new(file));
         let (clock_file, stub_root) = (listed(&CLOCK_FILES), listed(&STUB_ROOTS));
         for a in lint_attrs(&f) {
-            let bans = |n: &&String| n.starts_with("disallowed_");
+            let bans =
+                |n: &&String| n.starts_with("disallowed_") || BAN_GROUPS.contains(&n.as_str());
             let named: Vec<&String> = a.names.iter().filter(bans).collect();
             if named.is_empty() || a.level == "deny" {
                 continue;

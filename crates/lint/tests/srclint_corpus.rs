@@ -36,6 +36,8 @@ fn l009_fires_in_solver_files_but_not_the_kernel_file() {
     let report = corpus();
     let l009 = sites(&report, "L009", "crates/milp/src/solver.rs:");
     assert_eq!(l009, ["6", "11"], "float `==` and float `sum`: {report:#?}");
+    // And nowhere else: solver.rs 2, scheduler.rs 2, needles.rs 1.
+    assert_eq!(with_code(&report, "L009").len(), 5, "{report:#?}");
     assert!(
         !report
             .diagnostics
